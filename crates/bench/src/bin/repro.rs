@@ -212,13 +212,15 @@ fn write_bench(opts: &Options, command: &str, total: f64, timings: &Timings) {
             "{{\"runs\": {runs}, \"arena_recycled_runs\": {recycled}, \
              \"peak_arena_words\": {}, \"peak_meta_bytes\": {}, \
              \"peak_demand_zeroed_words\": {}, \"park_events\": {}, \
-             \"park_replay_cycles\": {}, \"peak_line_table_bytes\": {}, \
+             \"park_replay_cycles\": {}, \"spurious_wakes\": {}, \
+             \"peak_line_table_bytes\": {}, \
              \"peak_round_lines\": {}, \"peak_rss_bytes\": {}}}",
             p.arena_words,
             p.meta_bytes,
             p.demand_zeroed_words,
             p.park_events,
             p.park_replay_cycles,
+            p.spurious_wakes,
             p.line_table_bytes,
             p.peak_round_lines,
             common::peak_rss_bytes(),

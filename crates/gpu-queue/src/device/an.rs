@@ -48,6 +48,11 @@ impl WaveQueue for AnWaveQueue {
     }
 
     fn acquire(&mut self, ctx: &mut WaveCtx<'_>, lanes: &mut [LanePhase]) {
+        // A wave the engine parked on the empty queue skipped its per-round
+        // `front_seen` refresh; the engine kept the version for it.
+        if let Some(version) = ctx.parked_front_version() {
+            self.front_seen = Some(version);
+        }
         let hungry = lanes.iter().filter(|l| **l == LanePhase::Hungry).count() as u32;
         if hungry == 0 {
             return;
@@ -122,15 +127,16 @@ impl WaveQueue for AnWaveQueue {
     fn register_idle_watches(&self, ctx: &mut WaveCtx<'_>, lanes: &[LanePhase]) -> bool {
         // AN has no monitoring phase: an empty-queue cycle leaves every
         // lane Hungry and attempts no CAS (`n == 0` above), so the cycle
-        // is a pure poll of `Front` (fresh read) and `Rear` (stale read).
-        // `Front`'s mutation version only advances when its value changes,
-        // and the value is strictly monotonic, so watching the two words
-        // also covers the version delta the retry-storm model reads.
+        // is a pure poll of `Front` (fresh read) and `Rear` (stale read)
+        // whose outcome and charges depend only on `rear <= front` — the
+        // "still empty" class. Its one private side effect, `front_seen =
+        // version(Front)`, is unconditional, so the engine reproduces it
+        // by handing back the version of the last skipped round
+        // (`parked_front_version` in `acquire`).
         if !lanes.iter().all(|l| matches!(l, LanePhase::Hungry)) {
             return false;
         }
-        ctx.park_until_changed_now(self.layout.state, FRONT);
-        ctx.park_until_changed(self.layout.state, REAR);
+        ctx.park_while_empty(self.layout.state, REAR, FRONT);
         true
     }
 

@@ -55,13 +55,13 @@ impl WaveQueue for BaseWaveQueue {
     }
 
     fn acquire(&mut self, ctx: &mut WaveCtx<'_>, lanes: &mut [LanePhase]) {
-        let hungry: Vec<usize> = lanes
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| **l == LanePhase::Hungry)
-            .map(|(i, _)| i)
-            .collect();
-        if hungry.is_empty() {
+        // A wave the engine parked on the empty queue skipped its per-round
+        // `front_seen` refresh; the engine kept the version for it.
+        if let Some(version) = ctx.parked_front_version() {
+            self.front_seen = Some(version);
+        }
+        let hungry = lanes.iter().filter(|l| **l == LanePhase::Hungry).count();
+        if hungry == 0 {
             return;
         }
         // BASE's budget is the anti-claim: never an AFA (reservations are
@@ -87,7 +87,7 @@ impl WaveQueue for BaseWaveQueue {
         let mut front = ctx.global_read(self.layout.state, FRONT);
         let mut served = 0usize;
         #[allow(clippy::explicit_counter_loop)] // `front` is device state, not a counter
-        for &lane in &hungry {
+        for lane in lanes.iter_mut().filter(|l| **l == LanePhase::Hungry) {
             if front >= rear {
                 break;
             }
@@ -96,13 +96,13 @@ impl WaveQueue for BaseWaveQueue {
             debug_assert_eq!(observed, front, "fresh per-lane CAS wins in-sim");
             let tok = ctx.global_read_lane(self.layout.slots, front as usize);
             debug_assert_ne!(tok, DNA, "BASE dequeued an unwritten slot");
-            lanes[lane] = LanePhase::Ready(tok);
+            *lane = LanePhase::Ready(tok);
             front += 1;
             served += 1;
         }
-        if served < hungry.len() {
+        if served < hungry {
             // Queue-empty exception: the rest retry next work cycle.
-            ctx.count_queue_empty_retries((hungry.len() - served) as u64);
+            ctx.count_queue_empty_retries((hungry - served) as u64);
         }
 
         // Cross-wavefront staleness: reservations that landed since our
@@ -123,13 +123,13 @@ impl WaveQueue for BaseWaveQueue {
         // Same pure-poll shape as AN: an empty-queue cycle serves zero
         // lanes, so no per-lane CAS fires and no staleness attempts are
         // wasted (`wasted = delta.min(served + 0) = 0`) — the cycle only
-        // reads `Front` (fresh) and `Rear` (stale), both strictly
-        // monotonic, so value watches are exact.
+        // reads `Front` (fresh) and `Rear` (stale) and behaves the same
+        // for every pair with `rear <= front`; `front_seen` is handed
+        // back by the engine on wake, as for AN.
         if !lanes.iter().all(|l| matches!(l, LanePhase::Hungry)) {
             return false;
         }
-        ctx.park_until_changed_now(self.layout.state, FRONT);
-        ctx.park_until_changed(self.layout.state, REAR);
+        ctx.park_while_empty(self.layout.state, REAR, FRONT);
         true
     }
 

@@ -135,15 +135,18 @@ pub trait WaveQueue: Send {
     /// RF/AN always accepts everything or aborts on queue-full.
     fn enqueue(&mut self, ctx: &mut WaveCtx<'_>, tokens: &[u32]) -> usize;
 
-    /// If this wavefront's dequeue side is a *pure poll* — every lane is
-    /// monitoring a slot, so the next `acquire` will re-execute an
-    /// identical cycle until a watched word changes — registers
-    /// stale-visibility park watches on the monitored in-bounds slots (see
-    /// `WaveCtx::park_until_changed`) and returns `true`. Kernels combine
-    /// this with their own watches (e.g. a pending-work counter) to let
-    /// the engine skip the idle long tail cycle-exactly. Designs whose
-    /// empty-queue cycle has side effects (CAS retries, steal scans) keep
-    /// the default `false` and simply never park.
+    /// If this wavefront's dequeue side is a *pure poll* — the next
+    /// `acquire` will re-execute an identical cycle for as long as the
+    /// words it reads stay inside a known class of observations —
+    /// registers park watches naming those classes (see the wave-parking
+    /// contract in `simt::ctx`) and returns `true`: the sentinel designs
+    /// watch the stale value of every monitored in-bounds slot
+    /// (`WaveCtx::park_until_changed`), the CAS designs watch "still
+    /// empty" over `Rear`/`Front` (`WaveCtx::park_while_empty`). Kernels
+    /// combine this with their own watches (e.g. "pending still
+    /// non-zero") to let the engine skip the idle long tail cycle-exactly.
+    /// Designs whose idle cycle is not invariant (steal scans) keep the
+    /// default `false` for it and simply never park there.
     fn register_idle_watches(&self, ctx: &mut WaveCtx<'_>, lanes: &[LanePhase]) -> bool {
         let _ = (ctx, lanes);
         false
@@ -237,10 +240,32 @@ pub(crate) mod testutil {
             // Termination: no tasks in flight anywhere.
             let pending = ctx.global_read(self.pending, 0);
             if pending == 0 && self.outbox.is_empty() {
-                WaveStatus::Done
-            } else {
-                WaveStatus::Active
+                return WaveStatus::Done;
             }
+            // Idle: park like the persistent-thread driver does.
+            if self.outbox.is_empty() && self.queue.register_idle_watches(ctx, &self.lanes) {
+                ctx.park_while_nonzero(self.pending, 0);
+            }
+            WaveStatus::Active
+        }
+    }
+
+    /// Test-only adapter: the wrapped queue, except that it never offers
+    /// park watches — the "polls every round" twin of a parking run.
+    pub struct NeverPark(pub Box<dyn WaveQueue>);
+
+    impl WaveQueue for NeverPark {
+        fn variant(&self) -> Variant {
+            self.0.variant()
+        }
+        fn acquire(&mut self, ctx: &mut WaveCtx<'_>, lanes: &mut [LanePhase]) {
+            self.0.acquire(ctx, lanes)
+        }
+        fn enqueue(&mut self, ctx: &mut WaveCtx<'_>, tokens: &[u32]) -> usize {
+            self.0.enqueue(ctx, tokens)
+        }
+        fn register_idle_watches(&self, _: &mut WaveCtx<'_>, _: &[LanePhase]) -> bool {
+            false
         }
     }
 
@@ -333,6 +358,100 @@ mod tests {
         let mut mem = DeviceMemory::new();
         let q = QueueLayout::setup(&mut mem, "q", 4);
         q.host_seed(&mut mem, &[DNA]);
+    }
+
+    /// Wave 0 drives the queue words by hand; wave 1 is a real consumer.
+    enum HandBack {
+        Driver { layout: QueueLayout, cycle: u32 },
+        Consumer(testutil::PumpKernel),
+    }
+
+    impl simt::WaveKernel for HandBack {
+        fn work_cycle(&mut self, ctx: &mut WaveCtx<'_>) -> simt::WaveStatus {
+            let (layout, cycle) = match self {
+                HandBack::Consumer(pump) => return pump.work_cycle(ctx),
+                HandBack::Driver { layout, cycle } => (*layout, cycle),
+            };
+            ctx.charge_alu(1);
+            match *cycle {
+                // A token comes and goes within the round: `Front` mutates,
+                // the queue never looks non-empty to a stale reader.
+                2..=4 => {
+                    let slot = ctx.atomic_add(layout.state, REAR, 1);
+                    ctx.poke(layout.slots, slot as usize, 100 + slot);
+                    ctx.atomic_add(layout.state, FRONT, 1);
+                }
+                // Four tokens arrive and stay.
+                6 => {
+                    let base = ctx.atomic_add(layout.state, REAR, 4);
+                    for i in 0..4 {
+                        ctx.poke(layout.slots, (base + i) as usize, 200 + i);
+                    }
+                }
+                _ => {}
+            }
+            *cycle += 1;
+            if *cycle == 7 {
+                simt::WaveStatus::Done
+            } else {
+                simt::WaveStatus::Active
+            }
+        }
+    }
+
+    fn hand_back_run(variant: Variant, park: bool) -> simt::RunReport {
+        use std::sync::{Arc, Mutex};
+        let mut engine = simt::Engine::new(simt::GpuConfig::test_tiny());
+        let layout = QueueLayout::setup(engine.memory_mut(), "q", 64);
+        let pending = engine.memory_mut().alloc("pending", 1);
+        engine.memory_mut().write_u32(pending, 0, 4);
+        let consumed = Arc::new(Mutex::new(Vec::new()));
+        let report = engine
+            .run(simt::Launch::workgroups(2).with_audit(), |info| {
+                if info.wave_id == 0 {
+                    return HandBack::Driver { layout, cycle: 0 };
+                }
+                let queue = make_wave_queue(variant, layout);
+                HandBack::Consumer(testutil::PumpKernel {
+                    queue: if park {
+                        queue
+                    } else {
+                        Box::new(testutil::NeverPark(queue))
+                    },
+                    lanes: vec![LanePhase::Idle; info.wave_size],
+                    pending,
+                    consumed: Arc::clone(&consumed),
+                    fanout_until: 0,
+                    children: 0,
+                    outbox: Vec::new(),
+                    completed: 0,
+                })
+            })
+            .expect("hand-back scenario failed");
+        assert_eq!(*consumed.lock().unwrap(), vec![200, 201, 202, 203]);
+        report
+    }
+
+    #[test]
+    fn parked_cas_queues_get_fronts_version_handed_back() {
+        // `Front` mutates three times while the consumer is parked on the
+        // empty queue, then tokens arrive. The retry-storm model (AN) and
+        // the wasted-attempt model (BASE) count `Front` mutations since
+        // the wave's previous *visit* — for a wave that polls every round
+        // that is last round, and parking must not turn it into "since
+        // the wave parked" (three failed CAS attempts that never were).
+        for variant in [Variant::An, Variant::Base] {
+            let parked = hand_back_run(variant, true);
+            let polled = hand_back_run(variant, false);
+            assert_eq!(parked.metrics, polled.metrics, "{variant:?}");
+            assert_eq!(parked.per_cu_cycles, polled.per_cu_cycles, "{variant:?}");
+            assert_eq!(parked.seconds, polled.seconds, "{variant:?}");
+            assert_eq!(parked.metrics.cas_failures, 0, "{variant:?}");
+            assert_eq!(polled.profile.park_events, 0, "{variant:?}");
+            // Parked in round 0, replayed through round 6, woken in 7.
+            assert_eq!(parked.profile.park_events, 1, "{variant:?}");
+            assert_eq!(parked.profile.park_replay_cycles, 6, "{variant:?}");
+        }
     }
 
     #[test]

@@ -304,15 +304,16 @@ impl<W: PtWorkload> WaveKernel for PtKernel<W> {
         }
         // Idle long tail: every lane is just monitoring its slot and the
         // wavefront holds no work, discoveries, or unretired completions —
-        // the next cycle is an identical poll of the monitored slots plus
-        // the pending counter. Park on exactly those words; the engine
-        // replays this cycle's charges until one of them changes.
+        // the next cycle is an identical poll of the queue's idle words plus
+        // the pending counter, which was only tested against zero above.
+        // Park on the queue's watches and on "pending still non-zero"; the
+        // engine replays this cycle's charges until one of them fails.
         if self.outbox.is_empty()
             && self.completed == 0
             && self.work.iter().all(|w| matches!(w, LaneWork::None))
             && self.queue.register_idle_watches(ctx, &self.phases)
         {
-            ctx.park_until_changed_now(self.buffers.pending, 0);
+            ctx.park_while_nonzero(self.buffers.pending, 0);
         }
         WaveStatus::Active
     }

@@ -17,21 +17,56 @@
 //! # Wave parking
 //!
 //! Persistent-thread kernels spend their long tail re-executing an
-//! *identical* polling cycle every round until a watched word changes. A
-//! kernel that recognizes such a cycle can call
-//! [`WaveCtx::park_until_changed`] (stale-visible watch) and/or
-//! [`WaveCtx::park_until_changed_now`] (current-value watch) to declare:
-//! *this work cycle read nothing but the watched words and wave-private
-//! state, and its observations fully determine its behaviour*. The engine
-//! then skips re-running the kernel on subsequent rounds, re-charging the
-//! captured issue/latency/bandwidth/metrics verbatim, and wakes the wave —
-//! at its exact rotation position — on the first round where any watched
-//! word's visible value differs from the parked expectation. Because an
-//! identical observation implies an identical cycle, the fast path is
-//! cycle-exact, and a spurious wake merely re-executes one polling cycle
-//! (which re-parks with the same charges). The engine refuses to park a
+//! *identical* polling cycle every round. A kernel that recognizes such a
+//! cycle registers park watches; the engine then stops invoking it and, at
+//! the wave's exact rotation position each round, re-charges the captured
+//! issue/latency/bandwidth/metrics verbatim until a watch fails.
+//!
+//! **The contract.** A watch does not name a value the cycle *read*; it
+//! names the *class of observations under which the cycle is identical* —
+//! same charges, same metric deltas, same (absent) memory effects, same
+//! wave-private state afterwards. Registering watches declares: *this
+//! cycle read nothing but the watched words and wave-private state, and
+//! as long as every watched word stays inside its class, re-executing the
+//! cycle would do exactly what it just did*. Three classes exist:
+//!
+//! * **same stale value** — [`WaveCtx::park_until_changed`]: the word's
+//!   round-start value equals the one observed now. For words whose value
+//!   the cycle's outcome depends on (a monitored queue slot, a segment
+//!   directory entry).
+//! * **still non-zero** — [`WaveCtx::park_while_nonzero`]: the word's
+//!   current value, sampled at the wave's rotation position, is not zero.
+//!   For a counter the cycle only tests against zero with a read whose
+//!   charges do not depend on the value (the pending-work counter: 5 → 3
+//!   is the same cycle, → 0 is not).
+//! * **still empty** — [`WaveCtx::park_while_empty`]: the stale value of a
+//!   `Rear` word does not exceed the current value of a `Front` word. For
+//!   the CAS queues' empty-queue poll, whose outcome (nothing served, no
+//!   CAS attempted) depends only on that relation. The poll has one
+//!   wave-private side effect — it remembers `Front`'s mutation version
+//!   for the retry-storm model — so the engine records that version at
+//!   the wave's rotation position on every replay and hands the last one
+//!   to the first re-executed cycle through
+//!   [`WaveCtx::parked_front_version`]. That is exactly the value the
+//!   per-round poll would have left behind, because the poll overwrites it
+//!   unconditionally each cycle.
+//!
+//! A class watch registered on a word that is already outside its class
+//! degrades to an exact-value watch on what the cycle observed (never
+//! parks forever; at worst wakes early). A wake that was not needed only
+//! re-executes one polling cycle, which re-parks with the same charges
+//! (counted in `Profile::spurious_wakes`). The engine refuses to park a
 //! cycle that wrote memory or issued atomics, so a buggy caller degrades
 //! to exact slow-path execution rather than wrong accounting.
+//!
+//! **Before a new queue variant uses a class watch** it must show, for its
+//! pure-poll cycle: (1) every device word the cycle reads is watched;
+//! (2) for any two observations in the class the cycle issues the same
+//! operations in the same order (so issue, latency, cache lines and every
+//! `Metrics` counter agree) and writes nothing; (3) every piece of
+//! wave-private state the cycle updates is either a function of the class
+//! alone or handed back by the engine on wake. The "parked == never
+//! parked" differential suite (`tests/park_differential.rs`) is the check.
 
 use crate::audit::{AuditScope, OpSpec};
 use crate::config::CostModel;
@@ -105,16 +140,103 @@ pub trait WaveKernel: Send {
     }
 }
 
-/// One word a parked wave watches, with the value it observed when it
-/// parked. The wave wakes the round any watch's visible value differs.
+/// The class of observations a [`Watch`] holds under (see the module docs
+/// on wave parking).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum WatchClass {
+    /// Round-stale value equals `expected`.
+    StaleEq,
+    /// Current value equals `expected` — only ever the degraded form of a
+    /// class watch registered outside its class.
+    NowEq,
+    /// Current value is non-zero (`expected` unused).
+    NowNonZero,
+}
+
+/// One word a parked wave watches. The wave wakes the round any watch
+/// stops holding.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct Watch {
     /// Flat device address (validated at registration).
     pub(crate) addr: usize,
-    /// Value observed at park time under this watch's visibility.
+    /// Value observed at park time (exact-value classes only).
     pub(crate) expected: u32,
-    /// True for round-stale visibility, false for current-value.
-    pub(crate) stale: bool,
+    /// The class of observations that keep the wave parked.
+    pub(crate) class: WatchClass,
+}
+
+impl Watch {
+    /// Whether the watched word is still inside its class.
+    #[inline]
+    fn holds(&self, memory: &DeviceMemory) -> bool {
+        match self.class {
+            WatchClass::StaleEq => memory.stale_value(self.addr) == self.expected,
+            WatchClass::NowEq => memory.word(self.addr) == self.expected,
+            WatchClass::NowNonZero => memory.word(self.addr) != 0,
+        }
+    }
+}
+
+/// The "still empty" relation watch of a CAS queue's empty poll:
+/// `stale(rear) <= now(front)`, plus the `Front` mutation version the
+/// skipped polls would have remembered.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct EmptyWatch {
+    /// Flat address of `Rear` (read round-stale).
+    rear: usize,
+    /// Flat address of `Front` (read current).
+    front: usize,
+    /// `Front`'s mutation version at the wave's rotation position in the
+    /// last round the parked poll ran or was replayed.
+    front_version: u64,
+}
+
+/// Everything one work cycle asked to park on (engine-owned scratch,
+/// swapped into the wave's park slot when the cycle parks).
+#[derive(Debug, Default)]
+pub(crate) struct ParkRequest {
+    /// Per-word class watches.
+    watches: Vec<Watch>,
+    /// At most one empty-queue relation watch.
+    empty: Option<EmptyWatch>,
+}
+
+impl ParkRequest {
+    /// Drops every registration, keeping the buffer.
+    pub(crate) fn clear(&mut self) {
+        self.watches.clear();
+        self.empty = None;
+    }
+
+    /// True if the cycle registered nothing (it does not ask to park).
+    pub(crate) fn is_empty(&self) -> bool {
+        self.watches.is_empty() && self.empty.is_none()
+    }
+
+    /// The wake check, run at the wave's rotation position: true while
+    /// every watched word is still inside its class.
+    #[inline]
+    pub(crate) fn holds(&self, memory: &DeviceMemory) -> bool {
+        self.watches.iter().all(|w| w.holds(memory))
+            && self
+                .empty
+                .is_none_or(|e| memory.stale_value(e.rear) <= memory.word(e.front))
+    }
+
+    /// Performs the one wave-private side effect of a replayed empty
+    /// poll: remember `Front`'s version as of this rotation position.
+    #[inline]
+    pub(crate) fn note_replay(&mut self, memory: &DeviceMemory) {
+        if let Some(e) = self.empty.as_mut() {
+            e.front_version = memory.version_at(e.front);
+        }
+    }
+
+    /// The version [`ParkRequest::note_replay`] remembered last (or the
+    /// parking cycle itself saw), if an empty watch is held.
+    pub(crate) fn front_version(&self) -> Option<u64> {
+        self.empty.map(|e| e.front_version)
+    }
 }
 
 /// Execution context for one work cycle of one wavefront.
@@ -138,9 +260,12 @@ pub struct WaveCtx<'a> {
     /// Global atomics issued this work cycle (feeds the per-CU atomic-unit
     /// throughput pool).
     pub(crate) atomic_ops: u64,
-    /// Words this cycle asked to park on (engine-owned scratch; a
-    /// non-empty list at cycle end requests parking).
-    pub(crate) watches: &'a mut Vec<Watch>,
+    /// What this cycle asked to park on (engine-owned scratch; a
+    /// non-empty request at cycle end asks for parking).
+    pub(crate) park: &'a mut ParkRequest,
+    /// Set by the engine on the first cycle re-executed after a park that
+    /// held a [`WaveCtx::park_while_empty`] watch.
+    pub(crate) parked_front_version: Option<u64>,
     /// True once the cycle stored to device memory; such a cycle is never
     /// parkable (its re-execution would not be idempotent).
     pub(crate) wrote: bool,
@@ -158,7 +283,7 @@ impl<'a> WaveCtx<'a> {
         round: &'a mut RoundState,
         cost: &'a CostModel,
         info: WaveInfo,
-        watches: &'a mut Vec<Watch>,
+        park: &'a mut ParkRequest,
     ) -> Self {
         WaveCtx {
             memory,
@@ -171,7 +296,8 @@ impl<'a> WaveCtx<'a> {
             fault: None,
             abort: None,
             atomic_ops: 0,
-            watches,
+            park,
+            parked_front_version: None,
             wrote: false,
             audit: false,
             audit_scope: None,
@@ -547,42 +673,98 @@ impl<'a> WaveCtx<'a> {
         }
     }
 
-    /// Registers a *stale-visibility* park watch on one word (see the
+    /// Registers a *same stale value* park watch on one word (see the
     /// module docs on wave parking). Calling this declares the whole work
-    /// cycle a pure poll: its observable inputs are exactly the registered
-    /// watch words, so the engine may replay its charges without
-    /// re-executing it until a watched word's stale-visible value differs
-    /// from the value observed now. Out-of-bounds watches fault.
+    /// cycle a pure poll whose observable inputs are exactly the
+    /// registered watches, so the engine may replay its charges without
+    /// re-executing it until the word's stale-visible value differs from
+    /// the value observed now. Out-of-bounds watches fault.
     pub fn park_until_changed(&mut self, buf: Buffer, index: usize) {
         match self.memory.flat_addr(buf, index) {
             Ok(addr) => {
                 let expected = self.memory.stale_value(addr);
-                self.watches.push(Watch {
+                self.park.watches.push(Watch {
                     addr,
                     expected,
-                    stale: true,
+                    class: WatchClass::StaleEq,
                 });
             }
             Err(e) => self.record_fault(e),
         }
     }
 
-    /// Current-value variant of [`WaveCtx::park_until_changed`], for
-    /// watches on words the cycle reads with non-stale loads (e.g. a
-    /// pending-work counter): the wave wakes the round the word's current
-    /// value, sampled at this wave's rotation position, differs.
-    pub fn park_until_changed_now(&mut self, buf: Buffer, index: usize) {
+    /// Registers a *still non-zero* park watch: for a word the cycle read
+    /// with a plain [`WaveCtx::global_read`] and only tested against zero
+    /// (a pending-work counter). The wave wakes the round the word's
+    /// current value, sampled at this wave's rotation position, is zero.
+    /// On a word that already is zero this degrades to an exact-value
+    /// watch (wake on any change).
+    pub fn park_while_nonzero(&mut self, buf: Buffer, index: usize) {
         match self.memory.flat_addr(buf, index) {
             Ok(addr) => {
                 let expected = self.memory.word(addr);
-                self.watches.push(Watch {
+                let class = if expected != 0 {
+                    WatchClass::NowNonZero
+                } else {
+                    WatchClass::NowEq
+                };
+                self.park.watches.push(Watch {
                     addr,
                     expected,
-                    stale: false,
+                    class,
                 });
             }
             Err(e) => self.record_fault(e),
         }
+    }
+
+    /// Registers the *still empty* park watch of a CAS queue's
+    /// empty-queue poll over `state[rear]` (read round-stale) and
+    /// `state[front]` (read current): the wave stays parked while
+    /// `stale(rear) <= now(front)`. While it is parked the engine keeps
+    /// `Front`'s mutation version as of the wave's rotation position and
+    /// hands it to the first re-executed cycle
+    /// ([`WaveCtx::parked_front_version`]). If the queue is not empty
+    /// now, or the cycle already holds such a watch, this degrades to
+    /// exact-value watches on both words (under which the version cannot
+    /// move either).
+    pub fn park_while_empty(&mut self, state: Buffer, rear: usize, front: usize) {
+        let (rear, front) = match (
+            self.memory.flat_addr(state, rear),
+            self.memory.flat_addr(state, front),
+        ) {
+            (Ok(r), Ok(f)) => (r, f),
+            (Err(e), _) | (_, Err(e)) => return self.record_fault(e),
+        };
+        let rear_seen = self.memory.stale_value(rear);
+        let front_seen = self.memory.word(front);
+        if self.park.empty.is_none() && rear_seen <= front_seen {
+            self.park.empty = Some(EmptyWatch {
+                rear,
+                front,
+                front_version: self.memory.version_at(front),
+            });
+        } else {
+            self.park.watches.push(Watch {
+                addr: rear,
+                expected: rear_seen,
+                class: WatchClass::StaleEq,
+            });
+            self.park.watches.push(Watch {
+                addr: front,
+                expected: front_seen,
+                class: WatchClass::NowEq,
+            });
+        }
+    }
+
+    /// On the first work cycle after a park that held a
+    /// [`WaveCtx::park_while_empty`] watch: `Front`'s mutation version at
+    /// this wave's rotation position in the last round it spent parked —
+    /// what its per-round empty poll would have remembered. `None` on
+    /// every other cycle.
+    pub fn parked_front_version(&self) -> Option<u64> {
+        self.parked_front_version
     }
 
     /// Mutation version of a word — how many value-changing atomics have
@@ -716,7 +898,7 @@ mod tests {
     use super::*;
     use crate::config::CostModel;
 
-    fn harness() -> (DeviceMemory, Metrics, RoundState, CostModel, Vec<Watch>) {
+    fn harness() -> (DeviceMemory, Metrics, RoundState, CostModel, ParkRequest) {
         let mut mem = DeviceMemory::new();
         mem.alloc("buf", 8);
         (
@@ -724,7 +906,7 @@ mod tests {
             Metrics::default(),
             RoundState::new(),
             CostModel::unit(),
-            Vec::new(),
+            ParkRequest::default(),
         )
     }
 
@@ -874,7 +1056,7 @@ mod tests {
     }
 
     #[test]
-    fn park_watches_capture_expected_values() {
+    fn park_watches_capture_their_class() {
         let (mut mem, mut m, mut r, cost, mut w) = harness();
         let buf = mem.buffer("buf");
         mem.write_u32(buf, 1, 9);
@@ -882,10 +1064,62 @@ mod tests {
         mem.store(buf, 1, 11).unwrap(); // written this round
         let mut ctx = WaveCtx::new(&mut mem, &mut m, &mut r, &cost, info(), &mut w);
         ctx.park_until_changed(buf, 1); // stale view: still 9
-        ctx.park_until_changed_now(buf, 1); // current view: 11
-        assert_eq!(w.len(), 2);
-        assert!(w[0].stale && w[0].expected == 9);
-        assert!(!w[1].stale && w[1].expected == 11);
+        ctx.park_while_nonzero(buf, 1); // current view: 11, non-zero
+        ctx.park_while_nonzero(buf, 0); // already zero: degrades
+        let classes: Vec<_> = w.watches.iter().map(|x| (x.class, x.expected)).collect();
+        assert_eq!(
+            classes,
+            vec![
+                (WatchClass::StaleEq, 9),
+                (WatchClass::NowNonZero, 11),
+                (WatchClass::NowEq, 0),
+            ]
+        );
+        assert!(w.holds(&mem));
+        // The non-zero class survives any non-zero value...
+        mem.store(buf, 1, 3).unwrap();
+        assert!(w.holds(&mem));
+        // ...and the degraded watch wakes on the first change.
+        mem.store(buf, 0, 1).unwrap();
+        assert!(!w.holds(&mem));
+    }
+
+    #[test]
+    fn empty_watch_tracks_the_relation_and_degrades_when_not_empty() {
+        let (mut mem, mut m, mut r, cost, mut w) = harness();
+        let buf = mem.buffer("buf");
+        // Front = word 0, Rear = word 1; both 4: empty.
+        mem.write_u32(buf, 0, 4);
+        mem.write_u32(buf, 1, 4);
+        mem.begin_round();
+        {
+            let mut ctx = WaveCtx::new(&mut mem, &mut m, &mut r, &cost, info(), &mut w);
+            ctx.park_while_empty(buf, 1, 0);
+            // A second relation watch in the same cycle falls back to
+            // exact-value watches.
+            ctx.park_while_empty(buf, 1, 0);
+        }
+        assert!(w.empty.is_some());
+        assert_eq!(w.watches.len(), 2);
+        w.watches.clear();
+        assert!(w.holds(&mem));
+        // Rear advances this round: invisible to the stale read.
+        mem.store(buf, 1, 6).unwrap();
+        assert!(w.holds(&mem));
+        mem.begin_round();
+        assert!(!w.holds(&mem), "stale(Rear) 6 passed now(Front) 4");
+        // Front catches up at an earlier rotation position: empty again.
+        mem.store(buf, 0, 6).unwrap();
+        assert!(w.holds(&mem));
+
+        // Registered while NOT empty: no relation watch, exact values.
+        w.clear();
+        mem.store(buf, 1, 9).unwrap();
+        mem.begin_round();
+        let mut ctx = WaveCtx::new(&mut mem, &mut m, &mut r, &cost, info(), &mut w);
+        ctx.park_while_empty(buf, 1, 0);
+        assert!(w.empty.is_none());
+        assert_eq!(w.watches.len(), 2);
     }
 
     #[test]

@@ -40,18 +40,23 @@
 //! # Wave parking
 //!
 //! A kernel whose work cycle was a pure poll can register park watches
-//! (see [`WaveCtx::park_until_changed`]). The engine then stops invoking
-//! the kernel and instead, at the wave's exact rotation position each
-//! round, replays the parked cycle's captured charges (issue, latency,
-//! cache lines, metric deltas) — closed-form accrual of the identical
-//! cycle the kernel would have re-executed — until a watched word's
-//! visible value differs from the parked expectation, at which point the
-//! wave resumes real execution *that same round, at that same position*.
-//! Parking is refused (exact slow path) for cycles that wrote memory,
-//! issued atomics, faulted, aborted, or finished.
+//! (see the [`crate::ctx`] module docs for the contract). The engine then
+//! stops invoking the kernel and instead, at the wave's exact rotation
+//! position each round, replays the parked cycle's captured charges
+//! (issue, latency, cache lines, metric deltas) — closed-form accrual of
+//! the identical cycle the kernel would have re-executed — for as long as
+//! every watched word stays inside the class of observations its watch
+//! names. The first round one does not, the wave resumes real execution
+//! *that same round, at that same position*. So a starved launch costs
+//! host time in proportion to the observations that change some wave's
+//! behaviour, not to rounds × waves. Parking is refused (exact slow path)
+//! for cycles that wrote memory, issued atomics, faulted, aborted, or
+//! finished; arming a memory poison wakes every parked wave for that
+//! round, so a poisoned watched word faults exactly where per-round
+//! polling would have hit it.
 
 use crate::config::GpuConfig;
-use crate::ctx::{Watch, WaveClass, WaveCtx, WaveInfo, WaveKernel, WaveStatus};
+use crate::ctx::{ParkRequest, WaveClass, WaveCtx, WaveInfo, WaveKernel, WaveStatus};
 use crate::error::{AbortReason, FaultKind, SimError};
 use crate::fault::FaultPlan;
 use crate::memory::DeviceMemory;
@@ -151,11 +156,17 @@ pub struct RunReport {
     pub profile: Profile,
 }
 
-/// A parked wavefront: the watch list that wakes it and the captured
-/// charges of its (identical) polling cycle, replayed once per round.
+/// One wavefront's park slot: the watches that keep it parked and the
+/// captured charges of its (identical) polling cycle, replayed once per
+/// round. A woken wave's slot keeps its buffers and charges: the next
+/// park swaps buffers with the request scratch instead of allocating, and
+/// compares charges to tell a spurious wake.
+#[derive(Default)]
 struct Park {
-    /// Words whose visible-value change wakes the wave.
-    watches: Vec<Watch>,
+    /// True while the wave is parked.
+    parked: bool,
+    /// What the polling cycle asked to park on.
+    request: ParkRequest,
     /// Issue cycles the polling cycle charged.
     issue: u64,
     /// Latency watermark the polling cycle charged.
@@ -176,6 +187,8 @@ struct LaunchState {
     park_events: u64,
     /// Park fast-path replays of this launch's waves.
     park_replay_cycles: u64,
+    /// Wakes of this launch's waves that re-parked on the identical cycle.
+    spurious_wakes: u64,
     /// Waves of this launch still alive.
     waves_left: usize,
     /// Makespan snapshotted at retirement (compute/bandwidth/hot-word
@@ -258,10 +271,10 @@ struct Scratch {
     round_latency: Vec<u64>,
     /// Per-CU atomic-unit occupancy this round (millicycles).
     round_atomic: Vec<u64>,
-    /// Park state per wavefront (`None` = executing normally).
-    parks: Vec<Option<Park>>,
-    /// Watch-registration scratch handed to each work cycle.
-    watches: Vec<Watch>,
+    /// Park slot per wavefront.
+    parks: Vec<Park>,
+    /// Park-registration scratch handed to each work cycle.
+    request: ParkRequest,
     /// Plan-phase shard scratch: the active, unparked waves of the
     /// current round (parked waves replay captured charges and run no
     /// work cycle, so there is nothing to plan for them).
@@ -465,7 +478,7 @@ impl Engine {
             round_latency,
             round_atomic,
             parks,
-            watches,
+            request,
             plan_waves,
         } = &mut self.scratch;
         active.clear();
@@ -478,8 +491,10 @@ impl Engine {
         round_latency.resize(num_cus, 0);
         round_atomic.clear();
         round_atomic.resize(num_cus, 0);
-        parks.clear();
-        parks.resize_with(total_waves, || None);
+        // Slots keep their watch buffers across launches.
+        parks.truncate(total_waves);
+        parks.iter_mut().for_each(|p| p.parked = false);
+        parks.resize_with(total_waves, Park::default);
         self.round_state
             .ensure_capacity(self.memory.allocated_words());
 
@@ -494,6 +509,7 @@ impl Engine {
                 metrics: Metrics::default(),
                 park_events: 0,
                 park_replay_cycles: 0,
+                spurious_wakes: 0,
                 waves_left: wgs * self.config.waves_per_wg,
                 makespan: 0,
                 cu_snapshot: Vec::new(),
@@ -541,6 +557,10 @@ impl Engine {
             round_lines = 0;
             round_atomic.iter_mut().for_each(|c| *c = 0);
 
+            // Set the round a poison is armed: every parked wave re-executes
+            // its poll, so one that reads the poisoned word faults at the
+            // rotation position per-round polling would have faulted at.
+            let mut wake_all = false;
             if faults_on {
                 // Collect this round's wave-kills and arm this round's
                 // poisons (both lists are sorted by round).
@@ -561,6 +581,7 @@ impl Engine {
                         if let Ok(addr) = self.memory.flat_addr(buf, p.index) {
                             self.memory.arm_poison(addr, p.round);
                             states[0].metrics.injected_faults += 1;
+                            wake_all = true;
                         }
                     }
                     next_poison += 1;
@@ -581,7 +602,7 @@ impl Engine {
             // that observe this round's poisons in commit order.
             if workers > 1 {
                 plan_waves.clear();
-                plan_waves.extend(active.iter().copied().filter(|&w| parks[w].is_none()));
+                plan_waves.extend(active.iter().copied().filter(|&w| !parks[w].parked));
                 if !plan_waves.is_empty() {
                     profile.plan_rounds += 1;
                     profile.planned_waves += plan_waves.len() as u64;
@@ -630,19 +651,14 @@ impl Engine {
                         round,
                     });
                 }
-                if let Some(park) = parks[w].as_ref() {
+                let park = &mut parks[w];
+                let was_parked = park.parked;
+                if was_parked {
                     // Wake check at the wave's exact rotation position:
-                    // identical observation ⟹ identical cycle, so replay
-                    // the captured charges and move on.
-                    let unchanged = park.watches.iter().all(|watch| {
-                        let v = if watch.stale {
-                            self.memory.stale_value(watch.addr)
-                        } else {
-                            self.memory.word(watch.addr)
-                        };
-                        v == watch.expected
-                    });
-                    if unchanged {
+                    // an observation in the watched class ⟹ identical
+                    // cycle, so replay the captured charges and move on.
+                    if !wake_all && park.request.holds(&self.memory) {
+                        park.request.note_replay(&self.memory);
                         round_issue[info.cu] += park.issue;
                         round_latency[info.cu] = round_latency[info.cu].max(park.latency);
                         round_lines += park.lines;
@@ -650,9 +666,11 @@ impl Engine {
                         state.park_replay_cycles += 1;
                         continue;
                     }
-                    parks[w] = None;
+                    park.parked = false;
                 }
-                watches.clear();
+                // (A slot that was not parked holds a retired request.)
+                let parked_front_version = park.request.front_version().filter(|_| was_parked);
+                request.clear();
                 self.round_state.begin_cycle();
                 let before = state.metrics;
                 let mut ctx = WaveCtx::new(
@@ -661,9 +679,10 @@ impl Engine {
                     &mut self.round_state,
                     &self.config.cost,
                     info,
-                    watches,
+                    request,
                 );
                 ctx.audit = launch.audit;
+                ctx.parked_front_version = parked_front_version;
                 let status = kernels[w].work_cycle(&mut ctx);
                 let issue = ctx.issue;
                 let latency = ctx.latency;
@@ -714,17 +733,25 @@ impl Engine {
                         // the end of this round, after its costs land.
                         newly_done.push(launch_of[w]);
                     }
-                } else if !watches.is_empty() && !wrote && atomic_ops == 0 {
+                } else if !request.is_empty() && !wrote && atomic_ops == 0 {
                     // A pure polling cycle: park the wave and replay these
-                    // exact charges until a watched word changes.
+                    // exact charges until a watched word leaves its class.
                     state.park_events += 1;
-                    parks[w] = Some(Park {
-                        watches: std::mem::take(watches),
-                        issue,
-                        latency,
-                        lines: cycle_lines,
-                        delta: metrics_delta(&state.metrics, &before),
-                    });
+                    let delta = metrics_delta(&state.metrics, &before);
+                    let park = &mut parks[w];
+                    if was_parked
+                        && (park.issue, park.latency, park.lines) == (issue, latency, cycle_lines)
+                        && park.delta == delta
+                    {
+                        state.spurious_wakes += 1;
+                    }
+                    // The retired request's buffer becomes the scratch.
+                    std::mem::swap(&mut park.request, request);
+                    park.parked = true;
+                    park.issue = issue;
+                    park.latency = latency;
+                    park.lines = cycle_lines;
+                    park.delta = delta;
                 }
             }
             if retired {
@@ -823,6 +850,7 @@ impl Engine {
                 let mut p = profile;
                 p.park_events = s.park_events;
                 p.park_replay_cycles = s.park_replay_cycles;
+                p.spurious_wakes = s.spurious_wakes;
                 RunReport {
                     metrics: s.metrics,
                     seconds: self.config.cycles_to_seconds(s.makespan),
@@ -1080,7 +1108,8 @@ mod tests {
     }
 
     /// One wave polls a word (parking on it); the other idles a few
-    /// cycles and then writes it.
+    /// cycles and then writes it. (The wake classes themselves are
+    /// covered in `crate::park_tests`.)
     struct ParkDemo {
         buf: Buffer,
         poller: bool,
@@ -1089,10 +1118,10 @@ mod tests {
     impl WaveKernel for ParkDemo {
         fn work_cycle(&mut self, ctx: &mut WaveCtx<'_>) -> WaveStatus {
             if self.poller {
-                if ctx.global_read(self.buf, 0) != 0 {
+                if ctx.global_read_stale(self.buf, 0) != 0 {
                     return WaveStatus::Done;
                 }
-                ctx.park_until_changed_now(self.buf, 0);
+                ctx.park_until_changed(self.buf, 0);
                 WaveStatus::Active
             } else if self.idle > 0 {
                 self.idle -= 1;

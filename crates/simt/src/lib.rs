@@ -57,6 +57,8 @@ pub mod error;
 pub mod fault;
 pub mod memory;
 pub mod metrics;
+#[cfg(test)]
+mod park_tests;
 pub mod plan;
 pub mod round;
 pub mod trace;

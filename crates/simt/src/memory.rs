@@ -678,6 +678,13 @@ impl DeviceMemory {
         self.words[addr]
     }
 
+    /// Raw mutation-version read by flat address (park replay path; see
+    /// [`DeviceMemory::stale_value`]).
+    #[inline]
+    pub(crate) fn version_at(&self, addr: usize) -> u64 {
+        self.meta[addr].version
+    }
+
     /// Starts a new visibility round: everything written so far becomes
     /// observable to stale reads.
     pub(crate) fn begin_round(&mut self) {

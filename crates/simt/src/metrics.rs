@@ -104,6 +104,10 @@ pub struct Profile {
     /// Parked wave-cycles replayed without re-executing the kernel — the
     /// park fast path's hit count.
     pub park_replay_cycles: u64,
+    /// Wakes whose re-executed cycle re-parked with the identical captured
+    /// charges: the wave need not have woken. `park_events` minus this is
+    /// the number of parks that followed real work.
+    pub spurious_wakes: u64,
     /// Bytes held by the cache-line stamp table (bandwidth accounting).
     pub line_table_bytes: u64,
     /// Largest number of distinct cache lines touched in one round.
@@ -128,6 +132,7 @@ impl Profile {
         self.arena_recycled = self.arena_recycled.max(other.arena_recycled);
         self.park_events += other.park_events;
         self.park_replay_cycles += other.park_replay_cycles;
+        self.spurious_wakes += other.spurious_wakes;
         self.line_table_bytes = self.line_table_bytes.max(other.line_table_bytes);
         self.peak_round_lines = self.peak_round_lines.max(other.peak_round_lines);
         self.engine_workers = self.engine_workers.max(other.engine_workers);
@@ -170,6 +175,7 @@ mod tests {
             arena_recycled: 0,
             park_events: 2,
             park_replay_cycles: 10,
+            spurious_wakes: 1,
             line_table_bytes: 64,
             peak_round_lines: 5,
             engine_workers: 1,
@@ -183,6 +189,7 @@ mod tests {
             arena_recycled: 1,
             park_events: 3,
             park_replay_cycles: 7,
+            spurious_wakes: 2,
             line_table_bytes: 128,
             peak_round_lines: 9,
             engine_workers: 4,
@@ -196,6 +203,7 @@ mod tests {
         assert_eq!(a.arena_recycled, 1);
         assert_eq!(a.park_events, 5);
         assert_eq!(a.park_replay_cycles, 17);
+        assert_eq!(a.spurious_wakes, 3);
         assert_eq!(a.line_table_bytes, 128);
         assert_eq!(a.peak_round_lines, 9);
         assert_eq!(a.engine_workers, 4);

@@ -18,7 +18,7 @@ use super::common::{bfs_run, pt_config, record_recovery, DatasetCache};
 use crate::report::Table;
 use crate::{Scale, Sched};
 use gpu_queue::Variant;
-use pt_bfs::{run_bfs_recoverable, RecoveryPolicy};
+use pt_bfs::{run_recoverable, Bfs, RecoveryPolicy};
 use ptq_graph::{validate_levels, Dataset};
 use simt::{FaultPlan, FaultSpec, GpuConfig};
 
@@ -111,7 +111,7 @@ pub fn measure(scale: Scale, sched: &Sched) -> Vec<Row> {
             max_attempts: 16,
             ..RecoveryPolicy::default()
         };
-        let run = run_bfs_recoverable(&gpu, &graph, source, &config, &policy, &plan)
+        let run = run_recoverable(&gpu, &graph, &Bfs::new(source), &config, &policy, &plan)
             .unwrap_or_else(|e| panic!("chaos on {dataset:?}: {e}"));
         validate_levels(&graph, source, &run.values)
             .unwrap_or_else(|_| panic!("chaos on {dataset:?}: wrong levels"));

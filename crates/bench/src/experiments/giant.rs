@@ -19,8 +19,8 @@
 //! The timed pipeline per leg is **build + device-setup churn**: one
 //! graph construction plus [`SETUP_EPOCHS`] full device setups (engine,
 //! graph upload, value/queue buffers, seed) — the allocation pattern a
-//! checkpointed recovery run repeats every epoch (`run_epoch` stands up
-//! a fresh engine per launch). The BFS run itself validates the legs but
+//! checkpointed recovery run repeats every epoch (the launch primitive
+//! stands up a fresh engine per launch). The BFS run itself validates the legs but
 //! is excluded from the throughput clock: the simulated traversal is
 //! identical in both legs by construction, so including it would only
 //! dilute the construction contrast being measured.
@@ -107,7 +107,7 @@ impl Drop for EagerGuard {
 }
 
 /// One full device setup: the exact allocation sequence of
-/// `run_workload_once` (graph upload, value array, on-queue bits,
+/// `pt_bfs`'s launch primitive (graph upload, value array, on-queue bits,
 /// outstanding counter, sentinel-painted queue, seed), then teardown so
 /// the next epoch recycles the arena.
 fn device_setup(gpu: &GpuConfig, graph: &Csr, capacity: u32) {

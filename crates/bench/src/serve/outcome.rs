@@ -67,7 +67,7 @@ pub struct QueryOutcome {
     /// with compatible peers; 0 when it never reached the device).
     pub batch_peers: u32,
     /// In-run recovery aborts survived across all attempts (checkpoint
-    /// replays inside `resume_workload`, below the service's own
+    /// replays inside `pt_bfs::execute`, below the service's own
     /// retries).
     pub in_run_aborts: u64,
     /// Admission → terminal-state latency in simulated cycles (0 for

@@ -6,9 +6,9 @@
 //! strict two-phase split:
 //!
 //! 1. **Phase A — profile precompute (parallel).** Each query's full
-//!    retry chain is simulated up front with
-//!    [`resume_workload_detailed`]: attempt 0 from a fresh start, each
-//!    later attempt resumed from the previous failure's checkpoint with
+//!    retry chain is simulated up front with [`execute`]: attempt 0
+//!    from a fresh start, each later
+//!    attempt resumed from the previous failure's checkpoint with
 //!    its pruned fault plan (so a retry replays fewer rounds than a
 //!    restart). An attempt depends only on the query, its seeded fault
 //!    plan, and the checkpoint chain — never on service state — so the
@@ -32,7 +32,7 @@
 //! replay stays byte-identical.
 //!
 //! The service's retry ladder sits *above* the in-run recovery of
-//! `resume_workload`: the configured [`RecoveryPolicy`] uses
+//! [`execute`]: the configured [`RecoveryPolicy`] uses
 //! `max_attempts: 0`, so every abort escalates to the service as a typed
 //! [`RunFailure`], and the service decides — exponential backoff and
 //! re-admission while the retry budget lasts, quarantine with the full
@@ -44,10 +44,7 @@ use std::sync::Arc;
 
 use gpu_queue::Variant;
 use pt_bfs::workload::{Bfs, ConnectedComponents, PrDelta, PtWorkload, QueryBatch, Sssp};
-use pt_bfs::{
-    resume_workload_detailed, run_workloads_coresident, Checkpoint, PtConfig, RecoveryLog,
-    RecoveryPolicy,
-};
+use pt_bfs::{execute, Checkpoint, PtConfig, RecoveryLog, RecoveryPolicy, RunSpec};
 use ptq_graph::{random_weights, Csr, Dataset};
 use simt::{AbortReason, FaultPlan, FaultSpec, GpuConfig};
 
@@ -316,19 +313,18 @@ impl Service {
             self.config.engine_workers
         };
         let mut attempts: Vec<AttemptSim> = Vec::new();
-        let mut checkpoint = Checkpoint::start_of(workload, graph.num_vertices());
+        let solo = [(graph, workload)];
+        let mut checkpoint: Option<Checkpoint> = None;
         let mut plan = plan.clone();
         for _ in 0..=self.config.retry_budget {
-            match resume_workload_detailed(
-                gpu,
-                graph,
-                workload,
-                &config,
-                policy,
-                &plan,
-                checkpoint.clone(),
-            ) {
-                Ok(run) => {
+            let spec = RunSpec {
+                plan: &plan,
+                start: checkpoint.as_ref(),
+                ..RunSpec::new(&solo, &config, policy)
+            };
+            match execute(gpu, spec) {
+                Ok(runs) => {
+                    let run = &runs[0];
                     if let Err((v, want, got)) = workload.validate(graph, &run.values) {
                         panic!(
                             "serve: {} on {} diverged from the oracle at vertex {v}: expected {want}, got {got}",
@@ -359,9 +355,9 @@ impl Service {
                         log: failure.log,
                     });
                     // The next attempt replays only from the last good
-                    // checkpoint, against the already-fired faults'
-                    // pruned plan.
-                    checkpoint = failure.checkpoint;
+                    // checkpoint (the one it started from if it committed
+                    // none), against the already-fired faults' pruned plan.
+                    checkpoint = failure.checkpoint.or(checkpoint);
                     plan = failure.remaining_plan;
                 }
             }
@@ -683,7 +679,7 @@ impl Service {
 
     /// Execute one co-resident unit: `groups` (all of `kind`) each fuse
     /// into a [`QueryBatch`] and launch together on the simulated
-    /// device through [`run_workloads_coresident`]. Returns, per group,
+    /// device as one [`execute`] launch group. Returns, per group,
     /// its launch's occupied cycles and the per-member reached counts.
     /// Deterministic at any engine-worker count, so Phase B can run the
     /// engine here without breaking the byte-identical replay.
@@ -723,7 +719,7 @@ impl Service {
                 DatasetCache::global().get(g.dataset, scale)
             })
             .collect();
-        let entries: Vec<(&Csr, QueryBatch<W>)> = groups
+        let batches: Vec<QueryBatch<W>> = groups
             .iter()
             .zip(&graphs)
             .map(|(g, graph)| {
@@ -736,22 +732,26 @@ impl Service {
                         make(source, graph)
                     })
                     .collect();
-                (graph.as_ref(), QueryBatch::new(members, n))
+                QueryBatch::new(members, n)
             })
             .collect();
+        let entries: Vec<(&Csr, &QueryBatch<W>)> =
+            graphs.iter().map(Arc::as_ref).zip(&batches).collect();
+        // One config for the unit, started at its smallest batch's own
+        // capacity factor (the launch floors each larger batch at its own).
         let mut config = PtConfig::new(self.config.variant, self.config.workgroups);
+        let own = batches.iter().map(|b| b.default_capacity_factor());
+        let smallest = own.fold(f64::INFINITY, f64::min);
+        config.capacity_factor = config.capacity_factor.max(smallest);
         config.engine_workers = if self.config.engine_workers == 0 {
             engine_workers()
         } else {
             self.config.engine_workers
         };
-        let runs =
-            run_workloads_coresident(&self.config.gpu, &entries, &config).unwrap_or_else(|e| {
-                panic!(
-                    "serve: co-resident {} unit failed: {e}",
-                    entries[0].1.name()
-                )
-            });
+        let policy = RecoveryPolicy::regrow_only(config.capacity_factor);
+        let name = batches[0].name();
+        let runs = execute(&self.config.gpu, RunSpec::new(&entries, &config, &policy))
+            .unwrap_or_else(|f| panic!("serve: co-resident {name} unit failed: {}", f.error));
         runs.iter()
             .zip(&entries)
             .zip(groups)
@@ -808,6 +808,35 @@ mod tests {
         assert_eq!(serial.execution_queue_full, 0);
         let parallel = service.run(&trace, &Sched::new(4));
         assert_eq!(serial, parallel);
+    }
+
+    #[test]
+    fn a_lone_fused_batch_is_sized_like_its_solo_run() {
+        // One group in the unit: the fused launch must be the batch's own
+        // `run_workload` — queue sized from the *batch's* capacity factor
+        // (members x the solo one), not the unit config's — cycle for cycle.
+        let service = Service::new(ServiceConfig::batched(Scale::new(0.02)));
+        let mut trace = tiny_trace(0x5EED);
+        for query in &mut trace.queries {
+            (query.kind, query.dataset, query.rel_scale) =
+                (WorkloadKind::Bfs, Dataset::RoadNY, 0.5);
+        }
+        let group = DispatchGroup {
+            kind: WorkloadKind::Bfs,
+            dataset: Dataset::RoadNY,
+            rel_scale: 0.5,
+            members: vec![0, 1, 2],
+        };
+        let fused = service.run_fused(&trace, WorkloadKind::Bfs, &[group]);
+
+        let config = service.config();
+        let graph = DatasetCache::global().get(Dataset::RoadNY, Scale::new(0.02 * 0.5));
+        let n = graph.num_vertices();
+        let source = |q: usize| (trace.queries[q].source_salt as usize % n) as u32;
+        let batch = QueryBatch::new((0..3).map(|q| Bfs::new(source(q))).collect(), n);
+        let solo_config = PtConfig::for_workload(&batch, config.variant, config.workgroups);
+        let solo = pt_bfs::run_workload(&config.gpu, &graph, &batch, &solo_config).unwrap();
+        assert_eq!(fused[0].0, config.gpu.seconds_to_cycles(solo.seconds));
     }
 
     fn burst_trace(seed: u64, queries: usize) -> ArrivalTrace {

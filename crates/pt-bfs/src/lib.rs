@@ -14,39 +14,38 @@
 //!   acquiring tokens through any of the five queue designs and
 //!   enqueuing newly discovered work through the workload's
 //!   [`workload::TokenSink`].
-//! * [`runner`] — host-side orchestration: buffer setup, launch,
-//!   queue-full capacity regrow, audit enforcement, and the
-//!   [`runner::Run`] report (simulated seconds, atomic counts, retries,
-//!   recovery log).
+//! * [`runner`] — the host program, spelled out once: the private
+//!   launch primitive (buffer set-up, queue layout, launch, read-back for
+//!   one launch or a co-resident group), the [`runner::Run`] report
+//!   (simulated seconds, atomic counts, retries, recovery log) and the
+//!   plain-run constructors.
+//! * [`recovery`] — the one run path: [`recovery::execute`] drives the
+//!   launch primitive under a [`recovery::RecoveryPolicy`] (bounded
+//!   attempts, geometric capacity regrow, backoff, watchdog, value-fenced
+//!   checkpoint epochs). [`run_workload`], [`run_bfs`],
+//!   [`run_bfs_stealing`] and [`run_recoverable`] are thin constructors
+//!   over it; the paper's plain run is the policy value
+//!   [`recovery::RecoveryPolicy::regrow_only`].
 //! * [`baseline`] — the Rodinia-style level-synchronous BFS (relaunches a
 //!   kernel per level) and the CHAI-style collaborative CPU+GPU BFS.
 //! * [`host`] — a real-thread CPU BFS built on the host queues, used by
 //!   the Criterion benchmarks.
-//! * [`sssp`] — SSSP entry points (label-correcting shortest paths as a
-//!   thin [`workload::Sssp`] veneer over the generic runner).
-//! * [`recovery`] — checkpoint/resume recovery: value-fenced epochs,
-//!   a [`recovery::RecoveryPolicy`] (bounded attempts, geometric capacity
-//!   regrow, backoff, watchdog), and the [`recovery::RecoveryLog`] every
-//!   run report carries — generic over the workload.
 
 pub mod baseline;
 pub mod host;
 pub mod kernel;
 pub mod recovery;
 pub mod runner;
-pub mod sssp;
 pub mod workload;
 
 pub use kernel::{PtKernel, SpillFence, CHUNK};
 pub use recovery::{
-    resume_bfs, resume_workload, resume_workload_detailed, run_bfs_recoverable, run_recoverable,
-    Checkpoint, RecoveryAttempt, RecoveryLog, RecoveryPolicy, RunFailure,
+    execute, run_recoverable, Checkpoint, RecoveryAttempt, RecoveryLog, RecoveryPolicy, RunFailure,
+    RunSpec,
 };
 pub use runner::{
-    queue_capacity, run_bfs, run_bfs_stealing, run_workload, run_workload_stealing,
-    run_workloads_coresident, PhaseWalls, PtConfig, Run,
+    queue_capacity, run_bfs, run_bfs_stealing, run_workload, PhaseWalls, PtConfig, Run, Scheduler,
 };
-pub use sssp::{run_sssp, run_sssp_recoverable};
 pub use workload::{
     Bfs, Claim, ConnectedComponents, PrDelta, PtWorkload, QueryBatch, Sssp, WorkBuffers,
 };

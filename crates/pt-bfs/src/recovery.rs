@@ -1,13 +1,14 @@
-//! Checkpoint/resume recovery for persistent-thread runs, generic over
-//! the workload.
+//! The one run path: a policy-driven retry/epoch loop over the launch
+//! primitive, generic over the workload.
 //!
 //! The paper's only recovery story is capacity regrow: "If more space can
 //! be allocated, the user can retry the kernel with a larger queue." This
 //! module generalizes that into a [`RecoveryPolicy`] — bounded attempts,
-//! geometric capacity regrow (subsuming the ad-hoc doubling in
-//! [`crate::run_workload`]), per-attempt backoff in simulated cycles, and
-//! a per-epoch watchdog — and adds *checkpointing* so a failed launch
-//! does not restart the traversal from scratch.
+//! geometric capacity regrow, per-attempt backoff in simulated cycles,
+//! and a per-epoch watchdog — and adds *checkpointing* so a failed launch
+//! does not restart the traversal from scratch. [`execute`] is the single
+//! loop behind every entry point; the paper's plain run is the policy
+//! value [`RecoveryPolicy::regrow_only`], not a sibling code path.
 //!
 //! # Value-fenced epochs
 //!
@@ -15,22 +16,27 @@
 //! so there is no iteration-safe point to snapshot: an abort mid-launch
 //! leaves tokens half-expanded (a lane clears the on-queue bit before
 //! walking the adjacency list, so its unexpanded edges are unrecoverable
-//! from device state). Instead, the recoverable runner *fences* each
-//! launch at a claim value (see [`crate::kernel::SpillFence`]):
-//! discoveries claimed past the fence are claimed as usual (value
-//! atomic-min + on-queue bit) but parked in a spill buffer rather than
-//! the scheduler queue. Each launch therefore terminates at a frontier
-//! boundary — `pending == 0` with nothing half-expanded — and the host
-//! snapshots a [`Checkpoint`]: the value array, the on-queue bits, and
-//! the spilled frontier. The next epoch relaunches from that snapshot.
+//! from device state). Instead, a policy with a finite checkpoint stride
+//! *fences* each launch at a claim value (see
+//! [`crate::kernel::SpillFence`]): discoveries claimed past the fence
+//! are claimed as usual (value atomic-min + on-queue bit) but parked in a
+//! spill buffer rather than the scheduler queue. Each launch therefore
+//! terminates at a frontier boundary — `pending == 0` with nothing
+//! half-expanded — and the host snapshots a [`Checkpoint`]: the value
+//! array, the on-queue bits, and the spilled frontier. The next epoch
+//! relaunches from that snapshot.
 //!
 //! The fence unit is whatever the workload's claim word measures: BFS
 //! levels, SSSP distances (weights ≥ 1 keep each epoch's round count
 //! bounded), component labels for min-label CC. Max-directed workloads
 //! ([`crate::workload::Claim::Max`]) never spill — their claim values
-//! only grow away from the fence — so they degenerate to one unfenced
-//! launch per run and recover by scratch restart, exactly like
-//! `checkpoint_levels == u32::MAX`.
+//! only grow away from the fence — so they degenerate to one launch per
+//! run and recover by scratch restart.
+//!
+//! A stride of `u32::MAX` means *no fence at all*: no spill buffer, no
+//! snapshot read back or materialised host-side — the launch is
+//! byte-for-byte the paper's plain host program, and an abort restarts
+//! it from its borrowed start state.
 //!
 //! On an abort (queue-full, injected fault, watchdog) the epoch is
 //! retried from the last checkpoint, so only the current epoch's rounds
@@ -41,21 +47,18 @@
 //! this for BFS and SSSP.
 //!
 //! Faults are transient: after an injected-fault abort the plan is pruned
-//! with [`FaultPlan::expire_through`], so the retry makes progress.
-//! The snapshotted frontier is validated through the *host* RF/AN queue
-//! mirror ([`RfAnQueue::try_enqueue_batch`] / `try_reserve`) before each
-//! relaunch, so a corrupt snapshot surfaces as a structured error instead
-//! of poisoning a device launch.
+//! with [`FaultPlan::expire_through`], so the retry makes progress. A
+//! caller-supplied snapshot is validated before the first launch (shape,
+//! sentinel collisions), so a corrupt one surfaces as a typed error
+//! instead of poisoning a device launch.
 
-use crate::kernel::PtKernel;
-use crate::runner::{enforce_retry_free, queue_capacity, LaunchLayout, PhaseWalls, PtConfig, Run};
-use crate::workload::{Bfs, PtWorkload, WorkBuffers};
-use gpu_queue::host::{EnqueueError, RfAnQueue, SegmentedRfAnQueue};
-use gpu_queue::Variant;
+use crate::runner::{launch, queue_capacity, PhaseWalls, PtConfig, Run, Scheduler};
+use crate::workload::PtWorkload;
+use gpu_queue::DNA;
 use ptq_graph::Csr;
-use simt::{AbortReason, Engine, FaultPlan, GpuConfig, Launch, Metrics, Profile, SimError};
+use simt::{AbortReason, FaultPlan, GpuConfig, SimError};
 
-/// How the recoverable runner reacts to aborts.
+/// How a run reacts to aborts, and how often it checkpoints.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RecoveryPolicy {
     /// Total relaunch attempts allowed across the run; the abort that
@@ -64,7 +67,9 @@ pub struct RecoveryPolicy {
     /// Multiplier applied to the capacity factor on a queue-full abort
     /// (the paper's doubling generalized).
     pub capacity_regrow: f64,
-    /// Ceiling on the capacity factor (multiple of the vertex count).
+    /// Ceiling on the capacity factor (multiple of the vertex count). A
+    /// queue-full abort at the ceiling is terminal at once: relaunching
+    /// at the same capacity would abort identically.
     pub max_capacity_factor: f64,
     /// Simulated backoff cycles added per retry: attempt `k` waits
     /// `k * backoff_cycles` before relaunching (charged to the run's
@@ -72,8 +77,8 @@ pub struct RecoveryPolicy {
     pub backoff_cycles: u64,
     /// Claim-value units per epoch — the checkpoint stride (BFS levels,
     /// SSSP distance, CC label range). Small strides bound lost work
-    /// tightly; `u32::MAX` degenerates to one unfenced launch (recovery
-    /// then restarts from scratch, like [`crate::run_workload`]).
+    /// tightly; `u32::MAX` is one unfenced launch (recovery then
+    /// restarts from scratch, like [`crate::run_workload`]).
     pub checkpoint_levels: u32,
     /// Per-epoch round budget. An epoch exceeding it aborts with
     /// [`AbortReason::Watchdog`] and retries with a doubled budget.
@@ -93,6 +98,29 @@ impl Default for RecoveryPolicy {
             checkpoint_levels: 4,
             watchdog_rounds: 0,
         }
+    }
+}
+
+impl RecoveryPolicy {
+    /// The paper's host program as a policy value: one unfenced launch,
+    /// the capacity doubled on each queue-full abort up to 16× the
+    /// starting `factor`, no backoff, no watchdog.
+    pub fn regrow_only(factor: f64) -> Self {
+        RecoveryPolicy {
+            capacity_regrow: 2.0,
+            max_capacity_factor: 16.0 * factor,
+            backoff_cycles: 0,
+            checkpoint_levels: u32::MAX,
+            ..RecoveryPolicy::default()
+        }
+    }
+
+    /// The queue-full regrow rule — "retry the kernel with a larger
+    /// queue": the next capacity factor after `factor`, or `None` once
+    /// the ceiling is reached.
+    fn regrown(&self, factor: f64) -> Option<f64> {
+        (factor < self.max_capacity_factor)
+            .then(|| (factor * self.capacity_regrow).min(self.max_capacity_factor))
     }
 }
 
@@ -122,7 +150,7 @@ pub struct RecoveryLog {
     pub attempts: Vec<RecoveryAttempt>,
     /// Checkpoints taken (resume points with a non-empty frontier).
     pub checkpoints: u32,
-    /// Epochs (fenced launches) that completed successfully.
+    /// Epochs (launches) that completed successfully.
     pub epochs: u32,
     /// Rounds executed by aborted launches (discarded work).
     pub rounds_lost: u64,
@@ -163,64 +191,368 @@ pub struct Checkpoint {
     pub rounds_committed: u64,
 }
 
-impl Checkpoint {
-    /// The pre-traversal snapshot of a BFS from `source`: only the
-    /// source discovered, at level 0. Kept as the BFS-era constructor;
-    /// [`Checkpoint::start_of`] covers any workload.
-    pub fn initial(num_vertices: usize, source: u32) -> Self {
-        Self::start_of(&Bfs::new(source), num_vertices)
-    }
+/// Everything [`execute`] needs to know about a run.
+pub struct RunSpec<'a, W> {
+    /// The launch group, one `(graph, workload)` per member. One member
+    /// is a solo run; several run *co-resident* on the one simulated
+    /// device, each reported in its own [`Run`] (own metrics, values and
+    /// makespan — the cycle its last wave retired — so per-query latency
+    /// under contention falls straight out). A group shares `config`, so
+    /// each member's queue is sized from the larger of
+    /// `config.capacity_factor` and its own workload's default factor.
+    pub launches: &'a [(&'a Csr, &'a W)],
+    /// Launch geometry, queue variant and starting capacity factor.
+    pub config: &'a PtConfig,
+    /// Queue topology (the shared queue unless stated otherwise).
+    pub scheduler: Scheduler,
+    /// What to do on an abort, and whether to checkpoint.
+    pub policy: &'a RecoveryPolicy,
+    /// Deterministic fault injection ([`FaultPlan::EMPTY`] for none).
+    pub plan: &'a FaultPlan,
+    /// Snapshot to resume from rather than restart; `None` starts from
+    /// the workload's seeds. The state is borrowed either way.
+    pub start: Option<&'a Checkpoint>,
+}
 
-    /// The pre-traversal snapshot of `workload` over an `num_vertices`
-    /// graph: the workload's initial values, its seeds as the frontier
-    /// (with their on-queue bits set), depth 0.
-    pub fn start_of<W: PtWorkload>(workload: &W, num_vertices: usize) -> Self {
-        let values = workload.initial_values(num_vertices);
-        let frontier = workload.seeds(num_vertices);
-        // Tokens index per-token state: `num_vertices` slots solo,
-        // `k * num_vertices` for a k-member QueryBatch.
-        let mut inqueue = vec![0u32; workload.state_len(num_vertices)];
-        for &seed in &frontier {
-            inqueue[seed as usize] = 1;
-        }
-        Checkpoint {
-            values,
-            inqueue,
-            frontier,
-            depth: 0,
-            rounds_committed: 0,
+/// [`FaultPlan::EMPTY`] with an address (`RunSpec::plan` borrows).
+static NO_FAULTS: FaultPlan = FaultPlan::EMPTY;
+
+impl<'a, W> RunSpec<'a, W> {
+    /// A fault-free run of `launches` from their seeds on the shared
+    /// queue; override the remaining fields with struct-update syntax.
+    pub fn new(
+        launches: &'a [(&'a Csr, &'a W)],
+        config: &'a PtConfig,
+        policy: &'a RecoveryPolicy,
+    ) -> Self {
+        RunSpec {
+            launches,
+            config,
+            scheduler: Scheduler::Shared,
+            policy,
+            plan: &NO_FAULTS,
+            start: None,
         }
     }
 }
 
-/// What one fenced launch hands back to the epoch loop.
-struct EpochOutcome {
-    metrics: Metrics,
-    seconds: f64,
-    per_cu_cycles: Vec<u64>,
-    values: Vec<u32>,
-    inqueue: Vec<u32>,
-    spilled: Vec<u32>,
-    profile: Profile,
+/// Everything a supervisor needs to *continue* after a run exhausted its
+/// in-run budget. A serving layer retries by feeding `checkpoint` and
+/// `remaining_plan` back into [`execute`] — replaying only the aborted
+/// epoch, not the whole run — or quarantines the query with `log` as the
+/// evidence.
+#[derive(Clone, Debug)]
+pub struct RunFailure {
+    /// The terminal error (the abort that exhausted `max_attempts`, or
+    /// a non-recoverable simulator error).
+    pub error: SimError,
+    /// The recovery log up to and including the fatal attempt.
+    pub log: RecoveryLog,
+    /// The last snapshot this run committed — resume here, not from
+    /// scratch. `None` if none: resume from `RunSpec::start` again.
+    pub checkpoint: Option<Checkpoint>,
+    /// The fault plan with everything that fired already pruned
+    /// ([`FaultPlan::expire_through`]), so a resume makes progress.
+    pub remaining_plan: FaultPlan,
+    /// Simulated seconds consumed by the failed run (committed epochs
+    /// plus backoff).
+    pub seconds: f64,
 }
 
-/// Runs a recoverable persistent-thread traversal of `workload`: epochs
-/// of `policy.checkpoint_levels` claim-value units, each checkpointed,
-/// each retried from its checkpoint on abort under `policy`, with the
-/// deterministic `plan` injecting faults.
-///
-/// The returned [`Run::recovery`] log records every abort survived. With
-/// an empty plan and a fault-free workload the result's values are
-/// byte-identical to [`crate::run_workload`]'s.
+/// What the retry/epoch loop carries from launch to launch, and what the
+/// launch primitive reads the next launch from.
+pub(crate) struct Progress {
+    /// Last snapshot this run committed (fenced runs only); the next
+    /// launch resumes from it, else from `RunSpec::start`, else afresh.
+    pub checkpoint: Option<Checkpoint>,
+    /// Epoch fence of the next launch; `None` runs to completion.
+    pub fence: Option<u32>,
+    /// Capacity factor, as regrown so far.
+    pub factor: f64,
+    /// Round budget of the next launch: the watchdog's, doubled so far.
+    pub max_rounds: u64,
+    /// Faults still to fire.
+    pub plan: FaultPlan,
+    /// Per-member accumulation over the committed epochs. Every member
+    /// carries the whole log: a group aborts and retries as one.
+    pub runs: Vec<Run>,
+    pub phases: PhaseWalls,
+}
+
+/// The one run path: runs `spec.launches` to completion under
+/// `spec.policy` — epochs of `policy.checkpoint_levels` claim-value
+/// units, each checkpointed, each retried from its checkpoint on abort,
+/// with the deterministic `spec.plan` injecting faults — and returns one
+/// [`Run`] per member, whose [`Run::recovery`] log records every abort
+/// survived.
 ///
 /// # Errors
-/// Propagates the final abort when `policy.max_attempts` is exhausted,
-/// and all non-recoverable errors (out-of-bounds, audit violations, hard
-/// round-limit overruns) immediately.
+/// A [`RunFailure`] — the last committed checkpoint, the pruned fault
+/// plan and the complete recovery log beside the [`SimError`], so a
+/// supervisor can keep its own retry budget above the policy's — when
+/// `policy.max_attempts` is exhausted or the queue cannot regrow any
+/// further, and at once for non-recoverable errors (out-of-bounds, audit
+/// violations, hard round-limit overruns). Never a panic: a spec that
+/// cannot be launched — an empty group; a zero checkpoint stride; a
+/// fault plan, CPU collaboration or checkpointing with more than one
+/// member; seeds outside the graph; a `spec.start` that does not fit the
+/// graph or carries the queue's sentinel as a token — is a
+/// [`SimError::InvalidLaunch`] naming the cause, so callers can degrade
+/// it into a logged restart.
+pub fn execute<W: PtWorkload>(
+    gpu: &GpuConfig,
+    spec: RunSpec<'_, W>,
+) -> Result<Vec<Run>, Box<RunFailure>> {
+    let mut progress = Progress {
+        checkpoint: None,
+        fence: None,
+        factor: spec.config.capacity_factor,
+        // `0` disables the watchdog: only the launch-wide limit applies.
+        max_rounds: match spec.policy.watchdog_rounds {
+            0 => spec.config.max_rounds,
+            budget => budget,
+        },
+        plan: spec.plan.clone(),
+        runs: vec![Run::default(); spec.launches.len()],
+        phases: PhaseWalls::default(),
+    };
+    let outcome = drive(gpu, &spec, &mut progress);
+    let mut runs = progress.runs;
+    if let (Ok(()), Some(last)) = (&outcome, &mut progress.checkpoint) {
+        runs[0].values = std::mem::take(&mut last.values);
+    }
+    for (run, (_, workload)) in runs.iter_mut().zip(spec.launches) {
+        run.reached = workload.reached(&run.values);
+        run.recovery.final_capacity_factor = progress.factor;
+        run.phases = progress.phases;
+    }
+    let Err(error) = outcome else {
+        return Ok(runs);
+    };
+    // Co-resident members share the log and, as a group commits nothing
+    // before it commits all, the clock: the first speaks.
+    let first = runs.into_iter().next().unwrap_or_default();
+    Err(Box::new(RunFailure {
+        error,
+        log: first.recovery,
+        checkpoint: progress.checkpoint,
+        remaining_plan: progress.plan,
+        seconds: first.seconds,
+    }))
+}
+
+/// Names what makes `spec` unlaunchable, if anything does.
+fn unlaunchable<W: PtWorkload>(spec: &RunSpec<'_, W>, seeds: &[Vec<u32>]) -> Option<String> {
+    let (k, stride) = (spec.launches.len(), spec.policy.checkpoint_levels);
+    // Faults address waves and buffer names of *one* launch, CPU
+    // collaboration is a solo-baseline feature, and a fence or a
+    // snapshot belongs to one traversal.
+    let solo_only = if !spec.plan.is_empty() {
+        Some("a non-empty fault plan")
+    } else if spec.config.cpu_collab_groups != 0 {
+        Some("CPU collaboration")
+    } else if stride != u32::MAX || spec.start.is_some() {
+        Some("checkpoint/resume")
+    } else {
+        None
+    };
+    if k == 0 {
+        return Some("empty launch group".into());
+    } else if stride == 0 {
+        return Some("checkpoint stride must be positive".into());
+    } else if let Some(what) = solo_only.filter(|_| k > 1) {
+        return Some(format!(
+            "{what} is single-launch only, got {k} co-resident launches"
+        ));
+    }
+    let slots = |l: usize| {
+        let (graph, workload) = spec.launches[l];
+        workload.state_len(graph.num_vertices())
+    };
+    if let Some(snapshot) = spec.start {
+        // A snapshot from the wrong graph or workload shape, a truncated
+        // or a tampered one: the caller can log it and restart afresh.
+        let (values, bits) = (snapshot.values.len(), snapshot.inqueue.len());
+        if values != slots(0) || bits != slots(0) {
+            let slots = slots(0);
+            return Some(format!(
+                "corrupt checkpoint: {values} values / {bits} inqueue bits against {slots} state slots"
+            ));
+        } else if snapshot.frontier.contains(&DNA) {
+            return Some(format!(
+                "corrupt checkpoint: frontier token {DNA:#x} collides with the dna sentinel"
+            ));
+        }
+    }
+    seeds.iter().enumerate().find_map(|(l, seeds)| {
+        let slots = slots(l);
+        let stray = seeds.iter().find(|&&seed| seed as usize >= slots)?;
+        Some(format!(
+            "launch {l}: seed {stray} is outside the {slots} state slots of its graph"
+        ))
+    })
+}
+
+/// The retry/epoch loop behind [`execute`]: launches until the frontier
+/// is empty; what a caller gets back, either way, is left in `progress`.
+fn drive<W: PtWorkload>(
+    gpu: &GpuConfig,
+    spec: &RunSpec<'_, W>,
+    progress: &mut Progress,
+) -> Result<(), SimError> {
+    let (config, policy) = (spec.config, spec.policy);
+    // Seeds are constant across retries: computed once, borrowed by
+    // every fresh-start launch.
+    let seeds = |(graph, workload): &(&Csr, &W)| workload.seeds(graph.num_vertices());
+    let seeds: Vec<Vec<u32>> = spec.launches.iter().map(seeds).collect();
+    if let Some(cause) = unlaunchable(spec, &seeds) {
+        return Err(SimError::InvalidLaunch(cause));
+    }
+    let fenced = policy.checkpoint_levels != u32::MAX;
+    loop {
+        let resume = progress.checkpoint.as_ref().or(spec.start);
+        let (depth, rounds_behind) = resume.map_or((0, 0), |c| (c.depth, c.rounds_committed));
+        let fence = fenced.then(|| depth.saturating_add(policy.checkpoint_levels));
+        if fence.is_some() || resume.is_some() {
+            // A frontier that is, or will become, a snapshot must fit a
+            // bounded queue before a device launch is burnt on it: one
+            // that does not regrows capacity host-side (no device attempt
+            // consumed). No frontier is too large for a segmented queue.
+            let frontier = resume.map_or_else(|| seeds[0].len(), |c| c.frontier.len());
+            let capacity = queue_capacity(spec.launches[0].0.num_vertices(), progress.factor);
+            if !config.variant.is_segmented() && frontier > capacity as usize {
+                if let Some(grown) = policy.regrown(progress.factor) {
+                    progress.factor = grown;
+                    continue;
+                }
+                let reason = AbortReason::QueueFull {
+                    requested: frontier as u64,
+                    capacity,
+                };
+                return Err(SimError::KernelAbort { reason, round: 0 });
+            }
+        }
+        progress.fence = fence;
+
+        match launch(gpu, spec, &seeds, progress) {
+            Ok(launched) => {
+                for (run, out) in progress.runs.iter_mut().zip(launched) {
+                    run.metrics.merge(&out.report.metrics);
+                    run.profile.merge(&out.report.profile);
+                    run.seconds += out.report.seconds;
+                    let cycles = &out.report.per_cu_cycles;
+                    let units = cycles.len().max(run.per_cu_cycles.len());
+                    run.per_cu_cycles.resize(units, 0);
+                    for (total, add) in run.per_cu_cycles.iter_mut().zip(cycles) {
+                        *total += add;
+                    }
+                    let (log, rounds) = (&mut run.recovery, out.report.metrics.rounds);
+                    log.epochs += 1;
+                    log.rounds_committed += rounds;
+                    // An epoch that had aborted commits its rounds as a replay.
+                    if log.attempts.last().map(|a| a.epoch) == Some(log.checkpoints) {
+                        log.rounds_replayed += rounds;
+                    }
+                    match (fence, out.snapshot) {
+                        (Some(depth), Some((inqueue, frontier))) => {
+                            progress.checkpoint = Some(Checkpoint {
+                                values: out.values,
+                                inqueue,
+                                frontier,
+                                depth,
+                                rounds_committed: rounds_behind + rounds,
+                            });
+                        }
+                        // Unfenced: the traversal ran to completion.
+                        _ => run.values = out.values,
+                    }
+                }
+                // Nothing spilled (or no fence to spill past): done.
+                let spilled = progress.checkpoint.as_ref().map_or(0, |c| c.frontier.len());
+                if spilled == 0 {
+                    return Ok(());
+                }
+                progress.runs[0].recovery.checkpoints += 1;
+            }
+            Err(error) => {
+                let (reason, rounds_lost) = match &error {
+                    SimError::KernelAbort { reason, round } => (*reason, *round),
+                    // A watchdog-capped launch hitting its round budget is
+                    // a recoverable supervisory abort; hitting the
+                    // launch-wide limit is hard non-termination.
+                    SimError::MaxRoundsExceeded { limit } if *limit < config.max_rounds => (
+                        AbortReason::Watchdog {
+                            budget: progress.max_rounds,
+                            round: *limit,
+                        },
+                        *limit,
+                    ),
+                    _ => return Err(error),
+                };
+                let attempts = progress.runs[0].recovery.attempts.len() as u32 + 1;
+                let next_factor = match reason {
+                    AbortReason::QueueFull { .. } => policy.regrown(progress.factor),
+                    _ => Some(progress.factor),
+                };
+                // Terminal when the attempt budget is spent, and at once
+                // when a full queue cannot grow: an identical relaunch
+                // would abort identically.
+                let retry = next_factor.filter(|_| attempts <= policy.max_attempts);
+                let backoff =
+                    retry.map_or(0, |_| policy.backoff_cycles.saturating_mul(attempts.into()));
+                // The fatal abort is logged too (its backoff is zero), so a
+                // quarantining caller holds the complete story.
+                let backoff_seconds = gpu.cycles_to_seconds(backoff);
+                for run in &mut progress.runs {
+                    run.recovery.attempts.push(RecoveryAttempt {
+                        epoch: run.recovery.checkpoints,
+                        attempt: attempts,
+                        reason,
+                        rounds_lost,
+                        backoff_cycles: backoff,
+                        capacity_factor: progress.factor,
+                    });
+                    run.recovery.rounds_lost += rounds_lost;
+                    run.seconds += backoff_seconds;
+                }
+                if matches!(reason, AbortReason::InjectedFault { .. }) {
+                    // Transient fault: prune everything that fired so the
+                    // retry — or a later resume from the failure's
+                    // checkpoint — makes progress.
+                    progress.plan = progress.plan.expire_through(rounds_lost);
+                }
+                let Some(next_factor) = retry else {
+                    return Err(error);
+                };
+                progress.factor = next_factor;
+                if matches!(reason, AbortReason::Watchdog { .. }) {
+                    progress.max_rounds = progress.max_rounds.saturating_mul(2);
+                }
+            }
+        }
+    }
+}
+
+/// [`execute`] for one launch, flattened to the `Result<Run, SimError>`
+/// the named constructors return.
+pub(crate) fn run_solo<W: PtWorkload>(
+    gpu: &GpuConfig,
+    spec: RunSpec<'_, W>,
+) -> Result<Run, SimError> {
+    match execute(gpu, spec) {
+        Ok(mut runs) => Ok(runs.remove(0)),
+        Err(failure) => Err(failure.error),
+    }
+}
+
+/// Runs a recoverable persistent-thread traversal of `workload`:
+/// [`execute`] for one launch on the shared queue from the workload's
+/// seeds. With an empty plan the values are byte-identical to
+/// [`crate::run_workload`]'s; with `policy.checkpoint_levels == u32::MAX`
+/// so is everything else.
 ///
-/// # Panics
-/// Panics if the workload's seeds are out of range or the policy's
-/// checkpoint stride is zero.
+/// # Errors
+/// The [`SimError`] of [`execute`]'s [`RunFailure`].
 pub fn run_recoverable<W: PtWorkload>(
     gpu: &GpuConfig,
     graph: &Csr,
@@ -229,457 +561,18 @@ pub fn run_recoverable<W: PtWorkload>(
     policy: &RecoveryPolicy,
     plan: &FaultPlan,
 ) -> Result<Run, SimError> {
-    resume_workload(
-        gpu,
-        graph,
-        workload,
-        config,
-        policy,
+    let solo = [(graph, workload)];
+    let spec = RunSpec {
         plan,
-        Checkpoint::start_of(workload, graph.num_vertices()),
-    )
-}
-
-/// Runs a recoverable persistent-thread BFS — [`run_recoverable`]
-/// instantiated with [`Bfs`].
-///
-/// # Errors
-/// See [`run_recoverable`].
-pub fn run_bfs_recoverable(
-    gpu: &GpuConfig,
-    graph: &Csr,
-    source: u32,
-    config: &PtConfig,
-    policy: &RecoveryPolicy,
-    plan: &FaultPlan,
-) -> Result<Run, SimError> {
-    run_recoverable(gpu, graph, &Bfs::new(source), config, policy, plan)
-}
-
-/// [`run_recoverable`] continued from an existing [`Checkpoint`] — the
-/// relaunch path a host takes after deciding to resume rather than
-/// restart (e.g. after a process-level failure with the snapshot
-/// persisted).
-///
-/// # Errors
-/// See [`run_recoverable`].
-pub fn resume_workload<W: PtWorkload>(
-    gpu: &GpuConfig,
-    graph: &Csr,
-    workload: &W,
-    config: &PtConfig,
-    policy: &RecoveryPolicy,
-    plan: &FaultPlan,
-    checkpoint: Checkpoint,
-) -> Result<Run, SimError> {
-    resume_workload_detailed(gpu, graph, workload, config, policy, plan, checkpoint)
-        .map_err(|failure| failure.error)
-}
-
-/// Everything a supervisor needs to *continue* after a recoverable run
-/// exhausted its in-run budget: the terminal error, the full
-/// [`RecoveryLog`] (including the fatal attempt), the last good
-/// [`Checkpoint`] to resume from, the [`FaultPlan`] with every fault
-/// that already fired pruned away, and the simulated seconds the failed
-/// run consumed. A serving layer retries by feeding `checkpoint` and
-/// `remaining_plan` back into [`resume_workload_detailed`] — replaying
-/// only the aborted epoch, not the whole run — or quarantines the query
-/// with `log` as the evidence.
-#[derive(Clone, Debug)]
-pub struct RunFailure {
-    /// The terminal error (the abort that exhausted `max_attempts`, or
-    /// a non-recoverable simulator error).
-    pub error: SimError,
-    /// The recovery log up to and including the fatal attempt.
-    pub log: RecoveryLog,
-    /// The last committed snapshot — resume here, not from scratch.
-    pub checkpoint: Checkpoint,
-    /// The fault plan with everything that fired already pruned
-    /// ([`FaultPlan::expire_through`]), so a resume makes progress.
-    pub remaining_plan: FaultPlan,
-    /// Simulated seconds consumed by the failed run (committed epochs
-    /// plus aborted launches plus backoff).
-    pub seconds: f64,
-}
-
-/// [`resume_workload`] returning structured failures: on error the
-/// caller receives a [`RunFailure`] carrying the last good checkpoint,
-/// the pruned fault plan, and the complete recovery log, instead of a
-/// bare [`SimError`]. This is the entry point for supervisors that
-/// implement their own retry budget above the policy's (e.g. a serving
-/// layer quarantining poison queries).
-///
-/// A malformed checkpoint (value/inqueue arrays not matching the graph
-/// order, or a frontier token colliding with the queue sentinel) is a
-/// typed `corrupt checkpoint` [`SimError::AuditViolation`] — never a
-/// panic — so callers can degrade it into a logged restart.
-///
-/// # Errors
-/// Returns the [`RunFailure`] when `policy.max_attempts` is exhausted
-/// and for all non-recoverable errors.
-///
-/// # Panics
-/// Panics only if the policy's checkpoint stride is zero (a
-/// configuration bug, not a runtime condition).
-pub fn resume_workload_detailed<W: PtWorkload>(
-    gpu: &GpuConfig,
-    graph: &Csr,
-    workload: &W,
-    config: &PtConfig,
-    policy: &RecoveryPolicy,
-    plan: &FaultPlan,
-    checkpoint: Checkpoint,
-) -> Result<Run, Box<RunFailure>> {
-    assert!(
-        policy.checkpoint_levels > 0,
-        "checkpoint stride must be positive"
-    );
-    let n = graph.num_vertices();
-    let state_len = workload.state_len(n);
-    let mut plan = plan.clone();
-    if checkpoint.values.len() != state_len || checkpoint.inqueue.len() != state_len {
-        // A snapshot from the wrong graph or workload shape (or a
-        // truncated one) degrades into a typed error the caller can log
-        // and retry from scratch.
-        let error = SimError::AuditViolation(format!(
-            "corrupt checkpoint: {} values / {} inqueue bits against {} state slots",
-            checkpoint.values.len(),
-            checkpoint.inqueue.len(),
-            state_len
-        ));
-        return Err(Box::new(RunFailure {
-            error,
-            log: RecoveryLog::default(),
-            checkpoint,
-            remaining_plan: plan,
-            seconds: 0.0,
-        }));
-    }
-
-    let mut ckpt = checkpoint;
-    let mut factor = config.capacity_factor;
-    let mut watchdog = if policy.watchdog_rounds == 0 {
-        config.max_rounds
-    } else {
-        policy.watchdog_rounds
+        ..RunSpec::new(&solo, config, policy)
     };
-    let mut log = RecoveryLog::default();
-    let mut metrics = Metrics::default();
-    let mut seconds = 0.0f64;
-    let mut per_cu_cycles: Vec<u64> = Vec::new();
-    let mut profile = Profile::default();
-    let mut phases = PhaseWalls::default();
-    let mut attempts = 0u32;
-    let mut epoch = 0u32;
-    let mut epoch_had_abort = false;
-
-    loop {
-        let capacity = queue_capacity(n, factor);
-
-        // Validate the snapshotted frontier through the host RF/AN mirror
-        // before burning a device launch: corrupt tokens fail fast with a
-        // structured error; an over-full frontier regrows capacity
-        // host-side (no device attempt consumed).
-        match mirror_check(config.variant, &ckpt.frontier, capacity) {
-            Ok(()) => {}
-            Err(EnqueueError::InvalidToken { token }) => {
-                let error = SimError::AuditViolation(format!(
-                    "corrupt checkpoint: frontier token {token:#x} collides with the dna sentinel"
-                ));
-                log.final_capacity_factor = factor;
-                return Err(Box::new(RunFailure {
-                    error,
-                    log,
-                    checkpoint: ckpt,
-                    remaining_plan: plan,
-                    seconds,
-                }));
-            }
-            Err(EnqueueError::Full(full)) => {
-                if factor < policy.max_capacity_factor {
-                    factor = (factor * policy.capacity_regrow).min(policy.max_capacity_factor);
-                    continue;
-                }
-                let error = SimError::KernelAbort {
-                    reason: AbortReason::QueueFull {
-                        requested: ckpt.frontier.len() as u64,
-                        capacity: full.capacity as u32,
-                    },
-                    round: 0,
-                };
-                log.final_capacity_factor = factor;
-                return Err(Box::new(RunFailure {
-                    error,
-                    log,
-                    checkpoint: ckpt,
-                    remaining_plan: plan,
-                    seconds,
-                }));
-            }
-        }
-
-        let fence = ckpt.depth.saturating_add(policy.checkpoint_levels);
-        let epoch_start = std::time::Instant::now();
-        let outcome = run_epoch(
-            gpu, graph, workload, config, &ckpt, fence, capacity, watchdog, &plan,
-        );
-        phases.sim_seconds += epoch_start.elapsed().as_secs_f64();
-        match outcome {
-            Ok(out) => {
-                metrics.merge(&out.metrics);
-                profile.merge(&out.profile);
-                seconds += out.seconds;
-                accumulate_cycles(&mut per_cu_cycles, &out.per_cu_cycles);
-                log.rounds_committed += out.metrics.rounds;
-                if epoch_had_abort {
-                    log.rounds_replayed += out.metrics.rounds;
-                    epoch_had_abort = false;
-                }
-                log.epochs += 1;
-                let rounds_committed = ckpt.rounds_committed + out.metrics.rounds;
-                ckpt = Checkpoint {
-                    values: out.values,
-                    inqueue: out.inqueue,
-                    frontier: out.spilled,
-                    depth: fence,
-                    rounds_committed,
-                };
-                if ckpt.frontier.is_empty() {
-                    log.final_capacity_factor = factor;
-                    let reached = workload.reached(&ckpt.values);
-                    return Ok(Run {
-                        seconds,
-                        metrics,
-                        values: ckpt.values,
-                        reached,
-                        per_cu_cycles,
-                        recovery: log,
-                        profile,
-                        phases,
-                    });
-                }
-                log.checkpoints += 1;
-                epoch += 1;
-            }
-            Err(e) => {
-                let (reason, rounds_lost) = match &e {
-                    SimError::KernelAbort { reason, round } => (*reason, *round),
-                    // A watchdog-capped launch hitting its round budget is
-                    // a recoverable supervisory abort; hitting the
-                    // launch-wide limit is hard non-termination.
-                    SimError::MaxRoundsExceeded { limit } if *limit < config.max_rounds => (
-                        AbortReason::Watchdog {
-                            budget: watchdog,
-                            round: *limit,
-                        },
-                        *limit,
-                    ),
-                    _ => {
-                        log.final_capacity_factor = factor;
-                        return Err(Box::new(RunFailure {
-                            error: e,
-                            log,
-                            checkpoint: ckpt,
-                            remaining_plan: plan,
-                            seconds,
-                        }));
-                    }
-                };
-                attempts += 1;
-                if attempts > policy.max_attempts {
-                    // Record the fatal abort itself so a quarantining
-                    // caller holds the complete story, and prune the
-                    // transient faults that fired so a later resume from
-                    // this checkpoint makes progress.
-                    log.attempts.push(RecoveryAttempt {
-                        epoch,
-                        attempt: attempts,
-                        reason,
-                        rounds_lost,
-                        backoff_cycles: 0,
-                        capacity_factor: factor,
-                    });
-                    log.rounds_lost += rounds_lost;
-                    log.final_capacity_factor = factor;
-                    if matches!(reason, AbortReason::InjectedFault { .. }) {
-                        plan = plan.expire_through(rounds_lost);
-                    }
-                    return Err(Box::new(RunFailure {
-                        error: e,
-                        log,
-                        checkpoint: ckpt,
-                        remaining_plan: plan,
-                        seconds,
-                    }));
-                }
-                let backoff = policy.backoff_cycles.saturating_mul(attempts as u64);
-                log.attempts.push(RecoveryAttempt {
-                    epoch,
-                    attempt: attempts,
-                    reason,
-                    rounds_lost,
-                    backoff_cycles: backoff,
-                    capacity_factor: factor,
-                });
-                log.rounds_lost += rounds_lost;
-                seconds += gpu.cycles_to_seconds(backoff);
-                epoch_had_abort = true;
-                match reason {
-                    AbortReason::QueueFull { .. } => {
-                        factor = (factor * policy.capacity_regrow).min(policy.max_capacity_factor);
-                    }
-                    AbortReason::InjectedFault { .. } => {
-                        // Transient fault: prune everything that fired so
-                        // the retry makes progress.
-                        plan = plan.expire_through(rounds_lost);
-                    }
-                    AbortReason::Watchdog { .. } => {
-                        watchdog = watchdog.saturating_mul(2);
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// [`resume_workload`] instantiated with [`Bfs`] — the pre-refactor
-/// entry point, kept for BFS callers.
-///
-/// # Errors
-/// See [`run_recoverable`].
-pub fn resume_bfs(
-    gpu: &GpuConfig,
-    graph: &Csr,
-    config: &PtConfig,
-    policy: &RecoveryPolicy,
-    plan: &FaultPlan,
-    checkpoint: Checkpoint,
-) -> Result<Run, SimError> {
-    // The source is implicit in the checkpoint; the workload instance
-    // only contributes `reached` counting on the resumed run.
-    let source = checkpoint.values.iter().position(|&v| v == 0).unwrap_or(0) as u32;
-    resume_workload(
-        gpu,
-        graph,
-        &Bfs::new(source),
-        config,
-        policy,
-        plan,
-        checkpoint,
-    )
-}
-
-/// Replays the snapshotted frontier through a host mirror of the run's
-/// queue family: `try_enqueue_batch` rejects sentinel collisions (and,
-/// for the bounded mirror, over-capacity windows) without touching
-/// state, and a reservation proves the published window is drainable by
-/// a consumer. Segmented variants mirror through
-/// [`SegmentedRfAnQueue`], whose only structural failure is a corrupt
-/// token — no frontier is too large, so the host-side capacity-regrow
-/// path is unreachable for them.
-fn mirror_check(variant: Variant, frontier: &[u32], capacity: u32) -> Result<(), EnqueueError> {
-    if variant.is_segmented() {
-        let mirror = SegmentedRfAnQueue::new(((capacity as usize) / 8).max(32));
-        mirror.try_enqueue_batch(frontier)?;
-        let window = mirror.reserve(frontier.len() as u64);
-        debug_assert_eq!(window.start, 0, "fresh mirror reserves from zero");
-        return Ok(());
-    }
-    let mirror = RfAnQueue::new(capacity as usize);
-    mirror.try_enqueue_batch(frontier)?;
-    mirror
-        .try_reserve(frontier.len())
-        .map_err(EnqueueError::from)?;
-    Ok(())
-}
-
-fn accumulate_cycles(total: &mut Vec<u64>, add: &[u64]) {
-    if total.len() < add.len() {
-        total.resize(add.len(), 0);
-    }
-    for (t, a) in total.iter_mut().zip(add) {
-        *t += a;
-    }
-}
-
-/// One fenced launch from `ckpt`: seed the queue with the frontier, run
-/// the kernel with a [`crate::kernel::SpillFence`] at `fence`, and read
-/// back the post-epoch snapshot.
-#[allow(clippy::too_many_arguments)]
-fn run_epoch<W: PtWorkload>(
-    gpu: &GpuConfig,
-    graph: &Csr,
-    workload: &W,
-    config: &PtConfig,
-    ckpt: &Checkpoint,
-    fence: u32,
-    capacity: u32,
-    watchdog: u64,
-    plan: &FaultPlan,
-) -> Result<EpochOutcome, SimError> {
-    let n = graph.num_vertices();
-    let mut engine = Engine::new(gpu.clone());
-    let mem = engine.memory_mut();
-    mem.alloc_init("nodes", graph.row_offsets());
-    mem.alloc_init("edges", graph.adjacency());
-    let mut workload = workload.clone();
-    workload.bind(mem);
-    let values = mem.alloc_init(workload.value_buffer_name(), &ckpt.values);
-    let inqueue = mem.alloc_init("inqueue", &ckpt.inqueue);
-    let pending = mem.alloc("pending", 1);
-    mem.write_u32(pending, 0, ckpt.frontier.len() as u32);
-    // Spill cursor + at most one entry per token (the on-queue bit
-    // guarantees a token spills at most once per epoch).
-    let spill = mem.alloc("spill", workload.state_len(n) + 1);
-    let layout = LaunchLayout::setup(mem, config.variant, capacity, &ckpt.frontier);
-
-    let buffers = WorkBuffers {
-        nodes: mem.buffer("nodes"),
-        edges: mem.buffer("edges"),
-        values,
-        inqueue,
-        pending,
-    };
-    let mut launch = Launch::workgroups(config.workgroups)
-        .with_cpu_collab(config.cpu_collab_groups)
-        .with_max_rounds(watchdog.min(config.max_rounds))
-        .with_engine_workers(config.engine_workers);
-    if config.audit {
-        launch = launch.with_audit();
-    }
-    let variant = config.variant;
-    let chunk = config.chunk;
-    let report = engine.run_with_faults(launch, plan, |info| {
-        PtKernel::with_chunk(
-            layout.make_queue(variant),
-            workload.clone(),
-            buffers,
-            info.wave_size,
-            chunk,
-        )
-        .with_fence(fence, spill)
-    })?;
-    if config.audit {
-        enforce_retry_free(variant, &report.metrics)?;
-    }
-
-    let spill_count = engine.memory().read_u32(spill, 0) as usize;
-    let spilled = engine.memory().read_slice(spill)[1..1 + spill_count].to_vec();
-    Ok(EpochOutcome {
-        metrics: report.metrics,
-        seconds: report.seconds,
-        per_cu_cycles: report.per_cu_cycles,
-        values: engine.memory().read_slice(buffers.values).to_vec(),
-        inqueue: engine.memory().read_slice(buffers.inqueue).to_vec(),
-        spilled,
-        profile: report.profile,
-    })
+    run_solo(gpu, spec)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::{ConnectedComponents, PrDelta, Sssp};
+    use crate::workload::{Bfs, ConnectedComponents, PrDelta, Sssp};
     use crate::{run_bfs, run_workload};
     use gpu_queue::Variant;
     use ptq_graph::gen::synthetic_tree;
@@ -687,6 +580,53 @@ mod tests {
 
     fn cfg(variant: Variant) -> PtConfig {
         PtConfig::new(variant, 3)
+    }
+
+    /// [`run_recoverable`] instantiated with [`Bfs`].
+    fn run_bfs_recoverable(
+        gpu: &GpuConfig,
+        graph: &Csr,
+        source: u32,
+        config: &PtConfig,
+        policy: &RecoveryPolicy,
+        plan: &FaultPlan,
+    ) -> Result<Run, SimError> {
+        run_recoverable(gpu, graph, &Bfs::new(source), config, policy, plan)
+    }
+
+    /// A BFS from vertex 0 continued from `start` (from its seed when
+    /// `None`), with the structured failure.
+    fn resume_bfs(
+        graph: &Csr,
+        config: &PtConfig,
+        policy: &RecoveryPolicy,
+        plan: &FaultPlan,
+        start: Option<&Checkpoint>,
+    ) -> Result<Run, Box<RunFailure>> {
+        let solo = [(graph, &Bfs::new(0))];
+        let spec = RunSpec {
+            plan,
+            start,
+            ..RunSpec::new(&solo, config, policy)
+        };
+        execute(&GpuConfig::test_tiny(), spec).map(|mut runs| runs.remove(0))
+    }
+
+    /// A real mid-run failure: the BFS checkpoints every level, a wave
+    /// is killed at a round only the later, longer epochs reach, and
+    /// with no in-run retries that abort hands back the checkpoint the
+    /// earlier epochs committed.
+    fn interrupted(graph: &Csr, config: &PtConfig) -> Box<RunFailure> {
+        let policy = RecoveryPolicy {
+            max_attempts: 0,
+            checkpoint_levels: 1,
+            ..RecoveryPolicy::default()
+        };
+        let plan = FaultPlan::new().kill_wave(3, 1);
+        let failure = resume_bfs(graph, config, &policy, &plan, None).unwrap_err();
+        assert!(failure.error.abort_reason().is_some(), "{}", failure.error);
+        assert!(failure.checkpoint.is_some(), "an epoch committed first");
+        failure
     }
 
     #[test]
@@ -797,6 +737,55 @@ mod tests {
     }
 
     #[test]
+    fn queue_full_at_the_capacity_ceiling_is_terminal_at_once() {
+        // A chain's lifetime enqueues span every vertex, so a ceiling
+        // of 0.8 * n can never hold them: the factor doubles 0.05 ->
+        // 0.8, and the abort at the ceiling ends the run instead of
+        // burning the remaining attempts on identical launches.
+        let mut b = ptq_graph::CsrBuilder::new(2_000);
+        for i in 0..1_999 {
+            b.add_undirected_edge(i, i + 1);
+        }
+        let g = b.build();
+        let mut config = cfg(Variant::RfAn);
+        config.capacity_factor = 0.05;
+        let policy = RecoveryPolicy::regrow_only(config.capacity_factor);
+        assert_eq!(policy.max_attempts, 8);
+        let failure = resume_bfs(&g, &config, &policy, &FaultPlan::EMPTY, None).unwrap_err();
+        assert!(failure.error.is_queue_full());
+        let factors: Vec<f64> = failure
+            .log
+            .attempts
+            .iter()
+            .map(|a| a.capacity_factor)
+            .collect();
+        assert_eq!(factors, [0.05, 0.1, 0.2, 0.4, 0.8]);
+        assert_eq!(failure.log.final_capacity_factor, 0.8);
+        // Same terminal error as spending the budget on it.
+        let spent = RecoveryPolicy {
+            max_attempts: 4,
+            ..policy
+        };
+        let budgeted = resume_bfs(&g, &config, &spent, &FaultPlan::EMPTY, None).unwrap_err();
+        assert_eq!(budgeted.error, failure.error);
+        assert_eq!(budgeted.log, failure.log);
+    }
+
+    #[test]
+    fn fenced_runs_report_setup_and_readback_walls() {
+        let g = synthetic_tree(700, 4);
+        let policy = RecoveryPolicy {
+            checkpoint_levels: 2,
+            ..RecoveryPolicy::default()
+        };
+        let run = resume_bfs(&g, &cfg(Variant::RfAn), &policy, &FaultPlan::EMPTY, None).unwrap();
+        assert!(run.recovery.epochs > 1);
+        assert!(run.phases.setup_seconds > 0.0);
+        assert!(run.phases.sim_seconds > 0.0);
+        assert!(run.phases.readback_seconds > 0.0);
+    }
+
+    #[test]
     fn watchdog_abort_doubles_budget_and_recovers() {
         let g = synthetic_tree(600, 4);
         let policy = RecoveryPolicy {
@@ -863,41 +852,41 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_checkpoint_is_rejected_by_the_host_mirror() {
-        let g = synthetic_tree(64, 4);
-        let mut ckpt = Checkpoint::initial(64, 0);
-        ckpt.frontier = vec![u32::MAX]; // dna sentinel collision
+    fn corrupt_checkpoint_frontier_is_rejected_before_launch() {
+        let g = synthetic_tree(400, 4);
+        let mut ckpt = interrupted(&g, &cfg(Variant::RfAn)).checkpoint.unwrap();
+        ckpt.frontier[0] = u32::MAX; // dna sentinel collision
         let err = resume_bfs(
-            &GpuConfig::test_tiny(),
             &g,
             &cfg(Variant::RfAn),
             &RecoveryPolicy::default(),
             &FaultPlan::EMPTY,
-            ckpt,
+            Some(&ckpt),
         )
-        .unwrap_err();
+        .unwrap_err()
+        .error;
         assert!(
-            matches!(&err, SimError::AuditViolation(msg) if msg.contains("corrupt checkpoint")),
+            matches!(&err, SimError::InvalidLaunch(msg) if msg.contains("corrupt checkpoint")),
             "{err:?}"
         );
     }
 
     #[test]
     fn malformed_checkpoint_shape_is_a_typed_error_not_a_panic() {
-        let g = synthetic_tree(64, 4);
-        let mut ckpt = Checkpoint::initial(64, 0);
+        let g = synthetic_tree(400, 4);
+        let mut ckpt = interrupted(&g, &cfg(Variant::RfAn)).checkpoint.unwrap();
         ckpt.values.truncate(10); // snapshot from the wrong graph
         let err = resume_bfs(
-            &GpuConfig::test_tiny(),
             &g,
             &cfg(Variant::RfAn),
             &RecoveryPolicy::default(),
             &FaultPlan::EMPTY,
-            ckpt,
+            Some(&ckpt),
         )
-        .unwrap_err();
+        .unwrap_err()
+        .error;
         assert!(
-            matches!(&err, SimError::AuditViolation(msg) if msg.contains("corrupt checkpoint")),
+            matches!(&err, SimError::InvalidLaunch(msg) if msg.contains("corrupt checkpoint")),
             "{err:?}"
         );
     }
@@ -914,50 +903,34 @@ mod tests {
             checkpoint_levels: 2,
             ..RecoveryPolicy::default()
         };
-        let failure = resume_workload_detailed(
-            &GpuConfig::test_tiny(),
-            &g,
-            &Bfs::new(0),
-            &cfg(Variant::RfAn),
-            &policy,
-            &plan,
-            Checkpoint::start_of(&Bfs::new(0), 700),
-        )
-        .unwrap_err();
+        let failure = resume_bfs(&g, &cfg(Variant::RfAn), &policy, &plan, None).unwrap_err();
         assert!(matches!(
             failure.error.abort_reason(),
             Some(AbortReason::InjectedFault { .. })
         ));
         // The fatal attempt is logged, the fired fault is pruned, and
-        // the checkpoint is resumable.
+        // the checkpoint (if an epoch committed before the fault) is
+        // resumable.
         assert_eq!(failure.log.aborts(), 1);
         assert!(failure.remaining_plan.is_empty());
-        let resumed = resume_workload_detailed(
-            &GpuConfig::test_tiny(),
+        let resumed = resume_bfs(
             &g,
-            &Bfs::new(0),
             &cfg(Variant::RfAn),
             &policy,
             &failure.remaining_plan,
-            failure.checkpoint.clone(),
+            failure.checkpoint.as_ref(),
         )
         .unwrap();
         assert_eq!(resumed.values, plain.values, "resume converges exactly");
         // A resume from the failure's checkpoint replays at most the
         // aborted epoch; a scratch restart under the same fencing redoes
         // every committed epoch as well.
-        let scratch = resume_workload_detailed(
-            &GpuConfig::test_tiny(),
-            &g,
-            &Bfs::new(0),
-            &cfg(Variant::RfAn),
-            &policy,
-            &FaultPlan::EMPTY,
-            Checkpoint::start_of(&Bfs::new(0), 700),
-        )
-        .unwrap();
+        let scratch =
+            resume_bfs(&g, &cfg(Variant::RfAn), &policy, &FaultPlan::EMPTY, None).unwrap();
         assert!(resumed.metrics.rounds <= scratch.metrics.rounds);
-        if failure.checkpoint.rounds_committed > 0 {
+        let committed = failure.checkpoint.map_or(0, |c| c.rounds_committed);
+        assert_eq!(committed, failure.log.rounds_committed);
+        if committed > 0 {
             assert!(
                 resumed.metrics.rounds < scratch.metrics.rounds,
                 "resume must not redo committed epochs"
@@ -966,33 +939,30 @@ mod tests {
     }
 
     #[test]
-    fn resume_from_initial_checkpoint_equals_full_run() {
+    fn resume_from_a_checkpoint_continues_the_uninterrupted_run() {
+        // Epochs are deterministic launches from their snapshot, so a
+        // fault-free resume re-runs the aborted epoch and every later
+        // one exactly as the uninterrupted run had them: same values,
+        // and the rounds behind the checkpoint plus the resumed rounds
+        // are the full run's.
         let g = synthetic_tree(400, 4);
+        let config = cfg(Variant::An);
+        let failure = interrupted(&g, &config);
         let policy = RecoveryPolicy {
-            checkpoint_levels: 2,
+            checkpoint_levels: 1,
             ..RecoveryPolicy::default()
         };
-        let a = run_bfs_recoverable(
-            &GpuConfig::test_tiny(),
-            &g,
-            0,
-            &cfg(Variant::An),
-            &policy,
-            &FaultPlan::EMPTY,
-        )
-        .unwrap();
-        let b = resume_bfs(
-            &GpuConfig::test_tiny(),
-            &g,
-            &cfg(Variant::An),
-            &policy,
-            &FaultPlan::EMPTY,
-            Checkpoint::initial(400, 0),
-        )
-        .unwrap();
-        assert_eq!(a.values, b.values);
-        assert_eq!(a.metrics, b.metrics);
-        assert_eq!(a.seconds, b.seconds);
+        let full = resume_bfs(&g, &config, &policy, &FaultPlan::EMPTY, None).unwrap();
+        let checkpoint = failure.checkpoint.as_ref();
+        let resumed = resume_bfs(&g, &config, &policy, &FaultPlan::EMPTY, checkpoint).unwrap();
+        assert_eq!(resumed.values, full.values);
+        let behind = checkpoint.unwrap().rounds_committed;
+        assert_eq!(behind, failure.log.rounds_committed);
+        assert_eq!(behind + resumed.metrics.rounds, full.metrics.rounds);
+        assert_eq!(
+            failure.log.epochs + resumed.recovery.epochs,
+            full.recovery.epochs
+        );
     }
 
     #[test]
@@ -1034,30 +1004,23 @@ mod tests {
     }
 
     #[test]
-    fn segmented_mirror_still_rejects_corrupt_checkpoints() {
-        let g = synthetic_tree(64, 4);
-        let mut ckpt = Checkpoint::initial(64, 0);
-        ckpt.frontier = vec![u32::MAX]; // dna sentinel collision
+    fn segmented_runs_still_reject_corrupt_checkpoints() {
+        let g = synthetic_tree(400, 4);
+        let mut ckpt = interrupted(&g, &cfg(Variant::SegRfAn)).checkpoint.unwrap();
+        ckpt.frontier[0] = u32::MAX; // dna sentinel collision
         let err = resume_bfs(
-            &GpuConfig::test_tiny(),
             &g,
             &cfg(Variant::SegRfAn),
             &RecoveryPolicy::default(),
             &FaultPlan::EMPTY,
-            ckpt,
+            Some(&ckpt),
         )
-        .unwrap_err();
+        .unwrap_err()
+        .error;
         assert!(
-            matches!(&err, SimError::AuditViolation(msg) if msg.contains("corrupt checkpoint")),
+            matches!(&err, SimError::InvalidLaunch(msg) if msg.contains("corrupt checkpoint")),
             "{err:?}"
         );
-    }
-
-    #[test]
-    fn generic_checkpoint_start_matches_bfs_initial() {
-        let bfs = Checkpoint::initial(128, 5);
-        let generic = Checkpoint::start_of(&Bfs::new(5), 128);
-        assert_eq!(bfs, generic);
     }
 
     #[test]

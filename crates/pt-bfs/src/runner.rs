@@ -5,19 +5,24 @@
 //! initialize device buffers (graph in CSR form, the workload's value
 //! array, the scheduler queue painted with sentinels, the
 //! outstanding-task counter), seed the workload's initial tokens, launch
-//! the persistent kernel once, then read back the values. BFS keeps its
-//! historical entry points ([`run_bfs`], [`run_bfs_stealing`]) as thin
-//! wrappers over the generic [`run_workload`] / [`run_workload_stealing`].
+//! the persistent kernel once, then read back the values. That sequence
+//! is spelled out exactly once, in the launch primitive ([`launch`]);
+//! [`crate::execute`] drives it under a [`RecoveryPolicy`], and the plain
+//! runs here ([`run_workload`], [`run_bfs`], [`run_bfs_stealing`]) are
+//! that loop handed the policy value [`RecoveryPolicy::regrow_only`].
 
-use crate::kernel::{PtKernel, CHUNK};
-use crate::recovery::{RecoveryAttempt, RecoveryLog};
+use crate::kernel::{PtKernel, SpillFence, CHUNK};
+use crate::recovery::{run_solo, Progress, RecoveryLog, RecoveryPolicy, RunSpec};
 use crate::workload::{Bfs, PtWorkload, WorkBuffers};
 use gpu_queue::device::{
-    make_wave_queue, QueueLayout, SegmentedLayout, SegmentedWaveQueue, WaveQueue,
+    make_wave_queue, QueueLayout, SegmentedLayout, SegmentedWaveQueue, StealingLayout,
+    StealingWaveQueue, WaveQueue,
 };
 use gpu_queue::Variant;
 use ptq_graph::Csr;
-use simt::{DeviceMemory, Engine, GpuConfig, Launch, Metrics, Profile, SimError};
+use simt::{
+    DeviceMemory, Engine, GpuConfig, Launch, Metrics, Profile, RunReport, SimError, WaveInfo,
+};
 use std::time::Instant;
 
 /// Parameters of one persistent-thread run (workload-neutral).
@@ -86,30 +91,57 @@ pub fn queue_capacity(n: usize, factor: f64) -> u32 {
         .min(u32::MAX as usize) as u32
 }
 
+/// Which scheduler topology a run launches with. A property of the run,
+/// not of [`PtConfig`]: the per-CU scheduler is an ablation *against*
+/// the queue family `PtConfig::variant` selects from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Scheduler {
+    /// The paper's design: one device-wide queue of `PtConfig::variant`.
+    Shared,
+    /// One RF/AN ring per compute unit with work stealing
+    /// ([`StealingWaveQueue`]): less hot-word pressure, more load
+    /// imbalance. `PtConfig::variant` only labels the run.
+    Stealing,
+}
+
 /// The scheduler-queue allocation of one launch: a recycled-segment
-/// arena for segmented variants, one bounded ring for everything else.
-/// Replaces the former pair of `Option`s whose exactly-one-is-`Some`
-/// invariant leaned on an `expect` inside the launch closure — the enum
-/// makes the invariant structural, so no fallible unwrap survives on the
-/// launch path.
-#[derive(Clone, Copy, Debug)]
+/// arena for segmented variants, one bounded ring for the other shared
+/// variants, one bounded ring per compute unit for the stealing
+/// scheduler. An enum, so that exactly-one-layout is structural and no
+/// fallible unwrap sits on the launch path.
+#[derive(Clone, Debug)]
 pub(crate) enum LaunchLayout {
     /// Segmented arena (queue-full statically unreachable).
     Segmented(SegmentedLayout),
     /// One bounded non-wrapping ring.
     Bounded(QueueLayout),
+    /// One bounded ring per compute unit.
+    Stealing(StealingLayout),
 }
 
 impl LaunchLayout {
-    /// Allocates the queue for `variant` at `capacity` and seeds it with
-    /// the initial frontier.
-    pub(crate) fn setup(
+    /// Allocates the queue `scheduler` and `config.variant` select at
+    /// `capacity` and seeds it with the initial frontier.
+    fn setup(
         mem: &mut DeviceMemory,
-        variant: Variant,
+        scheduler: Scheduler,
+        config: &PtConfig,
+        gpu: &GpuConfig,
         capacity: u32,
         seeds: &[u32],
     ) -> Self {
-        if variant.is_segmented() {
+        if scheduler == Scheduler::Stealing {
+            // A hub can land an outsized share on one CU, so every CU
+            // is provisioned at the full capacity — capped well below
+            // the shared queue's limit, since `num_cus` arrays of this
+            // size coexist.
+            let layout = StealingLayout::setup(mem, "dqueue", gpu.num_cus, capacity.min(1 << 24));
+            layout.host_seed(mem, seeds);
+            LaunchLayout::Stealing(layout)
+        } else if config.variant.is_segmented() {
+            // Segmented variants swap the one bounded ring for a
+            // recycled-segment arena sized from the same nominal
+            // capacity; everything else about the launch is identical.
             let layout = SegmentedLayout::for_capacity(mem, "workqueue", capacity);
             layout.host_seed(mem, seeds);
             LaunchLayout::Segmented(layout)
@@ -120,16 +152,43 @@ impl LaunchLayout {
         }
     }
 
-    /// Builds the wave-facing queue for a kernel instance.
-    pub(crate) fn make_queue(self, variant: Variant) -> Box<dyn WaveQueue> {
+    /// Builds the wave-facing queue for a kernel instance resident on
+    /// compute unit `cu`.
+    fn make_queue(&self, variant: Variant, cu: usize) -> Box<dyn WaveQueue> {
         match self {
-            LaunchLayout::Segmented(seg) => Box::new(SegmentedWaveQueue::new(seg)),
-            LaunchLayout::Bounded(bounded) => make_wave_queue(variant, bounded),
+            LaunchLayout::Segmented(seg) => Box::new(SegmentedWaveQueue::new(*seg)),
+            LaunchLayout::Bounded(bounded) => make_wave_queue(variant, *bounded),
+            LaunchLayout::Stealing(per_cu) => Box::new(StealingWaveQueue::new(per_cu, cu)),
         }
+    }
+
+    /// Run-level enforcement of the paper's central claim: a successful
+    /// run scheduled by a retry-free variant must report zero CAS
+    /// attempts, zero CAS failures, and zero queue-empty retries.
+    /// Complements the per-wavefront scopes (`simt::audit`) that already
+    /// validated each queue op inside the run.
+    fn enforce_retry_free(&self, variant: Variant, metrics: &Metrics) -> Result<(), SimError> {
+        let (label, claimed) = match self {
+            // Locally retry-free: never a CAS. Failed steal scans DO
+            // count queue-empty retries — the documented trade-off —
+            // so only the CAS half of the claim is enforced.
+            LaunchLayout::Stealing(_) => (
+                "stealing",
+                Metrics {
+                    queue_empty_retries: 0,
+                    ..*metrics
+                },
+            ),
+            _ if variant.is_retry_free() => (variant.label(), *metrics),
+            _ => return Ok(()),
+        };
+        simt::audit::check_retry_free(&claimed)
+            .map_err(|msg| SimError::AuditViolation(format!("{label} run: {msg}")))
     }
 }
 
-/// Host wall-clock seconds per runner phase. Diagnostics only: host wall
+/// Host wall-clock seconds per runner phase, summed over every launch a
+/// run made (aborted attempts included). Diagnostics only: host wall
 /// time is nondeterministic and never enters a golden table or any
 /// simulated quantity.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -138,26 +197,12 @@ pub struct PhaseWalls {
     pub setup_seconds: f64,
     /// Simulated-engine execution (the persistent-kernel launch).
     pub sim_seconds: f64,
-    /// Value readback and reached-counting.
+    /// Value (and, for fenced epochs, snapshot) readback.
     pub readback_seconds: f64,
 }
 
-impl PhaseWalls {
-    /// Sum of all phases.
-    pub fn total_seconds(&self) -> f64 {
-        self.setup_seconds + self.sim_seconds + self.readback_seconds
-    }
-
-    /// Accumulates another run's phase walls (multi-launch drivers).
-    pub fn merge(&mut self, other: &PhaseWalls) {
-        self.setup_seconds += other.setup_seconds;
-        self.sim_seconds += other.sim_seconds;
-        self.readback_seconds += other.readback_seconds;
-    }
-}
-
 /// Result of a completed persistent-thread run.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct Run {
     /// Simulated kernel time in seconds.
     pub seconds: f64,
@@ -172,24 +217,185 @@ pub struct Run {
     /// these to prove engine fast paths are cycle-exact per CU, not just
     /// in aggregate).
     pub per_cu_cycles: Vec<u64>,
-    /// Recovery log: every abort the run survived (capacity regrows
-    /// here; injected faults and watchdog trips under
-    /// [`crate::recovery::run_recoverable`]). Empty `attempts` for a
+    /// Recovery log: every abort the run survived (capacity regrows,
+    /// injected faults, watchdog trips — whatever the run's
+    /// [`RecoveryPolicy`] let it survive). Empty `attempts` for a
     /// first-try success.
     pub recovery: RecoveryLog,
     /// Host-side engine execution profile (arena recycling, park replay,
     /// table footprints). Never part of any golden: performance work may
     /// change these freely without perturbing simulated quantities.
     pub profile: Profile,
-    /// Host wall time per runner phase (same caveat as `profile`).
+    /// Host wall time per runner phase (same caveat as `profile`). Shared
+    /// by every member of a co-resident group.
     pub phases: PhaseWalls,
+}
+
+/// What one member's launch hands back to the retry/epoch loop.
+pub(crate) struct Launched {
+    pub report: RunReport,
+    pub values: Vec<u32>,
+    /// Fenced launches only: the on-queue bits and the spilled frontier
+    /// — with `values`, the next [`crate::Checkpoint`].
+    pub snapshot: Option<(Vec<u32>, Vec<u32>)>,
+}
+
+/// The launch primitive: one set-up → launch → read-back pass for
+/// `spec.launches` (see [`RunSpec::launches`] for what co-residency
+/// means) on one fresh [`Engine`], started from what `progress` says is
+/// next: its checkpoint, else `spec.start`, else `seeds[l]` for member
+/// `l`; its fence, capacity factor, round budget and faults. The start
+/// state is *borrowed*: a relaunch after an abort copies neither seeds
+/// nor snapshot.
+///
+/// Adds this pass's host wall time to `progress.phases` — also when the
+/// launch aborts, so a run's phase walls account for its lost attempts.
+///
+/// # Errors
+/// Propagates simulator faults and audit violations; an abort in any
+/// member fails the whole group.
+pub(crate) fn launch<W: PtWorkload>(
+    gpu: &GpuConfig,
+    spec: &RunSpec<'_, W>,
+    seeds: &[Vec<u32>],
+    progress: &mut Progress,
+) -> Result<Vec<Launched>, SimError> {
+    let resume = progress.checkpoint.as_ref().or(spec.start);
+    let config = spec.config;
+    let setup_start = Instant::now();
+    let mut engine = Engine::new(gpu.clone());
+    let mem = engine.memory_mut();
+    let group = spec.launches.len() > 1;
+    let mut bound = Vec::with_capacity(spec.launches.len());
+    for (l, &(graph, workload)) in spec.launches.iter().enumerate() {
+        if group {
+            // Namespace this launch's allocations so co-resident
+            // launches can each bind their own "nodes"/"edges"/aux
+            // buffers in the one shared arena (lookups are by handle,
+            // taken here). A solo launch keeps the bare names: fault
+            // plans poison buffers by name.
+            mem.set_alloc_prefix(&format!("q{l}:"));
+        }
+        let n = graph.num_vertices();
+        let nodes = mem.alloc_init("nodes", graph.row_offsets());
+        let edges = mem.alloc_init("edges", graph.adjacency());
+        let mut workload = workload.clone();
+        workload.bind(mem);
+        // Per-token state spans `state_len` slots (`n` solo, `k * n` for
+        // a k-member batch); frontier entries are tokens, so they index
+        // this state directly.
+        let state_len = workload.state_len(n);
+        let value_name = workload.value_buffer_name();
+        let (values, inqueue, frontier) = match resume {
+            Some(snapshot) => (
+                mem.alloc_init(value_name, &snapshot.values),
+                mem.alloc_init("inqueue", &snapshot.inqueue),
+                &snapshot.frontier,
+            ),
+            None => {
+                let values = mem.alloc_init(value_name, &workload.initial_values(n));
+                let inqueue = mem.alloc("inqueue", state_len);
+                for &seed in &seeds[l] {
+                    mem.write_u32(inqueue, seed as usize, 1);
+                }
+                (values, inqueue, &seeds[l])
+            }
+        };
+        let pending = mem.alloc("pending", 1);
+        mem.write_u32(pending, 0, frontier.len() as u32);
+        // No fence, no spill buffer. Else: spill cursor + at most one
+        // entry per token (the on-queue bit guarantees a token spills at
+        // most once per epoch).
+        let fence = progress.fence.map(|depth| SpillFence {
+            depth,
+            spill: mem.alloc("spill", state_len + 1),
+        });
+        // A group shares one config, so its factor is a floor under
+        // each member's own default, not an override of it.
+        let factor = match group {
+            true => progress.factor.max(workload.default_capacity_factor()),
+            false => progress.factor,
+        };
+        let capacity = queue_capacity(n, factor);
+        let layout = LaunchLayout::setup(mem, spec.scheduler, config, gpu, capacity, frontier);
+        let buffers = WorkBuffers {
+            nodes,
+            edges,
+            values,
+            inqueue,
+            pending,
+        };
+        bound.push((layout, workload, buffers, fence));
+    }
+    mem.set_alloc_prefix("");
+
+    let mut template = Launch::workgroups(config.workgroups)
+        .with_cpu_collab(config.cpu_collab_groups)
+        .with_max_rounds(progress.max_rounds.min(config.max_rounds))
+        .with_engine_workers(config.engine_workers);
+    if config.audit {
+        template = template.with_audit();
+    }
+    let factory = |l: usize, info: WaveInfo| {
+        let (layout, workload, buffers, fence) = &bound[l];
+        let queue = layout.make_queue(config.variant, info.cu);
+        let kernel = PtKernel::with_chunk(
+            queue,
+            workload.clone(),
+            *buffers,
+            info.wave_size,
+            config.chunk,
+        );
+        match fence {
+            Some(fence) => kernel.with_fence(fence.depth, fence.spill),
+            None => kernel,
+        }
+    };
+    progress.phases.setup_seconds += setup_start.elapsed().as_secs_f64();
+
+    let sim_start = Instant::now();
+    let result = if group {
+        engine.run_coresident(template, &vec![config.workgroups; bound.len()], factory)
+    } else {
+        // The one-launch form is the only one that accepts faults and
+        // CPU collaboration (both are single-launch concepts in `simt`).
+        engine
+            .run_with_faults(template, &progress.plan, |info| factory(0, info))
+            .map(|report| vec![report])
+    };
+    progress.phases.sim_seconds += sim_start.elapsed().as_secs_f64();
+
+    let readback_start = Instant::now();
+    let mem = engine.memory();
+    let mut launched = Vec::with_capacity(bound.len());
+    for (report, (layout, _, buffers, fence)) in result?.into_iter().zip(&bound) {
+        if config.audit {
+            layout.enforce_retry_free(config.variant, &report.metrics)?;
+        }
+        let snapshot = fence.map(|fence| {
+            let spilled = mem.read_u32(fence.spill, 0) as usize;
+            (
+                mem.read_slice(buffers.inqueue).to_vec(),
+                mem.read_slice(fence.spill)[1..1 + spilled].to_vec(),
+            )
+        });
+        launched.push(Launched {
+            report,
+            values: mem.read_slice(buffers.values).to_vec(),
+            snapshot,
+        });
+    }
+    progress.phases.readback_seconds += readback_start.elapsed().as_secs_f64();
+    Ok(launched)
 }
 
 /// Runs `workload` under the persistent-thread model over `graph` on
 /// `gpu`, applying the paper's queue-full recovery: "If more space can
 /// be allocated, the user can retry the kernel with a larger queue." The
 /// capacity doubles on each queue-full abort, up to 16× the configured
-/// factor.
+/// factor ([`RecoveryPolicy::regrow_only`]). Segmented variants have no
+/// queue-full condition to recover from — overflow is a segment append —
+/// so their log always records a clean single-attempt run.
 ///
 /// ```
 /// use pt_bfs::workload::ConnectedComponents;
@@ -207,62 +413,16 @@ pub struct Run {
 ///
 /// # Errors
 /// Propagates simulator faults (round-limit overruns, or queue-full even
-/// at the maximum capacity).
-///
-/// # Panics
-/// Panics if the workload's seed vertices are out of range.
+/// at the maximum capacity) and [`SimError::InvalidLaunch`] for seeds
+/// outside the graph.
 pub fn run_workload<W: PtWorkload>(
     gpu: &GpuConfig,
     graph: &Csr,
     workload: &W,
     config: &PtConfig,
 ) -> Result<Run, SimError> {
-    if config.variant.is_segmented() {
-        // No queue-full condition exists to recover from: overflow is a
-        // segment append, so the capacity-regrow loop disappears and the
-        // recovery log records a clean single-attempt run.
-        let mut run = run_workload_once(gpu, graph, workload, config)?;
-        run.recovery = RecoveryLog {
-            epochs: 1,
-            rounds_committed: run.metrics.rounds,
-            final_capacity_factor: config.capacity_factor,
-            ..RecoveryLog::default()
-        };
-        return Ok(run);
-    }
-    let mut factor = config.capacity_factor;
-    let mut log = RecoveryLog::default();
-    loop {
-        let mut attempt = config.clone();
-        attempt.capacity_factor = factor;
-        match run_workload_once(gpu, graph, workload, &attempt) {
-            Err(SimError::KernelAbort { reason, round })
-                if reason.is_queue_full() && factor < 16.0 * config.capacity_factor =>
-            {
-                log.attempts.push(RecoveryAttempt {
-                    epoch: 0,
-                    attempt: log.attempts.len() as u32 + 1,
-                    reason,
-                    rounds_lost: round,
-                    backoff_cycles: 0,
-                    capacity_factor: factor,
-                });
-                log.rounds_lost += round;
-                factor *= 2.0;
-            }
-            Ok(mut run) => {
-                log.epochs = 1;
-                log.rounds_committed = run.metrics.rounds;
-                if !log.attempts.is_empty() {
-                    log.rounds_replayed = run.metrics.rounds;
-                }
-                log.final_capacity_factor = factor;
-                run.recovery = log;
-                return Ok(run);
-            }
-            other => return other,
-        }
-    }
+    let policy = RecoveryPolicy::regrow_only(config.capacity_factor);
+    run_solo(gpu, RunSpec::new(&[(graph, workload)], config, &policy))
 }
 
 /// Runs a persistent-thread BFS over `graph` from `source` on `gpu` —
@@ -282,11 +442,7 @@ pub fn run_workload<W: PtWorkload>(
 /// ```
 ///
 /// # Errors
-/// Propagates simulator faults (round-limit overruns, or queue-full even
-/// at the maximum capacity).
-///
-/// # Panics
-/// Panics if `source` is out of range.
+/// See [`run_workload`].
 pub fn run_bfs(
     gpu: &GpuConfig,
     graph: &Csr,
@@ -296,359 +452,10 @@ pub fn run_bfs(
     run_workload(gpu, graph, &Bfs::new(source), config)
 }
 
-/// Runs several independent workload instances *co-resident* on one
-/// simulated device: each entry gets its own kernel grid, scheduler
-/// queue, and device buffers (namespaced per launch), and the engine
-/// interleaves their waves on the shared compute units under the same
-/// deterministic round loop a solo run uses. Each returned [`Run`] is
-/// the per-launch view: its own metrics, values, and makespan (the
-/// cycle its last wave retired), so per-query latency under contention
-/// falls straight out.
-///
-/// Contention is modeled, isolation is preserved: launches share CU
-/// issue slots, the bandwidth floor, and hot-word serialization, but
-/// never touch each other's state — values for each entry are
-/// byte-identical to that entry's solo run (confluence; see
-/// DESIGN.md §15).
-///
-/// Single attempt, no capacity-regrow loop: each entry's queue is sized
-/// from the larger of `config.capacity_factor` and the workload's own
-/// default factor (use segmented variants to make queue-full
-/// structurally impossible — the serving layer does).
-///
-/// # Errors
-/// Propagates simulator faults; queue-full aborts the whole co-resident
-/// launch group.
-///
-/// # Panics
-/// Panics if `entries` is empty, if any workload's seeds are out of
-/// range, or if `config.cpu_collab_groups != 0` (CPU collaboration is a
-/// solo-baseline feature).
-pub fn run_workloads_coresident<W: PtWorkload>(
-    gpu: &GpuConfig,
-    entries: &[(&Csr, W)],
-    config: &PtConfig,
-) -> Result<Vec<Run>, SimError> {
-    assert!(!entries.is_empty(), "co-resident launch group is non-empty");
-    assert_eq!(
-        config.cpu_collab_groups, 0,
-        "CPU collaboration is a solo-baseline feature"
-    );
-
-    let setup_start = Instant::now();
-    let mut engine = Engine::new(gpu.clone());
-    let mem = engine.memory_mut();
-    let mut per_launch = Vec::with_capacity(entries.len());
-    for (l, (graph, workload)) in entries.iter().enumerate() {
-        // Namespace this launch's allocations so co-resident launches
-        // can each bind their own "nodes"/"edges"/aux buffers in the
-        // one shared arena. Lookups are unprefixed: handles are taken
-        // here, inside the launch's namespace.
-        mem.set_alloc_prefix(&format!("q{l}:"));
-        let n = graph.num_vertices();
-        let seeds = workload.seeds(n);
-        let nodes = mem.alloc_init("nodes", graph.row_offsets());
-        let edges = mem.alloc_init("edges", graph.adjacency());
-        let mut bound = workload.clone();
-        bound.bind(mem);
-        let values = mem.alloc_init(bound.value_buffer_name(), &bound.initial_values(n));
-        let inqueue = mem.alloc("inqueue", bound.state_len(n));
-        for &seed in &seeds {
-            mem.write_u32(inqueue, seed as usize, 1);
-        }
-        let pending = mem.alloc("pending", 1);
-        mem.write_u32(pending, 0, seeds.len() as u32);
-        let capacity = queue_capacity(
-            n,
-            config.capacity_factor.max(bound.default_capacity_factor()),
-        );
-        let layout = LaunchLayout::setup(mem, config.variant, capacity, &seeds);
-        let buffers = WorkBuffers {
-            nodes,
-            edges,
-            values,
-            inqueue,
-            pending,
-        };
-        per_launch.push((layout, bound, buffers));
-    }
-    mem.set_alloc_prefix("");
-
-    let mut template = Launch::workgroups(config.workgroups)
-        .with_max_rounds(config.max_rounds)
-        .with_engine_workers(config.engine_workers);
-    if config.audit {
-        template = template.with_audit();
-    }
-    let variant = config.variant;
-    let chunk = config.chunk;
-    let wgs = vec![config.workgroups; entries.len()];
-    let setup_seconds = setup_start.elapsed().as_secs_f64();
-
-    let sim_start = Instant::now();
-    let reports = engine.run_coresident(template, &wgs, |l, info| {
-        let (layout, bound, buffers) = &per_launch[l];
-        PtKernel::with_chunk(
-            layout.make_queue(variant),
-            bound.clone(),
-            *buffers,
-            info.wave_size,
-            chunk,
-        )
-    })?;
-    let sim_seconds = sim_start.elapsed().as_secs_f64();
-
-    let readback_start = Instant::now();
-    let mut runs = Vec::with_capacity(entries.len());
-    for (report, (_, bound, buffers)) in reports.into_iter().zip(&per_launch) {
-        if config.audit {
-            enforce_retry_free(variant, &report.metrics)?;
-        }
-        let values = engine.memory().read_slice(buffers.values).to_vec();
-        let reached = bound.reached(&values);
-        runs.push(Run {
-            seconds: report.seconds,
-            metrics: report.metrics,
-            values,
-            reached,
-            per_cu_cycles: report.per_cu_cycles,
-            recovery: RecoveryLog {
-                epochs: 1,
-                rounds_committed: report.metrics.rounds,
-                final_capacity_factor: config.capacity_factor,
-                ..RecoveryLog::default()
-            },
-            profile: report.profile,
-            // Setup and readback walls are shared across the group;
-            // attributed to every member (diagnostics only, never a
-            // golden quantity).
-            phases: PhaseWalls {
-                setup_seconds,
-                sim_seconds,
-                readback_seconds: readback_start.elapsed().as_secs_f64(),
-            },
-        });
-    }
-    Ok(runs)
-}
-
-/// Run-level enforcement of the paper's central claim: a successful run
-/// scheduled by a retry-free variant must report zero CAS attempts, zero
-/// CAS failures, and zero queue-empty retries. Complements the
-/// per-wavefront scopes (`simt::audit`) that already validated each
-/// queue op inside the run.
-pub(crate) fn enforce_retry_free(variant: Variant, metrics: &Metrics) -> Result<(), SimError> {
-    if !variant.is_retry_free() {
-        return Ok(());
-    }
-    simt::audit::check_retry_free(metrics)
-        .map_err(|msg| SimError::AuditViolation(format!("{} run: {msg}", variant.label())))
-}
-
-fn run_workload_once<W: PtWorkload>(
-    gpu: &GpuConfig,
-    graph: &Csr,
-    workload: &W,
-    config: &PtConfig,
-) -> Result<Run, SimError> {
-    let n = graph.num_vertices();
-    let seeds = workload.seeds(n);
-
-    let setup_start = Instant::now();
-    let mut engine = Engine::new(gpu.clone());
-    let mem = engine.memory_mut();
-    mem.alloc_init("nodes", graph.row_offsets());
-    mem.alloc_init("edges", graph.adjacency());
-    let mut workload = workload.clone();
-    workload.bind(mem);
-    // Per-token state spans `state_len` slots (`n` solo, `k * n` for a
-    // k-member batch); seeds are tokens, so they index this state
-    // directly.
-    let values = mem.alloc_init(workload.value_buffer_name(), &workload.initial_values(n));
-    let inqueue = mem.alloc("inqueue", workload.state_len(n));
-    for &seed in &seeds {
-        mem.write_u32(inqueue, seed as usize, 1);
-    }
-    let pending = mem.alloc("pending", 1);
-    mem.write_u32(pending, 0, seeds.len() as u32);
-
-    let capacity = queue_capacity(n, config.capacity_factor);
-    // Segmented variants swap the one bounded ring for a recycled-segment
-    // arena sized from the same nominal capacity; everything else about
-    // the launch is identical.
-    let layout = LaunchLayout::setup(mem, config.variant, capacity, &seeds);
-
-    let buffers = WorkBuffers {
-        nodes: mem.buffer("nodes"),
-        edges: mem.buffer("edges"),
-        values,
-        inqueue,
-        pending,
-    };
-
-    let mut launch = Launch::workgroups(config.workgroups)
-        .with_cpu_collab(config.cpu_collab_groups)
-        .with_max_rounds(config.max_rounds)
-        .with_engine_workers(config.engine_workers);
-    if config.audit {
-        launch = launch.with_audit();
-    }
-    let variant = config.variant;
-    let chunk = config.chunk;
-    let setup_seconds = setup_start.elapsed().as_secs_f64();
-
-    let sim_start = Instant::now();
-    let report = engine.run(launch, |info| {
-        PtKernel::with_chunk(
-            layout.make_queue(variant),
-            workload.clone(),
-            buffers,
-            info.wave_size,
-            chunk,
-        )
-    })?;
-    if config.audit {
-        enforce_retry_free(variant, &report.metrics)?;
-    }
-    let sim_seconds = sim_start.elapsed().as_secs_f64();
-
-    let readback_start = Instant::now();
-    let values = engine.memory().read_slice(buffers.values).to_vec();
-    let reached = workload.reached(&values);
-    let readback_seconds = readback_start.elapsed().as_secs_f64();
-    Ok(Run {
-        seconds: report.seconds,
-        metrics: report.metrics,
-        values,
-        reached,
-        per_cu_cycles: report.per_cu_cycles,
-        recovery: RecoveryLog::default(),
-        profile: report.profile,
-        phases: PhaseWalls {
-            setup_seconds,
-            sim_seconds,
-            readback_seconds,
-        },
-    })
-}
-
-/// Runs `workload` scheduled by the *distributed, work-stealing* variant
-/// of the retry-free queue (one queue per compute unit; see
-/// [`gpu_queue::device::StealingWaveQueue`]). An ablation against the
-/// paper's single shared queue: less hot-word pressure, more load
-/// imbalance.
-///
-/// # Errors
-/// Propagates simulator faults; queue-full is recovered by doubling the
-/// per-CU capacity, as in [`run_workload`].
-pub fn run_workload_stealing<W: PtWorkload>(
-    gpu: &GpuConfig,
-    graph: &Csr,
-    workload: &W,
-    workgroups: usize,
-) -> Result<Run, SimError> {
-    use gpu_queue::device::{StealingLayout, StealingWaveQueue};
-
-    let n = graph.num_vertices();
-    let seeds = workload.seeds(n);
-    let mut factor = workload.default_capacity_factor();
-    let mut log = RecoveryLog::default();
-    loop {
-        let setup_start = Instant::now();
-        let mut engine = Engine::new(gpu.clone());
-        let mem = engine.memory_mut();
-        mem.alloc_init("nodes", graph.row_offsets());
-        mem.alloc_init("edges", graph.adjacency());
-        let mut bound = workload.clone();
-        bound.bind(mem);
-        let values = mem.alloc_init(bound.value_buffer_name(), &bound.initial_values(n));
-        let inqueue = mem.alloc("inqueue", bound.state_len(n));
-        for &seed in &seeds {
-            mem.write_u32(inqueue, seed as usize, 1);
-        }
-        let pending = mem.alloc("pending", 1);
-        mem.write_u32(pending, 0, seeds.len() as u32);
-        // A hub can land an outsized share on one CU: per-CU capacity is
-        // provisioned at `factor * n` (capped well below the shared
-        // queue's limit — `num_cus` arrays of this size coexist), doubled
-        // on queue-full.
-        let capacity = queue_capacity(n, factor).min(1 << 24);
-        let layout = StealingLayout::setup(mem, "dqueue", gpu.num_cus, capacity);
-        layout.host_seed(mem, &seeds);
-        let buffers = WorkBuffers {
-            nodes: mem.buffer("nodes"),
-            edges: mem.buffer("edges"),
-            values,
-            inqueue,
-            pending,
-        };
-        let setup_seconds = setup_start.elapsed().as_secs_f64();
-        let sim_start = Instant::now();
-        let result = engine.run(Launch::workgroups(workgroups).with_audit(), |info| {
-            PtKernel::new(
-                Box::new(StealingWaveQueue::new(&layout, info.cu)),
-                bound.clone(),
-                buffers,
-                info.wave_size,
-            )
-        });
-        match result {
-            Err(SimError::KernelAbort { reason, round })
-                if reason.is_queue_full() && factor < 16.0 * workload.default_capacity_factor() =>
-            {
-                log.attempts.push(RecoveryAttempt {
-                    epoch: 0,
-                    attempt: log.attempts.len() as u32 + 1,
-                    reason,
-                    rounds_lost: round,
-                    backoff_cycles: 0,
-                    capacity_factor: factor,
-                });
-                log.rounds_lost += round;
-                factor *= 2.0;
-            }
-            Err(e) => return Err(e),
-            Ok(report) => {
-                // Locally retry-free: never a CAS. (Failed steal scans DO
-                // count queue-empty retries — the documented trade-off —
-                // so only the CAS half of the claim is enforced here.)
-                if report.metrics.cas_attempts != 0 || report.metrics.cas_failures != 0 {
-                    return Err(SimError::AuditViolation(format!(
-                        "stealing run: {} CAS attempts, {} failures (expected none)",
-                        report.metrics.cas_attempts, report.metrics.cas_failures
-                    )));
-                }
-                let sim_seconds = sim_start.elapsed().as_secs_f64();
-                let readback_start = Instant::now();
-                let values = engine.memory().read_slice(buffers.values).to_vec();
-                let reached = bound.reached(&values);
-                let readback_seconds = readback_start.elapsed().as_secs_f64();
-                log.epochs = 1;
-                log.rounds_committed = report.metrics.rounds;
-                if !log.attempts.is_empty() {
-                    log.rounds_replayed = report.metrics.rounds;
-                }
-                log.final_capacity_factor = factor;
-                return Ok(Run {
-                    seconds: report.seconds,
-                    metrics: report.metrics,
-                    values,
-                    reached,
-                    per_cu_cycles: report.per_cu_cycles,
-                    recovery: log,
-                    profile: report.profile,
-                    phases: PhaseWalls {
-                        setup_seconds,
-                        sim_seconds,
-                        readback_seconds,
-                    },
-                });
-            }
-        }
-    }
-}
-
-/// [`run_workload_stealing`] instantiated with [`Bfs`].
+/// Runs a BFS from `source` on the *distributed, work-stealing*
+/// scheduler ([`Scheduler::Stealing`]), an ablation against the paper's
+/// single shared queue; other workloads reach it through
+/// [`crate::execute`].
 ///
 /// # Errors
 /// Propagates simulator faults; queue-full is recovered by doubling the
@@ -659,18 +466,52 @@ pub fn run_bfs_stealing(
     source: u32,
     workgroups: usize,
 ) -> Result<Run, SimError> {
-    run_workload_stealing(gpu, graph, &Bfs::new(source), workgroups)
+    let bfs = Bfs::new(source);
+    let config = PtConfig::for_workload(&bfs, Variant::RfAn, workgroups);
+    let policy = RecoveryPolicy::regrow_only(config.capacity_factor);
+    let solo = [(graph, &bfs)];
+    let spec = RunSpec {
+        scheduler: Scheduler::Stealing,
+        ..RunSpec::new(&solo, &config, &policy)
+    };
+    run_solo(gpu, spec)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::workload::{ConnectedComponents, PrDelta};
+    use crate::{execute, RunSpec};
     use ptq_graph::gen::{
         erdos_renyi, roadmap, social, synthetic_tree, RoadmapParams, SocialParams,
     };
     use ptq_graph::{bfs_levels, validate_levels};
     use simt::GpuConfig;
+
+    /// `workload` on the work-stealing scheduler, the way
+    /// [`run_bfs_stealing`] runs BFS.
+    fn run_stealing<W: PtWorkload>(graph: &Csr, workload: &W, wgs: usize) -> Run {
+        let config = PtConfig::for_workload(workload, Variant::RfAn, wgs);
+        let policy = RecoveryPolicy::regrow_only(config.capacity_factor);
+        let solo = [(graph, workload)];
+        let spec = RunSpec {
+            scheduler: Scheduler::Stealing,
+            ..RunSpec::new(&solo, &config, &policy)
+        };
+        execute(&GpuConfig::test_tiny(), spec)
+            .unwrap_or_else(|f| panic!("{} stealing: {}", workload.name(), f.error))
+            .remove(0)
+    }
+
+    /// `entries` co-resident on one device: a single unfenced attempt.
+    fn run_group(entries: &[(&Csr, &Bfs)], config: &PtConfig) -> Vec<Run> {
+        let policy = RecoveryPolicy::regrow_only(config.capacity_factor);
+        execute(
+            &GpuConfig::test_tiny(),
+            RunSpec::new(entries, config, &policy),
+        )
+        .unwrap_or_else(|f| panic!("co-resident group: {}", f.error))
+    }
 
     fn check_all_variants(graph: &Csr, source: u32, wgs: usize) {
         let reference = bfs_levels(graph, source);
@@ -1027,7 +868,7 @@ mod tests {
         assert!(run.profile.arena_words > 0);
         assert!(run.profile.meta_bytes > 0);
         assert!(run.phases.sim_seconds > 0.0);
-        assert!(run.phases.total_seconds() >= run.phases.sim_seconds);
+        assert!(run.phases.setup_seconds > 0.0 && run.phases.readback_seconds > 0.0);
 
         let stealing = run_bfs_stealing(&GpuConfig::test_tiny(), &g, 0, 2).unwrap();
         assert!(stealing.profile.arena_words > 0);
@@ -1038,29 +879,13 @@ mod tests {
     fn new_workloads_on_stealing_scheduler() {
         let g = synthetic_tree(400, 4);
         let cc = ConnectedComponents;
-        let run = run_workload_stealing(&GpuConfig::test_tiny(), &g, &cc, 4).unwrap();
+        let run = run_stealing(&g, &cc, 4);
         cc.validate(&g, &run.values)
             .unwrap_or_else(|(v, want, got)| panic!("cc stealing: {v}: {got} != {want}"));
         let pr = PrDelta::new(0);
-        let run = run_workload_stealing(&GpuConfig::test_tiny(), &g, &pr, 4).unwrap();
+        let run = run_stealing(&g, &pr, 4);
         pr.validate(&g, &run.values)
             .unwrap_or_else(|(v, want, got)| panic!("pr stealing: {v}: {got} != {want}"));
-    }
-
-    #[test]
-    fn coresident_solo_group_matches_run_workload() {
-        // One-launch co-residency must be the solo path, byte for byte.
-        let g = synthetic_tree(400, 4);
-        let config = PtConfig::new(Variant::RfAn, 3);
-        let solo = run_workload(&GpuConfig::test_tiny(), &g, &Bfs::new(0), &config).unwrap();
-        let mut group =
-            run_workloads_coresident(&GpuConfig::test_tiny(), &[(&g, Bfs::new(0))], &config)
-                .unwrap();
-        let run = group.pop().unwrap();
-        assert_eq!(run.seconds, solo.seconds);
-        assert_eq!(run.metrics, solo.metrics);
-        assert_eq!(run.values, solo.values);
-        assert_eq!(run.per_cu_cycles, solo.per_cu_cycles);
     }
 
     #[test]
@@ -1078,9 +903,7 @@ mod tests {
         });
         let config = PtConfig::new(Variant::RfAn, 2);
         let gpu = GpuConfig::test_tiny();
-        let runs =
-            run_workloads_coresident(&gpu, &[(&g1, Bfs::new(0)), (&g2, Bfs::new(5))], &config)
-                .unwrap();
+        let runs = run_group(&[(&g1, &Bfs::new(0)), (&g2, &Bfs::new(5))], &config);
         let solo1 = run_workload(&gpu, &g1, &Bfs::new(0), &config).unwrap();
         let solo2 = run_workload(&gpu, &g2, &Bfs::new(5), &config).unwrap();
         assert_eq!(runs[0].values, solo1.values);
@@ -1089,9 +912,13 @@ mod tests {
         assert_eq!(runs[1].reached, solo2.reached);
         assert!(runs[0].seconds >= solo1.seconds);
         assert!(runs[1].seconds >= solo2.seconds);
-        // Retry-free audits hold per launch under co-residency.
-        assert_eq!(runs[0].metrics.total_retries(), 0);
-        assert_eq!(runs[1].metrics.total_retries(), 0);
+        // Retry-free audits hold per launch under co-residency, and each
+        // member's log counts its own rounds.
+        for run in &runs {
+            assert_eq!(run.metrics.total_retries(), 0);
+            assert_eq!(run.recovery.epochs, 1);
+            assert_eq!(run.recovery.rounds_committed, run.metrics.rounds);
+        }
     }
 
     #[test]
@@ -1102,12 +929,7 @@ mod tests {
         for workers in [1, 4] {
             let mut config = PtConfig::new(Variant::SegRfAn, 2);
             config.engine_workers = workers;
-            let runs = run_workloads_coresident(
-                &GpuConfig::test_tiny(),
-                &[(&g1, Bfs::new(0)), (&g2, Bfs::new(1))],
-                &config,
-            )
-            .unwrap();
+            let runs = run_group(&[(&g1, &Bfs::new(0)), (&g2, &Bfs::new(1))], &config);
             let key: Vec<_> = runs
                 .iter()
                 .map(|r| (r.seconds.to_bits(), r.metrics, r.values.clone()))

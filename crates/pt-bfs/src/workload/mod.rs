@@ -165,7 +165,8 @@ pub trait PtWorkload: Clone + Send {
 
     /// Tokens seeding the scheduler queue (each must also have its
     /// on-queue bit set and be counted in `pending` — the runner does
-    /// both).
+    /// both, after rejecting tokens outside the graph with a typed
+    /// error, so implementations report rather than assert).
     fn seeds(&self, num_vertices: usize) -> Vec<u32>;
 
     /// Length of the per-token state arrays (values, on-queue bits,

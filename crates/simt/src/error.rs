@@ -122,6 +122,11 @@ pub enum SimError {
     /// budget (e.g. a retry-free design issuing a CAS, or an arbitrary-n
     /// design issuing more than one reservation per wavefront op).
     AuditViolation(String),
+    /// The host asked for a launch that cannot be set up at all (an
+    /// empty launch group, a fault plan spanning co-resident launches,
+    /// seeds outside the graph, …). Carries the cause; raised before any
+    /// device state exists, so nothing is lost by fixing the request.
+    InvalidLaunch(String),
 }
 
 impl SimError {
@@ -162,6 +167,7 @@ impl fmt::Display for SimError {
                 write!(f, "simulation exceeded {limit} rounds without terminating")
             }
             SimError::AuditViolation(detail) => write!(f, "audit violation: {detail}"),
+            SimError::InvalidLaunch(cause) => write!(f, "invalid launch: {cause}"),
         }
     }
 }
@@ -189,6 +195,8 @@ mod tests {
         assert!(e.to_string().contains("10 rounds"));
         let e = SimError::AuditViolation("RF/AN enqueue: 2 CAS".into());
         assert!(e.to_string().contains("audit violation"));
+        let e = SimError::InvalidLaunch("empty launch group".into());
+        assert!(e.to_string().contains("invalid launch: empty"));
     }
 
     #[test]

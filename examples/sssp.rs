@@ -8,7 +8,7 @@
 //! cargo run --release --example sssp [scale]
 //! ```
 
-use ptq::bfs::run_sssp;
+use ptq::bfs::{run_workload, PtConfig, Sssp};
 use ptq::graph::{random_weights, validate_distances, Dataset};
 use ptq::queue::Variant;
 use simt::GpuConfig;
@@ -30,9 +30,12 @@ fn main() {
     );
 
     let gpu = GpuConfig::fiji();
+    // The workload is the only SSSP-specific piece: it carries the
+    // weights and asks for a larger queue (re-enqueues are the norm).
+    let sssp = Sssp::new(dataset.source(), weights.clone());
     for variant in Variant::ALL {
-        let run = run_sssp(&gpu, &graph, &weights, dataset.source(), variant, 224)
-            .expect("simulation succeeds");
+        let config = PtConfig::for_workload(&sssp, variant, 224);
+        let run = run_workload(&gpu, &graph, &sssp, &config).expect("simulation succeeds");
         validate_distances(&graph, &weights, dataset.source(), &run.values)
             .expect("distances match Dijkstra exactly");
         let reenqueues = run

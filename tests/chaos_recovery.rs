@@ -13,10 +13,8 @@
 //! strictly fewer rounds than restarting from scratch under the same
 //! fault plan.
 
-use ptq::bfs::workload::Sssp;
-use ptq::bfs::{
-    run_bfs, run_bfs_recoverable, run_sssp, run_sssp_recoverable, PtConfig, RecoveryPolicy,
-};
+use ptq::bfs::workload::{Bfs, Sssp};
+use ptq::bfs::{run_bfs, run_recoverable, run_workload, PtConfig, RecoveryPolicy};
 use ptq::graph::{random_weights, Dataset};
 use ptq::queue::Variant;
 use simt::{AbortReason, FaultPlan, FaultSpec, GpuConfig};
@@ -77,8 +75,15 @@ fn seeded_chaos_matrix_converges_on_all_six_datasets() {
 
         let plan = chaos_plan(0xC4A05 ^ (i as u64) << 8, graph.num_vertices());
         assert_eq!(plan.len(), 6, "{dataset:?}: fault matrix incomplete");
-        let run = run_bfs_recoverable(&gpu, &graph, source, &config, &chaos_policy(), &plan)
-            .unwrap_or_else(|e| panic!("{dataset:?}: chaos run failed: {e}"));
+        let run = run_recoverable(
+            &gpu,
+            &graph,
+            &Bfs::new(source),
+            &config,
+            &chaos_policy(),
+            &plan,
+        )
+        .unwrap_or_else(|e| panic!("{dataset:?}: chaos run failed: {e}"));
 
         assert_eq!(
             run.values, golden.values,
@@ -113,8 +118,15 @@ fn segmented_chaos_matrix_recovers_without_queue_full_on_all_six_datasets() {
             .unwrap_or_else(|e| panic!("{dataset:?}: segmented golden run failed: {e}"));
 
         let plan = chaos_plan(0xC4A05 ^ (i as u64) << 8, graph.num_vertices());
-        let run = run_bfs_recoverable(&gpu, &graph, source, &config, &chaos_policy(), &plan)
-            .unwrap_or_else(|e| panic!("{dataset:?}: segmented chaos run failed: {e}"));
+        let run = run_recoverable(
+            &gpu,
+            &graph,
+            &Bfs::new(source),
+            &config,
+            &chaos_policy(),
+            &plan,
+        )
+        .unwrap_or_else(|e| panic!("{dataset:?}: segmented chaos run failed: {e}"));
 
         assert_eq!(
             run.values, golden.values,
@@ -154,10 +166,10 @@ fn chaos_matrix_converges_on_an_variant() {
     let config = PtConfig::new(Variant::An, 3);
     let golden = run_bfs(&gpu, &graph, dataset.source(), &config).unwrap();
     let plan = chaos_plan(0xA17, graph.num_vertices());
-    let run = run_bfs_recoverable(
+    let run = run_recoverable(
         &gpu,
         &graph,
-        dataset.source(),
+        &Bfs::new(dataset.source()),
         &config,
         &chaos_policy(),
         &plan,
@@ -180,19 +192,19 @@ fn chaos_runs_are_deterministic() {
     let plan_b = chaos_plan(99, graph.num_vertices());
     assert_eq!(plan_a, plan_b, "seeded plans must be identical");
 
-    let a = run_bfs_recoverable(
+    let a = run_recoverable(
         &gpu,
         &graph,
-        dataset.source(),
+        &Bfs::new(dataset.source()),
         &config,
         &chaos_policy(),
         &plan_a,
     )
     .unwrap();
-    let b = run_bfs_recoverable(
+    let b = run_recoverable(
         &gpu,
         &graph,
-        dataset.source(),
+        &Bfs::new(dataset.source()),
         &config,
         &chaos_policy(),
         &plan_b,
@@ -231,9 +243,24 @@ fn checkpoint_resume_replays_fewer_rounds_than_restart() {
         checkpoint_levels: u32::MAX,
         ..RecoveryPolicy::default()
     };
-    let fenced = run_bfs_recoverable(&gpu, &graph, source, &config, &fenced_policy, &plan).unwrap();
-    let scratch =
-        run_bfs_recoverable(&gpu, &graph, source, &config, &scratch_policy, &plan).unwrap();
+    let fenced = run_recoverable(
+        &gpu,
+        &graph,
+        &Bfs::new(source),
+        &config,
+        &fenced_policy,
+        &plan,
+    )
+    .unwrap();
+    let scratch = run_recoverable(
+        &gpu,
+        &graph,
+        &Bfs::new(source),
+        &config,
+        &scratch_policy,
+        &plan,
+    )
+    .unwrap();
 
     assert_eq!(fenced.values, golden.values, "checkpointed run diverged");
     assert_eq!(scratch.values, golden.values, "from-scratch run diverged");
@@ -267,10 +294,9 @@ fn sssp_chaos_matrix_converges_to_golden_distances() {
     let graph = dataset.build(fraction);
     let source = dataset.source();
     let weights = random_weights(&graph, 9, 0x55);
-    let golden = run_sssp(&gpu, &graph, &weights, source, Variant::RfAn, 3).unwrap();
-
-    let workload = Sssp::new(source, weights.clone());
+    let workload = Sssp::new(source, weights);
     let config = PtConfig::for_workload(&workload, Variant::RfAn, 3);
+    let golden = run_workload(&gpu, &graph, &workload, &config).unwrap();
     let plan = FaultPlan::seeded(
         0x5559,
         &FaultSpec {
@@ -292,7 +318,7 @@ fn sssp_chaos_matrix_converges_to_golden_distances() {
         max_attempts: 16,
         ..RecoveryPolicy::default()
     };
-    let run = run_sssp_recoverable(&gpu, &graph, &weights, source, &config, &policy, &plan)
+    let run = run_recoverable(&gpu, &graph, &workload, &config, &policy, &plan)
         .unwrap_or_else(|e| panic!("SSSP chaos run failed: {e}"));
 
     assert_eq!(
@@ -315,10 +341,9 @@ fn sssp_checkpoint_resume_replays_fewer_rounds_than_restart() {
     let graph = dataset.build(fraction);
     let source = dataset.source();
     let weights = random_weights(&graph, 7, 0x77);
-    let golden = run_sssp(&gpu, &graph, &weights, source, Variant::RfAn, 3).unwrap();
-
-    let workload = Sssp::new(source, weights.clone());
+    let workload = Sssp::new(source, weights);
     let config = PtConfig::for_workload(&workload, Variant::RfAn, 3);
+    let golden = run_workload(&gpu, &graph, &workload, &config).unwrap();
     let plan = FaultPlan::new().kill_wave(2, 1);
     let fenced_policy = RecoveryPolicy {
         checkpoint_levels: 8, // distance units per epoch
@@ -328,26 +353,9 @@ fn sssp_checkpoint_resume_replays_fewer_rounds_than_restart() {
         checkpoint_levels: u32::MAX,
         ..RecoveryPolicy::default()
     };
-    let fenced = run_sssp_recoverable(
-        &gpu,
-        &graph,
-        &weights,
-        source,
-        &config,
-        &fenced_policy,
-        &plan,
-    )
-    .unwrap();
-    let scratch = run_sssp_recoverable(
-        &gpu,
-        &graph,
-        &weights,
-        source,
-        &config,
-        &scratch_policy,
-        &plan,
-    )
-    .unwrap();
+    let fenced = run_recoverable(&gpu, &graph, &workload, &config, &fenced_policy, &plan).unwrap();
+    let scratch =
+        run_recoverable(&gpu, &graph, &workload, &config, &scratch_policy, &plan).unwrap();
 
     assert_eq!(fenced.values, golden.values, "checkpointed run diverged");
     assert_eq!(scratch.values, golden.values, "from-scratch run diverged");
@@ -383,10 +391,10 @@ fn empty_plan_matches_plain_runner_on_dataset() {
         checkpoint_levels: u32::MAX,
         ..RecoveryPolicy::default()
     };
-    let run = run_bfs_recoverable(
+    let run = run_recoverable(
         &gpu,
         &graph,
-        dataset.source(),
+        &Bfs::new(dataset.source()),
         &config,
         &policy,
         &FaultPlan::EMPTY,

@@ -6,7 +6,9 @@
 //! duplicated, or invented a token.
 
 use ptq::bfs::workload::{ConnectedComponents, PrDelta, PtWorkload};
-use ptq::bfs::{run_bfs, run_bfs_stealing, run_workload, run_workload_stealing, PtConfig};
+use ptq::bfs::{
+    execute, run_bfs, run_bfs_stealing, run_workload, PtConfig, RecoveryPolicy, RunSpec, Scheduler,
+};
 use ptq::graph::gen::social;
 use ptq::graph::gen::SocialParams;
 use ptq::graph::Dataset;
@@ -290,8 +292,18 @@ fn all_six_agree_with_oracle<W: PtWorkload>(graph: &ptq::graph::Csr, workload: &
             );
         }
     }
-    let run = run_workload_stealing(&gpu, graph, workload, 4)
-        .unwrap_or_else(|e| panic!("{tag}/stealing: {e}"));
+    // The sixth scheduler: per-CU queues with stealing, sized and
+    // regrown the way `run_bfs_stealing` does for BFS.
+    let config = PtConfig::for_workload(workload, Variant::RfAn, 4);
+    let policy = RecoveryPolicy::regrow_only(config.capacity_factor);
+    let solo = [(graph, workload)];
+    let spec = RunSpec {
+        scheduler: Scheduler::Stealing,
+        ..RunSpec::new(&solo, &config, &policy)
+    };
+    let run = execute(&gpu, spec)
+        .unwrap_or_else(|f| panic!("{tag}/stealing: {}", f.error))
+        .remove(0);
     assert_eq!(
         run.values, oracle,
         "{tag}/stealing: values diverged from the sequential oracle"

@@ -242,7 +242,7 @@ fn explored_rfan_overflow_has_abort_semantics() {
 /// re-enqueues still converge to exact distances.
 #[test]
 fn sssp_recovers_under_reenqueue_pressure() {
-    use ptq::bfs::run_sssp;
+    use ptq::bfs::{run_workload, Sssp};
     use ptq::graph::{validate_distances, CsrBuilder};
 
     // A graph designed for label-correction churn: long chain with heavy
@@ -265,14 +265,8 @@ fn sssp_recovers_under_reenqueue_pressure() {
             weights_aligned[start + k] = if w == v + 1 { 1 } else { 5 };
         }
     }
-    let run = run_sssp(
-        &GpuConfig::test_tiny(),
-        &g,
-        &weights_aligned,
-        0,
-        Variant::RfAn,
-        2,
-    )
-    .unwrap();
+    let sssp = Sssp::new(0, weights_aligned.clone());
+    let config = PtConfig::for_workload(&sssp, Variant::RfAn, 2);
+    let run = run_workload(&GpuConfig::test_tiny(), &g, &sssp, &config).unwrap();
     validate_distances(&g, &weights_aligned, 0, &run.values).unwrap();
 }

@@ -226,7 +226,7 @@ impl ParkRequest {
     /// Performs the one wave-private side effect of a replayed empty
     /// poll: remember `Front`'s version as of this rotation position.
     #[inline]
-    pub(crate) fn note_replay(&mut self, memory: &DeviceMemory) {
+    pub(crate) fn note_replay(&mut self, memory: &mut DeviceMemory) {
         if let Some(e) = self.empty.as_mut() {
             e.front_version = memory.version_at(e.front);
         }

@@ -322,7 +322,8 @@ impl Engine {
     ///
     /// # Errors
     /// Fails on device faults (out-of-bounds), kernel aborts (queue-full),
-    /// or exceeding the round limit.
+    /// exceeding the round limit, or ([`SimError::InvalidLaunch`]) a
+    /// launch with no group in it.
     pub fn run<K, F>(&mut self, launch: Launch, factory: F) -> Result<RunReport, SimError>
     where
         K: WaveKernel,
@@ -374,7 +375,9 @@ impl Engine {
     ///
     /// # Errors
     /// Same failure modes as [`Engine::run`]; an abort in any launch
-    /// fails the whole co-resident execution.
+    /// fails the whole co-resident execution. A request that breaks the
+    /// restrictions above (or names no launch, or an empty one) is
+    /// refused with [`SimError::InvalidLaunch`].
     pub fn run_coresident<K, F>(
         &mut self,
         template: Launch,
@@ -385,15 +388,18 @@ impl Engine {
         K: WaveKernel,
         F: FnMut(usize, WaveInfo) -> K,
     {
-        assert!(
-            template.cpu_collab_groups == 0,
-            "co-resident launches do not support CPU collab groups"
-        );
-        assert!(!launch_wgs.is_empty(), "need at least one launch");
-        assert!(
-            launch_wgs.iter().all(|&n| n > 0),
-            "every co-resident launch needs at least one workgroup"
-        );
+        let refused = if template.cpu_collab_groups != 0 {
+            Some("co-resident launches do not support CPU collab groups")
+        } else if launch_wgs.is_empty() {
+            Some("need at least one launch")
+        } else if launch_wgs.contains(&0) {
+            Some("every co-resident launch needs at least one workgroup")
+        } else {
+            None
+        };
+        if let Some(cause) = refused {
+            return Err(SimError::InvalidLaunch(cause.into()));
+        }
         self.run_multi(template, launch_wgs, &FaultPlan::EMPTY, factory)
     }
 
@@ -414,16 +420,21 @@ impl Engine {
         F: FnMut(usize, WaveInfo) -> K,
     {
         let num_launches = launch_wgs.len();
-        assert!(
-            num_launches == 1 || (plan.is_empty() && launch.cpu_collab_groups == 0),
-            "faults and CPU collab are single-launch only"
-        );
+        if num_launches != 1 && !(plan.is_empty() && launch.cpu_collab_groups == 0) {
+            return Err(SimError::InvalidLaunch(
+                "faults and CPU collab are single-launch only".into(),
+            ));
+        }
         let gpu_waves: usize = launch_wgs
             .iter()
             .map(|&n| n * self.config.waves_per_wg)
             .sum();
         let total_waves = gpu_waves + launch.cpu_collab_groups;
-        assert!(total_waves > 0, "launch must contain at least one group");
+        if total_waves == 0 {
+            return Err(SimError::InvalidLaunch(
+                "launch must contain at least one group".into(),
+            ));
+        }
         let num_cus = self.config.num_cus + launch.cpu_collab_groups;
 
         // Build wave table. GPU workgroups are distributed round-robin
@@ -658,7 +669,7 @@ impl Engine {
                     // an observation in the watched class ⟹ identical
                     // cycle, so replay the captured charges and move on.
                     if !wake_all && park.request.holds(&self.memory) {
-                        park.request.note_replay(&self.memory);
+                        park.request.note_replay(&mut self.memory);
                         round_issue[info.cu] += park.issue;
                         round_latency[info.cu] = round_latency[info.cu].max(park.latency);
                         round_lines += park.lines;
@@ -1366,6 +1377,47 @@ mod tests {
         // compare only the run-derived profile counters.
         assert_eq!(co.profile.park_events, solo.profile.park_events);
         assert_eq!(co.profile.peak_round_lines, solo.profile.peak_round_lines);
+    }
+
+    #[test]
+    fn unlaunchable_requests_are_typed_errors() {
+        type Request = fn(&mut Engine, Buffer) -> Result<Vec<RunReport>, SimError>;
+        fn incr(buf: Buffer) -> impl FnMut(usize, WaveInfo) -> IncrKernel {
+            move |_, _| IncrKernel { buf, remaining: 1 }
+        }
+        let cases: [(&str, Request); 5] = [
+            ("CPU collab groups", |e, buf| {
+                let template = Launch::workgroups(1).with_cpu_collab(1);
+                e.run_coresident(template, &[1, 1], incr(buf))
+            }),
+            ("at least one launch", |e, buf| {
+                e.run_coresident(Launch::workgroups(1), &[], incr(buf))
+            }),
+            ("at least one workgroup", |e, buf| {
+                e.run_coresident(Launch::workgroups(1), &[2, 0], incr(buf))
+            }),
+            ("single-launch only", |e, buf| {
+                let kill = FaultPlan {
+                    wave_kills: vec![crate::fault::WaveKill { wave: 0, round: 0 }],
+                    ..FaultPlan::EMPTY
+                };
+                e.run_multi(Launch::workgroups(1), &[1, 1], &kill, incr(buf))
+            }),
+            ("at least one group", |e, buf| {
+                let run = e.run(Launch::workgroups(0), |_| IncrKernel { buf, remaining: 1 });
+                run.map(|report| vec![report])
+            }),
+        ];
+        for (cause, request) in cases {
+            let mut e = tiny_engine();
+            let buf = e.memory().buffer("counter");
+            match request(&mut e, buf) {
+                Err(SimError::InvalidLaunch(why)) => assert!(why.contains(cause), "{why}"),
+                other => panic!("{cause}: expected InvalidLaunch, got {other:?}"),
+            }
+            // Refused before any device state changed.
+            assert_eq!(e.memory().read_u32(buf, 0), 0);
+        }
     }
 
     #[test]

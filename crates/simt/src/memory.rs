@@ -61,50 +61,53 @@ impl Buffer {
     }
 }
 
-/// Per-word bookkeeping, one entry per device word, kept in a single table
-/// so the hot accessors (`rmw`, `stale_load`, rank lookup) touch one cache
-/// line instead of three to five parallel arrays.
+/// Per-word shadow state, one 8-byte entry per device word, so the hot
+/// accessors (`rmw`, `stale_load`, rank lookup) reach everything they
+/// need with one access. All-zero means "untouched this round".
 #[derive(Clone, Copy, Debug, Default)]
 struct WordMeta {
-    /// Successful-mutation counter, used by the CAS staleness model: a
-    /// staged reservation can ask how many successful atomics landed on a
-    /// word since it read it. Only deltas within one simulation are
-    /// meaningful — the counter carries across arena reuses.
-    version: u64,
-    /// Round-visibility stamp; `base_value` is live iff
-    /// `base_stamp == round_gen`.
-    base_stamp: u64,
-    /// Contention stamp; `rank_count` is live iff `rank_stamp` matches the
-    /// engine round generation ([`RoundState::rank_gen`]).
-    rank_stamp: u64,
-    /// Round-start snapshot of the word, recorded at its first mutation of
-    /// the round. Backs the one-round visibility delay for cross-wavefront
-    /// data flow: a value published in round `r` becomes observable
-    /// through stale reads in round `r + 1`.
+    /// Round-start snapshot of the word, recorded at its first store or
+    /// atomic of the round (the word's value at that moment *is* its
+    /// round-start value: an earlier mutation would already have touched
+    /// it). Backs the one-round visibility delay for cross-wavefront data
+    /// flow: a value published in round `r` becomes observable through
+    /// stale reads in round `r + 1`.
     base_value: u32,
-    /// Atomics that have targeted this word in the current round.
-    rank_count: u32,
+    /// [`TOUCHED`] plus the atomics that have targeted this word in the
+    /// current round (low 31 bits).
+    state: u32,
 }
+
+/// Set in [`WordMeta::state`] by the round's first store or atomic.
+const TOUCHED: u32 = 1 << 31;
+/// The same-round atomic count in [`WordMeta::state`].
+const RANK_MASK: u32 = TOUCHED - 1;
 
 /// Flat, host-managed device memory.
 ///
 /// The per-word side table ([`WordMeta`]) is a flat vector indexed by
 /// device address and kept exactly as long as `words` by the allocator.
-/// It is *generation stamped*: starting a round bumps `round_gen` instead
-/// of clearing anything, and an entry's snapshot (or rank count) is live
-/// only while its stamp matches. Rounds are the simulator's innermost
-/// cadence, so this keeps the hot accessors (`store`/`rmw`/`stale_load`)
-/// free of hashing and per-round clears.
+/// Its contract is *clear what you touched*: the first store or atomic to
+/// a word in a round snapshots it and pushes its address on `journal`;
+/// starting the next round (and dropping the memory) zeroes exactly the
+/// journalled entries. The table is therefore all-zero whenever the
+/// journal is empty, the hot accessors (`store`/`rmw`/`stale_load`) stay
+/// free of hashing, and a round costs O(words it touched).
 #[derive(Clone, Debug)]
 pub struct DeviceMemory {
     words: Vec<u32>,
     buffers: HashMap<String, Buffer>,
-    /// Merged per-word metadata (version + round snapshot + atomic rank).
+    /// Per-word shadow state (round snapshot + atomic rank).
     meta: Vec<WordMeta>,
-    /// Current visibility round. Starts at 1 on a fresh arena (so zeroed
-    /// stamps are stale) and strictly above the previous life's final
-    /// round on a recycled one (so *its* stamps are stale too).
-    round_gen: u64,
+    /// Addresses whose `meta` entry is non-zero: every word stored to or
+    /// targeted by an atomic since the last [`DeviceMemory::begin_round`].
+    journal: Vec<u32>,
+    /// `(flat address, value-changing atomics since first asked)` for the
+    /// few words anyone reads a mutation version of (the CAS queues'
+    /// `Front`/`Rear`). Consumers only compare two reads of one word, so a
+    /// counter that starts at a word's first read yields exactly the deltas
+    /// a per-word counter since allocation would. Empty on RF runs.
+    versions: Vec<(u32, u64)>,
     /// ECC-style poisoned words armed by fault injection: `(flat address,
     /// round armed)`. Kernel accesses to a poisoned word fault; host reads
     /// (`read_u32`/`read_slice`) do not, so a checkpoint snapshot can
@@ -135,38 +138,25 @@ impl Default for DeviceMemory {
     }
 }
 
-/// Recycled arena backing: the word and metadata vectors of the last
+/// Recycled arena backing: the word and shadow-state vectors of the last
 /// dropped [`DeviceMemory`] on this thread. Simulation points run back to
 /// back on a worker thread and each allocates a fresh device memory;
-/// without recycling, every point re-faults hundreds of megabytes of
-/// arena pages in and unmaps them again (page-fault and `munmap` time
-/// dominated experiment setup).
+/// without recycling, every point re-faults the arena pages in and unmaps
+/// them again (page-fault and `munmap` time dominated experiment setup).
 ///
 /// On reuse the *word* prefix is **not** re-zeroed up front: the arena
 /// records how far its dirty prefix extends and [`DeviceMemory::alloc`]
 /// zeroes exactly the part each allocation overlaps, so a run that
 /// allocates less than the previous one never touches the cold tail
 /// (eager mode, selectable via [`set_eager_zeroing`], restores the
-/// historical whole-prefix memset for A/B benchmarking). The metadata
-/// table — 8× larger and mostly cold — is never zeroed at all; its
-/// staleness machinery absorbs the leftovers:
-///
-/// * `base_stamp` / `rank_stamp` are live only when they equal the
-///   current generation, and generations are carried forward across
-///   reuses (`round_gen` resumes from the arena's final value; rank
-///   generations are thread-monotonic via [`RoundState`]), so a stale
-///   stamp can never collide with a live one.
-/// * `version` is consumed exclusively as same-run deltas (a queue
-///   compares it against a version it captured earlier in the same
-///   simulation), so carrying it forward monotonically is unobservable.
-/// * `base_value` and `rank_count` are only read when their stamp is
-///   live.
+/// historical whole-prefix memset for A/B benchmarking). The shadow table
+/// needs nothing: `Drop` cleared the last round's journalled entries, so
+/// it arrives all-zero over its whole capacity.
 struct Arena {
     words: Vec<u32>,
     meta: Vec<WordMeta>,
-    /// Final visibility round of the previous life; the next life starts
-    /// above it so every stale `base_stamp` stays stale.
-    round_gen: u64,
+    /// The emptied journal: its capacity spares the next life the regrowth.
+    journal: Vec<u32>,
     /// How far the possibly-nonzero word prefix extends (the maximum of
     /// the previous life's own dirty prefix and its final length).
     dirty_words: usize,
@@ -179,9 +169,10 @@ thread_local! {
 
 impl Drop for DeviceMemory {
     fn drop(&mut self) {
+        self.begin_round(); // hand the shadow table back all-zero
         let words = std::mem::take(&mut self.words);
         let meta = std::mem::take(&mut self.meta);
-        let round_gen = self.round_gen;
+        let journal = std::mem::take(&mut self.journal);
         // Anything this life wrote extends the dirty prefix; dirt beyond
         // our final length (from an even earlier, larger life) persists.
         let dirty_words = self.dirty_words.max(words.len());
@@ -196,7 +187,7 @@ impl Drop for DeviceMemory {
                 *slot = Some(Arena {
                     words,
                     meta,
-                    round_gen,
+                    journal,
                     dirty_words,
                 });
             }
@@ -207,55 +198,55 @@ impl Drop for DeviceMemory {
 /// Extends `v` to `new_len` elements *without* an explicit memset: fresh
 /// capacity comes from `alloc_zeroed`, so large tables start as
 /// lazily-mapped kernel zero pages and only the pages the simulation
-/// actually touches are ever faulted in. The word metadata table is 8×
-/// the data arena and mostly cold (read-only buffers like the CSR edge
-/// list never take a snapshot or a rank), which made the eager
-/// `Vec::resize` memset the dominant setup cost of large runs.
+/// actually touches are ever faulted in (read-only buffers like the CSR
+/// edge list never take a snapshot or a rank, so most of the shadow table
+/// stays unmapped).
+///
+/// When `new_len` exceeds the capacity, `v` becomes a fresh all-zero block
+/// and the outgrown vector is returned: the caller carries over what is
+/// live (the word prefix; the journalled shadow entries) and nothing else
+/// is copied or faulted in.
 ///
 /// New elements are zero when the caller maintains the arena invariant:
 /// spare capacity beyond `max(len, dirty_words)` is never written, so it
 /// is pristine `alloc_zeroed` memory. Growth within a recycled arena's
 /// dirty prefix re-exposes previous-life words — the allocator zeroes
-/// exactly the exposed overlap on demand — and the recycled *metadata*
-/// table deliberately re-exposes its previous contents wholesale; see
-/// [`Arena`] for why that is sound.
+/// exactly the exposed overlap on demand.
 ///
 /// `T` must be valid for any bit pattern reachable here (`u32` and
 /// `WordMeta` are plain integers).
-fn grow_zeroed<T: Copy>(v: &mut Vec<T>, new_len: usize) {
+fn grow_zeroed<T: Copy>(v: &mut Vec<T>, new_len: usize) -> Option<Vec<T>> {
     use std::alloc::{alloc_zeroed, handle_alloc_error, Layout};
+    let mut outgrown = None;
     if new_len > v.capacity() {
         let cap = new_len.max(v.capacity() * 2).next_power_of_two();
         let layout = Layout::array::<T>(cap).expect("device arena too large");
         // SAFETY: `cap > 0` so the layout is non-zero-sized; the block is
         // allocated by the global allocator with the exact layout a
-        // `Vec<T>` of capacity `cap` deallocates with, and the used prefix
-        // is copied before the old vector is dropped.
+        // `Vec<T>` of capacity `cap` deallocates with.
         unsafe {
             let ptr = alloc_zeroed(layout).cast::<T>();
             if ptr.is_null() {
                 handle_alloc_error(layout);
             }
-            let len = v.len();
-            std::ptr::copy_nonoverlapping(v.as_ptr(), ptr, len);
-            *v = Vec::from_raw_parts(ptr, len, cap);
+            outgrown = Some(std::mem::replace(v, Vec::from_raw_parts(ptr, 0, cap)));
         }
     }
     // SAFETY: `new_len <= capacity`, and everything between the old length
     // and `capacity` is zero by the invariant above — valid for `T`.
     unsafe { v.set_len(new_len) };
+    outgrown
 }
 
 impl DeviceMemory {
     /// Creates an empty device memory, recycling this thread's pooled
     /// arena when one is available. A recycled arena's word prefix is
     /// zeroed on demand as allocations overlap it (or up front in eager
-    /// mode) and its metadata is carried forward under the staleness
-    /// rules documented on [`Arena`], so the result behaves exactly like
-    /// a fresh allocation — only the page faults and the cold-tail memset
-    /// are gone.
+    /// mode) and its shadow table is all-zero (see [`Arena`]), so the
+    /// result behaves exactly like a fresh allocation — only the page
+    /// faults and the cold-tail memset are gone.
     pub fn new() -> Self {
-        let (words, meta, round_gen, dirty_words, recycled) =
+        let (words, meta, journal, dirty_words, recycled) =
             ARENA_POOL.with(|pool| match pool.borrow_mut().take() {
                 Some(mut arena) => {
                     let mut dirty = arena.dirty_words;
@@ -276,15 +267,16 @@ impl DeviceMemory {
                     }
                     arena.words.clear();
                     arena.meta.clear();
-                    (arena.words, arena.meta, arena.round_gen + 1, dirty, true)
+                    (arena.words, arena.meta, arena.journal, dirty, true)
                 }
-                None => (Vec::new(), Vec::new(), 1, 0, false),
+                None => (Vec::new(), Vec::new(), Vec::new(), 0, false),
             });
         DeviceMemory {
             words,
             buffers: HashMap::new(),
             meta,
-            round_gen,
+            journal,
+            versions: Vec::new(),
             poisoned: Vec::new(),
             dirty_words,
             demand_zeroed_words: 0,
@@ -319,14 +311,28 @@ impl DeviceMemory {
             "buffer {name:?} allocated twice"
         );
         let offset = self.words.len();
-        if offset + len > self.words.capacity() {
-            // Reallocation copies only the live `[0, offset)` prefix into
-            // fresh zeroed memory; the dirty tail stays behind in the old
-            // block.
+        let end = offset
+            .checked_add(len)
+            .filter(|&end| end <= u32::MAX as usize)
+            .unwrap_or_else(|| {
+                panic!(
+                    "buffer {name:?} of {len} words would grow the device arena past \
+                     u32::MAX words, the range of the shadow journal's 32-bit addresses"
+                )
+            });
+        if let Some(outgrown) = grow_zeroed(&mut self.words, end) {
+            // Only the live `[0, offset)` prefix moves into the fresh
+            // zeroed block; the dirty tail stays behind in the old one.
+            self.words[..offset].copy_from_slice(&outgrown);
             self.dirty_words = self.dirty_words.min(offset);
         }
-        grow_zeroed(&mut self.words, offset + len);
-        grow_zeroed(&mut self.meta, offset + len);
+        if let Some(outgrown) = grow_zeroed(&mut self.meta, end) {
+            // Every other entry is zero in both tables: nothing to copy,
+            // and the old table's cold pages are never faulted in.
+            for &addr in &self.journal {
+                self.meta[addr as usize] = outgrown[addr as usize];
+            }
+        }
         let buf = Buffer { offset, len };
         self.buffers.insert(name.to_owned(), buf);
         buf
@@ -338,7 +344,8 @@ impl DeviceMemory {
     /// memset (zero-on-demand); the rest is already zero.
     ///
     /// # Panics
-    /// Panics if `name` is already allocated (host code bug).
+    /// Panics if `name` is already allocated (host code bug) or the arena
+    /// would exceed `u32::MAX` words.
     pub fn alloc(&mut self, name: &str, len: usize) -> Buffer {
         let buf = self.alloc_raw(name, len);
         let dirty_end = self.dirty_words.min(buf.offset + buf.len);
@@ -412,9 +419,11 @@ impl DeviceMemory {
         self.words.len()
     }
 
-    /// Bytes held by the per-word metadata table (profiling).
+    /// Bytes of shadow state behind the arena: the 8-byte-per-word table
+    /// plus the touched-address journal's capacity (profiling).
     pub fn meta_bytes(&self) -> u64 {
-        (self.meta.len() * std::mem::size_of::<WordMeta>()) as u64
+        (self.meta.len() * std::mem::size_of::<WordMeta>()
+            + self.journal.capacity() * std::mem::size_of::<u32>()) as u64
     }
 
     /// Words zeroed on demand by [`DeviceMemory::alloc`] because an
@@ -472,10 +481,16 @@ impl DeviceMemory {
         Ok(())
     }
 
-    // ---- device-side accessors used by WaveCtx (crate-internal) ----
+    // ---- device-side accessors used by WaveCtx ----
+    //
+    // Kernels reach these through `WaveCtx`; the `#[doc(hidden)] pub` ones
+    // are public only so the differential model test
+    // (`tests/memory_model.rs`) can drive them directly.
 
+    /// Current value of a word.
+    #[doc(hidden)]
     #[inline]
-    pub(crate) fn load(&self, buf: Buffer, index: usize) -> Result<u32, SimError> {
+    pub fn load(&self, buf: Buffer, index: usize) -> Result<u32, SimError> {
         let addr = buf.addr(index)?;
         self.check_poison(addr)?;
         Ok(self.words[addr])
@@ -505,38 +520,40 @@ impl DeviceMemory {
         Ok(&self.words[buf.offset + start..buf.offset + end])
     }
 
-    /// Records the round-start value of `addr` if this is its first
-    /// mutation this round.
+    /// The shadow entry of `addr`, marked touched: the round's first store
+    /// or atomic snapshots the word and journals the address.
     #[inline]
-    fn snapshot_base(&mut self, addr: usize, old: u32) {
+    fn touch(&mut self, addr: usize) -> &mut WordMeta {
         let m = &mut self.meta[addr];
-        if m.base_stamp != self.round_gen {
-            m.base_stamp = self.round_gen;
-            m.base_value = old;
+        if m.state == 0 {
+            m.base_value = self.words[addr];
+            m.state = TOUCHED;
+            self.journal.push(addr as u32);
         }
+        m
     }
 
+    /// Device-side store of one word.
+    #[doc(hidden)]
     #[inline]
-    pub(crate) fn store(&mut self, buf: Buffer, index: usize, value: u32) -> Result<(), SimError> {
+    pub fn store(&mut self, buf: Buffer, index: usize, value: u32) -> Result<(), SimError> {
         let addr = buf.addr(index)?;
         self.check_poison(addr)?;
-        let old = self.words[addr];
-        self.snapshot_base(addr, old);
+        self.touch(addr);
         self.words[addr] = value;
         Ok(())
     }
 
     /// Fused atomic read-modify-write: registers the arrival rank,
-    /// applies `f`, and (on a value change) bumps the version and takes
-    /// the round-start snapshot — one bounds check and one metadata
-    /// lookup for the whole operation, where the unfused path paid three
-    /// bounds checks and two metadata fetches per atomic. Returns
+    /// applies `f`, and (on a value change) bumps the version — one bounds
+    /// check and one shadow access for the whole operation. Returns
     /// `(flat address, arrival rank, old value)`; rank 0 pays no
     /// serialization delay. Simulator execution is sequential, so
     /// atomicity is inherent; contention *cost* is charged by the caller
     /// through the round state.
+    #[doc(hidden)]
     #[inline]
-    pub(crate) fn atomic_rmw(
+    pub fn atomic_rmw(
         &mut self,
         buf: Buffer,
         index: usize,
@@ -545,26 +562,22 @@ impl DeviceMemory {
     ) -> Result<(usize, u32, u32), SimError> {
         let addr = buf.addr(index)?;
         self.check_poison(addr)?;
-        let gen = round.rank_gen();
-        let round_gen = self.round_gen;
         let old = self.words[addr];
         let new = f(old);
-        let m = &mut self.meta[addr];
-        if m.rank_stamp != gen {
-            m.rank_stamp = gen;
-            m.rank_count = 0;
+        let m = self.touch(addr);
+        let rank = m.state & RANK_MASK;
+        debug_assert!(rank < RANK_MASK, "same-round atomic rank overflows 31 bits");
+        m.state += 1;
+        if rank == 0 {
             round.note_new_address();
         }
-        let rank = m.rank_count;
-        m.rank_count += 1;
-        round.note_count(m.rank_count);
+        round.note_count(rank + 1);
         if new != old {
-            m.version += 1;
-            if m.base_stamp != round_gen {
-                m.base_stamp = round_gen;
-                m.base_value = old;
-            }
             self.words[addr] = new;
+            // Empty on RF runs, `Front` and `Rear` on AN/BASE runs.
+            if let Some(v) = self.versions.iter_mut().find(|v| v.0 == addr as u32) {
+                v.1 += 1;
+            }
         }
         Ok((addr, rank, old))
     }
@@ -614,7 +627,7 @@ impl DeviceMemory {
         if index < buf.len {
             let addr = buf.offset + index;
             std::hint::black_box(self.words[addr]);
-            std::hint::black_box(self.meta[addr].version);
+            std::hint::black_box(self.meta[addr].state);
         }
     }
 
@@ -652,8 +665,9 @@ impl DeviceMemory {
 
     /// The value a word held at the start of the current round (the
     /// one-round-delayed view other wavefronts observe).
+    #[doc(hidden)]
     #[inline]
-    pub(crate) fn stale_load(&self, buf: Buffer, index: usize) -> Result<u32, SimError> {
+    pub fn stale_load(&self, buf: Buffer, index: usize) -> Result<u32, SimError> {
         let addr = buf.addr(index)?;
         self.check_poison(addr)?;
         Ok(self.stale_value(addr))
@@ -664,7 +678,7 @@ impl DeviceMemory {
     #[inline]
     pub(crate) fn stale_value(&self, addr: usize) -> u32 {
         let m = &self.meta[addr];
-        if m.base_stamp == self.round_gen {
+        if m.state != 0 {
             m.base_value
         } else {
             self.words[addr]
@@ -678,25 +692,36 @@ impl DeviceMemory {
         self.words[addr]
     }
 
-    /// Raw mutation-version read by flat address (park replay path; see
-    /// [`DeviceMemory::stale_value`]).
-    #[inline]
-    pub(crate) fn version_at(&self, addr: usize) -> u64 {
-        self.meta[addr].version
+    /// Raw mutation-version read by flat address (park path; see
+    /// [`DeviceMemory::version`]). The address must come from a validated
+    /// `flat_addr`.
+    pub(crate) fn version_at(&mut self, addr: usize) -> u64 {
+        let addr = addr as u32;
+        match self.versions.iter().find(|v| v.0 == addr) {
+            Some(v) => v.1,
+            None => {
+                self.versions.push((addr, 0));
+                0
+            }
+        }
     }
 
     /// Starts a new visibility round: everything written so far becomes
-    /// observable to stale reads.
-    pub(crate) fn begin_round(&mut self) {
-        self.round_gen += 1;
+    /// observable to stale reads and every same-address atomic count
+    /// restarts, by zeroing the shadow entries the last round touched.
+    #[doc(hidden)]
+    pub fn begin_round(&mut self) {
+        for addr in self.journal.drain(..) {
+            self.meta[addr as usize] = WordMeta::default();
+        }
     }
 
     /// Mutation version of a word: how many successful (value-changing)
-    /// atomics have landed on it. `0` for never-mutated words.
-    #[inline]
-    pub(crate) fn version(&self, buf: Buffer, index: usize) -> Result<u64, SimError> {
-        let addr = buf.addr(index)?;
-        Ok(self.meta[addr].version)
+    /// atomics have landed on it since this was first asked about it
+    /// (which returns 0). Only differences between two reads mean anything.
+    #[doc(hidden)]
+    pub fn version(&mut self, buf: Buffer, index: usize) -> Result<u64, SimError> {
+        Ok(self.version_at(buf.addr(index)?))
     }
 
     /// Flat address for contention bookkeeping.
@@ -810,13 +835,23 @@ mod tests {
     #[test]
     fn versions_count_value_changes_only() {
         let mut mem = DeviceMemory::new();
-        let a = mem.alloc("a", 1);
-        // Versions carry across arena reuses, so only deltas are
+        let a = mem.alloc("a", 2);
+        // A word's counter starts at the first read, so only deltas are
         // meaningful — which is also all the queue staleness models read.
+        rmw(&mut mem, a, 0, |v| v + 1).unwrap(); // before anyone asked
         let v0 = mem.version(a, 0).unwrap();
         rmw(&mut mem, a, 0, |v| v + 1).unwrap();
         rmw(&mut mem, a, 0, |v| v).unwrap(); // no change
+        mem.store(a, 0, 9).unwrap(); // stores are not atomics
+        rmw(&mut mem, a, 1, |v| v + 1).unwrap(); // another word
+        mem.begin_round(); // versions outlive rounds
         rmw(&mut mem, a, 0, |v| v + 1).unwrap();
+        assert_eq!(mem.version(a, 0).unwrap(), v0 + 2);
+        // Word 1 is first asked about now: its earlier change is not in
+        // any delta a caller can form.
+        let w0 = mem.version(a, 1).unwrap();
+        rmw(&mut mem, a, 1, |v| v + 1).unwrap();
+        assert_eq!(mem.version(a, 1).unwrap(), w0 + 1);
         assert_eq!(mem.version(a, 0).unwrap(), v0 + 2);
     }
 
@@ -860,21 +895,86 @@ mod tests {
         rmw(&mut mem, a, 5, |v| v.wrapping_add(1)).unwrap();
         mem.begin_round();
         mem.store(a, 7, 3).unwrap();
-        let gen_before = mem.round_gen;
-        drop(mem); // arena returns to this thread's pool
+        rmw(&mut mem, a, 9, |v| v).unwrap();
+        let v5 = mem.version(a, 5).unwrap();
+        rmw(&mut mem, a, 5, |v| v.wrapping_add(1)).unwrap();
+        assert_eq!(mem.version(a, 5).unwrap(), v5 + 1);
+        drop(mem); // arena returns to this thread's pool, mid-round
         let mut mem2 = DeviceMemory::new();
+        assert!(mem2.was_recycled());
         let b = mem2.alloc("b", 2000);
-        // Words are re-zeroed; stale snapshots of the previous life are
-        // invisible because the visibility round carried forward past
-        // every old stamp.
-        assert!(mem2.round_gen > gen_before);
+        // Words are re-zeroed, and the open round's snapshots and ranks
+        // were cleared on the way into the pool.
+        assert!(mem2.meta.iter().all(|m| (m.base_value, m.state) == (0, 0)));
         assert!(mem2.read_slice(b).iter().all(|&w| w == 0));
         assert_eq!(mem2.stale_load(b, 7).unwrap(), 0);
         assert_eq!(mem2.load(b, 7).unwrap(), 0);
-        // A version delta still starts at zero changes.
+        let mut round = RoundState::new();
+        for i in [5, 7, 9] {
+            assert_eq!(mem2.atomic_rmw(b, i, &mut round, |v| v).unwrap().1, 0);
+        }
+        // Version counters are per instance: a delta starts at zero.
         let v0 = mem2.version(b, 5).unwrap();
         rmw(&mut mem2, b, 5, |v| v).unwrap();
         assert_eq!(mem2.version(b, 5).unwrap(), v0);
+    }
+
+    #[test]
+    fn word_shadow_state_is_eight_bytes() {
+        assert_eq!(std::mem::size_of::<WordMeta>(), 8);
+    }
+
+    #[test]
+    fn pooled_shadow_table_is_all_zero_over_its_capacity() {
+        let mut mem = DeviceMemory::new();
+        let a = mem.alloc("a", 5000);
+        let mut round = RoundState::new();
+        for i in (0..5000).step_by(7) {
+            mem.store(a, i, i as u32 + 1).unwrap();
+            mem.atomic_rmw(a, i / 2, &mut round, |v| v + 1).unwrap();
+        }
+        mem.begin_round();
+        for i in (0..5000).step_by(11) {
+            mem.atomic_rmw(a, i, &mut round, |v| v ^ 1).unwrap();
+        }
+        drop(mem);
+        let pooled = ARENA_POOL.with(|pool| pool.borrow_mut().take()).unwrap();
+        assert!(pooled.journal.is_empty());
+        let (ptr, cap) = (pooled.meta.as_ptr().cast::<u32>(), pooled.meta.capacity());
+        assert!(cap >= 5000);
+        // SAFETY: the whole capacity is `alloc_zeroed` memory that has only
+        // ever been written with initialized `WordMeta`s (two plain `u32`s).
+        let raw = unsafe { std::slice::from_raw_parts(ptr, cap * 2) };
+        assert!(raw.iter().all(|&half| half == 0));
+    }
+
+    #[test]
+    fn shadow_growth_carries_the_open_round_and_nothing_else() {
+        let mut mem = DeviceMemory::new();
+        let a = mem.alloc_init("a", &[1, 2, 3, 4]);
+        let mut round = RoundState::new();
+        mem.store(a, 1, 20).unwrap();
+        mem.atomic_rmw(a, 2, &mut round, |v| v + 1).unwrap();
+        // The host allocates between launches, i.e. while the last
+        // round's journal is still open; outgrowing the table must keep it.
+        let cap = mem.meta.capacity();
+        let big = mem.alloc("big", cap + 1);
+        assert!(mem.meta.capacity() > cap);
+        assert_eq!(mem.stale_load(a, 1).unwrap(), 2);
+        assert_eq!(mem.stale_load(a, 2).unwrap(), 3);
+        assert_eq!(mem.atomic_rmw(a, 2, &mut round, |v| v).unwrap().1, 1);
+        assert_eq!(mem.stale_load(big, cap).unwrap(), 0);
+        mem.begin_round();
+        assert!(mem.meta.iter().all(|m| m.state == 0));
+        assert_eq!(mem.stale_load(a, 1).unwrap(), 20);
+    }
+
+    #[test]
+    #[should_panic(expected = "past u32::MAX words")]
+    fn arena_past_the_journal_address_range_is_refused() {
+        let mut mem = DeviceMemory::new();
+        mem.alloc("a", 16);
+        mem.alloc("huge", u32::MAX as usize - 15);
     }
 
     #[test]

@@ -90,7 +90,9 @@ impl Metrics {
 pub struct Profile {
     /// Device words allocated when the run finished.
     pub arena_words: u64,
-    /// Bytes held by the per-word metadata table.
+    /// Bytes of word shadow state behind the arena: 8 per device word
+    /// plus 4 per slot of the touched-address journal's capacity. Address
+    /// space, not residency — the table is lazily mapped.
     pub meta_bytes: u64,
     /// Words zeroed on demand because an allocation overlapped a
     /// recycled arena's dirty prefix (0 on fresh arenas and under eager

@@ -11,28 +11,18 @@
 //!
 //! Device addresses are small dense integers (flat word indices into
 //! [`crate::DeviceMemory`]), so per-address counters live in flat tables
-//! indexed by address rather than a hash map, and every table is
-//! *generation stamped*: starting a round (or a work cycle) just bumps a
-//! counter, and a slot is live only if its stamp matches the current
-//! generation. No per-round clear, no rehashing, no allocation in the
-//! steady state.
+//! indexed by address rather than a hash map: no rehashing and no
+//! allocation in the steady state.
 //!
-//! The per-word rank table itself lives inside [`crate::DeviceMemory`]'s
-//! merged word-metadata table (one cache line fetch serves the atomic's
-//! value, version, round-start snapshot, *and* rank) — this struct holds
-//! the round-scalar aggregates plus the per-*cache-line* bandwidth table:
-//! each work cycle, the first touch of a cache line stamps it and bumps a
-//! counter, replacing the historical per-wave `Vec` + `sort_unstable` +
-//! `dedup` distinct-line accounting with O(1) per touch.
-
-/// Next rank generation, process-wide. Rank stamps live in
-/// [`crate::DeviceMemory`]'s pooled word-metadata table, which is reused
-/// *without* re-zeroing; generations must therefore never be reused, or a
-/// stale stamp from an arena's previous life could collide with a live
-/// one. Every [`RoundState`] draws its starting generation here and
-/// pushes the high-water mark back on each round, so any later round
-/// state's generations exceed every stamp ever written.
-static NEXT_RANK_GEN: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
+//! The per-word rank count itself lives inside [`crate::DeviceMemory`]'s
+//! 8-byte word shadow state (one access serves the atomic's round-start
+//! snapshot *and* its rank) and is cleared, together with the snapshot, by
+//! [`crate::DeviceMemory`]'s own `begin_round` — the engine starts both
+//! rounds together. This struct holds the round-scalar aggregates plus the
+//! per-*cache-line* bandwidth table, which is *generation stamped*: each
+//! work cycle bumps a counter, the first touch of a line stamps it and
+//! counts, replacing the historical per-wave `Vec` + `sort_unstable` +
+//! `dedup` distinct-line accounting with O(1) per touch and no clear.
 
 thread_local! {
     /// Recycled cache-line stamp table (with its final generation): the
@@ -52,11 +42,6 @@ pub struct RoundState {
     line_gen: u64,
     /// Distinct cache lines touched in the current work cycle.
     cycle_lines: u64,
-    /// Current round generation for the per-word rank stamps in
-    /// [`crate::DeviceMemory`]. Drawn from the process-wide
-    /// [`NEXT_RANK_GEN`] high-water mark, so it exceeds every stamp in
-    /// any recycled arena (and zeroed stamps are always stale).
-    gen: u64,
     /// Live distinct atomic addresses this round (maintained incrementally).
     distinct: usize,
     /// Largest live same-address atomic count this round.
@@ -65,11 +50,8 @@ pub struct RoundState {
 
 impl Default for RoundState {
     fn default() -> Self {
-        use std::sync::atomic::Ordering;
         // A recycled line table carries its generation with it (+1 so the
-        // previous life's final cycle is stale); rank generations come
-        // from the process-wide counter so they can never collide with
-        // stamps left in a recycled device-memory arena.
+        // previous life's final cycle is stale).
         let (line_stamp, line_gen) = LINE_POOL
             .with(|pool| pool.borrow_mut().take())
             .map(|(stamp, gen)| (stamp, gen + 1))
@@ -78,7 +60,6 @@ impl Default for RoundState {
             line_stamp,
             line_gen,
             cycle_lines: 0,
-            gen: NEXT_RANK_GEN.fetch_add(1, Ordering::Relaxed),
             distinct: 0,
             max_count: 0,
         }
@@ -120,13 +101,10 @@ impl RoundState {
         }
     }
 
-    /// Invalidates all per-word rank counts; called by the engine between
-    /// rounds.
+    /// Resets the round aggregates; called by the engine between rounds,
+    /// together with [`crate::DeviceMemory`]'s `begin_round` (which clears
+    /// the per-word counts these aggregate).
     pub fn begin_round(&mut self) {
-        self.gen += 1;
-        // Publish the high-water mark so generations drawn later (by any
-        // round state, for any recycled arena) stay above our stamps.
-        NEXT_RANK_GEN.fetch_max(self.gen + 1, std::sync::atomic::Ordering::Relaxed);
         self.distinct = 0;
         self.max_count = 0;
     }
@@ -163,13 +141,6 @@ impl RoundState {
         (self.line_stamp.len() * std::mem::size_of::<u64>()) as u64
     }
 
-    /// The round generation used to stamp per-word rank slots in
-    /// [`crate::DeviceMemory`].
-    #[inline]
-    pub(crate) fn rank_gen(&self) -> u64 {
-        self.gen
-    }
-
     /// Records that an address received its first atomic of this round.
     #[inline]
     pub(crate) fn note_new_address(&mut self) {
@@ -199,11 +170,18 @@ mod tests {
     use super::*;
     use crate::memory::DeviceMemory;
 
-    /// Rank bookkeeping now flows through the merged word-metadata table;
-    /// exercise it the way `WaveCtx::global_atomic` does.
+    /// Rank bookkeeping flows through the word shadow state; exercise it
+    /// the way `WaveCtx::global_atomic` does.
     fn rank(mem: &mut DeviceMemory, rs: &mut RoundState, index: usize) -> u32 {
         let buf = mem.buffer("a");
         mem.atomic_rmw(buf, index, rs, |v| v).unwrap().1
+    }
+
+    /// What the engine does between rounds: the aggregates and the
+    /// per-word counts they aggregate restart together.
+    fn next_round(mem: &mut DeviceMemory, rs: &mut RoundState) {
+        rs.begin_round();
+        mem.begin_round();
     }
 
     fn arena() -> DeviceMemory {
@@ -239,7 +217,7 @@ mod tests {
         let mut rs = RoundState::new();
         rank(&mut mem, &mut rs, 5);
         rank(&mut mem, &mut rs, 5);
-        rs.begin_round();
+        next_round(&mut mem, &mut rs);
         assert_eq!(rank(&mut mem, &mut rs, 5), 0);
         assert_eq!(rs.distinct_addresses(), 1);
     }
@@ -252,7 +230,7 @@ mod tests {
         rank(&mut mem, &mut rs, 3);
         rank(&mut mem, &mut rs, 7);
         assert_eq!(rs.distinct_addresses(), 2);
-        rs.begin_round();
+        next_round(&mut mem, &mut rs);
         assert_eq!(rs.distinct_addresses(), 0);
         assert_eq!(rs.max_same_address(), 0);
         // Address 7 untouched this round: its old count must not surface.

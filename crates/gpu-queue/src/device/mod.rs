@@ -164,6 +164,40 @@ pub trait WaveQueue: Send {
     }
 }
 
+/// Charges one lock-step data-arrival poll (paper Listing 2) of the
+/// `watched` slot addresses in `slots`, sorting them first.
+///
+/// A wavefront's monitored slots are consecutive (they came from batched
+/// reservations), so the poll coalesces into one memory transaction per
+/// cache line. Lines still holding only sentinels are cache-resident
+/// (nobody wrote them): polling costs issue but no DRAM bandwidth. Lines
+/// where data has arrived were invalidated by the producer's write and pay
+/// the full transaction.
+pub(crate) fn charge_sentinel_poll(ctx: &mut WaveCtx<'_>, slots: Buffer, watched: &mut [u32]) {
+    watched.sort_unstable();
+    let mut cached_lines = 0u64;
+    let mut i = 0;
+    while i < watched.len() {
+        let line = watched[i] / 16;
+        let mut any_data = false;
+        let run_start = i;
+        while i < watched.len() && watched[i] / 16 == line {
+            if ctx.peek_stale(slots, watched[i] as usize) != DNA {
+                any_data = true;
+            }
+            i += 1;
+        }
+        if any_data {
+            let start = watched[run_start] as usize;
+            let len = (watched[i - 1] - watched[run_start] + 1) as usize;
+            ctx.charge_coalesced_access(slots, start, len);
+        } else {
+            cached_lines += 1;
+        }
+    }
+    ctx.charge_cached_access(cached_lines);
+}
+
 /// Builds the per-wavefront queue handle for `variant`.
 pub fn make_wave_queue(variant: Variant, layout: QueueLayout) -> Box<dyn WaveQueue> {
     match variant {

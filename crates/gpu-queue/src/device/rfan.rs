@@ -18,7 +18,7 @@
 //! that is not a sentinel at write time means `Rear` lapped the allocation
 //! — the queue-full exception, which aborts the kernel.
 
-use super::{LanePhase, QueueLayout, WaveQueue, FRONT, REAR};
+use super::{charge_sentinel_poll, LanePhase, QueueLayout, WaveQueue, FRONT, REAR};
 use crate::{Variant, DNA};
 use simt::{AbortReason, OpSpec, WaveCtx};
 
@@ -72,41 +72,12 @@ impl WaveQueue for RfAnWaveQueue {
         }
 
         // ---- Listing 2: data-arrival poll on monitored slots ----
-        // A wavefront's monitored slots are consecutive (they came from
-        // batched reservations), so the lock-step poll coalesces into one
-        // memory transaction per cache line.
         self.watched.clear();
         self.watched.extend(lanes.iter().filter_map(|l| match *l {
             LanePhase::Monitoring(slot) if slot < self.layout.capacity => Some(slot),
             _ => None,
         }));
-        self.watched.sort_unstable();
-        let watched = &self.watched;
-        // Lines still holding only sentinels are cache-resident (nobody
-        // wrote them): polling costs issue but no DRAM bandwidth. Lines
-        // where data has arrived were invalidated by the producer's write
-        // and pay the full transaction.
-        let mut cached_lines = 0u64;
-        let mut i = 0;
-        while i < watched.len() {
-            let line = watched[i] / 16;
-            let mut any_data = false;
-            let run_start = i;
-            while i < watched.len() && watched[i] / 16 == line {
-                if ctx.peek_stale(self.layout.slots, watched[i] as usize) != DNA {
-                    any_data = true;
-                }
-                i += 1;
-            }
-            if any_data {
-                let start = watched[run_start] as usize;
-                let len = (watched[i - 1] - watched[run_start] + 1) as usize;
-                ctx.charge_coalesced_access(self.layout.slots, start, len);
-            } else {
-                cached_lines += 1;
-            }
-        }
-        ctx.charge_cached_access(cached_lines);
+        charge_sentinel_poll(ctx, self.layout.slots, &mut self.watched);
         for lane in lanes.iter_mut() {
             if let LanePhase::Monitoring(slot) = *lane {
                 ctx.charge_alu(1); // bounds check

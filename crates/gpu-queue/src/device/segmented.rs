@@ -38,13 +38,13 @@
 //! Two simulator-honesty notes. First, work cycles execute atomically, so
 //! the enqueue's read-`Rear`-then-reserve sequence is exact here; the
 //! genuinely interleaved protocol (where the install and the reservation
-//! of another producer race) is modelled and model-checked by the host
-//! mirror's single-step FSM shims under the interleaving explorer. Second,
+//! of another producer race) is model-checked on the host's `Segmented`
+//! storage, whose own steps the interleaving explorer schedules. Second,
 //! `Front`/`Rear` remain `u32` words like every other state word:
 //! segmentation removes the memory bound, not the 2^32 ticket-arithmetic
 //! bound.
 
-use super::{LanePhase, WaveQueue, FRONT, REAR};
+use super::{charge_sentinel_poll, LanePhase, WaveQueue, FRONT, REAR};
 use crate::{Variant, DNA};
 use simt::{Buffer, DeviceMemory, OpSpec, WaveCtx};
 
@@ -263,29 +263,7 @@ impl WaveQueue for SegmentedWaveQueue {
         ctx.charge_cached_access(dir_lines);
         // Mapped slots poll exactly like the bounded RF/AN: one
         // transaction per line with arrived data, cached otherwise.
-        self.watched.sort_unstable();
-        let watched = &self.watched;
-        let mut cached_lines = 0u64;
-        let mut i = 0;
-        while i < watched.len() {
-            let line = watched[i] / 16;
-            let mut any_data = false;
-            let run_start = i;
-            while i < watched.len() && watched[i] / 16 == line {
-                if ctx.peek_stale(lt.slots, watched[i] as usize) != DNA {
-                    any_data = true;
-                }
-                i += 1;
-            }
-            if any_data {
-                let start = watched[run_start] as usize;
-                let len = (watched[i - 1] - watched[run_start] + 1) as usize;
-                ctx.charge_coalesced_access(lt.slots, start, len);
-            } else {
-                cached_lines += 1;
-            }
-        }
-        ctx.charge_cached_access(cached_lines);
+        charge_sentinel_poll(ctx, lt.slots, &mut self.watched);
 
         self.pickups.clear();
         self.pickups.resize(lt.dir_len as usize, 0);

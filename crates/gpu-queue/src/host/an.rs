@@ -1,208 +1,23 @@
-//! Host-side AN queue: batch (arbitrary-n) reservation with CAS.
+//! AN: batch (arbitrary-n) reservation with CAS.
 //!
-//! One compare-exchange reserves a whole batch — the arbitrary-n property
-//! — but the reservation can fail under contention and must loop, and
-//! dequeue never reserves past the published `Rear` (no sentinel
-//! protocol), raising the queue-empty exception instead.
+//! The [`Cas`] × [`Bounded`] core at any width: one compare-exchange
+//! reserves a whole batch — the arbitrary-n property — but the reservation
+//! can fail under contention and must loop, and dequeue never reserves
+//! past the published `Rear` (no sentinel protocol), raising the
+//! queue-empty exception instead ([`Queue::pop_batch`]).
 
-use super::{QueueFull, QueueStats, StatsSnapshot};
-use crate::DNA;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use super::{Bounded, Cas, Queue, QueueFull};
 
 /// Bounded CAS queue with batched reservations (non-wrapping; see
 /// [`super`] module docs for the capacity discipline).
-#[derive(Debug)]
-pub struct AnQueue {
-    slots: Box<[AtomicU32]>,
-    front: AtomicU64,
-    rear: AtomicU64,
-    stats: QueueStats,
-}
+pub type AnQueue = Queue<Cas, Bounded>;
 
 impl AnQueue {
-    /// Creates a queue with room for `capacity` tokens.
-    pub fn new(capacity: usize) -> Self {
-        AnQueue {
-            slots: (0..capacity).map(|_| AtomicU32::new(DNA)).collect(),
-            front: AtomicU64::new(0),
-            rear: AtomicU64::new(0),
-            stats: QueueStats::default(),
-        }
-    }
-
-    /// Slot capacity.
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    // ---- Step-decomposed primitives ----
-    //
-    // As in `BaseQueue`, the public batch operations are drivers over
-    // single-step shims so the `verify` explorer can interleave the exact
-    // production memory accesses. Strong CAS keeps explored schedules
-    // deterministic (a weak CAS may fail spuriously).
-
-    /// One step: read `Rear`.
-    pub(crate) fn step_load_rear(&self) -> u64 {
-        self.rear.load(Ordering::Acquire)
-    }
-
-    /// One step: read `Front`.
-    pub(crate) fn step_load_front(&self) -> u64 {
-        self.front.load(Ordering::Acquire)
-    }
-
-    /// One batch CAS attempt on `Rear`; `Ok` claims `expected..expected+n`.
-    pub(crate) fn step_cas_rear(&self, expected: u64, n: u64) -> Result<(), u64> {
-        self.stats.cas_attempt();
-        match self.rear.compare_exchange(
-            expected,
-            expected + n,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        ) {
-            Ok(_) => Ok(()),
-            Err(actual) => {
-                self.stats.cas_failure();
-                Err(actual)
-            }
-        }
-    }
-
-    /// One batch CAS attempt on `Front`; `Ok` claims `expected..expected+n`.
-    pub(crate) fn step_cas_front(&self, expected: u64, n: u64) -> Result<(), u64> {
-        self.stats.cas_attempt();
-        match self.front.compare_exchange(
-            expected,
-            expected + n,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        ) {
-            Ok(_) => Ok(()),
-            Err(actual) => {
-                self.stats.cas_failure();
-                Err(actual)
-            }
-        }
-    }
-
-    /// One step: publish `token` into the claimed `slot`.
-    pub(crate) fn step_publish(&self, slot: u64, token: u32) {
-        debug_assert!(token < DNA);
-        self.slots[slot as usize].store(token, Ordering::Release);
-    }
-
-    /// Non-counting probe: whether the claimed `slot` holds data yet.
-    pub(crate) fn slot_ready(&self, slot: u64) -> bool {
-        self.slots[slot as usize].load(Ordering::Acquire) != DNA
-    }
-
-    /// One step: take data from the claimed `slot` (restoring the
-    /// sentinel), or count a data wait if it has not been published yet.
-    pub(crate) fn step_take_slot(&self, slot: u64) -> Option<u32> {
-        let s = &self.slots[slot as usize];
-        let v = s.load(Ordering::Acquire);
-        if v == DNA {
-            self.stats.data_wait();
-            None
-        } else {
-            s.store(DNA, Ordering::Relaxed);
-            Some(v)
-        }
-    }
-
-    /// One step: record the queue-empty exception.
-    pub(crate) fn step_pop_empty(&self) {
-        self.stats.empty_retry();
-    }
-
     /// Enqueues a whole batch with one (looping) CAS reservation on
-    /// `Rear`, then publishes each token.
+    /// `Rear`, then publishes each token. The bound check precedes the
+    /// CAS, so a rejected batch wrote nothing and left `Rear` untouched.
     pub fn push_batch(&self, tokens: &[u32]) -> Result<(), QueueFull> {
-        if tokens.is_empty() {
-            return Ok(());
-        }
-        let n = tokens.len() as u64;
-        let mut rear = self.step_load_rear();
-        loop {
-            if rear as usize + tokens.len() > self.slots.len() {
-                return Err(QueueFull {
-                    capacity: self.slots.len(),
-                });
-            }
-            match self.step_cas_rear(rear, n) {
-                Ok(()) => {
-                    for (i, &tok) in tokens.iter().enumerate() {
-                        self.step_publish(rear + i as u64, tok);
-                    }
-                    return Ok(());
-                }
-                Err(actual) => rear = actual,
-            }
-        }
-    }
-
-    /// Dequeues up to `max` tokens into `out` with one (looping) CAS
-    /// reservation on `Front`. Returns the number of tokens delivered;
-    /// `0` means the queue-empty exception fired.
-    pub fn pop_batch(&self, out: &mut Vec<u32>, max: usize) -> usize {
-        if max == 0 {
-            return 0;
-        }
-        let mut front = self.step_load_front();
-        loop {
-            let rear = self.step_load_rear();
-            let avail = rear.saturating_sub(front);
-            if avail == 0 {
-                self.step_pop_empty();
-                return 0;
-            }
-            let n = avail.min(max as u64);
-            match self.step_cas_front(front, n) {
-                Ok(()) => {
-                    for s in front..front + n {
-                        // Publication follows reservation on the producer
-                        // side; spin for the (brief) window.
-                        loop {
-                            if let Some(v) = self.step_take_slot(s) {
-                                out.push(v);
-                                break;
-                            }
-                            std::hint::spin_loop();
-                        }
-                    }
-                    return n as usize;
-                }
-                Err(actual) => front = actual,
-            }
-        }
-    }
-
-    /// Published-token estimate.
-    ///
-    /// Unlike the RF/AN queue, `Rear` can never overshoot capacity here:
-    /// [`push_batch`](AnQueue::push_batch) checks the bound *before* its
-    /// CAS, so a rejected batch leaves `Rear` untouched and no clamp is
-    /// needed.
-    pub fn len_hint(&self) -> u64 {
-        self.rear
-            .load(Ordering::Relaxed)
-            .saturating_sub(self.front.load(Ordering::Relaxed))
-    }
-
-    /// Operation counters.
-    pub fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
-    }
-
-    /// Restores the initial state (exclusive access required).
-    pub fn reset(&mut self) {
-        for s in self.slots.iter() {
-            s.store(DNA, Ordering::Relaxed);
-        }
-        self.front.store(0, Ordering::Relaxed);
-        self.rear.store(0, Ordering::Relaxed);
-        self.stats.reset();
+        self.put(tokens).map(drop)
     }
 }
 

@@ -1,145 +1,34 @@
-//! Host-side BASE queue: the traditional per-token CAS design.
+//! BASE: the traditional per-token CAS design.
 //!
-//! Every operation claims exactly one token with a compare-exchange ticket
-//! on `Front`/`Rear`; contention produces failed CAS attempts that loop,
-//! and dequeue on an empty queue raises the queue-empty exception
-//! (returns `None` after counting a retry) — the two overheads the
-//! paper's design eliminates.
+//! The [`Cas`] × [`Bounded`] core restricted to width 1 — every operation
+//! claims exactly one token with a compare-exchange ticket on
+//! `Front`/`Rear`; contention produces failed CAS attempts that loop, and
+//! dequeue on an empty queue raises the queue-empty exception (returns
+//! `None` after counting a retry): the two overheads the paper's design
+//! eliminates.
 
-use super::{QueueFull, QueueStats, StatsSnapshot};
-use crate::DNA;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use super::{Bounded, Cas, Queue, QueueFull, StatsSnapshot};
 
 /// Traditional bounded lock-free queue (per-token CAS tickets,
 /// non-wrapping; see the module docs of [`super`]).
 #[derive(Debug)]
-pub struct BaseQueue {
-    slots: Box<[AtomicU32]>,
-    front: AtomicU64,
-    rear: AtomicU64,
-    stats: QueueStats,
-}
+pub struct BaseQueue(Queue<Cas, Bounded>);
 
 impl BaseQueue {
     /// Creates a queue with room for `capacity` tokens.
     pub fn new(capacity: usize) -> Self {
-        BaseQueue {
-            slots: (0..capacity).map(|_| AtomicU32::new(DNA)).collect(),
-            front: AtomicU64::new(0),
-            rear: AtomicU64::new(0),
-            stats: QueueStats::default(),
-        }
+        BaseQueue(Queue::new(capacity))
     }
 
     /// Slot capacity.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    // ---- Step-decomposed primitives ----
-    //
-    // The public operations are thin drivers over these single-step shims
-    // so the `verify` explorer can interleave *the same* shared-memory
-    // accesses the production path executes, one step at a time. The CAS
-    // shims use the strong `compare_exchange` (a weak CAS may fail
-    // spuriously, which would make explored schedules nondeterministic;
-    // on the architectures we run, strong and weak compile identically
-    // for this pattern).
-
-    /// One step: read `Rear`.
-    pub(crate) fn step_load_rear(&self) -> u64 {
-        self.rear.load(Ordering::Acquire)
-    }
-
-    /// One step: read `Front`.
-    pub(crate) fn step_load_front(&self) -> u64 {
-        self.front.load(Ordering::Acquire)
-    }
-
-    /// One push CAS attempt on `Rear`; `Ok` claims slot `expected`.
-    pub(crate) fn step_cas_rear(&self, expected: u64) -> Result<(), u64> {
-        self.stats.cas_attempt();
-        match self.rear.compare_exchange(
-            expected,
-            expected + 1,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        ) {
-            Ok(_) => Ok(()),
-            Err(actual) => {
-                self.stats.cas_failure();
-                Err(actual)
-            }
-        }
-    }
-
-    /// One pop CAS attempt on `Front`; `Ok` claims slot `expected`.
-    pub(crate) fn step_cas_front(&self, expected: u64) -> Result<(), u64> {
-        self.stats.cas_attempt();
-        match self.front.compare_exchange(
-            expected,
-            expected + 1,
-            Ordering::AcqRel,
-            Ordering::Acquire,
-        ) {
-            Ok(_) => Ok(()),
-            Err(actual) => {
-                self.stats.cas_failure();
-                Err(actual)
-            }
-        }
-    }
-
-    /// One step: publish `token` into the claimed `slot`.
-    pub(crate) fn step_publish(&self, slot: u64, token: u32) {
-        self.slots[slot as usize].store(token, Ordering::Release);
-    }
-
-    /// Non-counting probe: whether the claimed `slot` holds data yet. The
-    /// explorer uses it to decide when a blocked consumer can progress;
-    /// it performs no step of its own.
-    pub(crate) fn slot_ready(&self, slot: u64) -> bool {
-        self.slots[slot as usize].load(Ordering::Acquire) != DNA
-    }
-
-    /// One step: take data from the claimed `slot` (restoring the
-    /// sentinel), or count a data wait if it has not been published yet.
-    pub(crate) fn step_take_slot(&self, slot: u64) -> Option<u32> {
-        let s = &self.slots[slot as usize];
-        let v = s.load(Ordering::Acquire);
-        if v == DNA {
-            self.stats.data_wait();
-            None
-        } else {
-            s.store(DNA, Ordering::Relaxed);
-            Some(v)
-        }
-    }
-
-    /// One step: record the queue-empty exception.
-    pub(crate) fn step_pop_empty(&self) {
-        self.stats.empty_retry();
+        self.0.capacity()
     }
 
     /// Enqueues one token: CAS-reserve a `Rear` ticket, then publish the
     /// token with a release store. Loops on CAS failure.
     pub fn push(&self, token: u32) -> Result<(), QueueFull> {
-        debug_assert!(token < DNA);
-        let mut rear = self.step_load_rear();
-        loop {
-            if rear as usize >= self.slots.len() {
-                return Err(QueueFull {
-                    capacity: self.slots.len(),
-                });
-            }
-            match self.step_cas_rear(rear) {
-                Ok(()) => {
-                    self.step_publish(rear, token);
-                    return Ok(());
-                }
-                Err(actual) => rear = actual,
-            }
-        }
+        self.0.put(std::slice::from_ref(&token)).map(drop)
     }
 
     /// Dequeues one token, or returns `None` (queue-empty exception) when
@@ -147,49 +36,24 @@ impl BaseQueue {
     /// not landed yet is spin-waited briefly — the publishing store
     /// follows the reservation immediately on the producer side.
     pub fn try_pop(&self) -> Option<u32> {
-        let mut front = self.step_load_front();
-        loop {
-            let rear = self.step_load_rear();
-            if front >= rear {
-                self.step_pop_empty();
-                return None;
-            }
-            match self.step_cas_front(front) {
-                Ok(()) => loop {
-                    if let Some(v) = self.step_take_slot(front) {
-                        return Some(v);
-                    }
-                    std::hint::spin_loop();
-                },
-                Err(actual) => front = actual,
-            }
-        }
+        let mut popped = None;
+        self.0.pop(1, |token| popped = Some(token));
+        popped
     }
 
-    /// Published-token estimate.
-    ///
-    /// Unlike the RF/AN queue, `Rear` can never overshoot capacity here:
-    /// [`push`](BaseQueue::push) checks the bound *before* its CAS, so a
-    /// rejected push leaves `Rear` untouched and no clamp is needed.
+    /// Published-token estimate (see [`Queue::len_hint`]).
     pub fn len_hint(&self) -> u64 {
-        self.rear
-            .load(Ordering::Relaxed)
-            .saturating_sub(self.front.load(Ordering::Relaxed))
+        self.0.len_hint()
     }
 
     /// Operation counters.
     pub fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
+        self.0.stats()
     }
 
     /// Restores the initial state (exclusive access required).
     pub fn reset(&mut self) {
-        for s in self.slots.iter() {
-            s.store(DNA, Ordering::Relaxed);
-        }
-        self.front.store(0, Ordering::Relaxed);
-        self.rear.store(0, Ordering::Relaxed);
-        self.stats.reset();
+        self.0.reset();
     }
 }
 

@@ -1,33 +1,45 @@
-//! Host-side (real-thread) implementations of the three queue designs.
+//! Host-side (real-thread) implementations of the queue designs.
 //!
 //! These are genuine Rust concurrent data structures implementing the same
 //! algorithms as the device variants, so the paper's design can be
-//! exercised and benchmarked on real CPU hardware:
+//! exercised and measured on real CPU hardware.
 //!
-//! * [`RfAnQueue`] — the proposed design: fetch-add ticket reservation
-//!   (never fails) plus *data-not-arrived* sentinel slots. Dequeuers
-//!   reserve slot tickets and poll them; enqueuers batch-publish. No
-//!   operation ever retries.
-//! * [`AnQueue`] — batch (arbitrary-n) reservation with compare-exchange:
-//!   retries on contention, raises queue-empty instead of reserving ahead.
-//! * [`BaseQueue`] — classic per-token CAS ticket queue.
-//! * [`MutexQueue`] — a `Mutex<VecDeque>` strawman for benchmarks.
-//! * [`TypedRfAnQueue`] — the RF/AN protocol carrying arbitrary `Send`
-//!   payloads (the sentinel word doubles as the publication flag).
-//! * [`WorkPool`] — a persistent-worker pool on the RF/AN queue: the
-//!   paper's Algorithm 1 on OS threads, with sound quiescence detection.
-//! * [`SegmentedRfAnQueue`] / [`SegmentedRfQueue`] / [`SegmentedAnQueue`]
-//!   — the same protocols over linked segments of bounded rings with a
-//!   recycled-segment pool: no queue-full condition, memory bounded by
-//!   live occupancy (ROADMAP item 3; DESIGN.md §13).
+//! **One queue, from parts.** The paper's designs differ in two decisions,
+//! and the segmented queues add a third; each is written once and the
+//! family is their product ([`Queue<R, S>`], statically dispatched):
 //!
-//! The classic queues are **bounded and non-wrapping**: `capacity` must bound the
-//! total number of tokens ever enqueued between [`reset`](RfAnQueue::reset)
-//! calls, exactly like the device queues (and the paper's driver, which sizes
-//! the queue by the task count — the vertex count for a traversal). Overflow returns [`QueueFull`] — the
-//! paper's abort semantics, never a retry. The segmented variants keep
-//! the per-segment protocol identical but turn overflow into a segment
-//! append, so only `seg_cap` (slots per segment) is configured.
+//! * *how a ticket range is reserved* — a [`Reserve`] policy: [`Cas`]
+//!   (read, check, compare-exchange, loop on failure; a dequeue never
+//!   passes `Rear` and raises queue-empty) or [`Afa`] (one fetch-add that
+//!   cannot fail; dequeues reserve ahead and poll the `dna` sentinel);
+//! * *where the slots live and what overflow means* — a [`Storage`]:
+//!   [`Bounded`] (one sentinel-painted ring, overflow is [`QueueFull`]) or
+//!   [`Segmented`] (linked rings with a recycled-segment pool, overflow is
+//!   a segment install);
+//! * *batch width* — the `n` argument of an operation, not a type.
+//!
+//! | alias | core | width |
+//! |---|---|---|
+//! | [`RfAnQueue`] — the proposed design | `Queue<Afa, Bounded>` | any |
+//! | [`AnQueue`] | `Queue<Cas, Bounded>` | any |
+//! | [`BaseQueue`] — classic per-token CAS | over `Queue<Cas, Bounded>` | 1 |
+//! | [`SegmentedRfAnQueue`] | `Queue<Afa, Segmented>` | any |
+//! | [`SegmentedRfQueue`] | over `Queue<Afa, Segmented>` | 1 |
+//! | [`SegmentedAnQueue`] | `Queue<Cas, Segmented>` | any |
+//!
+//! Beside the family: [`MutexQueue`] (a `Mutex<VecDeque>` strawman),
+//! [`TypedRfAnQueue`] (the RF/AN protocol carrying arbitrary `Send`
+//! payloads) and [`WorkPool`] (the paper's Algorithm 1 on OS threads over
+//! [`RfAnQueue`], with sound quiescence detection).
+//!
+//! The bounded queues are **non-wrapping**: `capacity` must bound the
+//! total number of tokens ever enqueued between `reset` calls, exactly
+//! like the device queues (and the paper's driver, which sizes the queue
+//! by the task count — the vertex count for a traversal). Overflow returns
+//! [`QueueFull`] — the paper's abort semantics, never a retry. Tokens are
+//! `u32` values below [`DNA`](crate::DNA); enqueueing the sentinel itself
+//! panics in every build (or is a typed [`EnqueueError::InvalidToken`] on
+//! the `try_` surface).
 //!
 //! Every queue keeps [`QueueStats`] so tests and benches can observe the
 //! atomic-operation and retry behaviour the paper measures.
@@ -36,18 +48,24 @@ mod an;
 mod base;
 mod mutex;
 mod pool;
+pub(crate) mod queue;
+mod reserve;
 mod rfan;
 mod segmented;
 mod stats;
+mod storage;
 mod typed;
 
 pub use an::AnQueue;
 pub use base::BaseQueue;
 pub use mutex::MutexQueue;
 pub use pool::WorkPool;
-pub use rfan::{RfAnQueue, SlotTicket};
+pub use queue::{Queue, SlotTicket};
+pub use reserve::{Afa, Cas, CasState, Claim, Reserve};
+pub use rfan::RfAnQueue;
 pub use segmented::{SegmentedAnQueue, SegmentedRfAnQueue, SegmentedRfQueue};
 pub use stats::{QueueStats, StatsSnapshot};
+pub use storage::{Bounded, Segmented, Storage, Taken};
 pub use typed::{TypedRfAnQueue, TypedTicket};
 
 /// Error returned when an enqueue would exceed the queue's capacity.
@@ -70,14 +88,14 @@ impl std::fmt::Display for QueueFull {
 impl std::error::Error for QueueFull {}
 
 /// Error returned by the non-panicking enqueue surface
-/// ([`RfAnQueue::try_enqueue_batch`]), used where the input may be
+/// ([`Queue::try_enqueue_batch`]), used where the input may be
 /// untrusted — e.g. a checkpoint mirror replaying a snapshotted queue
 /// window, where a corrupt snapshot must surface as an error rather than
-/// a debug-assert panic.
+/// a panic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EnqueueError {
     /// The batch does not fit; nothing was published (see the
-    /// abort-semantics notes on [`RfAnQueue::try_enqueue_batch`]).
+    /// abort-semantics notes on [`Queue::try_enqueue_batch`]).
     Full(QueueFull),
     /// A token collides with the `dna` sentinel — corrupt input; nothing
     /// was published and the queue state is untouched.
@@ -103,6 +121,13 @@ impl std::error::Error for EnqueueError {}
 impl From<QueueFull> for EnqueueError {
     fn from(e: QueueFull) -> Self {
         EnqueueError::Full(e)
+    }
+}
+
+/// A [`Segmented`] queue has no capacity to exceed.
+impl From<std::convert::Infallible> for EnqueueError {
+    fn from(never: std::convert::Infallible) -> Self {
+        match never {}
     }
 }
 

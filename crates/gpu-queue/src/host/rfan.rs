@@ -1,33 +1,24 @@
-//! Host-side retry-free / arbitrary-n queue.
+//! RF/AN: the retry-free / arbitrary-n queue — the proposed design.
 //!
-//! The same algorithm as the device RF/AN queue, on real threads:
+//! The [`Afa`] × [`Bounded`] core; the same algorithm as the device RF/AN
+//! queue, on real threads:
 //!
 //! * **Dequeue** is split into a wait-free slot reservation
 //!   ([`RfAnQueue::reserve`], one `fetch_add` for any batch size) and a
-//!   non-atomic poll ([`RfAnQueue::try_take`]) on the privately owned
-//!   slot. There is no queue-empty exception: reserving past `Rear` just
-//!   means the data hasn't arrived yet.
+//!   non-atomic poll ([`Queue::try_take`]) on the privately owned slot.
+//!   There is no queue-empty exception: reserving past `Rear` just means
+//!   the data hasn't arrived yet.
 //! * **Enqueue** ([`RfAnQueue::enqueue_batch`]) reserves a contiguous
 //!   region with one `fetch_add` on `Rear` and publishes each token with a
 //!   release store over the sentinel.
 //!
 //! Like the paper's queue, this is bounded and non-wrapping: `capacity`
-//! must bound the total tokens enqueued between [`RfAnQueue::reset`]
-//! calls; overflow is a [`QueueFull`] error (abort semantics). Tokens are
-//! `u32` values below [`DNA`].
+//! must bound the total tokens enqueued between [`Queue::reset`] calls;
+//! overflow is a [`QueueFull`] error (abort semantics).
 
-use super::{EnqueueError, QueueFull, QueueStats, StatsSnapshot};
-use crate::DNA;
+use super::{Afa, Bounded, Queue, QueueFull, Storage};
 use std::ops::Range;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-
-/// A reserved dequeue slot, obtained from [`RfAnQueue::reserve`].
-///
-/// The holder owns the slot exclusively; poll it with
-/// [`RfAnQueue::try_take`] until the token arrives (or until the
-/// application-level termination condition says it never will).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SlotTicket(pub u64);
+use std::sync::atomic::Ordering;
 
 /// The retry-free, arbitrary-n concurrent queue on host threads.
 ///
@@ -42,93 +33,26 @@ pub struct SlotTicket(pub u64);
 /// assert_eq!(q.try_take(ticket), Some(42));
 /// assert_eq!(q.stats().total_retries(), 0);
 /// ```
-#[derive(Debug)]
-pub struct RfAnQueue {
-    slots: Box<[AtomicU32]>,
-    front: AtomicU64,
-    rear: AtomicU64,
-    stats: QueueStats,
-}
+pub type RfAnQueue = Queue<Afa, Bounded>;
 
 impl RfAnQueue {
-    /// Creates a queue with room for `capacity` tokens, all slots painted
-    /// with the `dna` sentinel.
-    pub fn new(capacity: usize) -> Self {
-        let slots: Box<[AtomicU32]> = (0..capacity).map(|_| AtomicU32::new(DNA)).collect();
-        RfAnQueue {
-            slots,
-            front: AtomicU64::new(0),
-            rear: AtomicU64::new(0),
-            // Variant-gated counters: any CAS or empty-retry count on this
-            // queue is a bug and panics instead of polluting the stats.
-            stats: QueueStats::retry_free(),
-        }
-    }
-
-    /// Slot capacity (= total token bound between resets).
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    // ---- Step-decomposed primitives ----
-    //
-    // Unlike the CAS queues there is no loop to unroll — every RF/AN
-    // operation is already a single wait-free atomic — but the `verify`
-    // explorer still drives these shims directly so its recorded histories
-    // map one step to one shared-memory access.
-
-    /// One step: reserve `n` dequeue slots on `Front`, returning the base.
-    pub(crate) fn step_reserve_front(&self, n: u64) -> u64 {
-        self.stats.afa();
-        self.front.fetch_add(n, Ordering::Relaxed)
-    }
-
-    /// One step: reserve `n` enqueue slots on `Rear`, returning the base.
-    pub(crate) fn step_reserve_rear(&self, n: u64) -> u64 {
-        self.stats.afa();
-        self.rear.fetch_add(n, Ordering::Relaxed)
-    }
-
-    /// One step: publish `token` into the reserved `slot`.
-    pub(crate) fn step_publish(&self, slot: u64, token: u32) {
-        debug_assert!(token < DNA, "token collides with dna sentinel");
-        let s = &self.slots[slot as usize];
-        debug_assert_eq!(
-            s.load(Ordering::Relaxed),
-            DNA,
-            "slot overwritten before consumption"
-        );
-        s.store(token, Ordering::Release);
-    }
-
     /// Reserves `n` dequeue slots with a single fetch-add — the
     /// arbitrary-n property: any batch for the price of one atomic.
     /// Never fails; slots beyond the data simply stay pending.
     pub fn reserve(&self, n: usize) -> Range<u64> {
-        let base = self.step_reserve_front(n as u64);
-        base..base + n as u64
+        self.claim(n as u64)
     }
 
-    /// Polls a reserved slot. Returns the token once it has arrived; no
-    /// atomics beyond a single acquire load (plus the sentinel restore,
-    /// which is private to this owner).
-    pub fn try_take(&self, ticket: SlotTicket) -> Option<u32> {
-        let idx = ticket.0 as usize;
-        if idx >= self.slots.len() {
-            // Out-of-bounds slots can never receive data (paper Listing 2
-            // line 3); report "not yet" so the caller's termination logic
-            // decides when to give up.
-            return None;
-        }
-        let v = self.slots[idx].load(Ordering::Acquire);
-        if v == DNA {
-            self.stats.data_wait();
-            None
-        } else {
-            // Restore the sentinel; we own this slot exclusively.
-            self.slots[idx].store(DNA, Ordering::Relaxed);
-            Some(v)
-        }
+    /// Non-overshooting variant of [`RfAnQueue::reserve`]: refuses a
+    /// reservation that would land (even partly) past capacity — slots
+    /// that can never receive data in a non-wrapping queue — *without*
+    /// advancing `Front`. The pre-check reads `Front` non-atomically with
+    /// the reservation, so under concurrent reservers it is best-effort;
+    /// with exclusive access (the checkpoint-mirror use) it is exact.
+    pub fn try_reserve(&self, n: usize) -> Result<Range<u64>, QueueFull> {
+        let front = self.front.load(Ordering::Relaxed);
+        self.storage().admit(front, n as u64)?;
+        Ok(self.reserve(n))
     }
 
     /// Enqueues a batch of tokens with a single fetch-add on `Rear`.
@@ -143,118 +67,29 @@ impl RfAnQueue {
     /// reintroducing the CAS retry loop the design exists to avoid. After
     /// a `QueueFull` the queue is in abort state: no further tokens can be
     /// published (every later reservation also lands past capacity), and
-    /// accounting views such as [`RfAnQueue::len_hint`] clamp `Rear` to
+    /// accounting views such as [`Queue::len_hint`] clamp `Rear` to
     /// capacity so the overshoot never counts phantom tokens. The only way
-    /// forward is [`RfAnQueue::reset`] with a larger queue, exactly like
-    /// the paper's kernel abort.
+    /// forward is [`Queue::reset`] with a larger queue, exactly like the
+    /// paper's kernel abort.
     ///
     /// # Panics
-    /// Panics (debug) if a token equals the sentinel.
+    /// Panics if a token equals the sentinel.
     pub fn enqueue_batch(&self, tokens: &[u32]) -> Result<(), QueueFull> {
-        if tokens.is_empty() {
-            return Ok(());
-        }
-        let base = self.step_reserve_rear(tokens.len() as u64);
-        if base as usize + tokens.len() > self.slots.len() {
-            return Err(QueueFull {
-                capacity: self.slots.len(),
-            });
-        }
-        for (i, &tok) in tokens.iter().enumerate() {
-            self.step_publish(base + i as u64, tok);
-        }
-        Ok(())
+        self.put(tokens).map(drop)
     }
 
     /// Convenience single-token enqueue.
     pub fn enqueue(&self, token: u32) -> Result<(), QueueFull> {
         self.enqueue_batch(std::slice::from_ref(&token))
     }
-
-    /// Non-overshooting variant of [`RfAnQueue::reserve`]: refuses a
-    /// reservation that would land (even partly) past capacity — slots
-    /// that can never receive data in a non-wrapping queue — *without*
-    /// advancing `Front`. The pre-check reads `Front` non-atomically with
-    /// the reservation, so under concurrent reservers it is best-effort;
-    /// with exclusive access (the checkpoint-mirror use) it is exact.
-    pub fn try_reserve(&self, n: usize) -> Result<Range<u64>, QueueFull> {
-        let front = self.front.load(Ordering::Relaxed);
-        if front as usize + n > self.slots.len() {
-            return Err(QueueFull {
-                capacity: self.slots.len(),
-            });
-        }
-        Ok(self.reserve(n))
-    }
-
-    /// Non-panicking [`RfAnQueue::enqueue_batch`] for untrusted input
-    /// (e.g. a checkpoint mirror replaying a snapshotted queue window).
-    ///
-    /// Validates every token against the sentinel *before* touching the
-    /// queue ([`EnqueueError::InvalidToken`] leaves the state untouched)
-    /// and pre-checks capacity so a visibly over-large batch is refused
-    /// without burning the `Rear` reservation. Only when a concurrent
-    /// racer steals the headroom between the pre-check and the fetch-add
-    /// does the reservation overshoot — then the queue is in the same
-    /// abort state as a failed [`RfAnQueue::enqueue_batch`].
-    pub fn try_enqueue_batch(&self, tokens: &[u32]) -> Result<(), EnqueueError> {
-        if tokens.is_empty() {
-            return Ok(());
-        }
-        if let Some(&bad) = tokens.iter().find(|&&t| t == DNA) {
-            return Err(EnqueueError::InvalidToken { token: bad });
-        }
-        let rear = self.rear.load(Ordering::Relaxed);
-        if rear as usize + tokens.len() > self.slots.len() {
-            return Err(QueueFull {
-                capacity: self.slots.len(),
-            }
-            .into());
-        }
-        self.enqueue_batch(tokens).map_err(EnqueueError::from)
-    }
-
-    /// Number of published tokens not yet claimed by a reservation. Can
-    /// be negative conceptually (reservations ahead of data) — clamped to
-    /// zero, and only a hint under concurrency.
-    ///
-    /// `Rear` is clamped to capacity first: a failed [`enqueue_batch`]
-    /// (abort semantics, see there) leaves `Rear` overshooting even though
-    /// none of those tokens were published, and the overshoot must not be
-    /// reported as queued data.
-    ///
-    /// [`enqueue_batch`]: RfAnQueue::enqueue_batch
-    pub fn len_hint(&self) -> u64 {
-        let rear = self
-            .rear
-            .load(Ordering::Relaxed)
-            .min(self.slots.len() as u64);
-        let front = self.front.load(Ordering::Relaxed);
-        rear.saturating_sub(front)
-    }
-
-    /// Operation counters.
-    pub fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
-    }
-
-    /// Restores the queue to its initial state. Requires `&mut self`, so
-    /// no concurrent users can exist — this is the "retry the kernel with
-    /// a larger queue / next iteration" host-side step.
-    pub fn reset(&mut self) {
-        for s in self.slots.iter() {
-            s.store(DNA, Ordering::Relaxed);
-        }
-        self.front.store(0, Ordering::Relaxed);
-        self.rear.store(0, Ordering::Relaxed);
-        self.stats.reset();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64 as StdAtomicU64;
+    use crate::host::{EnqueueError, SlotTicket, StatsSnapshot};
+    use crate::DNA;
+    use std::sync::atomic::{AtomicU64 as StdAtomicU64, Ordering};
 
     #[test]
     fn single_thread_roundtrip() {

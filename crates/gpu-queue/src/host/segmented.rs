@@ -1,316 +1,28 @@
-//! Host-side segmented RF/AN queue family (ROADMAP item 3).
+//! The segmented family (ROADMAP item 3): the three protocols over
+//! [`Segmented`] storage.
 //!
-//! Each *segment* is an unmodified bounded retry-free ring of `seg_cap`
-//! sentinel-initialized slots; the virtual ticket space `0..` maps slot
-//! `t` to segment `t / seg_cap`, offset `t % seg_cap`. `Front` and
-//! `Rear` are ordinary monotone ticket counters — the AFA fast path is
-//! byte-for-byte the bounded [`RfAnQueue`](super::RfAnQueue) protocol
-//! *within* a segment — and overflow is impossible: a producer whose
-//! reservation crosses a segment boundary installs the covering
-//! segment(s) from a recycled-segment pool instead of aborting.
-//!
-//! **Segment handoff.** Installation publishes a segment through the
-//! directory under a lock (the host mirror's slow path; the device
-//! implementation in [`crate::device`] uses a lock-free tagged ring).
-//! Segments install strictly in order, so the installed prefix is
-//! contiguous and `installed * seg_cap` is the exact boundary of
-//! materialized storage — the [`len_hint`](SegmentedRfAnQueue::len_hint)
-//! clamp. A segment retires only when **all** `seg_cap` of its slots
-//! have been consumed; retiring returns its storage to the pool. Unique
-//! tickets + the full-drain requirement exclude ABA: a ticket into a
-//! recycled segment must already have been consumed (otherwise the
-//! segment could not have drained), so no live consumer can observe
-//! reused storage under an old ticket.
-//!
-//! Fast-path operation costs match the bounded queue: one AFA per batch
-//! reservation, sentinel stores to publish, sentinel swaps to take.
-//! Zero CAS, zero retries — [`QueueStats::retry_free`] panics otherwise.
+//! `Front` and `Rear` are the same monotone ticket counters, the fast path
+//! *within* a segment is byte-for-byte the bounded protocol, and overflow
+//! is impossible: a producer whose reservation crosses a segment boundary
+//! installs the covering segment(s) instead of aborting (see
+//! [`super::storage`](Segmented) for the handoff and the ABA argument).
 //! Segment installs are counted separately
-//! ([`StatsSnapshot::segment_appends`]).
+//! ([`StatsSnapshot::segment_appends`]); only `seg_cap` is configured.
 
-use super::{EnqueueError, QueueStats, SlotTicket, StatsSnapshot};
-use crate::DNA;
+use super::{Afa, Cas, Queue, Segmented, SlotTicket, StatsSnapshot};
 use std::ops::Range;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
 
-/// One segment's storage: a bounded ring plus its drain counter.
-#[derive(Debug)]
-struct SegStorage {
-    slots: Box<[AtomicU32]>,
-    /// Slots of the *current installation* consumed so far; the take
-    /// that raises it to `seg_cap` retires the segment.
-    consumed: AtomicU64,
-}
-
-impl SegStorage {
-    fn new(seg_cap: usize) -> Arc<SegStorage> {
-        Arc::new(SegStorage {
-            slots: (0..seg_cap).map(|_| AtomicU32::new(DNA)).collect(),
-            consumed: AtomicU64::new(0),
-        })
-    }
-}
-
-/// Directory entry for one virtual segment.
-#[derive(Debug)]
-enum DirEntry {
-    /// Installed and live: tickets resolve to this storage.
-    Installed(Arc<SegStorage>),
-    /// Fully drained; its storage went back to the pool.
-    Drained,
-}
-
-#[derive(Debug, Default)]
-struct Directory {
-    /// `entries[seg]` for every segment ever installed (`Drained`
-    /// entries are a fixed-size tombstone; the live window is
-    /// `recycled..installed`).
-    entries: Vec<DirEntry>,
-    /// Contiguous installed prefix: the next segment to install.
-    installed: u64,
-    /// Segments fully drained and recycled (not necessarily a prefix:
-    /// a slow consumer in an old segment does not block newer segments
-    /// from retiring — each segment's storage is independent).
-    drained: u64,
-    /// Recycled storages awaiting reinstallation.
-    pool: Vec<Arc<SegStorage>>,
-    /// Storages ever allocated fresh — the memory-bound gauge: bounded
-    /// by peak *live* segments, not lifetime enqueues.
-    fresh_allocs: u64,
-}
-
-/// The shared segment machinery: directory, pool, and slot resolution.
-/// Ticket *policy* (AFA vs. CAS reservation) lives in the wrapping
-/// queue types.
-#[derive(Debug)]
-struct SegRing {
-    seg_cap: usize,
-    dir: Mutex<Directory>,
-    /// `installed * seg_cap`, maintained under the directory lock but
-    /// readable lock-free: the exact amount of materialized slot
-    /// storage, and the saturation bound for `len_hint`.
-    installed_cap: AtomicU64,
-}
-
-impl SegRing {
-    fn new(seg_cap: usize) -> SegRing {
-        assert!(seg_cap > 0, "segment capacity must be positive");
-        SegRing {
-            seg_cap,
-            dir: Mutex::new(Directory::default()),
-            installed_cap: AtomicU64::new(0),
-        }
-    }
-
-    /// Installs the next uninstalled segment if the installed prefix
-    /// does not yet cover `through_seg`; returns the segment installed,
-    /// if any. One installation = one segment append.
-    fn install_next(&self, through_seg: u64, stats: &QueueStats) -> Option<u64> {
-        let mut dir = self.dir.lock().unwrap();
-        if dir.installed > through_seg {
-            return None;
-        }
-        let seg = dir.installed;
-        let storage = dir.pool.pop().unwrap_or_else(|| {
-            dir.fresh_allocs += 1;
-            SegStorage::new(self.seg_cap)
-        });
-        debug_assert!(storage
-            .slots
-            .iter()
-            .all(|s| s.load(Ordering::Relaxed) == DNA));
-        debug_assert_eq!(dir.entries.len() as u64, dir.installed);
-        // The linearization point of the handoff: the directory
-        // entry flips from absent to Installed while holding the
-        // lock (the device path's single tagged-ring store).
-        dir.entries.push(DirEntry::Installed(storage));
-        dir.installed += 1;
-        self.installed_cap
-            .store(dir.installed * self.seg_cap as u64, Ordering::Release);
-        stats.segment_append();
-        Some(seg)
-    }
-
-    /// Installs segments in order until `through_seg` is live. Counts
-    /// one segment append per installation. Returns how many segments
-    /// this call installed.
-    fn ensure_installed(&self, through_seg: u64, stats: &QueueStats) -> u64 {
-        let mut appended = 0;
-        while self.install_next(through_seg, stats).is_some() {
-            appended += 1;
-        }
-        appended
-    }
-
-    /// Resolves a ticket's segment storage, if installed and live.
-    fn resolve(&self, slot: u64) -> Option<Arc<SegStorage>> {
-        let seg = (slot / self.seg_cap as u64) as usize;
-        let dir = self.dir.lock().unwrap();
-        match dir.entries.get(seg) {
-            Some(DirEntry::Installed(storage)) => Some(Arc::clone(storage)),
-            _ => None,
-        }
-    }
-
-    /// Publishes `token` into a claimed slot of an installed segment.
-    fn publish(&self, slot: u64, token: u32) {
-        debug_assert!(token < DNA, "token collides with the dna sentinel");
-        let storage = self
-            .resolve(slot)
-            .expect("publish into an uninstalled segment");
-        let off = (slot % self.seg_cap as u64) as usize;
-        debug_assert_eq!(
-            storage.slots[off].load(Ordering::Relaxed),
-            DNA,
-            "slot {slot} double-published"
-        );
-        storage.slots[off].store(token, Ordering::Release);
-    }
-
-    /// Takes data from a claimed slot. Returns the value (None counts a
-    /// data wait: unpublished, or the segment is not installed yet) and
-    /// the segment index if this take drained it (retired + recycled).
-    fn take(&self, slot: u64, stats: &QueueStats) -> (Option<u32>, Option<u64>) {
-        let seg = slot / self.seg_cap as u64;
-        let Some(storage) = self.resolve(slot) else {
-            // Not installed yet (reserve-ahead past materialized
-            // storage) or already drained — either way, no data here
-            // for this ticket.
-            stats.data_wait();
-            return (None, None);
-        };
-        let off = (slot % self.seg_cap as u64) as usize;
-        let s = &storage.slots[off];
-        let v = s.load(Ordering::Acquire);
-        if v == DNA {
-            stats.data_wait();
-            return (None, None);
-        }
-        // Private pickup: restore the sentinel (no atomics on the slot),
-        // then count the drain. The fetch_add serializes retirement:
-        // exactly one take observes the count reach seg_cap.
-        s.store(DNA, Ordering::Relaxed);
-        let drained = storage.consumed.fetch_add(1, Ordering::AcqRel) + 1;
-        if drained == self.seg_cap as u64 {
-            let mut dir = self.dir.lock().unwrap();
-            storage.consumed.store(0, Ordering::Relaxed);
-            dir.entries[seg as usize] = DirEntry::Drained;
-            dir.drained += 1;
-            dir.pool.push(storage);
-            (Some(v), Some(seg))
-        } else {
-            (Some(v), None)
-        }
-    }
-
-    /// Restores the initial state (exclusive access required).
-    fn reset(&self) {
-        let mut dir = self.dir.lock().unwrap();
-        let entries = std::mem::take(&mut dir.entries);
-        for e in entries {
-            if let DirEntry::Installed(storage) = e {
-                for s in storage.slots.iter() {
-                    s.store(DNA, Ordering::Relaxed);
-                }
-                storage.consumed.store(0, Ordering::Relaxed);
-                dir.pool.push(storage);
-            }
-        }
-        dir.installed = 0;
-        dir.drained = 0;
-        self.installed_cap.store(0, Ordering::Relaxed);
-    }
-}
-
-/// Segmented retry-free arbitrary-n queue: the bounded
-/// [`RfAnQueue`](super::RfAnQueue) protocol over linked segments.
-/// `enqueue_batch` cannot fail — there is no queue-full condition.
-#[derive(Debug)]
-pub struct SegmentedRfAnQueue {
-    ring: SegRing,
-    front: AtomicU64,
-    rear: AtomicU64,
-    stats: QueueStats,
-}
+/// Segmented retry-free arbitrary-n queue: the
+/// [`RfAnQueue`](super::RfAnQueue) protocol over linked segments. One AFA
+/// per batch reservation, zero CAS, zero retries; `enqueue_batch` cannot
+/// fail — there is no queue-full condition.
+pub type SegmentedRfAnQueue = Queue<Afa, Segmented>;
 
 impl SegmentedRfAnQueue {
-    /// Creates a queue of `seg_cap`-slot segments. No storage is
-    /// materialized until the first reservation touches it.
-    pub fn new(seg_cap: usize) -> Self {
-        SegmentedRfAnQueue {
-            ring: SegRing::new(seg_cap),
-            front: AtomicU64::new(0),
-            rear: AtomicU64::new(0),
-            stats: QueueStats::retry_free(),
-        }
-    }
-
-    /// Slots per segment.
-    pub fn seg_cap(&self) -> usize {
-        self.ring.seg_cap
-    }
-
-    /// Segments currently live (installed, not yet drained).
-    pub fn live_segments(&self) -> u64 {
-        let dir = self.ring.dir.lock().unwrap();
-        dir.installed - dir.drained
-    }
-
-    /// Segment storages ever allocated fresh: the memory bound is peak
-    /// live occupancy, not lifetime enqueues.
-    pub fn fresh_allocs(&self) -> u64 {
-        self.ring.dir.lock().unwrap().fresh_allocs
-    }
-
-    // ---- Step-decomposed primitives ----
-    //
-    // As in the bounded queues, the public operations are drivers over
-    // single-step shims so the `verify` explorer can interleave the
-    // exact production memory accesses.
-
-    /// One step: the consumer-side AFA reserving `n` tickets.
-    pub(crate) fn step_reserve_front(&self, n: u64) -> u64 {
-        self.stats.afa();
-        self.front.fetch_add(n, Ordering::Relaxed)
-    }
-
-    /// One step: the producer-side AFA reserving `n` tickets.
-    pub(crate) fn step_reserve_rear(&self, n: u64) -> u64 {
-        self.stats.afa();
-        self.rear.fetch_add(n, Ordering::Relaxed)
-    }
-
-    /// One step: install the next uninstalled segment if the installed
-    /// prefix does not yet cover `through_seg`; returns the segment
-    /// installed, if any. Mirrors one iteration of the enqueue path's
-    /// install loop, so explorer FSMs can record each installation as
-    /// its own linearization point.
-    pub(crate) fn step_install_next(&self, through_seg: u64) -> Option<u64> {
-        self.ring.install_next(through_seg, &self.stats)
-    }
-
-    /// One step: publish `token` into a claimed slot.
-    pub(crate) fn step_publish(&self, slot: u64, token: u32) {
-        self.ring.publish(slot, token);
-    }
-
-    /// One step: poll a claimed slot; also reports the segment this
-    /// take drained, if any (the recycle linearization point).
-    pub(crate) fn step_try_take(&self, slot: u64) -> (Option<u32>, Option<u64>) {
-        self.ring.take(slot, &self.stats)
-    }
-
     /// Reserves `n` dequeue tickets with one AFA (never fails, may
     /// outrun `Rear` and even the installed prefix).
     pub fn reserve(&self, n: u64) -> Range<u64> {
-        let base = self.step_reserve_front(n);
-        base..base + n
-    }
-
-    /// Polls a reserved ticket: `Some` exactly once when data arrives.
-    pub fn try_take(&self, ticket: SlotTicket) -> Option<u32> {
-        self.step_try_take(ticket.0).0
+        self.claim(n)
     }
 
     /// Enqueues a whole batch: one AFA on `Rear`, then installs any
@@ -318,244 +30,82 @@ impl SegmentedRfAnQueue {
     /// then publishes. Cannot fail — overflow is a segment append.
     /// Returns the base ticket of the reserved region.
     pub fn enqueue_batch(&self, tokens: &[u32]) -> u64 {
-        for &t in tokens {
-            assert!(t < DNA, "token {t:#x} collides with the dna sentinel");
-        }
-        let n = tokens.len() as u64;
-        let base = self.step_reserve_rear(n);
-        if n == 0 {
-            return base;
-        }
-        let last_seg = (base + n - 1) / self.ring.seg_cap as u64;
-        self.ring.ensure_installed(last_seg, &self.stats);
-        for (i, &tok) in tokens.iter().enumerate() {
-            self.step_publish(base + i as u64, tok);
-        }
+        let Ok(base) = self.put(tokens);
         base
-    }
-
-    /// Token-validating enqueue for mirror checks: segmented queues
-    /// have no capacity to exceed, so the only failure mode left is a
-    /// sentinel-colliding token.
-    pub fn try_enqueue_batch(&self, tokens: &[u32]) -> Result<u64, EnqueueError> {
-        if let Some(&bad) = tokens.iter().find(|&&t| t == DNA) {
-            return Err(EnqueueError::InvalidToken { token: bad });
-        }
-        Ok(self.enqueue_batch(tokens))
     }
 
     /// Enqueues one token.
     pub fn enqueue(&self, token: u32) {
         self.enqueue_batch(std::slice::from_ref(&token));
     }
+}
 
-    /// Published-token estimate. `Rear` may transiently exceed the
-    /// installed prefix (a producer between its reservation AFA and the
-    /// covering segment install), so the hint saturates against the
-    /// total capacity across *all installed segments* — not a single
-    /// segment's capacity, which a segmented queue legitimately
-    /// exceeds (PR 1's bounded-queue clamp, generalized).
-    pub fn len_hint(&self) -> u64 {
-        let rear = self
-            .rear
-            .load(Ordering::Relaxed)
-            .min(self.ring.installed_cap.load(Ordering::Acquire));
-        rear.saturating_sub(self.front.load(Ordering::Relaxed))
-    }
+/// Segmented CAS queue with batched reservations: the
+/// [`AnQueue`](super::AnQueue) protocol over linked segments. The CAS can
+/// still fail under contention (counted), but the queue-full rejection is
+/// gone — a winning CAS always finds storage because the producer installs
+/// the covering segments before publishing.
+pub type SegmentedAnQueue = Queue<Cas, Segmented>;
 
-    /// Operation counters.
-    pub fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
-    }
-
-    /// Restores the initial state (exclusive access required).
-    pub fn reset(&mut self) {
-        self.ring.reset();
-        self.front.store(0, Ordering::Relaxed);
-        self.rear.store(0, Ordering::Relaxed);
-        self.stats.reset();
+impl SegmentedAnQueue {
+    /// Enqueues a whole batch with one (looping) CAS reservation on
+    /// `Rear`, installing covering segments before publishing. Never
+    /// rejects: there is no capacity bound to exceed.
+    pub fn push_batch(&self, tokens: &[u32]) {
+        let Ok(_) = self.put(tokens);
     }
 }
 
-/// Segmented retry-free queue *without* arbitrary-n: per-token AFA
-/// reservations over the same segment machinery (the RF-only ablation's
-/// segmented sibling).
+/// Segmented retry-free queue *without* arbitrary-n: the AFA core
+/// restricted to width 1 (the RF-only ablation's segmented sibling).
 #[derive(Debug)]
-pub struct SegmentedRfQueue {
-    inner: SegmentedRfAnQueue,
-}
+pub struct SegmentedRfQueue(SegmentedRfAnQueue);
 
 impl SegmentedRfQueue {
     /// Creates a queue of `seg_cap`-slot segments.
     pub fn new(seg_cap: usize) -> Self {
-        SegmentedRfQueue {
-            inner: SegmentedRfAnQueue::new(seg_cap),
-        }
+        SegmentedRfQueue(Queue::new(seg_cap))
     }
 
     /// Enqueues one token: one AFA, then publish (installing the
     /// covering segment when the ticket crosses a boundary).
     pub fn enqueue(&self, token: u32) {
-        self.inner.enqueue_batch(std::slice::from_ref(&token));
+        self.0.enqueue(token);
     }
 
     /// Reserves one dequeue ticket (one AFA, never fails).
     pub fn reserve(&self) -> SlotTicket {
-        SlotTicket(self.inner.step_reserve_front(1))
+        SlotTicket(self.0.reserve(1).start)
     }
 
     /// Polls a reserved ticket.
     pub fn try_take(&self, ticket: SlotTicket) -> Option<u32> {
-        self.inner.try_take(ticket)
+        self.0.try_take(ticket)
     }
 
-    /// Published-token estimate (see [`SegmentedRfAnQueue::len_hint`]).
+    /// Published-token estimate (see [`Queue::len_hint`]).
     pub fn len_hint(&self) -> u64 {
-        self.inner.len_hint()
+        self.0.len_hint()
     }
 
     /// Operation counters.
     pub fn stats(&self) -> StatsSnapshot {
-        self.inner.stats()
+        self.0.stats()
     }
 
     /// Restores the initial state (exclusive access required).
     pub fn reset(&mut self) {
-        self.inner.reset();
-    }
-}
-
-/// Segmented CAS queue with batched reservations: the bounded
-/// [`AnQueue`](super::AnQueue) protocol over linked segments. The CAS
-/// can still fail under contention (counted), but the queue-full
-/// rejection is gone — a winning CAS always finds storage because the
-/// producer installs the covering segments before publishing.
-#[derive(Debug)]
-pub struct SegmentedAnQueue {
-    ring: SegRing,
-    front: AtomicU64,
-    rear: AtomicU64,
-    stats: QueueStats,
-}
-
-impl SegmentedAnQueue {
-    /// Creates a queue of `seg_cap`-slot segments.
-    pub fn new(seg_cap: usize) -> Self {
-        SegmentedAnQueue {
-            ring: SegRing::new(seg_cap),
-            front: AtomicU64::new(0),
-            rear: AtomicU64::new(0),
-            stats: QueueStats::default(),
-        }
-    }
-
-    /// Slots per segment.
-    pub fn seg_cap(&self) -> usize {
-        self.ring.seg_cap
-    }
-
-    fn cas(&self, counter: &AtomicU64, expected: u64, n: u64) -> Result<(), u64> {
-        self.stats.cas_attempt();
-        match counter.compare_exchange(expected, expected + n, Ordering::AcqRel, Ordering::Acquire)
-        {
-            Ok(_) => Ok(()),
-            Err(actual) => {
-                self.stats.cas_failure();
-                Err(actual)
-            }
-        }
-    }
-
-    /// Enqueues a whole batch with one (looping) CAS reservation on
-    /// `Rear`, installing covering segments before publishing. Never
-    /// rejects: there is no capacity bound to exceed.
-    pub fn push_batch(&self, tokens: &[u32]) {
-        if tokens.is_empty() {
-            return;
-        }
-        for &t in tokens {
-            assert!(t < DNA, "token {t:#x} collides with the dna sentinel");
-        }
-        let n = tokens.len() as u64;
-        let mut rear = self.rear.load(Ordering::Acquire);
-        loop {
-            match self.cas(&self.rear, rear, n) {
-                Ok(()) => {
-                    let last_seg = (rear + n - 1) / self.ring.seg_cap as u64;
-                    self.ring.ensure_installed(last_seg, &self.stats);
-                    for (i, &tok) in tokens.iter().enumerate() {
-                        self.ring.publish(rear + i as u64, tok);
-                    }
-                    return;
-                }
-                Err(actual) => rear = actual,
-            }
-        }
-    }
-
-    /// Dequeues up to `max` tokens into `out` with one (looping) CAS
-    /// reservation on `Front`; `0` means the queue-empty exception.
-    pub fn pop_batch(&self, out: &mut Vec<u32>, max: usize) -> usize {
-        if max == 0 {
-            return 0;
-        }
-        let mut front = self.front.load(Ordering::Acquire);
-        loop {
-            let rear = self.rear.load(Ordering::Acquire);
-            let avail = rear.saturating_sub(front);
-            if avail == 0 {
-                self.stats.empty_retry();
-                return 0;
-            }
-            let n = avail.min(max as u64);
-            match self.cas(&self.front, front, n) {
-                Ok(()) => {
-                    for slot in front..front + n {
-                        // Publication (and segment installation) follows
-                        // reservation on the producer side; spin for the
-                        // brief window.
-                        loop {
-                            let (v, _) = self.ring.take(slot, &self.stats);
-                            if let Some(v) = v {
-                                out.push(v);
-                                break;
-                            }
-                            std::hint::spin_loop();
-                        }
-                    }
-                    return n as usize;
-                }
-                Err(actual) => front = actual,
-            }
-        }
-    }
-
-    /// Published-token estimate (see [`SegmentedRfAnQueue::len_hint`]).
-    pub fn len_hint(&self) -> u64 {
-        let rear = self
-            .rear
-            .load(Ordering::Relaxed)
-            .min(self.ring.installed_cap.load(Ordering::Acquire));
-        rear.saturating_sub(self.front.load(Ordering::Relaxed))
-    }
-
-    /// Operation counters.
-    pub fn stats(&self) -> StatsSnapshot {
-        self.stats.snapshot()
-    }
-
-    /// Restores the initial state (exclusive access required).
-    pub fn reset(&mut self) {
-        self.ring.reset();
-        self.front.store(0, Ordering::Relaxed);
-        self.rear.store(0, Ordering::Relaxed);
-        self.stats.reset();
+        self.0.reset();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::host::queue::Put;
+    use crate::host::EnqueueError;
+    use crate::DNA;
+    use std::sync::atomic::Ordering;
 
     #[test]
     fn fifo_across_segment_boundaries() {
@@ -595,16 +145,21 @@ mod tests {
 
     #[test]
     fn len_hint_saturates_at_the_installed_boundary() {
-        // Pin the mid-install window via the step shims: tickets are
-        // reserved but the covering segments are not installed yet.
+        // Pin the mid-install window by stepping the enqueue machine:
+        // tickets are reserved but the covering segments are not
+        // installed yet.
         let q = SegmentedRfAnQueue::new(4);
-        assert_eq!(q.step_reserve_rear(6), 0);
+        let tokens = [1, 2, 3, 4, 5, 6];
+        let mut put = Put::<Afa>::new(&tokens);
+        let mut step = || put.step(&q, &tokens, |_| {});
+        step(); // the Rear AFA
         assert_eq!(q.len_hint(), 0, "no storage installed yet");
-        assert_eq!(q.step_install_next(1), Some(0));
+        step();
         assert_eq!(q.len_hint(), 4, "clamped to one installed segment");
-        assert_eq!(q.step_install_next(1), Some(1));
+        step();
         assert_eq!(q.len_hint(), 6, "both covering segments installed");
-        assert_eq!(q.step_install_next(1), None, "reinstall is idempotent");
+        step(); // the probe that finds the region covered
+        assert_eq!(q.stats().segment_appends, 2, "reinstall is idempotent");
     }
 
     #[test]

@@ -10,10 +10,14 @@
 //!   proxy-thread aggregation with local atomics, a single global atomic
 //!   per wavefront per operation, and the *data-not-arrived* sentinel that
 //!   refactors the queue-empty exception into a plain memory poll.
-//! * [`host`] — real-thread Rust implementations of the same three designs
-//!   (fetch-add ticket reservation + sentinel slots vs. CAS reservation),
-//!   usable as genuine concurrent data structures and benchmarked with
-//!   Criterion on real hardware.
+//! * [`host`] — real-thread Rust implementations of the same designs,
+//!   usable as genuine concurrent data structures: one generic queue core
+//!   composed from a reservation policy (fetch-add tickets vs. a CAS loop)
+//!   and a storage policy (one bounded sentinel ring vs. linked segments).
+//!
+//! [`verify`] checks the host family: an interleaving explorer that steps
+//! the core's own operations, a linearizability checker and a real-thread
+//! conformance matrix.
 //!
 //! The three variants (paper §5.3):
 //!

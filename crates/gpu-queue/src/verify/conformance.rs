@@ -3,8 +3,10 @@
 //!
 //! The explorer ([`super::scenarios`]) proves linearizability over small
 //! exhaustively-interleaved schedules; this harness is the complementary
-//! *real-thread* check: each variant is wrapped in a [`ConformingQueue`]
-//! adapter and driven through the same five scenarios —
+//! *real-thread* check: each variant sits behind a [`ConformingQueue`]
+//! adapter — one per reservation discipline, generic over the storage and
+//! parameterized by batch width, plus the `MUTEX` strawman — and is
+//! driven through the same seven scenarios —
 //!
 //! 1. **Single-thread FIFO** — tokens come back in insertion order.
 //! 2. **Batch boundary crossing** — multi-token batches land intact (for
@@ -19,16 +21,22 @@
 //!    everything by appending segments.
 //! 5. **Reset-reuse** — a drained, reset queue serves a second full
 //!    round (for bounded variants this re-arms the *lifetime* capacity).
+//! 6. **Sentinel token** — a batch holding the `dna` sentinel is refused
+//!    (a panic, or the typed error of the `try_` surface) before anything
+//!    is reserved: counters and occupancy are untouched and the queue
+//!    still works.
+//! 7. **Empty batch** — enqueueing nothing reserves nothing and counts
+//!    nothing.
 //!
 //! A violation panics with the variant label and scenario name; a clean
 //! run returns a [`ConformanceReport`] per variant. The suite runs in CI
 //! (`segmented-queues` job) and in `tests/linearizability.rs`.
 
-use crate::host::{
-    AnQueue, BaseQueue, MutexQueue, RfAnQueue, SegmentedAnQueue, SegmentedRfAnQueue,
-    SegmentedRfQueue, SlotTicket, StatsSnapshot,
-};
+use crate::host::{Afa, Cas, MutexQueue, Queue, StatsSnapshot, Storage};
+use crate::host::{Bounded, Segmented};
+use crate::DNA;
 use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -50,11 +58,19 @@ pub trait ConformingQueue: Send + Sync {
     /// zero retry loops) — asserted after the MPMC scenario.
     fn is_retry_free(&self) -> bool;
 
+    /// Whether the `dna` sentinel is reserved (not a valid token).
+    fn reserves_sentinel(&self) -> bool {
+        true
+    }
+
     /// Offers a batch; returns how many tokens the queue accepted.
     fn enqueue(&self, tokens: &[u32]) -> usize;
 
     /// Non-blocking dequeue attempt.
     fn dequeue(&self) -> Option<u32>;
+
+    /// Published tokens not yet claimed.
+    fn len_hint(&self) -> u64;
 
     /// Operation counters of the wrapped queue.
     fn stats(&self) -> StatsSnapshot;
@@ -82,59 +98,59 @@ pub struct ConformanceReport {
 
 // ------------------------------------------------------------ adapters --
 
-/// Shared ticket-polling dequeue state for the retry-free adapters: a
-/// reserved-but-unserved ticket stays pending (shared, so any thread can
-/// poll it — no token is stranded with an idle caller) and a new ticket
-/// is reserved only when none is pending.
-#[derive(Default)]
-struct TicketPoller {
-    pending: Mutex<VecDeque<u64>>,
+/// Tokens per queue operation: the whole offer, or one (BASE, SEG-RF).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Width {
+    Batch,
+    One,
 }
 
-impl TicketPoller {
-    fn dequeue(
-        &self,
-        reserve: impl FnOnce() -> u64,
-        take: impl Fn(u64) -> Option<u32>,
-    ) -> Option<u32> {
-        let mut pending = self.pending.lock().unwrap();
-        if pending.is_empty() {
-            pending.push_back(reserve());
-        }
-        let &slot = pending.front().expect("just ensured non-empty");
-        match take(slot) {
-            Some(v) => {
-                pending.pop_front();
-                Some(v)
-            }
-            None => None,
+impl Width {
+    /// Offers `tokens` in operations of this width through `put`, which
+    /// reports whether its batch was accepted.
+    fn offer(self, tokens: &[u32], put: impl Fn(&[u32]) -> bool) -> usize {
+        match self {
+            Width::Batch if put(tokens) => tokens.len(),
+            Width::Batch => 0,
+            Width::One => (tokens.iter())
+                .filter(|&t| put(std::slice::from_ref(t)))
+                .count(),
         }
     }
-
-    fn clear(&mut self) {
-        self.pending.get_mut().unwrap().clear();
-    }
 }
 
-struct BaseAdapter {
-    q: BaseQueue,
+fn bound_of<S: Storage>(storage: &S) -> Option<usize> {
+    (!S::GROWS).then(|| storage.materialized() as usize)
 }
 
-impl ConformingQueue for BaseAdapter {
+/// The CAS discipline: all-or-nothing batch pushes, pops that never pass
+/// `Rear`.
+struct CasAdapter<S: Storage> {
+    label: &'static str,
+    width: Width,
+    q: Queue<Cas, S>,
+}
+
+impl<S: Storage + Send + Sync> ConformingQueue for CasAdapter<S> {
     fn label(&self) -> &'static str {
-        "BASE"
+        self.label
     }
     fn capacity_bound(&self) -> Option<usize> {
-        Some(self.q.capacity())
+        bound_of(self.q.storage())
     }
     fn is_retry_free(&self) -> bool {
         false
     }
     fn enqueue(&self, tokens: &[u32]) -> usize {
-        tokens.iter().filter(|&&t| self.q.push(t).is_ok()).count()
+        self.width.offer(tokens, |batch| self.q.put(batch).is_ok())
     }
     fn dequeue(&self) -> Option<u32> {
-        self.q.try_pop()
+        let mut popped = None;
+        self.q.pop(1, |token| popped = Some(token));
+        popped
+    }
+    fn len_hint(&self) -> u64 {
+        self.q.len_hint()
     }
     fn stats(&self) -> StatsSnapshot {
         self.q.stats()
@@ -144,36 +160,56 @@ impl ConformingQueue for BaseAdapter {
     }
 }
 
-struct AnAdapter {
-    q: AnQueue,
+/// The AFA discipline. Enqueues use the pre-checked `try_` surface: a
+/// visibly over-large batch is refused without burning the `Rear`
+/// reservation, so the matrix can keep using a bounded queue after a
+/// rejection. Dequeues poll shared tickets: a reserved-but-unserved
+/// ticket stays pending (shared, so any thread can poll it — no token is
+/// stranded with an idle caller) and a new ticket is reserved only when
+/// none is pending.
+struct AfaAdapter<S: Storage> {
+    label: &'static str,
+    width: Width,
+    q: Queue<Afa, S>,
+    pending: Mutex<VecDeque<u64>>,
 }
 
-impl ConformingQueue for AnAdapter {
+impl<S: Storage + Send + Sync> ConformingQueue for AfaAdapter<S>
+where
+    S::Overflow: Into<crate::host::EnqueueError>,
+{
     fn label(&self) -> &'static str {
-        "AN"
+        self.label
     }
     fn capacity_bound(&self) -> Option<usize> {
-        Some(self.q.capacity())
+        bound_of(self.q.storage())
     }
     fn is_retry_free(&self) -> bool {
-        false
+        true
     }
     fn enqueue(&self, tokens: &[u32]) -> usize {
-        // All-or-nothing batch reservation (the AN contract).
-        match self.q.push_batch(tokens) {
-            Ok(()) => tokens.len(),
-            Err(_) => 0,
-        }
+        (self.width).offer(tokens, |batch| self.q.try_enqueue_batch(batch).is_ok())
     }
     fn dequeue(&self) -> Option<u32> {
-        let mut out = Vec::with_capacity(1);
-        self.q.pop_batch(&mut out, 1);
-        out.pop()
+        let mut pending = self.pending.lock().unwrap();
+        if pending.is_empty() {
+            pending.extend(self.q.claim(1));
+        }
+        let &slot = pending.front().expect("just ensured non-empty");
+        let token = self.q.take(slot).token;
+        if token.is_some() {
+            pending.pop_front();
+        }
+        token
+    }
+    fn len_hint(&self) -> u64 {
+        self.q.len_hint()
     }
     fn stats(&self) -> StatsSnapshot {
         self.q.stats()
     }
     fn reset(&mut self) {
+        self.pending.get_mut().unwrap().clear();
         self.q.reset();
     }
 }
@@ -192,6 +228,9 @@ impl ConformingQueue for MutexAdapter {
     fn is_retry_free(&self) -> bool {
         false
     }
+    fn reserves_sentinel(&self) -> bool {
+        false
+    }
     fn enqueue(&self, tokens: &[u32]) -> usize {
         match self.q.push_batch(tokens) {
             Ok(()) => tokens.len(),
@@ -203,145 +242,8 @@ impl ConformingQueue for MutexAdapter {
         self.q.pop_batch(&mut out, 1);
         out.pop()
     }
-    fn stats(&self) -> StatsSnapshot {
-        self.q.stats()
-    }
-    fn reset(&mut self) {
-        self.q.reset();
-    }
-}
-
-struct RfAnAdapter {
-    q: RfAnQueue,
-    poller: TicketPoller,
-}
-
-impl ConformingQueue for RfAnAdapter {
-    fn label(&self) -> &'static str {
-        "RF/AN"
-    }
-    fn capacity_bound(&self) -> Option<usize> {
-        Some(self.q.capacity())
-    }
-    fn is_retry_free(&self) -> bool {
-        true
-    }
-    fn enqueue(&self, tokens: &[u32]) -> usize {
-        // The pre-checked surface: a visibly over-large batch is refused
-        // without burning the `Rear` reservation, so the matrix can keep
-        // using the queue after a rejection.
-        match self.q.try_enqueue_batch(tokens) {
-            Ok(()) => tokens.len(),
-            Err(_) => 0,
-        }
-    }
-    fn dequeue(&self) -> Option<u32> {
-        self.poller.dequeue(
-            || self.q.reserve(1).start,
-            |slot| self.q.try_take(SlotTicket(slot)),
-        )
-    }
-    fn stats(&self) -> StatsSnapshot {
-        self.q.stats()
-    }
-    fn reset(&mut self) {
-        self.poller.clear();
-        self.q.reset();
-    }
-}
-
-struct SegRfAnAdapter {
-    q: SegmentedRfAnQueue,
-    poller: TicketPoller,
-}
-
-impl ConformingQueue for SegRfAnAdapter {
-    fn label(&self) -> &'static str {
-        "SEG-RF/AN"
-    }
-    fn capacity_bound(&self) -> Option<usize> {
-        None
-    }
-    fn is_retry_free(&self) -> bool {
-        true
-    }
-    fn enqueue(&self, tokens: &[u32]) -> usize {
-        self.q.enqueue_batch(tokens);
-        tokens.len()
-    }
-    fn dequeue(&self) -> Option<u32> {
-        self.poller.dequeue(
-            || self.q.reserve(1).start,
-            |slot| self.q.try_take(SlotTicket(slot)),
-        )
-    }
-    fn stats(&self) -> StatsSnapshot {
-        self.q.stats()
-    }
-    fn reset(&mut self) {
-        self.poller.clear();
-        self.q.reset();
-    }
-}
-
-struct SegRfAdapter {
-    q: SegmentedRfQueue,
-    poller: TicketPoller,
-}
-
-impl ConformingQueue for SegRfAdapter {
-    fn label(&self) -> &'static str {
-        "SEG-RF"
-    }
-    fn capacity_bound(&self) -> Option<usize> {
-        None
-    }
-    fn is_retry_free(&self) -> bool {
-        true
-    }
-    fn enqueue(&self, tokens: &[u32]) -> usize {
-        for &t in tokens {
-            self.q.enqueue(t);
-        }
-        tokens.len()
-    }
-    fn dequeue(&self) -> Option<u32> {
-        self.poller.dequeue(
-            || self.q.reserve().0,
-            |slot| self.q.try_take(SlotTicket(slot)),
-        )
-    }
-    fn stats(&self) -> StatsSnapshot {
-        self.q.stats()
-    }
-    fn reset(&mut self) {
-        self.poller.clear();
-        self.q.reset();
-    }
-}
-
-struct SegAnAdapter {
-    q: SegmentedAnQueue,
-}
-
-impl ConformingQueue for SegAnAdapter {
-    fn label(&self) -> &'static str {
-        "SEG-AN"
-    }
-    fn capacity_bound(&self) -> Option<usize> {
-        None
-    }
-    fn is_retry_free(&self) -> bool {
-        false
-    }
-    fn enqueue(&self, tokens: &[u32]) -> usize {
-        self.q.push_batch(tokens);
-        tokens.len()
-    }
-    fn dequeue(&self) -> Option<u32> {
-        let mut out = Vec::with_capacity(1);
-        self.q.pop_batch(&mut out, 1);
-        out.pop()
+    fn len_hint(&self) -> u64 {
+        self.q.len() as u64
     }
     fn stats(&self) -> StatsSnapshot {
         self.q.stats()
@@ -357,54 +259,56 @@ fn seg_cap_for(capacity: usize) -> usize {
     (capacity / 8).max(2)
 }
 
-/// The full adapter roster: every host queue variant, bounded and
-/// segmented.
+fn cas<S: Storage + Send + Sync>(
+    label: &'static str,
+    width: Width,
+    size: usize,
+) -> Box<dyn ConformingQueue> {
+    let q = Queue::new(size);
+    Box::new(CasAdapter::<S> { label, width, q })
+}
+
+fn afa<S: Storage + Send + Sync>(
+    label: &'static str,
+    width: Width,
+    size: usize,
+) -> Box<dyn ConformingQueue>
+where
+    S::Overflow: Into<crate::host::EnqueueError>,
+{
+    let (q, pending) = (Queue::new(size), Mutex::default());
+    Box::new(AfaAdapter::<S> {
+        label,
+        width,
+        q,
+        pending,
+    })
+}
+
+/// The full roster: every host queue variant, bounded and segmented —
+/// each a (discipline, storage, width) row over the one core.
 pub fn conformance_suite() -> Vec<QueueFactory> {
     vec![
-        |cap| {
-            Box::new(BaseAdapter {
-                q: BaseQueue::new(cap),
-            })
-        },
-        |cap| {
-            Box::new(AnAdapter {
-                q: AnQueue::new(cap),
-            })
-        },
+        |cap| cas::<Bounded>("BASE", Width::One, cap),
+        |cap| cas::<Bounded>("AN", Width::Batch, cap),
         |cap| {
             Box::new(MutexAdapter {
                 q: MutexQueue::new(cap),
             })
         },
-        |cap| {
-            Box::new(RfAnAdapter {
-                q: RfAnQueue::new(cap),
-                poller: TicketPoller::default(),
-            })
-        },
-        |cap| {
-            Box::new(SegRfAnAdapter {
-                q: SegmentedRfAnQueue::new(seg_cap_for(cap)),
-                poller: TicketPoller::default(),
-            })
-        },
-        |cap| {
-            Box::new(SegRfAdapter {
-                q: SegmentedRfQueue::new(seg_cap_for(cap)),
-                poller: TicketPoller::default(),
-            })
-        },
-        |cap| {
-            Box::new(SegAnAdapter {
-                q: SegmentedAnQueue::new(seg_cap_for(cap)),
-            })
-        },
+        |cap| afa::<Bounded>("RF/AN", Width::Batch, cap),
+        |cap| afa::<Segmented>("SEG-RF/AN", Width::Batch, seg_cap_for(cap)),
+        |cap| afa::<Segmented>("SEG-RF", Width::One, seg_cap_for(cap)),
+        |cap| cas::<Segmented>("SEG-AN", Width::Batch, seg_cap_for(cap)),
     ]
 }
 
 // ------------------------------------------------------------ scenarios --
+//
+// A case asserts without naming the variant: [`run_conformance`] re-raises
+// a violation with the variant label and case name in front.
 
-fn drain_exact(q: &dyn ConformingQueue, n: usize, case: &str) -> Vec<u32> {
+fn drain_exact(q: &dyn ConformingQueue, n: usize) -> Vec<u32> {
     let mut got = Vec::with_capacity(n);
     let mut misses = 0usize;
     while got.len() < n {
@@ -415,90 +319,55 @@ fn drain_exact(q: &dyn ConformingQueue, n: usize, case: &str) -> Vec<u32> {
             }
             None => {
                 misses += 1;
-                assert!(
-                    misses < 10_000,
-                    "[{}] {case}: queue starved after {} of {n} tokens",
-                    q.label(),
-                    got.len()
-                );
+                let served = got.len();
+                assert!(misses < 10_000, "starved after {served} of {n} tokens");
             }
         }
     }
     got
 }
 
-fn case_single_thread_fifo(q: &dyn ConformingQueue) {
+fn case_single_thread_fifo(q: &mut dyn ConformingQueue, _capacity: usize) {
     const N: u32 = 40;
     for t in 0..N {
-        assert_eq!(
-            q.enqueue(&[t]),
-            1,
-            "[{}] fifo: token {t} refused",
-            q.label()
-        );
+        assert_eq!(q.enqueue(&[t]), 1, "token {t} refused");
     }
-    let got = drain_exact(q, N as usize, "fifo");
-    assert_eq!(
-        got,
-        (0..N).collect::<Vec<_>>(),
-        "[{}] fifo: out-of-order delivery",
-        q.label()
-    );
-    assert_eq!(q.dequeue(), None, "[{}] fifo: phantom token", q.label());
+    let want: Vec<u32> = (0..N).collect();
+    assert_eq!(drain_exact(q, want.len()), want, "out-of-order delivery");
+    assert_eq!(q.dequeue(), None, "phantom token");
 }
 
-fn case_batch_boundary(q: &dyn ConformingQueue) {
-    let sizes = [7usize, 9, 5, 11, 1, 3];
+fn case_batch_boundary(q: &mut dyn ConformingQueue, _capacity: usize) {
     let mut offered = Vec::new();
-    let mut next = 100u32;
-    for &len in &sizes {
-        let batch: Vec<u32> = (next..next + len as u32).collect();
-        next += len as u32;
-        assert_eq!(
-            q.enqueue(&batch),
-            len,
-            "[{}] batch: {len}-token batch refused",
-            q.label()
-        );
+    for len in [7u32, 9, 5, 11, 1, 3] {
+        let first = 100 + offered.len() as u32;
+        let batch: Vec<u32> = (first..first + len).collect();
+        assert_eq!(q.enqueue(&batch), batch.len(), "{len}-token batch refused");
         offered.extend(batch);
     }
-    let got = drain_exact(q, offered.len(), "batch");
-    assert_eq!(got, offered, "[{}] batch: order or content lost", q.label());
-    let appends = q.stats().segment_appends;
-    if q.capacity_bound().is_none() {
-        assert!(
-            appends > 0,
-            "[{}] batch: segmented run never appended a segment",
-            q.label()
-        );
-    } else {
-        assert_eq!(
-            appends,
-            0,
-            "[{}] batch: bounded variant counted segment appends",
-            q.label()
-        );
-    }
+    let got = drain_exact(q, offered.len());
+    assert_eq!(got, offered, "order or content lost");
+    // Segmented batches straddle segment boundaries; a bounded ring has
+    // nothing to append.
+    let appended = q.stats().segment_appends > 0;
+    let segmented = q.capacity_bound().is_none();
+    assert_eq!(appended, segmented, "segment appends vs. storage kind");
 }
 
-fn case_mpmc_conservation(q: &dyn ConformingQueue) {
-    const PRODUCERS: usize = 3;
+fn case_mpmc_conservation(q: &mut dyn ConformingQueue, _capacity: usize) {
+    const PRODUCERS: u32 = 3;
     const CONSUMERS: usize = 3;
-    const PER: usize = 200;
-    const TOTAL: usize = PRODUCERS * PER;
+    const PER: u32 = 200;
+    const TOTAL: usize = (PRODUCERS * PER) as usize;
+    let q = &*q;
     let taken = AtomicUsize::new(0);
     let collected: Mutex<Vec<u32>> = Mutex::new(Vec::with_capacity(TOTAL));
     std::thread::scope(|s| {
         for p in 0..PRODUCERS {
             s.spawn(move || {
-                let tokens: Vec<u32> = (0..PER as u32).map(|i| ((p as u32) << 16) | i).collect();
+                let tokens: Vec<u32> = (0..PER).map(|i| (p << 16) | i).collect();
                 for chunk in tokens.chunks(17) {
-                    assert_eq!(
-                        q.enqueue(chunk),
-                        chunk.len(),
-                        "[{}] mpmc: batch refused",
-                        q.label()
-                    );
+                    assert_eq!(q.enqueue(chunk), chunk.len(), "batch refused");
                 }
             });
         }
@@ -519,135 +388,112 @@ fn case_mpmc_conservation(q: &dyn ConformingQueue) {
     });
     let mut got = collected.into_inner().unwrap();
     got.sort_unstable();
-    let mut want: Vec<u32> = (0..PRODUCERS as u32)
-        .flat_map(|p| (0..PER as u32).map(move |i| (p << 16) | i))
+    let want: Vec<u32> = (0..PRODUCERS)
+        .flat_map(|p| (0..PER).map(move |i| (p << 16) | i))
         .collect();
-    want.sort_unstable();
-    assert_eq!(
-        got,
-        want,
-        "[{}] mpmc: token conservation violated",
-        q.label()
-    );
+    assert_eq!(got, want, "token conservation violated");
     if q.is_retry_free() {
         let s = q.stats();
-        assert_eq!(
-            s.cas_attempts,
-            0,
-            "[{}] mpmc: retry-free variant issued CAS",
-            q.label()
-        );
-        assert_eq!(
-            s.total_retries(),
-            0,
-            "[{}] mpmc: retry-free variant retried",
-            q.label()
-        );
+        assert_eq!(s.cas_attempts, 0, "retry-free variant issued CAS");
+        assert_eq!(s.total_retries(), 0, "retry-free variant retried");
     }
 }
 
-fn case_overflow(q: &dyn ConformingQueue, capacity: usize) {
+fn case_overflow(q: &mut dyn ConformingQueue, capacity: usize) {
     let offered = capacity + capacity / 2;
     let mut accepted = 0usize;
     for chunk in (0..offered as u32).collect::<Vec<_>>().chunks(capacity / 2) {
         accepted += q.enqueue(chunk);
     }
-    match q.capacity_bound() {
-        Some(bound) => {
-            // Batches are sized to divide the bound, so the accepted
-            // prefix is exactly the capacity: overflow rejects, nothing
-            // more (the paper's queue-full abort, minus the abort).
-            assert_eq!(
-                accepted,
-                bound,
-                "[{}] overflow: bounded variant accepted past capacity",
-                q.label()
-            );
-            let got = drain_exact(q, accepted, "overflow");
-            assert_eq!(
-                got,
-                (0..accepted as u32).collect::<Vec<_>>(),
-                "[{}] overflow: accepted prefix corrupted",
-                q.label()
-            );
-        }
-        None => {
-            assert_eq!(
-                accepted,
-                offered,
-                "[{}] overflow: segmented variant rejected an enqueue",
-                q.label()
-            );
-            let got = drain_exact(q, offered, "overflow");
-            assert_eq!(
-                got,
-                (0..offered as u32).collect::<Vec<_>>(),
-                "[{}] overflow: delivery lost under segment appends",
-                q.label()
-            );
-        }
-    }
+    // Batches are sized to divide the bound, so a bounded variant accepts
+    // exactly its capacity — overflow rejects, nothing more (the paper's
+    // queue-full abort, minus the abort); a segmented one appends
+    // segments and accepts everything.
+    let want = q.capacity_bound().unwrap_or(offered);
+    assert_eq!(accepted, want, "accepted tokens vs. the capacity bound");
+    let got = drain_exact(q, accepted);
+    let prefix: Vec<u32> = (0..accepted as u32).collect();
+    assert_eq!(got, prefix, "accepted prefix corrupted");
 }
 
-fn case_reset_reuse(q: &mut Box<dyn ConformingQueue>, capacity: usize) {
+fn case_reset_reuse(q: &mut dyn ConformingQueue, capacity: usize) {
     let round: Vec<u32> = (0..capacity as u32).collect();
     assert_eq!(q.enqueue(&round), round.len());
-    let got = drain_exact(q.as_ref(), round.len(), "reset-reuse (round 1)");
-    assert_eq!(got, round);
+    assert_eq!(drain_exact(q, round.len()), round);
     q.reset();
     // Round 2 re-offers the full lifetime budget: only a real reset
     // (rewound tickets, restored sentinels, re-pooled segments) can
     // serve it.
     let round2: Vec<u32> = (500..500 + capacity as u32).collect();
-    assert_eq!(
-        q.enqueue(&round2),
-        round2.len(),
-        "[{}] reset-reuse: lifetime budget not re-armed",
-        q.label()
-    );
-    let got = drain_exact(q.as_ref(), round2.len(), "reset-reuse (round 2)");
-    assert_eq!(
-        got,
-        round2,
-        "[{}] reset-reuse: stale state leaked",
-        q.label()
-    );
+    let accepted = q.enqueue(&round2);
+    assert_eq!(accepted, round2.len(), "lifetime budget not re-armed");
+    assert_eq!(drain_exact(q, round2.len()), round2, "stale state leaked");
 }
 
-/// Runs one variant through the whole matrix; panics on any violation.
-pub fn run_conformance(mk: QueueFactory) -> ConformanceReport {
-    let mut cases = Vec::new();
-    let mut segment_appends = 0;
-
-    let q = mk(64);
-    case_single_thread_fifo(q.as_ref());
-    cases.push("single-thread-fifo");
-    let label = q.label();
-
-    let q = mk(64);
-    case_batch_boundary(q.as_ref());
-    segment_appends += q.stats().segment_appends;
-    cases.push("batch-boundary");
-
-    let q = mk(2048);
-    case_mpmc_conservation(q.as_ref());
-    segment_appends += q.stats().segment_appends;
-    cases.push("mpmc-conservation");
-
-    let q = mk(16);
-    case_overflow(q.as_ref(), 16);
-    segment_appends += q.stats().segment_appends;
-    cases.push("overflow");
-
-    let mut q = mk(32);
-    case_reset_reuse(&mut q, 32);
-    cases.push("reset-reuse");
-
-    ConformanceReport {
-        label,
-        cases,
-        segment_appends,
+fn case_sentinel_token(q: &mut dyn ConformingQueue, _capacity: usize) {
+    assert_eq!(q.enqueue(&[1, 2]), 2);
+    let before = (q.stats(), q.len_hint());
+    // A panic (the core's sentinel rule) and a refusal (the `try_`
+    // surface's typed error) both count as "not accepted".
+    let accepted = catch_unwind(AssertUnwindSafe(|| q.enqueue(&[DNA, 3]))).unwrap_or(0);
+    if !q.reserves_sentinel() {
+        assert_eq!(accepted, 2, "any u32 is a token here");
+        return;
     }
+    // A width-1 `try_` surface goes on to accept the valid token.
+    assert!(accepted <= 1, "stored the sentinel");
+    let len = before.1 + accepted as u64;
+    assert_eq!(q.len_hint(), len, "a refused token reserved a slot");
+    if accepted == 0 {
+        assert_eq!(q.stats(), before.0, "a refused batch touched the counters");
+    }
+    assert_eq!(drain_exact(q, 2 + accepted), [1, 2, 3][..2 + accepted]);
+}
+
+fn case_empty_batch(q: &mut dyn ConformingQueue, _capacity: usize) {
+    assert_eq!(q.enqueue(&[7]), 1);
+    let before = (q.stats(), q.len_hint());
+    assert_eq!(q.enqueue(&[]), 0);
+    let after = (q.stats(), q.len_hint());
+    assert_eq!(after, before, "enqueueing nothing is not a no-op");
+    assert_eq!(drain_exact(q, 1), [7]);
+}
+
+/// One row of the matrix: name, nominal capacity, body.
+type Case = (&'static str, usize, fn(&mut dyn ConformingQueue, usize));
+
+/// The matrix, in the order of the module docs.
+const MATRIX: [Case; 7] = [
+    ("single-thread-fifo", 64, case_single_thread_fifo),
+    ("batch-boundary", 64, case_batch_boundary),
+    ("mpmc-conservation", 2048, case_mpmc_conservation),
+    ("overflow", 16, case_overflow),
+    ("reset-reuse", 32, case_reset_reuse),
+    ("sentinel-token", 16, case_sentinel_token),
+    ("empty-batch", 16, case_empty_batch),
+];
+
+/// Runs one variant through the whole matrix, a fresh queue per case;
+/// panics on any violation.
+pub fn run_conformance(mk: QueueFactory) -> ConformanceReport {
+    let mut report = ConformanceReport {
+        label: "",
+        cases: Vec::new(),
+        segment_appends: 0,
+    };
+    for (case, capacity, body) in MATRIX {
+        let mut q = mk(capacity);
+        report.label = q.label();
+        if let Err(cause) = catch_unwind(AssertUnwindSafe(|| body(q.as_mut(), capacity))) {
+            let why = (cause.downcast_ref::<String>().map(String::as_str))
+                .or_else(|| cause.downcast_ref::<&str>().copied())
+                .unwrap_or("violation");
+            panic!("[{}] {case}: {why}", report.label);
+        }
+        report.segment_appends += q.stats().segment_appends;
+        report.cases.push(case);
+    }
+    report
 }
 
 #[cfg(test)]
@@ -659,7 +505,7 @@ mod tests {
         let mut labels = Vec::new();
         for mk in conformance_suite() {
             let report = run_conformance(mk);
-            assert_eq!(report.cases.len(), 5, "{}: matrix incomplete", report.label);
+            assert_eq!(report.cases.len(), 7, "{}: matrix incomplete", report.label);
             labels.push(report.label);
         }
         assert_eq!(

@@ -2,8 +2,9 @@
 //!
 //! A scenario is a set of [`Program`]s (threads) sharing a queue. Each
 //! program exposes single *steps* — one shared-memory access per step,
-//! backed by the queues' `step_*` shims — and the explorer plays
-//! scheduler: at every point it picks which runnable program steps next.
+//! taken by the host core's own operation machines — and the explorer
+//! plays scheduler: at every point it picks which runnable program steps
+//! next.
 //!
 //! Two drivers:
 //!

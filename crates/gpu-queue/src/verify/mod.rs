@@ -3,7 +3,8 @@
 //! Three layers (the third lives in [`simt::audit`]):
 //!
 //! 1. **Interleaving explorer** ([`explorer`]) — a deterministic
-//!    controlled scheduler over the queues' single-step shims. A DFS
+//!    controlled scheduler over the host core's operation machines (the
+//!    step functions the public blocking methods drive to completion). A DFS
 //!    odometer enumerates distinct schedules of 2–4 threads exhaustively
 //!    up to a budget; a seeded sampler adds random coverage beyond it
 //!    (`PTQ_SCHEDULES` scales both in CI's `verify-deep` job).
@@ -17,19 +18,18 @@
 //!    zero CAS, AN issues exactly one CAS per wavefront queue op, BASE
 //!    alone retries.
 //!
-//! [`scenarios`] wires concrete producer/consumer programs for
-//! [`BaseQueue`](crate::host::BaseQueue),
-//! [`AnQueue`](crate::host::AnQueue),
-//! [`RfAnQueue`](crate::host::RfAnQueue) and
-//! [`SegmentedRfAnQueue`](crate::host::SegmentedRfAnQueue) (segment
-//! installation and recycling as explicit linearization points, checked
-//! against [`SegSpec`]) into both drivers; the top-level
+//! [`scenarios`] holds one producer/consumer program pair per reservation
+//! discipline (CAS, AFA), generic over the storage, and one [`Scenario`]
+//! type that runs them against any [`Explored`] member of the family with
+//! its sequential spec (segment installation and recycling are explicit
+//! linearization points, checked against [`SegSpec`]); the top-level
 //! `tests/linearizability.rs` suite runs them.
 //!
 //! [`conformance`] is a complementary *real-thread* harness: every host
 //! queue variant runs through one shared scenario matrix (FIFO order,
 //! MPMC token conservation, batch boundary crossing, overflow behaviour,
-//! reset-reuse) behind a common adapter trait.
+//! reset-reuse, sentinel-token refusal, empty batch) behind a common
+//! adapter trait — one adapter per discipline plus the `MUTEX` strawman.
 
 pub mod conformance;
 pub mod explorer;
@@ -42,4 +42,4 @@ pub use history::{
     check_linearizable, BatchFifoSpec, CompletedOp, FifoSpec, History, Op, Recorder, SegSpec,
     SeqSpec, TicketSpec,
 };
-pub use scenarios::{AnScenario, BaseScenario, RfAnScenario, ScenarioReport, SegmentedScenario};
+pub use scenarios::{Explored, Scenario, ScenarioReport};

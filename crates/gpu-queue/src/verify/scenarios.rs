@@ -1,25 +1,35 @@
-//! Concrete explorer scenarios for the three host queues.
+//! Explorer scenarios for the host queue family.
 //!
-//! Each scenario instantiates a fresh queue per schedule and drives the
-//! production `step_*` shims through small per-thread state machines —
-//! the explorer interleaves the *same* shared-memory accesses the public
-//! `push`/`try_pop`/`push_batch`/`reserve` paths execute, one at a time.
-//! Every completed schedule's history is checked against the matching
-//! sequential spec ([`FifoSpec`], [`BatchFifoSpec`], [`TicketSpec`]); a
-//! non-linearizable history panics with the schedule's choice stack.
+//! A scenario instantiates a fresh queue per schedule and drives the
+//! production operation machines ([`Put`], [`Pop`]) and single-access
+//! operations (`claim`, `take`) of [`crate::host::Queue`] — the explorer
+//! interleaves the *same* steps the public blocking methods run to
+//! completion; nothing of an operation's control flow is restated here.
+//! There is one pair of thread programs per reservation discipline, generic
+//! over the storage, and they differ only in what a history records:
 //!
-//! Blocking discipline: Base/AN consumers that claimed a slot gate on
-//! [`Program::ready`] until the owning producer publishes (the producer
-//! is always runnable, so this cannot deadlock); the RF/AN consumer never
-//! blocks — reservations may outrun data by design, so it polls each
-//! ticket under a bounded budget and records every `TryTake` outcome,
-//! `None`s included.
+//! * **CAS** operations are intervals (`Push`/`Pop` at width 1 for BASE,
+//!   `PushBatch`/`PopBatch` otherwise), checked against [`FifoSpec`] /
+//!   [`BatchFifoSpec`]. A consumer that claimed a slot gates on
+//!   [`Program::ready`] until the owning producer publishes (the producer
+//!   is always runnable, so this cannot deadlock).
+//! * **AFA** operations decompose into their atomic points — the `Rear`
+//!   reservation, each segment install, each per-slot publish, the `Front`
+//!   reservation, each poll (`None`s included) and each segment retirement
+//!   — checked against [`TicketSpec`] / [`SegSpec`]. The consumer never
+//!   blocks: reservations may outrun data by design, so it polls each
+//!   ticket under a bounded budget.
+//!
+//! Every completed schedule's history is checked against the variant's
+//! sequential spec; a non-linearizable history panics with the history.
 
 use super::explorer::{explore, explore_random, Program};
 use super::history::{
-    check_linearizable, BatchFifoSpec, FifoSpec, History, Op, Recorder, SegSpec, TicketSpec,
+    check_linearizable, BatchFifoSpec, FifoSpec, History, Op, Recorder, SegSpec, SeqSpec,
+    TicketSpec,
 };
-use crate::host::{AnQueue, BaseQueue, RfAnQueue, SegmentedRfAnQueue, SlotTicket};
+use crate::host::queue::{Event, Pop, Put, Step};
+use crate::host::{Afa, Bounded, Cas, Queue, Segmented, Storage};
 use std::collections::{BTreeSet, VecDeque};
 
 /// What a scenario run observed across all explored schedules.
@@ -63,550 +73,130 @@ fn digest(h: &History, report: &mut ScenarioReport) {
     report.histories_checked += 1;
 }
 
-// ---------------------------------------------------------------- BASE --
+type Programs<Q> = Vec<Box<dyn Program<Q>>>;
 
-enum BasePush {
-    Idle,
-    Cas { rear: u64, start: u64 },
-    Publish { slot: u64, start: u64 },
-}
+// ------------------------------------------------------- CAS discipline --
 
-struct BaseProducer {
+struct CasProducer {
     thread: usize,
-    tokens: Vec<u32>,
-    next: usize,
-    state: BasePush,
-}
-
-impl Program<BaseQueue> for BaseProducer {
-    fn done(&self) -> bool {
-        self.next >= self.tokens.len() && matches!(self.state, BasePush::Idle)
-    }
-
-    fn step(&mut self, q: &BaseQueue, rec: &mut Recorder) {
-        match self.state {
-            BasePush::Idle => {
-                let start = rec.now();
-                let rear = q.step_load_rear();
-                self.state = BasePush::Cas { rear, start };
-            }
-            BasePush::Cas { rear, start } => {
-                // Bound check precedes the CAS (production order): a full
-                // queue rejects without touching `Rear`.
-                if rear as usize >= q.capacity() {
-                    rec.record(
-                        self.thread,
-                        start,
-                        Op::Push {
-                            token: self.tokens[self.next],
-                            ok: false,
-                        },
-                    );
-                    self.next += 1;
-                    self.state = BasePush::Idle;
-                } else {
-                    match q.step_cas_rear(rear) {
-                        Ok(()) => self.state = BasePush::Publish { slot: rear, start },
-                        Err(actual) => {
-                            self.state = BasePush::Cas {
-                                rear: actual,
-                                start,
-                            }
-                        }
-                    }
-                }
-            }
-            BasePush::Publish { slot, start } => {
-                let token = self.tokens[self.next];
-                q.step_publish(slot, token);
-                rec.record(self.thread, start, Op::Push { token, ok: true });
-                self.next += 1;
-                self.state = BasePush::Idle;
-            }
-        }
-    }
-}
-
-enum BasePop {
-    Idle,
-    SeenFront { front: u64, start: u64 },
-    Cas { front: u64, start: u64 },
-    Take { slot: u64, start: u64 },
-}
-
-struct BaseConsumer {
-    thread: usize,
-    pops_left: usize,
-    state: BasePop,
-}
-
-impl Program<BaseQueue> for BaseConsumer {
-    fn done(&self) -> bool {
-        self.pops_left == 0 && matches!(self.state, BasePop::Idle)
-    }
-
-    fn ready(&self, q: &BaseQueue) -> bool {
-        // A claimed-but-unpublished slot blocks (the owning producer's
-        // next step is the publish, so progress is guaranteed).
-        match self.state {
-            BasePop::Take { slot, .. } => q.slot_ready(slot),
-            _ => true,
-        }
-    }
-
-    fn step(&mut self, q: &BaseQueue, rec: &mut Recorder) {
-        match self.state {
-            BasePop::Idle => {
-                let start = rec.now();
-                let front = q.step_load_front();
-                self.state = BasePop::SeenFront { front, start };
-            }
-            BasePop::SeenFront { front, start } => {
-                let rear = q.step_load_rear();
-                if front >= rear {
-                    q.step_pop_empty();
-                    rec.record(self.thread, start, Op::Pop { result: None });
-                    self.pops_left -= 1;
-                    self.state = BasePop::Idle;
-                } else {
-                    self.state = BasePop::Cas { front, start };
-                }
-            }
-            BasePop::Cas { front, start } => match q.step_cas_front(front) {
-                Ok(()) => self.state = BasePop::Take { slot: front, start },
-                Err(actual) => {
-                    self.state = BasePop::SeenFront {
-                        front: actual,
-                        start,
-                    }
-                }
-            },
-            BasePop::Take { slot, start } => {
-                let v = q.step_take_slot(slot).expect("gated on slot_ready");
-                rec.record(self.thread, start, Op::Pop { result: Some(v) });
-                self.pops_left -= 1;
-                self.state = BasePop::Idle;
-            }
-        }
-    }
-}
-
-/// Producers pushing token lists and consumers popping a fixed number of
-/// times against one [`BaseQueue`].
-#[derive(Clone, Debug)]
-pub struct BaseScenario {
-    /// Queue capacity (lifetime tokens).
-    pub capacity: usize,
-    /// Token list per producer thread.
-    pub producers: Vec<Vec<u32>>,
-    /// Pop attempts per consumer thread.
-    pub consumers: Vec<usize>,
-}
-
-impl BaseScenario {
-    fn mk(&self) -> (BaseQueue, Vec<Box<dyn Program<BaseQueue>>>) {
-        let mut programs: Vec<Box<dyn Program<BaseQueue>>> = Vec::new();
-        for (i, tokens) in self.producers.iter().enumerate() {
-            programs.push(Box::new(BaseProducer {
-                thread: i,
-                tokens: tokens.clone(),
-                next: 0,
-                state: BasePush::Idle,
-            }));
-        }
-        for (j, &pops) in self.consumers.iter().enumerate() {
-            programs.push(Box::new(BaseConsumer {
-                thread: self.producers.len() + j,
-                pops_left: pops,
-                state: BasePop::Idle,
-            }));
-        }
-        (BaseQueue::new(self.capacity), programs)
-    }
-
-    /// DFS over at most `budget` schedules, checking every history.
-    pub fn run(&self, budget: usize) -> ScenarioReport {
-        let mut report = ScenarioReport::default();
-        let cap = self.capacity;
-        let stats = explore(
-            || self.mk(),
-            budget,
-            |h, _q| {
-                assert!(
-                    check_linearizable(h, FifoSpec::new(cap)),
-                    "BASE history not linearizable: {h:?}"
-                );
-                digest(h, &mut report);
-            },
-        );
-        report.schedules = stats.schedules;
-        report.exhausted = stats.exhausted;
-        report.max_depth = stats.max_depth;
-        report
-    }
-
-    /// Seeded random sampling; `schedules` counts distinct ones.
-    pub fn run_random(&self, samples: usize, seed: u64) -> ScenarioReport {
-        let mut report = ScenarioReport::default();
-        let cap = self.capacity;
-        let distinct = explore_random(
-            || self.mk(),
-            samples,
-            seed,
-            |h, _q| {
-                assert!(
-                    check_linearizable(h, FifoSpec::new(cap)),
-                    "BASE history not linearizable: {h:?}"
-                );
-                digest(h, &mut report);
-            },
-        );
-        report.schedules = distinct;
-        report
-    }
-}
-
-// ------------------------------------------------------------------ AN --
-
-enum AnPush {
-    Idle,
-    Cas { rear: u64, start: u64 },
-    Publish { base: u64, i: usize, start: u64 },
-}
-
-struct AnProducer {
-    thread: usize,
+    /// Record width-1 batches in the BASE vocabulary (`Push`).
+    per_token: bool,
     batches: Vec<Vec<u32>>,
     next: usize,
-    state: AnPush,
+    /// The enqueue in flight and the time of its first step.
+    op: Option<(Put<Cas>, u64)>,
 }
 
-impl Program<AnQueue> for AnProducer {
+impl<S: Storage> Program<Queue<Cas, S>> for CasProducer {
     fn done(&self) -> bool {
-        self.next >= self.batches.len() && matches!(self.state, AnPush::Idle)
+        self.next >= self.batches.len()
     }
 
-    fn step(&mut self, q: &AnQueue, rec: &mut Recorder) {
-        match self.state {
-            AnPush::Idle => {
-                let start = rec.now();
-                let rear = q.step_load_rear();
-                self.state = AnPush::Cas { rear, start };
-            }
-            AnPush::Cas { rear, start } => {
-                let batch = &self.batches[self.next];
-                if rear as usize + batch.len() > q.capacity() {
-                    rec.record(
-                        self.thread,
-                        start,
-                        Op::PushBatch {
-                            tokens: batch.clone(),
-                            ok: false,
-                        },
-                    );
-                    self.next += 1;
-                    self.state = AnPush::Idle;
-                } else {
-                    match q.step_cas_rear(rear, batch.len() as u64) {
-                        Ok(()) => {
-                            self.state = AnPush::Publish {
-                                base: rear,
-                                i: 0,
-                                start,
-                            }
-                        }
-                        Err(actual) => {
-                            self.state = AnPush::Cas {
-                                rear: actual,
-                                start,
-                            }
-                        }
-                    }
-                }
-            }
-            AnPush::Publish { base, i, start } => {
-                let batch = &self.batches[self.next];
-                q.step_publish(base + i as u64, batch[i]);
-                if i + 1 == batch.len() {
-                    rec.record(
-                        self.thread,
-                        start,
-                        Op::PushBatch {
-                            tokens: batch.clone(),
-                            ok: true,
-                        },
-                    );
-                    self.next += 1;
-                    self.state = AnPush::Idle;
-                } else {
-                    self.state = AnPush::Publish {
-                        base,
-                        i: i + 1,
-                        start,
-                    };
-                }
-            }
+    fn step(&mut self, q: &Queue<Cas, S>, rec: &mut Recorder) {
+        let tokens = &self.batches[self.next];
+        let (put, start) = (self.op).get_or_insert_with(|| (Put::new(tokens), rec.now()));
+        if let Step::Done(result) = put.step(q, tokens, |_| {}) {
+            let ok = result.is_ok();
+            let op = match self.per_token {
+                true => Op::Push {
+                    token: tokens[0],
+                    ok,
+                },
+                false => Op::PushBatch {
+                    tokens: tokens.clone(),
+                    ok,
+                },
+            };
+            rec.record(self.thread, *start, op);
+            self.next += 1;
+            self.op = None;
         }
     }
 }
 
-enum AnPop {
-    Idle,
-    SeenFront {
-        front: u64,
-        start: u64,
-    },
-    Cas {
-        front: u64,
-        n: u64,
-        start: u64,
-    },
-    Take {
-        next: u64,
-        end: u64,
-        taken: Vec<u32>,
-        start: u64,
-    },
-}
-
-struct AnConsumer {
+struct CasConsumer {
     thread: usize,
+    /// Record in the BASE vocabulary (`Pop`).
+    per_token: bool,
     pops_left: usize,
     max: usize,
-    state: AnPop,
+    /// The dequeue in flight, the time of its first step, its tokens.
+    op: Option<(Pop<Cas>, u64, Vec<u32>)>,
 }
 
-impl Program<AnQueue> for AnConsumer {
+impl<S: Storage> Program<Queue<Cas, S>> for CasConsumer {
     fn done(&self) -> bool {
-        self.pops_left == 0 && matches!(self.state, AnPop::Idle)
+        self.pops_left == 0
     }
 
-    fn ready(&self, q: &AnQueue) -> bool {
-        match self.state {
-            AnPop::Take { next, .. } => q.slot_ready(next),
-            _ => true,
-        }
+    fn ready(&self, q: &Queue<Cas, S>) -> bool {
+        // A claimed-but-unpublished slot blocks (the owning producer's
+        // remaining steps install and publish it, so progress is
+        // guaranteed).
+        let waits_on = self.op.as_ref().and_then(|(pop, ..)| pop.waits_on());
+        waits_on.is_none_or(|slot| q.storage().ready(slot))
     }
 
-    fn step(&mut self, q: &AnQueue, rec: &mut Recorder) {
-        match &mut self.state {
-            AnPop::Idle => {
-                let start = rec.now();
-                let front = q.step_load_front();
-                self.state = AnPop::SeenFront { front, start };
-            }
-            AnPop::SeenFront { front, start } => {
-                let (front, start) = (*front, *start);
-                let rear = q.step_load_rear();
-                let avail = rear.saturating_sub(front);
-                if avail == 0 {
-                    q.step_pop_empty();
-                    rec.record(
-                        self.thread,
-                        start,
-                        Op::PopBatch {
-                            max: self.max,
-                            taken: Vec::new(),
-                        },
-                    );
-                    self.pops_left -= 1;
-                    self.state = AnPop::Idle;
-                } else {
-                    self.state = AnPop::Cas {
-                        front,
-                        n: avail.min(self.max as u64),
-                        start,
-                    };
-                }
-            }
-            AnPop::Cas { front, n, start } => {
-                let (front, n, start) = (*front, *n, *start);
-                match q.step_cas_front(front, n) {
-                    Ok(()) => {
-                        self.state = AnPop::Take {
-                            next: front,
-                            end: front + n,
-                            taken: Vec::new(),
-                            start,
-                        }
-                    }
-                    Err(actual) => {
-                        self.state = AnPop::SeenFront {
-                            front: actual,
-                            start,
-                        }
-                    }
-                }
-            }
-            AnPop::Take {
-                next,
-                end,
-                taken,
-                start,
-            } => {
-                let v = q.step_take_slot(*next).expect("gated on slot_ready");
-                taken.push(v);
-                *next += 1;
-                if next == end {
-                    rec.record(
-                        self.thread,
-                        *start,
-                        Op::PopBatch {
-                            max: self.max,
-                            taken: std::mem::take(taken),
-                        },
-                    );
-                    self.pops_left -= 1;
-                    self.state = AnPop::Idle;
-                }
-            }
+    fn step(&mut self, q: &Queue<Cas, S>, rec: &mut Recorder) {
+        let (pop, start, taken) =
+            (self.op).get_or_insert_with(|| (Pop::new(self.max), rec.now(), Vec::new()));
+        if let Step::Done(_) = pop.step(q, |token| taken.push(token)) {
+            let op = match self.per_token {
+                true => Op::Pop {
+                    result: taken.first().copied(),
+                },
+                false => Op::PopBatch {
+                    max: self.max,
+                    taken: std::mem::take(taken),
+                },
+            };
+            rec.record(self.thread, *start, op);
+            self.pops_left -= 1;
+            self.op = None;
         }
     }
 }
 
-/// Batch producers and batch consumers against one [`AnQueue`].
-#[derive(Clone, Debug)]
-pub struct AnScenario {
-    /// Queue capacity (lifetime tokens).
-    pub capacity: usize,
-    /// Batches per producer thread.
-    pub producers: Vec<Vec<Vec<u32>>>,
-    /// `(pop attempts, max per pop)` per consumer thread.
-    pub consumers: Vec<(usize, usize)>,
-}
+// ------------------------------------------------------- AFA discipline --
 
-impl AnScenario {
-    fn mk(&self) -> (AnQueue, Vec<Box<dyn Program<AnQueue>>>) {
-        let mut programs: Vec<Box<dyn Program<AnQueue>>> = Vec::new();
-        for (i, batches) in self.producers.iter().enumerate() {
-            programs.push(Box::new(AnProducer {
-                thread: i,
-                batches: batches.clone(),
-                next: 0,
-                state: AnPush::Idle,
-            }));
-        }
-        for (j, &(pops, max)) in self.consumers.iter().enumerate() {
-            programs.push(Box::new(AnConsumer {
-                thread: self.producers.len() + j,
-                pops_left: pops,
-                max,
-                state: AnPop::Idle,
-            }));
-        }
-        (AnQueue::new(self.capacity), programs)
-    }
-
-    /// DFS over at most `budget` schedules, checking every history.
-    pub fn run(&self, budget: usize) -> ScenarioReport {
-        let mut report = ScenarioReport::default();
-        let cap = self.capacity;
-        let stats = explore(
-            || self.mk(),
-            budget,
-            |h, _q| {
-                assert!(
-                    check_linearizable(h, BatchFifoSpec::new(cap)),
-                    "AN history not linearizable: {h:?}"
-                );
-                digest(h, &mut report);
-            },
-        );
-        report.schedules = stats.schedules;
-        report.exhausted = stats.exhausted;
-        report.max_depth = stats.max_depth;
-        report
-    }
-
-    /// Seeded random sampling; `schedules` counts distinct ones.
-    pub fn run_random(&self, samples: usize, seed: u64) -> ScenarioReport {
-        let mut report = ScenarioReport::default();
-        let cap = self.capacity;
-        let distinct = explore_random(
-            || self.mk(),
-            samples,
-            seed,
-            |h, _q| {
-                assert!(
-                    check_linearizable(h, BatchFifoSpec::new(cap)),
-                    "AN history not linearizable: {h:?}"
-                );
-                digest(h, &mut report);
-            },
-        );
-        report.schedules = distinct;
-        report
-    }
-}
-
-// --------------------------------------------------------------- RF/AN --
-
-enum RfPush {
-    Idle,
-    Publish { base: u64, i: usize },
-}
-
-struct RfProducer {
+struct AfaProducer {
     thread: usize,
     batches: Vec<Vec<u32>>,
     next: usize,
-    state: RfPush,
+    op: Option<Put<Afa>>,
 }
 
-impl Program<RfAnQueue> for RfProducer {
+impl<S: Storage> Program<Queue<Afa, S>> for AfaProducer {
     fn done(&self) -> bool {
-        self.next >= self.batches.len() && matches!(self.state, RfPush::Idle)
+        self.next >= self.batches.len()
     }
 
-    fn step(&mut self, q: &RfAnQueue, rec: &mut Recorder) {
-        match self.state {
-            RfPush::Idle => {
-                let batch = &self.batches[self.next];
-                // One AFA reserves the whole region — the batch's single
-                // linearization point, recorded as an atomic op. The
-                // per-slot publishes that follow are their own points:
-                // batch publication is NOT atomic (consumers may observe
-                // any prefix through the sentinel).
-                let base = q.step_reserve_rear(batch.len() as u64);
-                let ok = base as usize + batch.len() <= q.capacity();
-                rec.atomic(
-                    self.thread,
-                    Op::EnqueueBatch {
-                        base,
-                        tokens: batch.clone(),
-                        ok,
-                    },
-                );
-                if ok {
-                    self.state = RfPush::Publish { base, i: 0 };
-                } else {
-                    // Abort semantics: Rear stays advanced, nothing is
-                    // published (the spec models exactly this).
-                    self.next += 1;
-                }
-            }
-            RfPush::Publish { base, i } => {
-                let batch = &self.batches[self.next];
-                q.step_publish(base + i as u64, batch[i]);
-                rec.atomic(
-                    self.thread,
-                    Op::Publish {
-                        slot: base + i as u64,
-                        token: batch[i],
-                    },
-                );
-                if i + 1 == batch.len() {
-                    self.next += 1;
-                    self.state = RfPush::Idle;
-                } else {
-                    self.state = RfPush::Publish { base, i: i + 1 };
-                }
-            }
+    fn step(&mut self, q: &Queue<Afa, S>, rec: &mut Recorder) {
+        let tokens = &self.batches[self.next];
+        let put = self.op.get_or_insert_with(|| Put::new(tokens));
+        // Each access is its own linearization point: the one AFA that
+        // reserves the whole region (overflow included — `Rear` stays
+        // advanced), each directory store, each slot's release store.
+        let see = |event| {
+            let op = match event {
+                Event::Claimed { base, ok } => Op::EnqueueBatch {
+                    base,
+                    tokens: tokens.clone(),
+                    ok,
+                },
+                Event::Installed { seg } => Op::InstallSegment { seg },
+                Event::Published { slot, token } => Op::Publish { slot, token },
+            };
+            rec.atomic(self.thread, op);
+        };
+        if let Step::Done(_) = put.step(q, tokens, see) {
+            self.next += 1;
+            self.op = None;
         }
     }
 }
 
-struct RfConsumer {
+struct AfaConsumer {
     thread: usize,
     reserve_n: u64,
     polls_left: usize,
@@ -614,227 +204,25 @@ struct RfConsumer {
     pending: VecDeque<u64>,
 }
 
-impl Program<RfAnQueue> for RfConsumer {
+impl<S: Storage> Program<Queue<Afa, S>> for AfaConsumer {
     fn done(&self) -> bool {
         self.reserved && (self.polls_left == 0 || self.pending.is_empty())
     }
 
-    // Never blocks: reserving past `Rear` is legal (the design), so the
-    // consumer polls under a bounded budget instead of gating on data.
-
-    fn step(&mut self, q: &RfAnQueue, rec: &mut Recorder) {
+    fn step(&mut self, q: &Queue<Afa, S>, rec: &mut Recorder) {
         if !self.reserved {
-            let base = q.step_reserve_front(self.reserve_n);
-            rec.atomic(
-                self.thread,
-                Op::Reserve {
-                    n: self.reserve_n,
-                    base,
-                },
-            );
-            self.pending.extend(base..base + self.reserve_n);
+            let tickets = q.claim(self.reserve_n);
+            let (n, base) = (self.reserve_n, tickets.start);
+            rec.atomic(self.thread, Op::Reserve { n, base });
+            self.pending.extend(tickets);
             self.reserved = true;
             return;
         }
         let slot = self.pending.pop_front().expect("done() gates empty");
-        let result = q.try_take(SlotTicket(slot));
+        let taken = q.take(slot);
+        let result = taken.token;
         rec.atomic(self.thread, Op::TryTake { slot, result });
-        if result.is_none() {
-            self.pending.push_back(slot);
-        }
-        self.polls_left -= 1;
-    }
-}
-
-/// Batch producers and ticket-polling consumers against one
-/// [`RfAnQueue`].
-#[derive(Clone, Debug)]
-pub struct RfAnScenario {
-    /// Queue capacity (lifetime tokens).
-    pub capacity: usize,
-    /// Batches per producer thread.
-    pub producers: Vec<Vec<Vec<u32>>>,
-    /// `(slots reserved, poll budget)` per consumer thread.
-    pub consumers: Vec<(u64, usize)>,
-}
-
-impl RfAnScenario {
-    fn mk(&self) -> (RfAnQueue, Vec<Box<dyn Program<RfAnQueue>>>) {
-        let mut programs: Vec<Box<dyn Program<RfAnQueue>>> = Vec::new();
-        for (i, batches) in self.producers.iter().enumerate() {
-            programs.push(Box::new(RfProducer {
-                thread: i,
-                batches: batches.clone(),
-                next: 0,
-                state: RfPush::Idle,
-            }));
-        }
-        for (j, &(reserve_n, polls)) in self.consumers.iter().enumerate() {
-            programs.push(Box::new(RfConsumer {
-                thread: self.producers.len() + j,
-                reserve_n,
-                polls_left: polls,
-                reserved: false,
-                pending: VecDeque::new(),
-            }));
-        }
-        (RfAnQueue::new(self.capacity), programs)
-    }
-
-    /// DFS over at most `budget` schedules, checking every history.
-    pub fn run(&self, budget: usize) -> ScenarioReport {
-        let mut report = ScenarioReport::default();
-        let cap = self.capacity;
-        let stats = explore(
-            || self.mk(),
-            budget,
-            |h, _q| {
-                assert!(
-                    check_linearizable(h, TicketSpec::new(cap)),
-                    "RF/AN history not linearizable: {h:?}"
-                );
-                digest(h, &mut report);
-            },
-        );
-        report.schedules = stats.schedules;
-        report.exhausted = stats.exhausted;
-        report.max_depth = stats.max_depth;
-        report
-    }
-
-    /// Seeded random sampling; `schedules` counts distinct ones.
-    pub fn run_random(&self, samples: usize, seed: u64) -> ScenarioReport {
-        let mut report = ScenarioReport::default();
-        let cap = self.capacity;
-        let distinct = explore_random(
-            || self.mk(),
-            samples,
-            seed,
-            |h, _q| {
-                assert!(
-                    check_linearizable(h, TicketSpec::new(cap)),
-                    "RF/AN history not linearizable: {h:?}"
-                );
-                digest(h, &mut report);
-            },
-        );
-        report.schedules = distinct;
-        report
-    }
-}
-
-// ----------------------------------------------------------- SEG-RF/AN --
-
-enum SegPush {
-    Idle,
-    Install { base: u64, last_seg: u64 },
-    Publish { base: u64, i: usize },
-}
-
-struct SegProducer {
-    thread: usize,
-    batches: Vec<Vec<u32>>,
-    next: usize,
-    state: SegPush,
-}
-
-impl Program<SegmentedRfAnQueue> for SegProducer {
-    fn done(&self) -> bool {
-        self.next >= self.batches.len() && matches!(self.state, SegPush::Idle)
-    }
-
-    fn step(&mut self, q: &SegmentedRfAnQueue, rec: &mut Recorder) {
-        match self.state {
-            SegPush::Idle => {
-                let batch = &self.batches[self.next];
-                let n = batch.len() as u64;
-                // One AFA reserves the whole region — the batch's single
-                // linearization point. Unlike the bounded RF/AN queue
-                // there is no overflow branch: a region past the
-                // installed prefix obligates this producer to install
-                // the covering segments before publishing.
-                let base = q.step_reserve_rear(n);
-                rec.atomic(
-                    self.thread,
-                    Op::EnqueueBatch {
-                        base,
-                        tokens: batch.clone(),
-                        ok: true,
-                    },
-                );
-                if n == 0 {
-                    self.next += 1;
-                } else {
-                    let last_seg = (base + n - 1) / q.seg_cap() as u64;
-                    self.state = SegPush::Install { base, last_seg };
-                }
-            }
-            SegPush::Install { base, last_seg } => {
-                // Each installation is its own linearization point (the
-                // directory store). Another producer may have already
-                // covered our region — then the probe is a silent no-op
-                // step and we move straight to publishing.
-                match q.step_install_next(last_seg) {
-                    Some(seg) => rec.atomic(self.thread, Op::InstallSegment { seg }),
-                    None => self.state = SegPush::Publish { base, i: 0 },
-                }
-            }
-            SegPush::Publish { base, i } => {
-                let batch = &self.batches[self.next];
-                q.step_publish(base + i as u64, batch[i]);
-                rec.atomic(
-                    self.thread,
-                    Op::Publish {
-                        slot: base + i as u64,
-                        token: batch[i],
-                    },
-                );
-                if i + 1 == batch.len() {
-                    self.next += 1;
-                    self.state = SegPush::Idle;
-                } else {
-                    self.state = SegPush::Publish { base, i: i + 1 };
-                }
-            }
-        }
-    }
-}
-
-struct SegConsumer {
-    thread: usize,
-    reserve_n: u64,
-    polls_left: usize,
-    reserved: bool,
-    pending: VecDeque<u64>,
-}
-
-impl Program<SegmentedRfAnQueue> for SegConsumer {
-    fn done(&self) -> bool {
-        self.reserved && (self.polls_left == 0 || self.pending.is_empty())
-    }
-
-    // Never blocks: reservations may outrun `Rear` and even the
-    // installed prefix (`take` reports a data wait for both), so the
-    // consumer polls under a bounded budget like the RF/AN consumer.
-
-    fn step(&mut self, q: &SegmentedRfAnQueue, rec: &mut Recorder) {
-        if !self.reserved {
-            let base = q.step_reserve_front(self.reserve_n);
-            rec.atomic(
-                self.thread,
-                Op::Reserve {
-                    n: self.reserve_n,
-                    base,
-                },
-            );
-            self.pending.extend(base..base + self.reserve_n);
-            self.reserved = true;
-            return;
-        }
-        let slot = self.pending.pop_front().expect("done() gates empty");
-        let (result, drained) = q.step_try_take(slot);
-        rec.atomic(self.thread, Op::TryTake { slot, result });
-        if let Some(seg) = drained {
+        if let Some(seg) = taken.retired {
             // The pickup that empties a segment also retires it — both
             // effects happen in the same indivisible step, so the two
             // ops share one instant and the checker orders take-first.
@@ -847,86 +235,148 @@ impl Program<SegmentedRfAnQueue> for SegConsumer {
     }
 }
 
-/// Batch producers and ticket-polling consumers against one
-/// [`SegmentedRfAnQueue`]: the bounded RF/AN scenario with segment
-/// installation and recycling as explicit, explorable steps.
-#[derive(Clone, Debug)]
-pub struct SegmentedScenario {
-    /// Slots per segment (small values force boundary straddles).
-    pub seg_cap: usize,
-    /// Batches per producer thread.
-    pub producers: Vec<Vec<Vec<u32>>>,
-    /// `(slots reserved, poll budget)` per consumer thread.
-    pub consumers: Vec<(u64, usize)>,
+// ------------------------------------------------------------ scenarios --
+
+/// Which member of the family a [`Scenario`] explores: the core
+/// instantiation, and with it the spec and the history vocabulary.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Explored {
+    /// `Queue<Cas, Bounded>` at width 1, against [`FifoSpec`].
+    Base,
+    /// `Queue<Cas, Bounded>`, against [`BatchFifoSpec`].
+    An,
+    /// `Queue<Afa, Bounded>`, against [`TicketSpec`].
+    RfAn,
+    /// `Queue<Afa, Segmented>`, against [`SegSpec`] (SEG-RF is this
+    /// queue driven at width 1).
+    SegRfAn,
+    /// `Queue<Cas, Segmented>`, against an unbounded [`BatchFifoSpec`].
+    SegAn,
 }
 
-impl SegmentedScenario {
-    fn mk(
-        &self,
-    ) -> (
-        SegmentedRfAnQueue,
-        Vec<Box<dyn Program<SegmentedRfAnQueue>>>,
-    ) {
-        let mut programs: Vec<Box<dyn Program<SegmentedRfAnQueue>>> = Vec::new();
-        for (i, batches) in self.producers.iter().enumerate() {
-            programs.push(Box::new(SegProducer {
-                thread: i,
+/// Producer and consumer threads against one queue of the family.
+#[derive(Clone, Debug)]
+pub struct Scenario {
+    /// The variant under test.
+    pub variant: Explored,
+    /// Lifetime capacity (bounded variants) or slots per segment
+    /// (segmented ones; small values force boundary straddles).
+    pub size: usize,
+    /// Batches per producer thread (width 1 for `Base`).
+    pub producers: Vec<Vec<Vec<u32>>>,
+    /// Per consumer thread — CAS: `(pop attempts, max per pop)`; AFA:
+    /// `(slots reserved by its one reservation, poll budget)`.
+    pub consumers: Vec<(usize, usize)>,
+}
+
+enum Search {
+    Dfs { budget: usize },
+    Random { samples: usize, seed: u64 },
+}
+
+impl Scenario {
+    fn cas<S: Storage>(&self) -> (Queue<Cas, S>, Programs<Queue<Cas, S>>) {
+        let per_token = self.variant == Explored::Base;
+        if per_token {
+            let mut widths = (self.producers.iter().flatten().map(Vec::len))
+                .chain(self.consumers.iter().map(|&(_, max)| max));
+            assert!(widths.all(|w| w == 1), "BASE is the CAS queue at width 1");
+        }
+        let mut programs: Programs<Queue<Cas, S>> = Vec::new();
+        for (thread, batches) in self.producers.iter().enumerate() {
+            programs.push(Box::new(CasProducer {
+                thread,
+                per_token,
                 batches: batches.clone(),
                 next: 0,
-                state: SegPush::Idle,
+                op: None,
             }));
         }
-        for (j, &(reserve_n, polls)) in self.consumers.iter().enumerate() {
-            programs.push(Box::new(SegConsumer {
+        for (j, &(pops_left, max)) in self.consumers.iter().enumerate() {
+            programs.push(Box::new(CasConsumer {
                 thread: self.producers.len() + j,
-                reserve_n,
-                polls_left: polls,
+                per_token,
+                pops_left,
+                max,
+                op: None,
+            }));
+        }
+        (Queue::new(self.size), programs)
+    }
+
+    fn afa<S: Storage>(&self) -> (Queue<Afa, S>, Programs<Queue<Afa, S>>) {
+        let mut programs: Programs<Queue<Afa, S>> = Vec::new();
+        for (thread, batches) in self.producers.iter().enumerate() {
+            programs.push(Box::new(AfaProducer {
+                thread,
+                batches: batches.clone(),
+                next: 0,
+                op: None,
+            }));
+        }
+        for (j, &(reserve_n, polls_left)) in self.consumers.iter().enumerate() {
+            programs.push(Box::new(AfaConsumer {
+                thread: self.producers.len() + j,
+                reserve_n: reserve_n as u64,
+                polls_left,
                 reserved: false,
                 pending: VecDeque::new(),
             }));
         }
-        (SegmentedRfAnQueue::new(self.seg_cap), programs)
+        (Queue::new(self.size), programs)
+    }
+
+    fn check<Q, M, Spec>(&self, search: Search, mk: M, spec: Spec) -> ScenarioReport
+    where
+        M: FnMut() -> (Q, Programs<Q>),
+        Spec: SeqSpec,
+    {
+        let mut report = ScenarioReport::default();
+        let check = |h: &History, _q: &Q| {
+            assert!(
+                check_linearizable(h, spec.clone()),
+                "{:?} history not linearizable: {h:?}",
+                self.variant
+            );
+            digest(h, &mut report);
+        };
+        match search {
+            Search::Dfs { budget } => {
+                let stats = explore(mk, budget, check);
+                report.schedules = stats.schedules;
+                report.exhausted = stats.exhausted;
+                report.max_depth = stats.max_depth;
+            }
+            Search::Random { samples, seed } => {
+                report.schedules = explore_random(mk, samples, seed, check);
+            }
+        }
+        report
+    }
+
+    fn search(&self, search: Search) -> ScenarioReport {
+        let size = self.size;
+        match self.variant {
+            Explored::Base => self.check(search, || self.cas::<Bounded>(), FifoSpec::new(size)),
+            Explored::An => self.check(search, || self.cas::<Bounded>(), BatchFifoSpec::new(size)),
+            Explored::RfAn => self.check(search, || self.afa::<Bounded>(), TicketSpec::new(size)),
+            Explored::SegRfAn => self.check(search, || self.afa::<Segmented>(), SegSpec::new(size)),
+            Explored::SegAn => self.check(
+                search,
+                || self.cas::<Segmented>(),
+                BatchFifoSpec::new(usize::MAX),
+            ),
+        }
     }
 
     /// DFS over at most `budget` schedules, checking every history.
     pub fn run(&self, budget: usize) -> ScenarioReport {
-        let mut report = ScenarioReport::default();
-        let seg_cap = self.seg_cap;
-        let stats = explore(
-            || self.mk(),
-            budget,
-            |h, _q| {
-                assert!(
-                    check_linearizable(h, SegSpec::new(seg_cap)),
-                    "SEG-RF/AN history not linearizable: {h:?}"
-                );
-                digest(h, &mut report);
-            },
-        );
-        report.schedules = stats.schedules;
-        report.exhausted = stats.exhausted;
-        report.max_depth = stats.max_depth;
-        report
+        self.search(Search::Dfs { budget })
     }
 
     /// Seeded random sampling; `schedules` counts distinct ones.
     pub fn run_random(&self, samples: usize, seed: u64) -> ScenarioReport {
-        let mut report = ScenarioReport::default();
-        let seg_cap = self.seg_cap;
-        let distinct = explore_random(
-            || self.mk(),
-            samples,
-            seed,
-            |h, _q| {
-                assert!(
-                    check_linearizable(h, SegSpec::new(seg_cap)),
-                    "SEG-RF/AN history not linearizable: {h:?}"
-                );
-                digest(h, &mut report);
-            },
-        );
-        report.schedules = distinct;
-        report
+        self.search(Search::Random { samples, seed })
     }
 }
 
@@ -934,12 +384,18 @@ impl SegmentedScenario {
 mod tests {
     use super::*;
 
+    /// Width-1 batches, one per token (the BASE and SEG-RF shape).
+    fn singly(tokens: &[u32]) -> Vec<Vec<u32>> {
+        tokens.iter().map(|&t| vec![t]).collect()
+    }
+
     #[test]
     fn base_two_producers_one_consumer_exhaustive() {
-        let s = BaseScenario {
-            capacity: 4,
-            producers: vec![vec![1], vec![2]],
-            consumers: vec![2],
+        let s = Scenario {
+            variant: Explored::Base,
+            size: 4,
+            producers: vec![singly(&[1]), singly(&[2])],
+            consumers: vec![(2, 1)],
         };
         let r = s.run(100_000);
         assert!(r.exhausted, "small scenario should enumerate fully");
@@ -957,9 +413,10 @@ mod tests {
     fn base_overflow_rejects_deterministically() {
         // Capacity 2, two producers of two tokens each: exactly two pushes
         // are rejected in every schedule.
-        let s = BaseScenario {
-            capacity: 2,
-            producers: vec![vec![1, 2], vec![3, 4]],
+        let s = Scenario {
+            variant: Explored::Base,
+            size: 2,
+            producers: vec![singly(&[1, 2]), singly(&[3, 4])],
             consumers: vec![],
         };
         let r = s.run(100_000);
@@ -969,8 +426,9 @@ mod tests {
 
     #[test]
     fn an_batches_are_all_or_nothing_under_every_schedule() {
-        let s = AnScenario {
-            capacity: 3,
+        let s = Scenario {
+            variant: Explored::An,
+            size: 3,
             producers: vec![vec![vec![1]], vec![vec![2, 3]]],
             consumers: vec![(1, 4)],
         };
@@ -981,8 +439,9 @@ mod tests {
 
     #[test]
     fn rfan_every_schedule_linearizes() {
-        let s = RfAnScenario {
-            capacity: 4,
+        let s = Scenario {
+            variant: Explored::RfAn,
+            size: 4,
             producers: vec![vec![vec![1, 2]], vec![vec![3]]],
             consumers: vec![(2, 4)],
         };
@@ -1001,8 +460,9 @@ mod tests {
     fn rfan_overflow_aborts_exactly_one_batch() {
         // Capacity 2, two 2-token batches racing: whichever reserves
         // second overflows — exactly one rejection in every schedule.
-        let s = RfAnScenario {
-            capacity: 2,
+        let s = Scenario {
+            variant: Explored::RfAn,
+            size: 2,
             producers: vec![vec![vec![1, 2]], vec![vec![3, 4]]],
             consumers: vec![],
         };
@@ -1016,8 +476,9 @@ mod tests {
         // seg_cap 2, one 3-token batch: the reservation straddles the
         // segment boundary, so the producer installs two segments and
         // the consumer can drain (and recycle) the first mid-run.
-        let s = SegmentedScenario {
-            seg_cap: 2,
+        let s = Scenario {
+            variant: Explored::SegRfAn,
+            size: 2,
             producers: vec![vec![vec![1, 2, 3]]],
             consumers: vec![(3, 6)],
         };
@@ -1038,8 +499,9 @@ mod tests {
         // Two producers race installations while a consumer drains and
         // recycles segments underneath them (seg_cap 1: every token is
         // its own segment, maximizing install/recycle interleavings).
-        let s = SegmentedScenario {
-            seg_cap: 1,
+        let s = Scenario {
+            variant: Explored::SegRfAn,
+            size: 1,
             producers: vec![vec![vec![1]], vec![vec![2]]],
             consumers: vec![(2, 4)],
         };
@@ -1051,14 +513,43 @@ mod tests {
     }
 
     #[test]
+    fn segmented_an_never_rejects_and_conserves_tokens() {
+        // CAS reservation over segmented storage: the straddling batch
+        // installs two segments and nothing is ever rejected.
+        let s = Scenario {
+            variant: Explored::SegAn,
+            size: 2,
+            producers: vec![vec![vec![1, 2, 3]]],
+            consumers: vec![(2, 2)],
+        };
+        let r = s.run(100_000);
+        assert!(r.exhausted);
+        assert_eq!(r.rejections, BTreeSet::from([0]));
+        assert!(r.delivered.contains(&vec![1, 2, 3]));
+    }
+
+    #[test]
     fn random_sampling_matches_dfs_verdicts() {
-        let s = BaseScenario {
-            capacity: 4,
-            producers: vec![vec![1], vec![2]],
-            consumers: vec![2],
+        let s = Scenario {
+            variant: Explored::Base,
+            size: 4,
+            producers: vec![singly(&[1]), singly(&[2])],
+            consumers: vec![(2, 1)],
         };
         let r = s.run_random(200, 0xDEADBEEF);
         assert!(r.schedules > 1);
         assert_eq!(r.histories_checked, 200);
+    }
+
+    #[test]
+    #[should_panic(expected = "width 1")]
+    fn base_scenarios_are_width_one() {
+        let s = Scenario {
+            variant: Explored::Base,
+            size: 4,
+            producers: vec![vec![vec![1, 2]]],
+            consumers: vec![],
+        };
+        s.run(1);
     }
 }

@@ -5,7 +5,7 @@
 //! calibrated synthetic equivalent at any scale. `scale = 1.0` reproduces
 //! the full published vertex counts; smaller scales shrink the vertex count
 //! proportionally while preserving degree distribution and traversal shape,
-//! which keeps CI and Criterion runs fast.
+//! which keeps CI and benchmark runs fast.
 
 use crate::csr::Csr;
 use crate::gen::{giant, roadmap, rodinia, social, synthetic_tree, RoadmapParams, SocialParams};

@@ -4,11 +4,10 @@
 //! threads in place of wavefronts: workers pull vertex tokens from a
 //! shared queue, claim children with `AtomicU32::fetch_min` on the cost
 //! array, and push discoveries back. Termination uses the same
-//! outstanding-task counter as the device runner. This is what the
-//! Criterion benchmarks measure on real hardware.
+//! outstanding-task counter as the device runner.
 
 use crate::UNVISITED;
-use gpu_queue::host::{AnQueue, BaseQueue, MutexQueue, RfAnQueue, SlotTicket, StatsSnapshot};
+use gpu_queue::host::{AnQueue, MutexQueue, RfAnQueue, SlotTicket, StatsSnapshot};
 use ptq_graph::Csr;
 use std::sync::atomic::{AtomicI64, AtomicU32, Ordering};
 use std::time::{Duration, Instant};
@@ -89,18 +88,13 @@ pub fn host_bfs(graph: &Csr, source: u32, threads: usize, variant: HostVariant) 
             run_workers(threads, || rfan_worker(&q, graph, &costs, &pending));
             stats = q.stats();
         }
-        HostVariant::An => {
+        // One CAS queue, two batch widths: BASE is AN reserving per token.
+        HostVariant::An | HostVariant::Base => {
+            let width = if variant == HostVariant::An { BATCH } else { 1 };
             let q = AnQueue::new(capacity);
             q.push_batch(&[source]).expect("seed fits");
             start = Instant::now();
-            run_workers(threads, || an_worker(&q, graph, &costs, &pending));
-            stats = q.stats();
-        }
-        HostVariant::Base => {
-            let q = BaseQueue::new(capacity);
-            q.push(source).expect("seed fits");
-            start = Instant::now();
-            run_workers(threads, || base_worker(&q, graph, &costs, &pending));
+            run_workers(threads, || cas_worker(&q, width, graph, &costs, &pending));
             stats = q.stats();
         }
         HostVariant::Mutex => {
@@ -185,7 +179,10 @@ fn rfan_worker(q: &RfAnQueue, graph: &Csr, costs: &[AtomicU32], pending: &Atomic
     }
 }
 
-fn an_worker(q: &AnQueue, graph: &Csr, costs: &[AtomicU32], pending: &AtomicI64) {
+/// The CAS-queue worker: up to [`BATCH`] tokens per round, `width` per
+/// reservation — one CAS per batch for AN (`width == BATCH`), one per token
+/// for BASE (`width == 1`).
+fn cas_worker(q: &AnQueue, width: usize, graph: &Csr, costs: &[AtomicU32], pending: &AtomicI64) {
     let mut inbox = Vec::new();
     let mut outbox = Vec::new();
     loop {
@@ -193,39 +190,19 @@ fn an_worker(q: &AnQueue, graph: &Csr, costs: &[AtomicU32], pending: &AtomicI64)
             return;
         }
         inbox.clear();
-        q.pop_batch(&mut inbox, BATCH);
+        for _ in 0..BATCH / width {
+            if q.pop_batch(&mut inbox, width) == 0 {
+                break;
+            }
+        }
         let mut completed = 0i64;
         for &vertex in &inbox {
             expand(graph, costs, vertex, &mut outbox);
             completed += 1;
         }
         settle(pending, completed, &outbox, |toks| {
-            q.push_batch(toks).expect("capacity provisioned")
-        });
-        outbox.clear();
-        std::hint::spin_loop();
-    }
-}
-
-fn base_worker(q: &BaseQueue, graph: &Csr, costs: &[AtomicU32], pending: &AtomicI64) {
-    let mut outbox = Vec::new();
-    loop {
-        if pending.load(Ordering::Acquire) == 0 {
-            return;
-        }
-        let mut completed = 0i64;
-        for _ in 0..BATCH {
-            match q.try_pop() {
-                Some(vertex) => {
-                    expand(graph, costs, vertex, &mut outbox);
-                    completed += 1;
-                }
-                None => break,
-            }
-        }
-        settle(pending, completed, &outbox, |toks| {
-            for &t in toks {
-                q.push(t).expect("capacity provisioned");
+            for batch in toks.chunks(width) {
+                q.push_batch(batch).expect("capacity provisioned");
             }
         });
         outbox.clear();

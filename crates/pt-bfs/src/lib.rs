@@ -28,8 +28,7 @@
 //!   [`recovery::RecoveryPolicy::regrow_only`].
 //! * [`baseline`] — the Rodinia-style level-synchronous BFS (relaunches a
 //!   kernel per level) and the CHAI-style collaborative CPU+GPU BFS.
-//! * [`host`] — a real-thread CPU BFS built on the host queues, used by
-//!   the Criterion benchmarks.
+//! * [`host`] — a real-thread CPU BFS built on the host queues.
 
 pub mod baseline;
 pub mod host;

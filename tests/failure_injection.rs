@@ -7,7 +7,7 @@ use ptq::graph::gen::synthetic_tree;
 use ptq::graph::validate_levels;
 use ptq::queue::device::{make_wave_queue, LanePhase, QueueLayout, WaveQueue};
 use ptq::queue::host::{RfAnQueue, WorkPool};
-use ptq::queue::verify::{AnScenario, BaseScenario, RfAnScenario};
+use ptq::queue::verify::{Explored, Scenario};
 use ptq::queue::Variant;
 use simt::{
     AbortReason, Buffer, Engine, GpuConfig, Launch, SimError, WaveCtx, WaveKernel, WaveStatus,
@@ -184,10 +184,11 @@ fn workpool_overflow_recovers_after_reset() {
 /// deterministic number of pushes, and never double-delivers.
 #[test]
 fn explored_base_overflow_aborts_deterministically() {
-    let s = BaseScenario {
-        capacity: 2,
-        producers: vec![vec![1, 2], vec![3]],
-        consumers: vec![1],
+    let s = Scenario {
+        variant: Explored::Base,
+        size: 2,
+        producers: vec![vec![vec![1], vec![2]], vec![vec![3]]],
+        consumers: vec![(1, 1)],
     };
     let r = s.run(200_000);
     assert!(r.exhausted, "overflow race should enumerate fully");
@@ -205,8 +206,9 @@ fn explored_base_overflow_aborts_deterministically() {
 /// every schedule (all-or-nothing), never partially published.
 #[test]
 fn explored_an_overflow_rejects_whole_batch() {
-    let s = AnScenario {
-        capacity: 3,
+    let s = Scenario {
+        variant: Explored::An,
+        size: 3,
         producers: vec![vec![vec![1]], vec![vec![2, 3]], vec![vec![4, 5]]],
         consumers: vec![],
     };
@@ -221,8 +223,9 @@ fn explored_an_overflow_rejects_whole_batch() {
 /// still linearizes (the spec models the abort explicitly).
 #[test]
 fn explored_rfan_overflow_has_abort_semantics() {
-    let s = RfAnScenario {
-        capacity: 2,
+    let s = Scenario {
+        variant: Explored::RfAn,
+        size: 2,
         producers: vec![vec![vec![1, 2]], vec![vec![3, 4]]],
         consumers: vec![(2, 4)],
     };

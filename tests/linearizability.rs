@@ -8,8 +8,7 @@
 //! them via `PTQ_SCHEDULES` (see `.github/workflows/ci.yml`).
 
 use ptq::queue::verify::{
-    conformance_suite, run_conformance, schedule_budget, AnScenario, BaseScenario, RfAnScenario,
-    ScenarioReport, SegmentedScenario,
+    conformance_suite, run_conformance, schedule_budget, Explored, Scenario, ScenarioReport,
 };
 use std::collections::BTreeSet;
 
@@ -17,6 +16,11 @@ use std::collections::BTreeSet;
 /// distinct interleavings per host-queue scenario in the default run;
 /// leave headroom above it.
 const DEFAULT_BUDGET: usize = 1_500;
+
+/// Width-1 batches, one per token: how BASE and SEG-RF use the core.
+fn singly(tokens: &[u32]) -> Vec<Vec<u32>> {
+    tokens.iter().map(|&t| vec![t]).collect()
+}
 
 fn assert_coverage(r: &ScenarioReport, what: &str) {
     // Either the scenario's whole schedule space was smaller than the
@@ -38,10 +42,11 @@ fn assert_coverage(r: &ScenarioReport, what: &str) {
 
 #[test]
 fn base_two_producers_two_consumers() {
-    let s = BaseScenario {
-        capacity: 8,
-        producers: vec![vec![1, 2], vec![3]],
-        consumers: vec![2, 1],
+    let s = Scenario {
+        variant: Explored::Base,
+        size: 8,
+        producers: vec![singly(&[1, 2]), singly(&[3])],
+        consumers: vec![(2, 1), (1, 1)],
     };
     let r = s.run(schedule_budget(DEFAULT_BUDGET));
     assert_coverage(&r, "BASE 2p2c");
@@ -59,10 +64,11 @@ fn base_two_producers_two_consumers() {
 
 #[test]
 fn base_three_producers_one_consumer() {
-    let s = BaseScenario {
-        capacity: 8,
-        producers: vec![vec![10], vec![20], vec![30]],
-        consumers: vec![2],
+    let s = Scenario {
+        variant: Explored::Base,
+        size: 8,
+        producers: vec![singly(&[10]), singly(&[20]), singly(&[30])],
+        consumers: vec![(2, 1)],
     };
     let r = s.run(schedule_budget(DEFAULT_BUDGET));
     assert_coverage(&r, "BASE 3p1c");
@@ -71,10 +77,11 @@ fn base_three_producers_one_consumer() {
 #[test]
 fn base_contended_single_slot_cas_storm() {
     // Four threads racing tiny state maximizes CAS failure paths.
-    let s = BaseScenario {
-        capacity: 2,
-        producers: vec![vec![1], vec![2], vec![3]],
-        consumers: vec![1],
+    let s = Scenario {
+        variant: Explored::Base,
+        size: 2,
+        producers: vec![singly(&[1]), singly(&[2]), singly(&[3])],
+        consumers: vec![(1, 1)],
     };
     let r = s.run(schedule_budget(DEFAULT_BUDGET));
     assert_coverage(&r, "BASE cas storm");
@@ -84,10 +91,11 @@ fn base_contended_single_slot_cas_storm() {
 
 #[test]
 fn base_random_sampling_beyond_dfs() {
-    let s = BaseScenario {
-        capacity: 8,
-        producers: vec![vec![1, 2], vec![3, 4]],
-        consumers: vec![2, 2],
+    let s = Scenario {
+        variant: Explored::Base,
+        size: 8,
+        producers: vec![singly(&[1, 2]), singly(&[3, 4])],
+        consumers: vec![(2, 1), (2, 1)],
     };
     let r = s.run_random(schedule_budget(DEFAULT_BUDGET), 0x5EED_0001);
     assert!(r.schedules >= 100, "only {} distinct samples", r.schedules);
@@ -98,8 +106,9 @@ fn base_random_sampling_beyond_dfs() {
 
 #[test]
 fn an_batch_producers_and_consumers() {
-    let s = AnScenario {
-        capacity: 8,
+    let s = Scenario {
+        variant: Explored::An,
+        size: 8,
         producers: vec![vec![vec![1, 2]], vec![vec![3, 4, 5]]],
         consumers: vec![(2, 4)],
     };
@@ -115,8 +124,9 @@ fn an_batch_producers_and_consumers() {
 
 #[test]
 fn an_three_threads_batch_races() {
-    let s = AnScenario {
-        capacity: 8,
+    let s = Scenario {
+        variant: Explored::An,
+        size: 8,
         producers: vec![vec![vec![1], vec![2]], vec![vec![3, 4]]],
         consumers: vec![(2, 2)],
     };
@@ -128,8 +138,9 @@ fn an_three_threads_batch_races() {
 fn an_overflow_batch_rejected_whole_every_schedule() {
     // Capacity 3: [1,2] fits, then [3,4] must be rejected whole in every
     // interleaving (all-or-nothing), and [5] fits after.
-    let s = AnScenario {
-        capacity: 3,
+    let s = Scenario {
+        variant: Explored::An,
+        size: 3,
         producers: vec![vec![vec![1, 2]], vec![vec![3, 4]]],
         consumers: vec![],
     };
@@ -140,8 +151,9 @@ fn an_overflow_batch_rejected_whole_every_schedule() {
 
 #[test]
 fn an_random_sampling() {
-    let s = AnScenario {
-        capacity: 8,
+    let s = Scenario {
+        variant: Explored::An,
+        size: 8,
         producers: vec![vec![vec![1, 2], vec![3]], vec![vec![4, 5]]],
         consumers: vec![(2, 3)],
     };
@@ -153,8 +165,9 @@ fn an_random_sampling() {
 
 #[test]
 fn rfan_reservation_races_publication() {
-    let s = RfAnScenario {
-        capacity: 8,
+    let s = Scenario {
+        variant: Explored::RfAn,
+        size: 8,
         producers: vec![vec![vec![1, 2]], vec![vec![3]]],
         consumers: vec![(2, 5), (1, 3)],
     };
@@ -172,8 +185,9 @@ fn rfan_reservation_races_publication() {
 fn rfan_reserve_before_data_exists() {
     // Consumers may reserve before any producer has published — the
     // design's signature move. Every interleaving must linearize.
-    let s = RfAnScenario {
-        capacity: 4,
+    let s = Scenario {
+        variant: Explored::RfAn,
+        size: 4,
         producers: vec![vec![vec![7, 8]]],
         consumers: vec![(2, 6), (2, 4)],
     };
@@ -183,8 +197,9 @@ fn rfan_reserve_before_data_exists() {
 
 #[test]
 fn rfan_four_threads() {
-    let s = RfAnScenario {
-        capacity: 8,
+    let s = Scenario {
+        variant: Explored::RfAn,
+        size: 8,
         producers: vec![vec![vec![1]], vec![vec![2, 3]]],
         consumers: vec![(1, 3), (2, 3)],
     };
@@ -194,8 +209,9 @@ fn rfan_four_threads() {
 
 #[test]
 fn rfan_random_sampling() {
-    let s = RfAnScenario {
-        capacity: 8,
+    let s = Scenario {
+        variant: Explored::RfAn,
+        size: 8,
         producers: vec![vec![vec![1, 2], vec![3]], vec![vec![4]]],
         consumers: vec![(3, 6)],
     };
@@ -211,8 +227,9 @@ fn segmented_boundary_straddling_reserve() {
     // boundary, so the producer must install segment 1 before it may
     // publish its tail token. Every interleaving with the two racing
     // consumers must linearize, with no overflow rejection possible.
-    let s = SegmentedScenario {
-        seg_cap: 2,
+    let s = Scenario {
+        variant: Explored::SegRfAn,
+        size: 2,
         producers: vec![vec![vec![1, 2, 3]]],
         consumers: vec![(2, 5), (1, 3)],
     };
@@ -235,8 +252,9 @@ fn segmented_append_vs_drain_race() {
     // queue out from under them: the install linearization point (one lock
     // acquisition per directory append) must commute with concurrent
     // publishes and takes in every schedule.
-    let s = SegmentedScenario {
-        seg_cap: 2,
+    let s = Scenario {
+        variant: Explored::SegRfAn,
+        size: 2,
         producers: vec![vec![vec![1, 2]], vec![vec![3]]],
         consumers: vec![(3, 6)],
     };
@@ -251,8 +269,9 @@ fn segmented_recycle_aba_single_slot_segments() {
     // retires a segment and pushes its storage onto the recycle pool,
     // from which the next install immediately re-arms it. The maximal
     // install/publish/take/recycle interleaving stress for ABA bugs.
-    let s = SegmentedScenario {
-        seg_cap: 1,
+    let s = Scenario {
+        variant: Explored::SegRfAn,
+        size: 1,
         producers: vec![vec![vec![1]], vec![vec![2]]],
         consumers: vec![(2, 5)],
     };
@@ -268,13 +287,65 @@ fn segmented_recycle_aba_single_slot_segments() {
 
 #[test]
 fn segmented_random_sampling() {
-    let s = SegmentedScenario {
-        seg_cap: 2,
+    let s = Scenario {
+        variant: Explored::SegRfAn,
+        size: 2,
         producers: vec![vec![vec![1, 2], vec![3]], vec![vec![4]]],
         consumers: vec![(3, 6)],
     };
     let r = s.run_random(schedule_budget(DEFAULT_BUDGET), 0x5EED_0004);
     assert!(r.schedules >= 100, "only {} distinct samples", r.schedules);
+}
+
+// ------------------------------------- SEG-RF, SEG-AN (the composed rows) ----
+
+#[test]
+fn segmented_rf_per_token_tickets_race_installs_and_recycling() {
+    // SEG-RF is the AFA x segmented core driven at width 1: every enqueue
+    // and every reservation is its own AFA. seg_cap 2, three tokens from
+    // two producers: the second segment is installed by whichever producer
+    // drew ticket 2, while three single-ticket consumers poll, drain and
+    // retire segment 0 underneath it.
+    let s = Scenario {
+        variant: Explored::SegRfAn,
+        size: 2,
+        producers: vec![singly(&[1, 2]), singly(&[3])],
+        consumers: vec![(1, 2), (1, 2), (1, 2)],
+    };
+    let r = s.run(schedule_budget(DEFAULT_BUDGET));
+    assert_coverage(&r, "SEG-RF per-token");
+    assert_eq!(r.rejections, BTreeSet::from([0]), "segmented never rejects");
+    for d in &r.delivered {
+        let mut dd = d.clone();
+        dd.dedup();
+        assert_eq!(dd.len(), d.len(), "double delivery in {d:?}");
+    }
+}
+
+#[test]
+fn segmented_an_batch_cas_straddles_a_boundary_against_a_racing_pop() {
+    // SEG-AN is the CAS x segmented core: one CAS claims a 3-token region
+    // straddling the seg_cap-2 boundary, and the producer must install both
+    // segments before its publishes land — while a consumer's pops (which
+    // never pass `Rear`, but may claim tickets whose segment is not
+    // installed yet) race it and a second producer's CAS.
+    let s = Scenario {
+        variant: Explored::SegAn,
+        size: 2,
+        producers: vec![vec![vec![1, 2, 3]], vec![vec![4]]],
+        consumers: vec![(2, 2)],
+    };
+    let r = s.run(schedule_budget(DEFAULT_BUDGET));
+    assert_coverage(&r, "SEG-AN boundary straddle");
+    assert_eq!(r.rejections, BTreeSet::from([0]), "segmented never rejects");
+    for d in &r.delivered {
+        let mut dd = d.clone();
+        dd.dedup();
+        assert_eq!(dd.len(), d.len(), "double delivery in {d:?}");
+        for t in d {
+            assert!([1, 2, 3, 4].contains(t), "invented token {t}");
+        }
+    }
 }
 
 // ------------------------------------------------- conformance harness ----
@@ -303,7 +374,7 @@ fn conformance_matrix_covers_every_host_variant() {
         ]
     );
     for r in &reports {
-        assert_eq!(r.cases.len(), 5, "{}: missing conformance case", r.label);
+        assert_eq!(r.cases.len(), 7, "{}: missing conformance case", r.label);
         if r.label.starts_with("SEG") {
             assert!(r.segment_appends > 0, "{}: never grew a segment", r.label);
         } else {

@@ -65,7 +65,7 @@ pub use reserve::{Afa, Cas, CasState, Claim, Reserve};
 pub use rfan::RfAnQueue;
 pub use segmented::{SegmentedAnQueue, SegmentedRfAnQueue, SegmentedRfQueue};
 pub use stats::{QueueStats, StatsSnapshot};
-pub use storage::{Bounded, Segmented, Storage, Taken};
+pub use storage::{Bounded, Seg, Segmented, Storage, Taken};
 pub use typed::{TypedRfAnQueue, TypedTicket};
 
 /// Error returned when an enqueue would exceed the queue's capacity.

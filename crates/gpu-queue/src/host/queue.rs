@@ -13,7 +13,7 @@
 //! the CAS queue called with `n = 1`.
 
 use super::{Afa, Cas, Claim, EnqueueError, QueueStats, Reserve, StatsSnapshot};
-use super::{Bounded, Segmented, Storage, Taken};
+use super::{Bounded, Seg, Segmented, Storage, Taken};
 use crate::DNA;
 use std::marker::PhantomData;
 use std::ops::Range;
@@ -56,6 +56,36 @@ impl<T> Step<T> {
     }
 }
 
+/// A ticket's segment, resolved at most once per token access. Where the
+/// storage grows, resolving reads the segment directory — an access that
+/// races installs and retirements — so a `STEPWISE` advance yields between
+/// it and the slot access; a bounded ring has nothing to resolve and its
+/// machines take no extra step.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct Resolved(Option<Seg>);
+
+impl Resolved {
+    /// `Done(segment)` when the slot access is next, `Pending` when the
+    /// resolve was this step's access. A miss is never held: the next
+    /// poll resolves again.
+    #[inline]
+    fn get<S: Storage, const STEPWISE: bool>(
+        &mut self,
+        storage: &S,
+        slot: u64,
+    ) -> Step<Option<Seg>> {
+        if let Some(at) = self.0.take() {
+            return Step::Done(Some(at));
+        }
+        let at = storage.resolve(slot);
+        if STEPWISE && S::GROWS && at.is_some() {
+            self.0 = at;
+            return Step::Pending;
+        }
+        Step::Done(at)
+    }
+}
+
 /// What a [`Put`] just made visible — the explorer's recording hook (the
 /// blocking driver ignores it).
 #[derive(Clone, Copy, Debug)]
@@ -74,8 +104,14 @@ pub(crate) enum Event {
 #[derive(Debug)]
 pub(crate) enum Put<R: Reserve> {
     Claim(R::State),
-    Install { base: u64 },
-    Publish { base: u64, next: usize },
+    Install {
+        base: u64,
+    },
+    Publish {
+        base: u64,
+        next: usize,
+        at: Resolved,
+    },
 }
 
 impl<R: Reserve> Put<R> {
@@ -92,6 +128,11 @@ impl<R: Reserve> Put<R> {
             "token {DNA:#x} collides with the dna sentinel"
         );
         Put::Claim(R::State::default())
+    }
+
+    fn publishing(base: u64) -> Self {
+        let (next, at) = (0, Resolved::default());
+        Put::Publish { base, next, at }
     }
 
     /// Advances the enqueue: by one shared-memory access when `STEPWISE`
@@ -128,7 +169,7 @@ impl<R: Reserve> Put<R> {
             see(Event::Claimed { base, ok: true });
             *self = match S::GROWS {
                 true => Put::Install { base },
-                false => Put::Publish { base, next: 0 },
+                false => Put::publishing(base),
             };
             if STEPWISE {
                 return Step::Pending;
@@ -144,19 +185,23 @@ impl<R: Reserve> Put<R> {
                     return Step::Pending;
                 }
             }
-            *self = Put::Publish { base, next: 0 };
+            *self = Put::publishing(base);
             if STEPWISE {
                 return Step::Pending;
             }
         }
         // Publication is per slot, not atomic for the batch: consumers may
         // observe any prefix through the sentinel.
-        let Put::Publish { base, next } = self else {
+        let Put::Publish { base, next, at } = self else {
             unreachable!("the earlier phases fall through to Publish")
         };
         loop {
             let (slot, token) = (*base + *next as u64, tokens[*next]);
-            q.storage.publish(slot, token);
+            let Step::Done(seg) = at.get::<S, STEPWISE>(&q.storage, slot) else {
+                return Step::Pending;
+            };
+            let seg = seg.expect("publish into an uninstalled segment");
+            q.storage.publish(seg, slot, token);
             see(Event::Published { slot, token });
             *next += 1;
             if *next == tokens.len() {
@@ -183,8 +228,16 @@ impl<R: Reserve> Put<R> {
 /// resumable machine: claim tickets on `Front`, collect each token.
 #[derive(Debug)]
 pub(crate) enum Pop<R: Reserve> {
-    Claim { max: u64, state: R::State },
-    Take { first: u64, next: u64, end: u64 },
+    Claim {
+        max: u64,
+        state: R::State,
+    },
+    Take {
+        first: u64,
+        next: u64,
+        end: u64,
+        at: Resolved,
+    },
 }
 
 impl<R: Reserve> Pop<R> {
@@ -231,18 +284,28 @@ impl<R: Reserve> Pop<R> {
                 first: tickets.start,
                 next: tickets.start,
                 end: tickets.end,
+                at: Resolved::default(),
             };
             if STEPWISE {
                 return Step::Pending;
             }
         }
-        let Pop::Take { first, next, end } = self else {
+        let Pop::Take {
+            first,
+            next,
+            end,
+            at,
+        } = self
+        else {
             unreachable!("Claim falls through to Take")
         };
         loop {
             // Publication (and segment installation) follows reservation
             // on the producer side; spin for the brief window.
-            match q.storage.take(*next, &q.stats).token {
+            let Step::Done(taken) = q.poll::<STEPWISE>(at, *next) else {
+                return Step::Pending;
+            };
+            match taken.token {
                 Some(token) => {
                     sink(token);
                     *next += 1;
@@ -307,10 +370,25 @@ impl<R: Reserve, S: Storage> Queue<R, S> {
         }
     }
 
+    /// One poll of a claimed ticket — resolve, then the slot access — or,
+    /// `STEPWISE`, one access of it.
+    #[inline]
+    fn poll<const STEPWISE: bool>(&self, at: &mut Resolved, slot: u64) -> Step<Taken> {
+        let Step::Done(seg) = at.get::<S, STEPWISE>(&self.storage, slot) else {
+            return Step::Pending;
+        };
+        Step::Done(self.storage.take(seg, slot, &self.stats))
+    }
+
     /// Polls a claimed ticket once.
     #[inline]
     pub(crate) fn take(&self, slot: u64) -> Taken {
-        self.storage.take(slot, &self.stats)
+        (self.poll::<false>(&mut Resolved::default(), slot)).finished()
+    }
+
+    /// One shared-memory access of a poll of a claimed ticket.
+    pub(crate) fn take_step(&self, at: &mut Resolved, slot: u64) -> Step<Taken> {
+        self.poll::<true>(at, slot)
     }
 
     /// Dequeues up to `max` tokens into `sink`, waiting for claimed data.
@@ -372,6 +450,12 @@ impl<R: Reserve> Queue<R, Segmented> {
     /// live occupancy, not lifetime enqueues.
     pub fn fresh_allocs(&self) -> u64 {
         self.storage.fresh_allocs()
+    }
+
+    /// Bytes of segment metadata, slots excluded (see
+    /// [`Segmented::meta_bytes`]).
+    pub fn meta_bytes(&self) -> usize {
+        self.storage.meta_bytes()
     }
 }
 

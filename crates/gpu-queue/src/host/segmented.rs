@@ -106,6 +106,7 @@ mod tests {
     use crate::host::EnqueueError;
     use crate::DNA;
     use std::sync::atomic::Ordering;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn fifo_across_segment_boundaries() {
@@ -214,11 +215,94 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_producers_consumers_conserve_tokens() {
-        const THREADS: usize = 4;
-        const PER: usize = 4_000;
-        // Tiny segments force constant handoff under contention.
-        let q = SegmentedRfAnQueue::new(64);
+    fn covered_enqueues_never_enter_the_handoff() {
+        // Width 1 is one `install_next` probe per token: all but the one
+        // that crosses into a new segment must stop at the atomic.
+        let q = SegmentedRfQueue::new(20_000);
+        q.enqueue(0);
+        assert_eq!(q.stats().segment_appends, 1, "the first token installs");
+        // With the handoff state locked away, whoever reaches for it
+        // blocks until the watchdog below gives up.
+        let held = q.0.storage().handoff();
+        std::thread::scope(|scope| {
+            let worker = scope.spawn(|| {
+                for t in 1..=10_000 {
+                    q.enqueue(t);
+                    assert_eq!(q.try_take(q.reserve()), Some(t - 1));
+                }
+            });
+            let deadline = Instant::now() + Duration::from_secs(20);
+            while !worker.is_finished() && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let finished = worker.is_finished();
+            drop(held);
+            assert!(finished, "a covered put or a non-final take locked");
+        });
+    }
+
+    #[test]
+    fn straggler_in_segment_zero_does_not_stop_newer_segments_recycling() {
+        const SEGMENTS: u32 = 10_000;
+        let q = SegmentedRfAnQueue::new(2);
+        q.enqueue_batch(&[0, 1]);
+        // The straggler: ticket 0 stays unconsumed, so segment 0 stays
+        // live — and holds its ring entry — for the whole run.
+        let held = SlotTicket(q.reserve(1).start);
+        assert_eq!(q.try_take(SlotTicket(q.reserve(1).start)), Some(1));
+        let mut grown = None;
+        for seg in 1..=SEGMENTS {
+            q.enqueue_batch(&[2 * seg, 2 * seg + 1]);
+            for want in [2 * seg, 2 * seg + 1] {
+                assert_eq!(q.try_take(SlotTicket(q.reserve(1).start)), Some(want));
+            }
+            assert_eq!(q.live_segments(), 1, "segment {seg} did not retire");
+            // The first segment to meet segment 0 in every level appends
+            // one — by segment 64 even a production-sized first level has
+            // — and after that the directory is as large as it gets.
+            if seg == 64 {
+                grown = Some(q.meta_bytes());
+            }
+        }
+        assert!(grown > Some(SegmentedRfAnQueue::new(2).meta_bytes()));
+        assert_eq!(Some(q.meta_bytes()), grown, "metadata grew with lifetime");
+        assert_eq!(q.try_take(held), Some(0), "the old ticket lost its token");
+        assert_eq!(q.live_segments(), 0);
+        assert_eq!(q.fresh_allocs(), 2, "the straggler's storage plus one");
+        assert_eq!(q.stats().segment_appends, u64::from(SEGMENTS) + 1);
+    }
+
+    #[test]
+    fn stale_ticket_into_a_recycled_segment_reads_nothing() {
+        let q = SegmentedRfAnQueue::new(2);
+        q.enqueue_batch(&[10, 11]);
+        let old = q.reserve(2);
+        assert_eq!(q.try_take(SlotTicket(old.start)), Some(10));
+        assert_eq!(q.try_take(SlotTicket(old.start + 1)), Some(11));
+        // Segment 0 retired; its storage and (the unit-test directory
+        // starts at one entry) its ring entry now serve segment 1.
+        q.enqueue_batch(&[20, 21]);
+        assert_eq!(q.fresh_allocs(), 1);
+        for stale in old {
+            assert_eq!(q.try_take(SlotTicket(stale)), None, "tag mismatch");
+        }
+        let new = q.reserve(2);
+        assert_eq!(q.try_take(SlotTicket(new.start)), Some(20));
+        assert_eq!(q.try_take(SlotTicket(new.start + 1)), Some(21));
+    }
+
+    /// The stress below: threads a side, the backlog the producers
+    /// respect, their widest batch and the consumers' reservation.
+    const THREADS: usize = 4;
+    const BACKLOG: usize = 512;
+    const BATCH: usize = 23;
+    const RESERVE: usize = 8;
+
+    /// `THREADS` producers x `THREADS` consumers move `THREADS * per`
+    /// distinct tokens through `seg_cap`-slot segments under a bounded
+    /// backlog, allocating at most `max_fresh` segment storages.
+    fn stress(seg_cap: usize, per: usize, max_fresh: usize) {
+        let q = SegmentedRfAnQueue::new(seg_cap);
         // Quota-based termination: consumers poll until every token is
         // collectively consumed, so a ticket holding data is always owned
         // by a live consumer (no stranded tokens, no exit races).
@@ -228,13 +312,13 @@ mod tests {
             for t in 0..THREADS {
                 let q = &q;
                 scope.spawn(move || {
-                    let tokens: Vec<u32> = (0..PER as u32).map(|i| (t * PER) as u32 + i).collect();
-                    for chunk in tokens.chunks(23) {
+                    let tokens: Vec<u32> = (0..per as u32).map(|i| (t * per) as u32 + i).collect();
+                    for chunk in tokens.chunks(BATCH) {
                         // Bounded backlog: fresh allocations track *live*
                         // occupancy, so a producer that respects
                         // backpressure keeps the arena small no matter how
                         // many lifetime segments flow through.
-                        while q.len_hint() > 512 {
+                        while q.len_hint() > BACKLOG as u64 {
                             std::thread::yield_now();
                         }
                         q.enqueue_batch(chunk);
@@ -248,9 +332,9 @@ mod tests {
                 handles.push(scope.spawn(move || {
                     let mut got = Vec::new();
                     let mut pending: Vec<u64> = Vec::new();
-                    while taken.load(Ordering::Relaxed) < THREADS * PER {
+                    while taken.load(Ordering::Relaxed) < THREADS * per {
                         if pending.is_empty() {
-                            pending.extend(q.reserve(8));
+                            pending.extend(q.reserve(RESERVE as u64));
                         }
                         pending.retain(|&slot| match q.try_take(SlotTicket(slot)) {
                             Some(v) => {
@@ -271,20 +355,45 @@ mod tests {
                 .collect();
         });
         all.sort_unstable();
-        assert_eq!(all, (0..(THREADS * PER) as u32).collect::<Vec<_>>());
+        assert_eq!(all, (0..(THREADS * per) as u32).collect::<Vec<_>>());
         let s = q.stats();
         assert_eq!(s.cas_attempts, 0, "segmented RF/AN must never CAS");
         assert_eq!(s.total_retries(), 0);
-        assert!(s.segment_appends >= (THREADS * PER / 64) as u64);
-        // The memory bound: with backlog capped near 512 tokens (~8 live
-        // segments plus reserve-ahead slack), fresh allocations stay a
-        // small constant while hundreds of lifetime segments recycle.
+        assert!(s.segment_appends >= (THREADS * per / seg_cap) as u64);
+        // The memory bound: fresh allocations track the *live* segments —
+        // `max_fresh` of them — while hundreds of lifetime segments recycle.
         assert!(
-            q.fresh_allocs() <= 64,
-            "fresh {} vs appends {}",
+            q.fresh_allocs() <= max_fresh as u64,
+            "fresh {} > {max_fresh}, appends {}",
             q.fresh_allocs(),
             s.segment_appends
         );
+    }
+
+    #[test]
+    fn concurrent_producers_consumers_conserve_tokens() {
+        // With backlog capped near 512 tokens (~8 live segments plus
+        // reserve-ahead slack), fresh allocations stay a small constant.
+        stress(64, 4_000, 64);
+    }
+
+    #[test]
+    fn concurrent_handoff_storm_through_tiny_segments() {
+        // A handoff every second or third token. A live segment holds a
+        // token that is claimed but not consumed: the backlog, plus a batch
+        // per producer and a reservation per consumer in flight — and twice
+        // that many segments (partly drained ones count whole) is the
+        // bound. A release build moves a million tokens per row; a debug
+        // build, sharing its cores with the rest of the suite, 16 000.
+        let per = if cfg!(debug_assertions) {
+            4_000
+        } else {
+            250_000
+        };
+        let in_flight = BACKLOG + THREADS * (BATCH + RESERVE);
+        for seg_cap in [2, 3] {
+            stress(seg_cap, per, 2 * in_flight / seg_cap);
+        }
     }
 
     #[test]

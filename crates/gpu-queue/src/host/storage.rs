@@ -9,9 +9,21 @@
 //! `t` lives in segment `t / seg_cap`, offset `t % seg_cap`) and turns
 //! overflow into a segment install from a recycled-segment pool.
 //!
-//! **Segment handoff.** Installation publishes a segment through the
-//! directory under a lock (the host mirror's slow path; the device
-//! implementation in [`crate::device`] uses a lock-free tagged ring).
+//! **Segment handoff.** A ticket resolves to its segment with one
+//! `Acquire` load of a generation-tagged directory entry — tag = a live
+//! bit over the virtual segment's low bits, payload = physical storage
+//! index, ring cell `seg & (len - 1)` — and an index into storage that
+//! never moves: no lock and no reference count on `publish`, `take` or
+//! `ready`. Installing a segment writes that entry with a single tagged
+//! `Release` store, the handoff's linearization point (as on the device,
+//! [`crate::device`]); retiring it clears the entry. When the live window
+//! outgrows the ring, a level of twice the size is *appended* and readers
+//! probe the levels in order — nothing is copied, nobody waits, and there
+//! is no capacity to configure. One mutex remains, around the handoff's
+//! slow state only (the pool and its gauge, once per `seg_cap` tokens):
+//! it makes the directory single-writer, which a lock-free handoff would
+//! have to get from a unique installer or helping.
+//!
 //! Segments install strictly in order, so the installed prefix is
 //! contiguous and `installed * seg_cap` is the exact boundary of
 //! materialized storage. A segment retires only when **all** `seg_cap` of
@@ -19,13 +31,19 @@
 //! Unique tickets + the full-drain requirement exclude ABA: a ticket into
 //! a recycled segment must already have been consumed (otherwise the
 //! segment could not have drained), so no live consumer can observe reused
-//! storage under an old ticket.
+//! storage under an old ticket — and a stale or early ticket finds another
+//! segment's tag in its ring cell and reads nothing.
+//!
+//! The drain count costs each take one `fetch_add` on its segment. The
+//! [`QueueStats`] counters, and the benchmark's `atomics_per_token` made
+//! of them, count the `Front` / `Rear` scheduling atomics only: that
+//! per-token RMW is not in them.
 
 use super::{QueueFull, QueueStats};
 use crate::DNA;
 use std::convert::Infallible;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Mutex, MutexGuard, OnceLock};
 
 /// What one poll of a claimed slot found.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -35,6 +53,12 @@ pub struct Taken {
     /// The segment this pickup drained and retired, if any.
     pub retired: Option<u64>,
 }
+
+/// The physical segment behind a ticket, as [`Storage::resolve`] found
+/// it. It stays that ticket's segment until the ticket is consumed: a
+/// segment retires only fully drained.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Seg(u32);
 
 /// Where the slots live. Implemented by [`Bounded`] and [`Segmented`]; a
 /// new layout provides the slot protocol below and every
@@ -59,12 +83,17 @@ pub trait Storage: std::fmt::Debug + Sized + 'static {
     /// yet and returns its index; `None` once it is.
     fn install_next(&self, last: u64, stats: &QueueStats) -> Option<u64>;
 
-    /// Publishes `token` into the claimed, materialized `slot`.
-    fn publish(&self, slot: u64, token: u32);
+    /// The segment `slot` lives in, if materialized. One access where
+    /// the storage [`GROWS`](Storage::GROWS), none otherwise.
+    fn resolve(&self, slot: u64) -> Option<Seg>;
 
-    /// Polls the claimed `slot`: takes its token (restoring the sentinel)
+    /// Publishes `token` into the claimed `slot` of its segment `at`.
+    fn publish(&self, at: Seg, slot: u64, token: u32);
+
+    /// Polls the claimed `slot` of its segment `at` (`None`: nothing
+    /// behind the ticket yet): takes its token (restoring the sentinel)
     /// or counts a data wait.
-    fn take(&self, slot: u64, stats: &QueueStats) -> Taken;
+    fn take(&self, at: Option<Seg>, slot: u64, stats: &QueueStats) -> Taken;
 
     /// Non-counting probe: does `slot` hold data? The explorer gates a
     /// blocked consumer on it; it is no step of its own.
@@ -143,8 +172,14 @@ impl Storage for Bounded {
         None
     }
 
+    /// The one ring is segment 0, always there.
     #[inline]
-    fn publish(&self, slot: u64, token: u32) {
+    fn resolve(&self, _slot: u64) -> Option<Seg> {
+        Some(Seg(0))
+    }
+
+    #[inline]
+    fn publish(&self, _at: Seg, slot: u64, token: u32) {
         publish_into(&self.slots[slot as usize], slot, token);
     }
 
@@ -152,7 +187,7 @@ impl Storage for Bounded {
     /// line 3): it reports "not yet" without counting a wait, and the
     /// caller's termination logic decides when to give up.
     #[inline]
-    fn take(&self, slot: u64, stats: &QueueStats) -> Taken {
+    fn take(&self, _at: Option<Seg>, slot: u64, stats: &QueueStats) -> Taken {
         Taken {
             token: self
                 .slots
@@ -175,8 +210,8 @@ impl Storage for Bounded {
     }
 }
 
-/// Why a poisoned directory lock is fatal: its holder died mid-handoff.
-const POISONED: &str = "a thread panicked while holding the segment directory";
+/// Why a poisoned handoff lock is fatal: its holder died mid-handoff.
+const POISONED: &str = "a thread panicked while holding the segment handoff state";
 
 /// One segment's storage: a bounded ring plus its drain counter.
 #[derive(Debug)]
@@ -187,43 +222,87 @@ struct SegStorage {
     consumed: AtomicU64,
 }
 
-/// Directory entry for one virtual segment.
-#[derive(Debug)]
-enum DirEntry {
-    /// Installed and live: tickets resolve to this storage.
-    Installed(Arc<SegStorage>),
-    /// Fully drained; its storage went back to the pool.
-    Drained,
+/// One directory cell. While virtual segment `seg` is live, `entry` of
+/// cell `seg & (len - 1)` in exactly one level holds `tag(seg) | physical
+/// index`; free, it holds 0. `storage` is the segment storage whose
+/// physical index is this cell's place in the directory.
+#[derive(Debug, Default)]
+struct Cell {
+    entry: AtomicU64,
+    storage: OnceLock<SegStorage>,
 }
 
+/// Low half of an entry: the physical index.
+const PHYS_MASK: u64 = u32::MAX as u64;
+
+/// High half of a live entry: a bit no free entry has, over the segment's
+/// low bits. It repeats every 2^31 segments: a live window no directory
+/// can hold, so a ticket never meets its tag on another segment.
+fn tag(seg: u64) -> u64 {
+    1 << 63 | seg << 32
+}
+
+/// Cells in the first directory level. Unit tests start at one, so every
+/// suite runs the growth and multi-level probe paths.
+const FIRST_LEVEL: usize = if cfg!(test) { 1 } else { 64 };
+
+/// The directory: cells in doubling levels (`FIRST_LEVEL << i`). Growing
+/// appends a level instead of copying, so a cell never moves and is not
+/// freed before the queue drops: readers need no lock and no refcount.
 #[derive(Debug, Default)]
-struct Directory {
-    /// `entries[seg]` for every segment ever installed (`Drained`
-    /// entries are a fixed-size tombstone).
-    entries: Vec<DirEntry>,
-    /// Contiguous installed prefix: the next segment to install.
-    installed: u64,
-    /// Segments fully drained and recycled (not necessarily a prefix:
-    /// a slow consumer in an old segment does not block newer segments
-    /// from retiring — each segment's storage is independent).
-    drained: u64,
-    /// Recycled storages awaiting reinstallation.
-    pool: Vec<Arc<SegStorage>>,
+struct Levels([OnceLock<Box<[Cell]>>; 32]);
+
+impl Levels {
+    /// The appended levels, smallest first.
+    fn iter(&self) -> impl Iterator<Item = &[Cell]> {
+        (self.0.iter()).map_while(|level| level.get().map(|cells| &**cells))
+    }
+
+    /// Appends the next level (the handoff lock admits one appender).
+    fn grow(&self) -> &[Cell] {
+        let level = self.iter().count();
+        self.0[level].get_or_init(|| (0..FIRST_LEVEL << level).map(|_| Cell::default()).collect())
+    }
+
+    /// Cell `phys` of the levels laid end to end.
+    fn get(&self, phys: u32) -> Option<&Cell> {
+        let level = (phys as usize / FIRST_LEVEL + 1).ilog2() as usize;
+        (self.0[level].get()?).get(phys as usize + FIRST_LEVEL - (FIRST_LEVEL << level))
+    }
+}
+
+fn ring_cell(level: &[Cell], seg: u64) -> &Cell {
+    &level[seg as usize & (level.len() - 1)]
+}
+
+/// The handoff's slow state, touched once per `seg_cap` tokens. A storage
+/// is pooled or behind a live segment (not necessarily a contiguous run of
+/// them: a slow consumer in an old one does not stop newer ones retiring).
+#[derive(Debug, Default)]
+pub(super) struct Handoff {
+    /// Physical indices of recycled storages awaiting reinstallation.
+    pool: Vec<u32>,
     /// Storages ever allocated fresh — the memory-bound gauge: bounded
     /// by peak *live* segments, not lifetime enqueues.
     fresh_allocs: u64,
 }
 
-/// Linked `seg_cap`-slot rings behind a directory, with a recycled-segment
-/// pool: no queue-full condition, memory bounded by live occupancy. No
-/// storage is materialized until a reservation touches it.
+/// Linked `seg_cap`-slot rings behind a generation-tagged directory, with
+/// a recycled-segment pool: no queue-full condition, slots bounded by peak
+/// live segments, metadata by the peak live window
+/// ([`Segmented::meta_bytes`]); nothing is materialized until a
+/// reservation touches it. `resolve`, `publish`, `ready` and every `take`
+/// but the one that drains a segment take no lock and touch no reference
+/// count. The one mutex guards only the handoff's slow state and makes its
+/// holder the directory's one writer — install, retire, level growth; once
+/// per `seg_cap` tokens — which excludes a double install across levels.
 #[derive(Debug)]
 pub struct Segmented {
     seg_cap: usize,
-    dir: Mutex<Directory>,
-    /// `installed * seg_cap`, maintained under the directory lock but
-    /// readable lock-free.
+    /// `installed * seg_cap`: written under the handoff lock.
     installed_cap: AtomicU64,
+    dir: Levels,
+    handoff: Mutex<Handoff>,
 }
 
 impl Segmented {
@@ -232,33 +311,51 @@ impl Segmented {
         self.seg_cap
     }
 
-    fn dir(&self) -> MutexGuard<'_, Directory> {
-        (self.dir.lock()).expect(POISONED)
+    pub(super) fn handoff(&self) -> MutexGuard<'_, Handoff> {
+        (self.handoff.lock()).expect(POISONED)
     }
 
     /// Segments currently live (installed, not yet drained).
     pub fn live_segments(&self) -> u64 {
-        let dir = self.dir();
-        dir.installed - dir.drained
+        let h = self.handoff();
+        h.fresh_allocs - h.pool.len() as u64
     }
 
     /// Segment storages ever allocated fresh: the memory bound is peak
     /// live occupancy, not lifetime enqueues.
     pub fn fresh_allocs(&self) -> u64 {
-        self.dir().fresh_allocs
+        self.handoff().fresh_allocs
     }
 
-    /// Resolves a ticket's segment storage, if installed and live.
-    fn resolve(&self, slot: u64) -> Option<Arc<SegStorage>> {
-        let seg = (slot / self.seg_cap as u64) as usize;
-        match self.dir().entries.get(seg) {
-            Some(DirEntry::Installed(storage)) => Some(Arc::clone(storage)),
-            _ => None,
-        }
+    /// Bytes of metadata (all but the slots). A level is appended only
+    /// when live segments collide in every smaller one, so the largest is
+    /// under 2 × the peak live window (newest − oldest live segment) in
+    /// cells and all together under 4 ×.
+    pub fn meta_bytes(&self) -> usize {
+        std::mem::size_of::<Self>()
+            + self.dir.iter().map(std::mem::size_of_val).sum::<usize>()
+            + self.handoff().pool.capacity() * std::mem::size_of::<u32>()
     }
 
-    fn offset(&self, slot: u64) -> usize {
-        (slot % self.seg_cap as u64) as usize
+    /// The live cell of virtual segment `seg` and the storage it names:
+    /// one `Acquire` load (paired with the install's `Release` store) per
+    /// level — one level, unless the live window ever outgrew the first.
+    fn find(&self, seg: u64) -> Option<(&Cell, u32)> {
+        self.dir.iter().find_map(|level| {
+            let cell = ring_cell(level, seg);
+            let e = cell.entry.load(Ordering::Acquire);
+            (e & !PHYS_MASK == tag(seg)).then_some((cell, e as u32))
+        })
+    }
+
+    /// The storage `at` names and `slot`'s place in it.
+    fn place(&self, at: Seg, slot: u64) -> (&SegStorage, &AtomicU32) {
+        let cell = self.dir.get(at.0).and_then(|cell| cell.storage.get());
+        let storage = cell.expect("a directory entry names allocated storage");
+        (
+            storage,
+            &storage.slots[(slot % self.seg_cap as u64) as usize],
+        )
     }
 }
 
@@ -270,8 +367,9 @@ impl Storage for Segmented {
         assert!(seg_cap > 0, "segment capacity must be positive");
         Segmented {
             seg_cap,
-            dir: Mutex::new(Directory::default()),
             installed_cap: AtomicU64::new(0),
+            dir: Levels::default(),
+            handoff: Mutex::default(),
         }
     }
 
@@ -280,51 +378,75 @@ impl Storage for Segmented {
         Ok(())
     }
 
-    /// One installation = one segment append.
+    /// One installation = one segment append. Segments install strictly
+    /// in order, so `installed_cap / seg_cap` is the next one.
     fn install_next(&self, last: u64, stats: &QueueStats) -> Option<u64> {
-        let mut dir = self.dir();
-        if dir.installed > last / self.seg_cap as u64 {
+        // Covered — every put but one per segment: one load, no handoff.
+        if self.installed_cap.load(Ordering::Acquire) > last {
             return None;
         }
-        let seg = dir.installed;
-        let storage = dir.pool.pop().unwrap_or_else(|| {
-            dir.fresh_allocs += 1;
-            Arc::new(SegStorage {
-                slots: sentinel_ring(self.seg_cap),
-                consumed: AtomicU64::new(0),
-            })
+        let mut h = self.handoff();
+        let installed_cap = self.installed_cap.load(Ordering::Relaxed);
+        if installed_cap > last {
+            return None;
+        }
+        let seg = installed_cap / self.seg_cap as u64;
+        // The first level whose cell for `seg` is free; when the live
+        // window has outgrown them all, a new level of twice the size —
+        // appended, never copied, so no reader waits for a resize.
+        let free = (self.dir.iter().map(|level| ring_cell(level, seg)))
+            .find(|cell| cell.entry.load(Ordering::Relaxed) == 0);
+        let cell = free.unwrap_or_else(|| ring_cell(self.dir.grow(), seg));
+        let phys = h.pool.pop().unwrap_or_else(|| {
+            let fresh = h.fresh_allocs as usize;
+            h.fresh_allocs += 1;
+            // Room for every storage at once: retiring never allocates.
+            h.pool.reserve(fresh + 1);
+            fresh as u32
         });
-        debug_assert!(storage
-            .slots
-            .iter()
-            .all(|s| s.load(Ordering::Relaxed) == DNA));
-        debug_assert_eq!(dir.entries.len() as u64, dir.installed);
-        // The linearization point of the handoff: the directory
-        // entry flips from absent to Installed while holding the
-        // lock (the device path's single tagged-ring store).
-        dir.entries.push(DirEntry::Installed(storage));
-        dir.installed += 1;
+        // Live segments hold distinct cells and only an empty pool
+        // allocates, so storages never outnumber cells.
+        let home = self.dir.get(phys).expect("as many cells as live segments");
+        let storage = home.storage.get_or_init(|| SegStorage {
+            slots: sentinel_ring(self.seg_cap),
+            consumed: AtomicU64::new(0),
+        });
+        debug_assert!((storage.slots.iter()).all(|s| s.load(Ordering::Relaxed) == DNA));
+        // The linearization point of the handoff: one tagged store (the
+        // device path's single tagged-ring store).
+        cell.entry
+            .store(tag(seg) | u64::from(phys), Ordering::Release);
         self.installed_cap
-            .store(dir.installed * self.seg_cap as u64, Ordering::Release);
+            .store(installed_cap + self.seg_cap as u64, Ordering::Release);
         stats.segment_append();
         Some(seg)
     }
 
-    fn publish(&self, slot: u64, token: u32) {
-        let storage = self
-            .resolve(slot)
-            .expect("publish into an uninstalled segment");
-        publish_into(&storage.slots[self.offset(slot)], slot, token);
+    /// `None` while the ticket's segment is not installed yet (reserve-
+    /// ahead past materialized storage) and after it retired: whatever
+    /// occupies its cell carries another tag.
+    #[inline]
+    fn resolve(&self, slot: u64) -> Option<Seg> {
+        let (_, phys) = self.find(slot / self.seg_cap as u64)?;
+        Some(Seg(phys))
     }
 
-    /// A ticket whose segment is not installed yet (reserve-ahead past
-    /// materialized storage) counts a data wait like an unpublished one.
-    fn take(&self, slot: u64, stats: &QueueStats) -> Taken {
-        let Some(storage) = self.resolve(slot) else {
+    #[inline]
+    fn publish(&self, at: Seg, slot: u64, token: u32) {
+        publish_into(self.place(at, slot).1, slot, token);
+    }
+
+    /// A ticket with no segment behind it counts a data wait like an
+    /// unpublished one. The pickup that drains its segment is the
+    /// handoff's other half: it frees the cell and pools the storage.
+    #[inline]
+    fn take(&self, at: Option<Seg>, slot: u64, stats: &QueueStats) -> Taken {
+        let Some(at) = at else {
             stats.data_wait();
             return Taken::default();
         };
-        let Some(token) = take_from(&storage.slots[self.offset(slot)], stats) else {
+        let (storage, cell) = self.place(at, slot);
+        let Some(token) = take_from(cell, stats) else {
             return Taken::default();
         };
         // The fetch_add serializes retirement: exactly one take observes
@@ -332,11 +454,12 @@ impl Storage for Segmented {
         let mut retired = None;
         if storage.consumed.fetch_add(1, Ordering::AcqRel) + 1 == self.seg_cap as u64 {
             let seg = slot / self.seg_cap as u64;
-            let mut dir = self.dir();
+            let mut h = self.handoff();
+            // This ticket, unconsumed until now, kept the segment live.
+            let (cell, _) = self.find(seg).expect("a draining segment is live");
             storage.consumed.store(0, Ordering::Relaxed);
-            dir.entries[seg as usize] = DirEntry::Drained;
-            dir.drained += 1;
-            dir.pool.push(storage);
+            cell.entry.store(0, Ordering::Release);
+            h.pool.push(at.0);
             retired = Some(seg);
         }
         Taken {
@@ -347,7 +470,7 @@ impl Storage for Segmented {
 
     fn ready(&self, slot: u64) -> bool {
         self.resolve(slot)
-            .is_some_and(|st| st.slots[self.offset(slot)].load(Ordering::Acquire) != DNA)
+            .is_some_and(|at| self.place(at, slot).1.load(Ordering::Acquire) != DNA)
     }
 
     /// `Rear` may transiently exceed the installed prefix (a producer
@@ -359,16 +482,16 @@ impl Storage for Segmented {
     }
 
     fn reset(&mut self) {
-        let dir = (self.dir.get_mut()).expect(POISONED);
-        for e in std::mem::take(&mut dir.entries) {
-            if let DirEntry::Installed(storage) = e {
+        let mut h = self.handoff();
+        for cell in self.dir.iter().flatten() {
+            let e = cell.entry.swap(0, Ordering::Relaxed);
+            if e != 0 {
+                let (storage, _) = self.place(Seg(e as u32), 0);
                 repaint(&storage.slots);
                 storage.consumed.store(0, Ordering::Relaxed);
-                dir.pool.push(storage);
+                h.pool.push(e as u32);
             }
         }
-        dir.installed = 0;
-        dir.drained = 0;
         self.installed_cap.store(0, Ordering::Relaxed);
     }
 }

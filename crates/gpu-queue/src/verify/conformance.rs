@@ -31,8 +31,13 @@
 //! A violation panics with the variant label and scenario name; a clean
 //! run returns a [`ConformanceReport`] per variant. The suite runs in CI
 //! (`segmented-queues` job) and in `tests/linearizability.rs`.
+//!
+//! Beside the matrix, [`check_segment_memory_bound`] makes the segmented
+//! variants' memory bound executable: metadata and fresh allocations
+//! follow live occupancy through a million-token churn, not lifetime
+//! enqueues.
 
-use crate::host::{Afa, Cas, MutexQueue, Queue, StatsSnapshot, Storage};
+use crate::host::{Afa, Cas, MutexQueue, Queue, Reserve, StatsSnapshot, Storage};
 use crate::host::{Bounded, Segmented};
 use crate::DNA;
 use std::collections::VecDeque;
@@ -473,6 +478,13 @@ const MATRIX: [Case; 7] = [
     ("empty-batch", 16, case_empty_batch),
 ];
 
+/// The message of a caught violation.
+fn why(cause: &(dyn std::any::Any + Send)) -> &str {
+    (cause.downcast_ref::<String>().map(String::as_str))
+        .or_else(|| cause.downcast_ref::<&str>().copied())
+        .unwrap_or("violation")
+}
+
 /// Runs one variant through the whole matrix, a fresh queue per case;
 /// panics on any violation.
 pub fn run_conformance(mk: QueueFactory) -> ConformanceReport {
@@ -485,10 +497,7 @@ pub fn run_conformance(mk: QueueFactory) -> ConformanceReport {
         let mut q = mk(capacity);
         report.label = q.label();
         if let Err(cause) = catch_unwind(AssertUnwindSafe(|| body(q.as_mut(), capacity))) {
-            let why = (cause.downcast_ref::<String>().map(String::as_str))
-                .or_else(|| cause.downcast_ref::<&str>().copied())
-                .unwrap_or("violation");
-            panic!("[{}] {case}: {why}", report.label);
+            panic!("[{}] {case}: {}", report.label, why(&cause));
         }
         report.segment_appends += q.stats().segment_appends;
         report.cases.push(case);
@@ -496,9 +505,81 @@ pub fn run_conformance(mk: QueueFactory) -> ConformanceReport {
     report
 }
 
+// --------------------------------------------------------- memory bound --
+
+/// Segments kept live through the churn. A power of two, so a directory
+/// that starts at one entry finishes growing within the first `LIVE`
+/// installs.
+const LIVE: u64 = 8;
+/// Tokens moved per configuration.
+const CHURN: u64 = 1_000_000;
+
+/// Fills `LIVE` segments, then drains the oldest and installs the next
+/// until `CHURN` tokens went through: never more than `LIVE` segments
+/// live, FIFO throughout.
+fn churn<R: Reserve>(width: Width, seg_cap: usize) {
+    let q = Queue::<R, Segmented>::new(seg_cap);
+    let per_op = match width {
+        Width::Batch => seg_cap,
+        Width::One => 1,
+    };
+    let mut rear = 0u32;
+    let mut fill_segment = || {
+        let tokens: Vec<u32> = (rear..rear + seg_cap as u32).collect();
+        assert_eq!(width.offer(&tokens, |batch| q.put(batch).is_ok()), seg_cap);
+        rear += seg_cap as u32;
+    };
+    (0..LIVE).for_each(|_| fill_segment());
+    let (meta, mut front) = (q.meta_bytes(), 0u32);
+    assert_eq!(q.fresh_allocs(), LIVE, "one storage per live segment");
+    while u64::from(front) < CHURN {
+        for _ in 0..seg_cap / per_op {
+            q.pop(per_op, |token| {
+                assert_eq!(token, front, "out-of-order delivery");
+                front += 1;
+            });
+        }
+        fill_segment();
+    }
+    assert_eq!(q.live_segments(), LIVE);
+    assert_eq!(q.meta_bytes(), meta, "metadata grew with lifetime enqueues");
+    assert!(q.fresh_allocs() <= LIVE + 1, "storage grew with lifetime");
+    assert_eq!(q.stats().segment_appends, u64::from(rear) / seg_cap as u64);
+}
+
+/// The memory bound of "Memory Bounds for Concurrent Bounded Queues" as an
+/// assertion on all three segmented variants: after a 10⁶-token churn at
+/// no more than `k` live segments, metadata bytes equal their value after
+/// the first `k` installs and at most `k + 1` storages were ever
+/// allocated. Returns the configurations checked; panics on a violation.
+pub fn check_segment_memory_bound() -> usize {
+    /// A segmented variant: its label and its churn at one `seg_cap`.
+    type Variant = (&'static str, fn(usize));
+    let variants: [Variant; 3] = [
+        ("SEG-RF/AN", |seg_cap| churn::<Afa>(Width::Batch, seg_cap)),
+        ("SEG-RF", |seg_cap| churn::<Afa>(Width::One, seg_cap)),
+        ("SEG-AN", |seg_cap| churn::<Cas>(Width::Batch, seg_cap)),
+    ];
+    let mut checked = 0;
+    for (label, run) in variants {
+        for seg_cap in [2, 3, 64] {
+            if let Err(cause) = catch_unwind(|| run(seg_cap)) {
+                panic!("[{label}] memory-bound, seg_cap {seg_cap}: {}", why(&cause));
+            }
+            checked += 1;
+        }
+    }
+    checked
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn segmented_metadata_follows_live_occupancy_not_lifetime() {
+        assert_eq!(check_segment_memory_bound(), 9);
+    }
 
     #[test]
     fn every_variant_passes_the_matrix() {

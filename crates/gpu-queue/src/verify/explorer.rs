@@ -50,6 +50,9 @@ pub struct ExploreStats {
     pub exhausted: bool,
     /// Longest schedule seen (steps).
     pub max_depth: usize,
+    /// Distinct execution states visited: nodes of the schedule tree (the
+    /// search is stateless, so a state is a distinct choice prefix).
+    pub states: usize,
 }
 
 /// Runs one schedule to completion. `choose(k, width)` picks the runnable
@@ -115,6 +118,8 @@ where
             run_one(&mut mk, |k, _width| if k < p.len() { p[k] } else { 0 });
         stats.schedules += 1;
         stats.max_depth = stats.max_depth.max(choices.len());
+        // The forced prefix, but for its last choice, was visited before.
+        stats.states += choices.len() - prefix.len().saturating_sub(1);
         check(&history, &shared);
         // Backtrack: bump the deepest choice with an untried alternative.
         let mut next = None;
@@ -220,6 +225,8 @@ mod tests {
         );
         assert_eq!(stats.schedules, 6);
         assert_eq!(total, 6);
+        // The schedule tree below the root: 2 + 4 + 6 + 6 nodes.
+        assert_eq!(stats.states, 18);
         assert!(stats.exhausted);
         assert_eq!(stats.max_depth, 4);
     }

@@ -29,14 +29,18 @@
 //! queue variant runs through one shared scenario matrix (FIFO order,
 //! MPMC token conservation, batch boundary crossing, overflow behaviour,
 //! reset-reuse, sentinel-token refusal, empty batch) behind a common
-//! adapter trait — one adapter per discipline plus the `MUTEX` strawman.
+//! adapter trait — one adapter per discipline plus the `MUTEX` strawman —
+//! and the segmented variants through a memory-bound churn.
 
 pub mod conformance;
 pub mod explorer;
 pub mod history;
 pub mod scenarios;
 
-pub use conformance::{conformance_suite, run_conformance, ConformanceReport, ConformingQueue};
+pub use conformance::{
+    check_segment_memory_bound, conformance_suite, run_conformance, ConformanceReport,
+    ConformingQueue,
+};
 pub use explorer::{explore, explore_random, schedule_budget, ExploreStats, Program};
 pub use history::{
     check_linearizable, BatchFifoSpec, CompletedOp, FifoSpec, History, Op, Recorder, SegSpec,

@@ -1,10 +1,13 @@
 //! Explorer scenarios for the host queue family.
 //!
 //! A scenario instantiates a fresh queue per schedule and drives the
-//! production operation machines ([`Put`], [`Pop`]) and single-access
-//! operations (`claim`, `take`) of [`crate::host::Queue`] — the explorer
-//! interleaves the *same* steps the public blocking methods run to
-//! completion; nothing of an operation's control flow is restated here.
+//! production operation machines ([`Put`], [`Pop`]), the stepwise poll
+//! (`take_step`) and the single-access `claim` of [`crate::host::Queue`] —
+//! the explorer interleaves the *same* steps the public blocking methods
+//! run to completion; nothing of an operation's control flow is restated
+//! here. On segmented storage a token access is two steps — resolve the
+//! ticket's segment in the directory, then touch the slot — so installs
+//! and retirements interleave between them.
 //! There is one pair of thread programs per reservation discipline, generic
 //! over the storage, and they differ only in what a history records:
 //!
@@ -28,7 +31,7 @@ use super::history::{
     check_linearizable, BatchFifoSpec, FifoSpec, History, Op, Recorder, SegSpec, SeqSpec,
     TicketSpec,
 };
-use crate::host::queue::{Event, Pop, Put, Step};
+use crate::host::queue::{Event, Pop, Put, Resolved, Step};
 use crate::host::{Afa, Bounded, Cas, Queue, Segmented, Storage};
 use std::collections::{BTreeSet, VecDeque};
 
@@ -41,6 +44,9 @@ pub struct ScenarioReport {
     pub exhausted: bool,
     /// Longest schedule (steps).
     pub max_depth: usize,
+    /// Distinct execution states visited (DFS only; see
+    /// [`ExploreStats::states`](super::explorer::ExploreStats::states)).
+    pub states: usize,
     /// Histories checked for linearizability (all of them passed, or the
     /// run panicked).
     pub histories_checked: usize,
@@ -49,18 +55,26 @@ pub struct ScenarioReport {
     /// Distinct rejected-operation counts (full-queue outcomes) across
     /// schedules.
     pub rejections: BTreeSet<usize>,
+    /// `TryTake` hits on a ticket an earlier poll of the same schedule
+    /// missed — the retry path — summed over schedules.
+    pub retried_hits: usize,
 }
 
 fn digest(h: &History, report: &mut ScenarioReport) {
     let mut delivered = Vec::new();
     let mut rejected = 0usize;
+    let mut missed = BTreeSet::new();
     for c in &h.ops {
         match &c.op {
             Op::Pop { result: Some(v) } => delivered.push(*v),
             Op::PopBatch { taken, .. } => delivered.extend(taken.iter().copied()),
-            Op::TryTake {
-                result: Some(v), ..
-            } => delivered.push(*v),
+            Op::TryTake { slot, result } => match result {
+                Some(v) => {
+                    delivered.push(*v);
+                    report.retried_hits += usize::from(missed.contains(slot));
+                }
+                None => drop(missed.insert(*slot)),
+            },
             Op::Push { ok: false, .. }
             | Op::PushBatch { ok: false, .. }
             | Op::EnqueueBatch { ok: false, .. } => rejected += 1,
@@ -202,6 +216,8 @@ struct AfaConsumer {
     polls_left: usize,
     reserved: bool,
     pending: VecDeque<u64>,
+    /// The front ticket's segment, between the two steps of its poll.
+    at: Resolved,
 }
 
 impl<S: Storage> Program<Queue<Afa, S>> for AfaConsumer {
@@ -218,8 +234,11 @@ impl<S: Storage> Program<Queue<Afa, S>> for AfaConsumer {
             self.reserved = true;
             return;
         }
-        let slot = self.pending.pop_front().expect("done() gates empty");
-        let taken = q.take(slot);
+        let &slot = self.pending.front().expect("done() gates empty");
+        let Step::Done(taken) = q.take_step(&mut self.at, slot) else {
+            return;
+        };
+        self.pending.pop_front();
         let result = taken.token;
         rec.atomic(self.thread, Op::TryTake { slot, result });
         if let Some(seg) = taken.retired {
@@ -321,6 +340,7 @@ impl Scenario {
                 polls_left,
                 reserved: false,
                 pending: VecDeque::new(),
+                at: Resolved::default(),
             }));
         }
         (Queue::new(self.size), programs)
@@ -346,6 +366,7 @@ impl Scenario {
                 report.schedules = stats.schedules;
                 report.exhausted = stats.exhausted;
                 report.max_depth = stats.max_depth;
+                report.states = stats.states;
             }
             Search::Random { samples, seed } => {
                 report.schedules = explore_random(mk, samples, seed, check);
@@ -482,9 +503,10 @@ mod tests {
             producers: vec![vec![vec![1, 2, 3]]],
             consumers: vec![(3, 6)],
         };
-        let r = s.run(100_000);
+        let r = s.run(1_000_000);
         assert!(r.exhausted, "small scenario should enumerate fully");
         assert_eq!(r.histories_checked, r.schedules);
+        assert!(r.retried_hits > 0, "no poll missed and then hit");
         // Segmented enqueues never reject.
         assert_eq!(r.rejections, BTreeSet::from([0]));
         for d in &r.delivered {
@@ -494,21 +516,93 @@ mod tests {
         }
     }
 
-    #[test]
-    fn segmented_append_vs_drain_race_linearizes() {
-        // Two producers race installations while a consumer drains and
-        // recycles segments underneath them (seg_cap 1: every token is
-        // its own segment, maximizing install/recycle interleavings).
-        let s = Scenario {
+    /// Two producers race installations while a consumer drains and
+    /// recycles segments underneath them (seg_cap 1: every token is its
+    /// own segment, maximizing install/recycle interleavings).
+    fn append_vs_drain(polls: usize) -> Scenario {
+        Scenario {
             variant: Explored::SegRfAn,
             size: 1,
             producers: vec![vec![vec![1]], vec![vec![2]]],
-            consumers: vec![(2, 4)],
-        };
-        let r = s.run(100_000);
+            consumers: vec![(2, polls)],
+        }
+    }
+
+    #[test]
+    fn segmented_append_vs_drain_race_linearizes() {
+        // With resolve its own step, four polls are 10 M schedules — the
+        // ignored test below. Here: every schedule of one poll per ticket,
+        // then sampled ones of the four, where a miss has its retry.
+        let r = append_vs_drain(2).run(1_000_000);
         assert!(r.exhausted);
         assert_eq!(r.rejections, BTreeSet::from([0]));
         // Some schedule delivers both tokens.
+        assert!(r.delivered.contains(&vec![1, 2]));
+        let r = append_vs_drain(4).run_random(20_000, 0x5EED_0416);
+        assert!(r.schedules > 10_000, "{} samples", r.schedules);
+        assert_eq!(r.rejections, BTreeSet::from([0]));
+        assert!(r.retried_hits > 1_000, "{} retries hit", r.retried_hits);
+    }
+
+    #[test]
+    #[ignore = "9 971 848 schedules, a minute in a release build: CI's segmented-queues job runs it"]
+    fn segmented_append_vs_drain_race_with_retries_linearizes_exhaustively() {
+        let r = append_vs_drain(4).run(20_000_000);
+        assert!(r.exhausted);
+        assert_eq!(r.rejections, BTreeSet::from([0]));
+        assert!(r.delivered.contains(&vec![1, 2]));
+        assert!(r.retried_hits > 0);
+    }
+
+    #[test]
+    fn resolve_between_a_retire_and_the_reinstall_of_its_ring_entry() {
+        // seg_cap 1 and — in unit tests the directory starts at one entry
+        // — segments 0 and 1 share ring entry 0 of the only level: ticket
+        // 1's consumer resolves it after segment 0's retirement cleared
+        // the tag and before segment 1's install rewrites it.
+        let s = Scenario {
+            variant: Explored::SegRfAn,
+            size: 1,
+            producers: vec![singly(&[1, 2])],
+            consumers: vec![(1, 2), (1, 2)],
+        };
+        let (q, mut programs) = s.afa::<Segmented>();
+        let mut rec = Recorder::default();
+        // The producer publishes 1 and reserves ticket 1; both consumers
+        // reserve; the first drains and retires segment 0; the second
+        // resolves ticket 1; the producer installs segment 1 and publishes
+        // 2; the second consumer polls again.
+        let schedule = [(0, 6), (1, 1), (2, 1), (1, 2), (2, 1), (0, 4), (2, 2)];
+        for (program, steps) in schedule {
+            for _ in 0..steps {
+                programs[program].step(&q, &mut rec);
+                rec.advance();
+            }
+        }
+        assert!(programs.iter().all(|p| p.done()));
+        let h = rec.into_history();
+        let at = |op: Op| h.ops.iter().position(|c| c.op == op).expect("recorded");
+        let miss = at(Op::TryTake {
+            slot: 1,
+            result: None,
+        });
+        assert!(at(Op::RecycleSegment { seg: 0 }) < miss);
+        assert!(miss < at(Op::InstallSegment { seg: 1 }));
+        let hit = Op::TryTake {
+            slot: 1,
+            result: Some(2),
+        };
+        assert!(at(Op::InstallSegment { seg: 1 }) < at(hit));
+        assert!(check_linearizable(&h, SegSpec::new(1)), "{h:?}");
+        // One storage, one ring entry: the reuse the tag guards.
+        assert_eq!(q.fresh_allocs(), 1);
+        let one_install = Queue::<Afa, Segmented>::new(1);
+        one_install.put(&[1]).unwrap();
+        assert_eq!(q.meta_bytes(), one_install.meta_bytes(), "a level grew");
+        // The neighbourhood: the same three threads under sampled
+        // schedules (their whole space is past a unit test's budget).
+        let r = s.run_random(5_000, 0x5EED_0016);
+        assert!(r.schedules > 1_000, "only {} distinct samples", r.schedules);
         assert!(r.delivered.contains(&vec![1, 2]));
     }
 

@@ -8,7 +8,8 @@
 //! them via `PTQ_SCHEDULES` (see `.github/workflows/ci.yml`).
 
 use ptq::queue::verify::{
-    conformance_suite, run_conformance, schedule_budget, Explored, Scenario, ScenarioReport,
+    check_segment_memory_bound, conformance_suite, run_conformance, schedule_budget, Explored,
+    Scenario, ScenarioReport,
 };
 use std::collections::BTreeSet;
 
@@ -23,6 +24,11 @@ fn singly(tokens: &[u32]) -> Vec<Vec<u32>> {
 }
 
 fn assert_coverage(r: &ScenarioReport, what: &str) {
+    // Visible with `--nocapture`: how much of the scenario was explored.
+    println!(
+        "{what}: {} schedules (exhausted: {}), {} distinct states, max depth {}",
+        r.schedules, r.exhausted, r.states, r.max_depth
+    );
     // Either the scenario's whole schedule space was smaller than the
     // budget and fully enumerated, or we explored at least 1,000 distinct
     // schedules of it.
@@ -249,9 +255,9 @@ fn segmented_boundary_straddling_reserve() {
 #[test]
 fn segmented_append_vs_drain_race() {
     // Two producers race segment installation while a consumer drains the
-    // queue out from under them: the install linearization point (one lock
-    // acquisition per directory append) must commute with concurrent
-    // publishes and takes in every schedule.
+    // queue out from under them: the install linearization point (one
+    // tagged directory store per segment) must commute with concurrent
+    // resolves, publishes and takes in every schedule.
     let s = Scenario {
         variant: Explored::SegRfAn,
         size: 2,
@@ -381,4 +387,12 @@ fn conformance_matrix_covers_every_host_variant() {
             assert_eq!(r.segment_appends, 0, "{}: bounded queue appended", r.label);
         }
     }
+}
+
+#[test]
+fn conformance_memory_bound_holds_for_every_segmented_variant() {
+    // Three variants x seg_cap {2, 3, 64}, here against the production
+    // directory (one 64-entry level); the crate's unit suite runs the same
+    // check against a directory that starts at one entry.
+    assert_eq!(check_segment_memory_bound(), 9);
 }

@@ -1,7 +1,7 @@
 //! `repro` — regenerates every table and figure of the paper.
 //!
 //! ```text
-//! repro <experiment> [--scale F | --full] [--jobs N] [--engine-workers N] [--out DIR]
+//! repro <experiment> [--scale F | --full] [--jobs N] [--out DIR]
 //!
 //! experiments:
 //!   table1 table2 table3 table4 table5 table6
@@ -22,13 +22,6 @@
 //!                The effective count never exceeds the machine's
 //!                available parallelism — points are CPU-bound, so
 //!                oversubscribing only adds scheduling overhead.
-//!   --engine-workers N
-//!                plan-phase worker threads *inside* each simulation
-//!                run (default 1 = the serial round loop; 0 = fill the
-//!                cores `--jobs` leaves free). Clamped so
-//!                jobs x engine-workers never exceeds the host's
-//!                available parallelism. Results are byte-identical at
-//!                any value (DESIGN.md section 12).
 //!   --out DIR    where to write .md/.csv   (default results/)
 //! ```
 //!
@@ -51,8 +44,6 @@ struct Options {
     scale: Scale,
     out: PathBuf,
     sched: Sched,
-    /// Effective plan-phase workers per simulation run (post-clamp).
-    engine_workers: usize,
 }
 
 /// Per-experiment (name, wall-clock seconds, simulated rounds), in
@@ -65,7 +56,6 @@ fn main() -> ExitCode {
     let mut scale: Option<Scale> = None;
     let mut out = PathBuf::from("results");
     let mut sched = Sched::serial();
-    let mut engine_workers_requested: Option<usize> = None;
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--scale" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
@@ -77,10 +67,6 @@ fn main() -> ExitCode {
                 Some(0) => sched = Sched::auto(),
                 Some(n) => sched = Sched::new(n),
                 None => return usage("--jobs needs a non-negative integer"),
-            },
-            "--engine-workers" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) => engine_workers_requested = Some(n),
-                None => return usage("--engine-workers needs a non-negative integer"),
             },
             "--out" => match args.next() {
                 Some(dir) => out = PathBuf::from(dir),
@@ -106,24 +92,12 @@ fn main() -> ExitCode {
     } else {
         Scale::DEFAULT
     });
-    // Install the inner (per-run plan phase) worker budget before any
-    // experiment builds a PtConfig; the clamp keeps outer x inner within
-    // the host's available parallelism (common::configure_engine_workers).
-    let engine_workers =
-        common::configure_engine_workers(engine_workers_requested.unwrap_or(1), sched.jobs());
-    let opts = Options {
-        scale,
-        out,
-        sched,
-        engine_workers,
-    };
+    let opts = Options { scale, out, sched };
     eprintln!(
-        "# scale = {} (vertex counts at {:.1}% of the paper's), jobs = {}, \
-         engine workers = {} ({} host cores)",
+        "# scale = {} (vertex counts at {:.1}% of the paper's), jobs = {} ({} host cores)",
         opts.scale.fraction(),
         opts.scale.fraction() * 100.0,
         opts.sched.jobs(),
-        opts.engine_workers,
         common::host_cores(),
     );
 
@@ -146,7 +120,7 @@ fn usage(error: &str) -> ExitCode {
         eprintln!("error: {error}\n");
     }
     eprintln!(
-        "usage: repro <experiment> [--scale F | --full] [--jobs N] [--engine-workers N] [--out DIR]\n\
+        "usage: repro <experiment> [--scale F | --full] [--jobs N] [--out DIR]\n\
          experiments: table1 table2 table3 table4 table5 table6 \
          fig1 fig3 fig4 fig5 scaling ablate-matrix ablate-stealing ablate-chunk \
          ablate-occupancy chaos workloads giant serve verify all"
@@ -227,16 +201,13 @@ fn write_bench(opts: &Options, command: &str, total: f64, timings: &Timings) {
         ),
         None => "null".to_owned(),
     };
-    // Giant-pipeline wall clock (tuned vs naive construction+setup,
-    // plus the timed engine-par BFS leg).
+    // Giant-pipeline wall clock (tuned vs naive construction+setup).
     let giant = match common::giant_bench() {
         Some(g) => format!(
             "{{\"edges\": {}, \"naive_build_seconds\": {:.3}, \
              \"naive_setup_seconds\": {:.3}, \"tuned_build_seconds\": {:.3}, \
              \"tuned_setup_seconds\": {:.3}, \"naive_edges_per_second\": {:.0}, \
-             \"tuned_edges_per_second\": {:.0}, \"speedup\": {:.3}, \
-             \"par_serial_seconds\": {:.3}, \"par_parallel_seconds\": {:.3}, \
-             \"par_workers\": {}, \"par_host_cores\": {}, \"par_speedup\": {:.3}}}",
+             \"tuned_edges_per_second\": {:.0}, \"speedup\": {:.3}}}",
             g.edges,
             g.naive_build_seconds,
             g.naive_setup_seconds,
@@ -245,17 +216,12 @@ fn write_bench(opts: &Options, command: &str, total: f64, timings: &Timings) {
             g.naive_edges_per_second(),
             g.tuned_edges_per_second(),
             g.speedup(),
-            g.par_serial_seconds,
-            g.par_parallel_seconds,
-            g.par_workers,
-            g.host_cores,
-            g.par_speedup(),
         ),
         None => "null".to_owned(),
     };
     // Serve legs: everything in this section is simulated (cycles,
     // counts, rates over cycles), so unlike the wall-clock sections it
-    // is byte-identical across --jobs and --engine-workers — CI
+    // is byte-identical across --jobs — CI
     // extracts and diffs it (serve-smoke).
     // An absent percentile (a leg that completed nothing) emits a JSON
     // null, not a fake 0.
@@ -294,20 +260,16 @@ fn write_bench(opts: &Options, command: &str, total: f64, timings: &Timings) {
         format!("[\n{}\n  ]", serve_entries.join(",\n"))
     };
     // Top-level wall-clock summary: how long the whole invocation took
-    // and what parallelism (outer jobs x inner engine workers, host
-    // cores) it ran with. CI fails a BENCH artifact that lacks this.
+    // and what parallelism (jobs, host cores) it ran with. CI fails a
+    // BENCH artifact that lacks this.
     let wall_clock = format!(
-        "{{\"total_seconds\": {total:.3}, \"jobs\": {}, \
-         \"engine_workers_requested\": {}, \"engine_workers\": {}, \
-         \"host_cores\": {}}}",
+        "{{\"total_seconds\": {total:.3}, \"jobs\": {}, \"host_cores\": {}}}",
         opts.sched.jobs(),
-        common::engine_workers_requested(),
-        opts.engine_workers,
         common::host_cores(),
     );
     let json = format!(
         "{{\n  \"command\": \"{command}\",\n  \"scale\": {},\n  \"jobs\": {},\n  \
-         \"engine_workers\": {},\n  \"wall_clock\": {wall_clock},\n  \
+         \"wall_clock\": {wall_clock},\n  \
          \"total_seconds\": {total:.3},\n  \"rounds_simulated\": {rounds},\n  \
          \"rounds_per_second\": {:.0},\n  \"slowest_point\": {slowest},\n  \
          \"recovery\": {recovery},\n  \"workloads\": {workloads_json},\n  \
@@ -316,7 +278,6 @@ fn write_bench(opts: &Options, command: &str, total: f64, timings: &Timings) {
          \"experiments\": [\n{}\n  ]\n}}\n",
         opts.scale.fraction(),
         opts.sched.jobs(),
-        opts.engine_workers,
         rounds as f64 / total.max(1e-9),
         per_experiment.join(",\n"),
     );

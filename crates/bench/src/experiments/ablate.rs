@@ -9,11 +9,11 @@
 //!   facilitate zero-cost thread switching". The sweep varies resident
 //!   workgroups per CU and exposes the latency-hiding effect.
 
-use super::common::{pt_config, DatasetCache};
+use super::common::DatasetCache;
 use crate::report::{fmt_f64, Table};
 use crate::{Scale, Sched};
 use gpu_queue::Variant;
-use pt_bfs::run_bfs;
+use pt_bfs::{run_bfs, PtConfig};
 use ptq_graph::Dataset;
 use simt::GpuConfig;
 
@@ -38,7 +38,7 @@ pub fn matrix_table(scale: Scale, gpu: &GpuConfig, sched: &Sched) -> Table {
         ],
     );
     let rows = sched.par_map(&Variant::MATRIX, |_, &variant| {
-        let run = run_bfs(gpu, &graph, 0, &pt_config(variant, wgs))
+        let run = run_bfs(gpu, &graph, 0, &PtConfig::new(variant, wgs))
             .unwrap_or_else(|e| panic!("{variant:?}: {e}"));
         vec![
             variant.label().to_owned(),
@@ -104,7 +104,7 @@ pub fn stealing_table(scale: Scale, gpu: &GpuConfig, sched: &Sched) -> Table {
                     .unwrap_or_else(|_| panic!("stealing wrong levels on {dataset:?}"));
                 (stealing.seconds, stealing.metrics.queue_empty_retries)
             } else {
-                let shared = run_bfs(gpu, &graph, 0, &pt_config(Variant::RfAn, wgs))
+                let shared = run_bfs(gpu, &graph, 0, &PtConfig::new(Variant::RfAn, wgs))
                     .unwrap_or_else(|e| panic!("shared on {dataset:?}: {e}"));
                 (shared.seconds, 0)
             }
@@ -142,7 +142,7 @@ pub fn chunk_table(scale: Scale, gpu: &GpuConfig, sched: &Sched) -> Table {
         .flat_map(|chunk| Variant::ALL.into_iter().map(move |v| (chunk, v)))
         .collect();
     let cells = sched.par_map(&grid, |_, &(chunk, variant)| {
-        let mut config = pt_config(variant, wgs);
+        let mut config = PtConfig::new(variant, wgs);
         config.chunk = chunk;
         let run = run_bfs(gpu, &graph, 0, &config)
             .unwrap_or_else(|e| panic!("chunk {chunk} {variant:?}: {e}"));
@@ -171,7 +171,7 @@ pub fn occupancy_table(scale: Scale, base_gpu: &GpuConfig, sched: &Sched) -> Tab
         let mut gpu = base_gpu.clone();
         gpu.wgs_per_cu = wgs_per_cu;
         let wgs = gpu.num_cus * wgs_per_cu;
-        let run = run_bfs(&gpu, &graph, 0, &pt_config(Variant::RfAn, wgs))
+        let run = run_bfs(&gpu, &graph, 0, &PtConfig::new(Variant::RfAn, wgs))
             .unwrap_or_else(|e| panic!("occupancy {wgs_per_cu}: {e}"));
         vec![
             wgs_per_cu.to_string(),
@@ -218,7 +218,7 @@ mod tests {
             let mut g = gpu.clone();
             g.wgs_per_cu = wgs_per_cu;
             let wgs = g.num_cus * wgs_per_cu;
-            run_bfs(&g, &graph, 0, &pt_config(Variant::RfAn, wgs))
+            run_bfs(&g, &graph, 0, &PtConfig::new(Variant::RfAn, wgs))
                 .unwrap()
                 .seconds
         };

@@ -14,11 +14,11 @@
 //! `--jobs` count — the fault plans are seeded and the simulator is
 //! deterministic, so the CI chaos job byte-diffs serial vs parallel runs.
 
-use super::common::{bfs_run, pt_config, record_recovery, DatasetCache};
+use super::common::{bfs_run, record_recovery, DatasetCache};
 use crate::report::Table;
 use crate::{Scale, Sched};
 use gpu_queue::Variant;
-use pt_bfs::{run_recoverable, Bfs, RecoveryPolicy};
+use pt_bfs::{run_recoverable, Bfs, PtConfig, RecoveryPolicy};
 use ptq_graph::{validate_levels, Dataset};
 use simt::{FaultPlan, FaultSpec, GpuConfig};
 
@@ -104,7 +104,7 @@ pub fn measure(scale: Scale, sched: &Sched) -> Vec<Row> {
         let source = dataset.source();
         let golden = bfs_run(&gpu, &graph, Variant::RfAn, wgs);
 
-        let config = pt_config(Variant::RfAn, wgs);
+        let config = PtConfig::new(Variant::RfAn, wgs);
         let plan = plan_for(&gpu, wgs, graph.num_vertices(), SEED ^ ((i as u64) << 8));
         let policy = RecoveryPolicy {
             checkpoint_levels: 4,

@@ -6,7 +6,7 @@ use pt_bfs::{run_bfs, PtConfig, Run};
 use ptq_graph::{validate_levels, Csr, Dataset};
 use simt::{GpuConfig, Profile};
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// Total simulated rounds across every validated BFS run of the process,
@@ -24,63 +24,11 @@ pub fn record_rounds(rounds: u64) {
     ROUNDS_SIMULATED.fetch_add(rounds, Ordering::Relaxed);
 }
 
-/// Engine plan-phase worker budget installed for this process: every
-/// [`PtConfig`] the experiments build picks it up, so one `repro`
-/// invocation runs every simulation at the same (byte-identical —
-/// DESIGN.md §12) inner worker count. Defaults to 1: the historical
-/// fully-serial round loop.
-static ENGINE_WORKERS: AtomicUsize = AtomicUsize::new(1);
-/// What the user asked for (`--engine-workers`; 0 = auto), before the
-/// oversubscription clamp — reported in `BENCH_repro.json` so a clamped
-/// run is distinguishable from a deliberately serial one.
-static ENGINE_WORKERS_REQUESTED: AtomicUsize = AtomicUsize::new(1);
-
 /// The host's available parallelism (1 if it cannot be queried).
 pub fn host_cores() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1)
-}
-
-/// Resolves and installs the engine plan-phase worker budget.
-///
-/// `requested == 0` means "fill whatever the outer scheduler leaves
-/// free". Any request is clamped so `outer_jobs × inner_workers` never
-/// exceeds the host's available parallelism: the outer `--jobs` fan-out
-/// and the inner plan shards are both CPU-bound, so stacking them past
-/// the core count only adds context-switch overhead — and results are
-/// byte-identical at any worker count, so the clamp is pure scheduling
-/// policy. Returns the effective count.
-pub fn configure_engine_workers(requested: usize, outer_jobs: usize) -> usize {
-    let budget = (host_cores() / outer_jobs.max(1)).max(1);
-    let effective = if requested == 0 {
-        budget
-    } else {
-        requested.min(budget).max(1)
-    };
-    ENGINE_WORKERS_REQUESTED.store(requested, Ordering::Relaxed);
-    ENGINE_WORKERS.store(effective, Ordering::Relaxed);
-    effective
-}
-
-/// The installed engine worker budget (1 unless
-/// [`configure_engine_workers`] raised it).
-pub fn engine_workers() -> usize {
-    ENGINE_WORKERS.load(Ordering::Relaxed)
-}
-
-/// The raw `--engine-workers` request (0 = auto) behind the installed
-/// budget.
-pub fn engine_workers_requested() -> usize {
-    ENGINE_WORKERS_REQUESTED.load(Ordering::Relaxed)
-}
-
-/// The experiments' standard config: the paper's defaults for `variant`
-/// at `workgroups`, running on the installed engine worker budget.
-pub fn pt_config(variant: Variant, workgroups: usize) -> PtConfig {
-    let mut config = PtConfig::new(variant, workgroups);
-    config.engine_workers = engine_workers();
-    config
 }
 
 /// Process-wide engine-profile aggregate: the merged [`Profile`] (events
@@ -119,18 +67,6 @@ pub struct GiantBench {
     pub tuned_build_seconds: f64,
     /// Tuned leg: demand-zeroing device-setup churn wall seconds.
     pub tuned_setup_seconds: f64,
-    /// Engine-par leg: timed validated BFS wall seconds with the serial
-    /// round loop (1 plan worker).
-    pub par_serial_seconds: f64,
-    /// Engine-par leg: the same BFS with [`GiantBench::par_workers`]
-    /// plan workers — byte-identical simulation, different wall clock.
-    pub par_parallel_seconds: f64,
-    /// Plan workers the parallel leg ran with (deliberately unclamped:
-    /// the leg measures the engine, not the harness policy).
-    pub par_workers: u64,
-    /// Host cores available when the legs were timed — the context that
-    /// makes the speedup honest (4 workers on 1 core cannot win).
-    pub host_cores: u64,
 }
 
 impl GiantBench {
@@ -148,17 +84,11 @@ impl GiantBench {
     pub fn speedup(&self) -> f64 {
         self.tuned_edges_per_second() / self.naive_edges_per_second().max(1e-9)
     }
-
-    /// Single-run wall-clock speedup of the parallel plan phase over the
-    /// serial round loop (> 1 means the workers paid off).
-    pub fn par_speedup(&self) -> f64 {
-        self.par_serial_seconds / self.par_parallel_seconds.max(1e-9)
-    }
 }
 
 /// One serve-leg entry for the `serve` section of `BENCH_repro.json`.
 /// Every field is simulated (cycles, counts, rates over cycles), so the
-/// section is byte-identical at any `--jobs` and `--engine-workers`.
+/// section is byte-identical at any `--jobs`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ServeBench {
     /// Leg name ("steady", "overload", "faulted").
@@ -384,7 +314,7 @@ impl DatasetCache {
 /// incorrect traversal.
 pub fn bfs_run(gpu: &GpuConfig, graph: &Csr, variant: Variant, workgroups: usize) -> Run {
     let wall = std::time::Instant::now();
-    let config = pt_config(variant, workgroups);
+    let config = PtConfig::new(variant, workgroups);
     let run = run_bfs(gpu, graph, 0, &config)
         .unwrap_or_else(|e| panic!("{} {variant:?} x{workgroups}: {e}", gpu.name));
     validate_levels(graph, 0, &run.values).unwrap_or_else(|(v, want, got)| {

@@ -52,13 +52,6 @@ pub const NAIVE_FACTOR: f64 = 2.0;
 /// Audited capacity factor of the tuned leg.
 pub const TUNED_FACTOR: f64 = 1.25;
 
-/// Plan workers of the timed engine-par leg. Deliberately *not* clamped
-/// to the host's core count: the leg measures the engine's intra-run
-/// parallelism itself, and the recorded `host_cores` says whether the
-/// box could possibly profit (4 workers on 1 core cannot win — the
-/// byte-diff still must hold there, which is the point).
-pub const PAR_WORKERS: usize = 4;
-
 /// Giant-family parameters, matching [`Dataset::Giant`]'s build arm so
 /// `repro giant` measures exactly the dataset the catalog exposes.
 const EXTRA_MEAN: u32 = 7;
@@ -200,41 +193,6 @@ pub fn measure(scale: Scale) -> Vec<Row> {
         "legs diverged: simulated time"
     );
 
-    // Engine-par leg: the same validated BFS, *timed*, serial round loop
-    // vs PAR_WORKERS plan workers (DESIGN.md §12). The two runs must be
-    // byte-identical in every simulated quantity — wall clock is the
-    // only thing allowed to move.
-    let mut par_config = PtConfig::new(Variant::RfAn, wgs);
-    par_config.capacity_factor = TUNED_FACTOR;
-    let par_serial_start = Instant::now();
-    let par_serial_run =
-        run_bfs(&gpu, &tuned_graph, 0, &par_config).unwrap_or_else(|e| panic!("giant bfs: {e}"));
-    let par_serial_seconds = par_serial_start.elapsed().as_secs_f64();
-    par_config.engine_workers = PAR_WORKERS;
-    let par_start = Instant::now();
-    let par_run =
-        run_bfs(&gpu, &tuned_graph, 0, &par_config).unwrap_or_else(|e| panic!("giant bfs: {e}"));
-    let par_parallel_seconds = par_start.elapsed().as_secs_f64();
-    assert_eq!(
-        par_serial_run.values, par_run.values,
-        "engine-par leg diverged: values"
-    );
-    assert_eq!(
-        par_serial_run.metrics, par_run.metrics,
-        "engine-par leg diverged: metrics"
-    );
-    assert_eq!(
-        par_serial_run.seconds.to_bits(),
-        par_run.seconds.to_bits(),
-        "engine-par leg diverged: simulated time"
-    );
-    assert_eq!(
-        par_serial_run.per_cu_cycles, par_run.per_cu_cycles,
-        "engine-par leg diverged: per-CU cycles"
-    );
-    record_rounds(par_serial_run.metrics.rounds + par_run.metrics.rounds);
-    record_profile(&par_run.profile);
-
     let edges = naive_graph.num_edges() as u64;
     let bench = GiantBench {
         edges,
@@ -242,10 +200,6 @@ pub fn measure(scale: Scale) -> Vec<Row> {
         naive_setup_seconds: naive_setup,
         tuned_build_seconds: tuned_build,
         tuned_setup_seconds: tuned_setup,
-        par_serial_seconds,
-        par_parallel_seconds,
-        par_workers: PAR_WORKERS as u64,
-        host_cores: super::common::host_cores() as u64,
     };
     eprintln!(
         "  giant: |V|={} |E|={edges}  naive {:.2}s build + {:.2}s setup ({:.1}M edges/s), \
@@ -258,15 +212,6 @@ pub fn measure(scale: Scale) -> Vec<Row> {
         bench.tuned_setup_seconds,
         bench.tuned_edges_per_second() / 1e6,
         bench.speedup(),
-    );
-    eprintln!(
-        "  giant engine-par: bfs {:.2}s serial vs {:.2}s at {} plan workers \
-         ({:.2}x on {} host cores, byte-identical)",
-        bench.par_serial_seconds,
-        bench.par_parallel_seconds,
-        bench.par_workers,
-        bench.par_speedup(),
-        bench.host_cores,
     );
     record_giant(bench);
 
@@ -349,11 +294,5 @@ mod tests {
         let bench = super::super::common::giant_bench().expect("giant bench recorded");
         assert_eq!(bench.edges, naive.edges);
         assert!(bench.speedup() > 0.0);
-        // The engine-par leg ran (its byte-diff asserts live in
-        // `measure`) and recorded its context.
-        assert_eq!(bench.par_workers, PAR_WORKERS as u64);
-        assert!(bench.host_cores >= 1);
-        assert!(bench.par_serial_seconds > 0.0 && bench.par_parallel_seconds > 0.0);
-        assert!(bench.par_speedup() > 0.0);
     }
 }

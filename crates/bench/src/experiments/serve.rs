@@ -149,7 +149,7 @@ pub fn legs(scale: Scale) -> Vec<Leg> {
 
 /// Runs every leg, enforces its invariants, and records the `serve`
 /// BENCH section. The returned logs are byte-identical at any `sched`
-/// width and engine worker budget.
+/// width.
 pub fn measure(scale: Scale, sched: &Sched) -> Vec<(Leg, OutcomeLog)> {
     let results: Vec<(Leg, OutcomeLog)> = legs(scale)
         .into_iter()

@@ -6,12 +6,12 @@
 //! tables. Tolerances are generous on purpose: the claims are about
 //! *shape* (ordering, rough factors, crossovers), not absolute times.
 
-use super::common::{bfs_run, pt_config, sweep_dataset, DatasetCache};
+use super::common::{bfs_run, sweep_dataset, DatasetCache};
 use crate::report::Table;
 use crate::{Scale, Sched};
 use gpu_queue::Variant;
 use pt_bfs::baseline::{run_chai, run_rodinia};
-use pt_bfs::run_bfs;
+use pt_bfs::{run_bfs, PtConfig};
 use ptq_graph::Dataset;
 use simt::GpuConfig;
 
@@ -96,7 +96,7 @@ pub fn run_checks(scale: Scale, sched: &Sched) -> Vec<Verdict> {
     // tables.
     let audited = sched.par_map(&Dataset::MAIN_SIX, |_, &dataset| {
         let graph = DatasetCache::global().get(dataset, scale);
-        let config = pt_config(Variant::RfAn, 56);
+        let config = PtConfig::new(Variant::RfAn, 56);
         match run_bfs(&fiji, &graph, dataset.source(), &config) {
             Ok(run) => (run.metrics.total_retries(), None),
             Err(e) => (0, Some(format!("{}: {e}", dataset.spec().name))),

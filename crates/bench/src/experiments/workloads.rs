@@ -80,8 +80,7 @@ pub struct Row {
 /// the sequential oracle, and panics on any divergence — the harness
 /// must never report numbers from a wrong traversal.
 fn validated_run<W: PtWorkload>(gpu: &GpuConfig, graph: &Csr, workload: &W, wgs: usize) -> Run {
-    let mut config = PtConfig::for_workload(workload, Variant::RfAn, wgs);
-    config.engine_workers = super::common::engine_workers();
+    let config = PtConfig::for_workload(workload, Variant::RfAn, wgs);
     let run = run_workload(gpu, graph, workload, &config)
         .unwrap_or_else(|e| panic!("{}: {e}", workload.name()));
     workload

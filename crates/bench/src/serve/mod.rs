@@ -19,8 +19,8 @@
 //!   keeps draining the trace ([`outcome`]).
 //!
 //! Every outcome lands in a structured [`outcome::OutcomeLog`] that is
-//! byte-identical at any `--jobs` and `--engine-workers` count — see
-//! the two-phase determinism argument in [`service`] and DESIGN.md §14.
+//! byte-identical at any `--jobs` count — see the two-phase determinism
+//! argument in [`service`] and DESIGN.md §14.
 
 pub mod admission;
 pub mod backoff;

@@ -308,7 +308,7 @@ pub struct ClassFairness {
 
 /// The `serve` section of `BENCH_repro.json`, per trace leg. Every
 /// field is derived from simulated quantities, so the section is
-/// byte-identical across `--jobs` and `--engine-workers`.
+/// byte-identical across `--jobs`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ServeSummary {
     /// Queries offered by the trace.

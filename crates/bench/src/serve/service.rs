@@ -2,8 +2,8 @@
 //!
 //! [`Service::run`] drives a seeded [`ArrivalTrace`] through the
 //! persistent-thread stack and returns a deterministic [`OutcomeLog`].
-//! Determinism at any `--jobs` and `--engine-workers` count comes from a
-//! strict two-phase split:
+//! Determinism at any `--jobs` count comes from a strict two-phase
+//! split:
 //!
 //! 1. **Phase A — profile precompute (parallel).** Each query's full
 //!    retry chain is simulated up front with [`execute`]: attempt 0
@@ -27,9 +27,8 @@
 //! queries into [`QueryBatch`] launches, and overlaps same-kind
 //! launches co-resident on the device. Fused units *do* run the engine
 //! inside Phase B — safe because a co-resident run is itself
-//! deterministic at any engine-worker count and the unit's composition
-//! is a pure function of the trace and the Phase A profiles, so the
-//! replay stays byte-identical.
+//! deterministic and the unit's composition is a pure function of the
+//! trace and the Phase A profiles, so the replay stays byte-identical.
 //!
 //! The service's retry ladder sits *above* the in-run recovery of
 //! [`execute`]: the configured [`RecoveryPolicy`] uses
@@ -52,7 +51,7 @@ use super::admission::{AdmissionError, AdmissionQueue};
 use super::backoff::BackoffSchedule;
 use super::outcome::{Disposition, OutcomeLog, QueryOutcome};
 use super::trace::{ArrivalTrace, QuerySpec, WorkloadKind};
-use crate::experiments::common::{engine_workers, DatasetCache};
+use crate::experiments::common::DatasetCache;
 use crate::{Scale, Sched};
 
 /// Seed used by every SSSP query's edge weights (same stream as the
@@ -91,9 +90,6 @@ pub struct ServiceConfig {
     /// abort to the service; a query's `watchdog_rounds` overrides the
     /// template's when nonzero.
     pub policy: RecoveryPolicy,
-    /// Engine worker override for query execution; 0 inherits the
-    /// process-wide budget (`--engine-workers`).
-    pub engine_workers: usize,
     /// Multi-query co-scheduling policy. `None` dispatches one query
     /// per device occupancy (the classic serial core); `Some` lets the
     /// replay drain a whole DRR window per occupancy, fuse compatible
@@ -151,7 +147,6 @@ impl ServiceConfig {
                 watchdog_rounds: 0,
                 ..RecoveryPolicy::default()
             },
-            engine_workers: 0,
             batching: None,
         }
     }
@@ -224,7 +219,7 @@ impl Service {
 
     /// Serve a trace end to end: Phase A profile precompute on `sched`,
     /// Phase B serial replay. The returned log is byte-identical at any
-    /// `sched` width and engine worker budget.
+    /// `sched` width.
     pub fn run(&self, trace: &ArrivalTrace, sched: &Sched) -> OutcomeLog {
         let profiles = self.profiles(trace, sched);
         self.replay(trace, &profiles)
@@ -305,13 +300,7 @@ impl Service {
         plan: &FaultPlan,
     ) -> ExecutionProfile {
         let gpu = &self.config.gpu;
-        let mut config =
-            PtConfig::for_workload(workload, self.config.variant, self.config.workgroups);
-        config.engine_workers = if self.config.engine_workers == 0 {
-            engine_workers()
-        } else {
-            self.config.engine_workers
-        };
+        let config = PtConfig::for_workload(workload, self.config.variant, self.config.workgroups);
         let mut attempts: Vec<AttemptSim> = Vec::new();
         let solo = [(graph, workload)];
         let mut checkpoint: Option<Checkpoint> = None;
@@ -743,11 +732,6 @@ impl Service {
         let own = batches.iter().map(|b| b.default_capacity_factor());
         let smallest = own.fold(f64::INFINITY, f64::min);
         config.capacity_factor = config.capacity_factor.max(smallest);
-        config.engine_workers = if self.config.engine_workers == 0 {
-            engine_workers()
-        } else {
-            self.config.engine_workers
-        };
         let policy = RecoveryPolicy::regrow_only(config.capacity_factor);
         let name = batches[0].name();
         let runs = execute(&self.config.gpu, RunSpec::new(&entries, &config, &policy))
@@ -875,13 +859,9 @@ mod tests {
             assert_eq!(b.tenant, s.tenant);
         }
         // Fused units run the engine inside Phase B; the log must still
-        // be byte-identical at any jobs x engine-workers point.
+        // be byte-identical at any jobs count.
         let parallel = batched.run(&trace, &Sched::new(4));
         assert_eq!(log, parallel);
-        let mut wide = ServiceConfig::batched(Scale::new(0.02));
-        wide.engine_workers = 4;
-        let wide_log = Service::new(wide).run(&trace, &Sched::new(2));
-        assert_eq!(log, wide_log);
     }
 
     #[test]

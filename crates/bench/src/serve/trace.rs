@@ -4,10 +4,9 @@
 //! workload kind, dataset, source, priority class, arrival cycle,
 //! deadline, and fault exposure is drawn up front from one
 //! [`SplitMix64`] stream, so the same seed always produces the identical
-//! offered load regardless of host, `--jobs` count, or engine worker
-//! budget. Experiments and chaos tests then layer hand-placed queries
-//! (a poison query, a resubmission of its signature) on top with the
-//! builder methods.
+//! offered load regardless of host or `--jobs` count. Experiments and
+//! chaos tests then layer hand-placed queries (a poison query, a
+//! resubmission of its signature) on top with the builder methods.
 
 use ptq_graph::{Dataset, SplitMix64};
 

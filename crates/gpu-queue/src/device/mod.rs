@@ -112,11 +112,7 @@ impl QueueLayout {
 /// wavefront-private scratch state; all cross-wavefront communication goes
 /// through simulated device memory, so metrics capture every real memory
 /// and atomic operation.
-///
-/// `Send` because kernels holding a queue handle are planned on engine
-/// worker threads (see `simt::WaveKernel`); handles are plain
-/// per-wavefront scratch, so the bound is free.
-pub trait WaveQueue: Send {
+pub trait WaveQueue {
     /// Which design this is.
     fn variant(&self) -> Variant;
 
@@ -150,17 +146,6 @@ pub trait WaveQueue: Send {
     fn register_idle_watches(&self, ctx: &mut WaveCtx<'_>, lanes: &[LanePhase]) -> bool {
         let _ = (ctx, lanes);
         false
-    }
-
-    /// Plan-phase pickup prediction (DESIGN.md §12): if the next
-    /// `acquire` is certain to hand the lane monitoring `slot` a token
-    /// this round, returns that token. Round-stale slot visibility is
-    /// frozen for the whole round, so RF/AN can predict exactly; designs
-    /// without slot monitoring keep the default `None`. A planning hint
-    /// only — implementations must not touch simulation-observable state.
-    fn plan_token(&self, ctx: &simt::PlanCtx<'_>, slot: u32) -> Option<u32> {
-        let _ = (ctx, slot);
-        None
     }
 }
 

@@ -99,18 +99,6 @@ impl WaveQueue for RfAnWaveQueue {
         ctx.audit_end();
     }
 
-    fn plan_token(&self, ctx: &simt::PlanCtx<'_>, slot: u32) -> Option<u32> {
-        // Mirrors the Monitoring arm of `acquire` exactly: in-bounds slot,
-        // round-stale read, DNA means no data. Stale visibility cannot
-        // change within the round, so Some(v) here is a certainty, not a
-        // guess.
-        if slot >= self.layout.capacity {
-            return None;
-        }
-        let value = ctx.peek_stale(self.layout.slots, slot as usize)?;
-        (value != DNA).then_some(value)
-    }
-
     fn enqueue(&mut self, ctx: &mut WaveCtx<'_>, tokens: &[u32]) -> usize {
         if tokens.is_empty() {
             return 0;

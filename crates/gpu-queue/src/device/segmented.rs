@@ -318,18 +318,6 @@ impl WaveQueue for SegmentedWaveQueue {
         ctx.audit_end();
     }
 
-    fn plan_token(&self, ctx: &simt::PlanCtx<'_>, slot: u32) -> Option<u32> {
-        // Mirrors the pickup arm of `acquire` exactly: stale directory
-        // probe, generation check, stale slot read. Stale visibility is
-        // frozen for the round, so Some(v) is a certainty.
-        let lt = &self.layout;
-        let seg = slot / lt.seg_cap;
-        let entry = ctx.peek_stale(lt.dir, lt.ring_slot(seg))?;
-        let phys = lt.decode(entry, seg)?;
-        let value = ctx.peek_stale(lt.slots, lt.arena_addr(phys, slot))?;
-        (value != DNA).then_some(value)
-    }
-
     fn enqueue(&mut self, ctx: &mut WaveCtx<'_>, tokens: &[u32]) -> usize {
         if tokens.is_empty() {
             return 0;

@@ -33,7 +33,7 @@
 
 use crate::workload::{PtWorkload, TokenSink, WorkBuffers};
 use gpu_queue::device::{LanePhase, WaveQueue};
-use simt::{Buffer, PlanCtx, WaveCtx, WaveKernel, WaveStatus};
+use simt::{Buffer, WaveCtx, WaveKernel, WaveStatus};
 
 /// Uniform sub-tasks (edges) per lane per work cycle — paper §3.3.
 pub const CHUNK: u32 = 4;
@@ -72,37 +72,6 @@ enum LaneWork {
     },
 }
 
-/// Per-lane result of the parallel plan phase (DESIGN.md §12): data the
-/// next work cycle is certain to read, copied out of *immutable* buffers
-/// (CSR rows and adjacency) plus prefetch hints for the mutable words it
-/// will touch. `work_cycle` consumes an entry only while its key still
-/// matches the lane's state, so entries from a stale round
-/// self-invalidate; with one engine worker no entry is ever written and
-/// every read takes the historical live path.
-#[derive(Clone, Debug)]
-struct LanePlan {
-    /// Predicted queue pickup for a monitoring lane: the token and its
-    /// CSR row, `(vertex, row_start, row_end)`. Exact, not a guess —
-    /// RF/AN pickups read round-stale slot values, which are frozen for
-    /// the whole round.
-    token: Option<(u32, u32, u32)>,
-    /// First edge of the cached adjacency chunk (`u32::MAX` = none).
-    chunk_start: u32,
-    /// The words `edges[chunk_start..][..len]` for this lane's next
-    /// expansion chunk.
-    edges: Vec<u32>,
-}
-
-impl Default for LanePlan {
-    fn default() -> Self {
-        LanePlan {
-            token: None,
-            chunk_start: u32::MAX,
-            edges: Vec::new(),
-        }
-    }
-}
-
 /// One wavefront's persistent state, generic over the workload.
 pub struct PtKernel<W: PtWorkload> {
     queue: Box<dyn WaveQueue>,
@@ -119,8 +88,6 @@ pub struct PtKernel<W: PtWorkload> {
     chunk: u32,
     /// Reusable buffer for one lane's prevalidated CSR edge chunk.
     edge_scratch: Vec<u32>,
-    /// Plan-phase cache, one entry per lane (see [`LanePlan`]).
-    plan: Vec<LanePlan>,
     /// Frontier fence for epoch-bounded (checkpointable) launches.
     /// `None` for plain runs — the fence branch is then never taken and
     /// the kernel's behaviour is bit-identical to the unfenced original.
@@ -153,7 +120,6 @@ impl<W: PtWorkload> PtKernel<W> {
             completed: 0,
             chunk,
             edge_scratch: Vec::new(),
-            plan: vec![LanePlan::default(); lanes],
             fence: None,
         }
     }
@@ -186,12 +152,7 @@ impl<W: PtWorkload> WaveKernel for PtKernel<W> {
 
         // Ready lanes load their node's metadata (enumeration prolog of
         // Listing 2: starting edge, degree, current value).
-        for ((phase, work), plan) in self
-            .phases
-            .iter_mut()
-            .zip(self.work.iter_mut())
-            .zip(self.plan.iter())
-        {
+        for (phase, work) in self.phases.iter_mut().zip(self.work.iter_mut()) {
             if let LanePhase::Ready(token) = *phase {
                 // The token addresses per-query state directly; its CSR
                 // row is the vertex it expands (identical for solo
@@ -203,20 +164,9 @@ impl<W: PtWorkload> WaveKernel for PtKernel<W> {
                 // re-enqueues the vertex itself.
                 ctx.global_write_lane(self.buffers.inqueue, token as usize, 0);
                 // The two row offsets share a cache line almost always.
-                // A predicted pickup serves them from the plan cache
-                // (identical validation and charges; `nodes` is
-                // immutable).
                 ctx.charge_coalesced_access(self.buffers.nodes, row as usize, 2);
-                let (start, end) = match plan.token {
-                    Some((t, s, e)) if t == token => (
-                        ctx.peek_cached(self.buffers.nodes, row as usize, s),
-                        ctx.peek_cached(self.buffers.nodes, row as usize + 1, e),
-                    ),
-                    _ => (
-                        ctx.peek(self.buffers.nodes, row as usize),
-                        ctx.peek(self.buffers.nodes, row as usize + 1),
-                    ),
-                };
+                let start = ctx.peek(self.buffers.nodes, row as usize);
+                let end = ctx.peek(self.buffers.nodes, row as usize + 1);
                 let raw = ctx.global_read_lane(self.buffers.values, token as usize);
                 *work = LaneWork::Node {
                     // Host-side derivation, no device ops (identity for
@@ -234,7 +184,7 @@ impl<W: PtWorkload> WaveKernel for PtKernel<W> {
         if !stalled {
             let mut edges = std::mem::take(&mut self.edge_scratch);
             let mut outbox = std::mem::take(&mut self.outbox);
-            for (lane, work) in self.work.iter_mut().enumerate() {
+            for work in self.work.iter_mut() {
                 if let LaneWork::Node {
                     value,
                     next_edge,
@@ -243,14 +193,6 @@ impl<W: PtWorkload> WaveKernel for PtKernel<W> {
                 } = work
                 {
                     let stop = (*next_edge + self.chunk).min(*end_edge);
-                    // The plan cache is keyed on the edge cursor: a match
-                    // means the chunk was copied for exactly this
-                    // expansion (cursors only advance, so stale rounds
-                    // can never alias).
-                    let plan = &self.plan[lane];
-                    let cached = (plan.chunk_start == *next_edge
-                        && plan.edges.len() == stop.saturating_sub(*next_edge) as usize)
-                        .then_some(plan.edges.as_slice());
                     let mut sink = TokenSink {
                         claim: self.workload.claim(),
                         values: self.buffers.values,
@@ -265,7 +207,6 @@ impl<W: PtWorkload> WaveKernel for PtKernel<W> {
                         *value,
                         *next_edge,
                         stop,
-                        cached,
                         &mut edges,
                         &mut sink,
                     );
@@ -316,81 +257,6 @@ impl<W: PtWorkload> WaveKernel for PtKernel<W> {
             ctx.park_while_nonzero(self.buffers.pending, 0);
         }
         WaveStatus::Active
-    }
-
-    /// Parallel plan phase (DESIGN.md §12): against the round's read-only
-    /// memory view, work out what the coming `work_cycle` is *certain* to
-    /// read and copy it out of the immutable CSR buffers — the cursor
-    /// continuation chunk of every lane holding a token, and the row +
-    /// first chunk of every monitoring lane whose slot pickup is already
-    /// decided (round-stale slot values are frozen, so the prediction is
-    /// exact). Mutable words the cycle will touch (child values, on-queue
-    /// bits) are prefetched, never cached. Nothing here is observable in
-    /// the simulation.
-    fn plan_cycle(&mut self, ctx: &PlanCtx<'_>) {
-        // Mirror of work_cycle's backpressure check. `outbox` is mutated
-        // only by this wave's own work cycles, so the value is the one
-        // the commit phase will see.
-        let stalled = self.outbox.len() >= self.phases.len() * self.chunk as usize;
-        for lane in 0..self.phases.len() {
-            let plan = &mut self.plan[lane];
-            plan.token = None;
-            plan.chunk_start = u32::MAX;
-            if stalled {
-                // A stalled cycle neither promotes lanes nor expands
-                // edges; leave every entry invalid.
-                continue;
-            }
-            let (start, end, base) = match self.work[lane] {
-                LaneWork::Node {
-                    next_edge,
-                    end_edge,
-                    base,
-                    ..
-                } => (next_edge, end_edge, base),
-                LaneWork::None => {
-                    let LanePhase::Monitoring(slot) = self.phases[lane] else {
-                        continue;
-                    };
-                    let Some(token) = self.queue.plan_token(ctx, slot) else {
-                        continue;
-                    };
-                    let row = self.workload.token_row(token);
-                    let (Some(s), Some(e)) = (
-                        ctx.peek(self.buffers.nodes, row as usize),
-                        ctx.peek(self.buffers.nodes, row as usize + 1),
-                    ) else {
-                        continue;
-                    };
-                    plan.token = Some((token, s, e));
-                    // The pickup prolog will write the on-queue bit and
-                    // read the value word.
-                    ctx.prefetch(self.buffers.inqueue, token as usize);
-                    ctx.prefetch(self.buffers.values, token as usize);
-                    (s, e, token - row)
-                }
-            };
-            if start > end {
-                continue; // corrupt row; the live path owns the fault
-            }
-            let stop = start.saturating_add(self.chunk).min(end);
-            if ctx.peek_run(
-                self.buffers.edges,
-                start as usize,
-                (stop - start) as usize,
-                &mut plan.edges,
-            ) {
-                plan.chunk_start = start;
-                // Each discovered child gets a claim atomic on its value
-                // word and possibly an on-queue-bit exchange: warm those
-                // random-access lines for the commit phase (re-tagged
-                // with the parent's query id, like the sink will).
-                for &child in plan.edges.iter() {
-                    ctx.prefetch(self.buffers.values, (base + child) as usize);
-                    ctx.prefetch(self.buffers.inqueue, (base + child) as usize);
-                }
-            }
-        }
     }
 }
 

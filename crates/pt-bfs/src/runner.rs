@@ -49,9 +49,10 @@ pub struct PtConfig {
     /// run-level retry-free claims afterwards. On by default — auditing
     /// is pure bookkeeping with no effect on metrics or timing.
     pub audit: bool,
-    /// Host worker threads for the engine's intra-round plan phase
-    /// (DESIGN.md §12). Results are byte-identical at any value; `<= 1`
-    /// (the default) runs the historical fully-serial round loop.
+    /// Inert: read by nothing. The engine's round loop is serial
+    /// (DESIGN.md §12); the field survives only because the frozen
+    /// `benchmark/` package assigns it, and goes with that assignment
+    /// (ROADMAP item 1).
     pub engine_workers: usize,
 }
 
@@ -331,8 +332,7 @@ pub(crate) fn launch<W: PtWorkload>(
 
     let mut template = Launch::workgroups(config.workgroups)
         .with_cpu_collab(config.cpu_collab_groups)
-        .with_max_rounds(progress.max_rounds.min(config.max_rounds))
-        .with_engine_workers(config.engine_workers);
+        .with_max_rounds(progress.max_rounds.min(config.max_rounds));
     if config.audit {
         template = template.with_audit();
     }
@@ -918,26 +918,6 @@ mod tests {
             assert_eq!(run.metrics.total_retries(), 0);
             assert_eq!(run.recovery.epochs, 1);
             assert_eq!(run.recovery.rounds_committed, run.metrics.rounds);
-        }
-    }
-
-    #[test]
-    fn coresident_group_is_deterministic_across_engine_workers() {
-        let g1 = synthetic_tree(250, 3);
-        let g2 = synthetic_tree(350, 5);
-        let mut baseline = None;
-        for workers in [1, 4] {
-            let mut config = PtConfig::new(Variant::SegRfAn, 2);
-            config.engine_workers = workers;
-            let runs = run_group(&[(&g1, &Bfs::new(0)), (&g2, &Bfs::new(1))], &config);
-            let key: Vec<_> = runs
-                .iter()
-                .map(|r| (r.seconds.to_bits(), r.metrics, r.values.clone()))
-                .collect();
-            match &baseline {
-                None => baseline = Some(key),
-                Some(b) => assert_eq!(b, &key, "engine_workers={workers} diverged"),
-            }
         }
     }
 }

@@ -155,14 +155,13 @@ impl<W: PtWorkload> PtWorkload for QueryBatch<W> {
         value: u32,
         start: u32,
         stop: u32,
-        plan: Option<&[u32]>,
         scratch: &mut Vec<u32>,
         sink: &mut TokenSink<'_>,
     ) {
         // The sink's query-id base re-tags every offered child; the
         // member expansion itself is batch-oblivious.
         self.proto
-            .expand(ctx, buffers, value, start, stop, plan, scratch, sink);
+            .expand(ctx, buffers, value, start, stop, scratch, sink);
     }
 
     fn reference(&self, graph: &Csr) -> Vec<u32> {

@@ -56,31 +56,20 @@ impl PtWorkload for Bfs {
         value: u32,
         start: u32,
         stop: u32,
-        plan: Option<&[u32]>,
         scratch: &mut Vec<u32>,
         sink: &mut TokenSink<'_>,
     ) {
         // A lane's edge chunk is contiguous in CSR: one coalesced
         // transaction (usually a single line), read through the
         // prevalidated run path — one bounds check per chunk instead of
-        // one per edge. A plan-cached chunk skips the arena read but
-        // keeps the identical validation and charges.
+        // one per edge.
         ctx.charge_coalesced_access(buffers.edges, start as usize, (stop - start) as usize);
-        match plan {
-            Some(cached) => ctx.peek_run_cached(
-                buffers.edges,
-                start as usize,
-                (stop - start) as usize,
-                cached,
-                scratch,
-            ),
-            None => ctx.peek_run(
-                buffers.edges,
-                start as usize,
-                (stop - start) as usize,
-                scratch,
-            ),
-        }
+        ctx.peek_run(
+            buffers.edges,
+            start as usize,
+            (stop - start) as usize,
+            scratch,
+        );
         for &child in scratch.iter() {
             sink.offer(ctx, child, value + 1);
         }

@@ -46,26 +46,16 @@ impl PtWorkload for ConnectedComponents {
         value: u32,
         start: u32,
         stop: u32,
-        plan: Option<&[u32]>,
         scratch: &mut Vec<u32>,
         sink: &mut TokenSink<'_>,
     ) {
         ctx.charge_coalesced_access(buffers.edges, start as usize, (stop - start) as usize);
-        match plan {
-            Some(cached) => ctx.peek_run_cached(
-                buffers.edges,
-                start as usize,
-                (stop - start) as usize,
-                cached,
-                scratch,
-            ),
-            None => ctx.peek_run(
-                buffers.edges,
-                start as usize,
-                (stop - start) as usize,
-                scratch,
-            ),
-        }
+        ctx.peek_run(
+            buffers.edges,
+            start as usize,
+            (stop - start) as usize,
+            scratch,
+        );
         for &child in scratch.iter() {
             sink.offer(ctx, child, value);
         }

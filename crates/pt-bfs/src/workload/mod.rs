@@ -142,9 +142,8 @@ impl TokenSink<'_> {
 ///
 /// Implementations are cloned once per wavefront (and once per epoch by
 /// the recoverable runner), so they must be cheap to clone — share large
-/// payloads (e.g. edge weights) behind an `Arc`. `Send` because kernels
-/// are planned on engine worker threads (see `simt::WaveKernel`).
-pub trait PtWorkload: Clone + Send {
+/// payloads (e.g. edge weights) behind an `Arc`.
+pub trait PtWorkload: Clone {
     /// Short display name (experiment tables, error messages).
     fn name(&self) -> &'static str;
 
@@ -207,13 +206,7 @@ pub trait PtWorkload: Clone + Send {
     /// Expands edges `start..stop` of a token whose lane value is
     /// `value`: read the adjacency slice and offer each child a
     /// candidate through `sink`. `scratch` is a reusable per-wavefront
-    /// buffer for prevalidated chunk reads. `plan`, when present, holds
-    /// the words `edges[start..stop]` copied out by the parallel plan
-    /// phase (DESIGN.md §12); implementations should serve their
-    /// adjacency reads from it through the validated cached accessors
-    /// (`WaveCtx::peek_run_cached` / `WaveCtx::peek_cached`), which
-    /// charge and fault exactly like the live reads — consuming or
-    /// ignoring `plan` is byte-identical.
+    /// buffer for prevalidated chunk reads.
     #[allow(clippy::too_many_arguments)]
     fn expand(
         &self,
@@ -222,7 +215,6 @@ pub trait PtWorkload: Clone + Send {
         value: u32,
         start: u32,
         stop: u32,
-        plan: Option<&[u32]>,
         scratch: &mut Vec<u32>,
         sink: &mut TokenSink<'_>,
     );

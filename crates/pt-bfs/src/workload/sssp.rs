@@ -79,7 +79,6 @@ impl PtWorkload for Sssp {
         value: u32,
         start: u32,
         stop: u32,
-        plan: Option<&[u32]>,
         _scratch: &mut Vec<u32>,
         sink: &mut TokenSink<'_>,
     ) {
@@ -91,16 +90,7 @@ impl PtWorkload for Sssp {
         ctx.charge_coalesced_access(weights, start as usize, len);
         let mut edge = start;
         while edge < stop {
-            // The adjacency word can come from the plan cache (validated
-            // per word, identical faulting); the weight read stays live.
-            let child = match plan {
-                Some(cached) => ctx.peek_cached(
-                    buffers.edges,
-                    edge as usize,
-                    cached[(edge - start) as usize],
-                ),
-                None => ctx.peek(buffers.edges, edge as usize),
-            };
+            let child = ctx.peek(buffers.edges, edge as usize);
             let weight = ctx.peek(weights, edge as usize);
             sink.offer(ctx, child, value.saturating_add(weight));
             edge += 1;

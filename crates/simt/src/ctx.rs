@@ -73,7 +73,6 @@ use crate::config::CostModel;
 use crate::error::{AbortReason, SimError};
 use crate::memory::{Buffer, DeviceMemory};
 use crate::metrics::Metrics;
-use crate::plan::PlanCtx;
 use crate::round::{RoundState, LINE_WORDS};
 
 /// What a wavefront reports at the end of a work cycle.
@@ -115,29 +114,11 @@ pub struct WaveInfo {
 }
 
 /// A kernel instantiated once per wavefront.
-///
-/// `Send` because the engine's plan phase (DESIGN.md §12) moves mutable
-/// access to each kernel onto a worker thread for the duration of one
-/// read-only planning pass; kernels are plain per-wavefront state, so the
-/// bound is free in practice.
-pub trait WaveKernel: Send {
+pub trait WaveKernel {
     /// Executes one work cycle (one pass through the persistent-thread
     /// loop of the paper's Algorithm 1). Returns whether the wavefront
     /// remains active.
     fn work_cycle(&mut self, ctx: &mut WaveCtx<'_>) -> WaveStatus;
-
-    /// Parallel plan phase of one round (only called when the launch asks
-    /// for more than one engine worker). Runs concurrently with other
-    /// waves' `plan_cycle`s against a shared read-only memory view,
-    /// *before* any wave's `work_cycle` of the same round. A kernel may
-    /// cache immutable-buffer reads for [`WaveCtx::peek_run_cached`] /
-    /// [`WaveCtx::peek_cached`] and issue prefetches; it must not make
-    /// its `work_cycle` behaviour depend on anything a concurrent wave
-    /// could change. The default does nothing (planning is purely an
-    /// optimization — correctness never requires it).
-    fn plan_cycle(&mut self, ctx: &PlanCtx<'_>) {
-        let _ = ctx;
-    }
 }
 
 /// The class of observations a [`Watch`] holds under (see the module docs
@@ -600,56 +581,6 @@ impl<'a> WaveCtx<'a> {
         match self.memory.load_run(buf, start, len) {
             Ok(words) => out.extend_from_slice(words),
             Err(e) => self.record_fault(e),
-        }
-    }
-
-    /// Commit-phase twin of [`WaveCtx::peek_run`] for a block the plan
-    /// phase already copied out of an *immutable* buffer: performs
-    /// exactly the bounds + poison validation of the live read (so fault
-    /// injection is observed bit-identically, in commit order), then
-    /// serves the words from `cached` without touching the arena. The
-    /// caller guarantees `cached` holds the words `[start, start + len)`
-    /// of `buf` — only sound for buffers never written during the run
-    /// (debug builds verify the copy against the arena).
-    pub fn peek_run_cached(
-        &mut self,
-        buf: Buffer,
-        start: usize,
-        len: usize,
-        cached: &[u32],
-        out: &mut Vec<u32>,
-    ) {
-        out.clear();
-        debug_assert_eq!(cached.len(), len);
-        match self.memory.validate_run(buf, start, len) {
-            Ok(()) => {
-                debug_assert_eq!(
-                    Some(cached),
-                    self.memory.plan_load_run(buf, start, len),
-                    "plan cache diverged from device memory (mutable buffer cached?)"
-                );
-                out.extend_from_slice(cached);
-            }
-            Err(e) => self.record_fault(e),
-        }
-    }
-
-    /// Commit-phase twin of [`WaveCtx::peek`] for a single plan-cached
-    /// word of an immutable buffer (see [`WaveCtx::peek_run_cached`]).
-    pub fn peek_cached(&mut self, buf: Buffer, index: usize, cached: u32) -> u32 {
-        match self.memory.validate(buf, index) {
-            Ok(()) => {
-                debug_assert_eq!(
-                    Some(cached),
-                    self.memory.plan_load(buf, index),
-                    "plan cache diverged from device memory (mutable buffer cached?)"
-                );
-                cached
-            }
-            Err(e) => {
-                self.record_fault(e);
-                0
-            }
         }
     }
 

@@ -61,7 +61,6 @@ use crate::error::{AbortReason, FaultKind, SimError};
 use crate::fault::FaultPlan;
 use crate::memory::DeviceMemory;
 use crate::metrics::{Metrics, Profile};
-use crate::plan::PlanCtx;
 use crate::round::RoundState;
 use crate::trace::{RoundBound, RoundTrace, Trace};
 
@@ -83,14 +82,6 @@ pub struct Launch {
     /// budgets; a violation fails the run. Pure bookkeeping — metrics and
     /// timing are identical with or without it.
     pub audit: bool,
-    /// Host worker threads for the intra-round plan phase (DESIGN.md
-    /// §12). `<= 1` runs the historical fully-serial loop; `N > 1` fans
-    /// the read-only [`crate::WaveKernel::plan_cycle`] pass across `N`
-    /// threads while the commit phase stays serial — results are
-    /// byte-identical at any value. Not clamped to the host core count
-    /// here (the bench harness owns that policy), so determinism tests
-    /// exercise real multi-worker planning even on small boxes.
-    pub engine_workers: usize,
 }
 
 impl Launch {
@@ -102,7 +93,6 @@ impl Launch {
             max_rounds: 50_000_000,
             trace: false,
             audit: false,
-            engine_workers: 1,
         }
     }
 
@@ -127,13 +117,6 @@ impl Launch {
     /// Enables AuditMode for this run (see [`Launch::audit`]).
     pub fn with_audit(mut self) -> Self {
         self.audit = true;
-        self
-    }
-
-    /// Sets the plan-phase worker count (see [`Launch::engine_workers`]).
-    /// `0` and `1` both mean serial.
-    pub fn with_engine_workers(mut self, workers: usize) -> Self {
-        self.engine_workers = workers;
         self
     }
 }
@@ -219,42 +202,6 @@ fn metrics_delta(after: &Metrics, before: &Metrics) -> Metrics {
     }
 }
 
-/// Raw-pointer handle to the per-wave kernel vector, handing each
-/// plan-phase worker mutable access to *its* shard's kernels.
-///
-/// Soundness: the engine partitions the round's planned waves into
-/// disjoint shards and each wave id appears in at most one shard, so no
-/// two threads ever hold a `&mut` to the same kernel, and the engine
-/// thread does not touch `kernels` while the scope is open.
-struct KernelShards<K>(*mut K);
-
-impl<K> Clone for KernelShards<K> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-impl<K> Copy for KernelShards<K> {}
-
-// SAFETY: shard disjointness (see struct docs) means each thread derives
-// exclusive references only to kernels no other thread touches; `K: Send`
-// (the `WaveKernel` supertrait) makes shipping that access across threads
-// sound.
-unsafe impl<K: Send> Send for KernelShards<K> {}
-
-/// Runs the read-only plan pass for one shard of waves.
-fn plan_shard<K: WaveKernel>(
-    kernels: KernelShards<K>,
-    shard: &[usize],
-    infos: &[WaveInfo],
-    memory: &DeviceMemory,
-) {
-    for &w in shard {
-        // SAFETY: `w` appears in exactly one shard (see `KernelShards`).
-        let kernel = unsafe { &mut *kernels.0.add(w) };
-        kernel.plan_cycle(&PlanCtx::new(memory, infos[w]));
-    }
-}
-
 /// Reusable per-run scheduling state, owned by the engine so multi-launch
 /// algorithms (level-synchronous BFS fires thousands of kernels) never
 /// reallocate it.
@@ -275,10 +222,6 @@ struct Scratch {
     parks: Vec<Park>,
     /// Park-registration scratch handed to each work cycle.
     request: ParkRequest,
-    /// Plan-phase shard scratch: the active, unparked waves of the
-    /// current round (parked waves replay captured charges and run no
-    /// work cycle, so there is nothing to plan for them).
-    plan_waves: Vec<usize>,
 }
 
 /// A simulated GPU: configuration plus device memory. Memory persists
@@ -362,8 +305,8 @@ impl Engine {
     /// so co-residents that finish early report shorter makespans than
     /// stragglers, exactly like overlapping streams on real hardware.
     ///
-    /// `template` supplies the shared knobs (round limit, audit,
-    /// engine workers); `launch_wgs[l]` is launch `l`'s workgroup count.
+    /// `template` supplies the shared knobs (round limit, audit);
+    /// `launch_wgs[l]` is launch `l`'s workgroup count.
     /// `factory` receives `(launch_index, info)` where `info` carries
     /// *launch-local* `wave_id`/`workgroup`/`total_waves` (kernels see
     /// their own geometry, as if launched alone) while CU assignment
@@ -490,7 +433,6 @@ impl Engine {
             round_atomic,
             parks,
             request,
-            plan_waves,
         } = &mut self.scratch;
         active.clear();
         active.extend(0..total_waves);
@@ -509,7 +451,6 @@ impl Engine {
         self.round_state
             .ensure_capacity(self.memory.allocated_words());
 
-        let workers = launch.engine_workers.max(1);
         // Per-launch accounting: counters charge to the acting wave's
         // launch; device-wide quantities (per-CU clocks, bandwidth and
         // hot-word floors) are shared and snapshotted per launch at the
@@ -528,10 +469,7 @@ impl Engine {
             .collect();
         states[0].waves_left += launch.cpu_collab_groups;
         let mut newly_done: Vec<usize> = Vec::new();
-        let mut profile = Profile {
-            engine_workers: workers as u64,
-            ..Profile::default()
-        };
+        let mut profile = Profile::default();
         let mut cu_cycles = vec![0u64; num_cus];
         let mut device_bw_millicycles: u64 = 0;
         let mut device_hot_millicycles: u64 = 0;
@@ -596,45 +534,6 @@ impl Engine {
                         }
                     }
                     next_poison += 1;
-                }
-            }
-
-            // ---- plan phase (DESIGN.md §12) ----
-            // Fan the active, unparked waves out across host workers for
-            // a read-only planning pass (decode lane state, copy CSR edge
-            // chunks, predict stale queue-slot pickups, prefetch). Purely
-            // a cache warmer: nothing in it is observable in the
-            // simulation, and the commit phase below is the historical
-            // serial loop verbatim, so results are byte-identical at any
-            // worker count. Parked waves replay captured charges without
-            // a work cycle, so they have nothing to plan. Runs after
-            // poison arming: plan reads are fault-blind either way, and
-            // the cached data is consumed through validated accessors
-            // that observe this round's poisons in commit order.
-            if workers > 1 {
-                plan_waves.clear();
-                plan_waves.extend(active.iter().copied().filter(|&w| !parks[w].parked));
-                if !plan_waves.is_empty() {
-                    profile.plan_rounds += 1;
-                    profile.planned_waves += plan_waves.len() as u64;
-                    let shard_len = plan_waves.len().div_ceil(workers);
-                    let memory = &self.memory;
-                    let infos_ref = infos.as_slice();
-                    let shards = KernelShards(kernels.as_mut_ptr());
-                    let mut rest = plan_waves.chunks(shard_len);
-                    let first = rest.next().unwrap_or(&[]);
-                    if plan_waves.len() > shard_len {
-                        std::thread::scope(|scope| {
-                            for shard in rest {
-                                scope.spawn(move || plan_shard(shards, shard, infos_ref, memory));
-                            }
-                            // The engine thread takes the first shard
-                            // instead of idling on the join.
-                            plan_shard(shards, first, infos_ref, memory);
-                        });
-                    } else {
-                        plan_shard(shards, first, infos_ref, memory);
-                    }
                 }
             }
 

@@ -59,7 +59,6 @@ pub mod memory;
 pub mod metrics;
 #[cfg(test)]
 mod park_tests;
-pub mod plan;
 pub mod round;
 pub mod trace;
 
@@ -71,5 +70,4 @@ pub use error::{AbortReason, FaultKind, SimError};
 pub use fault::{CuStall, FaultPlan, FaultSpec, MemPoison, WaveKill};
 pub use memory::{eager_zeroing, set_eager_zeroing, Buffer, DeviceMemory};
 pub use metrics::{Metrics, Profile};
-pub use plan::PlanCtx;
 pub use trace::{RoundBound, RoundTrace, Trace};

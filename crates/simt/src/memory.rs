@@ -582,87 +582,6 @@ impl DeviceMemory {
         Ok((addr, rank, old))
     }
 
-    // ---- plan-phase accessors (parallel, read-only, fault-blind) ----
-    //
-    // The plan phase (DESIGN.md §12) runs concurrently over `&self` and
-    // must not *observe* faults — a poisoned word faults deterministically
-    // when the serial commit phase touches it, never earlier. These
-    // accessors therefore bounds-check (returning `None` instead of an
-    // error) and skip the poison overlay entirely.
-
-    /// Plan-phase read of one word. `None` out of bounds; never faults.
-    #[inline]
-    pub(crate) fn plan_load(&self, buf: Buffer, index: usize) -> Option<u32> {
-        if index < buf.len {
-            Some(self.words[buf.offset + index])
-        } else {
-            None
-        }
-    }
-
-    /// Plan-phase read of the run `[start, start + len)`. `None` if the
-    /// run leaves the buffer; never faults.
-    #[inline]
-    pub(crate) fn plan_load_run(&self, buf: Buffer, start: usize, len: usize) -> Option<&[u32]> {
-        let end = start.checked_add(len).filter(|&e| e <= buf.len)?;
-        Some(&self.words[buf.offset + start..buf.offset + end])
-    }
-
-    /// Plan-phase round-stale read (see [`DeviceMemory::stale_value`]).
-    /// Stale visibility is frozen for the whole round, so this predicts
-    /// exactly what a commit-phase `peek_stale` of the same word will see.
-    #[inline]
-    pub(crate) fn plan_stale_load(&self, buf: Buffer, index: usize) -> Option<u32> {
-        if index < buf.len {
-            Some(self.stale_value(buf.offset + index))
-        } else {
-            None
-        }
-    }
-
-    /// Best-effort warm of a word's arena and metadata cache lines for the
-    /// commit phase. No checks, no observable effect.
-    #[inline]
-    pub(crate) fn prefetch(&self, buf: Buffer, index: usize) {
-        if index < buf.len {
-            let addr = buf.offset + index;
-            std::hint::black_box(self.words[addr]);
-            std::hint::black_box(self.meta[addr].state);
-        }
-    }
-
-    /// Exactly the checks [`DeviceMemory::load`] performs, without the
-    /// data: the commit phase runs this before serving a plan-cached word
-    /// so the cached read faults (bounds, then poison) bit-identically to
-    /// the live read it replaces.
-    #[inline]
-    pub(crate) fn validate(&self, buf: Buffer, index: usize) -> Result<(), SimError> {
-        let addr = buf.addr(index)?;
-        self.check_poison(addr)
-    }
-
-    /// Exactly the checks [`DeviceMemory::load_run`] performs, without the
-    /// data (see [`DeviceMemory::validate`]).
-    #[inline]
-    pub(crate) fn validate_run(
-        &self,
-        buf: Buffer,
-        start: usize,
-        len: usize,
-    ) -> Result<(), SimError> {
-        start
-            .checked_add(len)
-            .filter(|&e| e <= buf.len)
-            .ok_or(SimError::OutOfBounds {
-                index: start.saturating_add(len.saturating_sub(1)),
-                len: buf.len,
-            })?;
-        if !self.poisoned.is_empty() && len > 0 {
-            self.check_poison_slow(buf.offset + start, len)?;
-        }
-        Ok(())
-    }
-
     /// The value a word held at the start of the current round (the
     /// one-round-delayed view other wavefronts observe).
     #[doc(hidden)]

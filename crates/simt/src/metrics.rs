@@ -114,13 +114,6 @@ pub struct Profile {
     pub line_table_bytes: u64,
     /// Largest number of distinct cache lines touched in one round.
     pub peak_round_lines: u64,
-    /// Plan-phase worker threads the run was launched with (gauge; 1 =
-    /// fully serial round loop, see DESIGN.md §12).
-    pub engine_workers: u64,
-    /// Rounds that ran a parallel plan phase (0 when serial).
-    pub plan_rounds: u64,
-    /// Wave plan passes executed across all plan rounds.
-    pub planned_waves: u64,
 }
 
 impl Profile {
@@ -137,9 +130,6 @@ impl Profile {
         self.spurious_wakes += other.spurious_wakes;
         self.line_table_bytes = self.line_table_bytes.max(other.line_table_bytes);
         self.peak_round_lines = self.peak_round_lines.max(other.peak_round_lines);
-        self.engine_workers = self.engine_workers.max(other.engine_workers);
-        self.plan_rounds += other.plan_rounds;
-        self.planned_waves += other.planned_waves;
     }
 }
 
@@ -180,9 +170,6 @@ mod tests {
             spurious_wakes: 1,
             line_table_bytes: 64,
             peak_round_lines: 5,
-            engine_workers: 1,
-            plan_rounds: 2,
-            planned_waves: 8,
         };
         let b = Profile {
             arena_words: 50,
@@ -194,9 +181,6 @@ mod tests {
             spurious_wakes: 2,
             line_table_bytes: 128,
             peak_round_lines: 9,
-            engine_workers: 4,
-            plan_rounds: 3,
-            planned_waves: 12,
         };
         a.merge(&b);
         assert_eq!(a.arena_words, 100);
@@ -208,9 +192,6 @@ mod tests {
         assert_eq!(a.spurious_wakes, 3);
         assert_eq!(a.line_table_bytes, 128);
         assert_eq!(a.peak_round_lines, 9);
-        assert_eq!(a.engine_workers, 4);
-        assert_eq!(a.plan_rounds, 5);
-        assert_eq!(a.planned_waves, 20);
     }
 
     #[test]

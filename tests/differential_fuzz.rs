@@ -5,13 +5,13 @@
 //! graphs. Any divergence means one of the queue designs lost,
 //! duplicated, or invented a token.
 
-use ptq::bfs::workload::{ConnectedComponents, PrDelta, PtWorkload};
+use ptq::bfs::workload::{ConnectedComponents, PrDelta, PtWorkload, Sssp};
 use ptq::bfs::{
     execute, run_bfs, run_bfs_stealing, run_workload, PtConfig, RecoveryPolicy, RunSpec, Scheduler,
 };
 use ptq::graph::gen::social;
 use ptq::graph::gen::SocialParams;
-use ptq::graph::Dataset;
+use ptq::graph::{random_weights, Dataset};
 use ptq::queue::device::{
     make_wave_queue, LanePhase, QueueLayout, SegmentedLayout, SegmentedWaveQueue, StealingLayout,
     StealingWaveQueue, WaveQueue,
@@ -327,6 +327,19 @@ fn prdelta_agrees_across_all_six_schedulers() {
             &graph,
             &PrDelta::new(dataset.source()),
             &format!("pr-delta/{dataset:?}"),
+        );
+    }
+}
+
+#[test]
+fn sssp_agrees_across_all_six_schedulers() {
+    for (dataset, fraction) in FUZZ_SCALE {
+        let graph = dataset.build(fraction);
+        let weights = random_weights(&graph, 64, 0xA11CE);
+        all_six_agree_with_oracle(
+            &graph,
+            &Sssp::new(dataset.source(), weights),
+            &format!("sssp/{dataset:?}"),
         );
     }
 }

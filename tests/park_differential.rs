@@ -25,7 +25,7 @@ use ptq::queue::device::{
 };
 use ptq::queue::Variant;
 use simt::{
-    AbortReason, DeviceMemory, Engine, FaultKind, FaultPlan, GpuConfig, Launch, PlanCtx, RunReport,
+    AbortReason, DeviceMemory, Engine, FaultKind, FaultPlan, GpuConfig, Launch, RunReport,
     SimError, WaveCtx, WaveInfo,
 };
 
@@ -44,9 +44,6 @@ impl WaveQueue for NeverPark {
     }
     fn register_idle_watches(&self, _: &mut WaveCtx<'_>, _: &[LanePhase]) -> bool {
         false
-    }
-    fn plan_token(&self, ctx: &PlanCtx<'_>, slot: u32) -> Option<u32> {
-        self.0.plan_token(ctx, slot)
     }
 }
 

@@ -3,11 +3,10 @@
 //!
 //! The service's promise is *graceful degradation under determinism*:
 //! whatever a seeded fault plan does to individual queries, the outcome
-//! log is golden-identical at any `--jobs` width and engine-worker
-//! budget, quarantined queries never poison later ones, and the
-//! segmented admission path never surfaces a `QueueFull` abort. These
-//! tests pin all three against a trace that touches every main-six
-//! dataset with per-query fault plans.
+//! log is golden-identical at any `--jobs` width, quarantined queries
+//! never poison later ones, and the segmented admission path never
+//! surfaces a `QueueFull` abort. These tests pin all three against a
+//! trace that touches every main-six dataset with per-query fault plans.
 
 use ptq_graph::Dataset;
 use repro_bench::serve::{
@@ -49,33 +48,24 @@ fn chaos_trace() -> (ArrivalTrace, u32, u32) {
     (trace, poison, resub)
 }
 
-fn config(engine_workers: usize) -> ServiceConfig {
-    let mut config = ServiceConfig::standard(Scale::new(0.02));
-    config.engine_workers = engine_workers;
-    config
+fn config() -> ServiceConfig {
+    ServiceConfig::standard(Scale::new(0.02))
 }
 
 #[test]
-fn outcome_log_is_golden_identical_across_jobs_and_engine_workers() {
+fn outcome_log_is_golden_identical_across_jobs() {
     let (trace, _, _) = chaos_trace();
-    let reference = Service::new(config(1)).run(&trace, &Sched::serial());
+    let reference = Service::new(config()).run(&trace, &Sched::serial());
     for jobs in [2, 4] {
-        let log = Service::new(config(1)).run(&trace, &Sched::new(jobs));
+        let log = Service::new(config()).run(&trace, &Sched::new(jobs));
         assert_eq!(reference, log, "jobs={jobs} diverged from serial");
-    }
-    for workers in [2, 4] {
-        let log = Service::new(config(workers)).run(&trace, &Sched::new(4));
-        assert_eq!(
-            reference, log,
-            "engine_workers={workers} diverged from serial"
-        );
     }
 }
 
 #[test]
 fn quarantine_isolates_the_poison_family_and_nothing_else() {
     let (trace, poison, resub) = chaos_trace();
-    let log = Service::new(config(1)).run(&trace, &Sched::new(0));
+    let log = Service::new(config()).run(&trace, &Sched::new(0));
 
     let p = &log.outcomes[poison as usize];
     assert_eq!(p.disposition, Disposition::Quarantined);
@@ -126,7 +116,7 @@ fn segmented_admission_path_never_aborts_queue_full() {
         // Compress arrivals into a burst to force a deep backlog.
         q.arrival_cycle /= 100;
     }
-    let mut cfg = config(1);
+    let mut cfg = config();
     cfg.backlog_limit = 4;
     let log = Service::new(cfg).run(&trace, &Sched::new(0));
     assert_eq!(

@@ -17,7 +17,7 @@
 //!   protocol), so when the queue looks empty the operation raises the
 //!   queue-empty exception and the hungry lanes retry next work cycle.
 
-use super::{LanePhase, QueueLayout, WaveQueue, FRONT, REAR};
+use super::{bits, Lanes, QueueLayout, WaveQueue, FRONT, REAR};
 use crate::{Variant, DNA};
 use simt::{AbortReason, OpSpec, WaveCtx};
 
@@ -47,13 +47,13 @@ impl WaveQueue for AnWaveQueue {
         Variant::An
     }
 
-    fn acquire(&mut self, ctx: &mut WaveCtx<'_>, lanes: &mut [LanePhase]) {
+    fn acquire(&mut self, ctx: &mut WaveCtx<'_>, lanes: &mut Lanes) {
         // A wave the engine parked on the empty queue skipped its per-round
         // `front_seen` refresh; the engine kept the version for it.
         if let Some(version) = ctx.parked_front_version() {
             self.front_seen = Some(version);
         }
-        let hungry = lanes.iter().filter(|l| **l == LanePhase::Hungry).count() as u32;
+        let hungry = lanes.hungry().count_ones();
         if hungry == 0 {
             return;
         }
@@ -103,19 +103,10 @@ impl WaveQueue for AnWaveQueue {
         // Tokens in [front, front+n) were published before Rear advanced
         // past them, so plain (coalesced) reads suffice.
         ctx.charge_coalesced_access(self.layout.slots, front as usize, n as usize);
-        let mut slot = front;
-        let mut fed = 0;
-        for lane in lanes.iter_mut() {
-            if fed == n {
-                break;
-            }
-            if *lane == LanePhase::Hungry {
-                let tok = ctx.peek(self.layout.slots, slot as usize);
-                debug_assert_ne!(tok, DNA, "AN dequeued an unwritten slot");
-                *lane = LanePhase::Ready(tok);
-                slot += 1;
-                fed += 1;
-            }
+        for (lane, slot) in bits(lanes.hungry()).zip(front..front + n) {
+            let tok = ctx.peek(self.layout.slots, slot as usize);
+            debug_assert_ne!(tok, DNA, "AN dequeued an unwritten slot");
+            lanes.deliver(lane, tok);
         }
         // Lanes beyond `avail` stay hungry: exception-style retry.
         if hungry > n {
@@ -124,7 +115,7 @@ impl WaveQueue for AnWaveQueue {
         ctx.audit_end();
     }
 
-    fn register_idle_watches(&self, ctx: &mut WaveCtx<'_>, lanes: &[LanePhase]) -> bool {
+    fn register_idle_watches(&self, ctx: &mut WaveCtx<'_>, lanes: &Lanes) -> bool {
         // AN has no monitoring phase: an empty-queue cycle leaves every
         // lane Hungry and attempts no CAS (`n == 0` above), so the cycle
         // is a pure poll of `Front` (fresh read) and `Rear` (stale read)
@@ -133,7 +124,7 @@ impl WaveQueue for AnWaveQueue {
         // version(Front)`, is unconditional, so the engine reproduces it
         // by handing back the version of the last skipped round
         // (`parked_front_version` in `acquire`).
-        if !lanes.iter().all(|l| matches!(l, LanePhase::Hungry)) {
+        if !lanes.all_hungry() {
             return false;
         }
         ctx.park_while_empty(self.layout.state, REAR, FRONT);

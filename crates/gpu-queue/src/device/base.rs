@@ -23,7 +23,7 @@
 //! CAS sees a fresh counter value and succeeds — the paper's BASE is slow
 //! because of *where* its atomics go, not because every attempt is wasted.
 
-use super::{LanePhase, QueueLayout, WaveQueue, FRONT, REAR};
+use super::{bits, Lanes, QueueLayout, WaveQueue, FRONT, REAR};
 use crate::{Variant, DNA};
 use simt::{AbortReason, OpSpec, WaveCtx};
 
@@ -54,13 +54,13 @@ impl WaveQueue for BaseWaveQueue {
         Variant::Base
     }
 
-    fn acquire(&mut self, ctx: &mut WaveCtx<'_>, lanes: &mut [LanePhase]) {
+    fn acquire(&mut self, ctx: &mut WaveCtx<'_>, lanes: &mut Lanes) {
         // A wave the engine parked on the empty queue skipped its per-round
         // `front_seen` refresh; the engine kept the version for it.
         if let Some(version) = ctx.parked_front_version() {
             self.front_seen = Some(version);
         }
-        let hungry = lanes.iter().filter(|l| **l == LanePhase::Hungry).count();
+        let hungry = lanes.hungry().count_ones() as usize;
         if hungry == 0 {
             return;
         }
@@ -87,7 +87,7 @@ impl WaveQueue for BaseWaveQueue {
         let mut front = ctx.global_read(self.layout.state, FRONT);
         let mut served = 0usize;
         #[allow(clippy::explicit_counter_loop)] // `front` is device state, not a counter
-        for lane in lanes.iter_mut().filter(|l| **l == LanePhase::Hungry) {
+        for lane in bits(lanes.hungry()) {
             if front >= rear {
                 break;
             }
@@ -96,7 +96,7 @@ impl WaveQueue for BaseWaveQueue {
             debug_assert_eq!(observed, front, "fresh per-lane CAS wins in-sim");
             let tok = ctx.global_read_lane(self.layout.slots, front as usize);
             debug_assert_ne!(tok, DNA, "BASE dequeued an unwritten slot");
-            *lane = LanePhase::Ready(tok);
+            lanes.deliver(lane, tok);
             front += 1;
             served += 1;
         }
@@ -119,14 +119,14 @@ impl WaveQueue for BaseWaveQueue {
         ctx.audit_end();
     }
 
-    fn register_idle_watches(&self, ctx: &mut WaveCtx<'_>, lanes: &[LanePhase]) -> bool {
+    fn register_idle_watches(&self, ctx: &mut WaveCtx<'_>, lanes: &Lanes) -> bool {
         // Same pure-poll shape as AN: an empty-queue cycle serves zero
         // lanes, so no per-lane CAS fires and no staleness attempts are
         // wasted (`wasted = delta.min(served + 0) = 0`) — the cycle only
         // reads `Front` (fresh) and `Rear` (stale) and behaves the same
         // for every pair with `rear <= front`; `front_seen` is handed
         // back by the engine on wake, as for AN.
-        if !lanes.iter().all(|l| matches!(l, LanePhase::Hungry)) {
+        if !lanes.all_hungry() {
             return false;
         }
         ctx.park_while_empty(self.layout.state, REAR, FRONT);

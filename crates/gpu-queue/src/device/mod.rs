@@ -26,6 +26,7 @@
 
 mod an;
 mod base;
+mod lanes;
 mod rfan;
 mod rfonly;
 mod segmented;
@@ -33,20 +34,22 @@ mod stealing;
 
 pub use an::AnWaveQueue;
 pub use base::BaseWaveQueue;
+pub use lanes::{bits, Lanes};
 pub use rfan::RfAnWaveQueue;
 pub use rfonly::RfOnlyWaveQueue;
 pub use segmented::{SegmentedLayout, SegmentedWaveQueue};
 pub use stealing::{StealingLayout, StealingWaveQueue};
 
 use crate::{Variant, DNA};
-use simt::{Buffer, DeviceMemory, WaveCtx};
+use simt::round::LINE_WORDS;
+use simt::{Buffer, DeviceMemory, WaveCtx, MAX_WAVE_SIZE};
 
 /// Index of `Front` in the queue state buffer.
 pub const FRONT: usize = 0;
 /// Index of `Rear` in the queue state buffer.
 pub const REAR: usize = 1;
 
-/// Dequeue-side state of one lane.
+/// Dequeue-side state of one lane — the per-lane view of a [`Lanes`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LanePhase {
     /// Lane has no task and is not asking for one (initial state, or the
@@ -112,6 +115,12 @@ impl QueueLayout {
 /// wavefront-private scratch state; all cross-wavefront communication goes
 /// through simulated device memory, so metrics capture every real memory
 /// and atomic operation.
+///
+/// A queue handle and the [`Lanes`] it is handed belong to **one
+/// wavefront for the whole launch**: a handle may remember what it
+/// concluded about those lanes under their [`Lanes::epoch`], so passing it
+/// another wavefront's lanes, or a fresh `Lanes`, mid-launch is a caller
+/// bug.
 pub trait WaveQueue {
     /// Which design this is.
     fn variant(&self) -> Variant;
@@ -121,7 +130,7 @@ pub trait WaveQueue {
     /// `Monitoring` + data-arrival polling for RF/AN). Lanes the queue
     /// cannot feed this cycle stay `Hungry`/`Monitoring` and are counted
     /// as retries where the design retries.
-    fn acquire(&mut self, ctx: &mut WaveCtx<'_>, lanes: &mut [LanePhase]);
+    fn acquire(&mut self, ctx: &mut WaveCtx<'_>, lanes: &mut Lanes);
 
     /// Enqueues this wavefront's newly discovered task tokens. `tokens`
     /// is the concatenation of every lane's discoveries this work cycle
@@ -136,51 +145,282 @@ pub trait WaveQueue {
     /// words it reads stay inside a known class of observations —
     /// registers park watches naming those classes (see the wave-parking
     /// contract in `simt::ctx`) and returns `true`: the sentinel designs
-    /// watch the stale value of every monitored in-bounds slot
-    /// (`WaveCtx::park_until_changed`), the CAS designs watch "still
-    /// empty" over `Rear`/`Front` (`WaveCtx::park_while_empty`). Kernels
-    /// combine this with their own watches (e.g. "pending still
-    /// non-zero") to let the engine skip the idle long tail cycle-exactly.
-    /// Designs whose idle cycle is not invariant (steal scans) keep the
-    /// default `false` for it and simply never park there.
-    fn register_idle_watches(&self, ctx: &mut WaveCtx<'_>, lanes: &[LanePhase]) -> bool {
+    /// watch "`Rear` has not passed my smallest ticket"
+    /// (`WaveCtx::park_while_at_most`, plus SEG's directory words), the
+    /// CAS designs watch "still empty" over `Rear`/`Front`
+    /// (`WaveCtx::park_while_empty`). Kernels combine this with their own
+    /// watches (e.g. "pending still non-zero") to let the engine skip the
+    /// idle long tail cycle-exactly. Designs whose idle cycle is not
+    /// invariant (steal scans) keep the default `false` for it and simply
+    /// never park there.
+    fn register_idle_watches(&self, ctx: &mut WaveCtx<'_>, lanes: &Lanes) -> bool {
         let _ = (ctx, lanes);
         false
     }
 }
 
-/// Charges one lock-step data-arrival poll (paper Listing 2) of the
-/// `watched` slot addresses in `slots`, sorting them first.
+/// Paper Listing 1, the batched reservation of RF/AN and SEG-RF/AN: the
+/// hungry lanes count themselves with workgroup-local atomics (the proxy
+/// zeroes the counter; local atomics never fail and are latency-hidden),
+/// the proxy thread issues **one** global AFA on `Front` for all of them,
+/// and each lane monitors its ticket of the batch. Returns the global
+/// AFAs issued: one iff any lane was hungry.
+pub(crate) fn reserve_batch(ctx: &mut WaveCtx<'_>, lanes: &mut Lanes, state: Buffer) -> u64 {
+    let hungry = lanes.hungry().count_ones();
+    if hungry == 0 {
+        return 0;
+    }
+    ctx.charge_alu(1);
+    ctx.lds_atomics(u64::from(hungry));
+    let base = ctx.atomic_add(state, FRONT, hungry);
+    ctx.count_scheduler_atomics(1);
+    lanes.monitor_hungry(base);
+    1
+}
+
+/// Where a sentinel design keeps the slot behind a ticket.
+#[derive(Clone, Copy)]
+pub(crate) enum Slots<'a> {
+    /// Ticket `t < capacity` is `slots[t]`; later tickets have no slot.
+    Flat(&'a QueueLayout),
+    /// Ticket `t` is in the physical segment the directory maps virtual
+    /// segment `t / seg_cap` to, if it maps it.
+    Segmented(&'a SegmentedLayout),
+}
+
+/// Directory words one memoised poll can stand on — every word of the
+/// ring [`SegmentedLayout::for_capacity`] builds. On a longer ring, a
+/// wavefront whose tickets span more segments than this polls in full
+/// every cycle.
+const PROBES: usize = 12;
+
+/// What the last arrival-free [`poll`] of a wavefront charged, valid for
+/// as long as what it was computed from stands: the same lanes on the
+/// same tickets ([`Lanes::epoch`]), `Rear` not past the smallest of them,
+/// the probed directory words unchanged.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct PollMemo {
+    epoch: u64,
+    min_ticket: u32,
+    /// Cache-resident slot lines polled.
+    cached_lines: u8,
+    /// Cache-resident directory lines probed (SEG).
+    dir_lines: u8,
+    /// Ring slots of the directory words probed (SEG), and what they held,
+    /// in ring order.
+    probed: u64,
+    entries: [u32; PROBES],
+}
+
+impl PollMemo {
+    /// Matches no [`Lanes::epoch`]: the next poll runs in full.
+    pub(crate) const NONE: PollMemo = PollMemo {
+        epoch: u64::MAX,
+        min_ticket: 0,
+        cached_lines: 0,
+        dir_lines: 0,
+        probed: 0,
+        entries: [0; PROBES],
+    };
+}
+
+/// The data-arrival poll (paper Listing 2) of RF/AN, RF-only and
+/// SEG-RF/AN, in closed form.
 ///
-/// A wavefront's monitored slots are consecutive (they came from batched
-/// reservations), so the poll coalesces into one memory transaction per
-/// cache line. Lines still holding only sentinels are cache-resident
-/// (nobody wrote them): polling costs issue but no DRAM bandwidth. Lines
-/// where data has arrived were invalidated by the producer's write and pay
-/// the full transaction.
-pub(crate) fn charge_sentinel_poll(ctx: &mut WaveCtx<'_>, slots: Buffer, watched: &mut [u32]) {
-    watched.sort_unstable();
-    let mut cached_lines = 0u64;
+/// The modelled hardware reads every monitored slot each work cycle. The
+/// simulator need not: **a ticket `t` a lane still monitors reads
+/// non-`dna` through the round-stale view iff `t <` the round-start value
+/// of `Rear`** (bounded: and `t < capacity`; segmented: which implies the
+/// stale directory maps its segment) — the argument is the worked example
+/// of *Host-side observation* in `simt::ctx`. So the poll observes
+/// round-start `Rear` (and, SEG, the directory word of each distinct
+/// segment in play, once per run of tickets), decides arrival by integer
+/// compare, and charges exactly what the reads cost: a wavefront's
+/// monitored slots came from batched reservations, so the poll coalesces
+/// into one transaction per cache line — cache-resident
+/// (`charge_cached_access`) while the line holds only sentinels, a full
+/// transaction (`charge_coalesced_access` over the watched run) once a
+/// producer's write invalidated it — plus one ALU slot per monitoring lane
+/// for its bounds / mapping check. It reads a slot only to pick an arrived
+/// token up, restoring the sentinel (no atomics: the slot is privately
+/// owned) and reporting the ticket to `picked`.
+///
+/// When nothing arrived, the counts are kept in `memo`; the next poll of
+/// the same lanes, with `Rear` still short of them and the directory words
+/// unchanged, replays them without looking at a lane. Debug builds run
+/// every poll in full instead, assert the invariant on every watched word
+/// and check a valid memo against the recount. While a poison is armed
+/// the poll also touches every word the hardware reads, in its order, with
+/// the faulting accessor.
+pub(crate) fn poll(
+    ctx: &mut WaveCtx<'_>,
+    lanes: &mut Lanes,
+    memo: &mut PollMemo,
+    slots: Slots<'_>,
+    mut picked: impl FnMut(u32),
+) {
+    let watching = lanes.monitoring();
+    if watching == 0 {
+        return;
+    }
+    let (buf, rear) = match slots {
+        // No ticket at or past `capacity` ever holds data.
+        Slots::Flat(q) => (q.slots, ctx.observe_stale(q.state, REAR).min(q.capacity)),
+        Slots::Segmented(lt) => (lt.slots, ctx.observe_stale(lt.state, REAR)),
+    };
+    let armed = ctx.poison_armed();
+    let replay = !armed
+        && memo.epoch == lanes.epoch()
+        && rear <= memo.min_ticket
+        && match slots {
+            Slots::Flat(_) => true,
+            Slots::Segmented(lt) => bits(memo.probed)
+                .zip(memo.entries)
+                .all(|(r, entry)| ctx.observe_stale(lt.dir, r) == entry),
+        };
+    if replay && !cfg!(debug_assertions) {
+        ctx.charge_cached_access(memo.dir_lines.into());
+        ctx.charge_cached_access(memo.cached_lines.into());
+        ctx.charge_alu(watching.count_ones().into());
+        return;
+    }
+
+    let mut min_ticket = u32::MAX;
+    // Ring slots and directory lines probed so far.
+    let (mut probed, mut dir_lines) = (0u64, 0u64);
+    // `arena address, arrived, lane` of every watched slot, packed so that
+    // sorting orders them by address.
+    let mut keys = [0u64; MAX_WAVE_SIZE];
+    let mut watched = 0;
+    // The segment the previous ticket resolved to: `(first ticket, arena
+    // address of it if mapped)`.
+    let mut span: Option<(u32, Option<u32>)> = None;
+    for lane in bits(watching) {
+        let t = lanes.ticket(lane);
+        min_ticket = min_ticket.min(t);
+        let addr = match slots {
+            Slots::Flat(q) => (t < q.capacity).then_some(t),
+            Slots::Segmented(lt) => {
+                if armed || span.is_none_or(|(first, _)| t.wrapping_sub(first) >= lt.seg_cap) {
+                    let seg = t / lt.seg_cap;
+                    let r = lt.ring_slot(seg);
+                    if armed {
+                        ctx.peek_stale(lt.dir, r);
+                    }
+                    probed |= 1 << r;
+                    dir_lines |= 1 << (r / LINE_WORDS);
+                    let entry = ctx.observe_stale(lt.dir, r);
+                    let base = lt.decode(entry, seg).map(|phys| phys * lt.seg_cap);
+                    span = Some((seg * lt.seg_cap, base));
+                }
+                span.and_then(|(first, base)| Some(base? + (t - first)))
+            }
+        };
+        let Some(addr) = addr else {
+            // Never read: data cannot arrive out of bounds, nor before
+            // the mapping does.
+            debug_assert!(t >= rear, "ticket {t} below Rear {rear} has no slot");
+            continue;
+        };
+        debug_assert_eq!(
+            ctx.observe_stale(buf, addr as usize) != DNA,
+            t < rear,
+            "arrival invariant: ticket {t}, round-start Rear {rear}"
+        );
+        keys[watched] = u64::from(addr) << 7 | u64::from(t < rear) << 6 | lane as u64;
+        watched += 1;
+    }
+
+    // Probes of distinct ring slots coalesce into cache-resident lines.
+    let dir_lines = dir_lines.count_ones() as u8;
+    ctx.charge_cached_access(dir_lines.into());
+    let keys = &mut keys[..watched];
+    keys.sort_unstable();
+    let (mut cached_lines, mut arrivals) = (0u8, 0);
     let mut i = 0;
-    while i < watched.len() {
-        let line = watched[i] / 16;
-        let mut any_data = false;
-        let run_start = i;
-        while i < watched.len() && watched[i] / 16 == line {
-            if ctx.peek_stale(slots, watched[i] as usize) != DNA {
-                any_data = true;
+    while i < keys.len() {
+        let first = (keys[i] >> 7) as usize;
+        let (mut last, mut data) = (first, false);
+        while i < keys.len() && (keys[i] >> 7) as usize / LINE_WORDS == first / LINE_WORDS {
+            last = (keys[i] >> 7) as usize;
+            if armed {
+                ctx.peek_stale(buf, last);
+            }
+            if keys[i] & (1 << 6) != 0 {
+                data = true;
+                arrivals += 1;
+                let lane = (keys[i] & 63) as usize;
+                let value = ctx.peek_stale(buf, last);
+                assert!(value != DNA, "closed-form pickup of an empty slot {last}");
+                // Private pickup: restore the sentinel, no atomics.
+                ctx.poke(buf, last, DNA);
+                picked(lanes.ticket(lane));
+                lanes.deliver(lane, value);
             }
             i += 1;
         }
-        if any_data {
-            let start = watched[run_start] as usize;
-            let len = (watched[i - 1] - watched[run_start] + 1) as usize;
-            ctx.charge_coalesced_access(slots, start, len);
+        if data {
+            ctx.charge_coalesced_access(buf, first, last - first + 1);
         } else {
             cached_lines += 1;
         }
     }
-    ctx.charge_cached_access(cached_lines);
+    ctx.charge_cached_access(cached_lines.into());
+    ctx.charge_alu(watching.count_ones().into());
+
+    debug_assert!(
+        !replay || (arrivals, cached_lines, dir_lines) == (0, memo.cached_lines, memo.dir_lines),
+        "stale poll memo {memo:?}: recounted {cached_lines} + {dir_lines} lines"
+    );
+    *memo = PollMemo::NONE;
+    if arrivals == 0 && probed.count_ones() as usize <= PROBES {
+        if let Slots::Segmented(lt) = slots {
+            for (entry, r) in memo.entries.iter_mut().zip(bits(probed)) {
+                *entry = ctx.observe_stale(lt.dir, r);
+            }
+        }
+        (memo.epoch, memo.min_ticket) = (lanes.epoch(), min_ticket);
+        (memo.cached_lines, memo.dir_lines, memo.probed) = (cached_lines, dir_lines, probed);
+    }
+}
+
+/// The sentinel designs' [`WaveQueue::register_idle_watches`]. A pure
+/// poll requires *every* lane to be monitoring: a hungry or ready lane
+/// would make the next cycle reserve slots or do work, and an idle lane is
+/// about to turn hungry. By the arrival invariant ([`poll`]) that cycle
+/// repeats until round-start `Rear` passes the smallest monitored ticket
+/// or (SEG) a probed directory word changes, so the wave parks on exactly
+/// those — waking in the round a watch on every monitored slot would have.
+/// A wave whose tickets are all out of bounds waits on the kernel's
+/// watches alone.
+pub(crate) fn park_sentinel(ctx: &mut WaveCtx<'_>, lanes: &Lanes, slots: Slots<'_>) -> bool {
+    if !lanes.all_monitoring() {
+        return false;
+    }
+    let mut smallest = u32::MAX;
+    // SEG: ring slots watched so far, and the first ticket of the segment
+    // the previous ticket was in (tickets come in runs).
+    let (mut parked, mut span) = (0u64, None);
+    for t in bits(lanes.monitoring()).map(|lane| lanes.ticket(lane)) {
+        smallest = smallest.min(t);
+        if let Slots::Segmented(lt) = slots {
+            if span.is_none_or(|first| t.wrapping_sub(first) >= lt.seg_cap) {
+                let seg = t / lt.seg_cap;
+                span = Some(seg * lt.seg_cap);
+                let r = lt.ring_slot(seg);
+                if parked & (1 << r) == 0 {
+                    parked |= 1 << r;
+                    ctx.park_until_changed(lt.dir, r);
+                }
+            }
+        }
+    }
+    match slots {
+        Slots::Flat(q) if smallest >= q.capacity => {}
+        Slots::Flat(q) => ctx.park_while_at_most(q.state, REAR, smallest),
+        Slots::Segmented(lt) => ctx.park_while_at_most(lt.state, REAR, smallest),
+    }
+    true
 }
 
 /// Builds the per-wavefront queue handle for `variant`.
@@ -198,152 +438,7 @@ pub fn make_wave_queue(variant: Variant, layout: QueueLayout) -> Box<dyn WaveQue
 }
 
 #[cfg(test)]
-pub(crate) mod testutil {
-    //! Shared harness: a producer/consumer kernel that pushes a fixed
-    //! token stream through a queue variant and records what comes out.
-
-    use super::*;
-    use simt::{Engine, GpuConfig, Launch, WaveKernel, WaveStatus};
-    use std::sync::{Arc, Mutex};
-
-    /// Kernel: each wavefront dequeues tokens; every token `t` with
-    /// `t < fanout_until` enqueues `children` child tokens derived from
-    /// it. Records every consumed token. Terminates via a pending-task
-    /// counter exactly like the persistent-thread driver.
-    pub struct PumpKernel {
-        pub queue: Box<dyn WaveQueue>,
-        pub lanes: Vec<LanePhase>,
-        pub pending: Buffer,
-        pub consumed: Arc<Mutex<Vec<u32>>>,
-        pub fanout_until: u32,
-        pub children: u32,
-        pub outbox: Vec<u32>,
-        pub completed: u32,
-    }
-
-    impl WaveKernel for PumpKernel {
-        fn work_cycle(&mut self, ctx: &mut WaveCtx<'_>) -> WaveStatus {
-            // Mark idle lanes hungry.
-            for l in self.lanes.iter_mut() {
-                if *l == LanePhase::Idle {
-                    *l = LanePhase::Hungry;
-                }
-            }
-            self.queue.acquire(ctx, &mut self.lanes);
-            // Work phase: consume ready tokens, discover children.
-            for l in self.lanes.iter_mut() {
-                if let LanePhase::Ready(tok) = *l {
-                    self.consumed.lock().unwrap().push(tok);
-                    if tok < self.fanout_until {
-                        for c in 0..self.children {
-                            self.outbox.push(tok * self.children + c + 1_000);
-                        }
-                    }
-                    self.completed += 1;
-                    *l = LanePhase::Idle;
-                }
-            }
-            // Enqueue discoveries (pending += accepted).
-            if !self.outbox.is_empty() {
-                let accepted = self.queue.enqueue(ctx, &self.outbox);
-                if accepted > 0 {
-                    ctx.atomic_add(self.pending, 0, accepted as u32);
-                    self.outbox.drain(..accepted);
-                }
-            }
-            // Retire completions (batched, one atomic).
-            if self.completed > 0 {
-                ctx.atomic_sub(self.pending, 0, self.completed);
-                self.completed = 0;
-            }
-            // Termination: no tasks in flight anywhere.
-            let pending = ctx.global_read(self.pending, 0);
-            if pending == 0 && self.outbox.is_empty() {
-                return WaveStatus::Done;
-            }
-            // Idle: park like the persistent-thread driver does.
-            if self.outbox.is_empty() && self.queue.register_idle_watches(ctx, &self.lanes) {
-                ctx.park_while_nonzero(self.pending, 0);
-            }
-            WaveStatus::Active
-        }
-    }
-
-    /// Test-only adapter: the wrapped queue, except that it never offers
-    /// park watches — the "polls every round" twin of a parking run.
-    pub struct NeverPark(pub Box<dyn WaveQueue>);
-
-    impl WaveQueue for NeverPark {
-        fn variant(&self) -> Variant {
-            self.0.variant()
-        }
-        fn acquire(&mut self, ctx: &mut WaveCtx<'_>, lanes: &mut [LanePhase]) {
-            self.0.acquire(ctx, lanes)
-        }
-        fn enqueue(&mut self, ctx: &mut WaveCtx<'_>, tokens: &[u32]) -> usize {
-            self.0.enqueue(ctx, tokens)
-        }
-        fn register_idle_watches(&self, _: &mut WaveCtx<'_>, _: &[LanePhase]) -> bool {
-            false
-        }
-    }
-
-    /// Pushes `seeds` through `variant` with `wgs` workgroups; returns the
-    /// sorted consumed tokens and the run metrics.
-    pub fn pump(
-        variant: Variant,
-        seeds: &[u32],
-        fanout_until: u32,
-        children: u32,
-        wgs: usize,
-        capacity: u32,
-    ) -> (Vec<u32>, simt::Metrics) {
-        let mut engine = Engine::new(GpuConfig::test_tiny());
-        let layout = QueueLayout::setup(engine.memory_mut(), "q", capacity);
-        let pending = engine.memory_mut().alloc("pending", 1);
-        layout.host_seed(engine.memory_mut(), seeds);
-        engine
-            .memory_mut()
-            .write_u32(pending, 0, seeds.len() as u32);
-        let consumed = Arc::new(Mutex::new(Vec::new()));
-        let wave_size = engine.config().wave_size;
-        let report = engine
-            .run(
-                Launch::workgroups(wgs)
-                    .with_max_rounds(2_000_000)
-                    .with_audit(),
-                |_info| PumpKernel {
-                    queue: make_wave_queue(variant, layout),
-                    lanes: vec![LanePhase::Idle; wave_size],
-                    pending,
-                    consumed: Arc::clone(&consumed),
-                    fanout_until,
-                    children,
-                    outbox: Vec::new(),
-                    completed: 0,
-                },
-            )
-            .expect("pump kernel failed");
-        let mut out = consumed.lock().unwrap().clone();
-        out.sort_unstable();
-        (out, report.metrics)
-    }
-
-    /// The token multiset a pump run must consume: seeds plus one child
-    /// generation per seed below `fanout_until`.
-    pub fn expected_tokens(seeds: &[u32], fanout_until: u32, children: u32) -> Vec<u32> {
-        let mut expect: Vec<u32> = seeds.to_vec();
-        for &s in seeds {
-            if s < fanout_until {
-                for c in 0..children {
-                    expect.push(s * children + c + 1_000);
-                }
-            }
-        }
-        expect.sort_unstable();
-        expect
-    }
-}
+pub(crate) mod testutil;
 
 #[cfg(test)]
 mod tests {
@@ -382,7 +477,7 @@ mod tests {
     /// Wave 0 drives the queue words by hand; wave 1 is a real consumer.
     enum HandBack {
         Driver { layout: QueueLayout, cycle: u32 },
-        Consumer(testutil::PumpKernel),
+        Consumer(Box<testutil::PumpKernel>),
     }
 
     impl simt::WaveKernel for HandBack {
@@ -431,20 +526,20 @@ mod tests {
                     return HandBack::Driver { layout, cycle: 0 };
                 }
                 let queue = make_wave_queue(variant, layout);
-                HandBack::Consumer(testutil::PumpKernel {
+                HandBack::Consumer(Box::new(testutil::PumpKernel {
                     queue: if park {
                         queue
                     } else {
                         Box::new(testutil::NeverPark(queue))
                     },
-                    lanes: vec![LanePhase::Idle; info.wave_size],
+                    lanes: Lanes::new(info.wave_size),
                     pending,
                     consumed: Arc::clone(&consumed),
                     fanout_until: 0,
                     children: 0,
                     outbox: Vec::new(),
                     completed: 0,
-                })
+                }))
             })
             .expect("hand-back scenario failed");
         assert_eq!(*consumed.lock().unwrap(), vec![200, 201, 202, 203]);
@@ -470,6 +565,112 @@ mod tests {
             // Parked in round 0, replayed through round 6, woken in 7.
             assert_eq!(parked.profile.park_events, 1, "{variant:?}");
             assert_eq!(parked.profile.park_replay_cycles, 6, "{variant:?}");
+        }
+    }
+
+    /// Pumps one scenario through the closed-form poll and through the
+    /// reading oracle; every simulated quantity, the delivery order and
+    /// the park trajectory must agree. Returns the closed-form report.
+    fn assert_poll_matches_oracle(
+        gpu: &simt::GpuConfig,
+        shape: testutil::Shape,
+        seeds: &[&[u32]],
+        fanout: (u32, u32),
+        wgs: usize,
+    ) -> simt::RunReport {
+        let run =
+            |reading| testutil::pump_through(gpu, shape, reading, seeds, fanout.0, fanout.1, wgs);
+        let ((closed, delivered), (oracle, expected)) = (run(false), run(true));
+        let label = format!("{}/{shape:?}", gpu.name);
+        assert_eq!(delivered, expected, "{label}: delivery order");
+        assert_eq!(closed.metrics, oracle.metrics, "{label}");
+        assert_eq!(closed.per_cu_cycles, oracle.per_cu_cycles, "{label}");
+        assert_eq!(closed.seconds, oracle.seconds, "{label}");
+        let parks = |r: &simt::RunReport| (r.profile.park_events, r.profile.park_replay_cycles);
+        assert_eq!(parks(&closed), parks(&oracle), "{label}: park trajectory");
+        let mut sorted = delivered;
+        sorted.sort_unstable();
+        let all: Vec<u32> = seeds.concat();
+        assert_eq!(sorted, testutil::expected_tokens(&all, fanout.0, fanout.1));
+        closed
+    }
+
+    /// A saturated scenario (40 seeds fanning out three ways) and a
+    /// starved one (a chain of 61 tokens, one child each: the waves sit
+    /// parked while one lane works), through both polls.
+    fn assert_poll_matches_oracle_busy_and_starved(
+        gpu: &simt::GpuConfig,
+        shape: testutil::Shape,
+        wgs: usize,
+    ) {
+        let seeds: Vec<u32> = (0..40).collect();
+        assert_poll_matches_oracle(gpu, shape, &[&seeds], (40, 3), wgs);
+        let starved = assert_poll_matches_oracle(gpu, shape, &[&[0]], (60_000, 1), wgs);
+        let label = format!("{}/{shape:?}", gpu.name);
+        assert!(starved.profile.park_events > 0, "{label}: nothing parked");
+        assert!(
+            starved.profile.park_replay_cycles > starved.profile.park_events,
+            "{label}: no wave stayed parked"
+        );
+    }
+
+    #[test]
+    fn closed_form_poll_matches_the_reading_poll_on_bounded_queues() {
+        for variant in [Variant::RfAn, Variant::RfOnly] {
+            let shape = testutil::Shape::Bounded(variant, 512);
+            assert_poll_matches_oracle_busy_and_starved(&simt::GpuConfig::test_tiny(), shape, 4);
+            assert_poll_matches_oracle_busy_and_starved(&simt::GpuConfig::spectre(), shape, 6);
+        }
+    }
+
+    #[test]
+    fn closed_form_poll_matches_when_front_overruns_capacity() {
+        // 4 waves x 4 hungry lanes reserve 16 tickets of a 6-slot queue:
+        // the out-of-bounds lanes are charged their bounds check and never
+        // polled, and the in-bounds ones share a line with them.
+        for variant in [Variant::RfAn, Variant::RfOnly] {
+            let shape = testutil::Shape::Bounded(variant, 6);
+            let gpu = simt::GpuConfig::test_tiny();
+            assert_poll_matches_oracle(&gpu, shape, &[&[3, 4, 5]], (4, 1), 4);
+        }
+    }
+
+    #[test]
+    fn closed_form_poll_matches_the_reading_poll_on_segmented_queues() {
+        for (seg_cap, phys_segs, gpu, wgs) in [
+            (8, 6, simt::GpuConfig::test_tiny(), 4),
+            // Not a multiple of the 16-word line: one cache line holds the
+            // tail of one physical segment and the head of the next, and a
+            // 64-lane wave watches both.
+            (24, 4, simt::GpuConfig::spectre(), 3),
+            (40, 5, simt::GpuConfig::spectre(), 6),
+            // A wave's 64 tickets span 16 segments: more directory words
+            // than a poll memo holds.
+            (4, 30, simt::GpuConfig::spectre(), 2),
+        ] {
+            let shape = testutil::Shape::Segmented { seg_cap, phys_segs };
+            assert_poll_matches_oracle_busy_and_starved(&gpu, shape, wgs);
+        }
+    }
+
+    #[test]
+    fn closed_form_poll_matches_on_a_queue_seeded_like_a_resumed_launch() {
+        // A checkpoint resume seeds a whole frontier into a fresh queue —
+        // here in two host writes, crossing several segment boundaries —
+        // so the first polls find `Rear` far from zero and data in every
+        // line a wave watches.
+        let (first, second): (Vec<u32>, Vec<u32>) = ((0..70).collect(), (70..100).collect());
+        let frontier: [&[u32]; 2] = [&first, &second];
+        for shape in [
+            testutil::Shape::Bounded(Variant::RfAn, 256),
+            testutil::Shape::Bounded(Variant::RfOnly, 256),
+            testutil::Shape::Segmented {
+                seg_cap: 24,
+                phys_segs: 8,
+            },
+        ] {
+            let gpu = simt::GpuConfig::spectre();
+            assert_poll_matches_oracle(&gpu, shape, &frontier, (30, 2), 2);
         }
     }
 

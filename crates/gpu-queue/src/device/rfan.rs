@@ -11,26 +11,27 @@
 //! read. Bounds are checked first ("The slot may, in fact, be outside the
 //! queue bounds and cannot be accessed"). On arrival the lane takes the
 //! token and restores the sentinel — no atomics, because the slot is
-//! privately owned.
+//! privately owned. (Simulated in closed form: [`super::poll`] charges
+//! those reads without performing them.)
 //!
 //! Enqueue (Listing 3): the proxy reserves one contiguous region with a
 //! single fetch-add on `Rear`; lanes copy their tokens in parallel. A slot
 //! that is not a sentinel at write time means `Rear` lapped the allocation
 //! — the queue-full exception, which aborts the kernel.
 
-use super::{charge_sentinel_poll, LanePhase, QueueLayout, WaveQueue, FRONT, REAR};
+use super::{
+    park_sentinel, poll, reserve_batch, Lanes, PollMemo, QueueLayout, Slots, WaveQueue, REAR,
+};
 use crate::{Variant, DNA};
 use simt::{AbortReason, OpSpec, WaveCtx};
 
 /// Per-wavefront handle to an RF/AN device queue. Stateless beyond the
-/// layout and a reusable poll scratch: the design needs no staged reads
-/// and no retry bookkeeping.
+/// layout and the poll's memo: the design needs no staged reads and no
+/// retry bookkeeping.
 #[derive(Clone, Debug)]
 pub struct RfAnWaveQueue {
-    layout: QueueLayout,
-    /// Monitored-slot scratch reused across work cycles (registers, in GPU
-    /// terms) — keeps the per-cycle poll allocation-free.
-    watched: Vec<u32>,
+    pub(super) layout: QueueLayout,
+    memo: PollMemo,
 }
 
 impl RfAnWaveQueue {
@@ -38,8 +39,17 @@ impl RfAnWaveQueue {
     pub fn new(layout: QueueLayout) -> Self {
         RfAnWaveQueue {
             layout,
-            watched: Vec::new(),
+            memo: PollMemo::NONE,
         }
+    }
+
+    /// Listing 1: slot reservation for the hungry lanes, opening the
+    /// acquire's audit scope. The headline claim, auditable: one global
+    /// AFA iff any lane is hungry, never a CAS, never a retry of any kind.
+    pub(super) fn reserve(&self, ctx: &mut WaveCtx<'_>, lanes: &mut Lanes) {
+        let afa = u64::from(lanes.hungry() != 0);
+        ctx.audit_begin(OpSpec::new("RF/AN", "acquire").afa_exact(afa));
+        reserve_batch(ctx, lanes, self.layout.state);
     }
 }
 
@@ -48,54 +58,16 @@ impl WaveQueue for RfAnWaveQueue {
         Variant::RfAn
     }
 
-    fn acquire(&mut self, ctx: &mut WaveCtx<'_>, lanes: &mut [LanePhase]) {
-        // ---- Listing 1: slot reservation for hungry lanes ----
-        let hungry = lanes.iter().filter(|l| **l == LanePhase::Hungry).count() as u32;
-        // The headline claim, auditable: one global AFA iff any lane is
-        // hungry, never a CAS, never a retry of any kind.
-        ctx.audit_begin(OpSpec::new("RF/AN", "acquire").afa_exact(u64::from(hungry > 0)));
-        if hungry > 0 {
-            // Proxy zeroes lQueueSlotsNeeded; hungry lanes atomic_inc it in
-            // lock-step (local atomics never fail and are latency-hidden).
-            ctx.charge_alu(1);
-            ctx.lds_atomics(u64::from(hungry));
-            // The proxy thread's single global AFA on Front.
-            let base = ctx.atomic_add(self.layout.state, FRONT, hungry);
-            ctx.count_scheduler_atomics(1);
-            let mut next = base;
-            for lane in lanes.iter_mut() {
-                if *lane == LanePhase::Hungry {
-                    *lane = LanePhase::Monitoring(next);
-                    next += 1;
-                }
-            }
-        }
-
-        // ---- Listing 2: data-arrival poll on monitored slots ----
-        self.watched.clear();
-        self.watched.extend(lanes.iter().filter_map(|l| match *l {
-            LanePhase::Monitoring(slot) if slot < self.layout.capacity => Some(slot),
-            _ => None,
-        }));
-        charge_sentinel_poll(ctx, self.layout.slots, &mut self.watched);
-        for lane in lanes.iter_mut() {
-            if let LanePhase::Monitoring(slot) = *lane {
-                ctx.charge_alu(1); // bounds check
-                if slot < self.layout.capacity {
-                    // Round-stale poll: data published by another
-                    // wavefront becomes visible one work cycle later.
-                    let value = ctx.peek_stale(self.layout.slots, slot as usize);
-                    if value != DNA {
-                        // Private pickup: restore the sentinel, no atomics.
-                        ctx.poke(self.layout.slots, slot as usize, DNA);
-                        *lane = LanePhase::Ready(value);
-                    }
-                }
-                // Out-of-bounds slots are never read: data can never
-                // arrive there, and the kernel's termination condition
-                // will release the lane.
-            }
-        }
+    fn acquire(&mut self, ctx: &mut WaveCtx<'_>, lanes: &mut Lanes) {
+        self.reserve(ctx, lanes);
+        // Listing 2: data-arrival poll on the monitored slots.
+        poll(
+            ctx,
+            lanes,
+            &mut self.memo,
+            Slots::Flat(&self.layout),
+            |_| {},
+        );
         ctx.audit_end();
     }
 
@@ -148,24 +120,8 @@ impl WaveQueue for RfAnWaveQueue {
         tokens.len()
     }
 
-    fn register_idle_watches(&self, ctx: &mut WaveCtx<'_>, lanes: &[LanePhase]) -> bool {
-        // A pure poll requires *every* lane to be monitoring: a Hungry or
-        // Ready lane would make the next cycle reserve slots or do work,
-        // and an Idle lane is about to turn Hungry. Out-of-bounds slots
-        // are never read (data cannot arrive there), so they need no
-        // watch; the wave then waits only on its in-bounds slots plus
-        // whatever the kernel watches (the pending counter).
-        if !lanes.iter().all(|l| matches!(l, LanePhase::Monitoring(_))) {
-            return false;
-        }
-        for lane in lanes {
-            if let LanePhase::Monitoring(slot) = *lane {
-                if slot < self.layout.capacity {
-                    ctx.park_until_changed(self.layout.slots, slot as usize);
-                }
-            }
-        }
-        true
+    fn register_idle_watches(&self, ctx: &mut WaveCtx<'_>, lanes: &Lanes) -> bool {
+        park_sentinel(ctx, lanes, Slots::Flat(&self.layout))
     }
 }
 
@@ -217,7 +173,7 @@ mod tests {
     #[test]
     fn queue_full_aborts() {
         use super::super::testutil::PumpKernel;
-        use super::super::{make_wave_queue, LanePhase, QueueLayout};
+        use super::super::{make_wave_queue, Lanes, QueueLayout};
         use simt::{Engine, GpuConfig, Launch};
         use std::sync::{Arc, Mutex};
 
@@ -232,7 +188,7 @@ mod tests {
         let err = engine
             .run(Launch::workgroups(1), |_| PumpKernel {
                 queue: make_wave_queue(Variant::RfAn, layout),
-                lanes: vec![LanePhase::Idle; 4],
+                lanes: Lanes::new(4),
                 pending,
                 consumed: Arc::clone(&consumed),
                 fanout_until: 10,

@@ -11,16 +11,17 @@
 //! on a retry-free substrate: the difference is pure atomic-traffic
 //! volume and serialization pressure, with zero retry effects in either.
 
-use super::{charge_sentinel_poll, LanePhase, QueueLayout, WaveQueue, FRONT, REAR};
+use super::{
+    bits, park_sentinel, poll, Lanes, PollMemo, QueueLayout, Slots, WaveQueue, FRONT, REAR,
+};
 use crate::{Variant, DNA};
 use simt::{AbortReason, OpSpec, WaveCtx};
 
 /// Per-wavefront handle to an RF-only device queue.
 #[derive(Clone, Debug)]
 pub struct RfOnlyWaveQueue {
-    layout: QueueLayout,
-    /// Monitored-slot scratch reused across work cycles.
-    watched: Vec<u32>,
+    pub(super) layout: QueueLayout,
+    memo: PollMemo,
 }
 
 impl RfOnlyWaveQueue {
@@ -28,7 +29,22 @@ impl RfOnlyWaveQueue {
     pub fn new(layout: QueueLayout) -> Self {
         RfOnlyWaveQueue {
             layout,
-            watched: Vec::new(),
+            memo: PollMemo::NONE,
+        }
+    }
+
+    /// Per-lane reservation, opening the acquire's audit scope: every
+    /// hungry lane issues its own global AFA in lock-step — they all
+    /// succeed (AFA never fails), but each occupies an issue slot and a
+    /// place in the serialization queue. Retry-free without arbitrary-n:
+    /// exactly one AFA *per hungry lane*, never a CAS, never a retry.
+    pub(super) fn reserve(&self, ctx: &mut WaveCtx<'_>, lanes: &mut Lanes) {
+        let hungry = lanes.hungry();
+        ctx.audit_begin(OpSpec::new("RF-only", "acquire").afa_exact(hungry.count_ones().into()));
+        for lane in bits(hungry) {
+            let slot = ctx.atomic_add(self.layout.state, FRONT, 1);
+            ctx.count_scheduler_atomics(1);
+            lanes.monitor(lane, slot);
         }
     }
 }
@@ -38,42 +54,17 @@ impl WaveQueue for RfOnlyWaveQueue {
         Variant::RfOnly
     }
 
-    fn acquire(&mut self, ctx: &mut WaveCtx<'_>, lanes: &mut [LanePhase]) {
-        // Per-lane reservation: every hungry lane issues its own global
-        // AFA in lock-step — they all succeed (AFA never fails), but each
-        // occupies an issue slot and a place in the serialization queue.
-        // Retry-free without arbitrary-n: exactly one AFA *per hungry
-        // lane*, never a CAS, never a retry.
-        let hungry = lanes.iter().filter(|l| **l == LanePhase::Hungry).count() as u64;
-        ctx.audit_begin(OpSpec::new("RF-only", "acquire").afa_exact(hungry));
-        for lane in lanes.iter_mut() {
-            if *lane == LanePhase::Hungry {
-                let slot = ctx.atomic_add(self.layout.state, FRONT, 1);
-                ctx.count_scheduler_atomics(1);
-                *lane = LanePhase::Monitoring(slot);
-            }
-        }
-
+    fn acquire(&mut self, ctx: &mut WaveCtx<'_>, lanes: &mut Lanes) {
+        self.reserve(ctx, lanes);
         // Data-arrival poll, identical to RF/AN (the sentinel protocol is
         // what makes per-lane reservation safe at all).
-        self.watched.clear();
-        self.watched.extend(lanes.iter().filter_map(|l| match *l {
-            LanePhase::Monitoring(slot) if slot < self.layout.capacity => Some(slot),
-            _ => None,
-        }));
-        charge_sentinel_poll(ctx, self.layout.slots, &mut self.watched);
-        for lane in lanes.iter_mut() {
-            if let LanePhase::Monitoring(slot) = *lane {
-                ctx.charge_alu(1);
-                if slot < self.layout.capacity {
-                    let value = ctx.peek_stale(self.layout.slots, slot as usize);
-                    if value != DNA {
-                        ctx.poke(self.layout.slots, slot as usize, DNA);
-                        *lane = LanePhase::Ready(value);
-                    }
-                }
-            }
-        }
+        poll(
+            ctx,
+            lanes,
+            &mut self.memo,
+            Slots::Flat(&self.layout),
+            |_| {},
+        );
         ctx.audit_end();
     }
 
@@ -108,20 +99,8 @@ impl WaveQueue for RfOnlyWaveQueue {
         tokens.len()
     }
 
-    fn register_idle_watches(&self, ctx: &mut WaveCtx<'_>, lanes: &[LanePhase]) -> bool {
-        // Same pure-poll contract as RF/AN: every lane monitoring, watches
-        // on the in-bounds slots only (out-of-bounds slots are never read).
-        if !lanes.iter().all(|l| matches!(l, LanePhase::Monitoring(_))) {
-            return false;
-        }
-        for lane in lanes {
-            if let LanePhase::Monitoring(slot) = *lane {
-                if slot < self.layout.capacity {
-                    ctx.park_until_changed(self.layout.slots, slot as usize);
-                }
-            }
-        }
-        true
+    fn register_idle_watches(&self, ctx: &mut WaveCtx<'_>, lanes: &Lanes) -> bool {
+        park_sentinel(ctx, lanes, Slots::Flat(&self.layout))
     }
 }
 

@@ -44,9 +44,9 @@
 //! segmentation removes the memory bound, not the 2^32 ticket-arithmetic
 //! bound.
 
-use super::{charge_sentinel_poll, LanePhase, WaveQueue, FRONT, REAR};
+use super::{park_sentinel, poll, reserve_batch, Lanes, PollMemo, Slots, WaveQueue, FRONT, REAR};
 use crate::{Variant, DNA};
-use simt::{Buffer, DeviceMemory, OpSpec, WaveCtx};
+use simt::{Buffer, DeviceMemory, OpSpec, WaveCtx, MAX_WAVE_SIZE};
 
 /// Host-side handle to a segmented device queue's allocations.
 #[derive(Clone, Copy, Debug)]
@@ -83,7 +83,10 @@ impl SegmentedLayout {
         assert!(seg_cap > 0 && phys_segs > 0);
         let dir_len = phys_segs + 2;
         // The poll and park paths track touched ring slots in a u64 mask.
-        assert!(dir_len <= 64, "directory ring longer than the probe mask");
+        assert!(
+            dir_len as usize <= MAX_WAVE_SIZE,
+            "directory ring longer than the probe mask"
+        );
         let slots = memory.alloc_filled(
             &format!("{name}.slots"),
             (phys_segs * seg_cap) as usize,
@@ -126,7 +129,7 @@ impl SegmentedLayout {
 
     /// Physical segment currently mapped for `seg`, if its ring slot holds
     /// an entry of the matching generation.
-    fn decode(&self, entry: u32, seg: u32) -> Option<u32> {
+    pub(super) fn decode(&self, entry: u32, seg: u32) -> Option<u32> {
         if entry == DNA {
             return None;
         }
@@ -134,12 +137,12 @@ impl SegmentedLayout {
     }
 
     /// Ring slot of virtual segment `seg`.
-    fn ring_slot(&self, seg: u32) -> usize {
+    pub(super) fn ring_slot(&self, seg: u32) -> usize {
         (seg % self.dir_len) as usize
     }
 
     /// Arena word index of ticket `ticket` under mapping `phys`.
-    fn arena_addr(&self, phys: u32, ticket: u32) -> usize {
+    pub(super) fn arena_addr(&self, phys: u32, ticket: u32) -> usize {
         (phys * self.seg_cap + ticket % self.seg_cap) as usize
     }
 
@@ -191,115 +194,45 @@ impl SegmentedLayout {
 /// Per-wavefront handle to a segmented RF/AN device queue.
 #[derive(Clone, Debug)]
 pub struct SegmentedWaveQueue {
-    layout: SegmentedLayout,
-    /// Mapped arena addresses of monitored slots, reused across cycles.
-    watched: Vec<u32>,
-    /// Per-ring-slot pickup counts for this cycle's consumed accounting.
-    pickups: Vec<u32>,
+    pub(super) layout: SegmentedLayout,
+    memo: PollMemo,
 }
+
+/// Pickups of one poll per directory ring slot.
+pub(super) type Pickups = [u8; MAX_WAVE_SIZE];
 
 impl SegmentedWaveQueue {
     /// Creates the per-wavefront handle.
     pub fn new(layout: SegmentedLayout) -> Self {
         SegmentedWaveQueue {
             layout,
-            watched: Vec::new(),
-            pickups: Vec::new(),
+            memo: PollMemo::NONE,
         }
     }
-}
 
-impl WaveQueue for SegmentedWaveQueue {
-    fn variant(&self) -> Variant {
-        Variant::SegRfAn
-    }
-
-    fn acquire(&mut self, ctx: &mut WaveCtx<'_>, lanes: &mut [LanePhase]) {
-        let lt = &self.layout;
-        let hungry = lanes.iter().filter(|l| **l == LanePhase::Hungry).count() as u32;
-        // Budget is decided mid-flight (`audit_expect_afa` below): one AFA
-        // iff any lane is hungry, one consumed-counter AFA per segment
-        // with pickups, two more per retirement. Never a CAS.
+    /// Slot reservation, identical to RF/AN's. Opens the acquire's audit
+    /// scope, whose budget is decided mid-flight
+    /// ([`SegmentedWaveQueue::retire`]); returns the AFAs issued.
+    pub(super) fn reserve(&self, ctx: &mut WaveCtx<'_>, lanes: &mut Lanes) -> u64 {
         ctx.audit_begin(OpSpec::new("SEG-RF/AN", "acquire"));
-        let mut afa = 0u64;
-        if hungry > 0 {
-            // Identical to RF/AN Listing 1: local aggregation, then the
-            // proxy thread's single global AFA on Front.
-            ctx.charge_alu(1);
-            ctx.lds_atomics(u64::from(hungry));
-            let base = ctx.atomic_add(lt.state, FRONT, hungry);
-            afa += 1;
-            ctx.count_scheduler_atomics(1);
-            let mut next = base;
-            for lane in lanes.iter_mut() {
-                if *lane == LanePhase::Hungry {
-                    *lane = LanePhase::Monitoring(next);
-                    next += 1;
-                }
-            }
-        }
+        reserve_batch(ctx, lanes, self.layout.state)
+    }
 
-        // ---- data-arrival poll: stale directory, then stale slots ----
-        // The directory is a handful of words: probes of distinct ring
-        // slots coalesce into cache-resident lines.
-        self.watched.clear();
-        let mut probed = 0u64;
-        let mut dir_lines = 0u64;
-        for l in lanes.iter() {
-            if let LanePhase::Monitoring(slot) = *l {
-                let seg = slot / lt.seg_cap;
-                let r = lt.ring_slot(seg);
-                let line_bit = 1u64 << (r / 16);
-                if probed & line_bit == 0 {
-                    dir_lines += 1;
-                }
-                probed |= line_bit;
-                let entry = ctx.peek_stale(lt.dir, r);
-                if let Some(phys) = lt.decode(entry, seg) {
-                    self.watched.push(lt.arena_addr(phys, slot) as u32);
-                }
-            }
-        }
-        ctx.charge_cached_access(dir_lines);
-        // Mapped slots poll exactly like the bounded RF/AN: one
-        // transaction per line with arrived data, cached otherwise.
-        charge_sentinel_poll(ctx, lt.slots, &mut self.watched);
-
-        self.pickups.clear();
-        self.pickups.resize(lt.dir_len as usize, 0);
-        for lane in lanes.iter_mut() {
-            if let LanePhase::Monitoring(slot) = *lane {
-                ctx.charge_alu(1); // segment-mapping check
-                let seg = slot / lt.seg_cap;
-                let r = lt.ring_slot(seg);
-                let entry = ctx.peek_stale(lt.dir, r);
-                if let Some(phys) = lt.decode(entry, seg) {
-                    let addr = lt.arena_addr(phys, slot);
-                    let value = ctx.peek_stale(lt.slots, addr);
-                    if value != DNA {
-                        // Private pickup: restore the sentinel, no atomics
-                        // — the recycled segment is born sentinel-clean.
-                        ctx.poke(lt.slots, addr, DNA);
-                        *lane = LanePhase::Ready(value);
-                        self.pickups[r] += 1;
-                    }
-                }
-                // Slots of not-yet-installed segments are never read: the
-                // mapping arrives before any data can.
-            }
-        }
-
-        // ---- consumed accounting + retirement ----
-        // One AFA per touched segment (arbitrary-n on the drain side). The
-        // wave whose add completes the count retires the segment: clear
-        // the mapping, return the physical segment to the pool. A lane of
-        // this wave holds one of the final pickups, so the segment cannot
-        // have retired concurrently — the counter belongs to this mapping.
-        for r in 0..lt.dir_len as usize {
-            let cnt = self.pickups[r];
+    /// Consumed accounting + retirement, closing the acquire's audit
+    /// scope on `afa` reservation AFAs plus its own: one AFA per touched
+    /// segment (arbitrary-n on the drain side), two more per retirement,
+    /// never a CAS. The wave whose add completes the count retires the
+    /// segment: clear the mapping, return the physical segment to the
+    /// pool. A lane of this wave holds one of the final pickups, so the
+    /// segment cannot have retired concurrently — the counter belongs to
+    /// this mapping.
+    pub(super) fn retire(&self, ctx: &mut WaveCtx<'_>, pickups: &Pickups, mut afa: u64) {
+        let lt = &self.layout;
+        for (r, &cnt) in pickups[..lt.dir_len as usize].iter().enumerate() {
             if cnt == 0 {
                 continue;
             }
+            let cnt = u32::from(cnt);
             let total = ctx.atomic_add(lt.consumed, r, cnt) + cnt;
             afa += 1;
             ctx.count_scheduler_atomics(1);
@@ -316,6 +249,26 @@ impl WaveQueue for SegmentedWaveQueue {
         }
         ctx.audit_expect_afa(afa);
         ctx.audit_end();
+    }
+}
+
+impl WaveQueue for SegmentedWaveQueue {
+    fn variant(&self) -> Variant {
+        Variant::SegRfAn
+    }
+
+    fn acquire(&mut self, ctx: &mut WaveCtx<'_>, lanes: &mut Lanes) {
+        let afa = self.reserve(ctx, lanes);
+        // Data-arrival poll: mapped slots poll exactly like the bounded
+        // RF/AN; slots of not-yet-installed segments are never read (the
+        // mapping arrives before any data can), and a recycled segment is
+        // born sentinel-clean because every pickup restored the sentinel.
+        let lt = &self.layout;
+        let mut pickups = [0; MAX_WAVE_SIZE];
+        poll(ctx, lanes, &mut self.memo, Slots::Segmented(lt), |ticket| {
+            pickups[lt.ring_slot(ticket / lt.seg_cap)] += 1
+        });
+        self.retire(ctx, &pickups, afa);
     }
 
     fn enqueue(&mut self, ctx: &mut WaveCtx<'_>, tokens: &[u32]) -> usize {
@@ -388,39 +341,15 @@ impl WaveQueue for SegmentedWaveQueue {
         accepted
     }
 
-    fn register_idle_watches(&self, ctx: &mut WaveCtx<'_>, lanes: &[LanePhase]) -> bool {
-        // Pure poll requires every lane Monitoring, as in RF/AN. The poll
-        // outcome is a function of the stale directory entries and the
-        // stale mapped-slot words, so the wave parks on exactly those: an
-        // install or retirement wakes it through the directory word, a
-        // data arrival through the slot word.
-        let lt = &self.layout;
-        if !lanes.iter().all(|l| matches!(l, LanePhase::Monitoring(_))) {
-            return false;
-        }
-        let mut parked = 0u64;
-        for lane in lanes {
-            if let LanePhase::Monitoring(slot) = *lane {
-                let seg = slot / lt.seg_cap;
-                let r = lt.ring_slot(seg);
-                if parked & (1 << r) == 0 {
-                    parked |= 1 << r;
-                    ctx.park_until_changed(lt.dir, r);
-                }
-                let entry = ctx.peek_stale(lt.dir, r);
-                if let Some(phys) = lt.decode(entry, seg) {
-                    ctx.park_until_changed(lt.slots, lt.arena_addr(phys, slot));
-                }
-            }
-        }
-        true
+    fn register_idle_watches(&self, ctx: &mut WaveCtx<'_>, lanes: &Lanes) -> bool {
+        park_sentinel(ctx, lanes, Slots::Segmented(&self.layout))
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::testutil::{expected_tokens, PumpKernel};
-    use super::super::LanePhase;
+    use super::super::testutil::{expected_tokens, pump_through, PumpKernel, Shape};
+    use super::super::Lanes;
     use super::{SegmentedLayout, SegmentedWaveQueue};
     use crate::DNA;
     use simt::{DeviceMemory, Engine, GpuConfig, Launch};
@@ -436,33 +365,10 @@ mod tests {
         seg_cap: u32,
         phys_segs: u32,
     ) -> (Vec<u32>, simt::Metrics) {
-        let mut engine = Engine::new(GpuConfig::test_tiny());
-        let layout = SegmentedLayout::setup(engine.memory_mut(), "q", seg_cap, phys_segs);
-        let pending = engine.memory_mut().alloc("pending", 1);
-        layout.host_seed(engine.memory_mut(), seeds);
-        engine
-            .memory_mut()
-            .write_u32(pending, 0, seeds.len() as u32);
-        let consumed = Arc::new(Mutex::new(Vec::new()));
-        let wave_size = engine.config().wave_size;
-        let report = engine
-            .run(
-                Launch::workgroups(wgs)
-                    .with_max_rounds(2_000_000)
-                    .with_audit(),
-                |_info| PumpKernel {
-                    queue: Box::new(SegmentedWaveQueue::new(layout)),
-                    lanes: vec![LanePhase::Idle; wave_size],
-                    pending,
-                    consumed: Arc::clone(&consumed),
-                    fanout_until,
-                    children,
-                    outbox: Vec::new(),
-                    completed: 0,
-                },
-            )
-            .expect("segmented pump kernel failed");
-        let mut out = consumed.lock().unwrap().clone();
+        let shape = Shape::Segmented { seg_cap, phys_segs };
+        let gpu = GpuConfig::test_tiny();
+        let (report, mut out) =
+            pump_through(&gpu, shape, false, &[seeds], fanout_until, children, wgs);
         out.sort_unstable();
         (out, report.metrics)
     }
@@ -546,7 +452,7 @@ mod tests {
                     .with_audit(),
                 |_info| PumpKernel {
                     queue: Box::new(SegmentedWaveQueue::new(layout)),
-                    lanes: vec![LanePhase::Idle; wave_size],
+                    lanes: Lanes::new(wave_size),
                     pending,
                     consumed: Arc::clone(&consumed),
                     fanout_until: 8,

@@ -25,7 +25,7 @@
 //! ever abandoned) holds across queues. A scan that finds no backlog
 //! anywhere is the distributed design's queue-empty exception.
 
-use super::{LanePhase, QueueLayout, WaveQueue, FRONT, REAR};
+use super::{bits, Lanes, QueueLayout, WaveQueue, FRONT, REAR};
 use crate::{Variant, DNA};
 use simt::{AbortReason, DeviceMemory, OpSpec, WaveCtx};
 
@@ -66,8 +66,8 @@ pub struct StealingWaveQueue {
     /// Next victim (rotates per steal attempt).
     next_victim: usize,
     /// Pending monitored slots: `(queue index, slot)` per lane is encoded
-    /// in the `LanePhase::Monitoring` payload — the queue index lives in
-    /// the upper bits.
+    /// in the lane's monitored ticket — the queue index lives in the
+    /// upper bits.
     _priv: (),
 }
 
@@ -110,25 +110,20 @@ impl WaveQueue for StealingWaveQueue {
         Variant::RfAn
     }
 
-    fn acquire(&mut self, ctx: &mut WaveCtx<'_>, lanes: &mut [LanePhase]) {
+    fn acquire(&mut self, ctx: &mut WaveCtx<'_>, lanes: &mut Lanes) {
         // Hungry lanes reserve from the first queue with *visible*
         // backlog: home first, then victims in rotation. Reservations are
         // bounded by the visible backlog, so lanes rarely camp on slots
         // that will never fill (it can still happen when two thieves race
         // for the same backlog — those lanes wait out the run, which the
         // termination counter makes safe).
-        let hungry: Vec<usize> = lanes
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| **l == LanePhase::Hungry)
-            .map(|(i, _)| i)
-            .collect();
+        let hungry = lanes.hungry().count_ones();
         // Locally retry-free: never a CAS; one AFA iff the scan found
         // backlog (declared below); a failed scan counts empty retries.
         ctx.audit_begin(OpSpec::new("stealing", "acquire").allow_empty_retries());
-        if !hungry.is_empty() {
+        if hungry > 0 {
             ctx.charge_alu(1);
-            ctx.lds_atomics(hungry.len() as u64);
+            ctx.lds_atomics(u64::from(hungry));
             let backlog = |ctx: &mut WaveCtx<'_>, layout: QueueLayout| -> u32 {
                 let front = ctx.global_read(layout.state, FRONT);
                 let rear = ctx.global_read_stale(layout.state, REAR);
@@ -159,59 +154,55 @@ impl WaveQueue for StealingWaveQueue {
                     } else {
                         STEAL_BATCH
                     };
-                    let n = (hungry.len() as u32).min(b).min(cap);
+                    let n = hungry.min(b).min(cap);
                     ctx.audit_expect_afa(1);
                     let base = self.reserve(ctx, q, n);
-                    for (offset, &lane) in hungry.iter().take(n as usize).enumerate() {
-                        lanes[lane] = LanePhase::Monitoring(Self::pack(q, base + offset as u32));
+                    for (lane, slot) in bits(lanes.hungry()).zip(base..base + n) {
+                        lanes.monitor(lane, Self::pack(q, slot));
                     }
-                    if (hungry.len() as u32) > n {
-                        ctx.count_queue_empty_retries(u64::from(hungry.len() as u32 - n));
+                    if hungry > n {
+                        ctx.count_queue_empty_retries(u64::from(hungry - n));
                     }
                 }
                 None => {
                     // Nothing visible anywhere: a failed steal scan is the
                     // distributed design's version of the queue-empty
                     // exception — the lanes retry next work cycle.
-                    ctx.count_queue_empty_retries(hungry.len() as u64);
+                    ctx.count_queue_empty_retries(u64::from(hungry));
                 }
             }
         }
 
         // Poll monitored slots.
-        for lane in lanes.iter_mut() {
-            if let LanePhase::Monitoring(packed) = *lane {
-                let (q, slot) = Self::unpack(packed);
-                let layout = &self.queues[q];
-                ctx.charge_alu(1);
-                if slot < layout.capacity {
-                    let value = ctx.global_read_lane_stale(layout.slots, slot as usize);
-                    if value != DNA {
-                        ctx.poke(layout.slots, slot as usize, DNA);
-                        *lane = LanePhase::Ready(value);
-                    }
+        for lane in bits(lanes.monitoring()) {
+            let (q, slot) = Self::unpack(lanes.ticket(lane));
+            let layout = &self.queues[q];
+            ctx.charge_alu(1);
+            if slot < layout.capacity {
+                let value = ctx.global_read_lane_stale(layout.slots, slot as usize);
+                if value != DNA {
+                    ctx.poke(layout.slots, slot as usize, DNA);
+                    lanes.deliver(lane, value);
                 }
             }
         }
         ctx.audit_end();
     }
 
-    fn register_idle_watches(&self, ctx: &mut WaveCtx<'_>, lanes: &[LanePhase]) -> bool {
+    fn register_idle_watches(&self, ctx: &mut WaveCtx<'_>, lanes: &Lanes) -> bool {
         // Parkable only when *every* lane camps on a monitored ticket: a
         // Hungry lane would run the steal scan next cycle, which advances
         // the victim rotation and reads a different set of counters —
         // not an invariant cycle. All-monitoring cycles skip the scan
         // entirely and are a pure stale poll of the monitored slots.
-        if !lanes.iter().all(|l| matches!(l, LanePhase::Monitoring(_))) {
+        if !lanes.all_monitoring() {
             return false;
         }
-        for lane in lanes {
-            if let LanePhase::Monitoring(packed) = *lane {
-                let (q, slot) = Self::unpack(packed);
-                let layout = &self.queues[q];
-                if slot < layout.capacity {
-                    ctx.park_until_changed(layout.slots, slot as usize);
-                }
+        for lane in bits(lanes.monitoring()) {
+            let (q, slot) = Self::unpack(lanes.ticket(lane));
+            let layout = &self.queues[q];
+            if slot < layout.capacity {
+                ctx.park_until_changed(layout.slots, slot as usize);
             }
         }
         true

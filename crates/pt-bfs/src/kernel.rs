@@ -32,8 +32,8 @@
 //! [`Claim`]: crate::workload::Claim
 
 use crate::workload::{PtWorkload, TokenSink, WorkBuffers};
-use gpu_queue::device::{LanePhase, WaveQueue};
-use simt::{Buffer, WaveCtx, WaveKernel, WaveStatus};
+use gpu_queue::device::{bits, Lanes, WaveQueue};
+use simt::{Buffer, WaveCtx, WaveKernel, WaveStatus, MAX_WAVE_SIZE};
 
 /// Uniform sub-tasks (edges) per lane per work cycle — paper §3.3.
 pub const CHUNK: u32 = 4;
@@ -56,20 +56,21 @@ pub struct SpillFence {
     pub spill: Buffer,
 }
 
-/// Per-lane execution state: the token being processed and the edge
-/// cursor within it.
-#[derive(Clone, Copy, Debug)]
-enum LaneWork {
-    None,
-    Node {
-        value: u32,
-        next_edge: u32,
-        end_edge: u32,
-        /// Query-id tag of the token (`token - token_row(token)`); zero
-        /// for solo workloads. Children discovered while expanding this
-        /// node inherit it (see [`TokenSink`]).
-        base: u32,
-    },
+/// Per-lane execution state, one column per field: the node each lane in
+/// `active` is expanding and its edge cursor. Columnar for the same reason
+/// as [`Lanes`]: a wave with no node in flight is `active == 0`, not a
+/// scan of 64 tags.
+#[derive(Clone, Debug)]
+struct LaneWork {
+    /// Lanes holding a node.
+    active: u64,
+    value: [u32; MAX_WAVE_SIZE],
+    next_edge: [u32; MAX_WAVE_SIZE],
+    end_edge: [u32; MAX_WAVE_SIZE],
+    /// Query-id tag of the token (`token - token_row(token)`); zero for
+    /// solo workloads. Children discovered while expanding this node
+    /// inherit it (see [`TokenSink`]).
+    base: [u32; MAX_WAVE_SIZE],
 }
 
 /// One wavefront's persistent state, generic over the workload.
@@ -77,8 +78,8 @@ pub struct PtKernel<W: PtWorkload> {
     queue: Box<dyn WaveQueue>,
     workload: W,
     buffers: WorkBuffers,
-    phases: Vec<LanePhase>,
-    work: Vec<LaneWork>,
+    lanes: Lanes,
+    work: LaneWork,
     /// Newly discovered tokens awaiting queue acceptance.
     outbox: Vec<u32>,
     /// Finished tasks not yet retired against the pending counter
@@ -114,8 +115,14 @@ impl<W: PtWorkload> PtKernel<W> {
             queue,
             workload,
             buffers,
-            phases: vec![LanePhase::Idle; lanes],
-            work: vec![LaneWork::None; lanes],
+            lanes: Lanes::new(lanes),
+            work: LaneWork {
+                active: 0,
+                value: [0; MAX_WAVE_SIZE],
+                next_edge: [0; MAX_WAVE_SIZE],
+                end_edge: [0; MAX_WAVE_SIZE],
+                base: [0; MAX_WAVE_SIZE],
+            },
             outbox: Vec::new(),
             completed: 0,
             chunk,
@@ -138,83 +145,68 @@ impl<W: PtWorkload> WaveKernel for PtKernel<W> {
     fn work_cycle(&mut self, ctx: &mut WaveCtx<'_>) -> WaveStatus {
         // Backpressure: a backlogged outbox means discoveries are waiting
         // on queue acceptance; the wavefront stalls its own pipeline.
-        let stalled = self.outbox.len() >= self.phases.len() * self.chunk as usize;
+        let stalled = self.outbox.len() >= self.lanes.width() * self.chunk as usize;
 
         // --- 1. hungry lanes request work ------------------------------
         if !stalled {
-            for (phase, work) in self.phases.iter_mut().zip(&self.work) {
-                if *phase == LanePhase::Idle && matches!(work, LaneWork::None) {
-                    *phase = LanePhase::Hungry;
-                }
-            }
+            self.lanes.request(!self.work.active);
         }
-        self.queue.acquire(ctx, &mut self.phases);
+        self.queue.acquire(ctx, &mut self.lanes);
 
         // Ready lanes load their node's metadata (enumeration prolog of
         // Listing 2: starting edge, degree, current value).
-        for (phase, work) in self.phases.iter_mut().zip(self.work.iter_mut()) {
-            if let LanePhase::Ready(token) = *phase {
-                // The token addresses per-query state directly; its CSR
-                // row is the vertex it expands (identical for solo
-                // workloads, query-tagged for a batch).
-                let row = self.workload.token_row(token);
-                // Release the on-queue bit *before* reading the value so
-                // a concurrent improver either sees the bit set (and
-                // knows this processing will read its improved value) or
-                // re-enqueues the vertex itself.
-                ctx.global_write_lane(self.buffers.inqueue, token as usize, 0);
-                // The two row offsets share a cache line almost always.
-                ctx.charge_coalesced_access(self.buffers.nodes, row as usize, 2);
-                let start = ctx.peek(self.buffers.nodes, row as usize);
-                let end = ctx.peek(self.buffers.nodes, row as usize + 1);
-                let raw = ctx.global_read_lane(self.buffers.values, token as usize);
-                *work = LaneWork::Node {
-                    // Host-side derivation, no device ops (identity for
-                    // most workloads).
-                    value: self.workload.lane_value(raw, start, end),
-                    next_edge: start,
-                    end_edge: end,
-                    base: token - row,
-                };
-                *phase = LanePhase::Idle;
-            }
+        while let Some((lane, token)) = self.lanes.take_ready() {
+            // The token addresses per-query state directly; its CSR
+            // row is the vertex it expands (identical for solo
+            // workloads, query-tagged for a batch).
+            let row = self.workload.token_row(token);
+            // Release the on-queue bit *before* reading the value so
+            // a concurrent improver either sees the bit set (and
+            // knows this processing will read its improved value) or
+            // re-enqueues the vertex itself.
+            ctx.global_write_lane(self.buffers.inqueue, token as usize, 0);
+            // The two row offsets share a cache line almost always.
+            ctx.charge_coalesced_access(self.buffers.nodes, row as usize, 2);
+            let start = ctx.peek(self.buffers.nodes, row as usize);
+            let end = ctx.peek(self.buffers.nodes, row as usize + 1);
+            let raw = ctx.global_read_lane(self.buffers.values, token as usize);
+            self.work.active |= 1 << lane;
+            // Host-side derivation, no device ops (identity for most
+            // workloads).
+            self.work.value[lane] = self.workload.lane_value(raw, start, end);
+            self.work.next_edge[lane] = start;
+            self.work.end_edge[lane] = end;
+            self.work.base[lane] = token - row;
         }
 
         // --- 2. DoWorkUnit: up to `chunk` edges per lane ---------------
-        if !stalled {
+        if !stalled && self.work.active != 0 {
             let mut edges = std::mem::take(&mut self.edge_scratch);
             let mut outbox = std::mem::take(&mut self.outbox);
-            for work in self.work.iter_mut() {
-                if let LaneWork::Node {
-                    value,
-                    next_edge,
-                    end_edge,
-                    base,
-                } = work
-                {
-                    let stop = (*next_edge + self.chunk).min(*end_edge);
-                    let mut sink = TokenSink {
-                        claim: self.workload.claim(),
-                        values: self.buffers.values,
-                        inqueue: self.buffers.inqueue,
-                        fence: self.fence,
-                        outbox: &mut outbox,
-                        base: *base,
-                    };
-                    self.workload.expand(
-                        ctx,
-                        &self.buffers,
-                        *value,
-                        *next_edge,
-                        stop,
-                        &mut edges,
-                        &mut sink,
-                    );
-                    *next_edge = stop;
-                    if *next_edge == *end_edge {
-                        *work = LaneWork::None;
-                        self.completed += 1;
-                    }
+            let work = &mut self.work;
+            for lane in bits(work.active) {
+                let stop = (work.next_edge[lane] + self.chunk).min(work.end_edge[lane]);
+                let mut sink = TokenSink {
+                    claim: self.workload.claim(),
+                    values: self.buffers.values,
+                    inqueue: self.buffers.inqueue,
+                    fence: self.fence,
+                    outbox: &mut outbox,
+                    base: work.base[lane],
+                };
+                self.workload.expand(
+                    ctx,
+                    &self.buffers,
+                    work.value[lane],
+                    work.next_edge[lane],
+                    stop,
+                    &mut edges,
+                    &mut sink,
+                );
+                work.next_edge[lane] = stop;
+                if stop == work.end_edge[lane] {
+                    work.active &= !(1 << lane);
+                    self.completed += 1;
                 }
             }
             self.outbox = outbox;
@@ -251,8 +243,8 @@ impl<W: PtWorkload> WaveKernel for PtKernel<W> {
         // engine replays this cycle's charges until one of them fails.
         if self.outbox.is_empty()
             && self.completed == 0
-            && self.work.iter().all(|w| matches!(w, LaneWork::None))
-            && self.queue.register_idle_watches(ctx, &self.phases)
+            && self.work.active == 0
+            && self.queue.register_idle_watches(ctx, &self.lanes)
         {
             ctx.park_while_nonzero(self.buffers.pending, 0);
         }
@@ -300,7 +292,8 @@ mod tests {
         let b = buffers(&mut mem);
         let layout = QueueLayout::setup(&mut mem, "q", 4);
         let k = PtKernel::new(Box::new(RfAnWaveQueue::new(layout)), Bfs::new(0), b, 8);
-        assert_eq!(k.phases.len(), 8);
+        assert_eq!(k.lanes.idle().count_ones(), 8);
+        assert_eq!(k.work.active, 0);
         assert!(k.outbox.is_empty());
         assert_eq!(k.completed, 0);
         assert!(k.fence.is_none(), "plain construction is unfenced");

@@ -13,6 +13,10 @@
 //! (atomic latency ≫ issue cost, serialization per contender, unhideable
 //! re-issue on CAS failure) to be right, not the absolute values.
 
+/// Widest wavefront a launch accepts: per-lane state is kept as one
+/// bit per lane in a `u64` mask.
+pub const MAX_WAVE_SIZE: usize = 64;
+
 /// Hardware shape + cost model for one simulated GPU.
 #[derive(Clone, Debug, PartialEq)]
 pub struct GpuConfig {
@@ -22,7 +26,8 @@ pub struct GpuConfig {
     pub num_cus: usize,
     /// SIMD engines per CU (GCN has 4; each issues one wavefront op/cycle).
     pub simds_per_cu: usize,
-    /// Threads per wavefront (64 on all GCN parts).
+    /// Threads per wavefront (64 on all GCN parts); a launch refuses
+    /// anything outside `1..=`[`MAX_WAVE_SIZE`].
     pub wave_size: usize,
     /// Wavefronts per workgroup. The paper uses workgroups of exactly one
     /// wavefront "to avoid barriers".

@@ -28,7 +28,7 @@
 //! wave-private state afterwards. Registering watches declares: *this
 //! cycle read nothing but the watched words and wave-private state, and
 //! as long as every watched word stays inside its class, re-executing the
-//! cycle would do exactly what it just did*. Three classes exist:
+//! cycle would do exactly what it just did*. Four classes exist:
 //!
 //! * **same stale value** — [`WaveCtx::park_until_changed`]: the word's
 //!   round-start value equals the one observed now. For words whose value
@@ -50,6 +50,13 @@
 //!   [`WaveCtx::parked_front_version`]. That is exactly the value the
 //!   per-round poll would have left behind, because the poll overwrites it
 //!   unconditionally each cycle.
+//! * **ticket not yet issued** — [`WaveCtx::park_while_at_most`]: the
+//!   stale value of a `Rear` word does not exceed a bound, the wave's
+//!   smallest monitored ticket. For the sentinel queues' data-arrival
+//!   poll, which (see *Host-side observation* below) finds data in a
+//!   monitored slot exactly when stale `Rear` has passed its ticket: one
+//!   watch per wave instead of one *same stale value* watch per lane,
+//!   failing in the very round the first of those would have.
 //!
 //! A class watch registered on a word that is already outside its class
 //! degrades to an exact-value watch on what the cycle observed (never
@@ -60,13 +67,45 @@
 //! to exact slow-path execution rather than wrong accounting.
 //!
 //! **Before a new queue variant uses a class watch** it must show, for its
-//! pure-poll cycle: (1) every device word the cycle reads is watched;
+//! pure-poll cycle: (1) every device word the cycle reads is watched, or
+//! decided by a watched word under *Host-side observation* below;
 //! (2) for any two observations in the class the cycle issues the same
 //! operations in the same order (so issue, latency, cache lines and every
 //! `Metrics` counter agree) and writes nothing; (3) every piece of
 //! wave-private state the cycle updates is either a function of the class
 //! alone or handed back by the engine on wake. The "parked == never
 //! parked" differential suite (`tests/park_differential.rs`) is the check.
+//!
+//! # Host-side observation
+//!
+//! [`WaveCtx::observe_stale`] reads a word's round-start value for the
+//! *simulator's* benefit: it charges nothing, touches no cache line and
+//! never faults (a poisoned word reads as its value). It exists so a
+//! queue can decide, host-side and in closed form, an outcome the
+//! simulated hardware decides by reading many words — and still charge
+//! exactly what those reads cost. **Before a queue decides an outcome from
+//! a word it did not charge a read for** it must show that the observed
+//! word and the uncharged-for words are tied by an invariant of its own
+//! protocol, so the decision equals the one the reads would have made; it
+//! must issue the charges of the reads it skipped (same calls, same
+//! arguments); and while a poison is armed ([`WaveCtx::poison_armed`]) it
+//! must still touch every word the modelled hardware reads with a
+//! faulting accessor ([`WaveCtx::peek_stale`]), so an injected fault
+//! surfaces at the same wave and round.
+//!
+//! The worked example is the sentinel queues' data-arrival poll
+//! (`gpu_queue::device::poll`): *a ticket `t` a lane still monitors reads
+//! non-`dna` through the stale view iff `t <` the round-start value of
+//! `Rear`*. Four facts carry it. (1) Every enqueue reserves `[Rear,
+//! Rear + k)` and writes those slots inside one atomic work cycle, and the
+//! stale view of round *r* shows exactly the writes of rounds *< r* — for
+//! `Rear` and for slots alike. (2) Only the owning lane clears a slot, and
+//! it stops monitoring when it does. (3) A recycled physical segment is
+//! republished only after every pickup restored `dna` (retirement needs
+//! every ticket consumed), and the new mapping is stale-visible no earlier
+//! than those restores. (4) An enqueue that aborts breaks (1) — and fails
+//! the run. Debug builds assert the relation on every watched word of
+//! every poll.
 
 use crate::audit::{AuditScope, OpSpec};
 use crate::config::CostModel;
@@ -132,6 +171,8 @@ pub(crate) enum WatchClass {
     NowEq,
     /// Current value is non-zero (`expected` unused).
     NowNonZero,
+    /// Round-stale value is at most `expected` (a ticket bound).
+    StaleAtMost,
 }
 
 /// One word a parked wave watches. The wave wakes the round any watch
@@ -154,6 +195,7 @@ impl Watch {
             WatchClass::StaleEq => memory.stale_value(self.addr) == self.expected,
             WatchClass::NowEq => memory.word(self.addr) == self.expected,
             WatchClass::NowNonZero => memory.word(self.addr) != 0,
+            WatchClass::StaleAtMost => memory.stale_value(self.addr) <= self.expected,
         }
     }
 }
@@ -649,6 +691,52 @@ impl<'a> WaveCtx<'a> {
         }
     }
 
+    /// Registers a *ticket not yet issued* park watch on a `Rear` word:
+    /// the wave stays parked while the word's stale value is at most
+    /// `bound`, the smallest ticket the wave monitors (see the module
+    /// docs). On a word already past `bound` this degrades to an
+    /// exact-value watch.
+    pub fn park_while_at_most(&mut self, buf: Buffer, index: usize, bound: u32) {
+        match self.memory.flat_addr(buf, index) {
+            Ok(addr) => {
+                let seen = self.memory.stale_value(addr);
+                let (expected, class) = if seen <= bound {
+                    (bound, WatchClass::StaleAtMost)
+                } else {
+                    (seen, WatchClass::StaleEq)
+                };
+                self.park.watches.push(Watch {
+                    addr,
+                    expected,
+                    class,
+                });
+            }
+            Err(e) => self.record_fault(e),
+        }
+    }
+
+    /// Host-side observation of a word's round-start value: uncharged, no
+    /// cache-line touch, never faults (see *Host-side observation* in the
+    /// module docs for what a caller owes before deciding anything from
+    /// it).
+    ///
+    /// # Panics
+    /// Panics if `index` is outside `buf` — a bug in the observing queue,
+    /// not a device fault.
+    #[inline]
+    pub fn observe_stale(&self, buf: Buffer, index: usize) -> u32 {
+        let addr = buf.addr(index).expect("host-side observation in bounds");
+        self.memory.stale_value(addr)
+    }
+
+    /// True once fault injection has armed a memory poison in this
+    /// launch: from then on a closed-form decision must also touch the
+    /// words it stands for with a faulting accessor.
+    #[inline]
+    pub fn poison_armed(&self) -> bool {
+        self.memory.poison_armed()
+    }
+
     /// Registers the *still empty* park watch of a CAS queue's
     /// empty-queue poll over `state[rear]` (read round-stale) and
     /// `state[front]` (read current): the wave stays parked while
@@ -1013,6 +1101,56 @@ mod tests {
         // ...and the degraded watch wakes on the first change.
         mem.store(buf, 0, 1).unwrap();
         assert!(!w.holds(&mem));
+    }
+
+    #[test]
+    fn at_most_watch_tracks_the_stale_bound_and_degrades_past_it() {
+        let (mut mem, mut m, mut r, cost, mut w) = harness();
+        let buf = mem.buffer("buf");
+        mem.write_u32(buf, 1, 4);
+        mem.begin_round();
+        {
+            let mut ctx = WaveCtx::new(&mut mem, &mut m, &mut r, &cost, info(), &mut w);
+            ctx.park_while_at_most(buf, 1, 6); // Rear 4, smallest ticket 6
+            ctx.park_while_at_most(buf, 1, 3); // already passed: exact value
+            assert_eq!(ctx.issue_cycles(), 0, "registration is free");
+        }
+        let classes: Vec<_> = w.watches.iter().map(|x| (x.class, x.expected)).collect();
+        assert_eq!(
+            classes,
+            vec![(WatchClass::StaleAtMost, 6), (WatchClass::StaleEq, 4)]
+        );
+        w.watches.truncate(1);
+        // Rear reaches the ticket: ticket 6 itself is still unissued.
+        mem.store(buf, 1, 6).unwrap();
+        assert!(w.holds(&mem), "this round's writes are not stale-visible");
+        mem.begin_round();
+        assert!(w.holds(&mem), "Rear 6 has not passed ticket 6");
+        mem.store(buf, 1, 7).unwrap();
+        mem.begin_round();
+        assert!(!w.holds(&mem), "stale Rear 7 passed ticket 6");
+    }
+
+    #[test]
+    fn observation_is_free_and_blind_to_poison() {
+        let (mut mem, mut m, mut r, cost, mut w) = harness();
+        let buf = mem.buffer("buf");
+        mem.write_u32(buf, 2, 9);
+        mem.begin_round();
+        mem.store(buf, 2, 11).unwrap();
+        let addr = mem.flat_addr(buf, 2).unwrap();
+        let mut ctx = WaveCtx::new(&mut mem, &mut m, &mut r, &cost, info(), &mut w);
+        assert!(!ctx.poison_armed());
+        ctx.memory.arm_poison(addr, 0);
+        assert!(ctx.poison_armed());
+        assert_eq!(ctx.observe_stale(buf, 2), 9, "round-start value");
+        assert!(ctx.fault.is_none(), "the observer never faults");
+        assert_eq!((ctx.issue_cycles(), ctx.latency_cycles()), (0, 0));
+        assert_eq!(ctx.round.cycle_lines(), 0);
+        assert_eq!(ctx.metrics.global_mem_ops, 0);
+        // The faulting accessor over the same word does fault.
+        ctx.peek_stale(buf, 2);
+        assert!(ctx.fault.is_some());
     }
 
     #[test]

@@ -55,7 +55,7 @@
 //! round, so a poisoned watched word faults exactly where per-round
 //! polling would have hit it.
 
-use crate::config::GpuConfig;
+use crate::config::{GpuConfig, MAX_WAVE_SIZE};
 use crate::ctx::{ParkRequest, WaveClass, WaveCtx, WaveInfo, WaveKernel, WaveStatus};
 use crate::error::{AbortReason, FaultKind, SimError};
 use crate::fault::FaultPlan;
@@ -266,7 +266,8 @@ impl Engine {
     /// # Errors
     /// Fails on device faults (out-of-bounds), kernel aborts (queue-full),
     /// exceeding the round limit, or ([`SimError::InvalidLaunch`]) a
-    /// launch with no group in it.
+    /// launch with no group in it or a `wave_size` outside
+    /// `1..=`[`MAX_WAVE_SIZE`].
     pub fn run<K, F>(&mut self, launch: Launch, factory: F) -> Result<RunReport, SimError>
     where
         K: WaveKernel,
@@ -367,6 +368,12 @@ impl Engine {
             return Err(SimError::InvalidLaunch(
                 "faults and CPU collab are single-launch only".into(),
             ));
+        }
+        if !(1..=MAX_WAVE_SIZE).contains(&self.config.wave_size) {
+            return Err(SimError::InvalidLaunch(format!(
+                "wave_size {} is outside 1..={MAX_WAVE_SIZE}, what a lane mask holds",
+                self.config.wave_size
+            )));
         }
         let gpu_waves: usize = launch_wgs
             .iter()
@@ -1284,7 +1291,7 @@ mod tests {
         fn incr(buf: Buffer) -> impl FnMut(usize, WaveInfo) -> IncrKernel {
             move |_, _| IncrKernel { buf, remaining: 1 }
         }
-        let cases: [(&str, Request); 5] = [
+        let cases: [(&str, Request); 7] = [
             ("CPU collab groups", |e, buf| {
                 let template = Launch::workgroups(1).with_cpu_collab(1);
                 e.run_coresident(template, &[1, 1], incr(buf))
@@ -1305,6 +1312,16 @@ mod tests {
             ("at least one group", |e, buf| {
                 let run = e.run(Launch::workgroups(0), |_| IncrKernel { buf, remaining: 1 });
                 run.map(|report| vec![report])
+            }),
+            // `GpuConfig`'s fields are public: a width no lane mask can
+            // hold is refused, not shifted (and 0 would never terminate).
+            ("wave_size 0 is outside", |e, buf| {
+                e.config.wave_size = 0;
+                e.run_coresident(Launch::workgroups(1), &[1], incr(buf))
+            }),
+            ("wave_size 65 is outside", |e, buf| {
+                e.config.wave_size = MAX_WAVE_SIZE + 1;
+                e.run_coresident(Launch::workgroups(1), &[1], incr(buf))
             }),
         ];
         for (cause, request) in cases {

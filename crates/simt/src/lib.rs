@@ -63,7 +63,7 @@ pub mod round;
 pub mod trace;
 
 pub use audit::OpSpec;
-pub use config::{CostModel, GpuConfig};
+pub use config::{CostModel, GpuConfig, MAX_WAVE_SIZE};
 pub use ctx::{WaveClass, WaveCtx, WaveInfo, WaveKernel, WaveStatus};
 pub use engine::{Engine, Launch, RunReport};
 pub use error::{AbortReason, FaultKind, SimError};

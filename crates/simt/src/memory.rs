@@ -453,6 +453,12 @@ impl DeviceMemory {
         self.poisoned.clear();
     }
 
+    /// True once fault injection has armed a poison in this launch.
+    #[inline]
+    pub(crate) fn poison_armed(&self) -> bool {
+        !self.poisoned.is_empty()
+    }
+
     /// Faults if `addr` is poisoned. The fast path is a single emptiness
     /// check; the wave/round placeholders in the error are filled in by
     /// the engine, which knows the observing wave.

@@ -41,6 +41,9 @@ enum Poll {
     /// An AN-shaped dequeue: empty poll remembers `Front`'s version; a
     /// non-empty one charges the retry storm since then and takes all.
     Empty,
+    /// A sentinel-shaped dequeue holding this ticket: exit once stale
+    /// `Rear` has passed it; watch "ticket not yet issued".
+    Ticket(u32),
 }
 
 enum Wave {
@@ -103,6 +106,21 @@ impl WaveKernel for Kernel {
                 ctx.charge_cas_retry_storm(delta);
                 ctx.atomic_cas(buf, FRONT, front, rear);
                 WaveStatus::Done
+            }
+            Wave::Poller {
+                poll: Poll::Ticket(ticket),
+                park,
+                ..
+            } => {
+                // Decided host-side, charged as the cached slot poll.
+                ctx.charge_cached_access(1);
+                if ctx.observe_stale(buf, REAR) > *ticket {
+                    return WaveStatus::Done;
+                }
+                if *park {
+                    ctx.park_while_at_most(buf, REAR, *ticket);
+                }
+                WaveStatus::Active
             }
             Wave::Poller { poll, park, .. } => {
                 let zero = 0
@@ -309,6 +327,29 @@ fn empty_wakes_in_an_odd_round_before_a_later_wave_takes_the_token() {
     );
     assert_eq!(report.profile.park_replay_cycles, 4);
     assert_eq!(report.metrics.cas_attempts, 1);
+}
+
+#[test]
+fn at_most_sleeps_through_rear_reaching_the_ticket_and_wakes_once_it_passes() {
+    let report = exact(
+        [0, 0, 0],
+        &[
+            &[],
+            &[Op::Add(REAR, 2)],
+            // Rear = 3 = the ticket: slots 0..=2 filled, slot 3 not yet.
+            &[Op::Add(REAR, 1)],
+            &[],
+            // Round 4: passes the ticket, stale-visible from round 5.
+            &[Op::Add(REAR, 2)],
+            &[],
+        ],
+        Poll::Ticket(3),
+    );
+    assert_eq!(report.profile.park_events, 1);
+    assert_eq!(report.profile.spurious_wakes, 0);
+    // Executed in round 0 (parks) and round 5 (exits): 4 replays.
+    assert_eq!(report.profile.park_replay_cycles, 4);
+    assert_eq!(report.metrics.rounds, 6);
 }
 
 #[test]

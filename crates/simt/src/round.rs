@@ -82,8 +82,9 @@ impl Drop for RoundState {
     }
 }
 
-/// Words per 64-byte cache line (shared with [`crate::WaveCtx`]).
-pub(crate) const LINE_WORDS: usize = 16;
+/// Words per 64-byte cache line: the granule of
+/// [`crate::WaveCtx::charge_coalesced_access`] transactions.
+pub const LINE_WORDS: usize = 16;
 
 impl RoundState {
     /// Creates an empty round state.

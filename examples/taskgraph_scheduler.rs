@@ -14,7 +14,7 @@
 //! ```
 
 use ptq::graph::rng::SplitMix64;
-use ptq::queue::device::{make_wave_queue, LanePhase, QueueLayout, WaveQueue};
+use ptq::queue::device::{make_wave_queue, Lanes, QueueLayout, WaveQueue};
 use ptq::queue::Variant;
 use simt::{Buffer, Engine, GpuConfig, Launch, WaveCtx, WaveKernel, WaveStatus};
 
@@ -64,7 +64,7 @@ fn random_dag(tasks: usize, seed: u64) -> TaskDag {
 /// The custom persistent kernel: one wavefront of a DAG scheduler.
 struct DagKernel {
     queue: Box<dyn WaveQueue>,
-    lanes: Vec<LanePhase>,
+    lanes: Lanes,
     offsets: Buffer,
     succ: Buffer,
     deps: Buffer,
@@ -76,29 +76,22 @@ struct DagKernel {
 
 impl WaveKernel for DagKernel {
     fn work_cycle(&mut self, ctx: &mut WaveCtx<'_>) -> WaveStatus {
-        for lane in self.lanes.iter_mut() {
-            if *lane == LanePhase::Idle {
-                *lane = LanePhase::Hungry;
-            }
-        }
+        self.lanes.request(self.lanes.idle());
         self.queue.acquire(ctx, &mut self.lanes);
-        for lane in self.lanes.iter_mut() {
-            if let LanePhase::Ready(task) = *lane {
-                // "Execute" the task: mark it done, then clear dependents.
-                ctx.global_write_lane(self.done_flags, task as usize, 1);
-                let start = ctx.global_read_lane(self.offsets, task as usize);
-                let end = ctx.global_read_lane(self.offsets, task as usize + 1);
-                for e in start..end {
-                    let dependent = ctx.global_read_lane(self.succ, e as usize);
-                    let old = ctx.atomic_sub(self.deps, dependent as usize, 1);
-                    if old == 1 {
-                        // Final dependency cleared: dependent is ready.
-                        self.outbox.push(dependent);
-                    }
+        while let Some((_lane, task)) = self.lanes.take_ready() {
+            // "Execute" the task: mark it done, then clear dependents.
+            ctx.global_write_lane(self.done_flags, task as usize, 1);
+            let start = ctx.global_read_lane(self.offsets, task as usize);
+            let end = ctx.global_read_lane(self.offsets, task as usize + 1);
+            for e in start..end {
+                let dependent = ctx.global_read_lane(self.succ, e as usize);
+                let old = ctx.atomic_sub(self.deps, dependent as usize, 1);
+                if old == 1 {
+                    // Final dependency cleared: dependent is ready.
+                    self.outbox.push(dependent);
                 }
-                self.completed += 1;
-                *lane = LanePhase::Idle;
             }
+            self.completed += 1;
         }
         if !self.outbox.is_empty() {
             let accepted = self.queue.enqueue(ctx, &self.outbox);
@@ -152,7 +145,7 @@ fn main() {
     let report = engine
         .run(Launch::workgroups(32), |info| DagKernel {
             queue: make_wave_queue(Variant::RfAn, layout),
-            lanes: vec![LanePhase::Idle; info.wave_size],
+            lanes: Lanes::new(info.wave_size),
             offsets,
             succ,
             deps,

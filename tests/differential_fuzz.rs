@@ -13,7 +13,7 @@ use ptq::graph::gen::social;
 use ptq::graph::gen::SocialParams;
 use ptq::graph::{random_weights, Dataset};
 use ptq::queue::device::{
-    make_wave_queue, LanePhase, QueueLayout, SegmentedLayout, SegmentedWaveQueue, StealingLayout,
+    make_wave_queue, Lanes, QueueLayout, SegmentedLayout, SegmentedWaveQueue, StealingLayout,
     StealingWaveQueue, WaveQueue,
 };
 use ptq::queue::Variant;
@@ -39,7 +39,7 @@ const FANOUT_UNTIL: u32 = 600;
 /// BFS driver, generic over any [`WaveQueue`].
 struct FuzzPump {
     queue: Box<dyn WaveQueue>,
-    lanes: Vec<LanePhase>,
+    lanes: Lanes,
     pending: Buffer,
     consumed: Arc<Mutex<Vec<u32>>>,
     outbox: Vec<u32>,
@@ -48,23 +48,16 @@ struct FuzzPump {
 
 impl WaveKernel for FuzzPump {
     fn work_cycle(&mut self, ctx: &mut WaveCtx<'_>) -> WaveStatus {
-        for l in self.lanes.iter_mut() {
-            if *l == LanePhase::Idle {
-                *l = LanePhase::Hungry;
-            }
-        }
+        self.lanes.request(self.lanes.idle());
         self.queue.acquire(ctx, &mut self.lanes);
-        for l in self.lanes.iter_mut() {
-            if let LanePhase::Ready(tok) = *l {
-                self.consumed.lock().unwrap().push(tok);
-                if tok < FANOUT_UNTIL {
-                    for c in 0..CHILDREN {
-                        self.outbox.push(tok * CHILDREN + c + 1_000);
-                    }
+        while let Some((_lane, tok)) = self.lanes.take_ready() {
+            self.consumed.lock().unwrap().push(tok);
+            if tok < FANOUT_UNTIL {
+                for c in 0..CHILDREN {
+                    self.outbox.push(tok * CHILDREN + c + 1_000);
                 }
-                self.completed += 1;
-                *l = LanePhase::Idle;
             }
+            self.completed += 1;
         }
         if !self.outbox.is_empty() {
             let accepted = self.queue.enqueue(ctx, &self.outbox);
@@ -104,7 +97,7 @@ fn pump_variant(variant: Variant, seeds: &[u32], wgs: usize, capacity: u32) -> V
                 .with_audit(),
             |_info| FuzzPump {
                 queue: make_wave_queue(variant, layout),
-                lanes: vec![LanePhase::Idle; wave_size],
+                lanes: Lanes::new(wave_size),
                 pending,
                 consumed: Arc::clone(&consumed),
                 outbox: Vec::new(),
@@ -136,7 +129,7 @@ fn pump_stealing(seeds: &[u32], wgs: usize, capacity: u32) -> Vec<u32> {
                 .with_audit(),
             |info| FuzzPump {
                 queue: Box::new(StealingWaveQueue::new(&layout, info.cu)),
-                lanes: vec![LanePhase::Idle; wave_size],
+                lanes: Lanes::new(wave_size),
                 pending,
                 consumed: Arc::clone(&consumed),
                 outbox: Vec::new(),
@@ -170,7 +163,7 @@ fn pump_segmented(seeds: &[u32], wgs: usize, capacity: u32) -> Vec<u32> {
                 .with_audit(),
             |_info| FuzzPump {
                 queue: Box::new(SegmentedWaveQueue::new(layout)),
-                lanes: vec![LanePhase::Idle; wave_size],
+                lanes: Lanes::new(wave_size),
                 pending,
                 consumed: Arc::clone(&consumed),
                 outbox: Vec::new(),

@@ -5,7 +5,7 @@
 use ptq::bfs::{run_bfs, PtConfig};
 use ptq::graph::gen::synthetic_tree;
 use ptq::graph::validate_levels;
-use ptq::queue::device::{make_wave_queue, LanePhase, QueueLayout, WaveQueue};
+use ptq::queue::device::{make_wave_queue, Lanes, QueueLayout, WaveQueue};
 use ptq::queue::host::{RfAnQueue, WorkPool};
 use ptq::queue::verify::{Explored, Scenario};
 use ptq::queue::Variant;
@@ -19,7 +19,7 @@ use std::collections::BTreeSet;
 /// and deterministically.
 struct Flooder {
     queue: Box<dyn WaveQueue>,
-    lanes: Vec<LanePhase>,
+    lanes: Lanes,
     is_flooder: bool,
     round: u32,
 }
@@ -31,17 +31,9 @@ impl WaveKernel for Flooder {
             let tokens: Vec<u32> = (0..64).map(|i| self.round * 64 + i).collect();
             let _ = self.queue.enqueue(ctx, &tokens);
         } else {
-            for l in self.lanes.iter_mut() {
-                if *l == LanePhase::Idle {
-                    *l = LanePhase::Hungry;
-                }
-            }
+            self.lanes.request(self.lanes.idle());
             self.queue.acquire(ctx, &mut self.lanes);
-            for l in self.lanes.iter_mut() {
-                if matches!(*l, LanePhase::Ready(_)) {
-                    *l = LanePhase::Idle;
-                }
-            }
+            while self.lanes.take_ready().is_some() {}
         }
         WaveStatus::Active
     }
@@ -56,7 +48,7 @@ fn queue_full_abort_terminates_multi_wave_runs() {
             .run(Launch::workgroups(4).with_max_rounds(10_000), |info| {
                 Flooder {
                     queue: make_wave_queue(variant, layout),
-                    lanes: vec![LanePhase::Idle; info.wave_size],
+                    lanes: Lanes::new(info.wave_size),
                     is_flooder: info.wave_id == 0,
                     round: 0,
                 }

@@ -20,7 +20,7 @@ use ptq::bfs::workload::{Bfs, PtWorkload, Sssp, WorkBuffers};
 use ptq::bfs::{queue_capacity, PtKernel};
 use ptq::graph::{random_weights, Csr, Dataset};
 use ptq::queue::device::{
-    make_wave_queue, LanePhase, QueueLayout, SegmentedLayout, SegmentedWaveQueue, StealingLayout,
+    make_wave_queue, Lanes, QueueLayout, SegmentedLayout, SegmentedWaveQueue, StealingLayout,
     StealingWaveQueue, WaveQueue,
 };
 use ptq::queue::Variant;
@@ -36,13 +36,13 @@ impl WaveQueue for NeverPark {
     fn variant(&self) -> Variant {
         self.0.variant()
     }
-    fn acquire(&mut self, ctx: &mut WaveCtx<'_>, lanes: &mut [LanePhase]) {
+    fn acquire(&mut self, ctx: &mut WaveCtx<'_>, lanes: &mut Lanes) {
         self.0.acquire(ctx, lanes)
     }
     fn enqueue(&mut self, ctx: &mut WaveCtx<'_>, tokens: &[u32]) -> usize {
         self.0.enqueue(ctx, tokens)
     }
-    fn register_idle_watches(&self, _: &mut WaveCtx<'_>, _: &[LanePhase]) -> bool {
+    fn register_idle_watches(&self, _: &mut WaveCtx<'_>, _: &Lanes) -> bool {
         false
     }
 }
@@ -371,5 +371,34 @@ fn parked_equals_never_parked_under_a_stall_and_a_poison() {
                 other => panic!("{label}: expected an injected abort, got {other}"),
             }
         }
+    }
+
+    // Poisoned queue words the data-arrival poll reads while nothing has
+    // arrived in them: a monitored slot, and a directory word of the
+    // segmented queue. The wave whose lane watches the word faults in the
+    // round the poison arms, parked or not — the literals are what the
+    // slot-reading poll this queue family started with reported.
+    let pinned = [
+        (Variant::RfAn, "workqueue.slots", 700, 8, 10),
+        (Variant::RfOnly, "workqueue.slots", 700, 8, 10),
+        (Variant::SegRfAn, "workqueue.slots", 700, 8, 10),
+        // Round 8's rotation starts at wave 8, whose tickets are in
+        // segment 0; by round 20 only wave 2 still holds one.
+        (Variant::SegRfAn, "workqueue.dir", 0, 8, 8),
+        (Variant::SegRfAn, "workqueue.dir", 0, 20, 2),
+    ];
+    for (variant, buffer, index, armed, wave) in pinned {
+        let label = format!("{variant:?}/{buffer}[{index}]@{armed}");
+        let plan = stall().poison(armed, buffer, index);
+        let scheduler = Scheduler::Shared(variant);
+        let err = assert_parked_equals_polled(&gpu, &graph, &bfs, scheduler, &plan, &label)
+            .expect_err("the poisoned queue word is being polled");
+        let reason = AbortReason::InjectedFault {
+            kind: FaultKind::MemPoison,
+            wave,
+            round: armed,
+        };
+        let round = armed;
+        assert_eq!(err, SimError::KernelAbort { reason, round }, "{label}");
     }
 }

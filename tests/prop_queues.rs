@@ -6,6 +6,7 @@
 //! deterministic across runs and platforms.
 
 use ptq::graph::rng::SplitMix64;
+use ptq::queue::device::{bits, LanePhase, Lanes};
 use ptq::queue::host::{AnQueue, BaseQueue, RfAnQueue, SlotTicket};
 use ptq::queue::DNA;
 
@@ -165,6 +166,108 @@ mod device {
                     "case {case}: {variant:?} wrong on n={n} seed={seed}"
                 );
             }
+        }
+    }
+}
+
+/// The columnar [`Lanes`] against the array of enums it replaced: after
+/// any sequence of kernel- and queue-side operations every lane's phase
+/// agrees with a plain `Vec<LanePhase>` model, the masks are the model's
+/// phases and stay inside the wavefront, and the epoch advances exactly
+/// when the set of `(lane, monitored ticket)` pairs changes.
+#[test]
+fn lanes_agree_with_an_array_of_phases() {
+    let mut rng = SplitMix64::seed_from_u64(0x1A9E5);
+    for case in 0..CASES {
+        let width = [1, 4, 7, 63, 64][case % 5];
+        let mut lanes = Lanes::new(width);
+        type Model = Vec<LanePhase>;
+        let mut model: Model = vec![LanePhase::Idle; width];
+        let lanes_in = |model: &Model, want: fn(&LanePhase) -> bool| -> u64 {
+            let hits = model.iter().enumerate().filter(|(_, p)| want(p));
+            hits.map(|(lane, _)| 1u64 << lane).sum()
+        };
+        let monitored = |model: &Model| -> Vec<(usize, LanePhase)> {
+            let lanes = model.iter().copied().enumerate();
+            lanes
+                .filter(|(_, p)| matches!(p, LanePhase::Monitoring(_)))
+                .collect()
+        };
+        for step in 0..400 {
+            let (before, epoch) = (monitored(&model), lanes.epoch());
+            let hungry: Vec<usize> = bits(lanes.hungry()).collect();
+            let waiting: Vec<usize> = bits(lanes.hungry() | lanes.monitoring()).collect();
+            let pick = |rng: &mut SplitMix64, from: &[usize]| {
+                (!from.is_empty()).then(|| from[rng.range_u64(0, from.len() as u64) as usize])
+            };
+            match rng.range_u64(0, 5) {
+                0 => {
+                    // Any mask at all: bits beyond the wavefront and busy
+                    // lanes must be ignored.
+                    let mask = rng.next_u64() & rng.next_u64();
+                    lanes.request(mask);
+                    for (lane, phase) in model.iter_mut().enumerate() {
+                        if *phase == LanePhase::Idle && mask & (1 << lane) != 0 {
+                            *phase = LanePhase::Hungry;
+                        }
+                    }
+                }
+                1 => {
+                    if let Some(lane) = pick(&mut rng, &hungry) {
+                        let ticket = rng.range_u32(0, 1 << 20);
+                        lanes.monitor(lane, ticket);
+                        model[lane] = LanePhase::Monitoring(ticket);
+                    }
+                }
+                2 => {
+                    let base = rng.range_u32(0, 1 << 20);
+                    lanes.monitor_hungry(base);
+                    for (&lane, ticket) in hungry.iter().zip(base..) {
+                        model[lane] = LanePhase::Monitoring(ticket);
+                    }
+                }
+                3 => {
+                    if let Some(lane) = pick(&mut rng, &waiting) {
+                        let token = rng.range_u32(0, DNA);
+                        lanes.deliver(lane, token);
+                        model[lane] = LanePhase::Ready(token);
+                    }
+                }
+                _ => {
+                    let first = model.iter().position(|p| matches!(p, LanePhase::Ready(_)));
+                    let expect = first.map(|lane| match model[lane] {
+                        LanePhase::Ready(token) => (lane, token),
+                        _ => unreachable!(),
+                    });
+                    assert_eq!(lanes.take_ready(), expect, "case {case} step {step}");
+                    if let Some(lane) = first {
+                        model[lane] = LanePhase::Idle;
+                    }
+                }
+            }
+            let label = format!("case {case} step {step}: {lanes:?}");
+            for (lane, &phase) in model.iter().enumerate() {
+                assert_eq!(lanes.phase(lane), phase, "lane {lane}, {label}");
+            }
+            let idle = lanes_in(&model, |p| *p == LanePhase::Idle);
+            let hungry = lanes_in(&model, |p| *p == LanePhase::Hungry);
+            let monitoring = lanes_in(&model, |p| matches!(p, LanePhase::Monitoring(_)));
+            assert_eq!(
+                (lanes.idle(), lanes.hungry(), lanes.monitoring()),
+                (idle, hungry, monitoring),
+                "{label}"
+            );
+            assert_eq!(lanes.all_hungry(), hungry.count_ones() as usize == width);
+            assert_eq!(
+                lanes.all_monitoring(),
+                monitoring.count_ones() as usize == width
+            );
+            assert_eq!(
+                lanes.epoch() != epoch,
+                monitored(&model) != before,
+                "epoch {epoch} -> {}, {label}",
+                lanes.epoch()
+            );
         }
     }
 }

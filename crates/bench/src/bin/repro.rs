@@ -3,127 +3,189 @@
 //! ```text
 //! repro <experiment> [--scale F | --full] [--jobs N] [--out DIR]
 //!
-//! experiments:
-//!   table1 table2 table3 table4 table5 table6
-//!   fig1 fig3 fig4 fig5
-//!   scaling ablate-matrix ablate-stealing ablate-chunk ablate-occupancy
-//!   chaos        seeded fault injection + checkpoint/resume recovery
-//!   workloads    all four workloads (BFS/SSSP/CC/PR-delta) vs oracles
-//!   giant        streamed vs in-memory construction at giant scale
-//!   serve        overload-safe serving core: admission, deadlines,
-//!                retry/backoff, quarantine over a seeded arrival trace
-//!   verify       machine-checked reproduction verdicts
-//!   all          everything above (except verify and giant)
-//!
 //! options:
-//!   --scale F    dataset scale in (0,1]   (default 0.05; giant 1.0)
+//!   --scale F    dataset scale in (0,1]   (default 0.05)
 //!   --full       shorthand for --scale 1.0 (the paper's sizes; slow)
 //!   --jobs N     worker-thread cap (default 1; 0 = one per CPU).
 //!                The effective count never exceeds the machine's
 //!                available parallelism — points are CPU-bound, so
 //!                oversubscribing only adds scheduling overhead.
-//!   --out DIR    where to write .md/.csv   (default results/)
+//!   --out DIR    where to write .md/.csv/.svg   (default results/)
 //! ```
 //!
-//! Every table is printed to stdout and written as markdown + CSV.
-//! Tables are byte-identical at any `--jobs` count. Each run also writes
-//! `BENCH_repro.json` (wall-clock per experiment, simulated-round
-//! throughput) next to the tables so performance has a trajectory.
+//! `repro --help` lists the experiments (the `EXPERIMENTS` table below).
+//! Every table is printed to stdout and written as markdown + CSV, every
+//! figure additionally as SVG. Everything written is simulated, so the
+//! whole output directory is byte-identical at any `--jobs` count; host
+//! time and memory are measured by `benchmark/`, never here. A failed
+//! write does not stop the run but makes the process exit 1.
 
 use repro_bench::experiments::{
     ablate, chaos, common, fig1, fig3, fig4, fig5, giant, scaling, serve, table12, table34, table5,
     table6, verify, workloads,
 };
-use repro_bench::{Scale, Sched, Table};
+use repro_bench::{Chart, Scale, Sched, Table};
 use simt::GpuConfig;
+use std::cell::Cell;
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Instant;
 
 struct Options {
     scale: Scale,
     out: PathBuf,
     sched: Sched,
+    /// Set by a failed artifact write or a failed `verify` verdict; the
+    /// run carries on and the process exits 1 at the end.
+    failed: Cell<bool>,
 }
 
-/// Per-experiment (name, wall-clock seconds, simulated rounds), in
-/// execution order.
-type Timings = Vec<(String, f64, u64)>;
+/// One runnable experiment. Dispatch, `all` and `--help` all read this
+/// one table.
+struct Experiment {
+    name: &'static str,
+    /// A second name for experiments that produce two artifacts from one
+    /// measurement (`table4` runs `table3`, `fig5` runs `fig1`).
+    alias: Option<&'static str>,
+    in_all: bool,
+    run: fn(&Options),
+}
 
-fn main() -> ExitCode {
-    let mut args = std::env::args().skip(1);
-    let mut experiment: Option<String> = None;
-    let mut scale: Option<Scale> = None;
+const fn experiment(
+    name: &'static str,
+    alias: Option<&'static str>,
+    in_all: bool,
+    run: fn(&Options),
+) -> Experiment {
+    Experiment {
+        name,
+        alias,
+        in_all,
+        run,
+    }
+}
+
+const EXPERIMENTS: &[Experiment] = &[
+    experiment("table1", None, true, run_table1),
+    experiment("table2", None, true, run_table2),
+    experiment("table3", Some("table4"), true, run_table34),
+    experiment("table5", None, true, run_table5),
+    experiment("table6", None, true, run_table6),
+    experiment("fig3", None, true, run_fig3),
+    experiment("fig1", Some("fig5"), true, run_retry_figures),
+    experiment("fig4", None, true, run_fig4),
+    experiment("scaling", None, true, run_scaling),
+    experiment("ablate-matrix", None, true, run_ablate_matrix),
+    experiment("ablate-stealing", None, true, run_ablate_stealing),
+    experiment("ablate-chunk", None, true, run_ablate_chunk),
+    experiment("ablate-occupancy", None, true, run_ablate_occupancy),
+    // Seeded fault injection + checkpoint/resume recovery.
+    experiment("chaos", None, true, run_chaos),
+    // All four workloads (BFS/SSSP/CC/PR-delta) against their oracles.
+    experiment("workloads", None, true, run_workloads),
+    // The giant-family scale point (>= 100M edges under --full).
+    experiment("giant", None, true, run_giant),
+    // The overload-safe serving core over seeded arrival traces.
+    experiment("serve", None, true, run_serve),
+    // Machine-checked reproduction verdicts; exits 1 on any FAIL.
+    experiment("verify", None, false, run_verify),
+];
+
+/// The experiments `name` selects, in execution order: one table entry
+/// (by name or alias), or every `in_all` entry for `all`.
+fn select(name: &str) -> Vec<&'static Experiment> {
+    EXPERIMENTS
+        .iter()
+        .filter(|e| match name {
+            "all" => e.in_all,
+            _ => e.name == name || e.alias == Some(name),
+        })
+        .collect()
+}
+
+/// Parses the command line (without the program name). `Err` carries the
+/// usage error; an empty one is a plain `--help`.
+fn parse(
+    mut args: impl Iterator<Item = String>,
+) -> Result<(Vec<&'static Experiment>, Options), String> {
+    let mut name: Option<String> = None;
+    let mut scale = Scale::DEFAULT;
     let mut out = PathBuf::from("results");
     let mut sched = Sched::serial();
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--scale" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(f) if f > 0.0 && f <= 1.0 => scale = Some(Scale::new(f)),
-                _ => return usage("--scale needs a number in (0, 1]"),
+                Some(f) if f > 0.0 && f <= 1.0 => scale = Scale::new(f),
+                _ => return Err("--scale needs a number in (0, 1]".to_owned()),
             },
-            "--full" => scale = Some(Scale::FULL),
+            "--full" => scale = Scale::FULL,
             "--jobs" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
                 Some(0) => sched = Sched::auto(),
                 Some(n) => sched = Sched::new(n),
-                None => return usage("--jobs needs a non-negative integer"),
+                None => return Err("--jobs needs a non-negative integer".to_owned()),
             },
             "--out" => match args.next() {
                 Some(dir) => out = PathBuf::from(dir),
-                None => return usage("--out needs a directory"),
+                None => return Err("--out needs a directory".to_owned()),
             },
-            "--help" | "-h" => return usage(""),
-            name if experiment.is_none() && !name.starts_with('-') => {
-                experiment = Some(name.to_owned());
-            }
-            other => return usage(&format!("unknown argument {other:?}")),
+            "--help" | "-h" => return Err(String::new()),
+            arg if name.is_none() && !arg.starts_with('-') => name = Some(arg.to_owned()),
+            other => return Err(format!("unknown argument {other:?}")),
         }
     }
-    let Some(experiment) = experiment else {
-        return usage("missing experiment name");
+    let name = name.ok_or("missing experiment name")?;
+    let selected = select(&name);
+    if selected.is_empty() {
+        return Err(format!("unknown experiment {name:?}"));
+    }
+    let opts = Options {
+        scale,
+        out,
+        sched,
+        failed: Cell::new(false),
     };
-    // `giant` is pinned at full scale unless overridden — the experiment
-    // exists to measure the >=100M-edge regime, where the naive leg's
-    // O(E) edge-list materialization actually bites and the memory
-    // envelope is worth reporting. Every other experiment keeps the
-    // quick default.
-    let scale = scale.unwrap_or(if experiment == "giant" {
-        Scale::FULL
-    } else {
-        Scale::DEFAULT
-    });
-    let opts = Options { scale, out, sched };
+    Ok((selected, opts))
+}
+
+fn main() -> ExitCode {
+    let (selected, opts) = match parse(std::env::args().skip(1)) {
+        Ok(parsed) => parsed,
+        Err(error) => return usage(&error),
+    };
     eprintln!(
         "# scale = {} (vertex counts at {:.1}% of the paper's), jobs = {} ({} host cores)",
         opts.scale.fraction(),
         opts.scale.fraction() * 100.0,
         opts.sched.jobs(),
-        common::host_cores(),
+        Sched::auto().jobs(),
     );
-
-    let start = Instant::now();
-    let mut timings = Timings::new();
-    let known = run_experiment(&experiment, &opts, &mut timings);
-    if !known {
-        return usage(&format!("unknown experiment {experiment:?}"));
+    for exp in &selected {
+        if selected.len() > 1 {
+            eprintln!("== {} ==", exp.name);
+        }
+        (exp.run)(&opts);
     }
-    let total = start.elapsed().as_secs_f64();
-    if timings.is_empty() {
-        timings.push((experiment.clone(), total, common::rounds_simulated()));
+    if opts.failed.get() {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
     }
-    write_bench(&opts, &experiment, total, &timings);
-    ExitCode::SUCCESS
 }
 
 fn usage(error: &str) -> ExitCode {
     if !error.is_empty() {
         eprintln!("error: {error}\n");
     }
+    let names: Vec<String> = EXPERIMENTS
+        .iter()
+        .map(|e| match e.alias {
+            Some(alias) => format!("{}|{alias}", e.name),
+            None => e.name.to_owned(),
+        })
+        .collect();
     eprintln!(
         "usage: repro <experiment> [--scale F | --full] [--jobs N] [--out DIR]\n\
-         experiments: table1 table2 table3 table4 table5 table6 \
-         fig1 fig3 fig4 fig5 scaling ablate-matrix ablate-stealing ablate-chunk \
-         ablate-occupancy chaos workloads giant serve verify all"
+         experiments: {} all (= everything but verify)",
+        names.join(" ")
     );
     if error.is_empty() {
         ExitCode::SUCCESS
@@ -132,327 +194,128 @@ fn usage(error: &str) -> ExitCode {
     }
 }
 
-/// Writes `BENCH_repro.json` into the output directory: total and
-/// per-experiment wall-clock plus simulated-round throughput, the
-/// process-wide slowest simulation point, and the effective worker
-/// count (`--jobs 0` resolves to one per CPU; requests above the
-/// available parallelism are clamped to it). The schema is documented
-/// in `EXPERIMENTS.md`. Timings naturally vary run to run — every
-/// *table* stays byte-identical.
-fn write_bench(opts: &Options, command: &str, total: f64, timings: &Timings) {
-    let rounds = common::rounds_simulated();
-    let per_experiment: Vec<String> = timings
-        .iter()
-        .map(|(name, secs, exp_rounds)| {
-            format!(
-                "    {{\"name\": \"{name}\", \"seconds\": {secs:.3}, \
-                 \"rounds\": {exp_rounds}, \"rounds_per_second\": {:.0}}}",
-                *exp_rounds as f64 / secs.max(1e-9),
-            )
-        })
-        .collect();
-    let slowest = match common::slowest_point() {
-        Some((name, secs)) => {
-            format!("{{\"name\": \"{name}\", \"seconds\": {secs:.3}}}")
-        }
-        None => "null".to_owned(),
-    };
-    let recovery = format!(
-        "{{\"faults_injected\": {}, \"aborts_recovered\": {}, \"rounds_replayed\": {}}}",
-        common::faults_injected(),
-        common::aborts_recovered(),
-        common::rounds_replayed(),
-    );
-    let workload_entries: Vec<String> = common::workload_stats()
-        .iter()
-        .map(|(name, w_rounds, wall, retry_free)| {
-            format!(
-                "    {{\"name\": \"{name}\", \"rounds\": {w_rounds}, \
-                 \"rounds_per_second\": {:.0}, \"retry_free\": {retry_free}}}",
-                *w_rounds as f64 / wall.max(1e-9),
-            )
-        })
-        .collect();
-    let workloads_json = if workload_entries.is_empty() {
-        "[]".to_owned()
-    } else {
-        format!("[\n{}\n  ]", workload_entries.join(",\n"))
-    };
-    // Engine-profile aggregate (events summed, footprint gauges maxed
-    // across every profiled run) plus the process peak RSS: the memory
-    // envelope of the run. Null if nothing recorded a profile.
-    let profile = match common::profile_summary() {
-        Some((p, runs, recycled)) => format!(
-            "{{\"runs\": {runs}, \"arena_recycled_runs\": {recycled}, \
-             \"peak_arena_words\": {}, \"peak_meta_bytes\": {}, \
-             \"peak_demand_zeroed_words\": {}, \"park_events\": {}, \
-             \"park_replay_cycles\": {}, \"spurious_wakes\": {}, \
-             \"peak_line_table_bytes\": {}, \
-             \"peak_round_lines\": {}, \"peak_rss_bytes\": {}}}",
-            p.arena_words,
-            p.meta_bytes,
-            p.demand_zeroed_words,
-            p.park_events,
-            p.park_replay_cycles,
-            p.spurious_wakes,
-            p.line_table_bytes,
-            p.peak_round_lines,
-            common::peak_rss_bytes(),
-        ),
-        None => "null".to_owned(),
-    };
-    // Giant-pipeline wall clock (tuned vs naive construction+setup).
-    let giant = match common::giant_bench() {
-        Some(g) => format!(
-            "{{\"edges\": {}, \"naive_build_seconds\": {:.3}, \
-             \"naive_setup_seconds\": {:.3}, \"tuned_build_seconds\": {:.3}, \
-             \"tuned_setup_seconds\": {:.3}, \"naive_edges_per_second\": {:.0}, \
-             \"tuned_edges_per_second\": {:.0}, \"speedup\": {:.3}}}",
-            g.edges,
-            g.naive_build_seconds,
-            g.naive_setup_seconds,
-            g.tuned_build_seconds,
-            g.tuned_setup_seconds,
-            g.naive_edges_per_second(),
-            g.tuned_edges_per_second(),
-            g.speedup(),
-        ),
-        None => "null".to_owned(),
-    };
-    // Serve legs: everything in this section is simulated (cycles,
-    // counts, rates over cycles), so unlike the wall-clock sections it
-    // is byte-identical across --jobs — CI
-    // extracts and diffs it (serve-smoke).
-    // An absent percentile (a leg that completed nothing) emits a JSON
-    // null, not a fake 0.
-    let opt_cycles = |v: Option<u64>| v.map_or_else(|| "null".to_owned(), |v| v.to_string());
-    let serve_entries: Vec<String> = common::serve_bench()
-        .iter()
-        .map(|b| {
-            format!(
-                "    {{\"leg\": \"{}\", \"queries\": {}, \"completed\": {}, \
-                 \"retried\": {}, \"batched\": {}, \"shed\": {}, \"quarantined\": {}, \
-                 \"rejected_queue_full\": {}, \"rejected_quarantined\": {}, \
-                 \"p50_latency_cycles\": {}, \"p99_latency_cycles\": {}, \
-                 \"makespan_cycles\": {}, \"throughput_qps\": {:.3}, \
-                 \"shed_rate\": {:.4}, \"quarantine_rate\": {:.4}}}",
-                b.leg,
-                b.queries,
-                b.completed,
-                b.retried,
-                b.batched,
-                b.shed,
-                b.quarantined,
-                b.rejected_queue_full,
-                b.rejected_quarantined,
-                opt_cycles(b.p50_latency_cycles),
-                opt_cycles(b.p99_latency_cycles),
-                b.makespan_cycles,
-                b.throughput_qps,
-                b.shed_rate,
-                b.quarantine_rate,
-            )
-        })
-        .collect();
-    let serve_json = if serve_entries.is_empty() {
-        "null".to_owned()
-    } else {
-        format!("[\n{}\n  ]", serve_entries.join(",\n"))
-    };
-    // Top-level wall-clock summary: how long the whole invocation took
-    // and what parallelism (jobs, host cores) it ran with. CI fails a
-    // BENCH artifact that lacks this.
-    let wall_clock = format!(
-        "{{\"total_seconds\": {total:.3}, \"jobs\": {}, \"host_cores\": {}}}",
-        opts.sched.jobs(),
-        common::host_cores(),
-    );
-    let json = format!(
-        "{{\n  \"command\": \"{command}\",\n  \"scale\": {},\n  \"jobs\": {},\n  \
-         \"wall_clock\": {wall_clock},\n  \
-         \"total_seconds\": {total:.3},\n  \"rounds_simulated\": {rounds},\n  \
-         \"rounds_per_second\": {:.0},\n  \"slowest_point\": {slowest},\n  \
-         \"recovery\": {recovery},\n  \"workloads\": {workloads_json},\n  \
-         \"profile\": {profile},\n  \"giant\": {giant},\n  \
-         \"serve\": {serve_json},\n  \
-         \"experiments\": [\n{}\n  ]\n}}\n",
-        opts.scale.fraction(),
-        opts.sched.jobs(),
-        rounds as f64 / total.max(1e-9),
-        per_experiment.join(",\n"),
-    );
-    if let Err(e) = std::fs::create_dir_all(&opts.out)
-        .and_then(|()| std::fs::write(opts.out.join("BENCH_repro.json"), &json))
-    {
-        eprintln!("warning: could not write BENCH_repro.json: {e}");
-        return;
-    }
-    eprintln!(
-        "# {total:.1}s wall, {rounds} rounds simulated -> {}",
-        opts.out.join("BENCH_repro.json").display()
-    );
-}
-
+/// Prints `table` and writes it as `<stem>.md` + `<stem>.csv`.
 fn emit(table: &Table, opts: &Options, stem: &str) {
     println!("{}", table.to_markdown());
     if let Err(e) = table.write_to(&opts.out, stem) {
-        eprintln!("warning: could not write {stem}: {e}");
+        eprintln!("error: could not write {stem}.md/.csv: {e}");
+        opts.failed.set(true);
     }
 }
 
-fn run_experiment(name: &str, opts: &Options, timings: &mut Timings) -> bool {
-    let sched = &opts.sched;
-    match name {
-        "table1" => emit(&table12::table1(opts.scale, sched), opts, "table1"),
-        "table2" => emit(&table12::table2(opts.scale, sched), opts, "table2"),
-        "table3" | "table4" => {
-            let times = table34::measure(opts.scale, sched);
-            emit(&table34::table3(&times), opts, "table3");
-            emit(&table34::table4(&times), opts, "table4");
-        }
-        "table5" => {
-            let rows = table5::measure(opts.scale, sched);
-            emit(&table5::table(&rows), opts, "table5");
-        }
-        "table6" => {
-            let rows = table6::measure(opts.scale, sched);
-            emit(&table6::table(&rows), opts, "table6");
-        }
-        "fig3" => {
-            emit(
-                &fig3::profile_table(opts.scale, sched),
-                opts,
-                "fig3_profiles",
-            );
-            emit(
-                &fig3::saturation_table(opts.scale, sched),
-                opts,
-                "fig3_saturation",
-            );
-        }
-        "fig1" | "fig5" => run_retry_figures(opts),
-        "fig4" => run_fig4(opts),
-        "verify" => {
-            let verdicts = verify::run_checks(opts.scale, sched);
-            emit(&verify::table(&verdicts), opts, "verify");
-            if verdicts.iter().any(|v| !v.pass) {
-                eprintln!("verification FAILED");
-                std::process::exit(1);
-            }
-            eprintln!("verification PASSED: every headline claim reproduces");
-        }
-        "scaling" => {
-            emit(
-                &scaling::table(opts.scale, &GpuConfig::fiji(), sched),
-                opts,
-                "scaling_fiji",
-            );
-            emit(
-                &scaling::table(opts.scale, &GpuConfig::spectre(), sched),
-                opts,
-                "scaling_spectre",
-            );
-        }
-        "ablate-matrix" => {
-            emit(
-                &ablate::matrix_table(opts.scale, &GpuConfig::fiji(), sched),
-                opts,
-                "ablate_matrix_fiji",
-            );
-        }
-        "ablate-stealing" => {
-            emit(
-                &ablate::stealing_table(opts.scale, &GpuConfig::fiji(), sched),
-                opts,
-                "ablate_stealing_fiji",
-            );
-        }
-        "ablate-chunk" => {
-            emit(
-                &ablate::chunk_table(opts.scale, &GpuConfig::fiji(), sched),
-                opts,
-                "ablate_chunk_fiji",
-            );
-            emit(
-                &ablate::chunk_table(opts.scale, &GpuConfig::spectre(), sched),
-                opts,
-                "ablate_chunk_spectre",
-            );
-        }
-        "ablate-occupancy" => {
-            emit(
-                &ablate::occupancy_table(opts.scale, &GpuConfig::fiji(), sched),
-                opts,
-                "ablate_occupancy_fiji",
-            );
-        }
-        "chaos" => {
-            let rows = chaos::measure(opts.scale, sched);
-            emit(&chaos::table(&rows), opts, "chaos");
-        }
-        "workloads" => {
-            let rows = workloads::measure(opts.scale, sched);
-            emit(&workloads::table(&rows), opts, "workloads");
-        }
-        "serve" => {
-            let results = serve::measure(opts.scale, sched);
-            for (leg, log) in &results {
-                emit(
-                    &log.table(&format!("Serve [{}]: per-query outcomes", leg.name)),
-                    opts,
-                    &format!("serve_{}", leg.name),
-                );
-                emit(
-                    &log.fairness_table(&format!(
-                        "Serve [{}]: per-class tenant fairness (Jain over completion rates)",
-                        leg.name
-                    )),
-                    opts,
-                    &format!("serve_fairness_{}", leg.name),
-                );
-            }
-            emit(&serve::summary_table(&results), opts, "serve_summary");
-        }
-        // Not part of "all": the giant pipeline is serial by design (the
-        // eager-zeroing A/B toggle is process-global) and its pinned
-        // full-scale default builds a 134M-edge graph twice.
-        "giant" => {
-            let rows = giant::measure(opts.scale);
-            emit(&giant::table(&rows), opts, "giant");
-        }
-        "all" => {
-            for exp in [
-                "table1",
-                "table2",
-                "table3",
-                "table5",
-                "table6",
-                "fig3",
-                "fig1",
-                "fig4",
-                "scaling",
-                "ablate-matrix",
-                "ablate-stealing",
-                "ablate-chunk",
-                "ablate-occupancy",
-                "chaos",
-                "workloads",
-                "serve",
-            ] {
-                eprintln!("== {exp} ==");
-                let start = Instant::now();
-                let rounds_before = common::rounds_simulated();
-                run_experiment(exp, opts, timings);
-                timings.push((
-                    exp.to_owned(),
-                    start.elapsed().as_secs_f64(),
-                    common::rounds_simulated() - rounds_before,
-                ));
-            }
-        }
-        _ => return false,
+/// Writes `chart` as `<stem>.svg`.
+fn emit_chart(chart: &Chart, opts: &Options, stem: &str) {
+    if let Err(e) = chart.write_to(&opts.out, stem) {
+        eprintln!("error: could not write {stem}.svg: {e}");
+        opts.failed.set(true);
     }
-    true
+}
+
+fn run_table1(opts: &Options) {
+    emit(&table12::table1(opts.scale, &opts.sched), opts, "table1");
+}
+
+fn run_table2(opts: &Options) {
+    emit(&table12::table2(opts.scale, &opts.sched), opts, "table2");
+}
+
+fn run_table34(opts: &Options) {
+    let times = table34::measure(opts.scale, &opts.sched);
+    emit(&table34::table3(&times), opts, "table3");
+    emit(&table34::table4(&times), opts, "table4");
+}
+
+fn run_table5(opts: &Options) {
+    let rows = table5::measure(opts.scale, &opts.sched);
+    emit(&table5::table(&rows), opts, "table5");
+}
+
+fn run_table6(opts: &Options) {
+    let rows = table6::measure(opts.scale, &opts.sched);
+    emit(&table6::table(&rows), opts, "table6");
+}
+
+fn run_fig3(opts: &Options) {
+    let profiles = fig3::profile_table(opts.scale, &opts.sched);
+    emit(&profiles, opts, "fig3_profiles");
+    let saturation = fig3::saturation_table(opts.scale, &opts.sched);
+    emit(&saturation, opts, "fig3_saturation");
+}
+
+fn run_scaling(opts: &Options) {
+    for (gpu, _) in common::platforms() {
+        let table = scaling::table(opts.scale, &gpu, &opts.sched);
+        let stem = format!("scaling_{}", gpu.name.to_lowercase());
+        emit(&table, opts, &stem);
+    }
+}
+
+fn run_ablate_matrix(opts: &Options) {
+    let table = ablate::matrix_table(opts.scale, &GpuConfig::fiji(), &opts.sched);
+    emit(&table, opts, "ablate_matrix_fiji");
+}
+
+fn run_ablate_stealing(opts: &Options) {
+    let table = ablate::stealing_table(opts.scale, &GpuConfig::fiji(), &opts.sched);
+    emit(&table, opts, "ablate_stealing_fiji");
+}
+
+fn run_ablate_chunk(opts: &Options) {
+    for (gpu, _) in common::platforms() {
+        let table = ablate::chunk_table(opts.scale, &gpu, &opts.sched);
+        let stem = format!("ablate_chunk_{}", gpu.name.to_lowercase());
+        emit(&table, opts, &stem);
+    }
+}
+
+fn run_ablate_occupancy(opts: &Options) {
+    let table = ablate::occupancy_table(opts.scale, &GpuConfig::fiji(), &opts.sched);
+    emit(&table, opts, "ablate_occupancy_fiji");
+}
+
+fn run_chaos(opts: &Options) {
+    let rows = chaos::measure(opts.scale, &opts.sched);
+    emit(&chaos::table(&rows), opts, "chaos");
+}
+
+fn run_workloads(opts: &Options) {
+    let rows = workloads::measure(opts.scale, &opts.sched);
+    emit(&workloads::table(&rows), opts, "workloads");
+}
+
+fn run_giant(opts: &Options) {
+    emit(&giant::table(&giant::measure(opts.scale)), opts, "giant");
+}
+
+fn run_serve(opts: &Options) {
+    let results = serve::measure(opts.scale, &opts.sched);
+    for (leg, log) in &results {
+        emit(
+            &log.table(&format!("Serve [{}]: per-query outcomes", leg.name)),
+            opts,
+            &format!("serve_{}", leg.name),
+        );
+        emit(
+            &log.fairness_table(&format!(
+                "Serve [{}]: per-class tenant fairness (Jain over completion rates)",
+                leg.name
+            )),
+            opts,
+            &format!("serve_fairness_{}", leg.name),
+        );
+    }
+    emit(&serve::summary_table(&results), opts, "serve_summary");
+}
+
+fn run_verify(opts: &Options) {
+    let verdicts = verify::run_checks(opts.scale, &opts.sched);
+    emit(&verify::table(&verdicts), opts, "verify");
+    if verdicts.iter().any(|v| !v.pass) {
+        eprintln!("verification FAILED");
+        opts.failed.set(true);
+    } else {
+        eprintln!("verification PASSED: every headline claim reproduces");
+    }
 }
 
 /// Figures 1 and 5 share their sweeps (BASE failures and BASE/RF-AN
@@ -480,16 +343,16 @@ fn run_retry_figures(opts: &Options) {
             opts,
             &format!("fig5_{gpu_l}"),
         );
-        if let Err(e) =
-            fig1::panel_chart(&gpu, &sweeps).write_to(&opts.out, &format!("fig1_{gpu_l}"))
-        {
-            eprintln!("warning: fig1 svg: {e}");
-        }
-        if let Err(e) =
-            fig5::panel_chart(&gpu, &sweeps).write_to(&opts.out, &format!("fig5_{gpu_l}"))
-        {
-            eprintln!("warning: fig5 svg: {e}");
-        }
+        emit_chart(
+            &fig1::panel_chart(&gpu, &sweeps),
+            opts,
+            &format!("fig1_{gpu_l}"),
+        );
+        emit_chart(
+            &fig5::panel_chart(&gpu, &sweeps),
+            opts,
+            &format!("fig5_{gpu_l}"),
+        );
     }
 }
 
@@ -505,9 +368,7 @@ fn run_fig4(opts: &Options) {
                 dataset.spec().name.replace(['.', '-'], "_").to_lowercase()
             );
             emit(&table, opts, &stem);
-            if let Err(e) = fig4::panel_chart(&gpu, dataset, &points).write_to(&opts.out, &stem) {
-                eprintln!("warning: fig4 svg: {e}");
-            }
+            emit_chart(&fig4::panel_chart(&gpu, dataset, &points), opts, &stem);
             if dataset == ptq_graph::Dataset::Synthetic {
                 let max = *gpu.workgroup_sweep().last().unwrap();
                 eprintln!(
@@ -517,5 +378,51 @@ fn run_fig4(opts: &Options) {
                 );
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> impl Iterator<Item = String> + '_ {
+        line.split_whitespace().map(str::to_owned)
+    }
+
+    #[test]
+    fn all_is_every_experiment_but_verify() {
+        let all: Vec<_> = select("all").iter().map(|e| e.name).collect();
+        let but_verify: Vec<_> = EXPERIMENTS
+            .iter()
+            .map(|e| e.name)
+            .filter(|&n| n != "verify")
+            .collect();
+        assert_eq!(all, but_verify);
+        assert!(all.contains(&"giant"));
+        // Names and aliases are unique and each selects its own entry.
+        for e in EXPERIMENTS {
+            for name in std::iter::once(e.name).chain(e.alias) {
+                let hit = select(name);
+                assert_eq!(hit.len(), 1, "{name}");
+                assert_eq!(hit[0].name, e.name);
+            }
+        }
+    }
+
+    #[test]
+    fn unknown_names_and_arguments_are_usage_errors() {
+        let err = |line: &str| parse(args(line)).err().expect(line);
+        assert!(err("table7").contains("unknown experiment"));
+        assert!(err("").contains("missing experiment"));
+        assert!(err("table1 --engine-workers 2").contains("unknown argument"));
+        assert!(err("table1 --scale 0").contains("--scale"));
+        assert_eq!(err("--help"), "");
+        let (selected, opts) = parse(args("giant --jobs 1")).expect("giant parses");
+        assert_eq!(selected[0].name, "giant");
+        assert_eq!(
+            opts.scale,
+            Scale::DEFAULT,
+            "giant has no default of its own"
+        );
     }
 }

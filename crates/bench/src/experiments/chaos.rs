@@ -14,7 +14,7 @@
 //! `--jobs` count — the fault plans are seeded and the simulator is
 //! deterministic, so the CI chaos job byte-diffs serial vs parallel runs.
 
-use super::common::{bfs_run, record_recovery, DatasetCache};
+use super::common::{bfs_run, DatasetCache};
 use crate::report::Table;
 use crate::{Scale, Sched};
 use gpu_queue::Variant;
@@ -118,12 +118,6 @@ pub fn measure(scale: Scale, sched: &Sched) -> Vec<Row> {
         assert_eq!(
             run.values, golden.values,
             "chaos on {dataset:?}: recovered levels diverge from golden"
-        );
-        record_recovery(
-            plan.len() as u64,
-            run.recovery.aborts() as u64,
-            run.recovery.rounds_replayed,
-            run.metrics.rounds,
         );
         Row {
             dataset: dataset.spec().name,

@@ -1,23 +1,7 @@
 //! One module per table/figure of the paper, plus the ablations.
 //!
-//! | paper artifact | function | output stem |
-//! |---|---|---|
-//! | Figure 1 | [`fig1::run`] | `fig1_<gpu>` |
-//! | Figure 3 | [`fig3::run`] | `fig3` |
-//! | Table 1 | [`table12::table1`] | `table1` |
-//! | Table 2 | [`table12::table2`] | `table2` |
-//! | Table 3 | [`table34::table3`] | `table3` |
-//! | Table 4 | [`table34::table4`] | `table4` |
-//! | Figure 4 | [`fig4::run`] | `fig4_<gpu>_<dataset>` |
-//! | Figure 5 | [`fig5::run`] | `fig5_<gpu>` |
-//! | Table 5 | [`table5::run`] | `table5` |
-//! | Table 6 | [`table6::run`] | `table6` |
-//! | ablations | [`ablate`] | `ablate_*` |
-//! | scaling deep-dive | [`scaling::table`] | `scaling_<gpu>` |
-//! | chaos / recovery | [`chaos::table`] | `chaos` |
-//! | workload matrix | [`workloads::table`] | `workloads` |
-//! | giant-graph scale | [`giant::table`] | `giant` |
-//! | serving core | [`serve::summary_table`] | `serve_*` |
+//! Which experiment name runs which module, and what it writes, is the
+//! `EXPERIMENTS` table in `bin/repro.rs` (`repro --help` prints it).
 
 pub mod ablate;
 pub mod chaos;

@@ -31,7 +31,6 @@
 
 use ptq_graph::Dataset;
 
-use super::common::{record_rounds, record_serve, ServeBench};
 use crate::report::Table;
 use crate::serve::{
     ArrivalTrace, Disposition, OutcomeLog, Service, ServiceConfig, TraceParams, WorkloadKind,
@@ -147,9 +146,8 @@ pub fn legs(scale: Scale) -> Vec<Leg> {
     vec![steady, overload, overload_batched, faulted]
 }
 
-/// Runs every leg, enforces its invariants, and records the `serve`
-/// BENCH section. The returned logs are byte-identical at any `sched`
-/// width.
+/// Runs every leg and enforces its invariants. The returned logs are
+/// byte-identical at any `sched` width.
 pub fn measure(scale: Scale, sched: &Sched) -> Vec<(Leg, OutcomeLog)> {
     let results: Vec<(Leg, OutcomeLog)> = legs(scale)
         .into_iter()
@@ -161,32 +159,8 @@ pub fn measure(scale: Scale, sched: &Sched) -> Vec<(Leg, OutcomeLog)> {
             );
             let service = Service::new(leg.config.clone());
             let profiles = service.profiles(&leg.trace, sched);
-            record_rounds(
-                profiles
-                    .iter()
-                    .flat_map(|p| p.attempts.iter().map(|a| a.rounds))
-                    .sum(),
-            );
             let log = service.replay(&leg.trace, &profiles);
             enforce(leg.name, &log);
-            let s = log.summary();
-            record_serve(ServeBench {
-                leg: leg.name,
-                queries: s.queries,
-                completed: s.completed,
-                retried: s.retried,
-                shed: s.shed,
-                quarantined: s.quarantined,
-                rejected_queue_full: s.rejected_queue_full,
-                rejected_quarantined: s.rejected_quarantined,
-                batched: s.batched,
-                p50_latency_cycles: s.p50_latency_cycles,
-                p99_latency_cycles: s.p99_latency_cycles,
-                makespan_cycles: s.makespan_cycles,
-                throughput_qps: s.throughput_qps(&service.config().gpu),
-                shed_rate: s.shed_rate,
-                quarantine_rate: s.quarantine_rate,
-            });
             (leg, log)
         })
         .collect();

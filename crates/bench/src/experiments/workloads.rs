@@ -9,15 +9,13 @@
 //! and best-contribution PageRank-delta all run through the same
 //! `PtKernel` / RF/AN queue, every run exact against its oracle and
 //! audited retry-free. The table reports per-(workload, dataset) rounds,
-//! work cycles, scheduler atomics, and simulated time; the aggregate
-//! per-workload stats (rounds, rounds/sec, retry-free verdict) land in
-//! the `workloads` section of `BENCH_repro.json`.
+//! work cycles, scheduler atomics, simulated time, and the retry-free
+//! verdict.
 //!
 //! Like every other experiment, the table is byte-identical at any
-//! `--jobs` count — wall-clock lives only in the JSON, which is
-//! documented to vary.
+//! `--jobs` count.
 
-use super::common::{record_profile, record_workload, DatasetCache};
+use super::common::DatasetCache;
 use crate::report::Table;
 use crate::{Scale, Sched};
 use gpu_queue::Variant;
@@ -91,7 +89,6 @@ fn validated_run<W: PtWorkload>(gpu: &GpuConfig, graph: &Csr, workload: &W, wgs:
                 workload.name()
             )
         });
-    record_profile(&run.profile);
     run
 }
 
@@ -131,15 +128,7 @@ pub fn measure(scale: Scale, sched: &Sched) -> Vec<Row> {
     sched.par_map(&grid, |_, &(kind, dataset, rel)| {
         let slice = Scale::new((scale.fraction() * rel).min(1.0));
         let graph = DatasetCache::global().get(dataset, slice);
-        let wall = std::time::Instant::now();
         let (name, run) = run_kind(&gpu, &graph, kind, dataset.source(), wgs);
-        let retry_free = run.metrics.cas_attempts == 0 && run.metrics.queue_empty_retries == 0;
-        record_workload(
-            name,
-            run.metrics.rounds,
-            wall.elapsed().as_secs_f64(),
-            retry_free,
-        );
         Row {
             workload: name,
             dataset: dataset.spec().name,
@@ -149,7 +138,7 @@ pub fn measure(scale: Scale, sched: &Sched) -> Vec<Row> {
             work_cycles: run.metrics.work_cycles,
             scheduler_atomics: run.metrics.scheduler_atomics,
             sim_ms: run.seconds * 1e3,
-            retry_free,
+            retry_free: run.metrics.cas_attempts == 0 && run.metrics.queue_empty_retries == 0,
         }
     })
 }

@@ -3,8 +3,8 @@
 //! Every query in a trace ends in exactly one [`Disposition`]; the
 //! [`OutcomeLog`] is the service's byte-stable artifact (everything in
 //! it is simulated — ids, cycles, counts — so it is identical at any
-//! `--jobs` and engine-worker count), and [`ServeSummary`] condenses it
-//! into the `serve` section of `BENCH_repro.json`.
+//! `--jobs`), and [`ServeSummary`] condenses it into one row of
+//! `serve_summary`.
 
 use pt_bfs::RecoveryLog;
 use simt::GpuConfig;
@@ -199,8 +199,7 @@ impl OutcomeLog {
             .collect()
     }
 
-    /// The per-class fairness table (BENCH artifact; all simulated
-    /// quantities).
+    /// The per-class fairness table (all simulated quantities).
     pub fn fairness_table(&self, title: &str) -> Table {
         let mut table = Table::new(
             title,
@@ -268,7 +267,7 @@ impl OutcomeLog {
 
 /// Nearest-rank percentile over a sorted slice. `None` for an empty
 /// slice — a leg where nothing completed has *no* latency percentile,
-/// and fabricating a 0 would read as "instant" in the BENCH tables.
+/// and fabricating a 0 would read as "instant" in the summary table.
 fn percentile(sorted: &[u64], p: f64) -> Option<u64> {
     if sorted.is_empty() {
         return None;
@@ -306,9 +305,8 @@ pub struct ClassFairness {
     pub jain_index: f64,
 }
 
-/// The `serve` section of `BENCH_repro.json`, per trace leg. Every
-/// field is derived from simulated quantities, so the section is
-/// byte-identical across `--jobs`.
+/// One trace leg's row of `serve_summary`. Every field is derived from
+/// simulated quantities, so the table is byte-identical across `--jobs`.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ServeSummary {
     /// Queries offered by the trace.

@@ -30,7 +30,7 @@
 //!
 //! A violation panics with the variant label and scenario name; a clean
 //! run returns a [`ConformanceReport`] per variant. The suite runs in CI
-//! (`segmented-queues` job) and in `tests/linearizability.rs`.
+//! (`release-suites` job) and in `tests/linearizability.rs`.
 //!
 //! Beside the matrix, [`check_segment_memory_bound`] makes the segmented
 //! variants' memory bound executable: metadata and fresh allocations

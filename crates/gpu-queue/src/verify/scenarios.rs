@@ -545,7 +545,7 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "9 971 848 schedules, a minute in a release build: CI's segmented-queues job runs it"]
+    #[ignore = "9 971 848 schedules, a minute in a release build: CI's release-suites job runs it"]
     fn segmented_append_vs_drain_race_with_retries_linearizes_exhaustively() {
         let r = append_vs_drain(4).run(20_000_000);
         assert!(r.exhausted);

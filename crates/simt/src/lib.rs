@@ -68,6 +68,6 @@ pub use ctx::{WaveClass, WaveCtx, WaveInfo, WaveKernel, WaveStatus};
 pub use engine::{Engine, Launch, RunReport};
 pub use error::{AbortReason, FaultKind, SimError};
 pub use fault::{CuStall, FaultPlan, FaultSpec, MemPoison, WaveKill};
-pub use memory::{eager_zeroing, set_eager_zeroing, Buffer, DeviceMemory};
+pub use memory::{Buffer, DeviceMemory};
 pub use metrics::{Metrics, Profile};
 pub use trace::{RoundBound, RoundTrace, Trace};

@@ -9,25 +9,6 @@
 use crate::error::{AbortReason, FaultKind, SimError};
 use crate::round::RoundState;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// When set, recycled arenas are eagerly re-zeroed up front (the
-/// historical behaviour) instead of zero-on-demand at allocation time.
-/// Observable state is identical either way; the switch exists so the
-/// benchmark harness can A/B the naive and optimized construction paths
-/// in one process.
-static EAGER_ZEROING: AtomicBool = AtomicBool::new(false);
-
-/// Selects eager (true) or on-demand (false, default) re-zeroing of
-/// recycled arenas. Takes effect at the next [`DeviceMemory::new`].
-pub fn set_eager_zeroing(on: bool) {
-    EAGER_ZEROING.store(on, Ordering::Relaxed);
-}
-
-/// Current arena re-zeroing mode (see [`set_eager_zeroing`]).
-pub fn eager_zeroing() -> bool {
-    EAGER_ZEROING.load(Ordering::Relaxed)
-}
 
 /// Handle to a named device allocation (offset + length in 32-bit words).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -147,11 +128,9 @@ impl Default for DeviceMemory {
 /// On reuse the *word* prefix is **not** re-zeroed up front: the arena
 /// records how far its dirty prefix extends and [`DeviceMemory::alloc`]
 /// zeroes exactly the part each allocation overlaps, so a run that
-/// allocates less than the previous one never touches the cold tail
-/// (eager mode, selectable via [`set_eager_zeroing`], restores the
-/// historical whole-prefix memset for A/B benchmarking). The shadow table
-/// needs nothing: `Drop` cleared the last round's journalled entries, so
-/// it arrives all-zero over its whole capacity.
+/// allocates less than the previous one never touches the cold tail.
+/// The shadow table needs nothing: `Drop` cleared the last round's
+/// journalled entries, so it arrives all-zero over its whole capacity.
 struct Arena {
     words: Vec<u32>,
     meta: Vec<WordMeta>,
@@ -241,33 +220,23 @@ fn grow_zeroed<T: Copy>(v: &mut Vec<T>, new_len: usize) -> Option<Vec<T>> {
 impl DeviceMemory {
     /// Creates an empty device memory, recycling this thread's pooled
     /// arena when one is available. A recycled arena's word prefix is
-    /// zeroed on demand as allocations overlap it (or up front in eager
-    /// mode) and its shadow table is all-zero (see [`Arena`]), so the
-    /// result behaves exactly like a fresh allocation — only the page
-    /// faults and the cold-tail memset are gone.
+    /// zeroed on demand as allocations overlap it and its shadow table
+    /// is all-zero (see [`Arena`]), so the result behaves exactly like a
+    /// fresh allocation — only the page faults and the cold-tail memset
+    /// are gone.
     pub fn new() -> Self {
         let (words, meta, journal, dirty_words, recycled) =
             ARENA_POOL.with(|pool| match pool.borrow_mut().take() {
                 Some(mut arena) => {
-                    let mut dirty = arena.dirty_words;
-                    if eager_zeroing() && dirty > 0 {
-                        // Historical behaviour for A/B benchmarking: pay
-                        // the whole-prefix memset now. The dirty prefix
-                        // can extend past the final length (an earlier,
-                        // larger life), so expose it first; every word in
-                        // it was written by `grow_zeroed`-managed code and
-                        // is an initialized `u32`.
-                        debug_assert!(dirty <= arena.words.capacity());
-                        // SAFETY: `dirty <= capacity` and `[0, dirty)` is
-                        // initialized (written in a previous life or
-                        // pristine `alloc_zeroed` memory).
-                        unsafe { arena.words.set_len(dirty) };
-                        arena.words.fill(0);
-                        dirty = 0;
-                    }
                     arena.words.clear();
                     arena.meta.clear();
-                    (arena.words, arena.meta, arena.journal, dirty, true)
+                    (
+                        arena.words,
+                        arena.meta,
+                        arena.journal,
+                        arena.dirty_words,
+                        true,
+                    )
                 }
                 None => (Vec::new(), Vec::new(), Vec::new(), 0, false),
             });
@@ -914,10 +883,6 @@ mod tests {
         assert!(v.iter().enumerate().all(|(i, &w)| w == 0 || i == 1));
     }
 
-    /// Serializes the tests that toggle or observe the process-global
-    /// zeroing mode (the harness runs tests concurrently).
-    static EAGER_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
     #[test]
     fn alloc_filled_paints_in_one_pass() {
         let mut mem = DeviceMemory::new();
@@ -929,7 +894,6 @@ mod tests {
 
     #[test]
     fn demand_zeroing_covers_exactly_the_dirty_overlap() {
-        let _guard = EAGER_LOCK.lock().unwrap();
         let mut mem = DeviceMemory::new();
         let a = mem.alloc("a", 1000);
         mem.fill(a, 7);
@@ -948,7 +912,6 @@ mod tests {
 
     #[test]
     fn realloc_leaves_the_dirty_tail_behind() {
-        let _guard = EAGER_LOCK.lock().unwrap();
         let mut mem = DeviceMemory::new();
         let a = mem.alloc("a", 1000);
         mem.fill(a, 9);
@@ -961,21 +924,6 @@ mod tests {
         assert!(mem2.read_slice(b).iter().all(|&w| w == 0));
         assert!(mem2.read_slice(big).iter().all(|&w| w == 0));
         assert_eq!(mem2.demand_zeroed_words(), 100);
-    }
-
-    #[test]
-    fn eager_mode_restores_upfront_zeroing() {
-        let _guard = EAGER_LOCK.lock().unwrap();
-        let mut mem = DeviceMemory::new();
-        let a = mem.alloc("a", 512);
-        mem.fill(a, 9);
-        drop(mem);
-        set_eager_zeroing(true);
-        let mut mem2 = DeviceMemory::new();
-        set_eager_zeroing(false);
-        let b = mem2.alloc("b", 512);
-        assert!(mem2.read_slice(b).iter().all(|&w| w == 0));
-        assert_eq!(mem2.demand_zeroed_words(), 0, "prefix was pre-zeroed");
     }
 
     #[test]

@@ -95,8 +95,7 @@ pub struct Profile {
     /// space, not residency — the table is lazily mapped.
     pub meta_bytes: u64,
     /// Words zeroed on demand because an allocation overlapped a
-    /// recycled arena's dirty prefix (0 on fresh arenas and under eager
-    /// zeroing).
+    /// recycled arena's dirty prefix (0 on fresh arenas).
     pub demand_zeroed_words: u64,
     /// 1 if the run's arena came from the thread-local recycling pool.
     pub arena_recycled: u64,

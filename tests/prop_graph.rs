@@ -12,7 +12,7 @@ use ptq::graph::gen::{
 };
 use ptq::graph::io::{dimacs, rodinia as rodinia_io, snap};
 use ptq::graph::rng::SplitMix64;
-use ptq::graph::{bfs_levels, Csr, CsrBuilder, UNREACHED};
+use ptq::graph::{bfs_levels, Csr, CsrBuilder, Dataset, UNREACHED};
 use std::io::Cursor;
 
 const CASES: usize = 64;
@@ -201,9 +201,27 @@ fn snap_roundtrip_preserves_degrees() {
 /// The chunked streamed builder is byte-identical to the in-memory
 /// `CsrBuilder` across chunk sizes {1, 7, 4096, ≥edge-count}, on random
 /// multigraphs that include self-loops, parallel edges, and empty
-/// vertices (ISSUE 6 satellite).
+/// vertices (ISSUE 6 satellite) — and on the catalogue's giant family,
+/// the graph `repro giant` traverses, whose `Dataset::Giant` build must
+/// be those same bytes.
 #[test]
 fn streamed_builder_matches_in_memory_builder() {
+    let check = |n: usize, edges: &[(u32, u32)], what: &str| -> Csr {
+        let mut builder = CsrBuilder::new(n);
+        for &(a, b) in edges {
+            builder.add_edge(a, b);
+        }
+        let reference = builder.build();
+        for chunk in [1usize, 7, 4096, edges.len().max(1)] {
+            let streamed = build_streamed(n, chunk, |emit| {
+                for &(a, b) in edges {
+                    emit(a, b);
+                }
+            });
+            assert_eq!(streamed, reference, "{what} chunk {chunk}");
+        }
+        reference
+    };
     let mut rng = SplitMix64::seed_from_u64(0x57_2EA3);
     for case in 0..CASES {
         let n = rng.range_u64(1, 80) as usize;
@@ -214,20 +232,16 @@ fn streamed_builder_matches_in_memory_builder() {
             edges.retain(|&(a, _)| a != n as u32 - 1);
             edges.push((0, 0));
         }
-        let mut builder = CsrBuilder::new(n);
-        for &(a, b) in &edges {
-            builder.add_edge(a, b);
-        }
-        let reference = builder.build();
-        for chunk in [1usize, 7, 4096, edges.len().max(1)] {
-            let streamed = build_streamed(n, chunk, |emit| {
-                for &(a, b) in &edges {
-                    emit(a, b);
-                }
-            });
-            assert_eq!(streamed, reference, "case {case} chunk {chunk}");
-        }
+        check(n, &edges, &format!("case {case}"));
     }
+    // 0.00025 of the catalogue's 2^24 vertices; 7 / 0x61A7 are its
+    // giant-family parameters.
+    let catalogue = Dataset::Giant.build(0.00025);
+    let n = catalogue.num_vertices();
+    assert_eq!(n, 4194);
+    let mut edges = Vec::new();
+    for_each_giant_edge(n, 7, 0x61A7, &mut |s, d| edges.push((s, d)));
+    assert_eq!(check(n, &edges, "giant"), catalogue);
 }
 
 /// The giant family is chunk-independent: any chunk size streams to the

@@ -9,7 +9,7 @@
 //! order or cost accounting, not just speed.
 
 use gpu_queue::Variant;
-use pt_bfs::{run_bfs, PtConfig};
+use pt_bfs::{run_bfs, run_bfs_stealing, PtConfig};
 use ptq_graph::gen::{erdos_renyi, synthetic_tree};
 use simt::GpuConfig;
 
@@ -85,25 +85,33 @@ const GOLDEN_RFAN: Golden = Golden {
 
 /// Polling-heavy long tail: a 400-vertex chain keeps the frontier at one
 /// vertex, so with 8 workgroups nearly every wave spends nearly every
-/// round idle-polling its monitored `dna` slots (RF/AN, RF-only) or
-/// retrying dequeues (AN). This pins the exact cost of those poll rounds
+/// round idle-polling its monitored `dna` slots (RF/AN, RF-only,
+/// SEG-RF/AN), retrying dequeues (AN, BASE) or scanning for a victim (the
+/// stealing scheduler). This pins the exact cost of those poll rounds
 /// — metrics *and* per-CU cycle counts — so the engine's event-aware wave
 /// parking fast path is provably cycle-exact, not an approximation.
 #[test]
 fn polling_heavy_long_tail_is_pinned() {
     let graph = synthetic_tree(400, 1);
+    let gpu = GpuConfig::test_tiny();
+    // A shared queue of the variant, or (`None`) the per-CU stealing
+    // scheduler.
     for (variant, golden, cu_cycles) in [
-        (Variant::RfAn, GOLDEN_TAIL_RFAN, GOLDEN_TAIL_RFAN_CUS),
-        (Variant::RfOnly, GOLDEN_TAIL_RFONLY, GOLDEN_TAIL_RFONLY_CUS),
-        (Variant::An, GOLDEN_TAIL_AN, GOLDEN_TAIL_AN_CUS),
-        (Variant::Base, GOLDEN_TAIL_BASE, GOLDEN_TAIL_BASE_CUS),
+        (Some(Variant::RfAn), GOLDEN_TAIL_RFAN, GOLDEN_TAIL_RFAN_CUS),
+        (
+            Some(Variant::RfOnly),
+            GOLDEN_TAIL_RFONLY,
+            GOLDEN_TAIL_RFONLY_CUS,
+        ),
+        (Some(Variant::An), GOLDEN_TAIL_AN, GOLDEN_TAIL_AN_CUS),
+        (Some(Variant::Base), GOLDEN_TAIL_BASE, GOLDEN_TAIL_BASE_CUS),
+        (Some(Variant::SegRfAn), GOLDEN_TAIL_SEG, GOLDEN_TAIL_SEG_CUS),
+        (None, GOLDEN_TAIL_STEALING, GOLDEN_TAIL_STEALING_CUS),
     ] {
-        let run = run_bfs(
-            &GpuConfig::test_tiny(),
-            &graph,
-            0,
-            &PtConfig::new(variant, 8),
-        )
+        let run = match variant {
+            Some(variant) => run_bfs(&gpu, &graph, 0, &PtConfig::new(variant, 8)),
+            None => run_bfs_stealing(&gpu, &graph, 0, 8),
+        }
         .unwrap_or_else(|e| panic!("{variant:?}: {e}"));
         let m = &run.metrics;
         let got = Golden {
@@ -124,13 +132,14 @@ fn polling_heavy_long_tail_is_pinned() {
     }
 }
 
-fn golden_tail_mem_ops(variant: Variant) -> u64 {
+fn golden_tail_mem_ops(variant: Option<Variant>) -> u64 {
     match variant {
-        Variant::RfAn => 9130,
-        Variant::RfOnly => 9130,
-        Variant::An => 12422,
-        Variant::Base => 12422,
-        Variant::SegRfAn => unreachable!("long-tail goldens cover MATRIX only"),
+        Some(Variant::RfAn) => 9130,
+        Some(Variant::RfOnly) => 9130,
+        Some(Variant::An) => 12422,
+        Some(Variant::Base) => 12422,
+        Some(Variant::SegRfAn) => 12591,
+        None => 15227,
     }
 }
 
@@ -174,3 +183,23 @@ const GOLDEN_TAIL_BASE: Golden = Golden {
     makespan_cycles: 8482,
 };
 const GOLDEN_TAIL_BASE_CUS: [u64; 2] = [6200, 6222];
+const GOLDEN_TAIL_SEG: Golden = Golden {
+    rounds: 401,
+    work_cycles: 3204,
+    global_atomics: 2814,
+    cas_attempts: 0,
+    cas_failures: 0,
+    queue_empty_retries: 0,
+    makespan_cycles: 13529,
+};
+const GOLDEN_TAIL_SEG_CUS: [u64; 2] = [13514, 13529];
+const GOLDEN_TAIL_STEALING: Golden = Golden {
+    rounds: 401,
+    work_cycles: 3201,
+    global_atomics: 2396,
+    cas_attempts: 0,
+    cas_failures: 0,
+    queue_empty_retries: 12404,
+    makespan_cycles: 18020,
+};
+const GOLDEN_TAIL_STEALING_CUS: [u64; 2] = [18020, 14410];

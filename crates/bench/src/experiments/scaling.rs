@@ -5,7 +5,7 @@
 use super::common::DatasetCache;
 use crate::report::Table;
 use crate::{Scale, Sched};
-use gpu_queue::device::{make_wave_queue, QueueLayout};
+use gpu_queue::device::{Design, DeviceQueue};
 use gpu_queue::Variant;
 use pt_bfs::workload::Bfs;
 use pt_bfs::{PtKernel, WorkBuffers};
@@ -26,8 +26,13 @@ fn traced_run(gpu: &GpuConfig, graph: &ptq_graph::Csr, wgs: usize) -> (f64, f64,
     mem.write_u32(inqueue, 0, 1);
     let pending = mem.alloc("pending", 1);
     mem.write_u32(pending, 0, 1);
-    let layout = QueueLayout::setup(mem, "q", (2 * n) as u32);
-    layout.host_seed(mem, &[0]);
+    let queue = DeviceQueue::setup(
+        mem,
+        Design::Shared(Variant::RfAn),
+        (2 * n) as u32,
+        gpu.num_cus,
+    );
+    queue.host_seed(mem, &[0]);
     let buffers = WorkBuffers {
         nodes: mem.buffer("nodes"),
         edges: mem.buffer("edges"),
@@ -38,7 +43,7 @@ fn traced_run(gpu: &GpuConfig, graph: &ptq_graph::Csr, wgs: usize) -> (f64, f64,
     let report = engine
         .run(Launch::workgroups(wgs).with_trace(), |info| {
             PtKernel::new(
-                make_wave_queue(Variant::RfAn, layout),
+                queue.wave_queue(info.cu),
                 Bfs::new(0),
                 buffers,
                 info.wave_size,

@@ -1,5 +1,5 @@
-//! The AN variant: arbitrary-n batching *without* the retry-free property
-//! (paper §5.3).
+//! AN's contention model: arbitrary-n batching *without* the retry-free
+//! property (paper §5.3) — [`super::CasWaveQueue`] at wave width.
 //!
 //! Like RF/AN, a proxy thread reserves one contiguous region per wavefront
 //! operation — but with compare-and-swap instead of fetch-add, and with
@@ -17,46 +17,14 @@
 //!   protocol), so when the queue looks empty the operation raises the
 //!   queue-empty exception and the hungry lanes retry next work cycle.
 
-use super::{bits, Lanes, QueueLayout, WaveQueue, FRONT, REAR};
-use crate::{Variant, DNA};
+use super::{bits, CasWaveQueue, Lanes, FRONT, REAR};
+use crate::DNA;
 use simt::{AbortReason, OpSpec, WaveCtx};
 
-/// Per-wavefront handle to an AN device queue.
-#[derive(Clone, Debug)]
-pub struct AnWaveQueue {
-    layout: QueueLayout,
-    /// Version of `Front` as of this wavefront's last dequeue visit.
-    front_seen: Option<u64>,
-    /// Version of `Rear` as of this wavefront's last enqueue visit.
-    rear_seen: Option<u64>,
-}
-
-impl AnWaveQueue {
-    /// Creates the per-wavefront handle.
-    pub fn new(layout: QueueLayout) -> Self {
-        AnWaveQueue {
-            layout,
-            front_seen: None,
-            rear_seen: None,
-        }
-    }
-}
-
-impl WaveQueue for AnWaveQueue {
-    fn variant(&self) -> Variant {
-        Variant::An
-    }
-
-    fn acquire(&mut self, ctx: &mut WaveCtx<'_>, lanes: &mut Lanes) {
-        // A wave the engine parked on the empty queue skipped its per-round
-        // `front_seen` refresh; the engine kept the version for it.
-        if let Some(version) = ctx.parked_front_version() {
-            self.front_seen = Some(version);
-        }
+impl CasWaveQueue {
+    /// One dequeue visit at wave width, for at least one hungry lane.
+    pub(super) fn acquire_an(&mut self, ctx: &mut WaveCtx<'_>, lanes: &mut Lanes) {
         let hungry = lanes.hungry().count_ones();
-        if hungry == 0 {
-            return;
-        }
         // Proxy aggregation of lane demand (the arbitrary-n property,
         // same local-atomic pattern as RF/AN). Arbitrary-n without
         // retry-free: never an AFA; zero or one real CAS (the single proxy
@@ -115,26 +83,9 @@ impl WaveQueue for AnWaveQueue {
         ctx.audit_end();
     }
 
-    fn register_idle_watches(&self, ctx: &mut WaveCtx<'_>, lanes: &Lanes) -> bool {
-        // AN has no monitoring phase: an empty-queue cycle leaves every
-        // lane Hungry and attempts no CAS (`n == 0` above), so the cycle
-        // is a pure poll of `Front` (fresh read) and `Rear` (stale read)
-        // whose outcome and charges depend only on `rear <= front` — the
-        // "still empty" class. Its one private side effect, `front_seen =
-        // version(Front)`, is unconditional, so the engine reproduces it
-        // by handing back the version of the last skipped round
-        // (`parked_front_version` in `acquire`).
-        if !lanes.all_hungry() {
-            return false;
-        }
-        ctx.park_while_empty(self.layout.state, REAR, FRONT);
-        true
-    }
-
-    fn enqueue(&mut self, ctx: &mut WaveCtx<'_>, tokens: &[u32]) -> usize {
-        if tokens.is_empty() {
-            return 0;
-        }
+    /// Publishes the non-empty `tokens` as one CAS-reserved region, or aborts
+    /// on queue-full.
+    pub(super) fn enqueue_an(&mut self, ctx: &mut WaveCtx<'_>, tokens: &[u32]) -> usize {
         ctx.audit_begin(OpSpec::new("AN", "enqueue").allow_storms());
         ctx.charge_alu(1);
         ctx.lds_atomics(tokens.len() as u64);

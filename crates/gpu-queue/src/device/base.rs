@@ -1,5 +1,6 @@
-//! The BASE variant: a traditional lock-free CAS queue with neither the
-//! retry-free nor the arbitrary-n property (paper §5.3).
+//! BASE's contention model: a traditional lock-free CAS queue with
+//! neither the retry-free nor the arbitrary-n property (paper §5.3) —
+//! [`super::CasWaveQueue`] at lane width.
 //!
 //! Every thread performs its own queue operation: a hungry lane CASes
 //! `Front` forward by one to claim a slot; a lane with a discovery CASes
@@ -23,47 +24,16 @@
 //! CAS sees a fresh counter value and succeeds — the paper's BASE is slow
 //! because of *where* its atomics go, not because every attempt is wasted.
 
-use super::{bits, Lanes, QueueLayout, WaveQueue, FRONT, REAR};
-use crate::{Variant, DNA};
+use super::{bits, CasWaveQueue, Lanes, FRONT, REAR};
+use crate::DNA;
 use simt::{AbortReason, OpSpec, WaveCtx};
 
-/// Per-wavefront handle to a BASE device queue.
-#[derive(Clone, Debug)]
-pub struct BaseWaveQueue {
-    layout: QueueLayout,
-    /// Version of `Front` at this wavefront's previous dequeue visit —
-    /// mutations since then each invalidated one lane's read-to-CAS window.
-    front_seen: Option<u64>,
-    /// Version of `Rear` at the previous enqueue visit.
-    rear_seen: Option<u64>,
-}
-
-impl BaseWaveQueue {
-    /// Creates the per-wavefront handle.
-    pub fn new(layout: QueueLayout) -> Self {
-        BaseWaveQueue {
-            layout,
-            front_seen: None,
-            rear_seen: None,
-        }
-    }
-}
-
-impl WaveQueue for BaseWaveQueue {
-    fn variant(&self) -> Variant {
-        Variant::Base
-    }
-
-    fn acquire(&mut self, ctx: &mut WaveCtx<'_>, lanes: &mut Lanes) {
-        // A wave the engine parked on the empty queue skipped its per-round
-        // `front_seen` refresh; the engine kept the version for it.
-        if let Some(version) = ctx.parked_front_version() {
-            self.front_seen = Some(version);
-        }
+impl CasWaveQueue {
+    /// One dequeue visit at lane width, for at least one hungry lane:
+    /// mutations of `Front` since the previous visit each invalidated one
+    /// lane's read-to-CAS window.
+    pub(super) fn acquire_base(&mut self, ctx: &mut WaveCtx<'_>, lanes: &mut Lanes) {
         let hungry = lanes.hungry().count_ones() as usize;
-        if hungry == 0 {
-            return;
-        }
         // BASE's budget is the anti-claim: never an AFA (reservations are
         // all CAS), but the per-lane CAS count depends on occupancy and
         // staleness, so it stays unconstrained.
@@ -119,24 +89,10 @@ impl WaveQueue for BaseWaveQueue {
         ctx.audit_end();
     }
 
-    fn register_idle_watches(&self, ctx: &mut WaveCtx<'_>, lanes: &Lanes) -> bool {
-        // Same pure-poll shape as AN: an empty-queue cycle serves zero
-        // lanes, so no per-lane CAS fires and no staleness attempts are
-        // wasted (`wasted = delta.min(served + 0) = 0`) — the cycle only
-        // reads `Front` (fresh) and `Rear` (stale) and behaves the same
-        // for every pair with `rear <= front`; `front_seen` is handed
-        // back by the engine on wake, as for AN.
-        if !lanes.all_hungry() {
-            return false;
-        }
-        ctx.park_while_empty(self.layout.state, REAR, FRONT);
-        true
-    }
-
-    fn enqueue(&mut self, ctx: &mut WaveCtx<'_>, tokens: &[u32]) -> usize {
-        if tokens.is_empty() {
-            return 0;
-        }
+    /// Publishes up to a wavefront's worth of the non-empty `tokens`, one CAS
+    /// each; returns how many were accepted (the rest is re-offered), aborting
+    /// on queue-full.
+    pub(super) fn enqueue_base(&mut self, ctx: &mut WaveCtx<'_>, tokens: &[u32]) -> usize {
         ctx.audit_begin(OpSpec::new("BASE", "enqueue").any_cas());
         // Staleness-wasted attempts, as on the dequeue side (halved:
         // enqueues visit the counter less often than dequeue polls).

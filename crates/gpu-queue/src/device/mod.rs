@@ -1,48 +1,80 @@
-//! Device-side queue variants for the SIMT simulator.
+//! Device-side queue family for the SIMT simulator.
 //!
-//! A device queue lives in simulated global memory as three allocations:
-//! the slot array (painted with the [`crate::DNA`] sentinel), and a
-//! two-word state buffer holding `Front` and `Rear`. Host code sets it up
-//! with [`QueueLayout::setup`]; kernels drive it through the
-//! [`WaveQueue`] trait, one instance per wavefront (the instance holds the
-//! wavefront's *private* scratch, e.g. the CAS variants' staged counter
-//! reads — registers, in GPU terms).
+//! A device queue lives in simulated global memory: a slot array painted
+//! with the [`crate::DNA`] sentinel and a two-word state buffer holding
+//! `Front` and `Rear` ([`QueueLayout`]; [`SegmentedLayout`] adds a
+//! directory, [`StealingLayout`] is one `QueueLayout` per compute unit).
+//! Kernels drive it through the [`WaveQueue`] trait, one instance per
+//! wavefront (the instance holds the wavefront's *private* scratch, e.g.
+//! the CAS designs' staged counter versions — registers, in GPU terms).
 //!
-//! The queue is **non-wrapping**: `Front` and `Rear` increase monotonically
-//! and the capacity must bound the total number of tokens ever enqueued
-//! (for a graph traversal, the vertex count — each vertex is claimed
-//! exactly once before being enqueued). This matches the paper's usage: buffers are sized by
-//! the host before launch, and over-running the allocation raises the
-//! queue-full exception, which *aborts* rather than retries. The paper's
-//! "circular" formulation (modulus on `Front`/`Rear`) recycles slots only
-//! after consumers restore the sentinel; the non-wrapping layout is the
-//! same algorithm with the modulus elided, which is also exactly what the
-//! persistent-thread driver needs.
+//! The flat queue is **non-wrapping**: `Front` and `Rear` increase
+//! monotonically and the capacity must bound the total number of tokens
+//! ever enqueued (for a graph traversal, the vertex count — each vertex is
+//! claimed exactly once before being enqueued). This matches the paper's
+//! usage: buffers are sized by the host before launch, and over-running
+//! the allocation raises the queue-full exception, which *aborts* rather
+//! than retries. The paper's "circular" formulation (modulus on
+//! `Front`/`Rear`) recycles slots only after consumers restore the
+//! sentinel; the non-wrapping layout is the same algorithm with the
+//! modulus elided, which is also exactly what the persistent-thread driver
+//! needs.
 //!
-//! Dequeue-side lane states flow `Hungry → (Ready | Monitoring → Ready)`:
-//! the CAS variants hand tokens out directly (or raise queue-empty
-//! retries); the RF/AN variant always hands out a *slot to monitor* and
-//! lets the lane poll for data arrival without atomics.
+//! **One queue, from parts.** The paper dissects its design as two
+//! properties toggled one at a time (§5.3); like the host family
+//! ([`crate::host`]), the device family is the product of the decisions
+//! behind them, each written once:
+//!
+//! * *how a ticket range is reserved* — the discipline, a wave-queue type:
+//!   [`CasWaveQueue`] (read, check, compare-and-swap; never passes `Rear`
+//!   and raises queue-empty; hands tokens out directly, `Hungry → Ready`)
+//!   or [`TicketWaveQueue`] (one fetch-add that cannot fail; reserves
+//!   ahead and polls the `dna` sentinel without atomics, `Hungry →
+//!   Monitoring → Ready`);
+//! * *where the slot behind a ticket lives* — a `Slots` value the ticket
+//!   queue matches on: flat ([`QueueLayout`], overflow is queue-full) or
+//!   segmented ([`SegmentedLayout`], overflow is a segment install);
+//! * *width* — per lane or per wave (the arbitrary-n property: a proxy
+//!   thread reserves for the whole wavefront with one atomic);
+//! * *placement* — one queue for the device, or one per compute unit with
+//!   stealing ([`StealingWaveQueue`]).
+//!
+//! All four are fixed when [`DeviceQueue::setup`] builds a [`Design`]:
+//!
+//! | design | discipline | width | storage | placement |
+//! |---|---|---|---|---|
+//! | `BASE` | CAS | lane | flat | shared |
+//! | `AN` | CAS | wave | flat | shared |
+//! | `RF-only` | ticket | lane | flat | shared |
+//! | `RF/AN` — the proposed design | ticket | wave | flat | shared |
+//! | `SEG-RF/AN` | ticket | wave | segmented | shared |
+//! | stealing | ticket, bounded by visible backlog | wave | flat | per CU |
+//!
+//! Separate on purpose, because their charges differ: the two CAS
+//! contention models (`an.rs`, `base.rs`), the three publishes (`rfan.rs`,
+//! `rfonly.rs`, `segmented.rs`), and the stealing scheduler's per-lane poll
+//! (a steal scan is not an invariant cycle, so it does not take the ticket
+//! queue's closed-form one).
 
 mod an;
 mod base;
+mod cas;
 mod lanes;
 mod rfan;
 mod rfonly;
 mod segmented;
 mod stealing;
+mod ticket;
 
-pub use an::AnWaveQueue;
-pub use base::BaseWaveQueue;
+pub use cas::CasWaveQueue;
 pub use lanes::{bits, Lanes};
-pub use rfan::RfAnWaveQueue;
-pub use rfonly::RfOnlyWaveQueue;
-pub use segmented::{SegmentedLayout, SegmentedWaveQueue};
+pub use segmented::SegmentedLayout;
 pub use stealing::{StealingLayout, StealingWaveQueue};
+pub use ticket::TicketWaveQueue;
 
 use crate::{Variant, DNA};
-use simt::round::LINE_WORDS;
-use simt::{Buffer, DeviceMemory, WaveCtx, MAX_WAVE_SIZE};
+use simt::{Buffer, DeviceMemory, WaveCtx};
+use ticket::Slots;
 
 /// Index of `Front` in the queue state buffer.
 pub const FRONT: usize = 0;
@@ -105,10 +137,16 @@ impl QueueLayout {
     /// Host-side count of tokens currently stored (Rear − Front). Only
     /// meaningful between launches.
     pub fn host_len(&self, memory: &DeviceMemory) -> u32 {
-        let front = memory.read_u32(self.state, FRONT);
-        let rear = memory.read_u32(self.state, REAR);
-        rear.saturating_sub(front)
+        host_len(memory, self.state)
     }
+}
+
+/// `Rear − Front` of the `[Front, Rear]` words in `state` (zero while
+/// reservations run ahead of the data).
+fn host_len(memory: &DeviceMemory, state: Buffer) -> u32 {
+    let front = memory.read_u32(state, FRONT);
+    let rear = memory.read_u32(state, REAR);
+    rear.saturating_sub(front)
 }
 
 /// One wavefront's view of a device queue. Implementations hold the
@@ -159,281 +197,124 @@ pub trait WaveQueue {
     }
 }
 
-/// Paper Listing 1, the batched reservation of RF/AN and SEG-RF/AN: the
-/// hungry lanes count themselves with workgroup-local atomics (the proxy
-/// zeroes the counter; local atomics never fail and are latency-hidden),
-/// the proxy thread issues **one** global AFA on `Front` for all of them,
-/// and each lane monitors its ticket of the batch. Returns the global
-/// AFAs issued: one iff any lane was hungry.
-pub(crate) fn reserve_batch(ctx: &mut WaveCtx<'_>, lanes: &mut Lanes, state: Buffer) -> u64 {
-    let hungry = lanes.hungry().count_ones();
-    if hungry == 0 {
-        return 0;
-    }
-    ctx.charge_alu(1);
-    ctx.lds_atomics(u64::from(hungry));
-    let base = ctx.atomic_add(state, FRONT, hungry);
-    ctx.count_scheduler_atomics(1);
-    lanes.monitor_hungry(base);
-    1
+/// How many lanes one reservation serves.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Width {
+    /// Every lane issues its own global atomic.
+    PerLane,
+    /// A proxy thread issues one for the wavefront (arbitrary-n).
+    PerWave,
 }
 
-/// Where a sentinel design keeps the slot behind a ticket.
-#[derive(Clone, Copy)]
-pub(crate) enum Slots<'a> {
-    /// Ticket `t < capacity` is `slots[t]`; later tickets have no slot.
-    Flat(&'a QueueLayout),
-    /// Ticket `t` is in the physical segment the directory maps virtual
-    /// segment `t / seg_cap` to, if it maps it.
-    Segmented(&'a SegmentedLayout),
+/// Which of the six schedulers a [`DeviceQueue`] is.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Design {
+    /// The paper's topology: one device-wide queue of this variant.
+    Shared(Variant),
+    /// One RF/AN ring per compute unit with work stealing
+    /// ([`StealingWaveQueue`]): less hot-word pressure, more load
+    /// imbalance.
+    PerCu,
 }
 
-/// Directory words one memoised poll can stand on — every word of the
-/// ring [`SegmentedLayout::for_capacity`] builds. On a longer ring, a
-/// wavefront whose tickets span more segments than this polls in full
-/// every cycle.
-const PROBES: usize = 12;
-
-/// What the last arrival-free [`poll`] of a wavefront charged, valid for
-/// as long as what it was computed from stands: the same lanes on the
-/// same tickets ([`Lanes::epoch`]), `Rear` not past the smallest of them,
-/// the probed directory words unchanged.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct PollMemo {
-    epoch: u64,
-    min_ticket: u32,
-    /// Cache-resident slot lines polled.
-    cached_lines: u8,
-    /// Cache-resident directory lines probed (SEG).
-    dir_lines: u8,
-    /// Ring slots of the directory words probed (SEG), and what they held,
-    /// in ring order.
-    probed: u64,
-    entries: [u32; PROBES],
+impl Design {
+    /// Every design, in the order of the module's table.
+    pub const ALL: [Design; 6] = [
+        Design::Shared(Variant::Base),
+        Design::Shared(Variant::An),
+        Design::Shared(Variant::RfOnly),
+        Design::Shared(Variant::RfAn),
+        Design::Shared(Variant::SegRfAn),
+        Design::PerCu,
+    ];
 }
 
-impl PollMemo {
-    /// Matches no [`Lanes::epoch`]: the next poll runs in full.
-    pub(crate) const NONE: PollMemo = PollMemo {
-        epoch: u64::MAX,
-        min_ticket: 0,
-        cached_lines: 0,
-        dir_lines: 0,
-        probed: 0,
-        entries: [0; PROBES],
-    };
+/// What a design is composed from, over its allocation — a row of the
+/// module's table.
+#[derive(Clone, Debug)]
+enum Parts {
+    Cas(QueueLayout, Width),
+    Ticket(Slots, Width),
+    PerCu(StealingLayout),
 }
 
-/// The data-arrival poll (paper Listing 2) of RF/AN, RF-only and
-/// SEG-RF/AN, in closed form.
-///
-/// The modelled hardware reads every monitored slot each work cycle. The
-/// simulator need not: **a ticket `t` a lane still monitors reads
-/// non-`dna` through the round-stale view iff `t <` the round-start value
-/// of `Rear`** (bounded: and `t < capacity`; segmented: which implies the
-/// stale directory maps its segment) — the argument is the worked example
-/// of *Host-side observation* in `simt::ctx`. So the poll observes
-/// round-start `Rear` (and, SEG, the directory word of each distinct
-/// segment in play, once per run of tickets), decides arrival by integer
-/// compare, and charges exactly what the reads cost: a wavefront's
-/// monitored slots came from batched reservations, so the poll coalesces
-/// into one transaction per cache line — cache-resident
-/// (`charge_cached_access`) while the line holds only sentinels, a full
-/// transaction (`charge_coalesced_access` over the watched run) once a
-/// producer's write invalidated it — plus one ALU slot per monitoring lane
-/// for its bounds / mapping check. It reads a slot only to pick an arrived
-/// token up, restoring the sentinel (no atomics: the slot is privately
-/// owned) and reporting the ticket to `picked`.
-///
-/// When nothing arrived, the counts are kept in `memo`; the next poll of
-/// the same lanes, with `Rear` still short of them and the directory words
-/// unchanged, replays them without looking at a lane. Debug builds run
-/// every poll in full instead, assert the invariant on every watched word
-/// and check a valid memo against the recount. While a poison is armed
-/// the poll also touches every word the hardware reads, in its order, with
-/// the faulting accessor.
-pub(crate) fn poll(
-    ctx: &mut WaveCtx<'_>,
-    lanes: &mut Lanes,
-    memo: &mut PollMemo,
-    slots: Slots<'_>,
-    mut picked: impl FnMut(u32),
-) {
-    let watching = lanes.monitoring();
-    if watching == 0 {
-        return;
-    }
-    let (buf, rear) = match slots {
-        // No ticket at or past `capacity` ever holds data.
-        Slots::Flat(q) => (q.slots, ctx.observe_stale(q.state, REAR).min(q.capacity)),
-        Slots::Segmented(lt) => (lt.slots, ctx.observe_stale(lt.state, REAR)),
-    };
-    let armed = ctx.poison_armed();
-    let replay = !armed
-        && memo.epoch == lanes.epoch()
-        && rear <= memo.min_ticket
-        && match slots {
-            Slots::Flat(_) => true,
-            Slots::Segmented(lt) => bits(memo.probed)
-                .zip(memo.entries)
-                .all(|(r, entry)| ctx.observe_stale(lt.dir, r) == entry),
-        };
-    if replay && !cfg!(debug_assertions) {
-        ctx.charge_cached_access(memo.dir_lines.into());
-        ctx.charge_cached_access(memo.cached_lines.into());
-        ctx.charge_alu(watching.count_ones().into());
-        return;
-    }
+/// Host-side handle to the scheduler queue of one launch, whichever
+/// [`Design`] it is: allocated by [`DeviceQueue::setup`], seeded with
+/// [`DeviceQueue::host_seed`], handed to each wavefront as
+/// [`DeviceQueue::wave_queue`].
+#[derive(Clone, Debug)]
+pub struct DeviceQueue {
+    design: Design,
+    parts: Parts,
+}
 
-    let mut min_ticket = u32::MAX;
-    // Ring slots and directory lines probed so far.
-    let (mut probed, mut dir_lines) = (0u64, 0u64);
-    // `arena address, arrived, lane` of every watched slot, packed so that
-    // sorting orders them by address.
-    let mut keys = [0u64; MAX_WAVE_SIZE];
-    let mut watched = 0;
-    // The segment the previous ticket resolved to: `(first ticket, arena
-    // address of it if mapped)`.
-    let mut span: Option<(u32, Option<u32>)> = None;
-    for lane in bits(watching) {
-        let t = lanes.ticket(lane);
-        min_ticket = min_ticket.min(t);
-        let addr = match slots {
-            Slots::Flat(q) => (t < q.capacity).then_some(t),
-            Slots::Segmented(lt) => {
-                if armed || span.is_none_or(|(first, _)| t.wrapping_sub(first) >= lt.seg_cap) {
-                    let seg = t / lt.seg_cap;
-                    let r = lt.ring_slot(seg);
-                    if armed {
-                        ctx.peek_stale(lt.dir, r);
-                    }
-                    probed |= 1 << r;
-                    dir_lines |= 1 << (r / LINE_WORDS);
-                    let entry = ctx.observe_stale(lt.dir, r);
-                    let base = lt.decode(entry, seg).map(|phys| phys * lt.seg_cap);
-                    span = Some((seg * lt.seg_cap, base));
-                }
-                span.and_then(|(first, base)| Some(base? + (t - first)))
+impl DeviceQueue {
+    /// Allocates and initializes the queue of `design` in device memory
+    /// (buffers `"workqueue.*"`, per CU `"dqueue.cu<i>.*"`), sized from a
+    /// nominal `capacity` in slots: a flat queue has exactly that many, a
+    /// segmented one an arena of about 1.25× ([`SegmentedLayout::for_capacity`]),
+    /// and each of the `num_cus` per-CU queues the full capacity — a hub
+    /// can land an outsized share on one CU — capped at what a stealing
+    /// ticket can address, well below the shared queue's limit, since
+    /// `num_cus` arrays of this size coexist.
+    pub fn setup(
+        memory: &mut DeviceMemory,
+        design: Design,
+        capacity: u32,
+        num_cus: usize,
+    ) -> DeviceQueue {
+        let mut flat = || QueueLayout::setup(memory, "workqueue", capacity);
+        let parts = match design {
+            Design::Shared(Variant::Base) => Parts::Cas(flat(), Width::PerLane),
+            Design::Shared(Variant::An) => Parts::Cas(flat(), Width::PerWave),
+            Design::Shared(Variant::RfOnly) => Parts::Ticket(Slots::Flat(flat()), Width::PerLane),
+            Design::Shared(Variant::RfAn) => Parts::Ticket(Slots::Flat(flat()), Width::PerWave),
+            Design::Shared(Variant::SegRfAn) => {
+                let arena = SegmentedLayout::for_capacity(memory, "workqueue", capacity);
+                Parts::Ticket(Slots::Segmented(arena), Width::PerWave)
+            }
+            Design::PerCu => {
+                let per_cu = capacity.min(stealing::MAX_CAPACITY);
+                Parts::PerCu(StealingLayout::setup(memory, "dqueue", num_cus, per_cu))
             }
         };
-        let Some(addr) = addr else {
-            // Never read: data cannot arrive out of bounds, nor before
-            // the mapping does.
-            debug_assert!(t >= rear, "ticket {t} below Rear {rear} has no slot");
-            continue;
-        };
-        debug_assert_eq!(
-            ctx.observe_stale(buf, addr as usize) != DNA,
-            t < rear,
-            "arrival invariant: ticket {t}, round-start Rear {rear}"
-        );
-        keys[watched] = u64::from(addr) << 7 | u64::from(t < rear) << 6 | lane as u64;
-        watched += 1;
+        DeviceQueue { design, parts }
     }
 
-    // Probes of distinct ring slots coalesce into cache-resident lines.
-    let dir_lines = dir_lines.count_ones() as u8;
-    ctx.charge_cached_access(dir_lines.into());
-    let keys = &mut keys[..watched];
-    keys.sort_unstable();
-    let (mut cached_lines, mut arrivals) = (0u8, 0);
-    let mut i = 0;
-    while i < keys.len() {
-        let first = (keys[i] >> 7) as usize;
-        let (mut last, mut data) = (first, false);
-        while i < keys.len() && (keys[i] >> 7) as usize / LINE_WORDS == first / LINE_WORDS {
-            last = (keys[i] >> 7) as usize;
-            if armed {
-                ctx.peek_stale(buf, last);
-            }
-            if keys[i] & (1 << 6) != 0 {
-                data = true;
-                arrivals += 1;
-                let lane = (keys[i] & 63) as usize;
-                let value = ctx.peek_stale(buf, last);
-                assert!(value != DNA, "closed-form pickup of an empty slot {last}");
-                // Private pickup: restore the sentinel, no atomics.
-                ctx.poke(buf, last, DNA);
-                picked(lanes.ticket(lane));
-                lanes.deliver(lane, value);
-            }
-            i += 1;
-        }
-        if data {
-            ctx.charge_coalesced_access(buf, first, last - first + 1);
-        } else {
-            cached_lines += 1;
-        }
+    /// Which design this is.
+    pub fn design(&self) -> Design {
+        self.design
     }
-    ctx.charge_cached_access(cached_lines.into());
-    ctx.charge_alu(watching.count_ones().into());
 
-    debug_assert!(
-        !replay || (arrivals, cached_lines, dir_lines) == (0, memo.cached_lines, memo.dir_lines),
-        "stale poll memo {memo:?}: recounted {cached_lines} + {dir_lines} lines"
-    );
-    *memo = PollMemo::NONE;
-    if arrivals == 0 && probed.count_ones() as usize <= PROBES {
-        if let Slots::Segmented(lt) = slots {
-            for (entry, r) in memo.entries.iter_mut().zip(bits(probed)) {
-                *entry = ctx.observe_stale(lt.dir, r);
-            }
-        }
-        (memo.epoch, memo.min_ticket) = (lanes.epoch(), min_ticket);
-        (memo.cached_lines, memo.dir_lines, memo.probed) = (cached_lines, dir_lines, probed);
-    }
-}
-
-/// The sentinel designs' [`WaveQueue::register_idle_watches`]. A pure
-/// poll requires *every* lane to be monitoring: a hungry or ready lane
-/// would make the next cycle reserve slots or do work, and an idle lane is
-/// about to turn hungry. By the arrival invariant ([`poll`]) that cycle
-/// repeats until round-start `Rear` passes the smallest monitored ticket
-/// or (SEG) a probed directory word changes, so the wave parks on exactly
-/// those — waking in the round a watch on every monitored slot would have.
-/// A wave whose tickets are all out of bounds waits on the kernel's
-/// watches alone.
-pub(crate) fn park_sentinel(ctx: &mut WaveCtx<'_>, lanes: &Lanes, slots: Slots<'_>) -> bool {
-    if !lanes.all_monitoring() {
-        return false;
-    }
-    let mut smallest = u32::MAX;
-    // SEG: ring slots watched so far, and the first ticket of the segment
-    // the previous ticket was in (tickets come in runs).
-    let (mut parked, mut span) = (0u64, None);
-    for t in bits(lanes.monitoring()).map(|lane| lanes.ticket(lane)) {
-        smallest = smallest.min(t);
-        if let Slots::Segmented(lt) = slots {
-            if span.is_none_or(|first| t.wrapping_sub(first) >= lt.seg_cap) {
-                let seg = t / lt.seg_cap;
-                span = Some(seg * lt.seg_cap);
-                let r = lt.ring_slot(seg);
-                if parked & (1 << r) == 0 {
-                    parked |= 1 << r;
-                    ctx.park_until_changed(lt.dir, r);
-                }
-            }
+    /// Host-side enqueue of the initial tokens before launch (the
+    /// workload's seeds, or a resumed frontier; per CU: into CU 0's
+    /// queue). Not a simulated operation.
+    pub fn host_seed(&self, memory: &mut DeviceMemory, tokens: &[u32]) {
+        match &self.parts {
+            Parts::Cas(q, _) | Parts::Ticket(Slots::Flat(q), _) => q.host_seed(memory, tokens),
+            Parts::Ticket(Slots::Segmented(lt), _) => lt.host_seed(memory, tokens),
+            Parts::PerCu(per_cu) => per_cu.host_seed(memory, tokens),
         }
     }
-    match slots {
-        Slots::Flat(q) if smallest >= q.capacity => {}
-        Slots::Flat(q) => ctx.park_while_at_most(q.state, REAR, smallest),
-        Slots::Segmented(lt) => ctx.park_while_at_most(lt.state, REAR, smallest),
-    }
-    true
-}
 
-/// Builds the per-wavefront queue handle for `variant`.
-pub fn make_wave_queue(variant: Variant, layout: QueueLayout) -> Box<dyn WaveQueue> {
-    match variant {
-        Variant::Base => Box::new(BaseWaveQueue::new(layout)),
-        Variant::An => Box::new(AnWaveQueue::new(layout)),
-        Variant::RfAn => Box::new(RfAnWaveQueue::new(layout)),
-        Variant::RfOnly => Box::new(RfOnlyWaveQueue::new(layout)),
-        Variant::SegRfAn => panic!(
-            "segmented variants use SegmentedLayout::setup + SegmentedWaveQueue::new \
-             (the bounded QueueLayout cannot host a segmented ticket space)"
-        ),
+    /// Host-side count of tokens currently stored, over every queue of the
+    /// design. Only meaningful between launches.
+    pub fn host_len(&self, memory: &DeviceMemory) -> u32 {
+        match &self.parts {
+            Parts::Cas(q, _) | Parts::Ticket(Slots::Flat(q), _) => q.host_len(memory),
+            Parts::Ticket(Slots::Segmented(lt), _) => lt.host_len(memory),
+            Parts::PerCu(per_cu) => per_cu.queues().iter().map(|q| q.host_len(memory)).sum(),
+        }
+    }
+
+    /// Builds the queue handle of a wavefront resident on compute unit
+    /// `cu`.
+    pub fn wave_queue(&self, cu: usize) -> Box<dyn WaveQueue> {
+        match &self.parts {
+            Parts::Cas(q, width) => Box::new(CasWaveQueue::new(*q, *width)),
+            Parts::Ticket(slots, width) => Box::new(TicketWaveQueue::new(*slots, *width)),
+            Parts::PerCu(per_cu) => Box::new(StealingWaveQueue::new(per_cu, cu)),
+        }
     }
 }
 
@@ -516,7 +397,10 @@ mod tests {
     fn hand_back_run(variant: Variant, park: bool) -> simt::RunReport {
         use std::sync::{Arc, Mutex};
         let mut engine = simt::Engine::new(simt::GpuConfig::test_tiny());
-        let layout = QueueLayout::setup(engine.memory_mut(), "q", 64);
+        let shared = DeviceQueue::setup(engine.memory_mut(), Design::Shared(variant), 64, 1);
+        let Parts::Cas(layout, _) = shared.parts else {
+            panic!("{variant:?} is not a CAS design");
+        };
         let pending = engine.memory_mut().alloc("pending", 1);
         engine.memory_mut().write_u32(pending, 0, 4);
         let consumed = Arc::new(Mutex::new(Vec::new()));
@@ -525,7 +409,7 @@ mod tests {
                 if info.wave_id == 0 {
                     return HandBack::Driver { layout, cycle: 0 };
                 }
-                let queue = make_wave_queue(variant, layout);
+                let queue = shared.wave_queue(info.cu);
                 HandBack::Consumer(Box::new(testutil::PumpKernel {
                     queue: if park {
                         queue
@@ -675,11 +559,35 @@ mod tests {
     }
 
     #[test]
-    fn make_wave_queue_dispatches() {
-        let mut mem = DeviceMemory::new();
-        let layout = QueueLayout::setup(&mut mem, "q", 4);
-        for v in Variant::MATRIX {
-            assert_eq!(make_wave_queue(v, layout).variant(), v);
+    fn every_design_is_composed_as_its_variant_claims() {
+        let gpu = simt::GpuConfig::test_tiny();
+        for design in Design::ALL {
+            let mut mem = DeviceMemory::new();
+            let queue = DeviceQueue::setup(&mut mem, design, 64, gpu.num_cus);
+            assert_eq!(queue.design(), design);
+            queue.host_seed(&mut mem, &[7, 8, 9]);
+            assert_eq!(queue.host_len(&mem), 3, "{design:?}");
+            // Per CU: an RF/AN ring each (which is what it reports).
+            let variant = match design {
+                Design::Shared(variant) => variant,
+                Design::PerCu => Variant::RfAn,
+            };
+            assert_eq!(queue.wave_queue(0).variant(), variant, "{design:?}");
+            let (retry_free, width, segmented) = match &queue.parts {
+                Parts::Cas(_, width) => (false, *width, false),
+                Parts::Ticket(slots, width) => (true, *width, matches!(slots, Slots::Segmented(_))),
+                Parts::PerCu(per_cu) => {
+                    assert_eq!(per_cu.queues().len(), gpu.num_cus);
+                    (true, Width::PerWave, false)
+                }
+            };
+            assert_eq!(retry_free, variant.is_retry_free(), "{design:?}");
+            assert_eq!(
+                width == Width::PerWave,
+                variant.is_arbitrary_n(),
+                "{design:?}"
+            );
+            assert_eq!(segmented, variant.is_segmented(), "{design:?}");
         }
     }
 }

@@ -1,128 +1,54 @@
-//! The proposed retry-free / arbitrary-n queue (paper §4, Listings 1–3).
-//!
-//! Dequeue (Listing 1): the wavefront's hungry lanes count themselves with
-//! workgroup-local atomics; the proxy thread performs **one** global
-//! fetch-add on `Front` for all of them. Each lane receives a unique slot
-//! index to *monitor* — the fetch-add cannot fail and is unconditional:
-//! reserving slots past `Rear` is fine because unwritten slots hold the
-//! `dna` sentinel.
-//!
-//! Data arrival (Listing 2): a lane polls its slot with a plain global
-//! read. Bounds are checked first ("The slot may, in fact, be outside the
-//! queue bounds and cannot be accessed"). On arrival the lane takes the
-//! token and restores the sentinel — no atomics, because the slot is
-//! privately owned. (Simulated in closed form: [`super::poll`] charges
-//! those reads without performing them.)
-//!
-//! Enqueue (Listing 3): the proxy reserves one contiguous region with a
-//! single fetch-add on `Rear`; lanes copy their tokens in parallel. A slot
-//! that is not a sentinel at write time means `Rear` lapped the allocation
-//! — the queue-full exception, which aborts the kernel.
+//! RF/AN's publish (paper Listing 3): the whole batch for one fetch-add.
+//! The design itself — the proposed retry-free / arbitrary-n queue, paper
+//! §4 — is [`super::TicketWaveQueue`] over a flat layout at wave width.
 
-use super::{
-    park_sentinel, poll, reserve_batch, Lanes, PollMemo, QueueLayout, Slots, WaveQueue, REAR,
-};
-use crate::{Variant, DNA};
+use super::{QueueLayout, REAR};
+use crate::DNA;
 use simt::{AbortReason, OpSpec, WaveCtx};
 
-/// Per-wavefront handle to an RF/AN device queue. Stateless beyond the
-/// layout and the poll's memo: the design needs no staged reads and no
-/// retry bookkeeping.
-#[derive(Clone, Debug)]
-pub struct RfAnWaveQueue {
-    pub(super) layout: QueueLayout,
-    memo: PollMemo,
-}
-
-impl RfAnWaveQueue {
-    /// Creates the per-wavefront handle.
-    pub fn new(layout: QueueLayout) -> Self {
-        RfAnWaveQueue {
-            layout,
-            memo: PollMemo::NONE,
+/// Publishes the non-empty `tokens` into `q` under the audit label
+/// `design` (RF/AN itself, or the stealing scheduler's home ring). Lanes
+/// publish their per-lane counts with local atomics (Listing 3 lines
+/// 8–11), then the proxy reserves the whole region with one AFA on `Rear`
+/// (lines 14–16): exactly one global atomic regardless of batch size — the
+/// arbitrary-n claim. Accepts everything or aborts on queue-full. (Abort
+/// paths leave the scope open unvalidated; the abort already fails the
+/// run.)
+pub(super) fn publish(
+    ctx: &mut WaveCtx<'_>,
+    design: &'static str,
+    q: &QueueLayout,
+    tokens: &[u32],
+) -> usize {
+    ctx.audit_begin(OpSpec::new(design, "enqueue").afa_exact(1));
+    ctx.charge_alu(1);
+    ctx.lds_atomics(tokens.len() as u64);
+    let base = ctx.atomic_add(q.state, REAR, tokens.len() as u32);
+    ctx.count_scheduler_atomics(1);
+    // The reserved region is contiguous: the sentinel check and the
+    // token copy each coalesce into one transaction per line.
+    let in_bounds = tokens
+        .len()
+        .min((q.capacity as usize).saturating_sub(base as usize));
+    ctx.charge_coalesced_access(q.slots, base as usize, in_bounds); // check
+    ctx.charge_coalesced_access(q.slots, base as usize, in_bounds); // copy
+    for (i, &tok) in tokens.iter().enumerate() {
+        debug_assert!(tok < DNA, "token collides with dna sentinel");
+        let slot = base as usize + i;
+        // Line 25: the slot must still hold the sentinel. An occupied slot
+        // in a non-wrapping queue means the reservation overran live data:
+        // the same capacity exhaustion as running off the end.
+        if slot >= q.capacity as usize || ctx.peek(q.slots, slot) != DNA {
+            ctx.abort(AbortReason::QueueFull {
+                requested: slot as u64,
+                capacity: q.capacity,
+            });
+            return i;
         }
+        ctx.poke(q.slots, slot, tok);
     }
-
-    /// Listing 1: slot reservation for the hungry lanes, opening the
-    /// acquire's audit scope. The headline claim, auditable: one global
-    /// AFA iff any lane is hungry, never a CAS, never a retry of any kind.
-    pub(super) fn reserve(&self, ctx: &mut WaveCtx<'_>, lanes: &mut Lanes) {
-        let afa = u64::from(lanes.hungry() != 0);
-        ctx.audit_begin(OpSpec::new("RF/AN", "acquire").afa_exact(afa));
-        reserve_batch(ctx, lanes, self.layout.state);
-    }
-}
-
-impl WaveQueue for RfAnWaveQueue {
-    fn variant(&self) -> Variant {
-        Variant::RfAn
-    }
-
-    fn acquire(&mut self, ctx: &mut WaveCtx<'_>, lanes: &mut Lanes) {
-        self.reserve(ctx, lanes);
-        // Listing 2: data-arrival poll on the monitored slots.
-        poll(
-            ctx,
-            lanes,
-            &mut self.memo,
-            Slots::Flat(&self.layout),
-            |_| {},
-        );
-        ctx.audit_end();
-    }
-
-    fn enqueue(&mut self, ctx: &mut WaveCtx<'_>, tokens: &[u32]) -> usize {
-        if tokens.is_empty() {
-            return 0;
-        }
-        // Lanes publish their per-lane counts with local atomics
-        // (Listing 3 lines 8–11), then the proxy reserves the whole
-        // region with one AFA on Rear (lines 14–16). Exactly one global
-        // atomic regardless of batch size — the arbitrary-n claim. (Abort
-        // paths below leave the scope open unvalidated; the abort already
-        // fails the run.)
-        ctx.audit_begin(OpSpec::new("RF/AN", "enqueue").afa_exact(1));
-        ctx.charge_alu(1);
-        ctx.lds_atomics(tokens.len() as u64);
-        let base = ctx.atomic_add(self.layout.state, REAR, tokens.len() as u32);
-        ctx.count_scheduler_atomics(1);
-        // The reserved region is contiguous: the sentinel check and the
-        // token copy each coalesce into one transaction per line.
-        let in_bounds = tokens
-            .len()
-            .min((self.layout.capacity as usize).saturating_sub(base as usize));
-        ctx.charge_coalesced_access(self.layout.slots, base as usize, in_bounds); // check
-        ctx.charge_coalesced_access(self.layout.slots, base as usize, in_bounds); // copy
-        for (i, &tok) in tokens.iter().enumerate() {
-            debug_assert!(tok < DNA, "token collides with dna sentinel");
-            let slot = base as usize + i;
-            if slot >= self.layout.capacity as usize {
-                ctx.abort(AbortReason::QueueFull {
-                    requested: slot as u64,
-                    capacity: self.layout.capacity,
-                });
-                return i;
-            }
-            // Line 25: the slot must still hold the sentinel.
-            let current = ctx.peek(self.layout.slots, slot);
-            if current != DNA {
-                // An occupied slot in a non-wrapping queue means the
-                // reservation overran live data: same capacity exhaustion.
-                ctx.abort(AbortReason::QueueFull {
-                    requested: slot as u64,
-                    capacity: self.layout.capacity,
-                });
-                return i;
-            }
-            ctx.poke(self.layout.slots, slot, tok);
-        }
-        ctx.audit_end();
-        tokens.len()
-    }
-
-    fn register_idle_watches(&self, ctx: &mut WaveCtx<'_>, lanes: &Lanes) -> bool {
-        park_sentinel(ctx, lanes, Slots::Flat(&self.layout))
-    }
+    ctx.audit_end();
+    tokens.len()
 }
 
 #[cfg(test)]
@@ -173,21 +99,22 @@ mod tests {
     #[test]
     fn queue_full_aborts() {
         use super::super::testutil::PumpKernel;
-        use super::super::{make_wave_queue, Lanes, QueueLayout};
+        use super::super::{Design, DeviceQueue, Lanes};
         use simt::{Engine, GpuConfig, Launch};
         use std::sync::{Arc, Mutex};
 
         let mut engine = Engine::new(GpuConfig::test_tiny());
         // capacity 4, but seeds fan out 3 children each => 1 + 3 > 4 - 1...
         // use 2 seeds x 3 children = 8 tokens > 4 capacity.
-        let layout = QueueLayout::setup(engine.memory_mut(), "q", 4);
+        let design = Design::Shared(Variant::RfAn);
+        let layout = DeviceQueue::setup(engine.memory_mut(), design, 4, 1);
         let pending = engine.memory_mut().alloc("pending", 1);
         layout.host_seed(engine.memory_mut(), &[0, 1]);
         engine.memory_mut().write_u32(pending, 0, 2);
         let consumed = Arc::new(Mutex::new(Vec::new()));
         let err = engine
             .run(Launch::workgroups(1), |_| PumpKernel {
-                queue: make_wave_queue(Variant::RfAn, layout),
+                queue: layout.wave_queue(0),
                 lanes: Lanes::new(4),
                 pending,
                 consumed: Arc::clone(&consumed),

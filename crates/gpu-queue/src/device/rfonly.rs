@@ -1,4 +1,5 @@
-//! RF-only ablation variant: retry-free *without* arbitrary-n.
+//! RF-only ablation variant: retry-free *without* arbitrary-n —
+//! [`super::TicketWaveQueue`] over a flat layout at lane width.
 //!
 //! The paper dissects its design with BASE → AN → RF/AN, which isolates
 //! the retry-free property (AN vs RF/AN) and the arbitrary-n property
@@ -11,97 +12,30 @@
 //! on a retry-free substrate: the difference is pure atomic-traffic
 //! volume and serialization pressure, with zero retry effects in either.
 
-use super::{
-    bits, park_sentinel, poll, Lanes, PollMemo, QueueLayout, Slots, WaveQueue, FRONT, REAR,
-};
-use crate::{Variant, DNA};
+use super::{QueueLayout, REAR};
+use crate::DNA;
 use simt::{AbortReason, OpSpec, WaveCtx};
 
-/// Per-wavefront handle to an RF-only device queue.
-#[derive(Clone, Debug)]
-pub struct RfOnlyWaveQueue {
-    pub(super) layout: QueueLayout,
-    memo: PollMemo,
-}
-
-impl RfOnlyWaveQueue {
-    /// Creates the per-wavefront handle.
-    pub fn new(layout: QueueLayout) -> Self {
-        RfOnlyWaveQueue {
-            layout,
-            memo: PollMemo::NONE,
-        }
-    }
-
-    /// Per-lane reservation, opening the acquire's audit scope: every
-    /// hungry lane issues its own global AFA in lock-step — they all
-    /// succeed (AFA never fails), but each occupies an issue slot and a
-    /// place in the serialization queue. Retry-free without arbitrary-n:
-    /// exactly one AFA *per hungry lane*, never a CAS, never a retry.
-    pub(super) fn reserve(&self, ctx: &mut WaveCtx<'_>, lanes: &mut Lanes) {
-        let hungry = lanes.hungry();
-        ctx.audit_begin(OpSpec::new("RF-only", "acquire").afa_exact(hungry.count_ones().into()));
-        for lane in bits(hungry) {
-            let slot = ctx.atomic_add(self.layout.state, FRONT, 1);
-            ctx.count_scheduler_atomics(1);
-            lanes.monitor(lane, slot);
-        }
-    }
-}
-
-impl WaveQueue for RfOnlyWaveQueue {
-    fn variant(&self) -> Variant {
-        Variant::RfOnly
-    }
-
-    fn acquire(&mut self, ctx: &mut WaveCtx<'_>, lanes: &mut Lanes) {
-        self.reserve(ctx, lanes);
-        // Data-arrival poll, identical to RF/AN (the sentinel protocol is
-        // what makes per-lane reservation safe at all).
-        poll(
-            ctx,
-            lanes,
-            &mut self.memo,
-            Slots::Flat(&self.layout),
-            |_| {},
-        );
-        ctx.audit_end();
-    }
-
-    fn enqueue(&mut self, ctx: &mut WaveCtx<'_>, tokens: &[u32]) -> usize {
-        if tokens.is_empty() {
+/// Publishes the non-empty `tokens` into `q` with one AFA on `Rear` per
+/// token — no proxy aggregation — each lane checking and writing its own
+/// slot. Accepts everything or aborts on queue-full.
+pub(super) fn publish(ctx: &mut WaveCtx<'_>, q: &QueueLayout, tokens: &[u32]) -> usize {
+    ctx.audit_begin(OpSpec::new("RF-only", "enqueue").afa_exact(tokens.len() as u64));
+    for &tok in tokens {
+        debug_assert!(tok < DNA);
+        let slot = ctx.atomic_add(q.state, REAR, 1) as usize;
+        ctx.count_scheduler_atomics(1);
+        if slot >= q.capacity as usize || ctx.global_read_lane(q.slots, slot) != DNA {
+            ctx.abort(AbortReason::QueueFull {
+                requested: slot as u64,
+                capacity: q.capacity,
+            });
             return 0;
         }
-        // One AFA per token — no proxy aggregation.
-        ctx.audit_begin(OpSpec::new("RF-only", "enqueue").afa_exact(tokens.len() as u64));
-        for &tok in tokens {
-            debug_assert!(tok < DNA);
-            let slot = ctx.atomic_add(self.layout.state, REAR, 1) as usize;
-            ctx.count_scheduler_atomics(1);
-            if slot >= self.layout.capacity as usize {
-                ctx.abort(AbortReason::QueueFull {
-                    requested: slot as u64,
-                    capacity: self.layout.capacity,
-                });
-                return 0;
-            }
-            let current = ctx.global_read_lane(self.layout.slots, slot);
-            if current != DNA {
-                ctx.abort(AbortReason::QueueFull {
-                    requested: slot as u64,
-                    capacity: self.layout.capacity,
-                });
-                return 0;
-            }
-            ctx.global_write_lane(self.layout.slots, slot, tok);
-        }
-        ctx.audit_end();
-        tokens.len()
+        ctx.global_write_lane(q.slots, slot, tok);
     }
-
-    fn register_idle_watches(&self, ctx: &mut WaveCtx<'_>, lanes: &Lanes) -> bool {
-        park_sentinel(ctx, lanes, Slots::Flat(&self.layout))
-    }
+    ctx.audit_end();
+    tokens.len()
 }
 
 #[cfg(test)]

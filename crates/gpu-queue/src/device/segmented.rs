@@ -3,8 +3,9 @@
 //! 3; linearization argument in DESIGN.md §13).
 //!
 //! The ticket space stays a single non-wrapping pair of `Front`/`Rear`
-//! counters — the AFA fast path of [`super::RfAnWaveQueue`] is unchanged.
-//! What changes is the *storage* behind a ticket: ticket `t` lives in
+//! counters — the reservation and the poll are [`super::TicketWaveQueue`]'s,
+//! unchanged. What changes is the *storage* behind a ticket (and so the
+//! publish and the retirement, here): ticket `t` lives in
 //! virtual segment `t / seg_cap`, and a **directory ring** maps virtual
 //! segments to physical segments of a fixed arena. A producer whose
 //! reservation reaches a segment boundary pops a physical segment from the
@@ -44,8 +45,8 @@
 //! segmentation removes the memory bound, not the 2^32 ticket-arithmetic
 //! bound.
 
-use super::{park_sentinel, poll, reserve_batch, Lanes, PollMemo, Slots, WaveQueue, FRONT, REAR};
-use crate::{Variant, DNA};
+use super::{host_len, REAR};
+use crate::DNA;
 use simt::{Buffer, DeviceMemory, OpSpec, WaveCtx, MAX_WAVE_SIZE};
 
 /// Host-side handle to a segmented device queue's allocations.
@@ -87,11 +88,11 @@ impl SegmentedLayout {
             dir_len as usize <= MAX_WAVE_SIZE,
             "directory ring longer than the probe mask"
         );
-        let slots = memory.alloc_filled(
-            &format!("{name}.slots"),
-            (phys_segs * seg_cap) as usize,
-            DNA,
-        );
+        // Arena addresses are `u32` words (`arena_addr`).
+        let arena = phys_segs
+            .checked_mul(seg_cap)
+            .expect("segmented arena exceeds the u32 address space");
+        let slots = memory.alloc_filled(&format!("{name}.slots"), arena as usize, DNA);
         let state = memory.alloc(&format!("{name}.state"), 2);
         let dir = memory.alloc_filled(&format!("{name}.dir"), dir_len as usize, DNA);
         let consumed = memory.alloc(&format!("{name}.consumed"), dir_len as usize);
@@ -178,9 +179,7 @@ impl SegmentedLayout {
     /// Host-side count of tokens currently stored (Rear − Front). Only
     /// meaningful between launches.
     pub fn host_len(&self, memory: &DeviceMemory) -> u32 {
-        let front = memory.read_u32(self.state, FRONT);
-        let rear = memory.read_u32(self.state, REAR);
-        rear.saturating_sub(front)
+        host_len(memory, self.state)
     }
 
     /// Host-side count of currently installed (not yet retired) segments.
@@ -191,166 +190,115 @@ impl SegmentedLayout {
     }
 }
 
-/// Per-wavefront handle to a segmented RF/AN device queue.
-#[derive(Clone, Debug)]
-pub struct SegmentedWaveQueue {
-    pub(super) layout: SegmentedLayout,
-    memo: PollMemo,
-}
-
 /// Pickups of one poll per directory ring slot.
 pub(super) type Pickups = [u8; MAX_WAVE_SIZE];
 
-impl SegmentedWaveQueue {
-    /// Creates the per-wavefront handle.
-    pub fn new(layout: SegmentedLayout) -> Self {
-        SegmentedWaveQueue {
-            layout,
-            memo: PollMemo::NONE,
+/// Consumed accounting + retirement after a segmented acquire's poll,
+/// closing the acquire's audit scope on its `afa` reservation AFAs plus
+/// the ones issued here: one AFA per touched segment (arbitrary-n on the
+/// drain side), two more per retirement, never a CAS. The wave whose add
+/// completes the count retires the segment: clear the mapping, return the
+/// physical segment to the pool. A lane of this wave holds one of the
+/// final pickups, so the segment cannot have retired concurrently — the
+/// counter belongs to this mapping.
+pub(super) fn retire(ctx: &mut WaveCtx<'_>, lt: &SegmentedLayout, pickups: &Pickups, mut afa: u64) {
+    for (r, &cnt) in pickups[..lt.dir_len as usize].iter().enumerate() {
+        if cnt == 0 {
+            continue;
         }
-    }
-
-    /// Slot reservation, identical to RF/AN's. Opens the acquire's audit
-    /// scope, whose budget is decided mid-flight
-    /// ([`SegmentedWaveQueue::retire`]); returns the AFAs issued.
-    pub(super) fn reserve(&self, ctx: &mut WaveCtx<'_>, lanes: &mut Lanes) -> u64 {
-        ctx.audit_begin(OpSpec::new("SEG-RF/AN", "acquire"));
-        reserve_batch(ctx, lanes, self.layout.state)
-    }
-
-    /// Consumed accounting + retirement, closing the acquire's audit
-    /// scope on `afa` reservation AFAs plus its own: one AFA per touched
-    /// segment (arbitrary-n on the drain side), two more per retirement,
-    /// never a CAS. The wave whose add completes the count retires the
-    /// segment: clear the mapping, return the physical segment to the
-    /// pool. A lane of this wave holds one of the final pickups, so the
-    /// segment cannot have retired concurrently — the counter belongs to
-    /// this mapping.
-    pub(super) fn retire(&self, ctx: &mut WaveCtx<'_>, pickups: &Pickups, mut afa: u64) {
-        let lt = &self.layout;
-        for (r, &cnt) in pickups[..lt.dir_len as usize].iter().enumerate() {
-            if cnt == 0 {
-                continue;
-            }
-            let cnt = u32::from(cnt);
-            let total = ctx.atomic_add(lt.consumed, r, cnt) + cnt;
+        let cnt = u32::from(cnt);
+        let total = ctx.atomic_add(lt.consumed, r, cnt) + cnt;
+        afa += 1;
+        ctx.count_scheduler_atomics(1);
+        if total == lt.seg_cap {
+            ctx.poke(lt.consumed, r, 0);
+            let entry = ctx.atomic_exchange(lt.dir, r, DNA);
             afa += 1;
-            ctx.count_scheduler_atomics(1);
-            if total == lt.seg_cap {
-                ctx.poke(lt.consumed, r, 0);
-                let entry = ctx.atomic_exchange(lt.dir, r, DNA);
-                afa += 1;
-                let old = ctx.atomic_add(lt.pool, 0, 1);
-                afa += 1;
-                ctx.poke(lt.pool, (old + 1) as usize, entry % lt.phys_segs);
-                ctx.charge_cached_access(1);
-                ctx.count_scheduler_atomics(2);
-            }
+            let old = ctx.atomic_add(lt.pool, 0, 1);
+            afa += 1;
+            ctx.poke(lt.pool, (old + 1) as usize, entry % lt.phys_segs);
+            ctx.charge_cached_access(1);
+            ctx.count_scheduler_atomics(2);
         }
-        ctx.audit_expect_afa(afa);
-        ctx.audit_end();
     }
+    ctx.audit_expect_afa(afa);
+    ctx.audit_end();
 }
 
-impl WaveQueue for SegmentedWaveQueue {
-    fn variant(&self) -> Variant {
-        Variant::SegRfAn
-    }
-
-    fn acquire(&mut self, ctx: &mut WaveCtx<'_>, lanes: &mut Lanes) {
-        let afa = self.reserve(ctx, lanes);
-        // Data-arrival poll: mapped slots poll exactly like the bounded
-        // RF/AN; slots of not-yet-installed segments are never read (the
-        // mapping arrives before any data can), and a recycled segment is
-        // born sentinel-clean because every pickup restored the sentinel.
-        let lt = &self.layout;
-        let mut pickups = [0; MAX_WAVE_SIZE];
-        poll(ctx, lanes, &mut self.memo, Slots::Segmented(lt), |ticket| {
-            pickups[lt.ring_slot(ticket / lt.seg_cap)] += 1
-        });
-        self.retire(ctx, &pickups, afa);
-    }
-
-    fn enqueue(&mut self, ctx: &mut WaveCtx<'_>, tokens: &[u32]) -> usize {
-        if tokens.is_empty() {
-            return 0;
-        }
-        let lt = &self.layout;
-        // One AFA on Rear per touched segment, one pool AFA per install;
-        // the directory publish itself is a plain store. Never a CAS.
-        ctx.audit_begin(OpSpec::new("SEG-RF/AN", "enqueue"));
-        ctx.charge_alu(1);
-        ctx.lds_atomics(tokens.len() as u64);
-        let mut afa = 0u64;
-        let mut accepted = 0usize;
-        while accepted < tokens.len() {
-            let rear = ctx.global_read(lt.state, REAR);
-            let seg = rear / lt.seg_cap;
-            let off = rear % lt.seg_cap;
-            let r = lt.ring_slot(seg);
-            let entry = ctx.peek(lt.dir, r);
-            ctx.charge_cached_access(1); // directory probe
-            let phys = match lt.decode(entry, seg) {
-                Some(p) => p,
-                None => {
-                    if entry != DNA {
-                        // Ring slot still held by an undrained old
-                        // segment: accept what we have, re-offer the rest.
-                        break;
-                    }
-                    let count = ctx.peek(lt.pool, 0);
-                    if count == 0 {
-                        // Arena exhausted: backpressure, never an abort.
-                        break;
-                    }
-                    let old = ctx.atomic_sub(lt.pool, 0, 1);
-                    afa += 1;
-                    ctx.count_scheduler_atomics(1);
-                    let p = ctx.peek(lt.pool, old as usize);
-                    // The segment-handoff linearization point: one plain
-                    // store publishes the fresh mapping.
-                    ctx.poke(lt.dir, r, lt.encode(seg, p));
-                    ctx.charge_cached_access(1);
-                    p
+/// Publishes a prefix of the non-empty `tokens`, installing segments as
+/// `Rear` crosses their boundaries: one AFA on `Rear` per touched segment,
+/// one pool AFA per install; the directory publish itself is a plain
+/// store. Never a CAS. Returns how many tokens were accepted — the rest
+/// is re-offered next cycle (backpressure, never an abort).
+pub(super) fn publish(ctx: &mut WaveCtx<'_>, lt: &SegmentedLayout, tokens: &[u32]) -> usize {
+    ctx.audit_begin(OpSpec::new("SEG-RF/AN", "enqueue"));
+    ctx.charge_alu(1);
+    ctx.lds_atomics(tokens.len() as u64);
+    let mut afa = 0u64;
+    let mut accepted = 0usize;
+    while accepted < tokens.len() {
+        let rear = ctx.global_read(lt.state, REAR);
+        let seg = rear / lt.seg_cap;
+        let off = rear % lt.seg_cap;
+        let r = lt.ring_slot(seg);
+        let entry = ctx.peek(lt.dir, r);
+        ctx.charge_cached_access(1); // directory probe
+        let phys = match lt.decode(entry, seg) {
+            Some(p) => p,
+            None => {
+                if entry != DNA {
+                    // Ring slot still held by an undrained old
+                    // segment: accept what we have, re-offer the rest.
+                    break;
                 }
-            };
-            // Reserve up to the segment boundary; the install above
-            // guarantees every reserved ticket has installed storage.
-            let take = (tokens.len() - accepted).min((lt.seg_cap - off) as usize);
-            let got = ctx.atomic_add(lt.state, REAR, take as u32);
-            debug_assert_eq!(got, rear, "work cycles are atomic");
-            afa += 1;
-            ctx.count_scheduler_atomics(1);
-            let base = lt.arena_addr(phys, rear);
-            ctx.charge_coalesced_access(lt.slots, base, take); // check
-            ctx.charge_coalesced_access(lt.slots, base, take); // copy
-            for i in 0..take {
-                let tok = tokens[accepted + i];
-                debug_assert!(tok < DNA, "token collides with dna sentinel");
-                debug_assert_eq!(
-                    ctx.peek(lt.slots, base + i),
-                    DNA,
-                    "recycled segment handed out before fully drained"
-                );
-                ctx.poke(lt.slots, base + i, tok);
+                let count = ctx.peek(lt.pool, 0);
+                if count == 0 {
+                    // Arena exhausted: backpressure, never an abort.
+                    break;
+                }
+                let old = ctx.atomic_sub(lt.pool, 0, 1);
+                afa += 1;
+                ctx.count_scheduler_atomics(1);
+                let p = ctx.peek(lt.pool, old as usize);
+                // The segment-handoff linearization point: one plain
+                // store publishes the fresh mapping.
+                ctx.poke(lt.dir, r, lt.encode(seg, p));
+                ctx.charge_cached_access(1);
+                p
             }
-            accepted += take;
+        };
+        // Reserve up to the segment boundary; the install above
+        // guarantees every reserved ticket has installed storage.
+        let take = (tokens.len() - accepted).min((lt.seg_cap - off) as usize);
+        let got = ctx.atomic_add(lt.state, REAR, take as u32);
+        debug_assert_eq!(got, rear, "work cycles are atomic");
+        afa += 1;
+        ctx.count_scheduler_atomics(1);
+        let base = lt.arena_addr(phys, rear);
+        ctx.charge_coalesced_access(lt.slots, base, take); // check
+        ctx.charge_coalesced_access(lt.slots, base, take); // copy
+        for i in 0..take {
+            let tok = tokens[accepted + i];
+            debug_assert!(tok < DNA, "token collides with dna sentinel");
+            debug_assert_eq!(
+                ctx.peek(lt.slots, base + i),
+                DNA,
+                "recycled segment handed out before fully drained"
+            );
+            ctx.poke(lt.slots, base + i, tok);
         }
-        ctx.audit_expect_afa(afa);
-        ctx.audit_end();
-        accepted
+        accepted += take;
     }
-
-    fn register_idle_watches(&self, ctx: &mut WaveCtx<'_>, lanes: &Lanes) -> bool {
-        park_sentinel(ctx, lanes, Slots::Segmented(&self.layout))
-    }
+    ctx.audit_expect_afa(afa);
+    ctx.audit_end();
+    accepted
 }
 
 #[cfg(test)]
 mod tests {
-    use super::super::testutil::{expected_tokens, pump_through, PumpKernel, Shape};
+    use super::super::testutil::{expected_tokens, over_segments, pump_through, PumpKernel, Shape};
     use super::super::Lanes;
-    use super::{SegmentedLayout, SegmentedWaveQueue};
+    use super::SegmentedLayout;
     use crate::DNA;
     use simt::{DeviceMemory, Engine, GpuConfig, Launch};
     use std::sync::{Arc, Mutex};
@@ -383,6 +331,14 @@ mod tests {
         assert_eq!(mem.read_u32(q.pool, 0), 4);
         assert_eq!(q.host_len(&mem), 0);
         assert_eq!(q.host_live_segments(&mem), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "segmented arena exceeds the u32 address space")]
+    fn setup_refuses_an_arena_past_the_address_space() {
+        // 10 segments of `capacity / 8` slots, as `for_capacity` sizes a
+        // queue of more than 3.4e9 slots.
+        SegmentedLayout::setup(&mut DeviceMemory::new(), "q", u32::MAX / 8, 10);
     }
 
     #[test]
@@ -451,7 +407,7 @@ mod tests {
                     .with_max_rounds(2_000_000)
                     .with_audit(),
                 |_info| PumpKernel {
-                    queue: Box::new(SegmentedWaveQueue::new(layout)),
+                    queue: over_segments(layout).wave_queue(0),
                     lanes: Lanes::new(wave_size),
                     pending,
                     consumed: Arc::clone(&consumed),

@@ -25,9 +25,9 @@
 //! ever abandoned) holds across queues. A scan that finds no backlog
 //! anywhere is the distributed design's queue-empty exception.
 
-use super::{bits, Lanes, QueueLayout, WaveQueue, FRONT, REAR};
+use super::{bits, rfan, Lanes, QueueLayout, WaveQueue, FRONT, REAR};
 use crate::{Variant, DNA};
-use simt::{AbortReason, DeviceMemory, OpSpec, WaveCtx};
+use simt::{DeviceMemory, OpSpec, WaveCtx};
 
 /// Host-side handle to one queue per compute unit.
 #[derive(Clone, Debug)]
@@ -35,9 +35,27 @@ pub struct StealingLayout {
     queues: Vec<QueueLayout>,
 }
 
+/// A monitoring lane's ticket packs `(queue, slot)` into one `u32`: the
+/// slot in this many low bits, the queue id in the bits above.
+const SLOT_BITS: u32 = 24;
+/// Most slots one per-CU queue can have.
+pub(super) const MAX_CAPACITY: u32 = 1 << SLOT_BITS;
+
 impl StealingLayout {
     /// Allocates `num_cus` per-CU queues, each with `capacity` slots.
+    ///
+    /// # Panics
+    /// Panics if `capacity` exceeds 2^24 slots or `num_cus` 256 queues:
+    /// `(queue, slot)` pairs would alias in a lane's ticket.
     pub fn setup(memory: &mut DeviceMemory, name: &str, num_cus: usize, capacity: u32) -> Self {
+        assert!(
+            capacity <= MAX_CAPACITY,
+            "per-CU capacity {capacity} exceeds the ticket's {SLOT_BITS} slot bits"
+        );
+        assert!(
+            num_cus <= 1 << (32 - SLOT_BITS),
+            "{num_cus} per-CU queues exceed the ticket's queue-id bits"
+        );
         let queues = (0..num_cus)
             .map(|cu| QueueLayout::setup(memory, &format!("{name}.cu{cu}"), capacity))
             .collect();
@@ -65,10 +83,6 @@ pub struct StealingWaveQueue {
     home: usize,
     /// Next victim (rotates per steal attempt).
     next_victim: usize,
-    /// Pending monitored slots: `(queue index, slot)` per lane is encoded
-    /// in the lane's monitored ticket — the queue index lives in the
-    /// upper bits.
-    _priv: (),
 }
 
 impl StealingWaveQueue {
@@ -79,28 +93,18 @@ impl StealingWaveQueue {
             queues: layout.queues.clone(),
             home,
             next_victim: (home + 1) % layout.queues.len().max(1),
-            _priv: (),
         }
     }
 
-    /// Packs (queue, slot) into a `Monitoring` payload. Slots use the low
-    /// 24 bits; queue ids the bits above (device queues per CU are far
-    /// smaller than 16M slots in every configuration we model — asserted
-    /// at setup).
+    /// Packs (queue, slot) into the ticket a lane monitors
+    /// ([`StealingLayout::setup`] refuses layouts that would not fit).
     fn pack(queue: usize, slot: u32) -> u32 {
-        debug_assert!(slot < (1 << 24), "slot exceeds pack width");
-        ((queue as u32) << 24) | slot
+        debug_assert!(slot < MAX_CAPACITY, "slot exceeds pack width");
+        ((queue as u32) << SLOT_BITS) | slot
     }
 
     fn unpack(packed: u32) -> (usize, u32) {
-        ((packed >> 24) as usize, packed & 0x00FF_FFFF)
-    }
-
-    /// Reserve `n` monitored slots on queue `q` (single proxy AFA).
-    fn reserve(&self, ctx: &mut WaveCtx<'_>, q: usize, n: u32) -> u32 {
-        let base = ctx.atomic_add(self.queues[q].state, FRONT, n);
-        ctx.count_scheduler_atomics(1);
-        base
+        ((packed >> SLOT_BITS) as usize, packed & (MAX_CAPACITY - 1))
     }
 }
 
@@ -155,8 +159,10 @@ impl WaveQueue for StealingWaveQueue {
                         STEAL_BATCH
                     };
                     let n = hungry.min(b).min(cap);
+                    // A single proxy AFA, as on a shared ring.
                     ctx.audit_expect_afa(1);
-                    let base = self.reserve(ctx, q, n);
+                    let base = ctx.atomic_add(self.queues[q].state, FRONT, n);
+                    ctx.count_scheduler_atomics(1);
                     for (lane, slot) in bits(lanes.hungry()).zip(base..base + n) {
                         lanes.monitor(lane, Self::pack(q, slot));
                     }
@@ -212,39 +218,7 @@ impl WaveQueue for StealingWaveQueue {
         if tokens.is_empty() {
             return 0;
         }
-        let home = &self.queues[self.home];
-        ctx.audit_begin(OpSpec::new("stealing", "enqueue").afa_exact(1));
-        ctx.charge_alu(1);
-        ctx.lds_atomics(tokens.len() as u64);
-        let base = ctx.atomic_add(home.state, REAR, tokens.len() as u32);
-        ctx.count_scheduler_atomics(1);
-        let in_bounds = tokens
-            .len()
-            .min((home.capacity as usize).saturating_sub(base as usize));
-        ctx.charge_coalesced_access(home.slots, base as usize, in_bounds);
-        ctx.charge_coalesced_access(home.slots, base as usize, in_bounds);
-        for (i, &tok) in tokens.iter().enumerate() {
-            debug_assert!(tok < DNA);
-            let slot = base as usize + i;
-            if slot >= home.capacity as usize {
-                ctx.abort(AbortReason::QueueFull {
-                    requested: slot as u64,
-                    capacity: home.capacity,
-                });
-                return i;
-            }
-            let current = ctx.peek(home.slots, slot);
-            if current != DNA {
-                ctx.abort(AbortReason::QueueFull {
-                    requested: slot as u64,
-                    capacity: home.capacity,
-                });
-                return i;
-            }
-            ctx.poke(home.slots, slot, tok);
-        }
-        ctx.audit_end();
-        tokens.len()
+        rfan::publish(ctx, "stealing", &self.queues[self.home], tokens)
     }
 }
 
@@ -270,6 +244,18 @@ mod tests {
         layout.host_seed(&mut mem, &[1, 2, 3]);
         assert_eq!(layout.queues()[0].host_len(&mem), 3);
         assert_eq!(layout.queues()[1].host_len(&mem), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the ticket's 24 slot bits")]
+    fn setup_refuses_a_capacity_past_the_slot_bits() {
+        StealingLayout::setup(&mut DeviceMemory::new(), "dq", 0, (1 << 24) + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "257 per-CU queues exceed the ticket's queue-id bits")]
+    fn setup_refuses_more_queues_than_queue_id_bits() {
+        StealingLayout::setup(&mut DeviceMemory::new(), "dq", 257, 0);
     }
 
     #[test]

@@ -3,8 +3,10 @@
 //! the reading data-arrival poll the closed-form [`poll`] replaced, kept
 //! as the oracle it is compared against.
 
+use super::segmented::retire;
+use super::ticket::Slots;
 use super::*;
-use simt::{Engine, GpuConfig, Launch, RunReport, WaveKernel, WaveStatus};
+use simt::{Engine, GpuConfig, Launch, RunReport, WaveKernel, WaveStatus, MAX_WAVE_SIZE};
 use std::sync::{Arc, Mutex};
 
 /// Kernel: each wavefront dequeues tokens; every token `t` with
@@ -117,7 +119,7 @@ fn charge_sentinel_poll(ctx: &mut WaveCtx<'_>, slots: Buffer, watched: &mut [u32
 pub fn reading_poll(
     ctx: &mut WaveCtx<'_>,
     lanes: &mut Lanes,
-    slots: Slots<'_>,
+    slots: &Slots,
     mut picked: impl FnMut(u32),
 ) {
     let mut watched: Vec<u32> = Vec::new();
@@ -179,7 +181,7 @@ pub fn reading_poll(
 
 /// The park registration that went with [`reading_poll`]: a *same stale
 /// value* watch on every word it read.
-fn reading_park(ctx: &mut WaveCtx<'_>, lanes: &Lanes, slots: Slots<'_>) -> bool {
+fn reading_park(ctx: &mut WaveCtx<'_>, lanes: &Lanes, slots: &Slots) -> bool {
     if !lanes.all_monitoring() {
         return false;
     }
@@ -205,69 +207,55 @@ fn reading_park(ctx: &mut WaveCtx<'_>, lanes: &Lanes, slots: Slots<'_>) -> bool 
     true
 }
 
-/// A sentinel design with [`reading_poll`] and its per-word park watches
-/// in place of [`poll`] and [`park_sentinel`]; reservation, retirement
-/// and enqueue are the product's own.
-pub enum Reading {
-    RfAn(RfAnWaveQueue),
-    RfOnly(RfOnlyWaveQueue),
-    Seg(SegmentedWaveQueue),
-}
+/// A ticket design with [`reading_poll`] and its per-word park watches
+/// in place of [`poll`] and the `Rear` watch; reservation, retirement and
+/// enqueue are the product's own.
+pub struct Reading(TicketWaveQueue);
 
 impl WaveQueue for Reading {
     fn variant(&self) -> Variant {
-        match self {
-            Reading::RfAn(q) => q.variant(),
-            Reading::RfOnly(q) => q.variant(),
-            Reading::Seg(q) => q.variant(),
-        }
+        self.0.variant()
     }
 
     fn acquire(&mut self, ctx: &mut WaveCtx<'_>, lanes: &mut Lanes) {
-        match self {
-            Reading::RfAn(q) => {
-                q.reserve(ctx, lanes);
-                reading_poll(ctx, lanes, Slots::Flat(&q.layout), |_| {});
+        let afa = self.0.reserve(ctx, lanes);
+        match &self.0.slots {
+            slots @ Slots::Flat(_) => {
+                reading_poll(ctx, lanes, slots, |_| {});
                 ctx.audit_end();
             }
-            Reading::RfOnly(q) => {
-                q.reserve(ctx, lanes);
-                reading_poll(ctx, lanes, Slots::Flat(&q.layout), |_| {});
-                ctx.audit_end();
-            }
-            Reading::Seg(q) => {
-                let afa = q.reserve(ctx, lanes);
-                let lt = &q.layout;
+            slots @ Slots::Segmented(lt) => {
                 let mut pickups = [0; MAX_WAVE_SIZE];
-                reading_poll(ctx, lanes, Slots::Segmented(lt), |ticket| {
+                reading_poll(ctx, lanes, slots, |ticket| {
                     pickups[lt.ring_slot(ticket / lt.seg_cap)] += 1
                 });
-                q.retire(ctx, &pickups, afa);
+                retire(ctx, lt, &pickups, afa);
             }
         }
     }
 
     fn enqueue(&mut self, ctx: &mut WaveCtx<'_>, tokens: &[u32]) -> usize {
-        match self {
-            Reading::RfAn(q) => q.enqueue(ctx, tokens),
-            Reading::RfOnly(q) => q.enqueue(ctx, tokens),
-            Reading::Seg(q) => q.enqueue(ctx, tokens),
-        }
+        self.0.enqueue(ctx, tokens)
     }
 
     fn register_idle_watches(&self, ctx: &mut WaveCtx<'_>, lanes: &Lanes) -> bool {
-        match self {
-            Reading::RfAn(q) => reading_park(ctx, lanes, Slots::Flat(&q.layout)),
-            Reading::RfOnly(q) => reading_park(ctx, lanes, Slots::Flat(&q.layout)),
-            Reading::Seg(q) => reading_park(ctx, lanes, Slots::Segmented(&q.layout)),
-        }
+        reading_park(ctx, lanes, &self.0.slots)
+    }
+}
+
+/// SEG-RF/AN over a segmented queue of explicit geometry (the face sizes
+/// one from a nominal capacity).
+pub fn over_segments(layout: SegmentedLayout) -> DeviceQueue {
+    DeviceQueue {
+        design: Design::Shared(Variant::SegRfAn),
+        parts: Parts::Ticket(Slots::Segmented(layout), Width::PerWave),
     }
 }
 
 /// Which queue a [`pump_through`] run drives.
 #[derive(Clone, Copy, Debug)]
 pub enum Shape {
-    /// A [`make_wave_queue`] variant over a bounded queue of this capacity.
+    /// A shared queue of this variant and nominal capacity.
     Bounded(Variant, u32),
     /// SEG-RF/AN over `phys_segs` segments of `seg_cap` slots.
     Segmented { seg_cap: u32, phys_segs: u32 },
@@ -288,28 +276,22 @@ pub fn pump_through(
 ) -> (RunReport, Vec<u32>) {
     let mut engine = Engine::new(gpu.clone());
     let mem = engine.memory_mut();
-    let queue: Box<dyn Fn() -> Box<dyn WaveQueue>> = match shape {
+    let queue = match shape {
         Shape::Bounded(variant, capacity) => {
-            let layout = QueueLayout::setup(mem, "q", capacity);
-            seeds.iter().for_each(|batch| layout.host_seed(mem, batch));
-            Box::new(move || match (variant, reading) {
-                (_, false) => make_wave_queue(variant, layout),
-                (Variant::RfAn, true) => Box::new(Reading::RfAn(RfAnWaveQueue::new(layout))),
-                (Variant::RfOnly, true) => Box::new(Reading::RfOnly(RfOnlyWaveQueue::new(layout))),
-                _ => panic!("{variant:?} has no data-arrival poll"),
-            })
+            DeviceQueue::setup(mem, Design::Shared(variant), capacity, gpu.num_cus)
         }
         Shape::Segmented { seg_cap, phys_segs } => {
-            let layout = SegmentedLayout::setup(mem, "q", seg_cap, phys_segs);
-            seeds.iter().for_each(|batch| layout.host_seed(mem, batch));
-            Box::new(move || {
-                let queue = SegmentedWaveQueue::new(layout);
-                if reading {
-                    Box::new(Reading::Seg(queue))
-                } else {
-                    Box::new(queue)
-                }
-            })
+            over_segments(SegmentedLayout::setup(mem, "q", seg_cap, phys_segs))
+        }
+    };
+    seeds.iter().for_each(|batch| queue.host_seed(mem, batch));
+    let wave_queue = |cu| -> Box<dyn WaveQueue> {
+        match &queue.parts {
+            Parts::Ticket(slots, width) if reading => {
+                Box::new(Reading(TicketWaveQueue::new(*slots, *width)))
+            }
+            _ if reading => panic!("{shape:?} has no data-arrival poll"),
+            _ => queue.wave_queue(cu),
         }
     };
     let pending = mem.alloc("pending", 1);
@@ -325,7 +307,7 @@ pub fn pump_through(
                 .with_max_rounds(2_000_000)
                 .with_audit(),
             |info| PumpKernel {
-                queue: queue(),
+                queue: wave_queue(info.cu),
                 lanes: Lanes::new(info.wave_size),
                 pending,
                 consumed: Arc::clone(&consumed),

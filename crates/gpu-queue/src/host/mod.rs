@@ -27,10 +27,9 @@
 //! | [`SegmentedRfQueue`] | over `Queue<Afa, Segmented>` | 1 |
 //! | [`SegmentedAnQueue`] | `Queue<Cas, Segmented>` | any |
 //!
-//! Beside the family: [`MutexQueue`] (a `Mutex<VecDeque>` strawman),
-//! [`TypedRfAnQueue`] (the RF/AN protocol carrying arbitrary `Send`
-//! payloads) and [`WorkPool`] (the paper's Algorithm 1 on OS threads over
-//! [`RfAnQueue`], with sound quiescence detection).
+//! Beside the family: [`MutexQueue`] (a `Mutex<VecDeque>` strawman) and
+//! [`WorkPool`] (the paper's Algorithm 1 on OS threads over [`RfAnQueue`],
+//! with sound quiescence detection).
 //!
 //! The bounded queues are **non-wrapping**: `capacity` must bound the
 //! total number of tokens ever enqueued between `reset` calls, exactly
@@ -54,7 +53,6 @@ mod rfan;
 mod segmented;
 mod stats;
 mod storage;
-mod typed;
 
 pub use an::AnQueue;
 pub use base::BaseQueue;
@@ -66,7 +64,6 @@ pub use rfan::RfAnQueue;
 pub use segmented::{SegmentedAnQueue, SegmentedRfAnQueue, SegmentedRfQueue};
 pub use stats::{QueueStats, StatsSnapshot};
 pub use storage::{Bounded, Seg, Segmented, Storage, Taken};
-pub use typed::{TypedRfAnQueue, TypedTicket};
 
 /// Error returned when an enqueue would exceed the queue's capacity.
 ///

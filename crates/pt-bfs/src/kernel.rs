@@ -259,8 +259,13 @@ mod tests {
     // cover construction contracts only.
     use super::*;
     use crate::workload::Bfs;
-    use gpu_queue::device::{QueueLayout, RfAnWaveQueue};
+    use gpu_queue::device::{Design, DeviceQueue};
+    use gpu_queue::Variant;
     use simt::DeviceMemory;
+
+    fn queue(mem: &mut DeviceMemory) -> Box<dyn WaveQueue> {
+        DeviceQueue::setup(mem, Design::Shared(Variant::RfAn), 4, 1).wave_queue(0)
+    }
 
     fn buffers(mem: &mut DeviceMemory) -> WorkBuffers {
         WorkBuffers {
@@ -282,16 +287,14 @@ mod tests {
     fn zero_chunk_rejected() {
         let mut mem = DeviceMemory::new();
         let b = buffers(&mut mem);
-        let layout = QueueLayout::setup(&mut mem, "q", 4);
-        let _ = PtKernel::with_chunk(Box::new(RfAnWaveQueue::new(layout)), Bfs::new(0), b, 4, 0);
+        let _ = PtKernel::with_chunk(queue(&mut mem), Bfs::new(0), b, 4, 0);
     }
 
     #[test]
     fn starts_with_idle_lanes_and_empty_outbox() {
         let mut mem = DeviceMemory::new();
         let b = buffers(&mut mem);
-        let layout = QueueLayout::setup(&mut mem, "q", 4);
-        let k = PtKernel::new(Box::new(RfAnWaveQueue::new(layout)), Bfs::new(0), b, 8);
+        let k = PtKernel::new(queue(&mut mem), Bfs::new(0), b, 8);
         assert_eq!(k.lanes.idle().count_ones(), 8);
         assert_eq!(k.work.active, 0);
         assert!(k.outbox.is_empty());
@@ -304,9 +307,7 @@ mod tests {
         let mut mem = DeviceMemory::new();
         let b = buffers(&mut mem);
         let spill = mem.alloc("spill", 8);
-        let layout = QueueLayout::setup(&mut mem, "q", 4);
-        let k = PtKernel::new(Box::new(RfAnWaveQueue::new(layout)), Bfs::new(0), b, 4)
-            .with_fence(3, spill);
+        let k = PtKernel::new(queue(&mut mem), Bfs::new(0), b, 4).with_fence(3, spill);
         let f = k.fence.expect("fence installed");
         assert_eq!(f.depth, 3);
         assert_eq!(f.spill, spill);

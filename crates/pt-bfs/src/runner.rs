@@ -14,15 +14,10 @@
 use crate::kernel::{PtKernel, SpillFence, CHUNK};
 use crate::recovery::{run_solo, Progress, RecoveryLog, RecoveryPolicy, RunSpec};
 use crate::workload::{Bfs, PtWorkload, WorkBuffers};
-use gpu_queue::device::{
-    make_wave_queue, QueueLayout, SegmentedLayout, SegmentedWaveQueue, StealingLayout,
-    StealingWaveQueue, WaveQueue,
-};
+use gpu_queue::device::{Design, DeviceQueue};
 use gpu_queue::Variant;
 use ptq_graph::Csr;
-use simt::{
-    DeviceMemory, Engine, GpuConfig, Launch, Metrics, Profile, RunReport, SimError, WaveInfo,
-};
+use simt::{Engine, GpuConfig, Launch, Metrics, Profile, RunReport, SimError, WaveInfo};
 use std::time::Instant;
 
 /// Parameters of one persistent-thread run (workload-neutral).
@@ -100,92 +95,33 @@ pub enum Scheduler {
     /// The paper's design: one device-wide queue of `PtConfig::variant`.
     Shared,
     /// One RF/AN ring per compute unit with work stealing
-    /// ([`StealingWaveQueue`]): less hot-word pressure, more load
+    /// ([`Design::PerCu`]): less hot-word pressure, more load
     /// imbalance. `PtConfig::variant` only labels the run.
     Stealing,
 }
 
-/// The scheduler-queue allocation of one launch: a recycled-segment
-/// arena for segmented variants, one bounded ring for the other shared
-/// variants, one bounded ring per compute unit for the stealing
-/// scheduler. An enum, so that exactly-one-layout is structural and no
-/// fallible unwrap sits on the launch path.
-#[derive(Clone, Debug)]
-pub(crate) enum LaunchLayout {
-    /// Segmented arena (queue-full statically unreachable).
-    Segmented(SegmentedLayout),
-    /// One bounded non-wrapping ring.
-    Bounded(QueueLayout),
-    /// One bounded ring per compute unit.
-    Stealing(StealingLayout),
-}
-
-impl LaunchLayout {
-    /// Allocates the queue `scheduler` and `config.variant` select at
-    /// `capacity` and seeds it with the initial frontier.
-    fn setup(
-        mem: &mut DeviceMemory,
-        scheduler: Scheduler,
-        config: &PtConfig,
-        gpu: &GpuConfig,
-        capacity: u32,
-        seeds: &[u32],
-    ) -> Self {
-        if scheduler == Scheduler::Stealing {
-            // A hub can land an outsized share on one CU, so every CU
-            // is provisioned at the full capacity — capped well below
-            // the shared queue's limit, since `num_cus` arrays of this
-            // size coexist.
-            let layout = StealingLayout::setup(mem, "dqueue", gpu.num_cus, capacity.min(1 << 24));
-            layout.host_seed(mem, seeds);
-            LaunchLayout::Stealing(layout)
-        } else if config.variant.is_segmented() {
-            // Segmented variants swap the one bounded ring for a
-            // recycled-segment arena sized from the same nominal
-            // capacity; everything else about the launch is identical.
-            let layout = SegmentedLayout::for_capacity(mem, "workqueue", capacity);
-            layout.host_seed(mem, seeds);
-            LaunchLayout::Segmented(layout)
-        } else {
-            let layout = QueueLayout::setup(mem, "workqueue", capacity);
-            layout.host_seed(mem, seeds);
-            LaunchLayout::Bounded(layout)
-        }
-    }
-
-    /// Builds the wave-facing queue for a kernel instance resident on
-    /// compute unit `cu`.
-    fn make_queue(&self, variant: Variant, cu: usize) -> Box<dyn WaveQueue> {
-        match self {
-            LaunchLayout::Segmented(seg) => Box::new(SegmentedWaveQueue::new(*seg)),
-            LaunchLayout::Bounded(bounded) => make_wave_queue(variant, *bounded),
-            LaunchLayout::Stealing(per_cu) => Box::new(StealingWaveQueue::new(per_cu, cu)),
-        }
-    }
-
-    /// Run-level enforcement of the paper's central claim: a successful
-    /// run scheduled by a retry-free variant must report zero CAS
-    /// attempts, zero CAS failures, and zero queue-empty retries.
-    /// Complements the per-wavefront scopes (`simt::audit`) that already
-    /// validated each queue op inside the run.
-    fn enforce_retry_free(&self, variant: Variant, metrics: &Metrics) -> Result<(), SimError> {
-        let (label, claimed) = match self {
-            // Locally retry-free: never a CAS. Failed steal scans DO
-            // count queue-empty retries — the documented trade-off —
-            // so only the CAS half of the claim is enforced.
-            LaunchLayout::Stealing(_) => (
-                "stealing",
-                Metrics {
-                    queue_empty_retries: 0,
-                    ..*metrics
-                },
-            ),
-            _ if variant.is_retry_free() => (variant.label(), *metrics),
-            _ => return Ok(()),
-        };
-        simt::audit::check_retry_free(&claimed)
-            .map_err(|msg| SimError::AuditViolation(format!("{label} run: {msg}")))
-    }
+/// Run-level enforcement of the paper's central claim: a successful run
+/// scheduled by a retry-free design must report zero CAS attempts, zero
+/// CAS failures, and zero queue-empty retries. Complements the
+/// per-wavefront scopes (`simt::audit`) that already validated each queue
+/// op inside the run.
+fn enforce_retry_free(design: Design, metrics: &Metrics) -> Result<(), SimError> {
+    let (label, claimed) = match design {
+        // Locally retry-free: never a CAS. Failed steal scans DO
+        // count queue-empty retries — the documented trade-off —
+        // so only the CAS half of the claim is enforced.
+        Design::PerCu => (
+            "stealing",
+            Metrics {
+                queue_empty_retries: 0,
+                ..*metrics
+            },
+        ),
+        Design::Shared(variant) if variant.is_retry_free() => (variant.label(), *metrics),
+        Design::Shared(_) => return Ok(()),
+    };
+    simt::audit::check_retry_free(&claimed)
+        .map_err(|msg| SimError::AuditViolation(format!("{label} run: {msg}")))
 }
 
 /// Host wall-clock seconds per runner phase, summed over every launch a
@@ -317,8 +253,12 @@ pub(crate) fn launch<W: PtWorkload>(
             true => progress.factor.max(workload.default_capacity_factor()),
             false => progress.factor,
         };
-        let capacity = queue_capacity(n, factor);
-        let layout = LaunchLayout::setup(mem, spec.scheduler, config, gpu, capacity, frontier);
+        let design = match spec.scheduler {
+            Scheduler::Shared => Design::Shared(config.variant),
+            Scheduler::Stealing => Design::PerCu,
+        };
+        let queue = DeviceQueue::setup(mem, design, queue_capacity(n, factor), gpu.num_cus);
+        queue.host_seed(mem, frontier);
         let buffers = WorkBuffers {
             nodes,
             edges,
@@ -326,7 +266,7 @@ pub(crate) fn launch<W: PtWorkload>(
             inqueue,
             pending,
         };
-        bound.push((layout, workload, buffers, fence));
+        bound.push((queue, workload, buffers, fence));
     }
     mem.set_alloc_prefix("");
 
@@ -337,10 +277,9 @@ pub(crate) fn launch<W: PtWorkload>(
         template = template.with_audit();
     }
     let factory = |l: usize, info: WaveInfo| {
-        let (layout, workload, buffers, fence) = &bound[l];
-        let queue = layout.make_queue(config.variant, info.cu);
+        let (queue, workload, buffers, fence) = &bound[l];
         let kernel = PtKernel::with_chunk(
-            queue,
+            queue.wave_queue(info.cu),
             workload.clone(),
             *buffers,
             info.wave_size,
@@ -368,9 +307,9 @@ pub(crate) fn launch<W: PtWorkload>(
     let readback_start = Instant::now();
     let mem = engine.memory();
     let mut launched = Vec::with_capacity(bound.len());
-    for (report, (layout, _, buffers, fence)) in result?.into_iter().zip(&bound) {
+    for (report, (queue, _, buffers, fence)) in result?.into_iter().zip(&bound) {
         if config.audit {
-            layout.enforce_retry_free(config.variant, &report.metrics)?;
+            enforce_retry_free(queue.design(), &report.metrics)?;
         }
         let snapshot = fence.map(|fence| {
             let spilled = mem.read_u32(fence.spill, 0) as usize;

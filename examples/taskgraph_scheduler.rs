@@ -14,7 +14,7 @@
 //! ```
 
 use ptq::graph::rng::SplitMix64;
-use ptq::queue::device::{make_wave_queue, Lanes, QueueLayout, WaveQueue};
+use ptq::queue::device::{Design, DeviceQueue, Lanes, WaveQueue};
 use ptq::queue::Variant;
 use simt::{Buffer, Engine, GpuConfig, Launch, WaveCtx, WaveKernel, WaveStatus};
 
@@ -137,14 +137,14 @@ fn main() {
     let done_flags = mem.alloc("done", tasks);
     let pending = mem.alloc("pending", 1);
     mem.write_u32(pending, 0, roots.len() as u32);
-    let layout = QueueLayout::setup(mem, "queue", (tasks + 64) as u32);
-    layout.host_seed(mem, &roots);
+    let queue = DeviceQueue::setup(mem, Design::Shared(Variant::RfAn), (tasks + 64) as u32, 1);
+    queue.host_seed(mem, &roots);
 
     let offsets = mem.buffer("offsets");
     let succ = mem.buffer("succ");
     let report = engine
         .run(Launch::workgroups(32), |info| DagKernel {
-            queue: make_wave_queue(Variant::RfAn, layout),
+            queue: queue.wave_queue(info.cu),
             lanes: Lanes::new(info.wave_size),
             offsets,
             succ,

@@ -12,10 +12,7 @@ use ptq::bfs::{
 use ptq::graph::gen::social;
 use ptq::graph::gen::SocialParams;
 use ptq::graph::{random_weights, Dataset};
-use ptq::queue::device::{
-    make_wave_queue, Lanes, QueueLayout, SegmentedLayout, SegmentedWaveQueue, StealingLayout,
-    StealingWaveQueue, WaveQueue,
-};
+use ptq::queue::device::{Design, DeviceQueue, Lanes, WaveQueue};
 use ptq::queue::Variant;
 use simt::{Buffer, Engine, GpuConfig, Launch, WaveCtx, WaveKernel, WaveStatus};
 use std::sync::{Arc, Mutex};
@@ -79,98 +76,35 @@ impl WaveKernel for FuzzPump {
     }
 }
 
-/// Delivered-token multiset (sorted) for a monolithic-queue variant.
-fn pump_variant(variant: Variant, seeds: &[u32], wgs: usize, capacity: u32) -> Vec<u32> {
-    let mut engine = Engine::new(GpuConfig::test_tiny());
-    let layout = QueueLayout::setup(engine.memory_mut(), "q", capacity);
-    let pending = engine.memory_mut().alloc("pending", 1);
-    layout.host_seed(engine.memory_mut(), seeds);
-    engine
-        .memory_mut()
-        .write_u32(pending, 0, seeds.len() as u32);
-    let consumed = Arc::new(Mutex::new(Vec::new()));
-    let wave_size = engine.config().wave_size;
-    engine
-        .run(
-            Launch::workgroups(wgs)
-                .with_max_rounds(2_000_000)
-                .with_audit(),
-            |_info| FuzzPump {
-                queue: make_wave_queue(variant, layout),
-                lanes: Lanes::new(wave_size),
-                pending,
-                consumed: Arc::clone(&consumed),
-                outbox: Vec::new(),
-                completed: 0,
-            },
-        )
-        .unwrap_or_else(|e| panic!("{variant:?} pump failed: {e}"));
-    let mut out = consumed.lock().unwrap().clone();
-    out.sort_unstable();
-    out
-}
-
-/// Delivered-token multiset (sorted) for the distributed stealing queue.
-fn pump_stealing(seeds: &[u32], wgs: usize, capacity: u32) -> Vec<u32> {
+/// Delivered-token multiset (sorted) for one scheduler. `FuzzPump`
+/// re-offers unaccepted tokens next cycle, so the segmented backpressure
+/// contract (partial accepts instead of aborts) needs no kernel change —
+/// the same pump drives every design.
+fn pump(design: Design, seeds: &[u32], wgs: usize, capacity: u32) -> Vec<u32> {
     let gpu = GpuConfig::test_tiny();
     let mut engine = Engine::new(gpu.clone());
-    let layout = StealingLayout::setup(engine.memory_mut(), "dq", gpu.num_cus, capacity);
+    let queue = DeviceQueue::setup(engine.memory_mut(), design, capacity, gpu.num_cus);
     let pending = engine.memory_mut().alloc("pending", 1);
-    layout.host_seed(engine.memory_mut(), seeds);
+    queue.host_seed(engine.memory_mut(), seeds);
     engine
         .memory_mut()
         .write_u32(pending, 0, seeds.len() as u32);
     let consumed = Arc::new(Mutex::new(Vec::new()));
-    let wave_size = engine.config().wave_size;
     engine
         .run(
             Launch::workgroups(wgs)
                 .with_max_rounds(2_000_000)
                 .with_audit(),
             |info| FuzzPump {
-                queue: Box::new(StealingWaveQueue::new(&layout, info.cu)),
-                lanes: Lanes::new(wave_size),
+                queue: queue.wave_queue(info.cu),
+                lanes: Lanes::new(info.wave_size),
                 pending,
                 consumed: Arc::clone(&consumed),
                 outbox: Vec::new(),
                 completed: 0,
             },
         )
-        .unwrap_or_else(|e| panic!("stealing pump failed: {e}"));
-    let mut out = consumed.lock().unwrap().clone();
-    out.sort_unstable();
-    out
-}
-
-/// Delivered-token multiset (sorted) for the segmented SEG-RF/AN queue.
-/// `FuzzPump` already re-offers unaccepted tokens next cycle, so the
-/// segmented backpressure contract (partial accepts instead of aborts)
-/// needs no kernel change — the same pump drives both queue families.
-fn pump_segmented(seeds: &[u32], wgs: usize, capacity: u32) -> Vec<u32> {
-    let mut engine = Engine::new(GpuConfig::test_tiny());
-    let layout = SegmentedLayout::for_capacity(engine.memory_mut(), "sq", capacity);
-    let pending = engine.memory_mut().alloc("pending", 1);
-    layout.host_seed(engine.memory_mut(), seeds);
-    engine
-        .memory_mut()
-        .write_u32(pending, 0, seeds.len() as u32);
-    let consumed = Arc::new(Mutex::new(Vec::new()));
-    let wave_size = engine.config().wave_size;
-    engine
-        .run(
-            Launch::workgroups(wgs)
-                .with_max_rounds(2_000_000)
-                .with_audit(),
-            |_info| FuzzPump {
-                queue: Box::new(SegmentedWaveQueue::new(layout)),
-                lanes: Lanes::new(wave_size),
-                pending,
-                consumed: Arc::clone(&consumed),
-                outbox: Vec::new(),
-                completed: 0,
-            },
-        )
-        .unwrap_or_else(|e| panic!("segmented pump failed: {e}"));
+        .unwrap_or_else(|e| panic!("{design:?} pump failed: {e}"));
     let mut out = consumed.lock().unwrap().clone();
     out.sort_unstable();
     out
@@ -206,17 +140,13 @@ fn all_six_schedulers_deliver_identical_multisets() {
         let capacity = (expect.len() as u32 + 64).next_power_of_two();
         // Audited runs (with_audit in the pumps): every wavefront queue
         // op validates its variant's atomic budget while we fuzz.
-        for variant in Variant::MATRIX {
-            let got = pump_variant(variant, &seeds, 4, capacity);
+        for design in Design::ALL {
+            let got = pump(design, &seeds, 4, capacity);
             assert_eq!(
                 got, expect,
-                "{variant:?} diverged on seed {seed:#x} ({count} seeds)"
+                "{design:?} diverged on seed {seed:#x} ({count} seeds)"
             );
         }
-        let got = pump_stealing(&seeds, 4, capacity);
-        assert_eq!(got, expect, "stealing diverged on seed {seed:#x}");
-        let got = pump_segmented(&seeds, 4, capacity);
-        assert_eq!(got, expect, "segmented diverged on seed {seed:#x}");
     }
 }
 

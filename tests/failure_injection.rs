@@ -5,7 +5,7 @@
 use ptq::bfs::{run_bfs, PtConfig};
 use ptq::graph::gen::synthetic_tree;
 use ptq::graph::validate_levels;
-use ptq::queue::device::{make_wave_queue, Lanes, QueueLayout, WaveQueue};
+use ptq::queue::device::{Design, DeviceQueue, Lanes, WaveQueue};
 use ptq::queue::host::{RfAnQueue, WorkPool};
 use ptq::queue::verify::{Explored, Scenario};
 use ptq::queue::Variant;
@@ -43,11 +43,11 @@ impl WaveKernel for Flooder {
 fn queue_full_abort_terminates_multi_wave_runs() {
     for variant in Variant::ALL {
         let mut engine = Engine::new(GpuConfig::test_tiny());
-        let layout = QueueLayout::setup(engine.memory_mut(), "q", 128);
+        let queue = DeviceQueue::setup(engine.memory_mut(), Design::Shared(variant), 128, 1);
         let err = engine
             .run(Launch::workgroups(4).with_max_rounds(10_000), |info| {
                 Flooder {
-                    queue: make_wave_queue(variant, layout),
+                    queue: queue.wave_queue(info.cu),
                     lanes: Lanes::new(info.wave_size),
                     is_flooder: info.wave_id == 0,
                     round: 0,

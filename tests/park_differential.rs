@@ -19,10 +19,7 @@
 use ptq::bfs::workload::{Bfs, PtWorkload, Sssp, WorkBuffers};
 use ptq::bfs::{queue_capacity, PtKernel};
 use ptq::graph::{random_weights, Csr, Dataset};
-use ptq::queue::device::{
-    make_wave_queue, Lanes, QueueLayout, SegmentedLayout, SegmentedWaveQueue, StealingLayout,
-    StealingWaveQueue, WaveQueue,
-};
+use ptq::queue::device::{Design, DeviceQueue, Lanes, WaveQueue};
 use ptq::queue::Variant;
 use simt::{
     AbortReason, DeviceMemory, Engine, FaultKind, FaultPlan, GpuConfig, Launch, RunReport,
@@ -47,21 +44,6 @@ impl WaveQueue for NeverPark {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-enum Scheduler {
-    Shared(Variant),
-    Stealing,
-}
-
-const SCHEDULERS: [Scheduler; 6] = [
-    Scheduler::Shared(Variant::Base),
-    Scheduler::Shared(Variant::An),
-    Scheduler::Shared(Variant::RfAn),
-    Scheduler::Shared(Variant::RfOnly),
-    Scheduler::Shared(Variant::SegRfAn),
-    Scheduler::Stealing,
-];
-
 /// Dataset shapes at test scale (about a thousand vertices each).
 const DATASETS: [(Dataset, f64); 3] = [
     (Dataset::RoadNY, 0.004),
@@ -69,18 +51,12 @@ const DATASETS: [(Dataset, f64); 3] = [
     (Dataset::SocLiveJournal1, 0.0002),
 ];
 
-enum Queues {
-    Bounded(Variant, QueueLayout),
-    Segmented(SegmentedLayout),
-    Stealing(StealingLayout),
-}
-
 /// One launch's device state: what `pt_bfs::runner` sets up before it
 /// calls the engine.
 struct Device<W> {
     workload: W,
     buffers: WorkBuffers,
-    queues: Queues,
+    queue: DeviceQueue,
 }
 
 impl<W: PtWorkload> Device<W> {
@@ -89,7 +65,7 @@ impl<W: PtWorkload> Device<W> {
         gpu: &GpuConfig,
         graph: &Csr,
         workload: &W,
-        scheduler: Scheduler,
+        design: Design,
     ) -> Self {
         let n = graph.num_vertices();
         let seeds = workload.seeds(n);
@@ -107,23 +83,8 @@ impl<W: PtWorkload> Device<W> {
         // Generous: a queue-full abort would still compare equal, but
         // would compare nothing else.
         let capacity = queue_capacity(n, 4.0 * workload.default_capacity_factor());
-        let queues = match scheduler {
-            Scheduler::Shared(variant) if variant.is_segmented() => {
-                let layout = SegmentedLayout::for_capacity(mem, "workqueue", capacity);
-                layout.host_seed(mem, &seeds);
-                Queues::Segmented(layout)
-            }
-            Scheduler::Shared(variant) => {
-                let layout = QueueLayout::setup(mem, "workqueue", capacity);
-                layout.host_seed(mem, &seeds);
-                Queues::Bounded(variant, layout)
-            }
-            Scheduler::Stealing => {
-                let layout = StealingLayout::setup(mem, "dqueue", gpu.num_cus, capacity);
-                layout.host_seed(mem, &seeds);
-                Queues::Stealing(layout)
-            }
-        };
+        let queue = DeviceQueue::setup(mem, design, capacity, gpu.num_cus);
+        queue.host_seed(mem, &seeds);
         Device {
             workload,
             buffers: WorkBuffers {
@@ -133,16 +94,12 @@ impl<W: PtWorkload> Device<W> {
                 inqueue,
                 pending,
             },
-            queues,
+            queue,
         }
     }
 
     fn kernel(&self, info: WaveInfo, park: bool) -> PtKernel<W> {
-        let queue: Box<dyn WaveQueue> = match &self.queues {
-            Queues::Bounded(variant, layout) => make_wave_queue(*variant, *layout),
-            Queues::Segmented(layout) => Box::new(SegmentedWaveQueue::new(*layout)),
-            Queues::Stealing(layout) => Box::new(StealingWaveQueue::new(layout, info.cu)),
-        };
+        let queue = self.queue.wave_queue(info.cu);
         let queue = if park {
             queue
         } else {
@@ -182,12 +139,12 @@ fn solo<W: PtWorkload>(
     gpu: &GpuConfig,
     graph: &Csr,
     workload: &W,
-    scheduler: Scheduler,
+    design: Design,
     plan: &FaultPlan,
     park: bool,
 ) -> (Result<Outcome, SimError>, u64) {
     let mut engine = Engine::new(gpu.clone());
-    let device = Device::setup(engine.memory_mut(), gpu, graph, workload, scheduler);
+    let device = Device::setup(engine.memory_mut(), gpu, graph, workload, design);
     match engine.run_with_faults(launch(gpu), plan, |info| device.kernel(info, park)) {
         Ok(report) => (
             Ok(outcome(&engine, &device, &report)),
@@ -202,17 +159,17 @@ fn assert_parked_equals_polled<W: PtWorkload>(
     gpu: &GpuConfig,
     graph: &Csr,
     workload: &W,
-    scheduler: Scheduler,
+    design: Design,
     plan: &FaultPlan,
     label: &str,
 ) -> Result<Outcome, SimError> {
-    let (parked, park_events) = solo(gpu, graph, workload, scheduler, plan, true);
-    let (polled, twin_events) = solo(gpu, graph, workload, scheduler, plan, false);
+    let (parked, park_events) = solo(gpu, graph, workload, design, plan, true);
+    let (polled, twin_events) = solo(gpu, graph, workload, design, plan, false);
     assert_eq!(parked, polled, "{label}: parked run differs from polling");
     assert_eq!(twin_events, 0, "{label}: the twin must never park");
     // (A stealing wave parks only while all its lanes camp on tickets,
     // which a starved run may never reach: its idle lanes scan instead.)
-    if parked.is_ok() && matches!(scheduler, Scheduler::Shared(_)) {
+    if parked.is_ok() && matches!(design, Design::Shared(_)) {
         assert!(park_events > 0, "{label}: nothing parked — vacuous");
     }
     parked
@@ -224,13 +181,13 @@ fn sweep(gpu: &GpuConfig) {
         let source = dataset.source();
         let bfs = Bfs::new(source);
         let sssp = Sssp::new(source, random_weights(&graph, 64, 0xA11CE));
-        for scheduler in SCHEDULERS {
-            let label = format!("{}/{dataset:?}/{scheduler:?}", gpu.name);
+        for design in Design::ALL {
+            let label = format!("{}/{dataset:?}/{design:?}", gpu.name);
             let run = assert_parked_equals_polled(
                 gpu,
                 &graph,
                 &bfs,
-                scheduler,
+                design,
                 &FaultPlan::EMPTY,
                 &format!("bfs/{label}"),
             )
@@ -241,7 +198,7 @@ fn sweep(gpu: &GpuConfig) {
                 gpu,
                 &graph,
                 &sssp,
-                scheduler,
+                design,
                 &FaultPlan::EMPTY,
                 &format!("sssp/{label}"),
             )
@@ -271,7 +228,7 @@ fn parked_equals_never_parked_for_coresident_launches() {
     let long = Dataset::RoadNY.build(0.004);
     let graphs = [&short, &long];
     let sources = [Dataset::Synthetic.source(), Dataset::RoadNY.source()];
-    for scheduler in SCHEDULERS {
+    for design in Design::ALL {
         let run = |park: bool| {
             let mut engine = Engine::new(gpu.clone());
             let devices: Vec<Device<Bfs>> = (0..2)
@@ -282,7 +239,7 @@ fn parked_equals_never_parked_for_coresident_launches() {
                         &gpu,
                         graphs[l],
                         &Bfs::new(sources[l]),
-                        scheduler,
+                        design,
                     )
                 })
                 .collect();
@@ -306,14 +263,14 @@ fn parked_equals_never_parked_for_coresident_launches() {
         };
         let (parked, park_events) = run(true);
         let (polled, twin_events) = run(false);
-        assert_eq!(parked, polled, "{scheduler:?}: co-resident runs differ");
-        assert_eq!(twin_events, 0, "{scheduler:?}");
-        if matches!(scheduler, Scheduler::Shared(_)) {
-            assert!(park_events > 0, "{scheduler:?}: nothing parked — vacuous");
+        assert_eq!(parked, polled, "{design:?}: co-resident runs differ");
+        assert_eq!(twin_events, 0, "{design:?}");
+        if matches!(design, Design::Shared(_)) {
+            assert!(park_events > 0, "{design:?}: nothing parked — vacuous");
         }
         assert!(
             parked[0].metrics.rounds < parked[1].metrics.rounds,
-            "{scheduler:?}: the short launch should retire first"
+            "{design:?}: the short launch should retire first"
         );
     }
 }
@@ -327,14 +284,14 @@ fn parked_equals_never_parked_under_a_stall_and_a_poison() {
     let bfs = Bfs::new(Dataset::RoadNY.source());
     let n = graph.num_vertices();
     let stall = || FaultPlan::new().stall_cu(1, 5, 6, 70);
-    for scheduler in SCHEDULERS {
-        let label = format!("{scheduler:?}");
+    for design in Design::ALL {
+        let label = format!("{design:?}");
         // Poison armed long after termination: only the stall lands.
         let clean =
-            assert_parked_equals_polled(&gpu, &graph, &bfs, scheduler, &FaultPlan::EMPTY, &label)
+            assert_parked_equals_polled(&gpu, &graph, &bfs, design, &FaultPlan::EMPTY, &label)
                 .expect("clean run");
         let plan = stall().poison(10_000_000, "costs", 0);
-        let stalled = assert_parked_equals_polled(&gpu, &graph, &bfs, scheduler, &plan, &label)
+        let stalled = assert_parked_equals_polled(&gpu, &graph, &bfs, design, &plan, &label)
             .expect("stalled run");
         assert_eq!(stalled.metrics.injected_stall_cycles, 6 * 70, "{label}");
         assert_eq!(stalled.values, clean.values, "{label}");
@@ -342,7 +299,7 @@ fn parked_equals_never_parked_under_a_stall_and_a_poison() {
         // A poisoned value word: whichever wave claims that vertex first
         // aborts, in the same round, parked neighbours or not.
         let plan = stall().poison(8, "costs", n / 2);
-        let err = assert_parked_equals_polled(&gpu, &graph, &bfs, scheduler, &plan, &label)
+        let err = assert_parked_equals_polled(&gpu, &graph, &bfs, design, &plan, &label)
             .expect_err("the poisoned vertex is reachable");
         assert!(
             matches!(
@@ -364,7 +321,7 @@ fn parked_equals_never_parked_under_a_stall_and_a_poison() {
         // them catch the rotation's first wave parked).
         for armed in (9..40).step_by(3) {
             let plan = stall().poison(armed, "pending", 0);
-            let err = assert_parked_equals_polled(&gpu, &graph, &bfs, scheduler, &plan, &label)
+            let err = assert_parked_equals_polled(&gpu, &graph, &bfs, design, &plan, &label)
                 .expect_err("pending is read every cycle");
             match err {
                 SimError::KernelAbort { round, .. } => assert_eq!(round, armed, "{label}"),
@@ -390,8 +347,8 @@ fn parked_equals_never_parked_under_a_stall_and_a_poison() {
     for (variant, buffer, index, armed, wave) in pinned {
         let label = format!("{variant:?}/{buffer}[{index}]@{armed}");
         let plan = stall().poison(armed, buffer, index);
-        let scheduler = Scheduler::Shared(variant);
-        let err = assert_parked_equals_polled(&gpu, &graph, &bfs, scheduler, &plan, &label)
+        let design = Design::Shared(variant);
+        let err = assert_parked_equals_polled(&gpu, &graph, &bfs, design, &plan, &label)
             .expect_err("the poisoned queue word is being polled");
         let reason = AbortReason::InjectedFault {
             kind: FaultKind::MemPoison,

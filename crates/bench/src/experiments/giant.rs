@@ -6,7 +6,7 @@
 //! The graph comes from the streamed two-pass builder (`O(chunk)`
 //! transient memory, no edge list) through the shared
 //! [`DatasetCache`]; the scheduler queue is sized at the audited
-//! [`CAPACITY_FACTOR`] (BFS enqueues each vertex at most once; the
+//! `CAPACITY_FACTOR` (BFS enqueues each vertex at most once; the
 //! non-wrapping queue needs `n` slots plus headroom, and the runner
 //! still regrows on queue-full, so tightening is safe). What graph
 //! construction and device set-up cost on the host is measured by the

@@ -25,7 +25,7 @@
 //! `measure` is also a conformance harness: it panics if a leg fails
 //! its invariants (zero admission enqueue errors, zero execution-side
 //! `QueueFull` aborts on the segmented variant, the expected outcome
-//! mix per leg — one declarative [`LegChecks`] table shared by every
+//! mix per leg — one declarative `LegChecks` table shared by every
 //! leg), so `repro serve` doubles as the robustness gate CI runs
 //! serial vs parallel and byte-diffs.
 

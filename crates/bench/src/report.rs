@@ -120,11 +120,6 @@ pub fn fmt_f64(v: f64) -> String {
     }
 }
 
-/// Formats a ratio as the paper's `N.NNx` speedup notation.
-pub fn fmt_speedup(v: f64) -> String {
-    format!("{v:.2}x")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,7 +153,6 @@ mod tests {
         assert_eq!(fmt_f64(0.00865), "0.00865");
         assert_eq!(fmt_f64(2.574), "2.574");
         assert_eq!(fmt_f64(144.03), "144.0");
-        assert_eq!(fmt_speedup(2.574), "2.57x");
     }
 
     #[test]

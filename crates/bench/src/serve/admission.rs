@@ -1,7 +1,7 @@
 //! Bounded admission with typed rejection and weighted-fair dispatch.
 //!
 //! The ready backlog is a [`SegmentedRfAnQueue`] per (priority class,
-//! tenant) lane, holding query ids. Reusing the segmented host family
+//! tenant) lane, holding `u32` query tokens (the service's trace indices). Reusing the segmented host family
 //! is the point: its non-wrapping reserve/publish protocol makes a
 //! slot-level `QueueFull` statically unreachable (PR 8), so the only
 //! capacity decision left is *policy*, made here on the host with a
@@ -162,14 +162,14 @@ impl AdmissionQueue {
         Ok(())
     }
 
-    /// Enqueue an admitted (or retry-ready) query id into its
+    /// Enqueue an admitted (or retry-ready) query token into its
     /// (class, tenant) lane.
     pub fn push(&mut self, priority: Priority, tenant: u32, id: u32) {
         let class = priority.index();
         let lane = (tenant % NUM_TENANTS) as usize;
         match self.lanes[class][lane].try_enqueue_batch(&[id]) {
             Ok(_) => self.queued[class][lane] += 1,
-            // Unreachable for real ids (only the sentinel token is
+            // Unreachable for real tokens (only the sentinel token is
             // refused), but counted rather than unwrapped: a nonzero
             // count is a bug the chaos suite will surface.
             Err(_) => self.enqueue_errors += 1,
@@ -181,7 +181,7 @@ impl AdmissionQueue {
         self.queued[class].iter().sum()
     }
 
-    /// Dequeue the next query id under weighted deficit round-robin
+    /// Dequeue the next query token under weighted deficit round-robin
     /// (see module docs): the cursor class spends one grant per take
     /// and yields to the next class when its grant budget or backlog is
     /// spent; tenant lanes within the class round-robin. `None` when

@@ -31,11 +31,13 @@
 //! trace and the Phase A profiles, so the replay stays byte-identical.
 //!
 //! The service's retry ladder sits *above* the in-run recovery of
-//! [`execute`]: the configured [`RecoveryPolicy`] uses
+//! [`execute`]: the service's [`RecoveryPolicy`] uses
 //! `max_attempts: 0`, so every abort escalates to the service as a typed
 //! [`RunFailure`], and the service decides — exponential backoff and
 //! re-admission while the retry budget lasts, quarantine with the full
 //! [`RecoveryLog`] once it is spent.
+//!
+//! [`RunFailure`]: pt_bfs::RunFailure
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -64,32 +66,31 @@ const BACKOFF_SALT: u64 = 0xBACC_0FF5;
 /// Salt mixed into a query id for its fault-plan stream.
 const FAULT_SALT: u64 = 0xFA_017;
 
-/// Service configuration: the device, the execution variant, and the
-/// admission/retry policy knobs.
+/// Queue design every query executes on: the segmented variant, which
+/// makes execution-side `QueueFull` unreachable.
+const VARIANT: Variant = Variant::SegRfAn;
+
+/// Service-level retries after a terminal `RunFailure` before the query
+/// is quarantined. Total attempts = `RETRY_BUDGET + 1`.
+const RETRY_BUDGET: u32 = 6;
+
+/// First-retry backoff delay in simulated cycles.
+const BACKOFF_BASE_CYCLES: u64 = 10_000;
+
+/// Backoff delay ceiling in simulated cycles.
+const BACKOFF_CAP_CYCLES: u64 = 2_000_000;
+
+/// Service configuration: the device and the admission and co-scheduling
+/// knobs. Every query runs on [`Variant::SegRfAn`], every CU at full
+/// occupancy.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
     /// Simulated device shared by every query.
     pub gpu: GpuConfig,
-    /// Queue design queries execute on. The default is the segmented
-    /// variant, which makes execution-side `QueueFull` unreachable.
-    pub variant: Variant,
-    /// Workgroups per launch.
-    pub workgroups: usize,
     /// Base dataset scale; each query's `rel_scale` multiplies into it.
     pub scale: Scale,
     /// Admission backlog bound (queries waiting, across all classes).
     pub backlog_limit: u64,
-    /// Service-level retries after a terminal [`RunFailure`] before the
-    /// query is quarantined. Total attempts = `retry_budget + 1`.
-    pub retry_budget: u32,
-    /// First-retry backoff delay in simulated cycles.
-    pub backoff_base_cycles: u64,
-    /// Backoff delay ceiling in simulated cycles.
-    pub backoff_cap_cycles: u64,
-    /// In-run recovery policy template. `max_attempts: 0` hands every
-    /// abort to the service; a query's `watchdog_rounds` overrides the
-    /// template's when nonzero.
-    pub policy: RecoveryPolicy,
     /// Multi-query co-scheduling policy. `None` dispatches one query
     /// per device occupancy (the classic serial core); `Some` lets the
     /// replay drain a whole DRR window per occupancy, fuse compatible
@@ -127,26 +128,12 @@ impl BatchPolicy {
 
 impl ServiceConfig {
     /// The standard serving configuration: the integrated Spectre part
-    /// at full occupancy on the segmented queue, with a 64-query
-    /// backlog and a 6-retry ladder.
+    /// with a 64-query backlog.
     pub fn standard(scale: Scale) -> Self {
-        let gpu = GpuConfig::spectre();
-        let workgroups = gpu.num_cus * gpu.wgs_per_cu;
         ServiceConfig {
-            gpu,
-            variant: Variant::SegRfAn,
-            workgroups,
+            gpu: GpuConfig::spectre(),
             scale,
             backlog_limit: 64,
-            retry_budget: 6,
-            backoff_base_cycles: 10_000,
-            backoff_cap_cycles: 2_000_000,
-            policy: RecoveryPolicy {
-                max_attempts: 0,
-                checkpoint_levels: 4,
-                watchdog_rounds: 0,
-                ..RecoveryPolicy::default()
-            },
             batching: None,
         }
     }
@@ -158,6 +145,11 @@ impl ServiceConfig {
             batching: Some(BatchPolicy::default()),
             ..Self::standard(scale)
         }
+    }
+
+    /// Workgroups per launch: every CU at full occupancy.
+    fn workgroups(&self) -> usize {
+        self.gpu.num_cus * self.gpu.wgs_per_cu
     }
 }
 
@@ -239,10 +231,14 @@ impl Service {
         let n = graph.num_vertices();
         let source = (query.source_salt as usize % n.max(1)) as u32;
         let plan = self.fault_plan(trace_seed, query, n);
-        let mut policy = self.config.policy.clone();
-        if query.watchdog_rounds > 0 {
-            policy.watchdog_rounds = query.watchdog_rounds;
-        }
+        // `max_attempts: 0` hands every abort to the service; a query's
+        // own watchdog budget (0 = none) bounds each epoch.
+        let policy = RecoveryPolicy {
+            max_attempts: 0,
+            checkpoint_levels: 4,
+            watchdog_rounds: query.watchdog_rounds,
+            ..RecoveryPolicy::default()
+        };
         match query.kind {
             WorkloadKind::Bfs => {
                 self.chain(&graph, query.dataset, &Bfs::new(source), &policy, &plan)
@@ -279,7 +275,7 @@ impl Service {
                 cu_stalls: query.faults,
                 mem_poisons: query.faults,
                 max_round: 8,
-                waves: self.config.workgroups * gpu.waves_per_wg,
+                waves: self.config.workgroups() * gpu.waves_per_wg,
                 cus: gpu.num_cus,
                 max_stall_rounds: 4,
                 max_stall_cycles: 200,
@@ -300,12 +296,12 @@ impl Service {
         plan: &FaultPlan,
     ) -> ExecutionProfile {
         let gpu = &self.config.gpu;
-        let config = PtConfig::for_workload(workload, self.config.variant, self.config.workgroups);
+        let config = PtConfig::for_workload(workload, VARIANT, self.config.workgroups());
         let mut attempts: Vec<AttemptSim> = Vec::new();
         let solo = [(graph, workload)];
         let mut checkpoint: Option<Checkpoint> = None;
         let mut plan = plan.clone();
-        for _ in 0..=self.config.retry_budget {
+        for _ in 0..=RETRY_BUDGET {
             let spec = RunSpec {
                 plan: &plan,
                 start: checkpoint.as_ref(),
@@ -386,22 +382,18 @@ impl Service {
                 done: None,
             })
             .collect();
-        let index_of = |id: u32| -> usize {
-            trace
-                .queries
-                .iter()
-                .position(|q| q.id == id)
-                .expect("event for unknown query id")
-        };
-
-        // Min-heap of (cycle, class, seq, id); `seq` makes the order a
+        // Events and the admission backlog carry trace indices, not query
+        // ids: ids are caller data (a trace may repeat one), indices are
+        // unique and resolve in O(1).
+        // Min-heap of (cycle, class, seq, qidx); `seq` makes the order a
         // total one.
-        let mut heap: BinaryHeap<Reverse<(u64, u8, u64, u32)>> = BinaryHeap::new();
+        let mut heap: BinaryHeap<Reverse<(u64, u8, u64, usize)>> = BinaryHeap::new();
         let mut seq = 0u64;
-        for q in &trace.queries {
-            heap.push(Reverse((q.arrival_cycle, ARRIVAL, seq, q.id)));
+        for (qidx, q) in trace.queries.iter().enumerate() {
+            heap.push(Reverse((q.arrival_cycle, ARRIVAL, seq, qidx)));
             seq += 1;
         }
+        let token = |qidx: usize| u32::try_from(qidx).expect("trace fits the admission tokens");
 
         let mut admission = AdmissionQueue::new(self.config.backlog_limit);
         // Cycle from which the device is next free.
@@ -418,15 +410,14 @@ impl Service {
                 .peek()
                 .is_some_and(|Reverse((cycle, ..))| *cycle <= device_free)
             {
-                let Reverse((_, class, _, id)) = heap.pop().expect("peeked");
-                let qidx = index_of(id);
+                let Reverse((_, class, _, qidx)) = heap.pop().expect("peeked");
                 let q = &trace.queries[qidx];
                 if class == ARRIVAL {
                     let est = profiles[qidx].estimate_cycles;
                     let projected = device_free.saturating_add(pending_est).saturating_add(est);
                     match admission.check(q, projected) {
                         Ok(()) => {
-                            admission.push(q.priority, q.tenant, q.id);
+                            admission.push(q.priority, q.tenant, token(qidx));
                             pending_est = pending_est.saturating_add(est);
                         }
                         Err(err) => {
@@ -445,7 +436,7 @@ impl Service {
                     // Retry re-admission: the query already holds its
                     // slot, only the backlog estimate changes.
                     let next = st[qidx].attempts as usize;
-                    admission.push(q.priority, q.tenant, q.id);
+                    admission.push(q.priority, q.tenant, token(qidx));
                     pending_est = pending_est.saturating_add(profiles[qidx].attempts[next].cycles);
                 }
             }
@@ -464,7 +455,7 @@ impl Service {
                 let mut window: Vec<usize> = Vec::with_capacity(fanout);
                 while window.len() < fanout {
                     match admission.take_next() {
-                        Some((_, id)) => window.push(index_of(id)),
+                        Some((_, qidx)) => window.push(qidx as usize),
                         None => break,
                     }
                 }
@@ -595,14 +586,14 @@ impl Service {
                         makespan = makespan.max(device_free);
                     } else if k + 1 < prof.attempts.len() {
                         let backoff = BackoffSchedule::new(
-                            self.config.backoff_base_cycles,
-                            self.config.backoff_cap_cycles,
+                            BACKOFF_BASE_CYCLES,
+                            BACKOFF_CAP_CYCLES,
                             trace.seed
                                 ^ u64::from(q.id).wrapping_mul(0x9E37_79B9_7F4A_7C15)
                                 ^ BACKOFF_SALT,
                         );
                         let ready = device_free.saturating_add(backoff.delay(k as u32));
-                        heap.push(Reverse((ready, RETRY, seq, q.id)));
+                        heap.push(Reverse((ready, RETRY, seq, qidx)));
                         seq += 1;
                     } else {
                         // Retry budget spent: isolate the query with its
@@ -622,11 +613,11 @@ impl Service {
 
             // Device idle and nothing ready: jump to the next event.
             match heap.pop() {
-                Some(Reverse((cycle, class, sq, id))) => {
+                Some(Reverse((cycle, class, sq, qidx))) => {
                     device_free = device_free.max(cycle);
                     // Re-queue and let the drain loop above handle it at
                     // the advanced clock (it is now due by definition).
-                    heap.push(Reverse((cycle, class, sq, id)));
+                    heap.push(Reverse((cycle, class, sq, qidx)));
                 }
                 None => break,
             }
@@ -728,7 +719,7 @@ impl Service {
             graphs.iter().map(Arc::as_ref).zip(&batches).collect();
         // One config for the unit, started at its smallest batch's own
         // capacity factor (the launch floors each larger batch at its own).
-        let mut config = PtConfig::new(self.config.variant, self.config.workgroups);
+        let mut config = PtConfig::new(VARIANT, self.config.workgroups());
         let own = batches.iter().map(|b| b.default_capacity_factor());
         let smallest = own.fold(f64::INFINITY, f64::min);
         config.capacity_factor = config.capacity_factor.max(smallest);
@@ -818,7 +809,7 @@ mod tests {
         let n = graph.num_vertices();
         let source = |q: usize| (trace.queries[q].source_salt as usize % n) as u32;
         let batch = QueryBatch::new((0..3).map(|q| Bfs::new(source(q))).collect(), n);
-        let solo_config = PtConfig::for_workload(&batch, config.variant, config.workgroups);
+        let solo_config = PtConfig::for_workload(&batch, VARIANT, config.workgroups());
         let solo = pt_bfs::run_workload(&config.gpu, &graph, &batch, &solo_config).unwrap();
         assert_eq!(fused[0].0, config.gpu.seconds_to_cycles(solo.seconds));
     }
@@ -877,7 +868,7 @@ mod tests {
         let log = service.run(&trace, &Sched::serial());
         let r = &log.outcomes[resub as usize];
         assert_eq!(r.disposition, Disposition::Quarantined);
-        assert_eq!(r.attempts, service.config().retry_budget + 1);
+        assert_eq!(r.attempts, RETRY_BUDGET + 1);
         assert!(r.recovery.is_some());
     }
 
@@ -892,7 +883,7 @@ mod tests {
         let log = service.run(&trace, &Sched::serial());
         let p = &log.outcomes[poison as usize];
         assert_eq!(p.disposition, Disposition::Quarantined);
-        assert_eq!(p.attempts, service.config().retry_budget + 1);
+        assert_eq!(p.attempts, RETRY_BUDGET + 1);
         let evidence = p.recovery.as_ref().expect("quarantine keeps the log");
         assert!(evidence
             .attempts

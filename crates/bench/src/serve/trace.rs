@@ -109,7 +109,8 @@ impl Priority {
 /// a seed fully determines a run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct QuerySpec {
-    /// Trace-unique id; also the admission-queue token.
+    /// Caller-chosen id, echoed in the outcome log. Seeded traces number
+    /// their queries `0..`; the service does not require uniqueness.
     pub id: u32,
     /// Workload to run.
     pub kind: WorkloadKind,

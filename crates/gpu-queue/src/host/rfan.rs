@@ -16,9 +16,8 @@
 //! must bound the total tokens enqueued between [`Queue::reset`] calls;
 //! overflow is a [`QueueFull`] error (abort semantics).
 
-use super::{Afa, Bounded, Queue, QueueFull, Storage};
+use super::{Afa, Bounded, Queue, QueueFull};
 use std::ops::Range;
-use std::sync::atomic::Ordering;
 
 /// The retry-free, arbitrary-n concurrent queue on host threads.
 ///
@@ -41,18 +40,6 @@ impl RfAnQueue {
     /// Never fails; slots beyond the data simply stay pending.
     pub fn reserve(&self, n: usize) -> Range<u64> {
         self.claim(n as u64)
-    }
-
-    /// Non-overshooting variant of [`RfAnQueue::reserve`]: refuses a
-    /// reservation that would land (even partly) past capacity — slots
-    /// that can never receive data in a non-wrapping queue — *without*
-    /// advancing `Front`. The pre-check reads `Front` non-atomically with
-    /// the reservation, so under concurrent reservers it is best-effort;
-    /// with exclusive access (the checkpoint-mirror use) it is exact.
-    pub fn try_reserve(&self, n: usize) -> Result<Range<u64>, QueueFull> {
-        let front = self.front.load(Ordering::Relaxed);
-        self.storage().admit(front, n as u64)?;
-        Ok(self.reserve(n))
     }
 
     /// Enqueues a batch of tokens with a single fetch-add on `Rear`.
@@ -179,19 +166,6 @@ mod tests {
         assert_eq!(q.len_hint(), 0, "nothing published, Rear untouched");
         q.try_enqueue_batch(&[1, 2, 3]).unwrap();
         assert_eq!(q.len_hint(), 3);
-    }
-
-    #[test]
-    fn try_reserve_refuses_past_capacity() {
-        let q = RfAnQueue::new(3);
-        q.enqueue_batch(&[5, 6]).unwrap();
-        let r = q.try_reserve(2).unwrap();
-        assert_eq!(q.try_take(SlotTicket(r.start)), Some(5));
-        assert_eq!(q.try_take(SlotTicket(r.start + 1)), Some(6));
-        // Front is at 2; reserving 2 more would cross capacity 3.
-        assert_eq!(q.try_reserve(2), Err(QueueFull { capacity: 3 }));
-        // Front unchanged: a fitting reservation still works.
-        assert!(q.try_reserve(1).is_ok());
     }
 
     #[test]

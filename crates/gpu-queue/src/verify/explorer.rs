@@ -17,7 +17,7 @@
 //!   SplitMix64 stream, deduplicated, for cheap extra coverage beyond
 //!   the DFS budget (and for the `PTQ_SCHEDULES` deep runs in CI).
 //!
-//! Every completed schedule yields a [`History`](super::history::History)
+//! Every completed schedule yields a [`History`]
 //! that the caller checks for linearizability.
 
 use super::history::{History, Recorder};

@@ -1,7 +1,7 @@
 //! Explorer scenarios for the host queue family.
 //!
 //! A scenario instantiates a fresh queue per schedule and drives the
-//! production operation machines ([`Put`], [`Pop`]), the stepwise poll
+//! production operation machines (`Put`, `Pop`), the stepwise poll
 //! (`take_step`) and the single-access `claim` of [`crate::host::Queue`] —
 //! the explorer interleaves the *same* steps the public blocking methods
 //! run to completion; nothing of an operation's control flow is restated

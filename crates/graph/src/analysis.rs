@@ -1,13 +1,7 @@
-//! Structural analysis utilities: connectivity, degree histograms, and
-//! traversal-rate reporting.
-//!
-//! Used by the dataset-calibration reports (how closely a generated graph
-//! matches its published counterpart goes beyond the four summary columns
-//! of Tables 1–2) and by the benchmark harness for GTEPS figures.
+//! Weak connectivity by union-find: the independent oracle the
+//! label-propagation tests check `min_label_fixpoint` against.
 
-use crate::bfs::bfs_levels;
-use crate::csr::{Csr, VertexId};
-use crate::UNREACHED;
+use crate::csr::Csr;
 
 /// Weakly connected components (edge direction ignored).
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -70,91 +64,11 @@ pub fn weakly_connected_components(graph: &Csr) -> Components {
     Components { component, sizes }
 }
 
-/// Out-degree histogram in power-of-two buckets: `buckets[i]` counts
-/// vertices with degree in `[2^(i-1)+1, 2^i]` (bucket 0 = degree 0,
-/// bucket 1 = degree 1).
-pub fn degree_histogram(graph: &Csr) -> Vec<usize> {
-    let mut buckets: Vec<usize> = Vec::new();
-    for v in 0..graph.num_vertices() as u32 {
-        let d = graph.degree(v);
-        let b = if d == 0 {
-            0
-        } else {
-            (u32::BITS - (d - 1).leading_zeros()) as usize + 1
-        };
-        if buckets.len() <= b {
-            buckets.resize(b + 1, 0);
-        }
-        buckets[b] += 1;
-    }
-    buckets
-}
-
-/// Approximates the graph's effective diameter: the BFS depth from
-/// `source`, re-rooted once at the deepest vertex found (a standard
-/// double-sweep lower bound).
-pub fn double_sweep_diameter(graph: &Csr, source: VertexId) -> u32 {
-    let first = bfs_levels(graph, source);
-    let farthest = first
-        .levels
-        .iter()
-        .enumerate()
-        .filter(|(_, &l)| l != UNREACHED)
-        .max_by_key(|(_, &l)| l)
-        .map(|(v, _)| v as VertexId)
-        .unwrap_or(source);
-    let second = bfs_levels(graph, farthest);
-    first.max_level.max(second.max_level)
-}
-
-/// Extracts the largest weakly connected component as a standalone graph.
-/// Returns the subgraph and, for each new vertex id, its original id —
-/// useful for benchmarking on real datasets whose interesting structure
-/// is one giant component plus debris.
-pub fn largest_component_subgraph(graph: &Csr) -> (Csr, Vec<VertexId>) {
-    let comps = weakly_connected_components(graph);
-    let target = comps
-        .sizes
-        .iter()
-        .enumerate()
-        .max_by_key(|(_, &s)| s)
-        .map(|(i, _)| i as u32)
-        .unwrap_or(0);
-    let mut new_id = vec![u32::MAX; graph.num_vertices()];
-    let mut original = Vec::new();
-    for v in 0..graph.num_vertices() as u32 {
-        if comps.component[v as usize] == target {
-            new_id[v as usize] = original.len() as u32;
-            original.push(v);
-        }
-    }
-    let mut builder = crate::csr::CsrBuilder::new(original.len());
-    for &v in &original {
-        for &w in graph.neighbors(v) {
-            // Within a weakly connected component every edge endpoint is
-            // also in the component.
-            builder.add_edge(new_id[v as usize], new_id[w as usize]);
-        }
-    }
-    (builder.build(), original)
-}
-
-/// Traversed edges per second for a BFS that visited `edges` edges in
-/// `seconds` — the standard GTEPS throughput metric (reported in
-/// billions). Takes `u64` so giant-scale edge counts stay exact on
-/// 32-bit `usize` hosts too.
-pub fn gteps(edges: u64, seconds: f64) -> f64 {
-    if seconds <= 0.0 {
-        return 0.0;
-    }
-    edges as f64 / seconds / 1e9
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::csr::CsrBuilder;
-    use crate::gen::{erdos_renyi, roadmap, synthetic_tree, RoadmapParams};
+    use crate::gen::{erdos_renyi, synthetic_tree};
 
     #[test]
     fn single_component_tree() {
@@ -186,62 +100,6 @@ mod tests {
         let c = weakly_connected_components(&g);
         assert_eq!(c.component[0], c.component[2]);
         assert_ne!(c.component[0], c.component[1]);
-    }
-
-    #[test]
-    fn histogram_buckets_are_correct() {
-        let mut b = CsrBuilder::new(4);
-        // degrees: 0, 1, 2, 5
-        b.add_edge(1, 0);
-        b.add_edge(2, 0);
-        b.add_edge(2, 1);
-        for _ in 0..5 {
-            b.add_edge(3, 0);
-        }
-        let g = b.build();
-        let h = degree_histogram(&g);
-        assert_eq!(h[0], 1); // degree 0
-        assert_eq!(h[1], 1); // degree 1
-        assert_eq!(h[2], 1); // degree 2
-        assert_eq!(h[4], 1); // degree 5 in (4, 8]
-    }
-
-    #[test]
-    fn double_sweep_at_least_single_sweep() {
-        let g = roadmap(RoadmapParams {
-            rows: 12,
-            cols: 30,
-            keep_prob: 0.6,
-            seed: 2,
-        });
-        // From the middle, the single sweep underestimates; the double
-        // sweep must not be smaller.
-        let mid = (6 * 30 + 15) as u32;
-        let single = crate::bfs::bfs_levels(&g, mid).max_level;
-        let double = double_sweep_diameter(&g, mid);
-        assert!(double >= single);
-    }
-
-    #[test]
-    fn largest_component_extraction() {
-        let mut b = CsrBuilder::new(7);
-        // component A: 0-1-2 (triangle-ish), component B: 3-4, isolated: 5, 6
-        b.add_undirected_edge(0, 1);
-        b.add_edge(1, 2);
-        b.add_undirected_edge(3, 4);
-        let g = b.build();
-        let (sub, original) = largest_component_subgraph(&g);
-        assert_eq!(sub.num_vertices(), 3);
-        assert_eq!(original, vec![0, 1, 2]);
-        assert_eq!(sub.num_edges(), 3);
-        // relabeled edges preserved
-        assert_eq!(sub.neighbors(1), &[0, 2]);
-    }
-
-    #[test]
-    fn gteps_math() {
-        assert!((gteps(2_000_000_000, 1.0) - 2.0).abs() < 1e-12);
-        assert_eq!(gteps(100, 0.0), 0.0);
     }
 
     #[test]

@@ -224,19 +224,6 @@ impl Csr {
             std: var.sqrt(),
         }
     }
-
-    /// Returns the transpose (all edges reversed). Useful for turning a
-    /// directed edge list into the symmetric graphs roadmaps use.
-    pub fn transpose(&self) -> Csr {
-        let n = self.num_vertices();
-        let mut builder = CsrBuilder::with_capacity(n, self.num_edges());
-        for v in 0..n as u32 {
-            for &w in self.neighbors(v) {
-                builder.add_edge(w, v);
-            }
-        }
-        builder.build()
-    }
 }
 
 /// Summary of an out-degree distribution.
@@ -408,25 +395,6 @@ mod tests {
         let g = Csr::from_parts(vec![0], vec![]);
         assert_eq!(g.num_vertices(), 0);
         assert_eq!(g.degree_stats(), DegreeStats::default());
-    }
-
-    #[test]
-    fn transpose_reverses_edges() {
-        let g = diamond();
-        let t = g.transpose();
-        assert_eq!(t.num_edges(), 4);
-        assert_eq!(t.neighbors(3), &[1, 2]);
-        assert_eq!(t.neighbors(0), &[] as &[u32]);
-        // transposing twice restores the original edge multiset
-        let tt = t.transpose();
-        assert_eq!(tt.num_edges(), g.num_edges());
-        for v in 0..4u32 {
-            let mut a: Vec<_> = tt.neighbors(v).to_vec();
-            let mut b: Vec<_> = g.neighbors(v).to_vec();
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b);
-        }
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub enum Dataset {
     /// Scale-headroom synthetic (ROADMAP item 5): 16,777,216 vertices,
     /// ~134M edges at full scale — roughly 2× the paper's largest dataset
     /// in edges and built through the streamed two-pass CSR path
-    /// ([`crate::gen::giant`]) so construction never materializes an edge
+    /// ([`crate::gen::giant()`]) so construction never materializes an edge
     /// list.
     Giant,
 }

@@ -8,7 +8,7 @@
 //! emits its implicit binary-heap tree edges (`2v+1`, `2v+2` when in
 //! range) followed by a per-vertex-seeded number of uniform random
 //! extras. Because the stream is exactly replayable, it feeds the
-//! two-pass [`build_streamed`](crate::stream::build_streamed) builder
+//! two-pass [`build_streamed`] builder
 //! with `O(chunk)` peak overhead — and the tree skeleton guarantees
 //! every vertex is reachable from the root at depth `⌈log2 n⌉`, so BFS
 //! from source 0 always covers the whole graph.

@@ -13,8 +13,7 @@
 //! | DIMACS roadmaps | [`roadmap`] | fanout 2–3, tiny std, very deep |
 //! | Rodinia BFS inputs | [`rodinia`] | uniform degree 1..=2·avg, shallow |
 //! | test graphs | [`erdos_renyi`] | uniform random |
-//! | Graph500-style | [`rmat`] | recursive-matrix power law |
-//! | scale headroom | [`giant`] | heap-tree skeleton + random extras, streamed |
+//! | scale headroom | [`giant()`] | heap-tree skeleton + random extras, streamed |
 //!
 //! Every generator takes an explicit seed and produces identical graphs on
 //! every run and platform (we rely only on the in-tree [`crate::rng::SplitMix64`]
@@ -22,7 +21,6 @@
 
 pub mod giant;
 mod random;
-mod rmat;
 mod roadmap;
 mod rodinia;
 mod social;
@@ -30,7 +28,6 @@ mod synthetic;
 
 pub use giant::{for_each_giant_edge, giant, giant_with_chunk};
 pub use random::erdos_renyi;
-pub use rmat::{rmat, RmatParams};
 pub use roadmap::{roadmap, RoadmapParams};
 pub use rodinia::rodinia;
 pub use social::{social, SocialParams};

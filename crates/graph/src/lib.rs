@@ -10,15 +10,19 @@
 //!   (the `Edges Per Vertex` columns of the paper's Tables 1 and 2),
 //! * [`gen`] — deterministic generators calibrated to each dataset family's
 //!   published statistics (fanout distribution, depth, vertex/edge counts),
+//!   and [`datasets`], the catalogue that names them,
 //! * [`io`] — readers/writers for the DIMACS `.gr`, SNAP edge-list, and
 //!   Rodinia BFS file formats so the real datasets can be dropped in,
-//! * [`bfs`] — a sequential reference BFS used to validate every parallel
-//!   run,
+//! * sequential oracles every parallel run is validated against: [`bfs`]
+//!   (levels), [`weights`] (edge weights and Dijkstra), [`propagate`]
+//!   (label and contribution fixed points) and [`analysis`] (the
+//!   union-find the label oracle is itself checked against),
 //! * [`profile`] — per-level dynamic-parallelism profiles (Figure 3), and
 //! * [`stream`] — two-pass chunked CSR construction that never
 //!   materializes an edge list, for the giant scale-headroom datasets.
 //!
-//! All generators take explicit seeds and are fully deterministic.
+//! All generators take explicit seeds from the in-tree [`rng`] and are
+//! fully deterministic.
 
 pub mod analysis;
 pub mod bfs;
@@ -32,12 +36,12 @@ pub mod rng;
 pub mod stream;
 pub mod weights;
 
-pub use analysis::{degree_histogram, gteps, weakly_connected_components, Components};
+pub use analysis::{weakly_connected_components, Components};
 pub use bfs::{bfs_levels, validate_levels, BfsResult};
 pub use csr::{Csr, CsrBuilder, CsrError, DegreeStats, VertexId};
 pub use datasets::{Dataset, DatasetSpec};
 pub use profile::{level_profile, LevelProfile};
-pub use propagate::{decay_fixpoint, min_label_fixpoint, validate_contributions, validate_labels};
+pub use propagate::{decay_fixpoint, min_label_fixpoint};
 pub use rng::SplitMix64;
 pub use stream::build_streamed;
 pub use weights::{dijkstra, random_weights, validate_distances};

@@ -38,21 +38,6 @@ pub fn min_label_fixpoint(graph: &Csr) -> Vec<u32> {
     labels
 }
 
-/// Checks a candidate label array against [`min_label_fixpoint`].
-/// Returns the first discrepancy as `Err((vertex, expected, actual))`.
-pub fn validate_labels(graph: &Csr, candidate: &[u32]) -> Result<(), (VertexId, u32, u32)> {
-    let reference = min_label_fixpoint(graph);
-    if candidate.len() != reference.len() {
-        return Err((0, reference.len() as u32, candidate.len() as u32));
-    }
-    for (v, (&want, &got)) in reference.iter().zip(candidate).enumerate() {
-        if want != got {
-            return Err((v as VertexId, want, got));
-        }
-    }
-    Ok(())
-}
-
 /// Sequential least fixed point of decayed best-contribution push (the
 /// confluent core of a delta-stepping PageRank push from one seed).
 ///
@@ -101,32 +86,10 @@ pub fn decay_fixpoint(graph: &Csr, source: VertexId, init: u32, threshold: u32) 
     values
 }
 
-/// Checks a candidate contribution array against [`decay_fixpoint`].
-/// Returns the first discrepancy as `Err((vertex, expected, actual))`.
-pub fn validate_contributions(
-    graph: &Csr,
-    source: VertexId,
-    init: u32,
-    threshold: u32,
-    candidate: &[u32],
-) -> Result<(), (VertexId, u32, u32)> {
-    let reference = decay_fixpoint(graph, source, init, threshold);
-    if candidate.len() != reference.len() {
-        return Err((0, reference.len() as u32, candidate.len() as u32));
-    }
-    for (v, (&want, &got)) in reference.iter().zip(candidate).enumerate() {
-        if want != got {
-            return Err((v as VertexId, want, got));
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::analysis::weakly_connected_components;
-    use crate::gen::synthetic_tree;
     use crate::CsrBuilder;
 
     #[test]
@@ -168,15 +131,6 @@ mod tests {
     }
 
     #[test]
-    fn label_validator_flags_divergence() {
-        let g = synthetic_tree(50, 3);
-        let mut bad = min_label_fixpoint(&g);
-        bad[7] += 1;
-        assert_eq!(validate_labels(&g, &bad), Err((7, bad[7] - 1, bad[7])));
-        assert!(validate_labels(&g, &min_label_fixpoint(&g)).is_ok());
-    }
-
-    #[test]
     fn decay_halves_along_a_path() {
         // 0 → 1 → 2 (directed chain, out-degree 1 each).
         let mut b = CsrBuilder::new(3);
@@ -211,15 +165,5 @@ mod tests {
         // 16 to 3. The max (not 16 + 16) is kept — order independence
         // depends on this.
         assert_eq!(v, vec![128, 32, 32, 16]);
-    }
-
-    #[test]
-    fn contribution_validator_flags_divergence() {
-        let g = synthetic_tree(60, 4);
-        let good = decay_fixpoint(&g, 0, 1 << 20, 4);
-        assert!(validate_contributions(&g, 0, 1 << 20, 4, &good).is_ok());
-        let mut bad = good.clone();
-        bad[11] ^= 1;
-        assert!(validate_contributions(&g, 0, 1 << 20, 4, &bad).is_err());
     }
 }

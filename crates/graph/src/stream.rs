@@ -17,7 +17,7 @@
 //! test).
 //!
 //! The stream is any closure that can be driven twice — an in-memory
-//! slice, a deterministic generator (see [`crate::gen::giant`]), or a
+//! slice, a deterministic generator (see [`crate::gen::giant()`]), or a
 //! file parser that reopens its input per pass:
 //!
 //! ```no_run

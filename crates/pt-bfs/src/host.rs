@@ -7,7 +7,7 @@
 //! outstanding-task counter as the device runner.
 
 use crate::UNVISITED;
-use gpu_queue::host::{AnQueue, MutexQueue, RfAnQueue, SlotTicket, StatsSnapshot};
+use gpu_queue::host::{AnQueue, MutexQueue, StatsSnapshot, WorkPool};
 use ptq_graph::Csr;
 use std::sync::atomic::{AtomicI64, AtomicU32, Ordering};
 use std::time::{Duration, Instant};
@@ -81,12 +81,16 @@ pub fn host_bfs(graph: &Csr, source: u32, threads: usize, variant: HostVariant) 
     let start;
     let stats;
     match variant {
+        // `WorkPool::run` is this traversal's worker loop: reserve a
+        // batch, poll the owned slots, settle the pool's pending count.
         HostVariant::RfAn => {
-            let q = RfAnQueue::new(capacity);
-            q.enqueue(source).expect("seed fits");
+            let pool = WorkPool::new(capacity);
             start = Instant::now();
-            run_workers(threads, || rfan_worker(&q, graph, &costs, &pending));
-            stats = q.stats();
+            pool.run(threads, &[source], |vertex, outbox| {
+                expand(graph, &costs, vertex, outbox)
+            })
+            .expect("capacity provisioned");
+            stats = pool.stats();
         }
         // One CAS queue, two batch widths: BASE is AN reserving per token.
         HostVariant::An | HostVariant::Base => {
@@ -152,33 +156,6 @@ fn settle(pending: &AtomicI64, completed: i64, outbox: &[u32], publish: impl FnO
     }
 }
 
-fn rfan_worker(q: &RfAnQueue, graph: &Csr, costs: &[AtomicU32], pending: &AtomicI64) {
-    let mut tickets: Vec<u64> = Vec::new();
-    let mut outbox = Vec::new();
-    loop {
-        if pending.load(Ordering::Acquire) == 0 {
-            return;
-        }
-        if tickets.is_empty() {
-            tickets.extend(q.reserve(BATCH));
-        }
-        let mut completed = 0i64;
-        tickets.retain(|&slot| match q.try_take(SlotTicket(slot)) {
-            Some(vertex) => {
-                expand(graph, costs, vertex, &mut outbox);
-                completed += 1;
-                false
-            }
-            None => true,
-        });
-        settle(pending, completed, &outbox, |toks| {
-            q.enqueue_batch(toks).expect("capacity provisioned")
-        });
-        outbox.clear();
-        std::hint::spin_loop();
-    }
-}
-
 /// The CAS-queue worker: up to [`BATCH`] tokens per round, `width` per
 /// reservation — one CAS per batch for AN (`width == BATCH`), one per token
 /// for BASE (`width == 1`).
@@ -229,58 +206,6 @@ fn mutex_worker(q: &MutexQueue, graph: &Csr, costs: &[AtomicU32], pending: &Atom
         });
         outbox.clear();
         std::hint::spin_loop();
-    }
-}
-
-/// Real-thread SSSP on the [`WorkPool`](gpu_queue::host::WorkPool):
-/// label-correcting relaxation with `fetch_min` on the distance array,
-/// re-enqueueing improved vertices through the retry-free queue.
-///
-/// Returns exact shortest distances (validated against Dijkstra in the
-/// tests). Queue capacity is provisioned for the re-enqueue-heavy
-/// workload; pathological weight distributions may exceed it, in which
-/// case the run is retried with a doubled pool.
-///
-/// # Panics
-/// Panics on mismatched weights, bad source, or zero threads.
-pub fn host_sssp(graph: &Csr, weights: &[u32], source: u32, threads: usize) -> Vec<u32> {
-    use gpu_queue::host::WorkPool;
-
-    assert_eq!(weights.len(), graph.num_edges(), "one weight per edge");
-    assert!(
-        (source as usize) < graph.num_vertices(),
-        "source out of range"
-    );
-    assert!(threads > 0, "need at least one worker");
-
-    let n = graph.num_vertices();
-    let dist: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNVISITED)).collect();
-    let inqueue: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
-    let mut capacity = 8 * n + 64;
-    loop {
-        dist.iter()
-            .for_each(|d| d.store(UNVISITED, Ordering::Relaxed));
-        inqueue.iter().for_each(|f| f.store(0, Ordering::Relaxed));
-        dist[source as usize].store(0, Ordering::Relaxed);
-        inqueue[source as usize].store(1, Ordering::Relaxed);
-
-        let pool = WorkPool::new(capacity);
-        let result = pool.run(threads, &[source], |vertex, outbox| {
-            inqueue[vertex as usize].store(0, Ordering::Release);
-            let d = dist[vertex as usize].load(Ordering::Acquire);
-            let start = graph.edge_start(vertex) as usize;
-            for (offset, &child) in graph.neighbors(vertex).iter().enumerate() {
-                let candidate = d.saturating_add(weights[start + offset]);
-                let old = dist[child as usize].fetch_min(candidate, Ordering::AcqRel);
-                if old > candidate && inqueue[child as usize].swap(1, Ordering::AcqRel) == 0 {
-                    outbox.push(child);
-                }
-            }
-        });
-        match result {
-            Ok(()) => return dist.iter().map(|d| d.load(Ordering::Relaxed)).collect(),
-            Err(_) => capacity *= 2,
-        }
     }
 }
 
@@ -350,39 +275,6 @@ mod tests {
         assert!(result.stats.cas_attempts > 0);
         // empty retries are near-certain with 8 threads on a ramp-up
         assert!(result.stats.total_retries() > 0);
-    }
-
-    #[test]
-    fn host_sssp_matches_dijkstra() {
-        use ptq_graph::{random_weights, validate_distances};
-        let g = erdos_renyi(1_500, 7_000, 17);
-        let w = random_weights(&g, 12, 17);
-        let dist = host_sssp(&g, &w, 0, 4);
-        validate_distances(&g, &w, 0, &dist)
-            .unwrap_or_else(|(v, want, got)| panic!("host sssp: vertex {v} dist {got} != {want}"));
-    }
-
-    #[test]
-    fn host_sssp_unit_weights_equal_bfs() {
-        let g = synthetic_tree(3_000, 4);
-        let w = vec![1u32; g.num_edges()];
-        let dist = host_sssp(&g, &w, 0, 3);
-        let levels = ptq_graph::bfs_levels(&g, 0).levels;
-        assert_eq!(dist, levels);
-    }
-
-    #[test]
-    fn host_sssp_single_thread() {
-        use ptq_graph::{random_weights, validate_distances};
-        let g = roadmap(RoadmapParams {
-            rows: 20,
-            cols: 20,
-            keep_prob: 0.5,
-            seed: 1,
-        });
-        let w = random_weights(&g, 50, 1);
-        let dist = host_sssp(&g, &w, 0, 1);
-        validate_distances(&g, &w, 0, &dist).unwrap();
     }
 
     #[test]

@@ -56,7 +56,11 @@ use crate::runner::{launch, queue_capacity, PhaseWalls, PtConfig, Run, Scheduler
 use crate::workload::PtWorkload;
 use gpu_queue::DNA;
 use ptq_graph::Csr;
-use simt::{AbortReason, FaultPlan, GpuConfig, SimError};
+use simt::{AbortReason, FaultPlan, GpuConfig, SimError, ROUND_LIMIT};
+
+/// Multiplier applied to the capacity factor on a queue-full abort: the
+/// paper's "retry the kernel with a larger queue" as doubling.
+const CAPACITY_REGROW: f64 = 2.0;
 
 /// How a run reacts to aborts, and how often it checkpoints.
 #[derive(Clone, Debug, PartialEq)]
@@ -64,9 +68,6 @@ pub struct RecoveryPolicy {
     /// Total relaunch attempts allowed across the run; the abort that
     /// exhausts the budget propagates as the run's error.
     pub max_attempts: u32,
-    /// Multiplier applied to the capacity factor on a queue-full abort
-    /// (the paper's doubling generalized).
-    pub capacity_regrow: f64,
     /// Ceiling on the capacity factor (multiple of the vertex count). A
     /// queue-full abort at the ceiling is terminal at once: relaunching
     /// at the same capacity would abort identically.
@@ -82,9 +83,9 @@ pub struct RecoveryPolicy {
     pub checkpoint_levels: u32,
     /// Per-epoch round budget. An epoch exceeding it aborts with
     /// [`AbortReason::Watchdog`] and retries with a doubled budget.
-    /// `0` disables the watchdog (the launch-wide `max_rounds` of
-    /// [`PtConfig`] still applies, but exceeding *that* is a hard
-    /// non-termination error, not a recoverable abort).
+    /// `0` disables the watchdog (the launch-wide [`ROUND_LIMIT`] still
+    /// applies, but exceeding *that* is a hard non-termination error, not
+    /// a recoverable abort).
     pub watchdog_rounds: u64,
 }
 
@@ -92,7 +93,6 @@ impl Default for RecoveryPolicy {
     fn default() -> Self {
         RecoveryPolicy {
             max_attempts: 8,
-            capacity_regrow: 2.0,
             max_capacity_factor: 32.0,
             backoff_cycles: 1_000,
             checkpoint_levels: 4,
@@ -107,7 +107,6 @@ impl RecoveryPolicy {
     /// starting `factor`, no backoff, no watchdog.
     pub fn regrow_only(factor: f64) -> Self {
         RecoveryPolicy {
-            capacity_regrow: 2.0,
             max_capacity_factor: 16.0 * factor,
             backoff_cycles: 0,
             checkpoint_levels: u32::MAX,
@@ -116,11 +115,11 @@ impl RecoveryPolicy {
     }
 
     /// The queue-full regrow rule — "retry the kernel with a larger
-    /// queue": the next capacity factor after `factor`, or `None` once
-    /// the ceiling is reached.
+    /// queue": the next capacity factor after `factor`, or `None` once it
+    /// cannot grow (the ceiling is reached, or `factor` is not positive).
     fn regrown(&self, factor: f64) -> Option<f64> {
-        (factor < self.max_capacity_factor)
-            .then(|| (factor * self.capacity_regrow).min(self.max_capacity_factor))
+        let next = (factor * CAPACITY_REGROW).min(self.max_capacity_factor);
+        (next > factor).then_some(next)
     }
 }
 
@@ -293,8 +292,8 @@ pub(crate) struct Progress {
 /// `policy.max_attempts` is exhausted or the queue cannot regrow any
 /// further, and at once for non-recoverable errors (out-of-bounds, audit
 /// violations, hard round-limit overruns). Never a panic: a spec that
-/// cannot be launched — an empty group; a zero checkpoint stride; a
-/// fault plan, CPU collaboration or checkpointing with more than one
+/// cannot be launched — an empty group; a zero checkpoint stride or edge
+/// chunk; a fault plan, CPU collaboration or checkpointing with more than one
 /// member; seeds outside the graph; a `spec.start` that does not fit the
 /// graph or carries the queue's sentinel as a token — is a
 /// [`SimError::InvalidLaunch`] naming the cause, so callers can degrade
@@ -309,7 +308,7 @@ pub fn execute<W: PtWorkload>(
         factor: spec.config.capacity_factor,
         // `0` disables the watchdog: only the launch-wide limit applies.
         max_rounds: match spec.policy.watchdog_rounds {
-            0 => spec.config.max_rounds,
+            0 => ROUND_LIMIT,
             budget => budget,
         },
         plan: spec.plan.clone(),
@@ -360,6 +359,8 @@ fn unlaunchable<W: PtWorkload>(spec: &RunSpec<'_, W>, seeds: &[Vec<u32>]) -> Opt
         return Some("empty launch group".into());
     } else if stride == 0 {
         return Some("checkpoint stride must be positive".into());
+    } else if spec.config.chunk == 0 {
+        return Some("edge chunk per lane must be positive".into());
     } else if let Some(what) = solo_only.filter(|_| k > 1) {
         return Some(format!(
             "{what} is single-launch only, got {k} co-resident launches"
@@ -480,7 +481,7 @@ fn drive<W: PtWorkload>(
                     // A watchdog-capped launch hitting its round budget is
                     // a recoverable supervisory abort; hitting the
                     // launch-wide limit is hard non-termination.
-                    SimError::MaxRoundsExceeded { limit } if *limit < config.max_rounds => (
+                    SimError::MaxRoundsExceeded { limit } if *limit < ROUND_LIMIT => (
                         AbortReason::Watchdog {
                             budget: progress.max_rounds,
                             round: *limit,
@@ -769,6 +770,30 @@ mod tests {
         let budgeted = resume_bfs(&g, &config, &spent, &FaultPlan::EMPTY, None).unwrap_err();
         assert_eq!(budgeted.error, failure.error);
         assert_eq!(budgeted.log, failure.log);
+    }
+
+    #[test]
+    fn a_factor_that_cannot_grow_is_terminal_not_a_hang() {
+        // CC seeds every vertex, so a fenced run's host-side pre-check
+        // finds 300 seeds against the 64-slot floor; doubling a zero
+        // factor gains nothing, so the check must end, not spin.
+        let g = synthetic_tree(300, 4);
+        let config = PtConfig {
+            capacity_factor: 0.0,
+            ..cfg(Variant::RfAn)
+        };
+        let policy = RecoveryPolicy::default();
+        let gpu = GpuConfig::test_tiny();
+        let err = run_recoverable(
+            &gpu,
+            &g,
+            &ConnectedComponents,
+            &config,
+            &policy,
+            &FaultPlan::EMPTY,
+        )
+        .unwrap_err();
+        assert!(err.is_queue_full(), "{err}");
     }
 
     #[test]

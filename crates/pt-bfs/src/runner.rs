@@ -6,7 +6,7 @@
 //! array, the scheduler queue painted with sentinels, the
 //! outstanding-task counter), seed the workload's initial tokens, launch
 //! the persistent kernel once, then read back the values. That sequence
-//! is spelled out exactly once, in the launch primitive ([`launch`]);
+//! is spelled out exactly once, in the launch primitive (`launch`);
 //! [`crate::execute`] drives it under a [`RecoveryPolicy`], and the plain
 //! runs here ([`run_workload`], [`run_bfs`], [`run_bfs_stealing`]) are
 //! that loop handed the policy value [`RecoveryPolicy::regrow_only`].
@@ -37,13 +37,6 @@ pub struct PtConfig {
     pub capacity_factor: f64,
     /// Collaborating CPU groups (0 except for the CHAI baseline).
     pub cpu_collab_groups: usize,
-    /// Safety cap on simulation rounds.
-    pub max_rounds: u64,
-    /// Audit mode: assert the per-wavefront atomic budgets declared by
-    /// the queue variants (`simt::audit`) inside the run, and the
-    /// run-level retry-free claims afterwards. On by default — auditing
-    /// is pure bookkeeping with no effect on metrics or timing.
-    pub audit: bool,
     /// Inert: read by nothing. The engine's round loop is serial
     /// (DESIGN.md §12); the field survives only because the frozen
     /// `benchmark/` package assigns it, and goes with that assignment
@@ -60,8 +53,6 @@ impl PtConfig {
             chunk: CHUNK,
             capacity_factor: 2.0,
             cpu_collab_groups: 0,
-            max_rounds: 50_000_000,
-            audit: true,
             engine_workers: 1,
         }
     }
@@ -159,8 +150,8 @@ pub struct Run {
     /// [`RecoveryPolicy`] let it survive). Empty `attempts` for a
     /// first-try success.
     pub recovery: RecoveryLog,
-    /// Host-side engine execution profile (arena recycling, park replay,
-    /// table footprints). Never part of any golden: performance work may
+    /// Host-side engine execution profile (arena footprint, demand
+    /// zeroing, park replay). Never part of any golden: performance work may
     /// change these freely without perturbing simulated quantities.
     pub profile: Profile,
     /// Host wall time per runner phase (same caveat as `profile`). Shared
@@ -270,12 +261,14 @@ pub(crate) fn launch<W: PtWorkload>(
     }
     mem.set_alloc_prefix("");
 
-    let mut template = Launch::workgroups(config.workgroups)
+    // Every run audits: the per-wavefront atomic budgets the queue
+    // designs declare (`simt::audit`) inside the launch, the run-level
+    // retry-free claim after it. Pure bookkeeping — no effect on metrics
+    // or timing.
+    let template = Launch::workgroups(config.workgroups)
         .with_cpu_collab(config.cpu_collab_groups)
-        .with_max_rounds(progress.max_rounds.min(config.max_rounds));
-    if config.audit {
-        template = template.with_audit();
-    }
+        .with_max_rounds(progress.max_rounds.min(simt::ROUND_LIMIT))
+        .with_audit();
     let factory = |l: usize, info: WaveInfo| {
         let (queue, workload, buffers, fence) = &bound[l];
         let kernel = PtKernel::with_chunk(
@@ -308,9 +301,7 @@ pub(crate) fn launch<W: PtWorkload>(
     let mem = engine.memory();
     let mut launched = Vec::with_capacity(bound.len());
     for (report, (queue, _, buffers, fence)) in result?.into_iter().zip(&bound) {
-        if config.audit {
-            enforce_retry_free(queue.design(), &report.metrics)?;
-        }
+        enforce_retry_free(queue.design(), &report.metrics)?;
         let snapshot = fence.map(|fence| {
             let spilled = mem.read_u32(fence.spill, 0) as usize;
             (
@@ -572,17 +563,42 @@ mod tests {
     #[test]
     fn audit_mode_never_perturbs_results_or_metrics() {
         // Auditing is pure bookkeeping: byte-identical values and metrics
-        // with it on or off.
+        // with it on or off. Every run audits, so the off side is a bare
+        // engine launch of the kernel `launch` builds.
         let g = synthetic_tree(600, 4);
-        for variant in Variant::ALL {
-            let audited =
-                run_bfs(&GpuConfig::test_tiny(), &g, 0, &PtConfig::new(variant, 3)).unwrap();
-            let mut plain_cfg = PtConfig::new(variant, 3);
-            plain_cfg.audit = false;
-            let plain = run_bfs(&GpuConfig::test_tiny(), &g, 0, &plain_cfg).unwrap();
-            assert_eq!(audited.metrics, plain.metrics, "{variant:?}");
-            assert_eq!(audited.values, plain.values, "{variant:?}");
-            assert_eq!(audited.seconds, plain.seconds, "{variant:?}");
+        let gpu = GpuConfig::test_tiny();
+        let n = g.num_vertices();
+        for design in Design::ALL {
+            let run = |template: Launch| {
+                let mut engine = Engine::new(gpu.clone());
+                let mem = engine.memory_mut();
+                let mut bfs = Bfs::new(0);
+                bfs.bind(mem);
+                let buffers = WorkBuffers {
+                    nodes: mem.alloc_init("nodes", g.row_offsets()),
+                    edges: mem.alloc_init("edges", g.adjacency()),
+                    values: mem.alloc_init("costs", &bfs.initial_values(n)),
+                    inqueue: mem.alloc("inqueue", n),
+                    pending: mem.alloc("pending", 1),
+                };
+                mem.write_u32(buffers.inqueue, 0, 1);
+                mem.write_u32(buffers.pending, 0, 1);
+                let queue = DeviceQueue::setup(mem, design, queue_capacity(n, 2.0), gpu.num_cus);
+                queue.host_seed(mem, &[0]);
+                let report = engine
+                    .run(template, |info| {
+                        let queue = queue.wave_queue(info.cu);
+                        PtKernel::new(queue, bfs, buffers, info.wave_size)
+                    })
+                    .unwrap_or_else(|e| panic!("{design:?}: {e}"));
+                (report, engine.memory().read_slice(buffers.values).to_vec())
+            };
+            let (audited, audited_values) = run(Launch::workgroups(3).with_audit());
+            let (plain, plain_values) = run(Launch::workgroups(3));
+            assert_eq!(audited.metrics, plain.metrics, "{design:?}");
+            assert_eq!(audited_values, plain_values, "{design:?}");
+            assert_eq!(audited.per_cu_cycles, plain.per_cu_cycles, "{design:?}");
+            validate_levels(&g, 0, &plain_values).unwrap();
         }
     }
 

@@ -37,7 +37,6 @@ const VARIANTS: [Variant; 5] = [
 fn paper_policy(factor: f64) -> RecoveryPolicy {
     RecoveryPolicy {
         max_attempts: 8,
-        capacity_regrow: 2.0,
         max_capacity_factor: 16.0 * factor,
         backoff_cycles: 0,
         checkpoint_levels: u32::MAX,
@@ -181,6 +180,10 @@ fn unlaunchable_specs_are_typed_errors_naming_the_cause() {
     let config = PtConfig::new(Variant::RfAn, 2);
     let mut collab = config.clone();
     collab.cpu_collab_groups = 1;
+    let zero_chunk = PtConfig {
+        chunk: 0,
+        ..config.clone()
+    };
     let plain = RecoveryPolicy::regrow_only(config.capacity_factor);
     let zero_stride = RecoveryPolicy {
         checkpoint_levels: 0,
@@ -193,12 +196,13 @@ fn unlaunchable_specs_are_typed_errors_naming_the_cause() {
     let astray = [(&graph, &stray)];
 
     type Launches<'a> = &'a [(&'a Csr, &'a Bfs)];
-    let table: [(Launches, &PtConfig, &RecoveryPolicy, &FaultPlan, &str); 6] = [
+    let table: [(Launches, &PtConfig, &RecoveryPolicy, &FaultPlan, &str); 7] = [
         (&[], &config, &plain, &none, "empty launch group"),
         (&pair, &config, &plain, &kill, "fault plan"),
         (&pair, &collab, &plain, &none, "CPU collaboration"),
         (&solo, &config, &zero_stride, &none, "checkpoint stride"),
         (&astray, &config, &plain, &none, "seed 100"),
+        (&solo, &zero_chunk, &plain, &none, "chunk"),
         // Not asked for by name, same boundary: one fence per traversal.
         (
             &pair,

@@ -899,17 +899,6 @@ impl<'a> WaveCtx<'a> {
             self.abort = Some(reason);
         }
     }
-
-    /// Issue cycles accumulated so far in this work cycle (visible for
-    /// tests and custom cost probes).
-    pub fn issue_cycles(&self) -> u64 {
-        self.issue
-    }
-
-    /// Latency watermark accumulated so far in this work cycle.
-    pub fn latency_cycles(&self) -> u64 {
-        self.latency
-    }
 }
 
 #[cfg(test)]
@@ -972,11 +961,11 @@ mod tests {
         let buf = mem.buffer("buf");
         let mut ctx = WaveCtx::new(&mut mem, &mut m, &mut r, &cost, info(), &mut w);
         ctx.atomic_add(buf, 0, 1); // rank 0: latency 10
-        assert_eq!(ctx.latency_cycles(), 10);
+        assert_eq!(ctx.latency, 10);
         ctx.atomic_add(buf, 0, 1); // rank 1: latency 10 + 1
-        assert_eq!(ctx.latency_cycles(), 11);
+        assert_eq!(ctx.latency, 11);
         ctx.atomic_add(buf, 1, 1); // different word: rank 0 again
-        assert_eq!(ctx.latency_cycles(), 11);
+        assert_eq!(ctx.latency, 11);
     }
 
     #[test]
@@ -987,8 +976,8 @@ mod tests {
         ctx.global_read(buf, 0);
         ctx.global_read(buf, 1);
         ctx.charge_alu(3);
-        assert_eq!(ctx.issue_cycles(), 1 + 1 + 3);
-        assert_eq!(ctx.latency_cycles(), 10); // max, not sum
+        assert_eq!(ctx.issue, 1 + 1 + 3);
+        assert_eq!(ctx.latency, 10); // max, not sum
     }
 
     #[test]
@@ -1004,7 +993,7 @@ mod tests {
         // SVM atomics occupy the atomic unit longer and expose longer
         // latency (the issue slot cost lives in the unit pool).
         assert_eq!(ctx.atomic_ops, cost.svm_penalty);
-        assert_eq!(ctx.latency_cycles(), cost.atomic_latency * cost.svm_penalty);
+        assert_eq!(ctx.latency, cost.atomic_latency * cost.svm_penalty);
     }
 
     #[test]
@@ -1042,8 +1031,8 @@ mod tests {
         let (mut mem, mut m, mut r, cost, mut w) = harness();
         let mut ctx = WaveCtx::new(&mut mem, &mut m, &mut r, &cost, info(), &mut w);
         ctx.lds_atomics(4);
-        assert_eq!(ctx.issue_cycles(), 4 * cost.lds_atomic);
-        assert_eq!(ctx.latency_cycles(), 0);
+        assert_eq!(ctx.issue, 4 * cost.lds_atomic);
+        assert_eq!(ctx.latency, 0);
         assert_eq!(m.lds_atomics, 4);
     }
 
@@ -1067,7 +1056,7 @@ mod tests {
         let mut out = Vec::new();
         ctx.peek_run(buf, 2, 2, &mut out);
         assert_eq!(out, vec![5, 6]);
-        assert_eq!(ctx.issue_cycles(), 0, "peek_run is a zero-cost observer");
+        assert_eq!(ctx.issue, 0, "peek_run is a zero-cost observer");
         // Overrunning the buffer faults and yields nothing.
         ctx.peek_run(buf, 6, 3, &mut out);
         assert!(out.is_empty());
@@ -1113,7 +1102,7 @@ mod tests {
             let mut ctx = WaveCtx::new(&mut mem, &mut m, &mut r, &cost, info(), &mut w);
             ctx.park_while_at_most(buf, 1, 6); // Rear 4, smallest ticket 6
             ctx.park_while_at_most(buf, 1, 3); // already passed: exact value
-            assert_eq!(ctx.issue_cycles(), 0, "registration is free");
+            assert_eq!(ctx.issue, 0, "registration is free");
         }
         let classes: Vec<_> = w.watches.iter().map(|x| (x.class, x.expected)).collect();
         assert_eq!(
@@ -1145,7 +1134,7 @@ mod tests {
         assert!(ctx.poison_armed());
         assert_eq!(ctx.observe_stale(buf, 2), 9, "round-start value");
         assert!(ctx.fault.is_none(), "the observer never faults");
-        assert_eq!((ctx.issue_cycles(), ctx.latency_cycles()), (0, 0));
+        assert_eq!((ctx.issue, ctx.latency), (0, 0));
         assert_eq!(ctx.round.cycle_lines(), 0);
         assert_eq!(ctx.metrics.global_mem_ops, 0);
         // The faulting accessor over the same word does fault.

@@ -64,6 +64,11 @@ use crate::metrics::{Metrics, Profile};
 use crate::round::RoundState;
 use crate::trace::{RoundBound, RoundTrace, Trace};
 
+/// Default safety limit on scheduling rounds per launch: far past any
+/// terminating run at the reproduced scales, so exceeding it means the
+/// kernel does not terminate.
+pub const ROUND_LIMIT: u64 = 50_000_000;
+
 /// Launch geometry for one kernel run.
 #[derive(Clone, Copy, Debug)]
 pub struct Launch {
@@ -73,7 +78,7 @@ pub struct Launch {
     /// a wavefront of class [`WaveClass::CpuCollab`] on its own
     /// virtual compute unit.
     pub cpu_collab_groups: usize,
-    /// Safety limit on scheduling rounds.
+    /// Safety limit on scheduling rounds ([`ROUND_LIMIT`] by default).
     pub max_rounds: u64,
     /// Record a per-round [`Trace`] (costs memory proportional to rounds).
     pub trace: bool,
@@ -90,7 +95,7 @@ impl Launch {
         Launch {
             num_workgroups: n,
             cpu_collab_groups: 0,
-            max_rounds: 50_000_000,
+            max_rounds: ROUND_LIMIT,
             trace: false,
             audit: false,
         }
@@ -134,8 +139,8 @@ pub struct RunReport {
     /// Per-round trace, present iff the launch requested it.
     pub trace: Option<Trace>,
     /// Always-on host-side profiling counters (see [`Profile`]): arena
-    /// and table footprints, park fast-path hit counts, peak per-round
-    /// line traffic. Never part of any golden — purely diagnostic.
+    /// and shadow-table footprints, demand zeroing, park fast-path hit
+    /// counts. Never part of any golden — purely diagnostic.
     pub profile: Profile,
 }
 
@@ -713,7 +718,6 @@ impl Engine {
                     }
                 }
             }
-            profile.peak_round_lines = profile.peak_round_lines.max(round_lines);
             let round_bw_milli = round_lines * self.config.cost.mem_bw_line_milli;
             device_bw_millicycles += round_bw_milli;
             if round_bw_milli / 1000 > worst.0 {
@@ -753,8 +757,6 @@ impl Engine {
         profile.arena_words = self.memory.allocated_words() as u64;
         profile.meta_bytes = self.memory.meta_bytes();
         profile.demand_zeroed_words = self.memory.demand_zeroed_words();
-        profile.arena_recycled = u64::from(self.memory.was_recycled());
-        profile.line_table_bytes = self.round_state.line_table_bytes();
         Ok(states
             .into_iter()
             .enumerate()
@@ -1070,8 +1072,6 @@ mod tests {
         );
         assert_eq!(p.arena_words, 1);
         assert!(p.meta_bytes > 0);
-        assert!(p.line_table_bytes > 0);
-        assert!(p.peak_round_lines >= 1);
     }
 
     /// Kernel claiming to be retry-free while actually issuing a CAS.
@@ -1282,7 +1282,10 @@ mod tests {
         // Arena-pool gauges depend on engine construction order, so
         // compare only the run-derived profile counters.
         assert_eq!(co.profile.park_events, solo.profile.park_events);
-        assert_eq!(co.profile.peak_round_lines, solo.profile.peak_round_lines);
+        assert_eq!(
+            co.profile.park_replay_cycles,
+            solo.profile.park_replay_cycles
+        );
     }
 
     #[test]

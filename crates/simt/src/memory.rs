@@ -66,7 +66,7 @@ const RANK_MASK: u32 = TOUCHED - 1;
 
 /// Flat, host-managed device memory.
 ///
-/// The per-word side table ([`WordMeta`]) is a flat vector indexed by
+/// The per-word side table (`WordMeta`) is a flat vector indexed by
 /// device address and kept exactly as long as `words` by the allocator.
 /// Its contract is *clear what you touched*: the first store or atomic to
 /// a word in a round snapshots it and pushes its address on `journal`;
@@ -221,7 +221,7 @@ impl DeviceMemory {
     /// Creates an empty device memory, recycling this thread's pooled
     /// arena when one is available. A recycled arena's word prefix is
     /// zeroed on demand as allocations overlap it and its shadow table
-    /// is all-zero (see [`Arena`]), so the result behaves exactly like a
+    /// is all-zero (see `Arena`), so the result behaves exactly like a
     /// fresh allocation — only the page faults and the cold-tail memset
     /// are gone.
     pub fn new() -> Self {

@@ -83,7 +83,7 @@ impl Metrics {
 /// Always-on lightweight profiling counters, reported alongside
 /// [`Metrics`] but deliberately kept out of it: goldens pin `Metrics`
 /// equality bit-for-bit, while these counters describe *host-side*
-/// execution mechanics (arena recycling, park replay, table footprints)
+/// execution mechanics (arena footprint, demand zeroing, park replay)
 /// that performance work is allowed to change without perturbing any
 /// simulated quantity.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -97,8 +97,6 @@ pub struct Profile {
     /// Words zeroed on demand because an allocation overlapped a
     /// recycled arena's dirty prefix (0 on fresh arenas).
     pub demand_zeroed_words: u64,
-    /// 1 if the run's arena came from the thread-local recycling pool.
-    pub arena_recycled: u64,
     /// Wave-park events: pure polling cycles that entered closed-form
     /// replay.
     pub park_events: u64,
@@ -109,10 +107,6 @@ pub struct Profile {
     /// charges: the wave need not have woken. `park_events` minus this is
     /// the number of parks that followed real work.
     pub spurious_wakes: u64,
-    /// Bytes held by the cache-line stamp table (bandwidth accounting).
-    pub line_table_bytes: u64,
-    /// Largest number of distinct cache lines touched in one round.
-    pub peak_round_lines: u64,
 }
 
 impl Profile {
@@ -123,12 +117,9 @@ impl Profile {
         self.arena_words = self.arena_words.max(other.arena_words);
         self.meta_bytes = self.meta_bytes.max(other.meta_bytes);
         self.demand_zeroed_words = self.demand_zeroed_words.max(other.demand_zeroed_words);
-        self.arena_recycled = self.arena_recycled.max(other.arena_recycled);
         self.park_events += other.park_events;
         self.park_replay_cycles += other.park_replay_cycles;
         self.spurious_wakes += other.spurious_wakes;
-        self.line_table_bytes = self.line_table_bytes.max(other.line_table_bytes);
-        self.peak_round_lines = self.peak_round_lines.max(other.peak_round_lines);
     }
 }
 
@@ -163,34 +154,25 @@ mod tests {
             arena_words: 100,
             meta_bytes: 800,
             demand_zeroed_words: 40,
-            arena_recycled: 0,
             park_events: 2,
             park_replay_cycles: 10,
             spurious_wakes: 1,
-            line_table_bytes: 64,
-            peak_round_lines: 5,
         };
         let b = Profile {
             arena_words: 50,
             meta_bytes: 400,
             demand_zeroed_words: 60,
-            arena_recycled: 1,
             park_events: 3,
             park_replay_cycles: 7,
             spurious_wakes: 2,
-            line_table_bytes: 128,
-            peak_round_lines: 9,
         };
         a.merge(&b);
         assert_eq!(a.arena_words, 100);
         assert_eq!(a.meta_bytes, 800);
         assert_eq!(a.demand_zeroed_words, 60);
-        assert_eq!(a.arena_recycled, 1);
         assert_eq!(a.park_events, 5);
         assert_eq!(a.park_replay_cycles, 17);
         assert_eq!(a.spurious_wakes, 3);
-        assert_eq!(a.line_table_bytes, 128);
-        assert_eq!(a.peak_round_lines, 9);
     }
 
     #[test]

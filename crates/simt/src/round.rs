@@ -137,11 +137,6 @@ impl RoundState {
         self.cycle_lines
     }
 
-    /// Bytes held by the cache-line stamp table (profiling).
-    pub fn line_table_bytes(&self) -> u64 {
-        (self.line_stamp.len() * std::mem::size_of::<u64>()) as u64
-    }
-
     /// Records that an address received its first atomic of this round.
     #[inline]
     pub(crate) fn note_new_address(&mut self) {

@@ -10,7 +10,7 @@
 
 use ptq_graph::Dataset;
 use repro_bench::serve::{
-    ArrivalTrace, Disposition, Service, ServiceConfig, TraceParams, WorkloadKind,
+    ArrivalTrace, Disposition, QuerySpec, Service, ServiceConfig, TraceParams, WorkloadKind,
 };
 use repro_bench::{Scale, Sched};
 
@@ -145,5 +145,69 @@ fn segmented_admission_path_never_aborts_queue_full() {
             "query {} neither ran nor was rejected",
             o.id
         );
+    }
+}
+
+/// Seeded adversarial traces: each row pushes one property of a tiny
+/// trace to its edge. `Service::run` must return with one terminal
+/// outcome per query, identically at any `--jobs` width, on both the
+/// serial and the batched core.
+#[test]
+fn adversarial_traces_end_every_query_without_panicking() {
+    const TINY: &[(Dataset, f64)] = &[(Dataset::RoadNY, 0.05), (Dataset::Synthetic, 0.002)];
+    let seeded = |queries| {
+        ArrivalTrace::seeded(
+            SEED ^ 0xAD5,
+            &TraceParams {
+                queries,
+                mean_gap_cycles: 200_000,
+                deadline_range: (400_000_000, 800_000_000),
+                datasets: TINY,
+                fault_every: 0,
+                faults_per_query: 0,
+            },
+        )
+    };
+    let bent = |edit: fn(&mut QuerySpec)| {
+        let mut trace = seeded(4);
+        trace.queries.iter_mut().for_each(edit);
+        trace
+    };
+    let rows = [
+        ("empty trace", seeded(0)),
+        ("zero-gap burst", bent(|q| q.arrival_cycle = 0)),
+        ("u64::MAX deadlines", bent(|q| q.deadline_cycles = u64::MAX)),
+        (
+            "arrival near u64::MAX",
+            bent(|q| q.arrival_cycle = u64::MAX - 8 + u64::from(q.id)),
+        ),
+        ("all-poison", bent(|q| q.watchdog_rounds = 2)),
+        ("one tenant", bent(|q| q.tenant = 0)),
+        (
+            "duplicate signatures",
+            bent(|q| (q.kind, q.dataset, q.rel_scale) = (WorkloadKind::Bfs, Dataset::RoadNY, 0.05)),
+        ),
+        ("duplicate ids", bent(|q| q.id = 7)),
+    ];
+    let scale = Scale::new(0.02);
+    for (row, trace) in &rows {
+        for config in [
+            ServiceConfig::standard(scale),
+            ServiceConfig::batched(scale),
+        ] {
+            let core = if config.batching.is_some() {
+                "batched"
+            } else {
+                "serial"
+            };
+            let service = Service::new(config);
+            let log = service.run(trace, &Sched::serial());
+            let mut ids: Vec<u32> = trace.queries.iter().map(|q| q.id).collect();
+            ids.sort_unstable();
+            let logged: Vec<u32> = log.outcomes.iter().map(|o| o.id).collect();
+            assert_eq!(logged, ids, "{row} / {core}: one outcome per query");
+            assert_eq!(log.admission_errors, 0, "{row} / {core}");
+            assert_eq!(log, service.run(trace, &Sched::new(4)), "{row} / {core}");
+        }
     }
 }

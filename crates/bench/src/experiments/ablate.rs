@@ -64,7 +64,7 @@ pub fn matrix_table(scale: Scale, gpu: &GpuConfig, sched: &Sched) -> Table {
 /// Tzeng-style alternative the paper's related work surveys), across the
 /// three workload regimes.
 pub fn stealing_table(scale: Scale, gpu: &GpuConfig, sched: &Sched) -> Table {
-    use pt_bfs::run_bfs_stealing;
+    use gpu_queue::device::Design;
     use ptq_graph::validate_levels;
 
     let wgs = gpu.num_cus * gpu.wgs_per_cu;
@@ -88,26 +88,21 @@ pub fn stealing_table(scale: Scale, gpu: &GpuConfig, sched: &Sched) -> Table {
     // The shared and stealing runs of a dataset are independent
     // simulations: fan them out as separate points so the scheduler can
     // overlap them instead of serializing each pair on one worker.
-    let grid: Vec<(Dataset, bool)> = datasets
+    let designs = [Design::Shared(Variant::RfAn), Design::PerCu];
+    let grid: Vec<(Dataset, Design)> = datasets
         .iter()
-        .flat_map(|&dataset| [(dataset, false), (dataset, true)])
+        .flat_map(|&dataset| designs.map(|design| (dataset, design)))
         .collect();
     let runs = sched.par_map_lpt(
         &grid,
         |_, &(dataset, _)| dataset.spec().vertices as u64,
-        |_, &(dataset, steal)| {
+        |_, &(dataset, design)| {
             let graph = DatasetCache::global().get(dataset, scale);
-            if steal {
-                let stealing = run_bfs_stealing(gpu, &graph, 0, wgs)
-                    .unwrap_or_else(|e| panic!("stealing on {dataset:?}: {e}"));
-                validate_levels(&graph, 0, &stealing.values)
-                    .unwrap_or_else(|_| panic!("stealing wrong levels on {dataset:?}"));
-                (stealing.seconds, stealing.metrics.queue_empty_retries)
-            } else {
-                let shared = run_bfs(gpu, &graph, 0, &PtConfig::new(Variant::RfAn, wgs))
-                    .unwrap_or_else(|e| panic!("shared on {dataset:?}: {e}"));
-                (shared.seconds, 0)
-            }
+            let run = run_bfs(gpu, &graph, 0, &PtConfig::new(design, wgs))
+                .unwrap_or_else(|e| panic!("{} on {dataset:?}: {e}", design.label()));
+            validate_levels(&graph, 0, &run.values)
+                .unwrap_or_else(|_| panic!("{} wrong levels on {dataset:?}", design.label()));
+            (run.seconds, run.metrics.queue_empty_retries)
         },
     );
     for (dataset, pair) in datasets.iter().zip(runs.chunks_exact(2)) {

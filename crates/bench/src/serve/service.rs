@@ -43,6 +43,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
+use gpu_queue::device::Design;
 use gpu_queue::Variant;
 use pt_bfs::workload::{Bfs, ConnectedComponents, PrDelta, PtWorkload, QueryBatch, Sssp};
 use pt_bfs::{execute, Checkpoint, PtConfig, RecoveryLog, RecoveryPolicy, RunSpec};
@@ -68,7 +69,7 @@ const FAULT_SALT: u64 = 0xFA_017;
 
 /// Queue design every query executes on: the segmented variant, which
 /// makes execution-side `QueueFull` unreachable.
-const VARIANT: Variant = Variant::SegRfAn;
+const DESIGN: Design = Design::Shared(Variant::SegRfAn);
 
 /// Service-level retries after a terminal `RunFailure` before the query
 /// is quarantined. Total attempts = `RETRY_BUDGET + 1`.
@@ -296,7 +297,7 @@ impl Service {
         plan: &FaultPlan,
     ) -> ExecutionProfile {
         let gpu = &self.config.gpu;
-        let config = PtConfig::for_workload(workload, VARIANT, self.config.workgroups());
+        let config = PtConfig::for_workload(workload, DESIGN, self.config.workgroups());
         let mut attempts: Vec<AttemptSim> = Vec::new();
         let solo = [(graph, workload)];
         let mut checkpoint: Option<Checkpoint> = None;
@@ -719,7 +720,7 @@ impl Service {
             graphs.iter().map(Arc::as_ref).zip(&batches).collect();
         // One config for the unit, started at its smallest batch's own
         // capacity factor (the launch floors each larger batch at its own).
-        let mut config = PtConfig::new(VARIANT, self.config.workgroups());
+        let mut config = PtConfig::new(DESIGN, self.config.workgroups());
         let own = batches.iter().map(|b| b.default_capacity_factor());
         let smallest = own.fold(f64::INFINITY, f64::min);
         config.capacity_factor = config.capacity_factor.max(smallest);
@@ -809,7 +810,7 @@ mod tests {
         let n = graph.num_vertices();
         let source = |q: usize| (trace.queries[q].source_salt as usize % n) as u32;
         let batch = QueryBatch::new((0..3).map(|q| Bfs::new(source(q))).collect(), n);
-        let solo_config = PtConfig::for_workload(&batch, VARIANT, config.workgroups());
+        let solo_config = PtConfig::for_workload(&batch, DESIGN, config.workgroups());
         let solo = pt_bfs::run_workload(&config.gpu, &graph, &batch, &solo_config).unwrap();
         assert_eq!(fused[0].0, config.gpu.seconds_to_cycles(solo.seconds));
     }

@@ -6,7 +6,6 @@
 //! per-lane wasted attempts); what they share is here.
 
 use super::{Lanes, QueueLayout, WaveQueue, Width, FRONT, REAR};
-use crate::Variant;
 use simt::WaveCtx;
 
 /// Per-wavefront handle to a CAS queue: AN (per wave) or BASE (per lane).
@@ -32,13 +31,6 @@ impl CasWaveQueue {
 }
 
 impl WaveQueue for CasWaveQueue {
-    fn variant(&self) -> Variant {
-        match self.width {
-            Width::PerWave => Variant::An,
-            Width::PerLane => Variant::Base,
-        }
-    }
-
     fn acquire(&mut self, ctx: &mut WaveCtx<'_>, lanes: &mut Lanes) {
         // A wave the engine parked on the empty queue skipped its per-round
         // `front_seen` refresh; the engine kept the version for it.

@@ -160,9 +160,6 @@ fn host_len(memory: &DeviceMemory, state: Buffer) -> u32 {
 /// another wavefront's lanes, or a fresh `Lanes`, mid-launch is a caller
 /// bug.
 pub trait WaveQueue {
-    /// Which design this is.
-    fn variant(&self) -> Variant;
-
     /// Services the dequeue side for one work cycle: tries to move
     /// `Hungry` lanes toward `Ready` (directly for the CAS designs, via
     /// `Monitoring` + data-arrival polling for RF/AN). Lanes the queue
@@ -206,7 +203,8 @@ pub(crate) enum Width {
     PerWave,
 }
 
-/// Which of the six schedulers a [`DeviceQueue`] is.
+/// Which of the six schedulers a run uses — the one key from a run's
+/// configuration down to the [`DeviceQueue`] its kernel polls.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Design {
     /// The paper's topology: one device-wide queue of this variant.
@@ -227,6 +225,36 @@ impl Design {
         Design::Shared(Variant::SegRfAn),
         Design::PerCu,
     ];
+
+    /// The name a run's audits and messages print: the variant's label,
+    /// or `stealing`.
+    pub fn label(self) -> &'static str {
+        match self {
+            Design::Shared(variant) => variant.label(),
+            Design::PerCu => "stealing",
+        }
+    }
+
+    /// The most tokens [`DeviceQueue::host_seed`] can write into a fresh
+    /// queue of this design set up at nominal `capacity`: a flat queue's
+    /// slots, a segmented queue's arena, CU 0's ring.
+    pub fn seed_capacity(self, capacity: u32) -> u32 {
+        match self {
+            Design::Shared(Variant::SegRfAn) => {
+                let (seg_cap, phys_segs) = segmented::sized(capacity);
+                seg_cap.saturating_mul(phys_segs)
+            }
+            Design::Shared(_) => capacity,
+            Design::PerCu => capacity.min(stealing::MAX_CAPACITY),
+        }
+    }
+}
+
+impl From<Variant> for Design {
+    /// The paper's topology: one shared queue of `variant`.
+    fn from(variant: Variant) -> Self {
+        Design::Shared(variant)
+    }
 }
 
 /// What a design is composed from, over its allocation — a row of the
@@ -274,7 +302,7 @@ impl DeviceQueue {
                 Parts::Ticket(Slots::Segmented(arena), Width::PerWave)
             }
             Design::PerCu => {
-                let per_cu = capacity.min(stealing::MAX_CAPACITY);
+                let per_cu = design.seed_capacity(capacity);
                 Parts::PerCu(StealingLayout::setup(memory, "dqueue", num_cus, per_cu))
             }
         };
@@ -567,12 +595,11 @@ mod tests {
             assert_eq!(queue.design(), design);
             queue.host_seed(&mut mem, &[7, 8, 9]);
             assert_eq!(queue.host_len(&mem), 3, "{design:?}");
-            // Per CU: an RF/AN ring each (which is what it reports).
+            // Per CU: an RF/AN ring each.
             let variant = match design {
                 Design::Shared(variant) => variant,
                 Design::PerCu => Variant::RfAn,
             };
-            assert_eq!(queue.wave_queue(0).variant(), variant, "{design:?}");
             let (retry_free, width, segmented) = match &queue.parts {
                 Parts::Cas(_, width) => (false, *width, false),
                 Parts::Ticket(slots, width) => (true, *width, matches!(slots, Slots::Segmented(_))),
@@ -588,6 +615,21 @@ mod tests {
                 "{design:?}"
             );
             assert_eq!(segmented, variant.is_segmented(), "{design:?}");
+        }
+    }
+
+    #[test]
+    fn every_design_accepts_a_seed_of_exactly_its_seed_capacity() {
+        let gpu = simt::GpuConfig::test_tiny();
+        for capacity in [64, 1_000] {
+            for design in Design::ALL {
+                let mut mem = DeviceMemory::new();
+                let queue = DeviceQueue::setup(&mut mem, design, capacity, gpu.num_cus);
+                let fits = design.seed_capacity(capacity);
+                let tokens: Vec<u32> = (0..fits).collect();
+                queue.host_seed(&mut mem, &tokens);
+                assert_eq!(queue.host_len(&mem), fits, "{design:?} at {capacity}");
+            }
         }
     }
 }

@@ -49,6 +49,12 @@ use super::{host_len, REAR};
 use crate::DNA;
 use simt::{Buffer, DeviceMemory, OpSpec, WaveCtx, MAX_WAVE_SIZE};
 
+/// `(seg_cap, phys_segs)` of the queue [`SegmentedLayout::for_capacity`]
+/// sizes for a nominal `capacity`.
+pub(super) fn sized(capacity: u32) -> (u32, u32) {
+    ((capacity / 8).max(32), 10)
+}
+
 /// Host-side handle to a segmented device queue's allocations.
 #[derive(Clone, Copy, Debug)]
 pub struct SegmentedLayout {
@@ -119,8 +125,8 @@ impl SegmentedLayout {
     /// of `capacity` each, so typical workloads exercise several installs
     /// and recycles while live occupancy keeps comfortable headroom.
     pub fn for_capacity(memory: &mut DeviceMemory, name: &str, capacity: u32) -> SegmentedLayout {
-        let seg_cap = (capacity / 8).max(32);
-        SegmentedLayout::setup(memory, name, seg_cap, 10)
+        let (seg_cap, phys_segs) = sized(capacity);
+        SegmentedLayout::setup(memory, name, seg_cap, phys_segs)
     }
 
     /// Directory entry for virtual segment `seg` mapped to `phys`.

@@ -26,7 +26,7 @@
 //! anywhere is the distributed design's queue-empty exception.
 
 use super::{bits, rfan, Lanes, QueueLayout, WaveQueue, FRONT, REAR};
-use crate::{Variant, DNA};
+use crate::DNA;
 use simt::{DeviceMemory, OpSpec, WaveCtx};
 
 /// Host-side handle to one queue per compute unit.
@@ -109,11 +109,6 @@ impl StealingWaveQueue {
 }
 
 impl WaveQueue for StealingWaveQueue {
-    fn variant(&self) -> Variant {
-        // Reported as RF/AN: same properties, distributed topology.
-        Variant::RfAn
-    }
-
     fn acquire(&mut self, ctx: &mut WaveCtx<'_>, lanes: &mut Lanes) {
         // Hungry lanes reserve from the first queue with *visible*
         // backlog: home first, then victims in rotation. Reservations are

@@ -70,9 +70,6 @@ impl WaveKernel for PumpKernel {
 pub struct NeverPark(pub Box<dyn WaveQueue>);
 
 impl WaveQueue for NeverPark {
-    fn variant(&self) -> Variant {
-        self.0.variant()
-    }
     fn acquire(&mut self, ctx: &mut WaveCtx<'_>, lanes: &mut Lanes) {
         self.0.acquire(ctx, lanes)
     }
@@ -213,10 +210,6 @@ fn reading_park(ctx: &mut WaveCtx<'_>, lanes: &Lanes, slots: &Slots) -> bool {
 pub struct Reading(TicketWaveQueue);
 
 impl WaveQueue for Reading {
-    fn variant(&self) -> Variant {
-        self.0.variant()
-    }
-
     fn acquire(&mut self, ctx: &mut WaveCtx<'_>, lanes: &mut Lanes) {
         let afa = self.0.reserve(ctx, lanes);
         match &self.0.slots {

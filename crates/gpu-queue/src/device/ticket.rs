@@ -9,7 +9,7 @@
 
 use super::{bits, rfan, rfonly, segmented, Lanes, QueueLayout, SegmentedLayout, WaveQueue, Width};
 use super::{FRONT, REAR};
-use crate::{Variant, DNA};
+use crate::DNA;
 use simt::round::LINE_WORDS;
 use simt::{Buffer, OpSpec, WaveCtx, MAX_WAVE_SIZE};
 
@@ -301,7 +301,12 @@ impl TicketWaveQueue {
             Width::PerWave => u64::from(hungry.min(1)),
             Width::PerLane => u64::from(hungry),
         };
-        let spec = OpSpec::new(self.variant().label(), "acquire");
+        let label = match (&self.slots, self.width) {
+            (Slots::Flat(_), Width::PerWave) => "RF/AN",
+            (Slots::Flat(_), Width::PerLane) => "RF-only",
+            (Slots::Segmented(_), _) => "SEG-RF/AN",
+        };
+        let spec = OpSpec::new(label, "acquire");
         ctx.audit_begin(match self.slots {
             Slots::Flat(_) => spec.afa_exact(afa),
             Slots::Segmented(_) => spec,
@@ -337,14 +342,6 @@ impl TicketWaveQueue {
 }
 
 impl WaveQueue for TicketWaveQueue {
-    fn variant(&self) -> Variant {
-        match (&self.slots, self.width) {
-            (Slots::Flat(_), Width::PerWave) => Variant::RfAn,
-            (Slots::Flat(_), Width::PerLane) => Variant::RfOnly,
-            (Slots::Segmented(_), _) => Variant::SegRfAn,
-        }
-    }
-
     fn acquire(&mut self, ctx: &mut WaveCtx<'_>, lanes: &mut Lanes) {
         let afa = self.reserve(ctx, lanes);
         // Listing 2: data-arrival poll on the monitored slots. Mapped

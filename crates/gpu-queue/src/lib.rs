@@ -52,8 +52,7 @@ pub enum Variant {
     /// recycled-segment pool. Overflow becomes a segment append (one
     /// directory store) instead of a queue-full abort; the AFA fast path
     /// is unchanged within a segment. Memory is bounded by *live*
-    /// occupancy rather than lifetime enqueues. Not in the paper —
-    /// ROADMAP item 3's extension.
+    /// occupancy rather than lifetime enqueues. Not in the paper.
     SegRfAn,
 }
 

@@ -11,7 +11,7 @@
 //!   [`workload::ConnectedComponents`], [`workload::PrDelta`]).
 //! * [`kernel`] — the generic persistent-thread kernel (Algorithm 1):
 //!   every wavefront loops work cycles of up to four uniform sub-tasks,
-//!   acquiring tokens through any of the five queue designs and
+//!   acquiring tokens through any of the six queue designs and
 //!   enqueuing newly discovered work through the workload's
 //!   [`workload::TokenSink`].
 //! * [`runner`] — the host program, spelled out once: the private
@@ -22,10 +22,11 @@
 //! * [`recovery`] — the one run path: [`recovery::execute`] drives the
 //!   launch primitive under a [`recovery::RecoveryPolicy`] (bounded
 //!   attempts, geometric capacity regrow, backoff, watchdog, value-fenced
-//!   checkpoint epochs). [`run_workload`], [`run_bfs`],
-//!   [`run_bfs_stealing`] and [`run_recoverable`] are thin constructors
-//!   over it; the paper's plain run is the policy value
-//!   [`recovery::RecoveryPolicy::regrow_only`].
+//!   checkpoint epochs). [`run_workload`], [`run_bfs`] and
+//!   [`run_recoverable`] are thin constructors over it; the paper's plain
+//!   run is the policy value [`recovery::RecoveryPolicy::regrow_only`].
+//!   Which of the six queue designs schedules a run is
+//!   [`runner::PtConfig::design`].
 //! * [`baseline`] — the Rodinia-style level-synchronous BFS (relaunches a
 //!   kernel per level) and the CHAI-style collaborative CPU+GPU BFS.
 //! * [`host`] — a real-thread CPU BFS built on the host queues.
@@ -43,7 +44,7 @@ pub use recovery::{
     RunSpec,
 };
 pub use runner::{
-    queue_capacity, run_bfs, run_bfs_stealing, run_workload, PhaseWalls, PtConfig, Run, Scheduler,
+    queue_capacity, run_bfs, run_bfs_stealing, run_workload, PhaseWalls, PtConfig, Run,
 };
 pub use workload::{
     Bfs, Claim, ConnectedComponents, PrDelta, PtWorkload, QueryBatch, Sssp, WorkBuffers,

@@ -52,7 +52,7 @@
 //! sentinel collisions), so a corrupt one surfaces as a typed error
 //! instead of poisoning a device launch.
 
-use crate::runner::{launch, queue_capacity, PhaseWalls, PtConfig, Run, Scheduler};
+use crate::runner::{launch, queue_capacity, PhaseWalls, PtConfig, Run};
 use crate::workload::PtWorkload;
 use gpu_queue::DNA;
 use ptq_graph::Csr;
@@ -200,10 +200,8 @@ pub struct RunSpec<'a, W> {
     /// each member's queue is sized from the larger of
     /// `config.capacity_factor` and its own workload's default factor.
     pub launches: &'a [(&'a Csr, &'a W)],
-    /// Launch geometry, queue variant and starting capacity factor.
+    /// Launch geometry, queue design and starting capacity factor.
     pub config: &'a PtConfig,
-    /// Queue topology (the shared queue unless stated otherwise).
-    pub scheduler: Scheduler,
     /// What to do on an abort, and whether to checkpoint.
     pub policy: &'a RecoveryPolicy,
     /// Deterministic fault injection ([`FaultPlan::EMPTY`] for none).
@@ -217,8 +215,8 @@ pub struct RunSpec<'a, W> {
 static NO_FAULTS: FaultPlan = FaultPlan::EMPTY;
 
 impl<'a, W> RunSpec<'a, W> {
-    /// A fault-free run of `launches` from their seeds on the shared
-    /// queue; override the remaining fields with struct-update syntax.
+    /// A fault-free run of `launches` from their seeds; override the
+    /// remaining fields with struct-update syntax.
     pub fn new(
         launches: &'a [(&'a Csr, &'a W)],
         config: &'a PtConfig,
@@ -227,11 +225,24 @@ impl<'a, W> RunSpec<'a, W> {
         RunSpec {
             launches,
             config,
-            scheduler: Scheduler::Shared,
             policy,
             plan: &NO_FAULTS,
             start: None,
         }
+    }
+}
+
+impl<W: PtWorkload> RunSpec<'_, W> {
+    /// Nominal queue capacity of member `l` at capacity factor `factor`.
+    /// A group shares one config, so its factor is a floor under each
+    /// member's own default, not an override of it.
+    pub(crate) fn capacity(&self, l: usize, factor: f64) -> u32 {
+        let (graph, workload) = self.launches[l];
+        let factor = match self.launches.len() > 1 {
+            true => factor.max(workload.default_capacity_factor()),
+            false => factor,
+        };
+        queue_capacity(graph.num_vertices(), factor)
     }
 }
 
@@ -414,24 +425,27 @@ fn drive<W: PtWorkload>(
         let resume = progress.checkpoint.as_ref().or(spec.start);
         let (depth, rounds_behind) = resume.map_or((0, 0), |c| (c.depth, c.rounds_committed));
         let fence = fenced.then(|| depth.saturating_add(policy.checkpoint_levels));
-        if fence.is_some() || resume.is_some() {
-            // A frontier that is, or will become, a snapshot must fit a
-            // bounded queue before a device launch is burnt on it: one
-            // that does not regrows capacity host-side (no device attempt
-            // consumed). No frontier is too large for a segmented queue.
-            let frontier = resume.map_or_else(|| seeds[0].len(), |c| c.frontier.len());
-            let capacity = queue_capacity(spec.launches[0].0.num_vertices(), progress.factor);
-            if !config.variant.is_segmented() && frontier > capacity as usize {
-                if let Some(grown) = policy.regrown(progress.factor) {
-                    progress.factor = grown;
-                    continue;
-                }
-                let reason = AbortReason::QueueFull {
-                    requested: frontier as u64,
-                    capacity,
-                };
-                return Err(SimError::KernelAbort { reason, round: 0 });
+        // Every member's start frontier (its seeds, `spec.start` or the
+        // last checkpoint) must fit what its design can be seeded with
+        // before any device state is built: one that does not regrows
+        // capacity host-side (no device attempt consumed).
+        let overflow = (0..spec.launches.len()).find_map(|l| {
+            let frontier = resume.map_or(seeds[l].len(), |c| c.frontier.len());
+            let capacity = config
+                .design
+                .seed_capacity(spec.capacity(l, progress.factor));
+            (frontier > capacity as usize).then_some((frontier, capacity))
+        });
+        if let Some((frontier, capacity)) = overflow {
+            if let Some(grown) = policy.regrown(progress.factor) {
+                progress.factor = grown;
+                continue;
             }
+            let reason = AbortReason::QueueFull {
+                requested: frontier as u64,
+                capacity,
+            };
+            return Err(SimError::KernelAbort { reason, round: 0 });
         }
         progress.fence = fence;
 
@@ -547,10 +561,9 @@ pub(crate) fn run_solo<W: PtWorkload>(
 }
 
 /// Runs a recoverable persistent-thread traversal of `workload`:
-/// [`execute`] for one launch on the shared queue from the workload's
-/// seeds. With an empty plan the values are byte-identical to
-/// [`crate::run_workload`]'s; with `policy.checkpoint_levels == u32::MAX`
-/// so is everything else.
+/// [`execute`] for one launch from the workload's seeds. With an empty
+/// plan the values are byte-identical to [`crate::run_workload`]'s; with
+/// `policy.checkpoint_levels == u32::MAX` so is everything else.
 ///
 /// # Errors
 /// The [`SimError`] of [`execute`]'s [`RunFailure`].

@@ -8,14 +8,13 @@
 //! the persistent kernel once, then read back the values. That sequence
 //! is spelled out exactly once, in the launch primitive (`launch`);
 //! [`crate::execute`] drives it under a [`RecoveryPolicy`], and the plain
-//! runs here ([`run_workload`], [`run_bfs`], [`run_bfs_stealing`]) are
-//! that loop handed the policy value [`RecoveryPolicy::regrow_only`].
+//! runs here ([`run_workload`], [`run_bfs`]) are that loop handed the
+//! policy value [`RecoveryPolicy::regrow_only`].
 
 use crate::kernel::{PtKernel, SpillFence, CHUNK};
 use crate::recovery::{run_solo, Progress, RecoveryLog, RecoveryPolicy, RunSpec};
 use crate::workload::{Bfs, PtWorkload, WorkBuffers};
 use gpu_queue::device::{Design, DeviceQueue};
-use gpu_queue::Variant;
 use ptq_graph::Csr;
 use simt::{Engine, GpuConfig, Launch, Metrics, Profile, RunReport, SimError, WaveInfo};
 use std::time::Instant;
@@ -23,8 +22,9 @@ use std::time::Instant;
 /// Parameters of one persistent-thread run (workload-neutral).
 #[derive(Clone, Debug)]
 pub struct PtConfig {
-    /// Which queue design schedules the tasks.
-    pub variant: Variant,
+    /// Which scheduler runs the tasks: a shared queue of one variant, or
+    /// one ring per CU with stealing.
+    pub design: Design,
     /// Number of workgroups to launch (the paper's sweep axis).
     pub workgroups: usize,
     /// Edges per lane per work cycle (paper default: 4).
@@ -45,10 +45,11 @@ pub struct PtConfig {
 }
 
 impl PtConfig {
-    /// The paper's standard configuration for `variant` at `workgroups`.
-    pub fn new(variant: Variant, workgroups: usize) -> Self {
+    /// The paper's standard configuration for `design` at `workgroups`; a
+    /// bare [`gpu_queue::Variant`] is its shared queue.
+    pub fn new(design: impl Into<Design>, workgroups: usize) -> Self {
         PtConfig {
-            variant,
+            design: design.into(),
             workgroups,
             chunk: CHUNK,
             capacity_factor: 2.0,
@@ -58,8 +59,12 @@ impl PtConfig {
     }
 
     /// [`PtConfig::new`] with the capacity factor a workload asks for.
-    pub fn for_workload<W: PtWorkload>(workload: &W, variant: Variant, workgroups: usize) -> Self {
-        let mut config = Self::new(variant, workgroups);
+    pub fn for_workload<W: PtWorkload>(
+        workload: &W,
+        design: impl Into<Design>,
+        workgroups: usize,
+    ) -> Self {
+        let mut config = Self::new(design, workgroups);
         config.capacity_factor = workload.default_capacity_factor();
         config
     }
@@ -78,41 +83,25 @@ pub fn queue_capacity(n: usize, factor: f64) -> u32 {
         .min(u32::MAX as usize) as u32
 }
 
-/// Which scheduler topology a run launches with. A property of the run,
-/// not of [`PtConfig`]: the per-CU scheduler is an ablation *against*
-/// the queue family `PtConfig::variant` selects from.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Scheduler {
-    /// The paper's design: one device-wide queue of `PtConfig::variant`.
-    Shared,
-    /// One RF/AN ring per compute unit with work stealing
-    /// ([`Design::PerCu`]): less hot-word pressure, more load
-    /// imbalance. `PtConfig::variant` only labels the run.
-    Stealing,
-}
-
 /// Run-level enforcement of the paper's central claim: a successful run
 /// scheduled by a retry-free design must report zero CAS attempts, zero
 /// CAS failures, and zero queue-empty retries. Complements the
 /// per-wavefront scopes (`simt::audit`) that already validated each queue
 /// op inside the run.
 fn enforce_retry_free(design: Design, metrics: &Metrics) -> Result<(), SimError> {
-    let (label, claimed) = match design {
+    let claimed = match design {
         // Locally retry-free: never a CAS. Failed steal scans DO
         // count queue-empty retries — the documented trade-off —
         // so only the CAS half of the claim is enforced.
-        Design::PerCu => (
-            "stealing",
-            Metrics {
-                queue_empty_retries: 0,
-                ..*metrics
-            },
-        ),
-        Design::Shared(variant) if variant.is_retry_free() => (variant.label(), *metrics),
+        Design::PerCu => Metrics {
+            queue_empty_retries: 0,
+            ..*metrics
+        },
+        Design::Shared(variant) if variant.is_retry_free() => *metrics,
         Design::Shared(_) => return Ok(()),
     };
     simt::audit::check_retry_free(&claimed)
-        .map_err(|msg| SimError::AuditViolation(format!("{label} run: {msg}")))
+        .map_err(|msg| SimError::AuditViolation(format!("{} run: {msg}", design.label())))
 }
 
 /// Host wall-clock seconds per runner phase, summed over every launch a
@@ -238,17 +227,8 @@ pub(crate) fn launch<W: PtWorkload>(
             depth,
             spill: mem.alloc("spill", state_len + 1),
         });
-        // A group shares one config, so its factor is a floor under
-        // each member's own default, not an override of it.
-        let factor = match group {
-            true => progress.factor.max(workload.default_capacity_factor()),
-            false => progress.factor,
-        };
-        let design = match spec.scheduler {
-            Scheduler::Shared => Design::Shared(config.variant),
-            Scheduler::Stealing => Design::PerCu,
-        };
-        let queue = DeviceQueue::setup(mem, design, queue_capacity(n, factor), gpu.num_cus);
+        let capacity = spec.capacity(l, progress.factor);
+        let queue = DeviceQueue::setup(mem, config.design, capacity, gpu.num_cus);
         queue.host_seed(mem, frontier);
         let buffers = WorkBuffers {
             nodes,
@@ -286,15 +266,8 @@ pub(crate) fn launch<W: PtWorkload>(
     progress.phases.setup_seconds += setup_start.elapsed().as_secs_f64();
 
     let sim_start = Instant::now();
-    let result = if group {
-        engine.run_coresident(template, &vec![config.workgroups; bound.len()], factory)
-    } else {
-        // The one-launch form is the only one that accepts faults and
-        // CPU collaboration (both are single-launch concepts in `simt`).
-        engine
-            .run_with_faults(template, &progress.plan, |info| factory(0, info))
-            .map(|report| vec![report])
-    };
+    let launch_wgs = vec![config.workgroups; bound.len()];
+    let result = engine.run_group(template, &launch_wgs, &progress.plan, factory);
     progress.phases.sim_seconds += sim_start.elapsed().as_secs_f64();
 
     let readback_start = Instant::now();
@@ -382,55 +355,48 @@ pub fn run_bfs(
     run_workload(gpu, graph, &Bfs::new(source), config)
 }
 
-/// Runs a BFS from `source` on the *distributed, work-stealing*
-/// scheduler ([`Scheduler::Stealing`]), an ablation against the paper's
-/// single shared queue; other workloads reach it through
-/// [`crate::execute`].
+/// [`run_bfs`] on the work-stealing scheduler ([`Design::PerCu`]). Kept
+/// only because the frozen `benchmark/` package calls it; ROADMAP item
+/// 1(d) deletes it.
 ///
 /// # Errors
-/// Propagates simulator faults; queue-full is recovered by doubling the
-/// per-CU capacity, as in [`run_bfs`].
+/// See [`run_workload`].
 pub fn run_bfs_stealing(
     gpu: &GpuConfig,
     graph: &Csr,
     source: u32,
     workgroups: usize,
 ) -> Result<Run, SimError> {
-    let bfs = Bfs::new(source);
-    let config = PtConfig::for_workload(&bfs, Variant::RfAn, workgroups);
-    let policy = RecoveryPolicy::regrow_only(config.capacity_factor);
-    let solo = [(graph, &bfs)];
-    let spec = RunSpec {
-        scheduler: Scheduler::Stealing,
-        ..RunSpec::new(&solo, &config, &policy)
-    };
-    run_solo(gpu, spec)
+    run_bfs(
+        gpu,
+        graph,
+        source,
+        &PtConfig::new(Design::PerCu, workgroups),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::execute;
     use crate::workload::{ConnectedComponents, PrDelta};
-    use crate::{execute, RunSpec};
+    use gpu_queue::Variant;
     use ptq_graph::gen::{
         erdos_renyi, roadmap, social, synthetic_tree, RoadmapParams, SocialParams,
     };
     use ptq_graph::{bfs_levels, validate_levels};
     use simt::GpuConfig;
 
-    /// `workload` on the work-stealing scheduler, the way
-    /// [`run_bfs_stealing`] runs BFS.
+    /// `workload` on the work-stealing scheduler.
     fn run_stealing<W: PtWorkload>(graph: &Csr, workload: &W, wgs: usize) -> Run {
-        let config = PtConfig::for_workload(workload, Variant::RfAn, wgs);
-        let policy = RecoveryPolicy::regrow_only(config.capacity_factor);
-        let solo = [(graph, workload)];
-        let spec = RunSpec {
-            scheduler: Scheduler::Stealing,
-            ..RunSpec::new(&solo, &config, &policy)
-        };
-        execute(&GpuConfig::test_tiny(), spec)
-            .unwrap_or_else(|f| panic!("{} stealing: {}", workload.name(), f.error))
-            .remove(0)
+        let config = PtConfig::for_workload(workload, Design::PerCu, wgs);
+        run_workload(&GpuConfig::test_tiny(), graph, workload, &config)
+            .unwrap_or_else(|e| panic!("{} stealing: {e}", workload.name()))
+    }
+
+    /// BFS from 0 on the work-stealing scheduler.
+    fn bfs_stealing(graph: &Csr, wgs: usize) -> Run {
+        run_stealing(graph, &Bfs::new(0), wgs)
     }
 
     /// `entries` co-resident on one device: a single unfenced attempt.
@@ -650,7 +616,7 @@ mod tests {
             }),
             erdos_renyi(400, 1600, 3),
         ] {
-            let run = run_bfs_stealing(&GpuConfig::test_tiny(), &g, 0, 4).unwrap();
+            let run = bfs_stealing(&g, 4);
             validate_levels(&g, 0, &run.values).unwrap_or_else(|(v, want, got)| {
                 panic!("stealing: vertex {v} level {got} != {want}")
             });
@@ -660,7 +626,7 @@ mod tests {
     #[test]
     fn stealing_is_retry_free_locally() {
         let g = synthetic_tree(2_000, 4);
-        let run = run_bfs_stealing(&GpuConfig::test_tiny(), &g, 0, 4).unwrap();
+        let run = bfs_stealing(&g, 4);
         assert_eq!(run.metrics.cas_attempts, 0, "stealing queues never CAS");
         // Failed steal scans count as queue-empty retries, which is the
         // documented trade-off (may be zero on a saturating tree).
@@ -825,7 +791,7 @@ mod tests {
         assert!(run.phases.sim_seconds > 0.0);
         assert!(run.phases.setup_seconds > 0.0 && run.phases.readback_seconds > 0.0);
 
-        let stealing = run_bfs_stealing(&GpuConfig::test_tiny(), &g, 0, 2).unwrap();
+        let stealing = bfs_stealing(&g, 2);
         assert!(stealing.profile.arena_words > 0);
         assert!(stealing.phases.sim_seconds > 0.0);
     }

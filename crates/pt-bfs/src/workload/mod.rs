@@ -3,8 +3,8 @@
 //! The paper's queue is a *general* scheduler for irregular workloads —
 //! BFS is merely its evaluation driver. This module carves the
 //! workload-specific 10% out of the kernel into the [`PtWorkload`]
-//! trait, so the other 90% — variant dispatch across all five device
-//! queues, capacity regrow, spill-fence epochs, checkpoint/resume,
+//! trait, so the other 90% — dispatch across all six queue designs,
+//! capacity regrow, spill-fence epochs, checkpoint/resume,
 //! audit enforcement — lives once in the generic
 //! [`PtKernel`](crate::kernel::PtKernel) / [`run_workload`] machinery
 //! and every workload inherits it.

@@ -8,8 +8,9 @@
 //! pre-rewrite engine; any diff means the optimization changed scheduling
 //! order or cost accounting, not just speed.
 
+use gpu_queue::device::Design;
 use gpu_queue::Variant;
-use pt_bfs::{run_bfs, run_bfs_stealing, PtConfig};
+use pt_bfs::{run_bfs, PtConfig};
 use ptq_graph::gen::{erdos_renyi, synthetic_tree};
 use simt::GpuConfig;
 
@@ -94,25 +95,33 @@ const GOLDEN_RFAN: Golden = Golden {
 fn polling_heavy_long_tail_is_pinned() {
     let graph = synthetic_tree(400, 1);
     let gpu = GpuConfig::test_tiny();
-    // A shared queue of the variant, or (`None`) the per-CU stealing
-    // scheduler.
-    for (variant, golden, cu_cycles) in [
-        (Some(Variant::RfAn), GOLDEN_TAIL_RFAN, GOLDEN_TAIL_RFAN_CUS),
+    use Design::{PerCu, Shared};
+    for (design, golden, cu_cycles) in [
         (
-            Some(Variant::RfOnly),
+            Shared(Variant::RfAn),
+            GOLDEN_TAIL_RFAN,
+            GOLDEN_TAIL_RFAN_CUS,
+        ),
+        (
+            Shared(Variant::RfOnly),
             GOLDEN_TAIL_RFONLY,
             GOLDEN_TAIL_RFONLY_CUS,
         ),
-        (Some(Variant::An), GOLDEN_TAIL_AN, GOLDEN_TAIL_AN_CUS),
-        (Some(Variant::Base), GOLDEN_TAIL_BASE, GOLDEN_TAIL_BASE_CUS),
-        (Some(Variant::SegRfAn), GOLDEN_TAIL_SEG, GOLDEN_TAIL_SEG_CUS),
-        (None, GOLDEN_TAIL_STEALING, GOLDEN_TAIL_STEALING_CUS),
+        (Shared(Variant::An), GOLDEN_TAIL_AN, GOLDEN_TAIL_AN_CUS),
+        (
+            Shared(Variant::Base),
+            GOLDEN_TAIL_BASE,
+            GOLDEN_TAIL_BASE_CUS,
+        ),
+        (
+            Shared(Variant::SegRfAn),
+            GOLDEN_TAIL_SEG,
+            GOLDEN_TAIL_SEG_CUS,
+        ),
+        (PerCu, GOLDEN_TAIL_STEALING, GOLDEN_TAIL_STEALING_CUS),
     ] {
-        let run = match variant {
-            Some(variant) => run_bfs(&gpu, &graph, 0, &PtConfig::new(variant, 8)),
-            None => run_bfs_stealing(&gpu, &graph, 0, 8),
-        }
-        .unwrap_or_else(|e| panic!("{variant:?}: {e}"));
+        let run = run_bfs(&gpu, &graph, 0, &PtConfig::new(design, 8))
+            .unwrap_or_else(|e| panic!("{design:?}: {e}"));
         let m = &run.metrics;
         let got = Golden {
             rounds: m.rounds,
@@ -123,23 +132,23 @@ fn polling_heavy_long_tail_is_pinned() {
             queue_empty_retries: m.queue_empty_retries,
             makespan_cycles: m.makespan_cycles,
         };
-        assert_eq!(got, golden, "{variant:?} long-tail metrics drifted");
+        assert_eq!(got, golden, "{design:?} long-tail metrics drifted");
         assert_eq!(
             run.per_cu_cycles, cu_cycles,
-            "{variant:?} long-tail per-CU cycles drifted"
+            "{design:?} long-tail per-CU cycles drifted"
         );
-        assert_eq!(m.global_mem_ops, golden_tail_mem_ops(variant));
+        assert_eq!(m.global_mem_ops, golden_tail_mem_ops(design));
     }
 }
 
-fn golden_tail_mem_ops(variant: Option<Variant>) -> u64 {
-    match variant {
-        Some(Variant::RfAn) => 9130,
-        Some(Variant::RfOnly) => 9130,
-        Some(Variant::An) => 12422,
-        Some(Variant::Base) => 12422,
-        Some(Variant::SegRfAn) => 12591,
-        None => 15227,
+fn golden_tail_mem_ops(design: Design) -> u64 {
+    match design {
+        Design::Shared(Variant::RfAn) => 9130,
+        Design::Shared(Variant::RfOnly) => 9130,
+        Design::Shared(Variant::An) => 12422,
+        Design::Shared(Variant::Base) => 12422,
+        Design::Shared(Variant::SegRfAn) => 12591,
+        Design::PerCu => 15227,
     }
 }
 

@@ -4,32 +4,24 @@
 //! [`run_bfs_stealing`]) must be indistinguishable — simulated seconds
 //! bit for bit, every counter, every per-CU clock, the recovery log —
 //! from [`execute`] handed the paper's regrow rule spelled out as a
-//! [`RecoveryPolicy`] literal, across queue variants, workloads, graph
-//! shapes, the capacity-regrow case and the stealing scheduler. A
-//! one-member launch group *is* the solo path, so the same comparison
-//! covers it.
+//! [`RecoveryPolicy`] literal, across the six queue designs, workloads,
+//! graph shapes and the capacity-regrow case. A one-member launch group
+//! *is* the solo path, so the same comparison covers it.
 //!
 //! *Typed errors at the boundary:* every spec that cannot be launched
 //! comes back as a [`SimError::InvalidLaunch`] naming its cause — no
-//! input reaches an `assert!` in the runner or the engine.
+//! input reaches an `assert!` in the runner or the engine, and a start
+//! frontier larger than a design's queue regrows instead of panicking.
 
+use gpu_queue::device::Design;
 use gpu_queue::Variant;
 use pt_bfs::{
     execute, run_bfs_stealing, run_recoverable, run_workload, Bfs, ConnectedComponents, PrDelta,
-    PtConfig, PtWorkload, RecoveryPolicy, Run, RunSpec, Scheduler, Sssp,
+    PtConfig, PtWorkload, RecoveryPolicy, Run, RunSpec, Sssp,
 };
 use ptq_graph::gen::{roadmap, social, synthetic_tree, RoadmapParams, SocialParams};
 use ptq_graph::{random_weights, Csr, CsrBuilder};
 use simt::{FaultPlan, GpuConfig, SimError};
-
-/// The four paper-matrix variants plus the segmented queue.
-const VARIANTS: [Variant; 5] = [
-    Variant::Base,
-    Variant::An,
-    Variant::RfOnly,
-    Variant::RfAn,
-    Variant::SegRfAn,
-];
 
 /// "Retry the kernel with a larger queue", written out rather than taken
 /// from [`RecoveryPolicy::regrow_only`] — the point is to pin what that
@@ -83,32 +75,26 @@ fn assert_same_run(a: &Run, b: &Run, tag: &str) {
     assert_eq!(a.recovery, b.recovery, "{tag}: recovery log");
 }
 
-fn execute_solo<W: PtWorkload>(
-    graph: &Csr,
-    workload: &W,
-    config: &PtConfig,
-    scheduler: Scheduler,
-) -> Run {
+fn execute_solo<W: PtWorkload>(graph: &Csr, workload: &W, config: &PtConfig) -> Run {
     let policy = paper_policy(config.capacity_factor);
     let solo = [(graph, workload)];
-    let spec = RunSpec {
-        scheduler,
-        ..RunSpec::new(&solo, config, &policy)
-    };
-    execute(&GpuConfig::test_tiny(), spec)
-        .unwrap_or_else(|failure| panic!("{}: {}", workload.name(), failure.error))
-        .remove(0)
+    execute(
+        &GpuConfig::test_tiny(),
+        RunSpec::new(&solo, config, &policy),
+    )
+    .unwrap_or_else(|failure| panic!("{}: {}", workload.name(), failure.error))
+    .remove(0)
 }
 
 fn plain_equals_policy_value<W: PtWorkload>(graph: &Csr, workload: &W, tag: &str) {
     let gpu = GpuConfig::test_tiny();
-    for variant in VARIANTS {
-        let tag = format!("{tag}/{}/{variant:?}", workload.name());
-        let config = PtConfig::for_workload(workload, variant, 3);
+    for design in Design::ALL {
+        let tag = format!("{tag}/{}/{design:?}", workload.name());
+        let config = PtConfig::for_workload(workload, design, 3);
         let plain =
             run_workload(&gpu, graph, workload, &config).unwrap_or_else(|e| panic!("{tag}: {e}"));
         assert!(plain.recovery.attempts.is_empty(), "{tag}: sized to fit");
-        let valued = execute_solo(graph, workload, &config, Scheduler::Shared);
+        let valued = execute_solo(graph, workload, &config);
         assert_same_run(&plain, &valued, &tag);
         // The recoverable constructor on an unfenced stride is the same
         // launch again (its other defaults only matter after an abort).
@@ -153,7 +139,7 @@ fn plain_is_a_policy_value_through_capacity_regrow() {
         assert_eq!(factors, [0.2, 0.4, 0.8], "{variant:?}");
         assert_eq!(plain.recovery.final_capacity_factor, 1.6);
         assert_eq!(plain.recovery.rounds_replayed, plain.metrics.rounds);
-        let valued = execute_solo(&graph, &bfs, &config, Scheduler::Shared);
+        let valued = execute_solo(&graph, &bfs, &config);
         assert_same_run(&plain, &valued, &format!("chain/{variant:?}"));
     }
 }
@@ -163,13 +149,33 @@ fn stealing_is_a_policy_value_too() {
     for (name, graph) in graphs() {
         let bfs = Bfs::new(0);
         let plain = run_bfs_stealing(&GpuConfig::test_tiny(), &graph, 0, 3).unwrap();
-        let config = PtConfig::for_workload(&bfs, Variant::RfAn, 3);
-        let valued = execute_solo(&graph, &bfs, &config, Scheduler::Stealing);
+        let valued = execute_solo(&graph, &bfs, &PtConfig::new(Design::PerCu, 3));
         assert_same_run(&plain, &valued, &format!("{name}/stealing"));
         // And it is a different scheduler, not a relabelled shared queue.
-        let shared = execute_solo(&graph, &bfs, &config, Scheduler::Shared);
+        let shared = execute_solo(&graph, &bfs, &PtConfig::new(Variant::RfAn, 3));
         assert_eq!(shared.values, plain.values);
         assert_ne!(shared.metrics, plain.metrics, "{name}: same counters");
+    }
+}
+
+#[test]
+fn a_start_frontier_past_the_queue_regrows_on_every_design() {
+    // Connected components seeds all 1 000 vertices; at factor 0.5 no
+    // design's fresh queue holds them, so the run regrows host-side
+    // before it seeds anything — and then completes exactly.
+    let graph = synthetic_tree(1_000, 4);
+    let cc = ConnectedComponents;
+    let oracle = cc.reference(&graph);
+    for design in Design::ALL {
+        let config = PtConfig {
+            capacity_factor: 0.5,
+            ..PtConfig::for_workload(&cc, design, 2)
+        };
+        let run = run_workload(&GpuConfig::test_tiny(), &graph, &cc, &config)
+            .unwrap_or_else(|e| panic!("{design:?}: {e}"));
+        assert_eq!(run.values, oracle, "{design:?}");
+        let factor = run.recovery.final_capacity_factor;
+        assert!(factor >= 1.0, "{design:?}: finished at factor {factor}");
     }
 }
 

@@ -265,99 +265,58 @@ impl Engine {
         &self.memory
     }
 
-    /// Runs one kernel to completion. `factory` builds the per-wavefront
+    /// Runs one clean kernel launch to completion: [`Engine::run_group`]
+    /// with one member and no faults. `factory` builds the per-wavefront
     /// kernel state (it receives each wavefront's identity).
     ///
     /// # Errors
-    /// Fails on device faults (out-of-bounds), kernel aborts (queue-full),
-    /// exceeding the round limit, or ([`SimError::InvalidLaunch`]) a
-    /// launch with no group in it or a `wave_size` outside
-    /// `1..=`[`MAX_WAVE_SIZE`].
-    pub fn run<K, F>(&mut self, launch: Launch, factory: F) -> Result<RunReport, SimError>
-    where
-        K: WaveKernel,
-        F: FnMut(WaveInfo) -> K,
-    {
-        self.run_with_faults(launch, &FaultPlan::EMPTY, factory)
-    }
-
-    /// [`Engine::run`] under a deterministic [`FaultPlan`]. Injection is a
-    /// pure overlay: with an empty plan this is exactly `run` — same wave
-    /// visit order, same metrics, same cycles, bit for bit. A non-empty
-    /// plan may kill waves (structured abort), stall CUs (extra cycles,
-    /// recorded in `Metrics::injected_stall_cycles`), or poison memory
-    /// words (abort on next kernel access).
-    pub fn run_with_faults<K, F>(
-        &mut self,
-        launch: Launch,
-        plan: &FaultPlan,
-        mut factory: F,
-    ) -> Result<RunReport, SimError>
+    /// See [`Engine::run_group`].
+    pub fn run<K, F>(&mut self, launch: Launch, mut factory: F) -> Result<RunReport, SimError>
     where
         K: WaveKernel,
         F: FnMut(WaveInfo) -> K,
     {
         let wgs = [launch.num_workgroups];
-        let mut reports = self.run_multi(launch, &wgs, plan, |_, info| factory(info))?;
-        Ok(reports.pop().expect("single launch yields one report"))
+        let reports = self.run_group(launch, &wgs, &FaultPlan::EMPTY, |_, info| factory(info))?;
+        Ok(reports.into_iter().next().expect("one launch, one report"))
     }
 
-    /// Runs several co-resident kernel launches that share the device:
-    /// waves from all launches interleave in one deterministic round
+    /// The round loop: runs the launches of `launch_wgs` co-resident on
+    /// the device under a deterministic [`FaultPlan`], one [`RunReport`]
+    /// per launch.
+    ///
+    /// Waves from all launches interleave in one deterministic round
     /// rotation, contending for the same CUs, DRAM bandwidth pool, and
-    /// hot-word serialization floor. Each launch gets its own
-    /// [`RunReport`] — metrics, a makespan snapshotted at the round its
-    /// last wave retires, and the per-CU cycle state at that instant —
-    /// so co-residents that finish early report shorter makespans than
+    /// hot-word serialization floor. Each report carries the launch's
+    /// metrics, a makespan snapshotted at the round its last wave
+    /// retires, and the per-CU cycle state at that instant — so
+    /// co-residents that finish early report shorter makespans than
     /// stragglers, exactly like overlapping streams on real hardware.
     ///
-    /// `template` supplies the shared knobs (round limit, audit);
-    /// `launch_wgs[l]` is launch `l`'s workgroup count.
+    /// `template` supplies the shared knobs (round limit, audit, CPU
+    /// collab groups); `launch_wgs[l]` is launch `l`'s workgroup count.
     /// `factory` receives `(launch_index, info)` where `info` carries
     /// *launch-local* `wave_id`/`workgroup`/`total_waves` (kernels see
     /// their own geometry, as if launched alone) while CU assignment
     /// continues the device-wide round-robin fill across launches.
     ///
-    /// Restrictions: no CPU-collab groups and no fault plan (both are
-    /// single-launch concepts; faulted queries run solo upstream). A
-    /// one-element `launch_wgs` is bit-identical to [`Engine::run`].
+    /// Injection is a pure overlay: with an empty plan the run is the
+    /// clean one — same wave visit order, same metrics, same cycles, bit
+    /// for bit. A non-empty plan may kill waves (structured abort), stall
+    /// CUs (extra cycles, recorded in `Metrics::injected_stall_cycles`),
+    /// or poison memory words (abort on next kernel access). Faults and
+    /// CPU collab groups address one launch's waves, so they are
+    /// single-launch only.
     ///
     /// # Errors
-    /// Same failure modes as [`Engine::run`]; an abort in any launch
-    /// fails the whole co-resident execution. A request that breaks the
-    /// restrictions above (or names no launch, or an empty one) is
-    /// refused with [`SimError::InvalidLaunch`].
-    pub fn run_coresident<K, F>(
-        &mut self,
-        template: Launch,
-        launch_wgs: &[usize],
-        factory: F,
-    ) -> Result<Vec<RunReport>, SimError>
-    where
-        K: WaveKernel,
-        F: FnMut(usize, WaveInfo) -> K,
-    {
-        let refused = if template.cpu_collab_groups != 0 {
-            Some("co-resident launches do not support CPU collab groups")
-        } else if launch_wgs.is_empty() {
-            Some("need at least one launch")
-        } else if launch_wgs.contains(&0) {
-            Some("every co-resident launch needs at least one workgroup")
-        } else {
-            None
-        };
-        if let Some(cause) = refused {
-            return Err(SimError::InvalidLaunch(cause.into()));
-        }
-        self.run_multi(template, launch_wgs, &FaultPlan::EMPTY, factory)
-    }
-
-    /// The round-loop core shared by [`Engine::run_with_faults`] (one
-    /// launch, faults allowed) and [`Engine::run_coresident`] (many
-    /// launches, clean). With a single launch the wave table, visit
-    /// order, charges, and report are bit-identical to the historical
-    /// single-launch loop — the pt-bfs engine-regression goldens pin it.
-    fn run_multi<K, F>(
+    /// Fails on device faults (out-of-bounds), kernel aborts (queue-full,
+    /// injected faults), or exceeding the round limit; an abort in any
+    /// launch fails the whole group. Refused with
+    /// [`SimError::InvalidLaunch`], before any device state changes: a
+    /// fault plan or CPU collab groups with more than one launch, no
+    /// launch, a group member with no workgroup, a `wave_size` outside
+    /// `1..=`[`MAX_WAVE_SIZE`], or a launch with no group in it.
+    pub fn run_group<K, F>(
         &mut self,
         launch: Launch,
         launch_wgs: &[usize],
@@ -369,10 +328,18 @@ impl Engine {
         F: FnMut(usize, WaveInfo) -> K,
     {
         let num_launches = launch_wgs.len();
-        if num_launches != 1 && !(plan.is_empty() && launch.cpu_collab_groups == 0) {
-            return Err(SimError::InvalidLaunch(
-                "faults and CPU collab are single-launch only".into(),
-            ));
+        let group = num_launches > 1;
+        let refused = if group && !(plan.is_empty() && launch.cpu_collab_groups == 0) {
+            Some("faults and CPU collab groups are single-launch only")
+        } else if num_launches == 0 {
+            Some("need at least one launch")
+        } else if group && launch_wgs.contains(&0) {
+            Some("every co-resident launch needs at least one workgroup")
+        } else {
+            None
+        };
+        if let Some(cause) = refused {
+            return Err(SimError::InvalidLaunch(cause.into()));
         }
         if !(1..=MAX_WAVE_SIZE).contains(&self.config.wave_size) {
             return Err(SimError::InvalidLaunch(format!(
@@ -816,6 +783,20 @@ mod tests {
         e
     }
 
+    /// One launch of `wgs` workgroups of `remaining`-step [`IncrKernel`]s
+    /// on the counter, under `plan`.
+    fn incr_under(
+        e: &mut Engine,
+        wgs: usize,
+        plan: &FaultPlan,
+        remaining: u32,
+    ) -> Result<RunReport, SimError> {
+        let buf = e.memory().buffer("counter");
+        let launch = Launch::workgroups(wgs);
+        e.run_group(launch, &[wgs], plan, |_, _| IncrKernel { buf, remaining })
+            .map(|mut reports| reports.remove(0))
+    }
+
     #[test]
     fn all_increments_land() {
         let mut e = tiny_engine();
@@ -1131,15 +1112,7 @@ mod tests {
             e.run(Launch::workgroups(4), |_| IncrKernel { buf, remaining: 6 })
                 .unwrap()
         };
-        let run_faulted = || {
-            let mut e = tiny_engine();
-            let buf = e.memory().buffer("counter");
-            e.run_with_faults(Launch::workgroups(4), &FaultPlan::EMPTY, |_| IncrKernel {
-                buf,
-                remaining: 6,
-            })
-            .unwrap()
-        };
+        let run_faulted = || incr_under(&mut tiny_engine(), 4, &FaultPlan::EMPTY, 6).unwrap();
         let a = run_plain();
         let b = run_faulted();
         assert_eq!(a.metrics, b.metrics);
@@ -1151,15 +1124,8 @@ mod tests {
 
     #[test]
     fn wave_kill_aborts_with_structured_reason() {
-        let mut e = tiny_engine();
-        let buf = e.memory().buffer("counter");
         let plan = FaultPlan::new().kill_wave(2, 1);
-        let err = e
-            .run_with_faults(Launch::workgroups(4), &plan, |_| IncrKernel {
-                buf,
-                remaining: 10,
-            })
-            .unwrap_err();
+        let err = incr_under(&mut tiny_engine(), 4, &plan, 10).unwrap_err();
         assert_eq!(
             err,
             SimError::KernelAbort {
@@ -1175,31 +1141,16 @@ mod tests {
 
     #[test]
     fn kill_of_retired_wave_is_a_miss() {
-        let mut e = tiny_engine();
-        let buf = e.memory().buffer("counter");
         // Wave 0 does 2 cycles; a kill scheduled long after termination
         // never fires and the run completes normally.
         let plan = FaultPlan::new().kill_wave(100, 0);
-        let r = e
-            .run_with_faults(Launch::workgroups(1), &plan, |_| IncrKernel {
-                buf,
-                remaining: 2,
-            })
-            .unwrap();
+        let r = incr_under(&mut tiny_engine(), 1, &plan, 2).unwrap();
         assert_eq!(r.metrics.injected_faults, 0);
     }
 
     #[test]
     fn cu_stall_grows_makespan_deterministically() {
-        let run = |plan: &FaultPlan| {
-            let mut e = tiny_engine();
-            let buf = e.memory().buffer("counter");
-            e.run_with_faults(Launch::workgroups(1), plan, |_| IncrKernel {
-                buf,
-                remaining: 4,
-            })
-            .unwrap()
-        };
+        let run = |plan: &FaultPlan| incr_under(&mut tiny_engine(), 1, plan, 4).unwrap();
         let clean = run(&FaultPlan::EMPTY);
         let stalled = run(&FaultPlan::new().stall_cu(0, 1, 2, 50));
         assert_eq!(
@@ -1217,15 +1168,8 @@ mod tests {
 
     #[test]
     fn mem_poison_faults_next_access_with_wave_attached() {
-        let mut e = tiny_engine();
-        let buf = e.memory().buffer("counter");
         let plan = FaultPlan::new().poison(1, "counter", 0);
-        let err = e
-            .run_with_faults(Launch::workgroups(2), &plan, |_| IncrKernel {
-                buf,
-                remaining: 5,
-            })
-            .unwrap_err();
+        let err = incr_under(&mut tiny_engine(), 2, &plan, 5).unwrap_err();
         match err {
             SimError::KernelAbort {
                 reason:
@@ -1246,15 +1190,8 @@ mod tests {
 
     #[test]
     fn poison_on_unbound_buffer_is_skipped() {
-        let mut e = tiny_engine();
-        let buf = e.memory().buffer("counter");
         let plan = FaultPlan::new().poison(0, "workqueue", 3);
-        let r = e
-            .run_with_faults(Launch::workgroups(1), &plan, |_| IncrKernel {
-                buf,
-                remaining: 2,
-            })
-            .unwrap();
+        let r = incr_under(&mut tiny_engine(), 1, &plan, 2).unwrap();
         assert_eq!(r.metrics.injected_faults, 0);
     }
 
@@ -1269,9 +1206,8 @@ mod tests {
         let mut e = tiny_engine();
         let buf = e.memory().buffer("counter");
         let mut reports = e
-            .run_coresident(Launch::workgroups(3), &[3], |_, _| IncrKernel {
-                buf,
-                remaining: 5,
+            .run_group(Launch::workgroups(3), &[3], &FaultPlan::EMPTY, |_, _| {
+                IncrKernel { buf, remaining: 5 }
             })
             .unwrap();
         assert_eq!(reports.len(), 1);
@@ -1294,23 +1230,21 @@ mod tests {
         fn incr(buf: Buffer) -> impl FnMut(usize, WaveInfo) -> IncrKernel {
             move |_, _| IncrKernel { buf, remaining: 1 }
         }
+        const CLEAN: &FaultPlan = &FaultPlan::EMPTY;
         let cases: [(&str, Request); 7] = [
             ("CPU collab groups", |e, buf| {
                 let template = Launch::workgroups(1).with_cpu_collab(1);
-                e.run_coresident(template, &[1, 1], incr(buf))
+                e.run_group(template, &[1, 1], CLEAN, incr(buf))
             }),
             ("at least one launch", |e, buf| {
-                e.run_coresident(Launch::workgroups(1), &[], incr(buf))
+                e.run_group(Launch::workgroups(1), &[], CLEAN, incr(buf))
             }),
             ("at least one workgroup", |e, buf| {
-                e.run_coresident(Launch::workgroups(1), &[2, 0], incr(buf))
+                e.run_group(Launch::workgroups(1), &[2, 0], CLEAN, incr(buf))
             }),
             ("single-launch only", |e, buf| {
-                let kill = FaultPlan {
-                    wave_kills: vec![crate::fault::WaveKill { wave: 0, round: 0 }],
-                    ..FaultPlan::EMPTY
-                };
-                e.run_multi(Launch::workgroups(1), &[1, 1], &kill, incr(buf))
+                let kill = FaultPlan::new().kill_wave(0, 0);
+                e.run_group(Launch::workgroups(1), &[1, 1], &kill, incr(buf))
             }),
             ("at least one group", |e, buf| {
                 let run = e.run(Launch::workgroups(0), |_| IncrKernel { buf, remaining: 1 });
@@ -1320,11 +1254,11 @@ mod tests {
             // hold is refused, not shifted (and 0 would never terminate).
             ("wave_size 0 is outside", |e, buf| {
                 e.config.wave_size = 0;
-                e.run_coresident(Launch::workgroups(1), &[1], incr(buf))
+                e.run_group(Launch::workgroups(1), &[1], CLEAN, incr(buf))
             }),
             ("wave_size 65 is outside", |e, buf| {
                 e.config.wave_size = MAX_WAVE_SIZE + 1;
-                e.run_coresident(Launch::workgroups(1), &[1], incr(buf))
+                e.run_group(Launch::workgroups(1), &[1], CLEAN, incr(buf))
             }),
         ];
         for (cause, request) in cases {
@@ -1346,9 +1280,11 @@ mod tests {
         // Launch 0: 1 wave x 2 increments. Launch 1: 2 waves x 7
         // increments. All share one counter.
         let reports = e
-            .run_coresident(Launch::workgroups(1), &[1, 2], |l, _| IncrKernel {
-                buf,
-                remaining: if l == 0 { 2 } else { 7 },
+            .run_group(Launch::workgroups(1), &[1, 2], &FaultPlan::EMPTY, |l, _| {
+                IncrKernel {
+                    buf,
+                    remaining: if l == 0 { 2 } else { 7 },
+                }
             })
             .unwrap();
         assert_eq!(reports.len(), 2);
@@ -1376,9 +1312,11 @@ mod tests {
         let mut e = tiny_engine();
         let buf = e.memory().buffer("counter");
         let reports = e
-            .run_coresident(Launch::workgroups(1), &[1, 4], |l, _| IncrKernel {
-                buf,
-                remaining: if l == 0 { 2 } else { 8 },
+            .run_group(Launch::workgroups(1), &[1, 4], &FaultPlan::EMPTY, |l, _| {
+                IncrKernel {
+                    buf,
+                    remaining: if l == 0 { 2 } else { 8 },
+                }
             })
             .unwrap();
         assert!(
@@ -1394,10 +1332,15 @@ mod tests {
         let run = || {
             let mut e = tiny_engine();
             let buf = e.memory().buffer("counter");
-            e.run_coresident(Launch::workgroups(1), &[2, 1, 3], |l, _| IncrKernel {
-                buf,
-                remaining: 3 + l as u32,
-            })
+            e.run_group(
+                Launch::workgroups(1),
+                &[2, 1, 3],
+                &FaultPlan::EMPTY,
+                |l, _| IncrKernel {
+                    buf,
+                    remaining: 3 + l as u32,
+                },
+            )
             .unwrap()
         };
         let a = run();

@@ -155,10 +155,11 @@ fn run_pair(
     [true, false].map(|park| {
         let mut e = Engine::new(GpuConfig::test_tiny());
         let buf = e.memory_mut().alloc_init("state", &init);
-        e.run_with_faults(
+        e.run_group(
             Launch::workgroups(2).with_max_rounds(64),
+            &[2],
             plan,
-            |info: WaveInfo| Kernel {
+            |_, info: WaveInfo| Kernel {
                 buf,
                 wave: if info.wave_id == 0 {
                     Wave::Script {
@@ -174,6 +175,7 @@ fn run_pair(
                 },
             },
         )
+        .map(|mut reports| reports.remove(0))
     })
 }
 

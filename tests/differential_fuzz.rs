@@ -6,9 +6,7 @@
 //! duplicated, or invented a token.
 
 use ptq::bfs::workload::{ConnectedComponents, PrDelta, PtWorkload, Sssp};
-use ptq::bfs::{
-    execute, run_bfs, run_bfs_stealing, run_workload, PtConfig, RecoveryPolicy, RunSpec, Scheduler,
-};
+use ptq::bfs::{run_bfs, run_workload, PtConfig};
 use ptq::graph::gen::social;
 use ptq::graph::gen::SocialParams;
 use ptq::graph::{random_weights, Dataset};
@@ -165,18 +163,11 @@ fn all_six_schedulers_agree_on_bfs_levels() {
     let reference = run_bfs(&gpu, &graph, 0, &PtConfig::new(Variant::Base, 4))
         .unwrap()
         .values;
-    for variant in [
-        Variant::An,
-        Variant::RfOnly,
-        Variant::RfAn,
-        Variant::SegRfAn,
-    ] {
-        let run = run_bfs(&gpu, &graph, 0, &PtConfig::new(variant, 4))
-            .unwrap_or_else(|e| panic!("{variant:?}: {e}"));
-        assert_eq!(run.values, reference, "{variant:?} BFS levels diverged");
+    for design in Design::ALL {
+        let run = run_bfs(&gpu, &graph, 0, &PtConfig::new(design, 4))
+            .unwrap_or_else(|e| panic!("{design:?}: {e}"));
+        assert_eq!(run.values, reference, "{design:?} BFS levels diverged");
     }
-    let stealing = run_bfs_stealing(&gpu, &graph, 0, 4).unwrap();
-    assert_eq!(stealing.values, reference, "stealing BFS levels diverged");
 }
 
 /// The six dataset shapes at fuzz scale (roughly 1–2k vertices each).
@@ -198,40 +189,30 @@ const FUZZ_SCALE: [(Dataset, f64); 6] = [
 fn all_six_agree_with_oracle<W: PtWorkload>(graph: &ptq::graph::Csr, workload: &W, tag: &str) {
     let gpu = GpuConfig::test_tiny();
     let oracle = workload.reference(graph);
-    let variants = Variant::MATRIX.iter().chain([&Variant::SegRfAn]);
-    for &variant in variants {
-        let config = PtConfig::for_workload(workload, variant, 4);
+    for design in Design::ALL {
+        let config = PtConfig::for_workload(workload, design, 4);
         let run = run_workload(&gpu, graph, workload, &config)
-            .unwrap_or_else(|e| panic!("{tag}/{variant:?}: {e}"));
+            .unwrap_or_else(|e| panic!("{tag}/{design:?}: {e}"));
         assert_eq!(
             run.values, oracle,
-            "{tag}/{variant:?}: values diverged from the sequential oracle"
+            "{tag}/{design:?}: values diverged from the sequential oracle"
         );
-        if variant.is_retry_free() {
-            assert_eq!(run.metrics.cas_attempts, 0, "{tag}/{variant:?} issued CAS");
+        // Stealing never CASes either, but its failed steal scans count
+        // as queue-empty retries.
+        let (never_cas, never_spins) = match design {
+            Design::Shared(variant) => (variant.is_retry_free(), variant.is_retry_free()),
+            Design::PerCu => (true, false),
+        };
+        if never_cas {
+            assert_eq!(run.metrics.cas_attempts, 0, "{tag}/{design:?} issued CAS");
+        }
+        if never_spins {
             assert_eq!(
                 run.metrics.queue_empty_retries, 0,
-                "{tag}/{variant:?} spun on empty"
+                "{tag}/{design:?} spun on empty"
             );
         }
     }
-    // The sixth scheduler: per-CU queues with stealing, sized and
-    // regrown the way `run_bfs_stealing` does for BFS.
-    let config = PtConfig::for_workload(workload, Variant::RfAn, 4);
-    let policy = RecoveryPolicy::regrow_only(config.capacity_factor);
-    let solo = [(graph, workload)];
-    let spec = RunSpec {
-        scheduler: Scheduler::Stealing,
-        ..RunSpec::new(&solo, &config, &policy)
-    };
-    let run = execute(&gpu, spec)
-        .unwrap_or_else(|f| panic!("{tag}/stealing: {}", f.error))
-        .remove(0);
-    assert_eq!(
-        run.values, oracle,
-        "{tag}/stealing: values diverged from the sequential oracle"
-    );
-    assert_eq!(run.metrics.cas_attempts, 0, "{tag}/stealing issued CAS");
 }
 
 #[test]

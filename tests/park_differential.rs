@@ -30,9 +30,6 @@ use simt::{
 struct NeverPark(Box<dyn WaveQueue>);
 
 impl WaveQueue for NeverPark {
-    fn variant(&self) -> Variant {
-        self.0.variant()
-    }
     fn acquire(&mut self, ctx: &mut WaveCtx<'_>, lanes: &mut Lanes) {
         self.0.acquire(ctx, lanes)
     }
@@ -145,10 +142,12 @@ fn solo<W: PtWorkload>(
 ) -> (Result<Outcome, SimError>, u64) {
     let mut engine = Engine::new(gpu.clone());
     let device = Device::setup(engine.memory_mut(), gpu, graph, workload, design);
-    match engine.run_with_faults(launch(gpu), plan, |info| device.kernel(info, park)) {
-        Ok(report) => (
-            Ok(outcome(&engine, &device, &report)),
-            report.profile.park_events,
+    let launch = launch(gpu);
+    let wgs = [launch.num_workgroups];
+    match engine.run_group(launch, &wgs, plan, |_, info| device.kernel(info, park)) {
+        Ok(reports) => (
+            Ok(outcome(&engine, &device, &reports[0])),
+            reports[0].profile.park_events,
         ),
         Err(e) => (Err(e), 0),
     }
@@ -245,11 +244,12 @@ fn parked_equals_never_parked_for_coresident_launches() {
                 .collect();
             engine.memory_mut().set_alloc_prefix("");
             let reports = engine
-                .run_coresident(
+                .run_group(
                     Launch::workgroups(2)
                         .with_max_rounds(2_000_000)
                         .with_audit(),
                     &[2, 2],
+                    &FaultPlan::EMPTY,
                     |l, info| devices[l].kernel(info, park),
                 )
                 .expect("co-resident run failed");

@@ -1,65 +1,15 @@
 //! Scalability deep-dive: RF/AN speedup across workgroup counts with the
 //! simulator's per-round bottleneck attribution (the quantitative story
-//! behind Figure 4's headline claim of near-linear scaling).
+//! behind Figure 4's headline claim of near-linear scaling). Each point is
+//! an ordinary validated, audited [`bfs_run`]; the attribution is its
+//! [`simt::RoundBounds`].
 
-use super::common::DatasetCache;
+use super::common::{bfs_run, DatasetCache};
 use crate::report::Table;
 use crate::{Scale, Sched};
-use gpu_queue::device::{Design, DeviceQueue};
 use gpu_queue::Variant;
-use pt_bfs::workload::Bfs;
-use pt_bfs::{PtKernel, WorkBuffers};
 use ptq_graph::Dataset;
-use simt::{Engine, GpuConfig, Launch};
-
-/// One traced RF/AN run at a given workgroup count.
-fn traced_run(gpu: &GpuConfig, graph: &ptq_graph::Csr, wgs: usize) -> (f64, f64, f64, f64, f64) {
-    let n = graph.num_vertices();
-    let mut engine = Engine::new(gpu.clone());
-    let mem = engine.memory_mut();
-    mem.alloc_init("nodes", graph.row_offsets());
-    mem.alloc_init("edges", graph.adjacency());
-    let costs = mem.alloc("costs", n);
-    mem.fill(costs, u32::MAX);
-    mem.write_u32(costs, 0, 0);
-    let inqueue = mem.alloc("inqueue", n);
-    mem.write_u32(inqueue, 0, 1);
-    let pending = mem.alloc("pending", 1);
-    mem.write_u32(pending, 0, 1);
-    let queue = DeviceQueue::setup(
-        mem,
-        Design::Shared(Variant::RfAn),
-        (2 * n) as u32,
-        gpu.num_cus,
-    );
-    queue.host_seed(mem, &[0]);
-    let buffers = WorkBuffers {
-        nodes: mem.buffer("nodes"),
-        edges: mem.buffer("edges"),
-        values: costs,
-        inqueue,
-        pending,
-    };
-    let report = engine
-        .run(Launch::workgroups(wgs).with_trace(), |info| {
-            PtKernel::new(
-                queue.wave_queue(info.cu),
-                Bfs::new(0),
-                buffers,
-                info.wave_size,
-            )
-        })
-        .expect("traced run succeeds");
-    let trace = report.trace.expect("trace requested");
-    let (issue, latency, memory) = trace.bound_breakdown();
-    (
-        report.seconds,
-        issue,
-        latency,
-        memory,
-        trace.weighted_occupancy(),
-    )
-}
+use simt::GpuConfig;
 
 /// Renders the scaling table for one GPU.
 pub fn table(scale: Scale, gpu: &GpuConfig, sched: &Sched) -> Table {
@@ -81,18 +31,19 @@ pub fn table(scale: Scale, gpu: &GpuConfig, sched: &Sched) -> Table {
         ],
     );
     let sweep = gpu.workgroup_sweep();
-    let runs = sched.par_map(&sweep, |_, &wgs| traced_run(gpu, &graph, wgs));
-    let t1 = runs[0].0;
-    for (&wgs, &(seconds, issue, latency, memory, occ)) in sweep.iter().zip(&runs) {
+    let runs = sched.par_map(&sweep, |_, &wgs| bfs_run(gpu, &graph, Variant::RfAn, wgs));
+    let t1 = runs[0].seconds;
+    for (&wgs, run) in sweep.iter().zip(&runs) {
+        let (issue, latency, memory) = run.round_bounds.bound_breakdown();
         t.row(vec![
             wgs.to_string(),
-            format!("{seconds:.6}"),
-            format!("{:.1}", t1 / seconds),
+            format!("{:.6}", run.seconds),
+            format!("{:.1}", t1 / run.seconds),
             wgs.to_string(),
             format!("{issue:.2}"),
             format!("{latency:.2}"),
             format!("{memory:.2}"),
-            format!("{occ:.1}"),
+            format!("{:.1}", run.round_bounds.weighted_occupancy()),
         ]);
     }
     t
@@ -106,12 +57,13 @@ mod tests {
     fn low_occupancy_is_latency_bound() {
         let gpu = GpuConfig::spectre();
         let graph = Dataset::Synthetic.build(0.01);
-        let (_, issue, latency, _, occ) = traced_run(&gpu, &graph, 1);
+        let bounds = bfs_run(&gpu, &graph, Variant::RfAn, 1).round_bounds;
+        let (issue, latency, _) = bounds.bound_breakdown();
         assert!(
             latency > issue,
             "one wavefront should be latency-bound: latency {latency} vs issue {issue}"
         );
-        assert!((occ - 1.0).abs() < 0.2);
+        assert!((bounds.weighted_occupancy() - 1.0).abs() < 0.2);
     }
 
     #[test]

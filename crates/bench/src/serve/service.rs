@@ -751,7 +751,7 @@ impl Service {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serve::trace::TraceParams;
+    use crate::serve::TraceParams;
 
     const POOL: &[(Dataset, f64)] = &[(Dataset::RoadNY, 0.05), (Dataset::Synthetic, 0.002)];
 

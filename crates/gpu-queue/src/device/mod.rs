@@ -433,7 +433,7 @@ mod tests {
         engine.memory_mut().write_u32(pending, 0, 4);
         let consumed = Arc::new(Mutex::new(Vec::new()));
         let report = engine
-            .run(simt::Launch::workgroups(2).with_audit(), |info| {
+            .run(simt::Launch::workgroups(2), |info| {
                 if info.wave_id == 0 {
                     return HandBack::Driver { layout, cycle: 0 };
                 }

@@ -408,11 +408,8 @@ mod tests {
         let consumed = Arc::new(Mutex::new(Vec::new()));
         let wave_size = engine.config().wave_size;
         engine
-            .run(
-                Launch::workgroups(2)
-                    .with_max_rounds(2_000_000)
-                    .with_audit(),
-                |_info| PumpKernel {
+            .run(Launch::workgroups(2).with_max_rounds(2_000_000), |_info| {
+                PumpKernel {
                     queue: over_segments(layout).wave_queue(0),
                     lanes: Lanes::new(wave_size),
                     pending,
@@ -421,8 +418,8 @@ mod tests {
                     children: 4,
                     outbox: Vec::new(),
                     completed: 0,
-                },
-            )
+                }
+            })
             .expect("segmented pump kernel failed");
         // 40 lifetime tokens flowed through a 12-word arena; after the
         // drain every segment has retired back to the pool.

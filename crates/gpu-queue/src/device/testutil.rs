@@ -295,11 +295,8 @@ pub fn pump_through(
     );
     let consumed = Arc::new(Mutex::new(Vec::new()));
     let report = engine
-        .run(
-            Launch::workgroups(wgs)
-                .with_max_rounds(2_000_000)
-                .with_audit(),
-            |info| PumpKernel {
+        .run(Launch::workgroups(wgs).with_max_rounds(2_000_000), |info| {
+            PumpKernel {
                 queue: wave_queue(info.cu),
                 lanes: Lanes::new(info.wave_size),
                 pending,
@@ -308,8 +305,8 @@ pub fn pump_through(
                 children,
                 outbox: Vec::new(),
                 completed: 0,
-            },
-        )
+            }
+        })
         .expect("pump kernel failed");
     let delivered = consumed.lock().unwrap().clone();
     (report, delivered)

@@ -13,7 +13,8 @@ use crate::runner::{PhaseWalls, Run};
 use crate::UNVISITED;
 use ptq_graph::Csr;
 use simt::{
-    Buffer, Engine, GpuConfig, Launch, Metrics, Profile, SimError, WaveCtx, WaveKernel, WaveStatus,
+    Buffer, Engine, GpuConfig, Launch, Metrics, Profile, RoundBounds, SimError, WaveCtx,
+    WaveKernel, WaveStatus,
 };
 
 /// One wavefront of the per-level expansion kernel. Wave `i` of `W`
@@ -106,6 +107,7 @@ pub fn run_rodinia(
     let total_waves = workgroups * gpu.waves_per_wg;
     let mut metrics = Metrics::default();
     let mut profile = Profile::default();
+    let mut round_bounds = RoundBounds::default();
     let mut phases = PhaseWalls::default();
     let mut seconds = 0.0;
     let max_levels = 4 * n as u64 + 16;
@@ -130,6 +132,7 @@ pub fn run_rodinia(
         })?;
         metrics.merge(&report.metrics);
         profile.merge(&report.profile);
+        round_bounds.merge(&report.round_bounds);
         phases.sim_seconds += level_start.elapsed().as_secs_f64();
         seconds += report.seconds;
         // Per-level host work the persistent design avoids entirely:
@@ -167,6 +170,7 @@ pub fn run_rodinia(
         // Level-synchronous launches overwrite per-CU cycles each level;
         // only the merged totals are meaningful here.
         per_cu_cycles: Vec::new(),
+        round_bounds,
         recovery: crate::recovery::RecoveryLog::default(),
         profile,
         phases,

@@ -96,14 +96,10 @@ pub struct PtKernel<W: PtWorkload> {
 }
 
 impl<W: PtWorkload> PtKernel<W> {
-    /// Creates the wavefront state. `lanes` is the wavefront width.
-    pub fn new(queue: Box<dyn WaveQueue>, workload: W, buffers: WorkBuffers, lanes: usize) -> Self {
-        Self::with_chunk(queue, workload, buffers, lanes, CHUNK)
-    }
-
-    /// Like [`PtKernel::new`] with an explicit sub-task chunk size (used
-    /// by the chunk-size ablation).
-    pub fn with_chunk(
+    /// Creates the wavefront state. `lanes` is the wavefront width and
+    /// `chunk` the edges each lane expands per work cycle ([`CHUNK`] in
+    /// the paper).
+    pub fn new(
         queue: Box<dyn WaveQueue>,
         workload: W,
         buffers: WorkBuffers,
@@ -287,14 +283,14 @@ mod tests {
     fn zero_chunk_rejected() {
         let mut mem = DeviceMemory::new();
         let b = buffers(&mut mem);
-        let _ = PtKernel::with_chunk(queue(&mut mem), Bfs::new(0), b, 4, 0);
+        let _ = PtKernel::new(queue(&mut mem), Bfs::new(0), b, 4, 0);
     }
 
     #[test]
     fn starts_with_idle_lanes_and_empty_outbox() {
         let mut mem = DeviceMemory::new();
         let b = buffers(&mut mem);
-        let k = PtKernel::new(queue(&mut mem), Bfs::new(0), b, 8);
+        let k = PtKernel::new(queue(&mut mem), Bfs::new(0), b, 8, CHUNK);
         assert_eq!(k.lanes.idle().count_ones(), 8);
         assert_eq!(k.work.active, 0);
         assert!(k.outbox.is_empty());
@@ -307,7 +303,7 @@ mod tests {
         let mut mem = DeviceMemory::new();
         let b = buffers(&mut mem);
         let spill = mem.alloc("spill", 8);
-        let k = PtKernel::new(queue(&mut mem), Bfs::new(0), b, 4).with_fence(3, spill);
+        let k = PtKernel::new(queue(&mut mem), Bfs::new(0), b, 4, CHUNK).with_fence(3, spill);
         let f = k.fence.expect("fence installed");
         assert_eq!(f.depth, 3);
         assert_eq!(f.spill, spill);

@@ -455,6 +455,7 @@ fn drive<W: PtWorkload>(
                     run.metrics.merge(&out.report.metrics);
                     run.profile.merge(&out.report.profile);
                     run.seconds += out.report.seconds;
+                    run.round_bounds.merge(&out.report.round_bounds);
                     let cycles = &out.report.per_cu_cycles;
                     let units = cycles.len().max(run.per_cu_cycles.len());
                     run.per_cu_cycles.resize(units, 0);

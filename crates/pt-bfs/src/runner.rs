@@ -16,7 +16,9 @@ use crate::recovery::{run_solo, Progress, RecoveryLog, RecoveryPolicy, RunSpec};
 use crate::workload::{Bfs, PtWorkload, WorkBuffers};
 use gpu_queue::device::{Design, DeviceQueue};
 use ptq_graph::Csr;
-use simt::{Engine, GpuConfig, Launch, Metrics, Profile, RunReport, SimError, WaveInfo};
+use simt::{
+    Engine, GpuConfig, Launch, Metrics, Profile, RoundBounds, RunReport, SimError, WaveInfo,
+};
 use std::time::Instant;
 
 /// Parameters of one persistent-thread run (workload-neutral).
@@ -134,6 +136,8 @@ pub struct Run {
     /// these to prove engine fast paths are cycle-exact per CU, not just
     /// in aggregate).
     pub per_cu_cycles: Vec<u64>,
+    /// What bounded the rounds of every committed launch, summed.
+    pub round_bounds: RoundBounds,
     /// Recovery log: every abort the run survived (capacity regrows,
     /// injected faults, watchdog trips — whatever the run's
     /// [`RecoveryPolicy`] let it survive). Empty `attempts` for a
@@ -241,17 +245,15 @@ pub(crate) fn launch<W: PtWorkload>(
     }
     mem.set_alloc_prefix("");
 
-    // Every run audits: the per-wavefront atomic budgets the queue
-    // designs declare (`simt::audit`) inside the launch, the run-level
-    // retry-free claim after it. Pure bookkeeping — no effect on metrics
-    // or timing.
+    // The engine audits the per-wavefront atomic budgets the queue
+    // designs declare (`simt::audit`) inside the launch; the run-level
+    // retry-free claim is checked after it.
     let template = Launch::workgroups(config.workgroups)
         .with_cpu_collab(config.cpu_collab_groups)
-        .with_max_rounds(progress.max_rounds.min(simt::ROUND_LIMIT))
-        .with_audit();
+        .with_max_rounds(progress.max_rounds.min(simt::ROUND_LIMIT));
     let factory = |l: usize, info: WaveInfo| {
         let (queue, workload, buffers, fence) = &bound[l];
-        let kernel = PtKernel::with_chunk(
+        let kernel = PtKernel::new(
             queue.wave_queue(info.cu),
             workload.clone(),
             *buffers,
@@ -523,48 +525,6 @@ mod tests {
             assert_eq!(run.metrics.total_retries(), 0, "{variant:?}");
             assert_eq!(run.metrics.cas_attempts, 0, "{variant:?}");
             assert_eq!(run.metrics.queue_empty_retries, 0, "{variant:?}");
-        }
-    }
-
-    #[test]
-    fn audit_mode_never_perturbs_results_or_metrics() {
-        // Auditing is pure bookkeeping: byte-identical values and metrics
-        // with it on or off. Every run audits, so the off side is a bare
-        // engine launch of the kernel `launch` builds.
-        let g = synthetic_tree(600, 4);
-        let gpu = GpuConfig::test_tiny();
-        let n = g.num_vertices();
-        for design in Design::ALL {
-            let run = |template: Launch| {
-                let mut engine = Engine::new(gpu.clone());
-                let mem = engine.memory_mut();
-                let mut bfs = Bfs::new(0);
-                bfs.bind(mem);
-                let buffers = WorkBuffers {
-                    nodes: mem.alloc_init("nodes", g.row_offsets()),
-                    edges: mem.alloc_init("edges", g.adjacency()),
-                    values: mem.alloc_init("costs", &bfs.initial_values(n)),
-                    inqueue: mem.alloc("inqueue", n),
-                    pending: mem.alloc("pending", 1),
-                };
-                mem.write_u32(buffers.inqueue, 0, 1);
-                mem.write_u32(buffers.pending, 0, 1);
-                let queue = DeviceQueue::setup(mem, design, queue_capacity(n, 2.0), gpu.num_cus);
-                queue.host_seed(mem, &[0]);
-                let report = engine
-                    .run(template, |info| {
-                        let queue = queue.wave_queue(info.cu);
-                        PtKernel::new(queue, bfs, buffers, info.wave_size)
-                    })
-                    .unwrap_or_else(|e| panic!("{design:?}: {e}"));
-                (report, engine.memory().read_slice(buffers.values).to_vec())
-            };
-            let (audited, audited_values) = run(Launch::workgroups(3).with_audit());
-            let (plain, plain_values) = run(Launch::workgroups(3));
-            assert_eq!(audited.metrics, plain.metrics, "{design:?}");
-            assert_eq!(audited_values, plain_values, "{design:?}");
-            assert_eq!(audited.per_cu_cycles, plain.per_cu_cycles, "{design:?}");
-            validate_levels(&g, 0, &plain_values).unwrap();
         }
     }
 

@@ -10,9 +10,9 @@
 //! (`WaveCtx::audit_end`) validates the counts — a violation fails the whole
 //! run with [`SimError::AuditViolation`].
 //!
-//! Auditing is pure bookkeeping: it never touches metrics, issue slots, or
-//! latency, so an audited run is cycle-identical to an unaudited one (the
-//! engine-regression goldens pin this).
+//! Auditing has no switch: every launch validates every scope it opens. It
+//! is pure bookkeeping — scopes count atomics but never touch metrics,
+//! issue slots or latency.
 
 use crate::error::SimError;
 use crate::metrics::Metrics;

@@ -292,9 +292,6 @@ pub struct WaveCtx<'a> {
     /// True once the cycle stored to device memory; such a cycle is never
     /// parkable (its re-execution would not be idempotent).
     pub(crate) wrote: bool,
-    /// Whether AuditMode is on for this run (set by the engine from
-    /// `Launch::audit`); when off, `audit_begin` is a no-op.
-    pub(crate) audit: bool,
     /// The open audit scope, if a queue operation is being audited.
     pub(crate) audit_scope: Option<AuditScope>,
 }
@@ -322,7 +319,6 @@ impl<'a> WaveCtx<'a> {
             park,
             parked_front_version: None,
             wrote: false,
-            audit: false,
             audit_scope: None,
         }
     }
@@ -365,6 +361,28 @@ impl<'a> WaveCtx<'a> {
         }
     }
 
+    /// A device access's result, or (after recording its fault) the zero
+    /// value the kernel keeps running with.
+    #[inline]
+    fn or_fault<T: Default>(&mut self, result: Result<T, SimError>) -> T {
+        result.unwrap_or_else(|e| {
+            self.record_fault(e);
+            T::default()
+        })
+    }
+
+    /// Charges one global access of `issue` cycles per instruction — a
+    /// wave-coalesced `mem_issue` or a lock-step lane's `alu_issue`
+    /// address slot — plus its latency, transaction and cache line.
+    #[inline]
+    fn charge_global(&mut self, issue: u64, buf: Buffer, index: usize) {
+        let p = self.penalty();
+        self.issue += issue * p;
+        self.latency = self.latency.max(self.cost.mem_latency * p);
+        self.metrics.global_mem_ops += 1;
+        self.touch_line(buf, index);
+    }
+
     /// Charges `n` ALU instructions (wave-uniform bookkeeping work).
     pub fn charge_alu(&mut self, n: u64) {
         self.issue += n * self.cost.alu_issue;
@@ -373,18 +391,9 @@ impl<'a> WaveCtx<'a> {
     /// Wave-coalesced global load: one memory transaction for the whole
     /// wavefront (e.g. a broadcast read of the queue `Front`).
     pub fn global_read(&mut self, buf: Buffer, index: usize) -> u32 {
-        let p = self.penalty();
-        self.issue += self.cost.mem_issue * p;
-        self.latency = self.latency.max(self.cost.mem_latency * p);
-        self.metrics.global_mem_ops += 1;
-        self.touch_line(buf, index);
-        match self.memory.load(buf, index) {
-            Ok(v) => v,
-            Err(e) => {
-                self.record_fault(e);
-                0
-            }
-        }
+        self.charge_global(self.cost.mem_issue, buf, index);
+        let value = self.memory.load(buf, index);
+        self.or_fault(value)
     }
 
     /// Per-lane scattered global load (e.g. each lane fetching a different
@@ -392,17 +401,9 @@ impl<'a> WaveCtx<'a> {
     /// cost is an address-math slot — while the per-lane transaction lands
     /// on the memory system as a distinct cache line plus latency.
     pub fn global_read_lane(&mut self, buf: Buffer, index: usize) -> u32 {
-        self.issue += self.cost.alu_issue * self.penalty();
-        self.latency = self.latency.max(self.cost.mem_latency * self.penalty());
-        self.metrics.global_mem_ops += 1;
-        self.touch_line(buf, index);
-        match self.memory.load(buf, index) {
-            Ok(v) => v,
-            Err(e) => {
-                self.record_fault(e);
-                0
-            }
-        }
+        self.charge_global(self.cost.alu_issue, buf, index);
+        let value = self.memory.load(buf, index);
+        self.or_fault(value)
     }
 
     /// Wave-coalesced global load observing the *round-start* value: data
@@ -410,60 +411,30 @@ impl<'a> WaveCtx<'a> {
     /// one-work-cycle communication latency between wavefronts). Use for
     /// dequeue-side polls of producer-published state.
     pub fn global_read_stale(&mut self, buf: Buffer, index: usize) -> u32 {
-        let p = self.penalty();
-        self.issue += self.cost.mem_issue * p;
-        self.latency = self.latency.max(self.cost.mem_latency * p);
-        self.metrics.global_mem_ops += 1;
-        self.touch_line(buf, index);
-        match self.memory.stale_load(buf, index) {
-            Ok(v) => v,
-            Err(e) => {
-                self.record_fault(e);
-                0
-            }
-        }
+        self.charge_global(self.cost.mem_issue, buf, index);
+        let value = self.memory.stale_load(buf, index);
+        self.or_fault(value)
     }
 
     /// Per-lane variant of [`WaveCtx::global_read_stale`] (same lock-step
     /// cost structure as [`WaveCtx::global_read_lane`]).
     pub fn global_read_lane_stale(&mut self, buf: Buffer, index: usize) -> u32 {
-        self.issue += self.cost.alu_issue * self.penalty();
-        self.latency = self.latency.max(self.cost.mem_latency * self.penalty());
-        self.metrics.global_mem_ops += 1;
-        self.touch_line(buf, index);
-        match self.memory.stale_load(buf, index) {
-            Ok(v) => v,
-            Err(e) => {
-                self.record_fault(e);
-                0
-            }
-        }
+        self.charge_global(self.cost.alu_issue, buf, index);
+        let value = self.memory.stale_load(buf, index);
+        self.or_fault(value)
     }
 
     /// Wave-coalesced global store.
     pub fn global_write(&mut self, buf: Buffer, index: usize, value: u32) {
-        let p = self.penalty();
-        self.issue += self.cost.mem_issue * p;
-        self.latency = self.latency.max(self.cost.mem_latency * p);
-        self.metrics.global_mem_ops += 1;
-        self.touch_line(buf, index);
-        self.wrote = true;
-        if let Err(e) = self.memory.store(buf, index, value) {
-            self.record_fault(e);
-        }
+        self.charge_global(self.cost.mem_issue, buf, index);
+        self.poke(buf, index, value);
     }
 
     /// Per-lane scattered global store (lock-step cost structure; see
     /// [`WaveCtx::global_read_lane`]).
     pub fn global_write_lane(&mut self, buf: Buffer, index: usize, value: u32) {
-        self.issue += self.cost.alu_issue * self.penalty();
-        self.latency = self.latency.max(self.cost.mem_latency * self.penalty());
-        self.metrics.global_mem_ops += 1;
-        self.touch_line(buf, index);
-        self.wrote = true;
-        if let Err(e) = self.memory.store(buf, index, value) {
-            self.record_fault(e);
-        }
+        self.charge_global(self.cost.alu_issue, buf, index);
+        self.poke(buf, index, value);
     }
 
     /// Counts one fetch-add-family atomic against the open audit scope.
@@ -603,13 +574,8 @@ impl<'a> WaveCtx<'a> {
     /// Zero-cost data observation; only valid alongside a
     /// [`WaveCtx::charge_coalesced_access`] covering the same words.
     pub fn peek(&mut self, buf: Buffer, index: usize) -> u32 {
-        match self.memory.load(buf, index) {
-            Ok(v) => v,
-            Err(e) => {
-                self.record_fault(e);
-                0
-            }
-        }
+        let value = self.memory.load(buf, index);
+        self.or_fault(value)
     }
 
     /// Zero-cost observation of `len` consecutive words starting at
@@ -629,21 +595,15 @@ impl<'a> WaveCtx<'a> {
     /// Round-stale zero-cost observation (see [`WaveCtx::peek`] and
     /// [`WaveCtx::global_read_stale`]).
     pub fn peek_stale(&mut self, buf: Buffer, index: usize) -> u32 {
-        match self.memory.stale_load(buf, index) {
-            Ok(v) => v,
-            Err(e) => {
-                self.record_fault(e);
-                0
-            }
-        }
+        let value = self.memory.stale_load(buf, index);
+        self.or_fault(value)
     }
 
     /// Zero-cost store companion of [`WaveCtx::charge_coalesced_access`].
     pub fn poke(&mut self, buf: Buffer, index: usize, value: u32) {
         self.wrote = true;
-        if let Err(e) = self.memory.store(buf, index, value) {
-            self.record_fault(e);
-        }
+        let stored = self.memory.store(buf, index, value);
+        self.or_fault(stored)
     }
 
     /// Registers a *same stale value* park watch on one word (see the
@@ -791,13 +751,8 @@ impl<'a> WaveCtx<'a> {
     /// performs anyway and exists to support the CAS staleness model
     /// (stage a version with your read; compare at CAS time).
     pub fn atomic_version(&mut self, buf: Buffer, index: usize) -> u64 {
-        match self.memory.version(buf, index) {
-            Ok(v) => v,
-            Err(e) => {
-                self.record_fault(e);
-                0
-            }
-        }
+        let version = self.memory.version(buf, index);
+        self.or_fault(version)
     }
 
     /// Charges a CAS retry storm: a reservation whose read-to-CAS window
@@ -851,14 +806,12 @@ impl<'a> WaveCtx<'a> {
     }
 
     /// Opens an audit scope for one wavefront queue operation declaring its
-    /// atomic budget (see [`crate::audit`]). A no-op unless the launch
-    /// enabled AuditMode. Scopes do not nest: a new `audit_begin` replaces
-    /// any scope still open (an aborting operation may leave its scope
-    /// unvalidated — harmless, since the abort fails the run anyway).
+    /// atomic budget (see [`crate::audit`]); every launch audits. Scopes do
+    /// not nest: a new `audit_begin` replaces any scope still open (an
+    /// aborting operation may leave its scope unvalidated — harmless,
+    /// since the abort fails the run anyway).
     pub fn audit_begin(&mut self, spec: OpSpec) {
-        if self.audit {
-            self.audit_scope = Some(AuditScope::new(spec));
-        }
+        self.audit_scope = Some(AuditScope::new(spec));
     }
 
     /// Amends the open scope's expected AFA count — for operations whose
@@ -1185,7 +1138,6 @@ mod tests {
         let (mut mem, mut m, mut r, cost, mut w) = harness();
         let buf = mem.buffer("buf");
         let mut ctx = WaveCtx::new(&mut mem, &mut m, &mut r, &cost, info(), &mut w);
-        ctx.audit = true;
         ctx.audit_begin(OpSpec::new("RF/AN", "enqueue").afa_exact(1));
         ctx.atomic_add(buf, 0, 3);
         ctx.audit_end();
@@ -1202,22 +1154,10 @@ mod tests {
     }
 
     #[test]
-    fn audit_disabled_scopes_are_noops() {
-        let (mut mem, mut m, mut r, cost, mut w) = harness();
-        let buf = mem.buffer("buf");
-        let mut ctx = WaveCtx::new(&mut mem, &mut m, &mut r, &cost, info(), &mut w);
-        ctx.audit_begin(OpSpec::new("RF/AN", "acquire"));
-        ctx.atomic_cas(buf, 0, 0, 1); // would violate if auditing
-        ctx.audit_end();
-        assert!(ctx.fault.is_none());
-    }
-
-    #[test]
     fn audit_expectations_amend_open_scope() {
         let (mut mem, mut m, mut r, cost, mut w) = harness();
         let buf = mem.buffer("buf");
         let mut ctx = WaveCtx::new(&mut mem, &mut m, &mut r, &cost, info(), &mut w);
-        ctx.audit = true;
         ctx.audit_begin(OpSpec::new("AN", "acquire").allow_empty_retries());
         ctx.audit_expect_cas(1);
         ctx.atomic_cas(buf, 0, 0, 1);
@@ -1231,7 +1171,6 @@ mod tests {
         let (mut mem, mut m, mut r, cost, mut w) = harness();
         let buf = mem.buffer("buf");
         let mut ctx = WaveCtx::new(&mut mem, &mut m, &mut r, &cost, info(), &mut w);
-        ctx.audit = true;
         // SSSP's relaxation atomics run between queue ops — no open scope.
         ctx.atomic_min(buf, 0, 5);
         ctx.atomic_cas(buf, 1, 0, 2);

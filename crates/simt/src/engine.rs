@@ -62,7 +62,7 @@ use crate::fault::FaultPlan;
 use crate::memory::DeviceMemory;
 use crate::metrics::{Metrics, Profile};
 use crate::round::RoundState;
-use crate::trace::{RoundBound, RoundTrace, Trace};
+use crate::trace::{Bound, RoundBounds};
 
 /// Default safety limit on scheduling rounds per launch: far past any
 /// terminating run at the reproduced scales, so exceeding it means the
@@ -80,13 +80,6 @@ pub struct Launch {
     pub cpu_collab_groups: usize,
     /// Safety limit on scheduling rounds ([`ROUND_LIMIT`] by default).
     pub max_rounds: u64,
-    /// Record a per-round [`Trace`] (costs memory proportional to rounds).
-    pub trace: bool,
-    /// Enable AuditMode: queue operations that open audit scopes (see
-    /// [`crate::audit`]) are validated against their declared atomic
-    /// budgets; a violation fails the run. Pure bookkeeping — metrics and
-    /// timing are identical with or without it.
-    pub audit: bool,
 }
 
 impl Launch {
@@ -96,15 +89,7 @@ impl Launch {
             num_workgroups: n,
             cpu_collab_groups: 0,
             max_rounds: ROUND_LIMIT,
-            trace: false,
-            audit: false,
         }
-    }
-
-    /// Enables per-round tracing for this run.
-    pub fn with_trace(mut self) -> Self {
-        self.trace = true;
-        self
     }
 
     /// Adds collaborating CPU groups (CHAI-style heterogeneous launch).
@@ -116,12 +101,6 @@ impl Launch {
     /// Overrides the round safety limit.
     pub fn with_max_rounds(mut self, limit: u64) -> Self {
         self.max_rounds = limit;
-        self
-    }
-
-    /// Enables AuditMode for this run (see [`Launch::audit`]).
-    pub fn with_audit(mut self) -> Self {
-        self.audit = true;
         self
     }
 }
@@ -136,8 +115,9 @@ pub struct RunReport {
     /// Final cycle count of every compute unit (GPU CUs first, then
     /// virtual CPU units).
     pub per_cu_cycles: Vec<u64>,
-    /// Per-round trace, present iff the launch requested it.
-    pub trace: Option<Trace>,
+    /// What bounded the device's rounds, through the round this launch's
+    /// last wave retired (the same cut as the makespan).
+    pub round_bounds: RoundBounds,
     /// Always-on host-side profiling counters (see [`Profile`]): arena
     /// and shadow-table footprints, demand zeroing, park fast-path hit
     /// counts. Never part of any golden — purely diagnostic.
@@ -184,6 +164,8 @@ struct LaunchState {
     makespan: u64,
     /// Per-CU cycle state at retirement.
     cu_snapshot: Vec<u64>,
+    /// Round-bound summary at retirement.
+    round_bounds: RoundBounds,
 }
 
 /// Fieldwise `after - before` of the per-cycle metric counters. Fields a
@@ -293,8 +275,8 @@ impl Engine {
     /// co-residents that finish early report shorter makespans than
     /// stragglers, exactly like overlapping streams on real hardware.
     ///
-    /// `template` supplies the shared knobs (round limit, audit, CPU
-    /// collab groups); `launch_wgs[l]` is launch `l`'s workgroup count.
+    /// `template` supplies the shared knobs (round limit, CPU collab
+    /// groups); `launch_wgs[l]` is launch `l`'s workgroup count.
     /// `factory` receives `(launch_index, info)` where `info` carries
     /// *launch-local* `wave_id`/`workgroup`/`total_waves` (kernels see
     /// their own geometry, as if launched alone) while CU assignment
@@ -444,6 +426,7 @@ impl Engine {
                 waves_left: wgs * self.config.waves_per_wg,
                 makespan: 0,
                 cu_snapshot: Vec::new(),
+                round_bounds: RoundBounds::default(),
             })
             .collect();
         states[0].waves_left += launch.cpu_collab_groups;
@@ -453,7 +436,7 @@ impl Engine {
         let mut device_bw_millicycles: u64 = 0;
         let mut device_hot_millicycles: u64 = 0;
         let mut round_lines: u64;
-        let mut trace = launch.trace.then(Trace::default);
+        let mut round_bounds = RoundBounds::default();
         let mut round: u64 = 0;
 
         // Fault-injection overlay. With an empty plan `faults_on` is false
@@ -570,7 +553,6 @@ impl Engine {
                     info,
                     request,
                 );
-                ctx.audit = launch.audit;
                 ctx.parked_front_version = parked_front_version;
                 let status = kernels[w].work_cycle(&mut ctx);
                 let issue = ctx.issue;
@@ -649,7 +631,7 @@ impl Engine {
             }
 
             let simds = self.config.simds_per_cu as u64;
-            let mut worst = (0u64, RoundBound::Issue);
+            let mut worst = (0u64, Bound::Issue);
             for cu in 0..num_cus {
                 let issue_time = round_issue[cu].div_ceil(simds);
                 // A round lasts as long as its longest per-CU pole: SIMD
@@ -662,11 +644,11 @@ impl Engine {
                 cu_cycles[cu] += cost;
                 if cost > worst.0 {
                     let bound = if cost == issue_time {
-                        RoundBound::Issue
+                        Bound::Issue
                     } else if cost == round_latency[cu] {
-                        RoundBound::Latency
+                        Bound::Latency
                     } else {
-                        RoundBound::AtomicUnit
+                        Bound::Memory
                     };
                     worst = (cost, bound);
                 }
@@ -688,7 +670,7 @@ impl Engine {
             let round_bw_milli = round_lines * self.config.cost.mem_bw_line_milli;
             device_bw_millicycles += round_bw_milli;
             if round_bw_milli / 1000 > worst.0 {
-                worst = (round_bw_milli / 1000, RoundBound::Bandwidth);
+                worst = (round_bw_milli / 1000, Bound::Memory);
             }
             // The round's hottest word serializes at a single L2 slice —
             // a device-wide floor no amount of occupancy can hide.
@@ -696,15 +678,9 @@ impl Engine {
                 self.round_state.max_same_address() * self.config.cost.hot_word_milli;
             device_hot_millicycles += round_hot_milli;
             if round_hot_milli / 1000 > worst.0 {
-                worst = (round_hot_milli / 1000, RoundBound::AtomicUnit);
+                worst = (round_hot_milli / 1000, Bound::Memory);
             }
-            if let Some(t) = trace.as_mut() {
-                t.rounds.push(RoundTrace {
-                    cycles: worst.0,
-                    bound: worst.1,
-                    active_waves: active_at_start,
-                });
-            }
+            round_bounds.record(worst.0, worst.1, active_at_start);
             // A launch whose last wave retired this round completes here:
             // it can finish no faster than the slowest CU so far and no
             // faster than the device-wide DRAM / hot-word floors — all of
@@ -717,6 +693,7 @@ impl Engine {
                     + self.config.cost.launch_overhead;
                 states[l].metrics.rounds = round + 1;
                 states[l].cu_snapshot = cu_cycles.clone();
+                states[l].round_bounds = round_bounds;
             }
             round += 1;
         }
@@ -726,13 +703,11 @@ impl Engine {
         profile.demand_zeroed_words = self.memory.demand_zeroed_words();
         Ok(states
             .into_iter()
-            .enumerate()
-            .map(|(l, mut s)| {
+            .map(|mut s| {
                 s.metrics.launches = 1;
                 s.metrics.makespan_cycles = s.makespan;
                 // Device-wide profile gauges are shared; the park
-                // counters are this launch's own. The per-round trace
-                // (device-wide by construction) rides on launch 0.
+                // counters are this launch's own.
                 let mut p = profile;
                 p.park_events = s.park_events;
                 p.park_replay_cycles = s.park_replay_cycles;
@@ -741,7 +716,7 @@ impl Engine {
                     metrics: s.metrics,
                     seconds: self.config.cycles_to_seconds(s.makespan),
                     per_cu_cycles: std::mem::take(&mut s.cu_snapshot),
-                    trace: if l == 0 { trace.take() } else { None },
+                    round_bounds: s.round_bounds,
                     profile: p,
                 }
             })
@@ -973,38 +948,92 @@ mod tests {
         );
     }
 
-    #[test]
-    fn trace_records_every_round() {
-        let mut e = tiny_engine();
-        let buf = e.memory().buffer("counter");
-        let report = e
-            .run(Launch::workgroups(2).with_trace(), |_| IncrKernel {
-                buf,
-                remaining: 3,
-            })
-            .unwrap();
-        let trace = report.trace.expect("trace requested");
-        assert_eq!(trace.rounds.len() as u64, report.metrics.rounds);
-        // The trace follows each round's busiest CU; summing it gives an
-        // upper envelope of the true makespan (a different CU may be the
-        // busiest in different rounds).
-        assert!(
-            trace.total_cycles() + e.config().cost.launch_overhead
-                >= report.metrics.makespan_cycles
-        );
-        assert_eq!(trace.rounds[0].active_waves, 2);
-        let (i, l, b) = trace.bound_breakdown();
-        assert!((i + l + b - 1.0).abs() < 1e-9);
+    /// Pure ALU work for `rounds` cycles: 8 instructions on the rounds
+    /// whose parity is `heavy`, 1 on the others. No memory traffic, so
+    /// no round is bounded by bandwidth or a hot word.
+    struct Alternating {
+        heavy: u64,
+        round: u64,
+        rounds: u64,
+    }
+    impl WaveKernel for Alternating {
+        fn work_cycle(&mut self, ctx: &mut WaveCtx<'_>) -> WaveStatus {
+            ctx.charge_alu(if self.round % 2 == self.heavy { 8 } else { 1 });
+            self.round += 1;
+            if self.round == self.rounds {
+                WaveStatus::Done
+            } else {
+                WaveStatus::Active
+            }
+        }
     }
 
     #[test]
-    fn trace_absent_unless_requested() {
-        let mut e = tiny_engine();
-        let buf = e.memory().buffer("counter");
-        let report = e
-            .run(Launch::workgroups(1), |_| IncrKernel { buf, remaining: 1 })
+    fn round_bounds_sum_the_busiest_cu_of_every_round() {
+        let mut cfg = GpuConfig::test_tiny();
+        cfg.cost.launch_overhead = 1000;
+        let alternating = |info: WaveInfo| Alternating {
+            heavy: info.cu as u64,
+            round: 0,
+            rounds: 6,
+        };
+        // Two CUs, heavy on alternate rounds: every round's busiest CU
+        // charges 8 issue cycles, while each CU's own clock reads
+        // 3 * 8 + 3 * 1 — the summary is an upper envelope of the makespan.
+        let report = Engine::new(cfg.clone())
+            .run(Launch::workgroups(2), alternating)
             .unwrap();
-        assert!(report.trace.is_none());
+        let bounds = report.round_bounds;
+        assert_eq!(report.per_cu_cycles, [27, 27]);
+        assert_eq!((bounds.issue_cycles, bounds.latency_cycles), (6 * 8, 0));
+        assert_eq!(bounds.memory_cycles, 0);
+        assert_eq!(bounds.weighted_occupancy(), 2.0);
+        // One CU: the classes sum to its clock, which is the makespan
+        // less the launch overhead — for issue- and latency-bound rounds.
+        let solo = Engine::new(cfg.clone())
+            .run(Launch::workgroups(1), alternating)
+            .unwrap();
+        let mut e = Engine::new(cfg);
+        let buf = e.memory_mut().alloc("counter", 1);
+        let atomics = e
+            .run(Launch::workgroups(1), |_| IncrKernel { buf, remaining: 5 })
+            .unwrap();
+        for (report, latency_bound) in [(solo, false), (atomics, true)] {
+            let bounds = report.round_bounds;
+            let cycles = report.metrics.makespan_cycles - 1000;
+            assert_eq!(bounds.total_cycles(), cycles);
+            assert_eq!(report.per_cu_cycles[0], cycles);
+            assert_eq!(bounds.latency_cycles == cycles, latency_bound);
+            assert_eq!(bounds.weighted_occupancy(), 1.0);
+        }
+    }
+
+    #[test]
+    fn coresident_round_bounds_are_cut_at_retirement() {
+        // Launch 0 retires after round 2; launch 1 runs 2 or 7 rounds.
+        // The first two rounds are the same device history either way.
+        let group = |straggler: u32| {
+            let mut e = tiny_engine();
+            let buf = e.memory().buffer("counter");
+            e.run_group(Launch::workgroups(1), &[1, 2], &FaultPlan::EMPTY, |l, _| {
+                IncrKernel {
+                    buf,
+                    remaining: if l == 0 { 2 } else { straggler },
+                }
+            })
+            .unwrap()
+        };
+        let long = group(7);
+        let (early, late) = (long[0].round_bounds, long[1].round_bounds);
+        assert!(early.total_cycles() < late.total_cycles());
+        assert!(early.issue_cycles <= late.issue_cycles);
+        assert!(early.latency_cycles <= late.latency_cycles);
+        assert!(early.memory_cycles <= late.memory_cycles);
+        assert!(early.active_wave_cycles <= late.active_wave_cycles);
+        // The early member holds the straggler's summary as of round 2.
+        let short = group(2);
+        assert_eq!(short[0].round_bounds, short[1].round_bounds);
+        assert_eq!(early, short[1].round_bounds);
     }
 
     /// One wave polls a word (parking on it); the other idles a few
@@ -1073,35 +1102,9 @@ mod tests {
         let mut e = tiny_engine();
         let buf = e.memory().buffer("counter");
         let err = e
-            .run(Launch::workgroups(1).with_audit(), |_| LyingKernel { buf })
+            .run(Launch::workgroups(1), |_| LyingKernel { buf })
             .unwrap_err();
         assert!(matches!(err, SimError::AuditViolation(_)), "{err}");
-    }
-
-    #[test]
-    fn audit_off_ignores_scopes_and_audit_never_perturbs_metrics() {
-        let mut e = tiny_engine();
-        let buf = e.memory().buffer("counter");
-        let quiet = e
-            .run(Launch::workgroups(1), |_| LyingKernel { buf })
-            .unwrap();
-        // Audited well-behaved run matches the unaudited one field for
-        // field: auditing is pure bookkeeping.
-        let run = |audit: bool| {
-            let mut e = tiny_engine();
-            let buf = e.memory().buffer("counter");
-            let launch = if audit {
-                Launch::workgroups(3).with_audit()
-            } else {
-                Launch::workgroups(3)
-            };
-            e.run(launch, |_| IncrKernel { buf, remaining: 4 }).unwrap()
-        };
-        let plain = run(false);
-        let audited = run(true);
-        assert_eq!(plain.metrics, audited.metrics);
-        assert_eq!(plain.per_cu_cycles, audited.per_cu_cycles);
-        assert_eq!(quiet.metrics.cas_attempts, 1);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Deterministic fault injection.
 //!
 //! A [`FaultPlan`] is a fixed schedule of faults the engine consults each
-//! round. Like `AuditMode`, injection is a *pure overlay*: an empty plan
+//! round. Injection is a *pure overlay*: an empty plan
 //! takes zero branches in the hot loop beyond a single cheapness check,
 //! so all pinned engine goldens stay bit-identical (tested in
 //! `engine::tests` and `pt-bfs/tests/engine_regression.rs`).

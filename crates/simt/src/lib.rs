@@ -70,4 +70,4 @@ pub use error::{AbortReason, FaultKind, SimError};
 pub use fault::{CuStall, FaultPlan, FaultSpec, MemPoison, WaveKill};
 pub use memory::{Buffer, DeviceMemory};
 pub use metrics::{Metrics, Profile};
-pub use trace::{RoundBound, RoundTrace, Trace};
+pub use trace::RoundBounds;

@@ -1,81 +1,85 @@
-//! Optional per-round execution traces.
+//! The round trace, summarised: what bounded each scheduling round.
 //!
-//! A trace records, for every scheduling round, what bounded that round on
-//! the busiest compute unit — SIMD issue, exposed latency, or the memory
-//! bandwidth share — plus how many wavefronts were still active. This is
-//! the simulator's answer to a hardware profiler's occupancy timeline:
-//! the ablation studies use it to show *why* a configuration is slow, not
-//! just that it is.
+//! Every round, the engine knows how long it took on the busiest compute
+//! unit and which resource set that length — SIMD issue, exposed latency,
+//! or memory (the device-wide bandwidth pool, the CU's atomic unit, or
+//! the round's hottest word) — plus how many wavefronts were still
+//! active. [`RoundBounds`] folds those into a fixed-size sum on every
+//! run: O(1) memory, no switch. It is the simulator's answer to a
+//! hardware profiler's occupancy timeline: the scaling study uses it to
+//! show *why* a configuration is slow, not just that it is.
 
-/// What limited a round's duration on the busiest CU.
+/// Which resource bounded one round on the busiest CU.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RoundBound {
+pub(crate) enum Bound {
     /// SIMD instruction issue (unhideable work, including CAS retries).
     Issue,
     /// Exposed memory/atomic latency (not enough wavefronts to hide it).
     Latency,
-    /// The CU's memory-bandwidth share (scattered traffic).
-    Bandwidth,
-    /// The atomic unit's throughput (lock-step atomic volleys).
-    AtomicUnit,
+    /// Memory bandwidth, the atomic unit's throughput, or the hot word.
+    Memory,
 }
 
-/// One round's record.
-#[derive(Clone, Copy, Debug)]
-pub struct RoundTrace {
-    /// Cycles this round added to the busiest CU.
-    pub cycles: u64,
-    /// Which resource bounded it.
-    pub bound: RoundBound,
-    /// Wavefronts still active at the start of the round.
-    pub active_waves: usize,
+/// A run's rounds, summed by what bounded them.
+///
+/// Because each round charges its busiest CU — which can differ between
+/// rounds — [`RoundBounds::total_cycles`] is an *upper envelope* of the
+/// makespan (minus launch overhead), equal to it whenever one CU stays the
+/// bottleneck throughout.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+pub struct RoundBounds {
+    /// Cycles of rounds bounded by SIMD issue.
+    pub issue_cycles: u64,
+    /// Cycles of rounds bounded by exposed latency.
+    pub latency_cycles: u64,
+    /// Cycles of rounds bounded by bandwidth, atomic unit or hot word.
+    pub memory_cycles: u64,
+    /// Σ over rounds of (active wavefronts at round start × round
+    /// cycles), accumulated in round order.
+    pub active_wave_cycles: f64,
 }
 
-/// A full run's trace.
-#[derive(Clone, Debug, Default)]
-pub struct Trace {
-    /// Per-round records, in execution order.
-    pub rounds: Vec<RoundTrace>,
-}
+impl RoundBounds {
+    /// Adds one round of `cycles`, bounded by `bound`, that started with
+    /// `active_waves` wavefronts.
+    #[inline]
+    pub(crate) fn record(&mut self, cycles: u64, bound: Bound, active_waves: usize) {
+        match bound {
+            Bound::Issue => self.issue_cycles += cycles,
+            Bound::Latency => self.latency_cycles += cycles,
+            Bound::Memory => self.memory_cycles += cycles,
+        }
+        self.active_wave_cycles += active_waves as f64 * cycles as f64;
+    }
 
-impl Trace {
-    /// Total cycles across rounds. Because each round records the busiest
-    /// CU — which can differ between rounds — this is an *upper envelope*
-    /// of the makespan (minus launch overhead), equal to it whenever one
-    /// CU stays the bottleneck throughout.
+    /// Adds another run's rounds (a later launch of the same run).
+    pub fn merge(&mut self, other: &RoundBounds) {
+        self.issue_cycles += other.issue_cycles;
+        self.latency_cycles += other.latency_cycles;
+        self.memory_cycles += other.memory_cycles;
+        self.active_wave_cycles += other.active_wave_cycles;
+    }
+
+    /// Total cycles across rounds.
     pub fn total_cycles(&self) -> u64 {
-        self.rounds.iter().map(|r| r.cycles).sum()
+        self.issue_cycles + self.latency_cycles + self.memory_cycles
     }
 
     /// Fraction of cycles bounded by each resource, in the order
-    /// (issue, latency, bandwidth + atomic unit).
+    /// (issue, latency, memory).
     pub fn bound_breakdown(&self) -> (f64, f64, f64) {
         let total = self.total_cycles().max(1) as f64;
-        let mut by = [0u64; 3];
-        for r in &self.rounds {
-            let idx = match r.bound {
-                RoundBound::Issue => 0,
-                RoundBound::Latency => 1,
-                RoundBound::Bandwidth | RoundBound::AtomicUnit => 2,
-            };
-            by[idx] += r.cycles;
-        }
         (
-            by[0] as f64 / total,
-            by[1] as f64 / total,
-            by[2] as f64 / total,
+            self.issue_cycles as f64 / total,
+            self.latency_cycles as f64 / total,
+            self.memory_cycles as f64 / total,
         )
     }
 
     /// Average active wavefronts, weighted by round duration — an
     /// occupancy measure.
     pub fn weighted_occupancy(&self) -> f64 {
-        let total = self.total_cycles().max(1) as f64;
-        self.rounds
-            .iter()
-            .map(|r| r.active_waves as f64 * r.cycles as f64)
-            .sum::<f64>()
-            / total
+        self.active_wave_cycles / self.total_cycles().max(1) as f64
     }
 }
 
@@ -83,50 +87,41 @@ impl Trace {
 mod tests {
     use super::*;
 
-    fn sample() -> Trace {
-        Trace {
-            rounds: vec![
-                RoundTrace {
-                    cycles: 60,
-                    bound: RoundBound::Issue,
-                    active_waves: 4,
-                },
-                RoundTrace {
-                    cycles: 30,
-                    bound: RoundBound::Latency,
-                    active_waves: 2,
-                },
-                RoundTrace {
-                    cycles: 10,
-                    bound: RoundBound::Bandwidth,
-                    active_waves: 1,
-                },
-            ],
-        }
+    fn sample() -> RoundBounds {
+        let mut b = RoundBounds::default();
+        b.record(60, Bound::Issue, 4);
+        b.record(30, Bound::Latency, 2);
+        b.record(10, Bound::Memory, 1);
+        b
     }
 
     #[test]
     fn totals_and_breakdown() {
-        let t = sample();
-        assert_eq!(t.total_cycles(), 100);
-        let (i, l, b) = t.bound_breakdown();
+        let b = sample();
+        assert_eq!(b.total_cycles(), 100);
+        let (i, l, m) = b.bound_breakdown();
         assert!((i - 0.6).abs() < 1e-12);
         assert!((l - 0.3).abs() < 1e-12);
-        assert!((b - 0.1).abs() < 1e-12);
+        assert!((m - 0.1).abs() < 1e-12);
+        // A later launch adds field by field.
+        let mut twice = b;
+        twice.merge(&b);
+        assert_eq!(twice.total_cycles(), 200);
+        assert_eq!(twice.bound_breakdown(), b.bound_breakdown());
     }
 
     #[test]
     fn occupancy_weighted_by_duration() {
-        let t = sample();
+        let b = sample();
         // (4*60 + 2*30 + 1*10) / 100 = 3.1
-        assert!((t.weighted_occupancy() - 3.1).abs() < 1e-12);
+        assert!((b.weighted_occupancy() - 3.1).abs() < 1e-12);
     }
 
     #[test]
     fn empty_trace_is_safe() {
-        let t = Trace::default();
-        assert_eq!(t.total_cycles(), 0);
-        assert_eq!(t.bound_breakdown(), (0.0, 0.0, 0.0));
-        assert_eq!(t.weighted_occupancy(), 0.0);
+        let b = RoundBounds::default();
+        assert_eq!(b.total_cycles(), 0);
+        assert_eq!(b.bound_breakdown(), (0.0, 0.0, 0.0));
+        assert_eq!(b.weighted_occupancy(), 0.0);
     }
 }

@@ -89,19 +89,16 @@ fn pump(design: Design, seeds: &[u32], wgs: usize, capacity: u32) -> Vec<u32> {
         .write_u32(pending, 0, seeds.len() as u32);
     let consumed = Arc::new(Mutex::new(Vec::new()));
     engine
-        .run(
-            Launch::workgroups(wgs)
-                .with_max_rounds(2_000_000)
-                .with_audit(),
-            |info| FuzzPump {
+        .run(Launch::workgroups(wgs).with_max_rounds(2_000_000), |info| {
+            FuzzPump {
                 queue: queue.wave_queue(info.cu),
                 lanes: Lanes::new(info.wave_size),
                 pending,
                 consumed: Arc::clone(&consumed),
                 outbox: Vec::new(),
                 completed: 0,
-            },
-        )
+            }
+        })
         .unwrap_or_else(|e| panic!("{design:?} pump failed: {e}"));
     let mut out = consumed.lock().unwrap().clone();
     out.sort_unstable();
@@ -136,8 +133,8 @@ fn all_six_schedulers_deliver_identical_multisets() {
         let count = 24 + round * 40;
         let (seeds, expect) = workload(seed, count);
         let capacity = (expect.len() as u32 + 64).next_power_of_two();
-        // Audited runs (with_audit in the pumps): every wavefront queue
-        // op validates its variant's atomic budget while we fuzz.
+        // Every launch audits: each wavefront queue op validates its
+        // variant's atomic budget while we fuzz.
         for design in Design::ALL {
             let got = pump(design, &seeds, 4, capacity);
             assert_eq!(

@@ -7,7 +7,8 @@
 //! own launches around [`NeverPark`], a test-only [`WaveQueue`] adapter
 //! that forwards everything to the real queue except the offer to park,
 //! and compares each real run with its polling twin: `Metrics`, per-CU
-//! cycles, simulated seconds and the value array, bit for bit.
+//! cycles, round bounds, simulated seconds and the value array, bit for
+//! bit.
 //!
 //! Covered: all six schedulers × {road NY, synthetic tree, LiveJournal}
 //! × {BFS, SSSP} on the test-tiny and Spectre geometries at full
@@ -17,7 +18,7 @@
 //! on the pending counter every parked wave is watching.
 
 use ptq::bfs::workload::{Bfs, PtWorkload, Sssp, WorkBuffers};
-use ptq::bfs::{queue_capacity, PtKernel};
+use ptq::bfs::{queue_capacity, PtKernel, CHUNK};
 use ptq::graph::{random_weights, Csr, Dataset};
 use ptq::queue::device::{Design, DeviceQueue, Lanes, WaveQueue};
 use ptq::queue::Variant;
@@ -102,7 +103,8 @@ impl<W: PtWorkload> Device<W> {
         } else {
             Box::new(NeverPark(queue))
         };
-        PtKernel::new(queue, self.workload.clone(), self.buffers, info.wave_size)
+        let workload = self.workload.clone();
+        PtKernel::new(queue, workload, self.buffers, info.wave_size, CHUNK)
     }
 }
 
@@ -111,6 +113,7 @@ impl<W: PtWorkload> Device<W> {
 struct Outcome {
     metrics: simt::Metrics,
     per_cu_cycles: Vec<u64>,
+    round_bounds: simt::RoundBounds,
     seconds_bits: u64,
     values: Vec<u32>,
 }
@@ -119,6 +122,7 @@ fn outcome<W>(engine: &Engine, device: &Device<W>, report: &RunReport) -> Outcom
     Outcome {
         metrics: report.metrics,
         per_cu_cycles: report.per_cu_cycles.clone(),
+        round_bounds: report.round_bounds,
         seconds_bits: report.seconds.to_bits(),
         values: engine.memory().read_slice(device.buffers.values).to_vec(),
     }
@@ -126,9 +130,7 @@ fn outcome<W>(engine: &Engine, device: &Device<W>, report: &RunReport) -> Outcom
 
 fn launch(gpu: &GpuConfig) -> Launch {
     // Full occupancy: as many idle waves as the device can hold.
-    Launch::workgroups(gpu.num_cus * gpu.wgs_per_cu)
-        .with_max_rounds(2_000_000)
-        .with_audit()
+    Launch::workgroups(gpu.num_cus * gpu.wgs_per_cu).with_max_rounds(2_000_000)
 }
 
 /// One solo launch; returns its outcome (or abort) and park-event count.
@@ -245,9 +247,7 @@ fn parked_equals_never_parked_for_coresident_launches() {
             engine.memory_mut().set_alloc_prefix("");
             let reports = engine
                 .run_group(
-                    Launch::workgroups(2)
-                        .with_max_rounds(2_000_000)
-                        .with_audit(),
+                    Launch::workgroups(2).with_max_rounds(2_000_000),
                     &[2, 2],
                     &FaultPlan::EMPTY,
                     |l, info| devices[l].kernel(info, park),

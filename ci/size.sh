@@ -2,8 +2,9 @@
 # Non-test Rust lines: for every file under crates/*/src, the lines before
 # its first top-level `#[cfg(test)]` (`*tests.rs` and `testutil.rs` are test code and
 # are skipped), summed per crate, for gpu-queue's device/ directory and for
-# the workspace. Comments and blank lines count. The table ROADMAP item 7
-# and each CHANGES.md entry report; informational, never a gate.
+# the workspace. Comments and blank lines count. Below it, the line counts
+# of the three docs. The tables each CHANGES.md entry reports;
+# informational, never a gate.
 #   bash ci/size.sh [repo-root]
 set -euo pipefail
 cd "${1:-$(dirname "${BASH_SOURCE[0]}")/..}"
@@ -25,3 +26,7 @@ find crates/*/src -name '*.rs' ! -name '*tests.rs' ! -name 'testutil.rs' | sort 
         printf "%-28s %6d\n", "gpu-queue/src/device", device
         printf "%-28s %6d\n", "pt-bfs/src/runner.rs", runner
     }'
+echo
+for doc in DESIGN.md README.md EXPERIMENTS.md; do
+    printf "%-28s %6d\n" "$doc" "$(wc -l < "$doc")"
+done

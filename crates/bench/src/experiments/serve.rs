@@ -195,10 +195,9 @@ pub fn measure(scale: Scale, sched: &Sched) -> Vec<(Leg, OutcomeLog)> {
     results
 }
 
-/// One leg's declarative invariants. The former per-leg `match` arms
-/// each hand-rolled the same four checks (allowed terminal states,
-/// disposition floors, disposition pins, retry expectations); this
-/// table is the single shared checker they all run through now.
+/// One leg's declarative invariants — allowed terminal states,
+/// disposition floors, disposition pins and retry expectations — checked
+/// by one shared checker for every leg.
 struct LegChecks {
     /// Dispositions a query may legally end in.
     allowed: &'static [Disposition],

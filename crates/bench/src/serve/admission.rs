@@ -1,13 +1,13 @@
 //! Bounded admission with typed rejection and weighted-fair dispatch.
 //!
 //! The ready backlog is a [`SegmentedRfAnQueue`] per (priority class,
-//! tenant) lane, holding `u32` query tokens (the service's trace indices). Reusing the segmented host family
-//! is the point: its non-wrapping reserve/publish protocol makes a
-//! slot-level `QueueFull` statically unreachable (PR 8), so the only
-//! capacity decision left is *policy*, made here on the host with a
-//! backlog bound and reported as a typed [`AdmissionError`] instead of
-//! an abort. The error taxonomy mirrors `simt::AbortReason`: callers
-//! match on variants, never on strings, and nothing panics.
+//! tenant) lane, holding `u32` query tokens (the service's trace
+//! indices). Segmented storage never refuses a token, so the only
+//! capacity decision is *policy* (why: DESIGN.md *Admission*): a backlog
+//! bound checked here on the host and reported as a typed
+//! [`AdmissionError`] instead of an abort. The error taxonomy mirrors
+//! `simt::AbortReason`: callers match on variants, never on strings, and
+//! nothing panics.
 //!
 //! Dispatch order is **deficit round-robin**, not strict priority: each
 //! class holds a grant budget refilled to [`Priority::weight`] when the
@@ -16,12 +16,11 @@
 //! fixed weighted pattern (4 interactive : 2 standard : 1 batch per
 //! round); a class with nothing ready forfeits the visit without
 //! consuming anyone else's share, so the scheme degrades to FIFO when
-//! only one class is busy and can never starve a backlogged class the
-//! way the previous strict-priority drain could. Within a class the
-//! lanes round-robin across tenants (equal shares, FIFO per lane), so
-//! one chatty tenant cannot monopolize its class either. The whole
-//! discipline is a pure function of the push/take call sequence —
-//! no clocks, no randomness — which keeps the serving replay
+//! only one class is busy and can never starve a backlogged class.
+//! Within a class the lanes round-robin across tenants (equal shares,
+//! FIFO per lane), so one chatty tenant cannot monopolize its class
+//! either. The whole discipline is a pure function of the push/take call
+//! sequence — no clocks, no randomness — which keeps the serving replay
 //! deterministic.
 
 use std::collections::BTreeMap;

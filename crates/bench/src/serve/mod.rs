@@ -20,7 +20,7 @@
 //!
 //! Every outcome lands in a structured [`outcome::OutcomeLog`] that is
 //! byte-identical at any `--jobs` count — see the two-phase determinism
-//! argument in [`service`] and DESIGN.md §14.
+//! argument in [`service`] and DESIGN.md *Serving*.
 
 pub mod admission;
 pub mod backoff;

@@ -1,6 +1,6 @@
 //! Segmented RF/AN device queue: the bounded retry-free ring, unrolled
-//! into linked segments so the queue-full abort disappears (ROADMAP item
-//! 3; linearization argument in DESIGN.md §13).
+//! into linked segments so the queue-full abort disappears
+//! (DESIGN.md *Segmented storage*).
 //!
 //! The ticket space stays a single non-wrapping pair of `Front`/`Rear`
 //! counters — the reservation and the poll are [`super::TicketWaveQueue`]'s,

@@ -73,16 +73,26 @@ impl PollMemo {
 /// SEG-RF/AN, in closed form.
 ///
 /// The modelled hardware reads every monitored slot each work cycle. The
-/// simulator need not: **a ticket `t` a lane still monitors reads
-/// non-`dna` through the round-stale view iff `t <` the round-start value
-/// of `Rear`** (bounded: and `t < capacity`; segmented: which implies the
-/// stale directory maps its segment) — the argument is the worked example
-/// of *Host-side observation* in `simt::ctx`. So the poll observes
-/// round-start `Rear` (and, SEG, the directory word of each distinct
-/// segment in play, once per run of tickets), decides arrival by integer
-/// compare, and charges exactly what the reads cost: a wavefront's
-/// monitored slots came from batched reservations, so the poll coalesces
-/// into one transaction per cache line — cache-resident
+/// simulator need not, by the **arrival invariant: a ticket `t` a lane
+/// still monitors reads non-`dna` through the round-stale view iff `t <`
+/// the round-start value of `Rear`** (bounded: and `t < capacity`;
+/// segmented: which implies the stale directory maps its segment). Four
+/// facts carry it. (1) Every enqueue reserves `[Rear, Rear + k)` and
+/// writes those slots inside one atomic work cycle, and the stale view of
+/// round *r* shows exactly the writes of rounds *< r* — for `Rear` and
+/// for slots alike. (2) Only the owning lane clears a slot, and it stops
+/// monitoring when it does. (3) A recycled physical segment is
+/// republished only after every pickup restored `dna` (retirement needs
+/// every ticket consumed), and the new mapping is stale-visible no
+/// earlier than those restores. (4) An enqueue that aborts breaks (1) —
+/// and fails the run. (*Host-side observation* in the `simt::ctx` docs
+/// is the obligation this discharges.)
+///
+/// So the poll observes round-start `Rear` (and, SEG, the directory word
+/// of each distinct segment in play, once per run of tickets), decides
+/// arrival by integer compare, and charges exactly what the reads cost:
+/// a wavefront's monitored slots came from batched reservations, so the
+/// poll coalesces into one transaction per cache line — cache-resident
 /// (`charge_cached_access`) while the line holds only sentinels, a full
 /// transaction (`charge_coalesced_access` over the watched run) once a
 /// producer's write invalidated it — plus one ALU slot per monitoring lane

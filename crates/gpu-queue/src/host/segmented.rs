@@ -1,5 +1,4 @@
-//! The segmented family (ROADMAP item 3): the three protocols over
-//! [`Segmented`] storage.
+//! The segmented family: the three protocols over [`Segmented`] storage.
 //!
 //! `Front` and `Rear` are the same monotone ticket counters, the fast path
 //! *within* a segment is byte-for-byte the bounded protocol, and overflow
@@ -136,9 +135,9 @@ mod tests {
 
     #[test]
     fn len_hint_exceeds_a_single_segment_capacity() {
-        // The PR 1 clamp asymmetry: the bounded queue saturates against
-        // its one ring's capacity; a segmented hint must saturate against
-        // the total across installed segments instead.
+        // The clamp asymmetry: the bounded queue saturates against its
+        // one ring's capacity; a segmented hint must saturate against the
+        // total across installed segments instead.
         let q = SegmentedRfAnQueue::new(4);
         q.enqueue_batch(&(0..10).collect::<Vec<_>>());
         assert_eq!(q.len_hint(), 10, "must not clamp to seg_cap = 4");

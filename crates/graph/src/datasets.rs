@@ -36,7 +36,7 @@ pub enum Dataset {
     ChaiNYR,
     /// CHAI `USA-road-d.BAY.gr.parboil`: SF Bay Area, 321,270 vertices.
     ChaiBAY,
-    /// Scale-headroom synthetic (ROADMAP item 5): 16,777,216 vertices,
+    /// Scale-headroom synthetic: 16,777,216 vertices,
     /// ~134M edges at full scale — roughly 2× the paper's largest dataset
     /// in edges and built through the streamed two-pass CSR path
     /// ([`crate::gen::giant()`]) so construction never materializes an edge
@@ -65,7 +65,7 @@ pub struct DatasetSpec {
 }
 
 impl Dataset {
-    /// The six datasets of the main evaluation (Tables 3–4, Figures 1/3/4).
+    /// The six datasets of the main evaluation (Tables 3–4, Figures 3–4).
     pub const MAIN_SIX: [Dataset; 6] = [
         Dataset::Synthetic,
         Dataset::GplusCombined,
@@ -75,7 +75,7 @@ impl Dataset {
         Dataset::RoadUSA,
     ];
 
-    /// The three datasets of Figure 5 (retry ratios).
+    /// The three datasets of Figures 1 and 5 (CAS failures, retry ratios).
     pub const FIG5_THREE: [Dataset; 3] = [
         Dataset::Synthetic,
         Dataset::SocLiveJournal1,

@@ -1,5 +1,5 @@
 //! The `giant` synthetic family: scale-headroom graphs built without
-//! ever materializing an edge list (ROADMAP item 5).
+//! ever materializing an edge list.
 //!
 //! Every other generator in this crate accumulates `(src, dst)` pairs in
 //! a [`CsrBuilder`](crate::CsrBuilder); at hundreds of millions of edges

@@ -3,8 +3,8 @@
 //! [`CsrBuilder`](crate::CsrBuilder) materializes the full `(src, dst)`
 //! edge list before counting-sorting it — an extra 8 bytes per edge that
 //! dominates peak memory once graphs reach hundreds of millions of edges
-//! (ROADMAP item 5: a 134M-edge graph costs ~1 GiB of transient edge
-//! list on top of the ~600 MiB CSR it produces). [`build_streamed`]
+//! (a 134M-edge graph costs ~1 GiB of transient edge list on top of the
+//! ~600 MiB CSR it produces). [`build_streamed`]
 //! removes that transient entirely: the caller replays the edge stream
 //! twice, the first pass counts degrees, the second scatters adjacency
 //! through per-vertex cursors as the edges arrive, so the only
@@ -13,8 +13,7 @@
 //! The result is **byte-identical** to `CsrBuilder::build` on the same
 //! edge sequence: both are stable counting sorts, and the stream replays
 //! in the same order in both passes. A property test pins this across
-//! chunk sizes (see `tests` below and the `prop_stream` integration
-//! test).
+//! chunk sizes (see `tests` below and `tests/prop_graph.rs`).
 //!
 //! The stream is any closure that can be driven twice — an in-memory
 //! slice, a deterministic generator (see [`crate::gen::giant()`]), or a

@@ -39,10 +39,10 @@ pub struct PtConfig {
     pub capacity_factor: f64,
     /// Collaborating CPU groups (0 except for the CHAI baseline).
     pub cpu_collab_groups: usize,
-    /// Inert: read by nothing. The engine's round loop is serial
-    /// (DESIGN.md §12); the field survives only because the frozen
-    /// `benchmark/` package assigns it, and goes with that assignment
-    /// (ROADMAP item 1).
+    /// Inert: read by nothing. The engine's round loop is serial (DESIGN.md
+    /// *Why the round loop is serial*); the field survives only because
+    /// the frozen `benchmark/` package assigns it, and goes with that
+    /// assignment (ROADMAP item 1).
     pub engine_workers: usize,
 }
 

@@ -4,7 +4,7 @@
 //! member `i`'s solo run — under every queue variant, through the
 //! checkpoint/resume recovery path, and with the retry-free audits
 //! active throughout. This is the per-member confluence claim of
-//! DESIGN.md §15 pinned as a test.
+//! DESIGN.md *Query fusion* pinned as a test.
 
 use gpu_queue::Variant;
 use pt_bfs::workload::QueryBatch;

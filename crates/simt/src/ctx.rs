@@ -63,8 +63,24 @@
 //! parks forever; at worst wakes early). A wake that was not needed only
 //! re-executes one polling cycle, which re-parks with the same charges
 //! (counted in `Profile::spurious_wakes`). The engine refuses to park a
-//! cycle that wrote memory or issued atomics, so a buggy caller degrades
-//! to exact slow-path execution rather than wrong accounting.
+//! cycle that wrote memory, issued atomics, faulted, aborted or finished,
+//! so a buggy caller degrades to exact slow-path execution rather than
+//! wrong accounting. Arming a memory poison wakes every parked wave for
+//! that round, so a poisoned watched word faults exactly where per-round
+//! polling would have hit it. Stale values are constant within a round and
+//! a parked wave keeps its rotation slot, so the wake check observes
+//! exactly what re-execution would.
+//!
+//! **Why *still empty* and its version hand-back exist.** It is the most
+//! intricate class, and the exact-value watches it degrades to would be
+//! simpler. A prototype in which [`WaveCtx::park_while_empty`] always
+//! registered those exact-value watches kept every benchmark fingerprint
+//! `correct`, but on the `bfs_starved` workload (`benchmark/run.sh`, seed
+//! 2222, `--seconds 10`) its `wall_s` median rose from 0.098 s to 0.123 s
+//! (+25 %), slower in 7 of 7 alternating pairs, and `setup_s` rose 19 %:
+//! exact watches wake an idle CAS wave whenever `Front` or `Rear` moves,
+//! which in a flowing traversal is every round. Deleting `EmptyWatch` or
+//! [`WaveCtx::parked_front_version`] needs evidence that beats this.
 //!
 //! **Before a new queue variant uses a class watch** it must show, for its
 //! pure-poll cycle: (1) every device word the cycle reads is watched, or
@@ -93,19 +109,9 @@
 //! faulting accessor ([`WaveCtx::peek_stale`]), so an injected fault
 //! surfaces at the same wave and round.
 //!
-//! The worked example is the sentinel queues' data-arrival poll
-//! (`gpu_queue::device::poll`): *a ticket `t` a lane still monitors reads
-//! non-`dna` through the stale view iff `t <` the round-start value of
-//! `Rear`*. Four facts carry it. (1) Every enqueue reserves `[Rear,
-//! Rear + k)` and writes those slots inside one atomic work cycle, and the
-//! stale view of round *r* shows exactly the writes of rounds *< r* — for
-//! `Rear` and for slots alike. (2) Only the owning lane clears a slot, and
-//! it stops monitoring when it does. (3) A recycled physical segment is
-//! republished only after every pickup restored `dna` (retirement needs
-//! every ticket consumed), and the new mapping is stale-visible no earlier
-//! than those restores. (4) An enqueue that aborts breaks (1) — and fails
-//! the run. Debug builds assert the relation on every watched word of
-//! every poll.
+//! The worked example is the sentinel queues' data-arrival poll, `poll`
+//! in `gpu-queue`'s `device/ticket.rs`, whose docs carry its arrival
+//! invariant and the argument for it.
 
 use crate::audit::{AuditScope, OpSpec};
 use crate::config::CostModel;

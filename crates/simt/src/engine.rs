@@ -39,21 +39,9 @@
 //!
 //! # Wave parking
 //!
-//! A kernel whose work cycle was a pure poll can register park watches
-//! (see the [`crate::ctx`] module docs for the contract). The engine then
-//! stops invoking the kernel and instead, at the wave's exact rotation
-//! position each round, replays the parked cycle's captured charges
-//! (issue, latency, cache lines, metric deltas) — closed-form accrual of
-//! the identical cycle the kernel would have re-executed — for as long as
-//! every watched word stays inside the class of observations its watch
-//! names. The first round one does not, the wave resumes real execution
-//! *that same round, at that same position*. So a starved launch costs
-//! host time in proportion to the observations that change some wave's
-//! behaviour, not to rounds × waves. Parking is refused (exact slow path)
-//! for cycles that wrote memory, issued atomics, faulted, aborted, or
-//! finished; arming a memory poison wakes every parked wave for that
-//! round, so a poisoned watched word faults exactly where per-round
-//! polling would have hit it.
+//! A parked wave's captured charges are replayed at its rotation position
+//! each round instead of re-running its pure-poll cycle; the contract is
+//! *Wave parking* in the [`crate::ctx`] module docs.
 
 use crate::config::{GpuConfig, MAX_WAVE_SIZE};
 use crate::ctx::{ParkRequest, WaveClass, WaveCtx, WaveInfo, WaveKernel, WaveStatus};
@@ -502,8 +490,8 @@ impl Engine {
             let active_at_start = active.len();
             // Rotate execution order so atomic arrival ranks are fair:
             // visit active ids >= offset in order, then wrap. `active` is
-            // kept sorted, so this is the same sequence the historical
-            // full scan `w = (i + offset) % total_waves` produced.
+            // kept sorted, so this is the sequence `w = (i + offset) %
+            // total_waves` visits, skipping retired waves.
             let offset = (round as usize) % total_waves;
             let split = active.partition_point(|&w| w < offset);
             let mut retired = false;

@@ -5,6 +5,44 @@
 //! before launch. [`DeviceMemory`] models this with a bump allocator over a
 //! flat `u32` arena; allocation is only possible between launches, and all
 //! kernel accesses are bounds-checked against their [`Buffer`] handle.
+//!
+//! # Word shadow state
+//!
+//! Behind every word sits one 8-byte `WordMeta`: the round-start snapshot
+//! that stale reads return, and in `state` a touched flag plus the
+//! same-round atomic count that sets an atomic's serialization rank. The
+//! contract is **clear what you touched**:
+//!
+//! * The first store or atomic to a word in a round sets the flag,
+//!   snapshots the word — its current value *is* the round-start value,
+//!   since any earlier mutation this round would already have set the
+//!   flag — and pushes the address on a journal. Starting the next round
+//!   zeroes exactly the journalled entries. So an entry is non-zero only
+//!   between the first touch of its word and the next round start, a round
+//!   costs O(words it touched), and stale reads and atomics stay at one
+//!   shadow access (`state != 0` ⇒ read the snapshot). There is no
+//!   generation stamp, so nothing can wrap and resurrect a dead snapshot.
+//! * The table is zero outside the journal, so it is never copied.
+//!   Growth past capacity allocates a fresh lazily-mapped zeroed block and
+//!   re-applies the journalled entries (a host `alloc` between launches
+//!   finds the last round still open); the old table's cold pages are
+//!   never read. `Drop` clears the open round's entries before the arena
+//!   goes to the thread's pool, so a recycled table is clean over its whole
+//!   capacity, and the emptied journal rides along with it.
+//! * Mutation *versions* are not per word: only the CAS queues' `Front` /
+//!   `Rear` are ever asked, and every consumer subtracts two reads of one
+//!   word. A short per-instance list starts a word's counter at its first
+//!   read (returning 0) and bumps it on each value-changing atomic, so
+//!   every delta a caller can form is exact. Cost: one scan of the list
+//!   per value-changing atomic — empty on RF runs, two entries on AN/BASE.
+//! * Limits: journal addresses are `u32`, so an arena past `u32::MAX`
+//!   words is refused by name; the rank is 31 bits (`debug_assert!`ed),
+//!   ample for the waves × lanes atomics one round can issue.
+//!
+//! `tests/memory_model.rs` checks the table against a hash-map reference
+//! across rounds, growth with a round open and recycling into differently
+//! sized successors. Why this layout (and not a sparse set or stamps) is
+//! DESIGN.md *Word shadow state*.
 
 use crate::error::{AbortReason, FaultKind, SimError};
 use crate::round::RoundState;
@@ -67,13 +105,9 @@ const RANK_MASK: u32 = TOUCHED - 1;
 /// Flat, host-managed device memory.
 ///
 /// The per-word side table (`WordMeta`) is a flat vector indexed by
-/// device address and kept exactly as long as `words` by the allocator.
-/// Its contract is *clear what you touched*: the first store or atomic to
-/// a word in a round snapshots it and pushes its address on `journal`;
-/// starting the next round (and dropping the memory) zeroes exactly the
-/// journalled entries. The table is therefore all-zero whenever the
-/// journal is empty, the hot accessors (`store`/`rmw`/`stale_load`) stay
-/// free of hashing, and a round costs O(words it touched).
+/// device address and kept exactly as long as `words` by the allocator,
+/// so the hot accessors (`store`/`rmw`/`stale_load`) stay free of
+/// hashing. Its contract is *Word shadow state* in the module docs.
 #[derive(Clone, Debug)]
 pub struct DeviceMemory {
     words: Vec<u32>,

@@ -21,8 +21,9 @@
 //! rounds together. This struct holds the round-scalar aggregates plus the
 //! per-*cache-line* bandwidth table, which is *generation stamped*: each
 //! work cycle bumps a counter, the first touch of a line stamps it and
-//! counts, replacing the historical per-wave `Vec` + `sort_unstable` +
-//! `dedup` distinct-line accounting with O(1) per touch and no clear.
+//! counts — O(1) per touch and nothing to clear between cycles.
+//! `tests/stamped_dedup_prop.rs` pins the count equal to a sort-and-dedup
+//! of the touched lines.
 
 thread_local! {
     /// Recycled cache-line stamp table (with its final generation): the

@@ -1,7 +1,6 @@
 //! Property test: the generation-stamped cache-line table must count
-//! exactly what the historical per-cycle `sort_unstable` + `dedup`
-//! accounting counted, across randomized traffic, cycle boundaries, and
-//! table growth.
+//! exactly what a per-cycle `sort_unstable` + `dedup` of the touched lines
+//! counts, across randomized traffic, cycle boundaries, and table growth.
 //!
 //! The stamped table never clears between cycles — a slot is live only if
 //! its stamp matches the current cycle generation — so the property that
@@ -29,8 +28,8 @@ impl SplitMix64 {
     }
 }
 
-/// The historical accounting this refactor replaced: collect every line
-/// touch of the cycle, then sort + dedup and count.
+/// The reference accounting: collect every line touch of the cycle, then
+/// sort + dedup and count.
 fn reference_distinct(touches: &[usize]) -> u64 {
     let mut lines = touches.to_vec();
     lines.sort_unstable();

@@ -8,7 +8,8 @@
 //! aborts via checkpoint/resume must finish with a value array
 //! *identical* to an uninterrupted run's. These tests pin that property
 //! for BFS, pin that SSSP inherits it through the workload-generic
-//! recovery path (DESIGN.md §10) with fences in *distance* units, plus
+//! recovery path (DESIGN.md *Fences and checkpoints*) with fences in
+//! *distance* units, plus
 //! the acceptance scenario for both: resuming from a checkpoint replays
 //! strictly fewer rounds than restarting from scratch under the same
 //! fault plan.

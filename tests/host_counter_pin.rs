@@ -1,7 +1,6 @@
 //! Counter pin for the host queue family: one fixed single-thread script
-//! per variant, the full [`StatsSnapshot`] compared against literals
-//! recorded at the commit *before* the family was rebuilt from parts
-//! (PR 15). The benchmark's `atomics_per_token` is derived from these
+//! per variant, the full [`StatsSnapshot`] compared against pinned
+//! literals. The benchmark's `atomics_per_token` is derived from these
 //! counters, so a drift in what any path counts fails here first.
 //!
 //! The script: reserve/pop ahead of data where the variant allows it, four

@@ -201,7 +201,7 @@ fn snap_roundtrip_preserves_degrees() {
 /// The chunked streamed builder is byte-identical to the in-memory
 /// `CsrBuilder` across chunk sizes {1, 7, 4096, ≥edge-count}, on random
 /// multigraphs that include self-loops, parallel edges, and empty
-/// vertices (ISSUE 6 satellite) — and on the catalogue's giant family,
+/// vertices — and on the catalogue's giant family,
 /// the graph `repro giant` traverses, whose `Dataset::Giant` build must
 /// be those same bytes.
 #[test]

@@ -108,14 +108,14 @@ pub fn legs(scale: Scale) -> Vec<Leg> {
     };
 
     // The same burst, served by the batched co-resident core: the only
-    // config delta against "overload" is the batching policy, so the
+    // config delta against "overload" is `max_coresident`, so the
     // QPS gap between the two legs isolates what fusing buys. The
     // 5-deep window over 4 workload kinds guarantees (pigeonhole) a
     // same-kind pair in the burst's full window, so the leg always has
     // at least one fused launch regardless of the trace seed's draws.
-    let mut batched_config = ServiceConfig::batched(scale);
+    let mut batched_config = ServiceConfig::standard(scale);
     batched_config.backlog_limit = 5;
-    batched_config.batching = Some(crate::serve::BatchPolicy { max_coresident: 5 });
+    batched_config.max_coresident = 5;
     let overload_batched = Leg {
         name: "overload-batched",
         trace: overload_trace(),

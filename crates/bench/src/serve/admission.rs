@@ -237,11 +237,6 @@ impl AdmissionQueue {
         self.quarantined.entry(signature).or_insert(id);
     }
 
-    /// Number of quarantined signatures.
-    pub fn quarantined_signatures(&self) -> usize {
-        self.quarantined.len()
-    }
-
     /// Segmented-enqueue failures observed (0 in any correct run).
     pub fn enqueue_errors(&self) -> u64 {
         self.enqueue_errors
@@ -424,7 +419,7 @@ mod tests {
         let mut other = query(8, Priority::Standard);
         other.kind = WorkloadKind::Cc;
         assert!(q.check(&other, 0).is_ok());
-        assert_eq!(q.quarantined_signatures(), 1);
+        assert_eq!(q.quarantined.len(), 1);
     }
 
     #[test]

@@ -31,5 +31,5 @@ pub mod trace;
 pub use admission::{AdmissionError, AdmissionQueue};
 pub use backoff::BackoffSchedule;
 pub use outcome::{ClassFairness, Disposition, OutcomeLog, QueryOutcome, ServeSummary};
-pub use service::{AttemptSim, BatchPolicy, ExecutionProfile, Service, ServiceConfig};
+pub use service::{AttemptSim, ExecutionProfile, Service, ServiceConfig};
 pub use trace::{ArrivalTrace, Priority, QuerySpec, TraceParams, WorkloadKind, NUM_TENANTS};

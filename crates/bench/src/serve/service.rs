@@ -22,7 +22,7 @@
 //!    clock, no thread identity, no map iteration order feeds a
 //!    decision.
 //!
-//! With [`ServiceConfig::batching`] on, Phase B drains a whole
+//! With [`ServiceConfig::max_coresident`] above 1, Phase B drains a whole
 //! weighted-DRR window per device occupancy, fuses compatible clean
 //! queries into [`QueryBatch`] launches, and overlaps same-kind
 //! launches co-resident on the device. Fused units *do* run the engine
@@ -92,39 +92,13 @@ pub struct ServiceConfig {
     pub scale: Scale,
     /// Admission backlog bound (queries waiting, across all classes).
     pub backlog_limit: u64,
-    /// Multi-query co-scheduling policy. `None` dispatches one query
-    /// per device occupancy (the classic serial core); `Some` lets the
-    /// replay drain a whole DRR window per occupancy, fuse compatible
-    /// clean queries into [`QueryBatch`] launches, and overlap
-    /// same-kind launches co-resident on the device.
-    pub batching: Option<BatchPolicy>,
-}
-
-/// How aggressively the dispatcher fuses queries (see
-/// [`ServiceConfig::batching`]).
-#[derive(Clone, Debug)]
-pub struct BatchPolicy {
-    /// Largest number of queries drained into one dispatch window (and
-    /// so the most that can ever share the device at once).
+    /// Most queries one dispatch window drains, and so the most that can
+    /// ever share the device at once. `1` dispatches one query per device
+    /// occupancy (the classic serial core); above it the replay drains a
+    /// whole DRR window per occupancy, fuses compatible clean queries into
+    /// [`QueryBatch`] launches, and overlaps same-kind launches co-resident
+    /// on the device.
     pub max_coresident: usize,
-}
-
-impl Default for BatchPolicy {
-    fn default() -> Self {
-        BatchPolicy { max_coresident: 4 }
-    }
-}
-
-impl BatchPolicy {
-    /// Dynamic fan-out: the in-flight set tracks the backlog — a deep
-    /// backlog fills the window up to `max_coresident`, a trickle
-    /// degenerates to serial dispatch without holding queries back to
-    /// wait for batch-mates.
-    pub fn fanout(&self, backlog: u64) -> usize {
-        usize::try_from(backlog)
-            .unwrap_or(usize::MAX)
-            .clamp(1, self.max_coresident.max(1))
-    }
 }
 
 impl ServiceConfig {
@@ -135,15 +109,15 @@ impl ServiceConfig {
             gpu: GpuConfig::spectre(),
             scale,
             backlog_limit: 64,
-            batching: None,
+            max_coresident: 1,
         }
     }
 
-    /// [`ServiceConfig::standard`] with the default batching policy on:
+    /// [`ServiceConfig::standard`] with up to four co-resident queries:
     /// the batched, weighted-fair, overlapping-occupancy core.
     pub fn batched(scale: Scale) -> Self {
         ServiceConfig {
-            batching: Some(BatchPolicy::default()),
+            max_coresident: 4,
             ..Self::standard(scale)
         }
     }
@@ -444,15 +418,16 @@ impl Service {
 
             let backlog = admission.backlog();
             if backlog > 0 {
-                // Drain one dispatch window: with batching off the
-                // fan-out is pinned to 1 (the classic serial core);
-                // with batching on it tracks the backlog up to
-                // `max_coresident`, so a deep backlog fills the device
-                // and a trickle degenerates to serial dispatch.
-                let fanout = match &self.config.batching {
-                    Some(policy) => policy.fanout(backlog),
-                    None => 1,
-                };
+                // Drain one dispatch window: the fan-out tracks the
+                // backlog up to `max_coresident`, so a deep backlog fills
+                // the device and a trickle degenerates to serial dispatch
+                // without holding queries back to wait for batch-mates.
+                // A window of one query dispatches solo (a fused group of
+                // one demotes below), which makes `max_coresident == 1`
+                // the classic serial core.
+                let fanout = usize::try_from(backlog)
+                    .unwrap_or(usize::MAX)
+                    .clamp(1, self.config.max_coresident.max(1));
                 let mut window: Vec<usize> = Vec::with_capacity(fanout);
                 while window.len() < fanout {
                     match admission.take_next() {
@@ -489,8 +464,7 @@ impl Service {
                         makespan = makespan.max(window_start);
                         continue;
                     }
-                    let fusable = self.config.batching.is_some()
-                        && k == 0
+                    let fusable = k == 0
                         && q.faults == 0
                         && q.watchdog_rounds == 0
                         && prof.completed

@@ -12,7 +12,7 @@ use simt::WaveCtx;
 #[derive(Clone, Debug)]
 pub struct CasWaveQueue {
     pub(super) layout: QueueLayout,
-    width: Width,
+    pub(super) width: Width,
     /// Version of `Front` as of this wavefront's last dequeue visit.
     pub(super) front_seen: Option<u64>,
     /// Version of `Rear` as of this wavefront's last enqueue visit.

@@ -4,9 +4,10 @@
 //! with the [`crate::DNA`] sentinel and a two-word state buffer holding
 //! `Front` and `Rear` ([`QueueLayout`]; [`SegmentedLayout`] adds a
 //! directory, [`StealingLayout`] is one `QueueLayout` per compute unit).
-//! Kernels drive it through the [`WaveQueue`] trait, one instance per
-//! wavefront (the instance holds the wavefront's *private* scratch, e.g.
-//! the CAS designs' staged counter versions — registers, in GPU terms).
+//! A kernel holds one [`DeviceQueue`] per wavefront by value (it holds the
+//! wavefront's *private* scratch, e.g. the CAS designs' staged counter
+//! versions — registers, in GPU terms), dispatched statically; tests
+//! substitute through the [`WaveQueue`] trait it implements.
 //!
 //! The flat queue is **non-wrapping**: `Front` and `Rear` increase
 //! monotonically and the capacity must bound the total number of tokens
@@ -25,19 +26,19 @@
 //! ([`crate::host`]), the device family is the product of the decisions
 //! behind them, each written once:
 //!
-//! * *how a ticket range is reserved* — the discipline, a wave-queue type:
-//!   [`CasWaveQueue`] (read, check, compare-and-swap; never passes `Rear`
-//!   and raises queue-empty; hands tokens out directly, `Hungry → Ready`)
-//!   or [`TicketWaveQueue`] (one fetch-add that cannot fail; reserves
-//!   ahead and polls the `dna` sentinel without atomics, `Hungry →
-//!   Monitoring → Ready`);
+//! * *how a ticket range is reserved* — the discipline, an arm of
+//!   [`DeviceQueue`]: [`DeviceQueue::Cas`] (read, check, compare-and-swap;
+//!   never passes `Rear` and raises queue-empty; hands tokens out
+//!   directly, `Hungry → Ready`) or [`DeviceQueue::Ticket`] (one
+//!   fetch-add that cannot fail; reserves ahead and polls the `dna`
+//!   sentinel without atomics, `Hungry → Monitoring → Ready`);
 //! * *where the slot behind a ticket lives* — a `Slots` value the ticket
 //!   queue matches on: flat ([`QueueLayout`], overflow is queue-full) or
 //!   segmented ([`SegmentedLayout`], overflow is a segment install);
 //! * *width* — per lane or per wave (the arbitrary-n property: a proxy
 //!   thread reserves for the whole wavefront with one atomic);
 //! * *placement* — one queue for the device, or one per compute unit with
-//!   stealing ([`StealingWaveQueue`]).
+//!   stealing ([`DeviceQueue::PerCu`]).
 //!
 //! All four are fixed when [`DeviceQueue::setup`] builds a [`Design`]:
 //!
@@ -66,15 +67,15 @@ mod segmented;
 mod stealing;
 mod ticket;
 
-pub use cas::CasWaveQueue;
 pub use lanes::{bits, Lanes};
 pub use segmented::SegmentedLayout;
-pub use stealing::{StealingLayout, StealingWaveQueue};
-pub use ticket::TicketWaveQueue;
+pub use stealing::StealingLayout;
 
 use crate::{Variant, DNA};
+use cas::CasWaveQueue;
 use simt::{Buffer, DeviceMemory, WaveCtx};
-use ticket::Slots;
+use stealing::StealingWaveQueue;
+use ticket::{Slots, TicketWaveQueue};
 
 /// Index of `Front` in the queue state buffer.
 pub const FRONT: usize = 0;
@@ -134,19 +135,14 @@ impl QueueLayout {
         memory.write_u32(self.state, REAR, rear + tokens.len() as u32);
     }
 
-    /// Host-side count of tokens currently stored (Rear − Front). Only
-    /// meaningful between launches.
+    /// Host-side count of tokens currently stored (Rear − Front; zero
+    /// while reservations run ahead of the data). Only meaningful between
+    /// launches.
     pub fn host_len(&self, memory: &DeviceMemory) -> u32 {
-        host_len(memory, self.state)
+        let front = memory.read_u32(self.state, FRONT);
+        let rear = memory.read_u32(self.state, REAR);
+        rear.saturating_sub(front)
     }
-}
-
-/// `Rear − Front` of the `[Front, Rear]` words in `state` (zero while
-/// reservations run ahead of the data).
-fn host_len(memory: &DeviceMemory, state: Buffer) -> u32 {
-    let front = memory.read_u32(state, FRONT);
-    let rear = memory.read_u32(state, REAR);
-    rear.saturating_sub(front)
 }
 
 /// One wavefront's view of a device queue. Implementations hold the
@@ -210,7 +206,7 @@ pub enum Design {
     /// The paper's topology: one device-wide queue of this variant.
     Shared(Variant),
     /// One RF/AN ring per compute unit with work stealing
-    /// ([`StealingWaveQueue`]): less hot-word pressure, more load
+    /// ([`DeviceQueue::PerCu`]): less hot-word pressure, more load
     /// imbalance.
     PerCu,
 }
@@ -257,23 +253,19 @@ impl From<Variant> for Design {
     }
 }
 
-/// What a design is composed from, over its allocation — a row of the
-/// module's table.
+/// The scheduler queue of one launch, whichever [`Design`] it is: one arm
+/// per discipline. [`DeviceQueue::setup`] returns the prototype, which
+/// [`DeviceQueue::host_seed`] seeds and [`DeviceQueue::wave_queue`] copies,
+/// with fresh per-wave state, for each wavefront.
 #[derive(Clone, Debug)]
-enum Parts {
-    Cas(QueueLayout, Width),
-    Ticket(Slots, Width),
-    PerCu(StealingLayout),
-}
-
-/// Host-side handle to the scheduler queue of one launch, whichever
-/// [`Design`] it is: allocated by [`DeviceQueue::setup`], seeded with
-/// [`DeviceQueue::host_seed`], handed to each wavefront as
-/// [`DeviceQueue::wave_queue`].
-#[derive(Clone, Debug)]
-pub struct DeviceQueue {
-    design: Design,
-    parts: Parts,
+pub enum DeviceQueue {
+    /// BASE (lane width) or AN (wave width) over a flat queue.
+    Cas(CasWaveQueue),
+    /// RF-only (flat, lane width), RF/AN (flat, wave width) or SEG-RF/AN
+    /// (segmented, wave width).
+    Ticket(TicketWaveQueue),
+    /// One RF/AN ring per compute unit, with stealing.
+    PerCu(StealingWaveQueue),
 }
 
 impl DeviceQueue {
@@ -292,56 +284,74 @@ impl DeviceQueue {
         num_cus: usize,
     ) -> DeviceQueue {
         let mut flat = || QueueLayout::setup(memory, "workqueue", capacity);
-        let parts = match design {
-            Design::Shared(Variant::Base) => Parts::Cas(flat(), Width::PerLane),
-            Design::Shared(Variant::An) => Parts::Cas(flat(), Width::PerWave),
-            Design::Shared(Variant::RfOnly) => Parts::Ticket(Slots::Flat(flat()), Width::PerLane),
-            Design::Shared(Variant::RfAn) => Parts::Ticket(Slots::Flat(flat()), Width::PerWave),
+        let mut cas = |width| DeviceQueue::Cas(CasWaveQueue::new(flat(), width));
+        let ticket = |slots, width| DeviceQueue::Ticket(TicketWaveQueue::new(slots, width));
+        match design {
+            Design::Shared(Variant::Base) => cas(Width::PerLane),
+            Design::Shared(Variant::An) => cas(Width::PerWave),
+            Design::Shared(Variant::RfOnly) => ticket(Slots::Flat(flat()), Width::PerLane),
+            Design::Shared(Variant::RfAn) => ticket(Slots::Flat(flat()), Width::PerWave),
             Design::Shared(Variant::SegRfAn) => {
                 let arena = SegmentedLayout::for_capacity(memory, "workqueue", capacity);
-                Parts::Ticket(Slots::Segmented(arena), Width::PerWave)
+                ticket(Slots::Segmented(arena), Width::PerWave)
             }
             Design::PerCu => {
                 let per_cu = design.seed_capacity(capacity);
-                Parts::PerCu(StealingLayout::setup(memory, "dqueue", num_cus, per_cu))
+                let layout = StealingLayout::setup(memory, "dqueue", num_cus, per_cu);
+                DeviceQueue::PerCu(StealingWaveQueue::new(layout, 0))
             }
-        };
-        DeviceQueue { design, parts }
-    }
-
-    /// Which design this is.
-    pub fn design(&self) -> Design {
-        self.design
+        }
     }
 
     /// Host-side enqueue of the initial tokens before launch (the
     /// workload's seeds, or a resumed frontier; per CU: into CU 0's
     /// queue). Not a simulated operation.
     pub fn host_seed(&self, memory: &mut DeviceMemory, tokens: &[u32]) {
-        match &self.parts {
-            Parts::Cas(q, _) | Parts::Ticket(Slots::Flat(q), _) => q.host_seed(memory, tokens),
-            Parts::Ticket(Slots::Segmented(lt), _) => lt.host_seed(memory, tokens),
-            Parts::PerCu(per_cu) => per_cu.host_seed(memory, tokens),
+        match self {
+            DeviceQueue::Cas(q) => q.layout.host_seed(memory, tokens),
+            DeviceQueue::Ticket(q) => match q.slots {
+                Slots::Flat(flat) => flat.host_seed(memory, tokens),
+                Slots::Segmented(lt) => lt.host_seed(memory, tokens),
+            },
+            DeviceQueue::PerCu(q) => q.layout.host_seed(memory, tokens),
         }
     }
 
-    /// Host-side count of tokens currently stored, over every queue of the
-    /// design. Only meaningful between launches.
-    pub fn host_len(&self, memory: &DeviceMemory) -> u32 {
-        match &self.parts {
-            Parts::Cas(q, _) | Parts::Ticket(Slots::Flat(q), _) => q.host_len(memory),
-            Parts::Ticket(Slots::Segmented(lt), _) => lt.host_len(memory),
-            Parts::PerCu(per_cu) => per_cu.queues().iter().map(|q| q.host_len(memory)).sum(),
+    /// The queue handle of a wavefront resident on compute unit `cu`: this
+    /// queue with fresh per-wave state, homed at `cu` when it steals.
+    pub fn wave_queue(&self, cu: usize) -> DeviceQueue {
+        match self {
+            DeviceQueue::Cas(q) => DeviceQueue::Cas(CasWaveQueue::new(q.layout, q.width)),
+            DeviceQueue::Ticket(q) => DeviceQueue::Ticket(TicketWaveQueue::new(q.slots, q.width)),
+            DeviceQueue::PerCu(q) => {
+                DeviceQueue::PerCu(StealingWaveQueue::new(q.layout.clone(), cu))
+            }
+        }
+    }
+}
+
+impl WaveQueue for DeviceQueue {
+    fn acquire(&mut self, ctx: &mut WaveCtx<'_>, lanes: &mut Lanes) {
+        match self {
+            DeviceQueue::Cas(q) => q.acquire(ctx, lanes),
+            DeviceQueue::Ticket(q) => q.acquire(ctx, lanes),
+            DeviceQueue::PerCu(q) => q.acquire(ctx, lanes),
         }
     }
 
-    /// Builds the queue handle of a wavefront resident on compute unit
-    /// `cu`.
-    pub fn wave_queue(&self, cu: usize) -> Box<dyn WaveQueue> {
-        match &self.parts {
-            Parts::Cas(q, width) => Box::new(CasWaveQueue::new(*q, *width)),
-            Parts::Ticket(slots, width) => Box::new(TicketWaveQueue::new(*slots, *width)),
-            Parts::PerCu(per_cu) => Box::new(StealingWaveQueue::new(per_cu, cu)),
+    fn enqueue(&mut self, ctx: &mut WaveCtx<'_>, tokens: &[u32]) -> usize {
+        match self {
+            DeviceQueue::Cas(q) => q.enqueue(ctx, tokens),
+            DeviceQueue::Ticket(q) => q.enqueue(ctx, tokens),
+            DeviceQueue::PerCu(q) => q.enqueue(ctx, tokens),
+        }
+    }
+
+    fn register_idle_watches(&self, ctx: &mut WaveCtx<'_>, lanes: &Lanes) -> bool {
+        match self {
+            DeviceQueue::Cas(q) => q.register_idle_watches(ctx, lanes),
+            DeviceQueue::Ticket(q) => q.register_idle_watches(ctx, lanes),
+            DeviceQueue::PerCu(q) => q.register_idle_watches(ctx, lanes),
         }
     }
 }
@@ -375,6 +385,19 @@ mod tests {
         assert_eq!(q.host_len(&mem), 2);
     }
 
+    /// Tokens stored over every queue of `queue`'s design.
+    fn stored(queue: &DeviceQueue, mem: &DeviceMemory) -> u32 {
+        let len = |state| mem.read_u32(state, REAR) - mem.read_u32(state, FRONT);
+        match queue {
+            DeviceQueue::Cas(q) => len(q.layout.state),
+            DeviceQueue::Ticket(q) => match q.slots {
+                Slots::Flat(flat) => len(flat.state),
+                Slots::Segmented(lt) => len(lt.state),
+            },
+            DeviceQueue::PerCu(q) => q.layout.queues().iter().map(|q| len(q.state)).sum(),
+        }
+    }
+
     #[test]
     #[should_panic(expected = "dna sentinel")]
     fn host_seed_rejects_sentinel_token() {
@@ -384,12 +407,12 @@ mod tests {
     }
 
     /// Wave 0 drives the queue words by hand; wave 1 is a real consumer.
-    enum HandBack {
+    enum HandBack<Q: WaveQueue> {
         Driver { layout: QueueLayout, cycle: u32 },
-        Consumer(Box<testutil::PumpKernel>),
+        Consumer(Box<testutil::PumpKernel<Q>>),
     }
 
-    impl simt::WaveKernel for HandBack {
+    impl<Q: WaveQueue> simt::WaveKernel for HandBack<Q> {
         fn work_cycle(&mut self, ctx: &mut WaveCtx<'_>) -> simt::WaveStatus {
             let (layout, cycle) = match self {
                 HandBack::Consumer(pump) => return pump.work_cycle(ctx),
@@ -422,11 +445,16 @@ mod tests {
         }
     }
 
-    fn hand_back_run(variant: Variant, park: bool) -> simt::RunReport {
+    /// The hand-back scenario on `variant`, whose consumer holds its
+    /// queue handle as `wrap` makes it.
+    fn hand_back_run<Q: WaveQueue>(
+        variant: Variant,
+        wrap: impl Fn(DeviceQueue) -> Q,
+    ) -> simt::RunReport {
         use std::sync::{Arc, Mutex};
         let mut engine = simt::Engine::new(simt::GpuConfig::test_tiny());
         let shared = DeviceQueue::setup(engine.memory_mut(), Design::Shared(variant), 64, 1);
-        let Parts::Cas(layout, _) = shared.parts else {
+        let DeviceQueue::Cas(CasWaveQueue { layout, .. }) = shared else {
             panic!("{variant:?} is not a CAS design");
         };
         let pending = engine.memory_mut().alloc("pending", 1);
@@ -437,21 +465,10 @@ mod tests {
                 if info.wave_id == 0 {
                     return HandBack::Driver { layout, cycle: 0 };
                 }
-                let queue = shared.wave_queue(info.cu);
-                HandBack::Consumer(Box::new(testutil::PumpKernel {
-                    queue: if park {
-                        queue
-                    } else {
-                        Box::new(testutil::NeverPark(queue))
-                    },
-                    lanes: Lanes::new(info.wave_size),
-                    pending,
-                    consumed: Arc::clone(&consumed),
-                    fanout_until: 0,
-                    children: 0,
-                    outbox: Vec::new(),
-                    completed: 0,
-                }))
+                let queue = wrap(shared.wave_queue(info.cu));
+                let pump =
+                    testutil::PumpKernel::new(queue, info.wave_size, pending, &consumed, 0, 0);
+                HandBack::Consumer(Box::new(pump))
             })
             .expect("hand-back scenario failed");
         assert_eq!(*consumed.lock().unwrap(), vec![200, 201, 202, 203]);
@@ -467,8 +484,8 @@ mod tests {
         // that is last round, and parking must not turn it into "since
         // the wave parked" (three failed CAS attempts that never were).
         for variant in [Variant::An, Variant::Base] {
-            let parked = hand_back_run(variant, true);
-            let polled = hand_back_run(variant, false);
+            let parked = hand_back_run(variant, |queue| queue);
+            let polled = hand_back_run(variant, testutil::NeverPark);
             assert_eq!(parked.metrics, polled.metrics, "{variant:?}");
             assert_eq!(parked.per_cu_cycles, polled.per_cu_cycles, "{variant:?}");
             assert_eq!(parked.seconds, polled.seconds, "{variant:?}");
@@ -590,21 +607,17 @@ mod tests {
     fn every_design_is_composed_as_its_variant_claims() {
         let gpu = simt::GpuConfig::test_tiny();
         for design in Design::ALL {
-            let mut mem = DeviceMemory::new();
-            let queue = DeviceQueue::setup(&mut mem, design, 64, gpu.num_cus);
-            assert_eq!(queue.design(), design);
-            queue.host_seed(&mut mem, &[7, 8, 9]);
-            assert_eq!(queue.host_len(&mem), 3, "{design:?}");
+            let queue = DeviceQueue::setup(&mut DeviceMemory::new(), design, 64, gpu.num_cus);
             // Per CU: an RF/AN ring each.
             let variant = match design {
                 Design::Shared(variant) => variant,
                 Design::PerCu => Variant::RfAn,
             };
-            let (retry_free, width, segmented) = match &queue.parts {
-                Parts::Cas(_, width) => (false, *width, false),
-                Parts::Ticket(slots, width) => (true, *width, matches!(slots, Slots::Segmented(_))),
-                Parts::PerCu(per_cu) => {
-                    assert_eq!(per_cu.queues().len(), gpu.num_cus);
+            let (retry_free, width, segmented) = match &queue {
+                DeviceQueue::Cas(q) => (false, q.width, false),
+                DeviceQueue::Ticket(q) => (true, q.width, matches!(q.slots, Slots::Segmented(_))),
+                DeviceQueue::PerCu(q) => {
+                    assert_eq!(q.layout.queues().len(), gpu.num_cus);
                     (true, Width::PerWave, false)
                 }
             };
@@ -614,7 +627,7 @@ mod tests {
                 variant.is_arbitrary_n(),
                 "{design:?}"
             );
-            assert_eq!(segmented, variant.is_segmented(), "{design:?}");
+            assert_eq!(segmented, variant == Variant::SegRfAn, "{design:?}");
         }
     }
 
@@ -628,7 +641,127 @@ mod tests {
                 let fits = design.seed_capacity(capacity);
                 let tokens: Vec<u32> = (0..fits).collect();
                 queue.host_seed(&mut mem, &tokens);
-                assert_eq!(queue.host_len(&mem), fits, "{design:?} at {capacity}");
+                assert_eq!(stored(&queue, &mem), fits, "{design:?} at {capacity}");
+            }
+        }
+    }
+
+    /// One wavefront on `queue`: every lane asks for work on the first
+    /// cycle, each cycle polls and drops what arrived, and the last of
+    /// `cycles` enqueues eight tokens.
+    struct Drive<'q> {
+        queue: &'q std::cell::RefCell<DeviceQueue>,
+        lanes: Lanes,
+        cycle: u32,
+        cycles: u32,
+    }
+
+    impl simt::WaveKernel for Drive<'_> {
+        fn work_cycle(&mut self, ctx: &mut WaveCtx<'_>) -> simt::WaveStatus {
+            let mut queue = self.queue.borrow_mut();
+            if self.cycle == 0 {
+                self.lanes.request(self.lanes.idle());
+            }
+            queue.acquire(ctx, &mut self.lanes);
+            while self.lanes.take_ready().is_some() {}
+            self.cycle += 1;
+            if self.cycle < self.cycles {
+                return simt::WaveStatus::Active;
+            }
+            queue.enqueue(ctx, &[100, 101, 102, 103, 104, 105, 106, 107]);
+            simt::WaveStatus::Done
+        }
+    }
+
+    /// Runs `handle` as the one wavefront of a launch of `cycles` cycles
+    /// on `engine`; returns the handle after it and what the launch
+    /// charged.
+    fn drive(
+        engine: &mut simt::Engine,
+        handle: DeviceQueue,
+        cycles: u32,
+    ) -> (DeviceQueue, simt::RunReport) {
+        let queue = std::cell::RefCell::new(handle);
+        let report = engine
+            .run(simt::Launch::workgroups(1), |info| Drive {
+                queue: &queue,
+                lanes: Lanes::new(info.wave_size),
+                cycle: 0,
+                cycles,
+            })
+            .expect("drive failed");
+        (queue.into_inner(), report)
+    }
+
+    #[test]
+    fn wave_handles_share_no_state() {
+        // CU 1's handles: a per-CU design finds the seeds on CU 0's ring.
+        const CU: usize = 1;
+        let gpu = simt::GpuConfig::test_tiny();
+        let seeded = |design| {
+            let mut engine = simt::Engine::new(gpu.clone());
+            let queue = DeviceQueue::setup(engine.memory_mut(), design, 64, gpu.num_cus);
+            queue.host_seed(engine.memory_mut(), &[1, 2]);
+            (engine, queue)
+        };
+        for design in Design::ALL {
+            // Two seeds for four hungry lanes, three cycles: CAS designs
+            // stage both counter versions, ticket designs memoise an
+            // arrival-free poll of the two lanes still monitoring, and a
+            // stealing handle scans three times, leaving its cursor off
+            // where it started. Then another wave takes tokens, so a stale
+            // `front_seen` would be charged a retry storm.
+            let (mut engine, queue) = seeded(design);
+            let before = queue.wave_queue(CU);
+            let (first, _) = drive(&mut engine, queue.wave_queue(CU), 3);
+            let advanced = match &first {
+                DeviceQueue::Cas(q) => q.front_seen.is_some() && q.rear_seen.is_some(),
+                DeviceQueue::Ticket(q) => {
+                    format!("{:?}", q.memo) != format!("{:?}", ticket::PollMemo::NONE)
+                }
+                DeviceQueue::PerCu(q) => q.next_victim != (CU + 1) % gpu.num_cus,
+            };
+            assert!(advanced, "{design:?}: the drive left no per-wave state");
+            drive(&mut engine, queue.wave_queue(0), 1);
+            // The second handle is a copy of the driven one.
+            let second = first.wave_queue(CU);
+            assert_eq!(format!("{second:?}"), format!("{before:?}"), "{design:?}");
+            let (_, charged) = drive(&mut engine, second, 1);
+
+            let (mut twin, queue) = seeded(design);
+            let before = queue.wave_queue(CU);
+            drive(&mut twin, queue.wave_queue(CU), 3);
+            drive(&mut twin, queue.wave_queue(0), 1);
+            let (_, expected) = drive(&mut twin, before, 1);
+            assert_eq!(charged.metrics, expected.metrics, "{design:?}");
+            assert_eq!(charged.per_cu_cycles, expected.per_cu_cycles, "{design:?}");
+            assert_eq!(charged.seconds, expected.seconds, "{design:?}");
+        }
+    }
+
+    #[test]
+    fn a_per_cu_handle_reserves_from_its_own_cus_ring_first() {
+        let gpu = simt::GpuConfig::test_tiny();
+        for cu in 0..gpu.num_cus {
+            let mut engine = simt::Engine::new(gpu.clone());
+            let mem = engine.memory_mut();
+            let queue = DeviceQueue::setup(mem, Design::PerCu, 64, gpu.num_cus);
+            let DeviceQueue::PerCu(stealing) = &queue else {
+                unreachable!("a per-CU design");
+            };
+            let rings = stealing.layout.queues().to_vec();
+            for (i, ring) in rings.iter().enumerate() {
+                ring.host_seed(mem, &[10 * i as u32, 10 * i as u32 + 1]);
+            }
+            drive(&mut engine, queue.wave_queue(cu), 1);
+            let mem = engine.memory();
+            for (i, ring) in rings.iter().enumerate() {
+                let front = mem.read_u32(ring.state, FRONT);
+                assert_eq!(
+                    front,
+                    if i == cu { 2 } else { 0 },
+                    "CU {cu}'s handle, ring {i}"
+                );
             }
         }
     }

@@ -99,7 +99,7 @@ mod tests {
     #[test]
     fn queue_full_aborts() {
         use super::super::testutil::PumpKernel;
-        use super::super::{Design, DeviceQueue, Lanes};
+        use super::super::{Design, DeviceQueue};
         use simt::{Engine, GpuConfig, Launch};
         use std::sync::{Arc, Mutex};
 
@@ -107,21 +107,14 @@ mod tests {
         // capacity 4, but seeds fan out 3 children each => 1 + 3 > 4 - 1...
         // use 2 seeds x 3 children = 8 tokens > 4 capacity.
         let design = Design::Shared(Variant::RfAn);
-        let layout = DeviceQueue::setup(engine.memory_mut(), design, 4, 1);
+        let queue = DeviceQueue::setup(engine.memory_mut(), design, 4, 1);
         let pending = engine.memory_mut().alloc("pending", 1);
-        layout.host_seed(engine.memory_mut(), &[0, 1]);
+        queue.host_seed(engine.memory_mut(), &[0, 1]);
         engine.memory_mut().write_u32(pending, 0, 2);
         let consumed = Arc::new(Mutex::new(Vec::new()));
         let err = engine
-            .run(Launch::workgroups(1), |_| PumpKernel {
-                queue: layout.wave_queue(0),
-                lanes: Lanes::new(4),
-                pending,
-                consumed: Arc::clone(&consumed),
-                fanout_until: 10,
-                children: 3,
-                outbox: Vec::new(),
-                completed: 0,
+            .run(Launch::workgroups(1), |_| {
+                PumpKernel::new(queue.wave_queue(0), 4, pending, &consumed, 10, 3)
             })
             .unwrap_err();
         assert!(err.is_queue_full(), "{err:?}");

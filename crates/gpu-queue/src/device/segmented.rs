@@ -45,7 +45,7 @@
 //! segmentation removes the memory bound, not the 2^32 ticket-arithmetic
 //! bound.
 
-use super::{host_len, REAR};
+use super::REAR;
 use crate::DNA;
 use simt::{Buffer, DeviceMemory, OpSpec, WaveCtx, MAX_WAVE_SIZE};
 
@@ -181,19 +181,6 @@ impl SegmentedLayout {
         }
         memory.write_u32(self.state, REAR, rear + tokens.len() as u32);
     }
-
-    /// Host-side count of tokens currently stored (Rear − Front). Only
-    /// meaningful between launches.
-    pub fn host_len(&self, memory: &DeviceMemory) -> u32 {
-        host_len(memory, self.state)
-    }
-
-    /// Host-side count of currently installed (not yet retired) segments.
-    pub fn host_live_segments(&self, memory: &DeviceMemory) -> u32 {
-        (0..self.dir_len as usize)
-            .filter(|&r| memory.read_u32(self.dir, r) != DNA)
-            .count() as u32
-    }
 }
 
 /// Pickups of one poll per directory ring slot.
@@ -303,7 +290,6 @@ pub(super) fn publish(ctx: &mut WaveCtx<'_>, lt: &SegmentedLayout, tokens: &[u32
 #[cfg(test)]
 mod tests {
     use super::super::testutil::{expected_tokens, over_segments, pump_through, PumpKernel, Shape};
-    use super::super::Lanes;
     use super::SegmentedLayout;
     use crate::DNA;
     use simt::{DeviceMemory, Engine, GpuConfig, Launch};
@@ -327,6 +313,15 @@ mod tests {
         (out, report.metrics)
     }
 
+    /// Installed (not yet retired) segments of `q`.
+    fn live_segments(q: &SegmentedLayout, memory: &DeviceMemory) -> usize {
+        memory
+            .read_slice(q.dir)
+            .iter()
+            .filter(|&&w| w != DNA)
+            .count()
+    }
+
     #[test]
     fn setup_paints_sentinels_and_fills_pool() {
         let mut mem = DeviceMemory::new();
@@ -335,8 +330,8 @@ mod tests {
         assert!(mem.read_slice(q.slots).iter().all(|&w| w == DNA));
         assert!(mem.read_slice(q.dir).iter().all(|&w| w == DNA));
         assert_eq!(mem.read_u32(q.pool, 0), 4);
-        assert_eq!(q.host_len(&mem), 0);
-        assert_eq!(q.host_live_segments(&mem), 0);
+        assert_eq!(mem.read_slice(q.state), [0, 0]);
+        assert_eq!(live_segments(&q, &mem), 0);
     }
 
     #[test]
@@ -353,8 +348,8 @@ mod tests {
         let q = SegmentedLayout::setup(&mut mem, "q", 4, 4);
         let tokens: Vec<u32> = (0..10).collect();
         q.host_seed(&mut mem, &tokens);
-        assert_eq!(q.host_len(&mem), 10);
-        assert_eq!(q.host_live_segments(&mem), 3); // ceil(10 / 4)
+        assert_eq!(mem.read_slice(q.state), [0, 10]);
+        assert_eq!(live_segments(&q, &mem), 3); // ceil(10 / 4)
     }
 
     #[test]
@@ -409,22 +404,13 @@ mod tests {
         let wave_size = engine.config().wave_size;
         engine
             .run(Launch::workgroups(2).with_max_rounds(2_000_000), |_info| {
-                PumpKernel {
-                    queue: over_segments(layout).wave_queue(0),
-                    lanes: Lanes::new(wave_size),
-                    pending,
-                    consumed: Arc::clone(&consumed),
-                    fanout_until: 8,
-                    children: 4,
-                    outbox: Vec::new(),
-                    completed: 0,
-                }
+                PumpKernel::new(over_segments(layout), wave_size, pending, &consumed, 8, 4)
             })
             .expect("segmented pump kernel failed");
         // 40 lifetime tokens flowed through a 12-word arena; after the
         // drain every segment has retired back to the pool.
         let mem = engine.memory_mut();
-        assert_eq!(layout.host_live_segments(mem), 0);
+        assert_eq!(live_segments(&layout, mem), 0);
         assert_eq!(mem.read_u32(layout.pool, 0), 3);
         assert!(mem.read_slice(layout.slots).iter().all(|&w| w == DNA));
     }

@@ -79,20 +79,20 @@ const STEAL_BATCH: u32 = 16;
 /// One wavefront's view of the distributed queues.
 #[derive(Clone, Debug)]
 pub struct StealingWaveQueue {
-    queues: Vec<QueueLayout>,
+    pub(super) layout: StealingLayout,
     home: usize,
     /// Next victim (rotates per steal attempt).
-    next_victim: usize,
+    pub(super) next_victim: usize,
 }
 
 impl StealingWaveQueue {
     /// Creates the handle for a wavefront resident on CU `home`.
-    pub fn new(layout: &StealingLayout, home: usize) -> Self {
+    pub(super) fn new(layout: StealingLayout, home: usize) -> Self {
         assert!(home < layout.queues.len(), "home CU out of range");
         StealingWaveQueue {
-            queues: layout.queues.clone(),
-            home,
             next_victim: (home + 1) % layout.queues.len().max(1),
+            layout,
+            home,
         }
     }
 
@@ -129,17 +129,17 @@ impl WaveQueue for StealingWaveQueue {
                 rear.saturating_sub(front)
             };
             let mut target = None;
-            let home_backlog = backlog(ctx, self.queues[self.home]);
+            let home_backlog = backlog(ctx, self.layout.queues[self.home]);
             if home_backlog > 0 {
                 target = Some((self.home, home_backlog));
             } else {
-                for _ in 0..self.queues.len().saturating_sub(1) {
+                for _ in 0..self.layout.queues.len().saturating_sub(1) {
                     let victim = self.next_victim;
-                    self.next_victim = (self.next_victim + 1) % self.queues.len();
+                    self.next_victim = (self.next_victim + 1) % self.layout.queues.len();
                     if victim == self.home {
                         continue;
                     }
-                    let b = backlog(ctx, self.queues[victim]);
+                    let b = backlog(ctx, self.layout.queues[victim]);
                     if b > 0 {
                         target = Some((victim, b));
                         break;
@@ -156,7 +156,7 @@ impl WaveQueue for StealingWaveQueue {
                     let n = hungry.min(b).min(cap);
                     // A single proxy AFA, as on a shared ring.
                     ctx.audit_expect_afa(1);
-                    let base = ctx.atomic_add(self.queues[q].state, FRONT, n);
+                    let base = ctx.atomic_add(self.layout.queues[q].state, FRONT, n);
                     ctx.count_scheduler_atomics(1);
                     for (lane, slot) in bits(lanes.hungry()).zip(base..base + n) {
                         lanes.monitor(lane, Self::pack(q, slot));
@@ -177,7 +177,7 @@ impl WaveQueue for StealingWaveQueue {
         // Poll monitored slots.
         for lane in bits(lanes.monitoring()) {
             let (q, slot) = Self::unpack(lanes.ticket(lane));
-            let layout = &self.queues[q];
+            let layout = &self.layout.queues[q];
             ctx.charge_alu(1);
             if slot < layout.capacity {
                 let value = ctx.global_read_lane_stale(layout.slots, slot as usize);
@@ -201,7 +201,7 @@ impl WaveQueue for StealingWaveQueue {
         }
         for lane in bits(lanes.monitoring()) {
             let (q, slot) = Self::unpack(lanes.ticket(lane));
-            let layout = &self.queues[q];
+            let layout = &self.layout.queues[q];
             if slot < layout.capacity {
                 ctx.park_until_changed(layout.slots, slot as usize);
             }
@@ -213,7 +213,7 @@ impl WaveQueue for StealingWaveQueue {
         if tokens.is_empty() {
             return 0;
         }
-        rfan::publish(ctx, "stealing", &self.queues[self.home], tokens)
+        rfan::publish(ctx, "stealing", &self.layout.queues[self.home], tokens)
     }
 }
 
@@ -258,6 +258,6 @@ mod tests {
     fn home_cu_checked() {
         let mut mem = DeviceMemory::new();
         let layout = StealingLayout::setup(&mut mem, "dq", 2, 8);
-        let _ = StealingWaveQueue::new(&layout, 5);
+        let _ = StealingWaveQueue::new(layout, 5);
     }
 }

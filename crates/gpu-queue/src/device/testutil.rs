@@ -13,18 +13,42 @@ use std::sync::{Arc, Mutex};
 /// `t < fanout_until` enqueues `children` child tokens derived from
 /// it. Records every consumed token. Terminates via a pending-task
 /// counter exactly like the persistent-thread driver.
-pub struct PumpKernel {
-    pub queue: Box<dyn WaveQueue>,
-    pub lanes: Lanes,
-    pub pending: Buffer,
-    pub consumed: Arc<Mutex<Vec<u32>>>,
-    pub fanout_until: u32,
-    pub children: u32,
-    pub outbox: Vec<u32>,
-    pub completed: u32,
+pub struct PumpKernel<Q: WaveQueue = DeviceQueue> {
+    queue: Q,
+    lanes: Lanes,
+    pending: Buffer,
+    consumed: Arc<Mutex<Vec<u32>>>,
+    fanout_until: u32,
+    children: u32,
+    outbox: Vec<u32>,
+    completed: u32,
 }
 
-impl WaveKernel for PumpKernel {
+impl<Q: WaveQueue> PumpKernel<Q> {
+    /// A wavefront of `wave_size` lanes on `queue`, counting tasks in
+    /// flight in `pending[0]` and recording what it consumes.
+    pub fn new(
+        queue: Q,
+        wave_size: usize,
+        pending: Buffer,
+        consumed: &Arc<Mutex<Vec<u32>>>,
+        fanout_until: u32,
+        children: u32,
+    ) -> Self {
+        PumpKernel {
+            queue,
+            lanes: Lanes::new(wave_size),
+            pending,
+            consumed: Arc::clone(consumed),
+            fanout_until,
+            children,
+            outbox: Vec::new(),
+            completed: 0,
+        }
+    }
+}
+
+impl<Q: WaveQueue> WaveKernel for PumpKernel<Q> {
     fn work_cycle(&mut self, ctx: &mut WaveCtx<'_>) -> WaveStatus {
         // Mark idle lanes hungry.
         self.lanes.request(self.lanes.idle());
@@ -67,9 +91,9 @@ impl WaveKernel for PumpKernel {
 
 /// Test-only adapter: the wrapped queue, except that it never offers
 /// park watches — the "polls every round" twin of a parking run.
-pub struct NeverPark(pub Box<dyn WaveQueue>);
+pub struct NeverPark<Q: WaveQueue>(pub Q);
 
-impl WaveQueue for NeverPark {
+impl<Q: WaveQueue> WaveQueue for NeverPark<Q> {
     fn acquire(&mut self, ctx: &mut WaveCtx<'_>, lanes: &mut Lanes) {
         self.0.acquire(ctx, lanes)
     }
@@ -239,10 +263,10 @@ impl WaveQueue for Reading {
 /// SEG-RF/AN over a segmented queue of explicit geometry (the face sizes
 /// one from a nominal capacity).
 pub fn over_segments(layout: SegmentedLayout) -> DeviceQueue {
-    DeviceQueue {
-        design: Design::Shared(Variant::SegRfAn),
-        parts: Parts::Ticket(Slots::Segmented(layout), Width::PerWave),
-    }
+    DeviceQueue::Ticket(TicketWaveQueue::new(
+        Slots::Segmented(layout),
+        Width::PerWave,
+    ))
 }
 
 /// Which queue a [`pump_through`] run drives.
@@ -278,15 +302,6 @@ pub fn pump_through(
         }
     };
     seeds.iter().for_each(|batch| queue.host_seed(mem, batch));
-    let wave_queue = |cu| -> Box<dyn WaveQueue> {
-        match &queue.parts {
-            Parts::Ticket(slots, width) if reading => {
-                Box::new(Reading(TicketWaveQueue::new(*slots, *width)))
-            }
-            _ if reading => panic!("{shape:?} has no data-arrival poll"),
-            _ => queue.wave_queue(cu),
-        }
-    };
     let pending = mem.alloc("pending", 1);
     mem.write_u32(
         pending,
@@ -294,20 +309,33 @@ pub fn pump_through(
         seeds.iter().map(|batch| batch.len() as u32).sum(),
     );
     let consumed = Arc::new(Mutex::new(Vec::new()));
-    let report = engine
-        .run(Launch::workgroups(wgs).with_max_rounds(2_000_000), |info| {
-            PumpKernel {
-                queue: wave_queue(info.cu),
-                lanes: Lanes::new(info.wave_size),
+    let launch = Launch::workgroups(wgs).with_max_rounds(2_000_000);
+    let report = match &queue {
+        DeviceQueue::Ticket(q) if reading => engine.run(launch, |info| {
+            let reading = Reading(TicketWaveQueue::new(q.slots, q.width));
+            PumpKernel::new(
+                reading,
+                info.wave_size,
                 pending,
-                consumed: Arc::clone(&consumed),
+                &consumed,
                 fanout_until,
                 children,
-                outbox: Vec::new(),
-                completed: 0,
-            }
-        })
-        .expect("pump kernel failed");
+            )
+        }),
+        _ if reading => panic!("{shape:?} has no data-arrival poll"),
+        _ => engine.run(launch, |info| {
+            let queue = queue.wave_queue(info.cu);
+            PumpKernel::new(
+                queue,
+                info.wave_size,
+                pending,
+                &consumed,
+                fanout_until,
+                children,
+            )
+        }),
+    }
+    .expect("pump kernel failed");
     let delivered = consumed.lock().unwrap().clone();
     (report, delivered)
 }

@@ -284,8 +284,8 @@ fn park_sentinel(ctx: &mut WaveCtx<'_>, lanes: &Lanes, slots: &Slots) -> bool {
 #[derive(Clone, Debug)]
 pub struct TicketWaveQueue {
     pub(super) slots: Slots,
-    width: Width,
-    memo: PollMemo,
+    pub(super) width: Width,
+    pub(super) memo: PollMemo,
 }
 
 impl TicketWaveQueue {

@@ -84,12 +84,6 @@ impl Variant {
     pub fn is_retry_free(self) -> bool {
         matches!(self, Variant::RfAn | Variant::RfOnly | Variant::SegRfAn)
     }
-
-    /// Whether the variant's ticket space spans linked segments (no
-    /// queue-full abort; capacity regrow never applies).
-    pub fn is_segmented(self) -> bool {
-        matches!(self, Variant::SegRfAn)
-    }
 }
 
 #[cfg(test)]
@@ -113,14 +107,10 @@ mod tests {
         assert!(Variant::RfAn.is_retry_free());
         assert!(Variant::SegRfAn.is_retry_free());
         assert!(Variant::SegRfAn.is_arbitrary_n());
-        assert!(Variant::SegRfAn.is_segmented());
         // The paper's comparison sets stay fixed: segmented is an
         // explicitly-requested extension, never implied by ALL/MATRIX.
         assert!(!Variant::ALL.contains(&Variant::SegRfAn));
         assert!(!Variant::MATRIX.contains(&Variant::SegRfAn));
-        for v in Variant::MATRIX {
-            assert!(!v.is_segmented());
-        }
     }
 
     #[test]

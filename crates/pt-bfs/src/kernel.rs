@@ -32,7 +32,7 @@
 //! [`Claim`]: crate::workload::Claim
 
 use crate::workload::{PtWorkload, TokenSink, WorkBuffers};
-use gpu_queue::device::{bits, Lanes, WaveQueue};
+use gpu_queue::device::{bits, DeviceQueue, Lanes, WaveQueue};
 use simt::{Buffer, WaveCtx, WaveKernel, WaveStatus, MAX_WAVE_SIZE};
 
 /// Uniform sub-tasks (edges) per lane per work cycle — paper §3.3.
@@ -73,9 +73,11 @@ struct LaneWork {
     base: [u32; MAX_WAVE_SIZE],
 }
 
-/// One wavefront's persistent state, generic over the workload.
-pub struct PtKernel<W: PtWorkload> {
-    queue: Box<dyn WaveQueue>,
+/// One wavefront's persistent state, generic over the workload. The
+/// queue handle is held by value: a run's [`DeviceQueue`], or a test's
+/// adapter around one.
+pub struct PtKernel<W: PtWorkload, Q: WaveQueue = DeviceQueue> {
+    queue: Q,
     workload: W,
     buffers: WorkBuffers,
     lanes: Lanes,
@@ -95,17 +97,11 @@ pub struct PtKernel<W: PtWorkload> {
     fence: Option<SpillFence>,
 }
 
-impl<W: PtWorkload> PtKernel<W> {
+impl<W: PtWorkload, Q: WaveQueue> PtKernel<W, Q> {
     /// Creates the wavefront state. `lanes` is the wavefront width and
     /// `chunk` the edges each lane expands per work cycle ([`CHUNK`] in
     /// the paper).
-    pub fn new(
-        queue: Box<dyn WaveQueue>,
-        workload: W,
-        buffers: WorkBuffers,
-        lanes: usize,
-        chunk: u32,
-    ) -> Self {
+    pub fn new(queue: Q, workload: W, buffers: WorkBuffers, lanes: usize, chunk: u32) -> Self {
         assert!(chunk > 0, "chunk must be positive");
         PtKernel {
             queue,
@@ -137,7 +133,7 @@ impl<W: PtWorkload> PtKernel<W> {
     }
 }
 
-impl<W: PtWorkload> WaveKernel for PtKernel<W> {
+impl<W: PtWorkload, Q: WaveQueue> WaveKernel for PtKernel<W, Q> {
     fn work_cycle(&mut self, ctx: &mut WaveCtx<'_>) -> WaveStatus {
         // Backpressure: a backlogged outbox means discoveries are waiting
         // on queue acceptance; the wavefront stalls its own pipeline.
@@ -255,12 +251,12 @@ mod tests {
     // cover construction contracts only.
     use super::*;
     use crate::workload::Bfs;
-    use gpu_queue::device::{Design, DeviceQueue};
+    use gpu_queue::device::Design;
     use gpu_queue::Variant;
     use simt::DeviceMemory;
 
-    fn queue(mem: &mut DeviceMemory) -> Box<dyn WaveQueue> {
-        DeviceQueue::setup(mem, Design::Shared(Variant::RfAn), 4, 1).wave_queue(0)
+    fn queue(mem: &mut DeviceMemory) -> DeviceQueue {
+        DeviceQueue::setup(mem, Design::Shared(Variant::RfAn), 4, 1)
     }
 
     fn buffers(mem: &mut DeviceMemory) -> WorkBuffers {

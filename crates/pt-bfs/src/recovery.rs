@@ -383,16 +383,21 @@ fn unlaunchable<W: PtWorkload>(spec: &RunSpec<'_, W>, seeds: &[Vec<u32>]) -> Opt
     };
     if let Some(snapshot) = spec.start {
         // A snapshot from the wrong graph or workload shape, a truncated
-        // or a tampered one: the caller can log it and restart afresh.
-        let (values, bits) = (snapshot.values.len(), snapshot.inqueue.len());
-        if values != slots(0) || bits != slots(0) {
-            let slots = slots(0);
+        // or a tampered one: the caller can log it and restart afresh. A
+        // frontier token indexes the state slots, so it must be one (and
+        // never the dna sentinel).
+        let (values, bits, slots) = (snapshot.values.len(), snapshot.inqueue.len(), slots(0));
+        let stray = snapshot
+            .frontier
+            .iter()
+            .find(|&&t| t == DNA || t as usize >= slots);
+        if values != slots || bits != slots {
             return Some(format!(
                 "corrupt checkpoint: {values} values / {bits} inqueue bits against {slots} state slots"
             ));
-        } else if snapshot.frontier.contains(&DNA) {
+        } else if let Some(t) = stray {
             return Some(format!(
-                "corrupt checkpoint: frontier token {DNA:#x} collides with the dna sentinel"
+                "corrupt checkpoint: frontier token {t} is outside the {slots} state slots"
             ));
         }
     }
@@ -895,6 +900,26 @@ mod tests {
         let g = synthetic_tree(400, 4);
         let mut ckpt = interrupted(&g, &cfg(Variant::RfAn)).checkpoint.unwrap();
         ckpt.frontier[0] = u32::MAX; // dna sentinel collision
+        let err = resume_bfs(
+            &g,
+            &cfg(Variant::RfAn),
+            &RecoveryPolicy::default(),
+            &FaultPlan::EMPTY,
+            Some(&ckpt),
+        )
+        .unwrap_err()
+        .error;
+        assert!(
+            matches!(&err, SimError::InvalidLaunch(msg) if msg.contains("corrupt checkpoint")),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn checkpoint_frontier_past_the_state_slots_is_rejected_before_launch() {
+        let g = synthetic_tree(400, 4);
+        let mut ckpt = interrupted(&g, &cfg(Variant::RfAn)).checkpoint.unwrap();
+        ckpt.frontier[0] = 400; // one past the last vertex
         let err = resume_bfs(
             &g,
             &cfg(Variant::RfAn),

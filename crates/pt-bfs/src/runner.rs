@@ -275,8 +275,8 @@ pub(crate) fn launch<W: PtWorkload>(
     let readback_start = Instant::now();
     let mem = engine.memory();
     let mut launched = Vec::with_capacity(bound.len());
-    for (report, (queue, _, buffers, fence)) in result?.into_iter().zip(&bound) {
-        enforce_retry_free(queue.design(), &report.metrics)?;
+    for (report, (_, _, buffers, fence)) in result?.into_iter().zip(&bound) {
+        enforce_retry_free(config.design, &report.metrics)?;
         let snapshot = fence.map(|fence| {
             let spilled = mem.read_u32(fence.spill, 0) as usize;
             (

@@ -10,7 +10,7 @@
 //!
 //! * **Wave-kill** — at round R, when wavefront `wave` comes up in the
 //!   issue rotation, the run aborts with a structured
-//!   [`AbortReason::InjectedFault`]. Models a preempted/killed workgroup.
+//!   [`crate::AbortReason::InjectedFault`]. Models a preempted/killed workgroup.
 //! * **CU stall** — compute unit `cu` is charged `extra_cycles` per round
 //!   for a window of rounds. Timing-only: the run completes, but the
 //!   makespan and per-CU cycle counters reflect the stall (recorded in
@@ -26,8 +26,6 @@
 //! [`FaultPlan::expire_through`] to drop already-fired faults so the
 //! retried launch makes progress (a cosmic ray does not strike twice at
 //! the same round).
-
-use crate::error::{AbortReason, FaultKind};
 
 /// Kill wavefront `wave` when it is issued at round `round`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -221,11 +219,6 @@ impl FaultPlan {
                 .cloned()
                 .collect(),
         }
-    }
-
-    /// The abort reason a fired fault of `kind` maps to.
-    pub fn abort_reason(kind: FaultKind, wave: usize, round: u64) -> AbortReason {
-        AbortReason::InjectedFault { kind, wave, round }
     }
 }
 

@@ -63,7 +63,7 @@ fn random_dag(tasks: usize, seed: u64) -> TaskDag {
 
 /// The custom persistent kernel: one wavefront of a DAG scheduler.
 struct DagKernel {
-    queue: Box<dyn WaveQueue>,
+    queue: DeviceQueue,
     lanes: Lanes,
     offsets: Buffer,
     succ: Buffer,

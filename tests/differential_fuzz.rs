@@ -31,9 +31,9 @@ const FANOUT_UNTIL: u32 = 600;
 
 /// Producer/consumer kernel: consumes tokens, fans out children for
 /// seeds, terminates on a pending-task counter — the same shape as the
-/// BFS driver, generic over any [`WaveQueue`].
+/// BFS driver, on any [`DeviceQueue`].
 struct FuzzPump {
-    queue: Box<dyn WaveQueue>,
+    queue: DeviceQueue,
     lanes: Lanes,
     pending: Buffer,
     consumed: Arc<Mutex<Vec<u32>>>,

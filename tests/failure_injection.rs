@@ -18,7 +18,7 @@ use std::collections::BTreeSet;
 /// the others behave: the abort must terminate the whole run promptly
 /// and deterministically.
 struct Flooder {
-    queue: Box<dyn WaveQueue>,
+    queue: DeviceQueue,
     lanes: Lanes,
     is_flooder: bool,
     round: u32,

@@ -22,15 +22,17 @@ use ptq::bfs::{queue_capacity, PtKernel, CHUNK};
 use ptq::graph::{random_weights, Csr, Dataset};
 use ptq::queue::device::{Design, DeviceQueue, Lanes, WaveQueue};
 use ptq::queue::Variant;
+use std::convert::identity;
+
 use simt::{
     AbortReason, DeviceMemory, Engine, FaultKind, FaultPlan, GpuConfig, Launch, RunReport,
     SimError, WaveCtx, WaveInfo,
 };
 
 /// The wrapped queue, except that it never offers park watches.
-struct NeverPark(Box<dyn WaveQueue>);
+struct NeverPark<Q: WaveQueue>(Q);
 
-impl WaveQueue for NeverPark {
+impl<Q: WaveQueue> WaveQueue for NeverPark<Q> {
     fn acquire(&mut self, ctx: &mut WaveCtx<'_>, lanes: &mut Lanes) {
         self.0.acquire(ctx, lanes)
     }
@@ -96,13 +98,10 @@ impl<W: PtWorkload> Device<W> {
         }
     }
 
-    fn kernel(&self, info: WaveInfo, park: bool) -> PtKernel<W> {
-        let queue = self.queue.wave_queue(info.cu);
-        let queue = if park {
-            queue
-        } else {
-            Box::new(NeverPark(queue))
-        };
+    /// The kernel of the wave `info` describes, on this device's queue
+    /// as `wrap` holds it.
+    fn kernel<Q: WaveQueue>(&self, info: WaveInfo, wrap: fn(DeviceQueue) -> Q) -> PtKernel<W, Q> {
+        let queue = wrap(self.queue.wave_queue(info.cu));
         let workload = self.workload.clone();
         PtKernel::new(queue, workload, self.buffers, info.wave_size, CHUNK)
     }
@@ -146,7 +145,12 @@ fn solo<W: PtWorkload>(
     let device = Device::setup(engine.memory_mut(), gpu, graph, workload, design);
     let launch = launch(gpu);
     let wgs = [launch.num_workgroups];
-    match engine.run_group(launch, &wgs, plan, |_, info| device.kernel(info, park)) {
+    let reports = if park {
+        engine.run_group(launch, &wgs, plan, |_, info| device.kernel(info, identity))
+    } else {
+        engine.run_group(launch, &wgs, plan, |_, info| device.kernel(info, NeverPark))
+    };
+    match reports {
         Ok(reports) => (
             Ok(outcome(&engine, &device, &reports[0])),
             reports[0].profile.park_events,
@@ -245,14 +249,18 @@ fn parked_equals_never_parked_for_coresident_launches() {
                 })
                 .collect();
             engine.memory_mut().set_alloc_prefix("");
-            let reports = engine
-                .run_group(
-                    Launch::workgroups(2).with_max_rounds(2_000_000),
-                    &[2, 2],
-                    &FaultPlan::EMPTY,
-                    |l, info| devices[l].kernel(info, park),
-                )
-                .expect("co-resident run failed");
+            let launch = Launch::workgroups(2).with_max_rounds(2_000_000);
+            let plan = &FaultPlan::EMPTY;
+            let reports = if park {
+                engine.run_group(launch, &[2, 2], plan, |l, info| {
+                    devices[l].kernel(info, identity)
+                })
+            } else {
+                engine.run_group(launch, &[2, 2], plan, |l, info| {
+                    devices[l].kernel(info, NeverPark)
+                })
+            }
+            .expect("co-resident run failed");
             let parks: u64 = reports.iter().map(|r| r.profile.park_events).sum();
             let outcomes: Vec<Outcome> = reports
                 .iter()

@@ -195,7 +195,7 @@ fn adversarial_traces_end_every_query_without_panicking() {
             ServiceConfig::standard(scale),
             ServiceConfig::batched(scale),
         ] {
-            let core = if config.batching.is_some() {
+            let core = if config.max_coresident > 1 {
                 "batched"
             } else {
                 "serial"

@@ -1,10 +1,10 @@
 #!/usr/bin/env bash
 # Non-test Rust lines: for every file under crates/*/src, the lines before
 # its first top-level `#[cfg(test)]` (`*tests.rs` and `testutil.rs` are test code and
-# are skipped), summed per crate, for gpu-queue's device/ directory and for
-# the workspace. Comments and blank lines count. Below it, the line counts
-# of the three docs. The tables each CHANGES.md entry reports;
-# informational, never a gate.
+# are skipped), summed per crate, for gpu-queue's device/ and verify/
+# directories and for the workspace. Comments and blank lines count.
+# Below it, the line counts of the three docs. The tables each CHANGES.md
+# entry reports; informational, never a gate.
 #   bash ci/size.sh [repo-root]
 set -euo pipefail
 cd "${1:-$(dirname "${BASH_SOURCE[0]}")/..}"
@@ -17,6 +17,7 @@ find crates/*/src -name '*.rs' ! -name '*tests.rs' ! -name 'testutil.rs' | sort 
         crate[part[2]] += $2
         total += $2
         if ($1 ~ /^crates\/gpu-queue\/src\/device\//) device += $2
+        if ($1 ~ /^crates\/gpu-queue\/src\/verify\//) verify += $2
         if ($1 == "crates/pt-bfs/src/runner.rs") runner = $2
     }
     END {
@@ -24,6 +25,7 @@ find crates/*/src -name '*.rs' ! -name '*tests.rs' ! -name 'testutil.rs' | sort 
         close("sort")
         printf "%-28s %6d\n", "workspace", total
         printf "%-28s %6d\n", "gpu-queue/src/device", device
+        printf "%-28s %6d\n", "gpu-queue/src/verify", verify
         printf "%-28s %6d\n", "pt-bfs/src/runner.rs", runner
     }'
 echo

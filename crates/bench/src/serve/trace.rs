@@ -240,9 +240,9 @@ impl ArrivalTrace {
         ArrivalTrace { seed, queries }
     }
 
-    /// Next free query id.
+    /// The id after the largest, wrapping to 0: ids are caller data and need not be unique.
     fn next_id(&self) -> u32 {
-        self.queries.iter().map(|q| q.id + 1).max().unwrap_or(0)
+        (self.queries.iter().map(|q| q.id).max()).map_or(0, |id| id.wrapping_add(1))
     }
 
     /// Cycle of the latest arrival so far.
@@ -443,6 +443,17 @@ mod tests {
             queries: vec![],
         };
         let _ = trace.push_resubmission(99, 1_000);
+    }
+
+    #[test]
+    fn appending_after_the_largest_id_wraps_instead_of_overflowing() {
+        let mut trace = ArrivalTrace::seeded(3, &params());
+        trace.queries[4].id = u32::MAX;
+        let poison = trace.push_poison(WorkloadKind::Bfs, Dataset::RoadNY, 0.1, 2, 5_000);
+        assert_eq!(poison, 0);
+        let resub = trace.push_resubmission(u32::MAX, 5_000);
+        assert_eq!(resub, 0);
+        assert_eq!(trace.queries.len(), 22);
     }
 
     #[test]

@@ -151,7 +151,7 @@ mod tests {
     }
 
     #[test]
-    fn one_scheduler_atomic_per_token_when_uncontended() {
+    fn one_scheduler_atomic_for_each_token_when_uncontended() {
         // Single wave, seeds pre-enqueued by the host: exactly one dequeue
         // CAS per consumed token, zero failures.
         let seeds: Vec<u32> = (0..16).collect();

@@ -35,8 +35,8 @@
 //! segment's tag in its ring cell and reads nothing.
 //!
 //! The drain count costs each take one `fetch_add` on its segment. The
-//! [`QueueStats`] counters, and the benchmark's `atomics_per_token` made
-//! of them, count the `Front` / `Rear` scheduling atomics only: that
+//! [`QueueStats`] counters, and the benchmark's atomics-per-token metric
+//! made of them, count the `Front` / `Rear` scheduling atomics only: that
 //! per-token RMW is not in them.
 
 use super::{QueueFull, QueueStats};

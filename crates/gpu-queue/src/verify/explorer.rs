@@ -63,7 +63,7 @@ pub struct ExploreStats {
 ///
 /// # Panics
 /// Panics on deadlock: some program is not done, yet nothing is runnable.
-/// The Base/An consumer data-waits cannot deadlock by construction (the
+/// A CAS consumer's data-wait cannot deadlock by construction (the
 /// producer owning the awaited slot is always runnable), so a deadlock
 /// here is a real queue bug — the explorer treats it as fatal.
 fn run_one<S, M, C>(mk: M, mut choose: C) -> (History, S, Vec<usize>, Vec<usize>)
@@ -199,7 +199,7 @@ mod tests {
         fn step(&mut self, shared: &AtomicU32, rec: &mut Recorder) {
             shared.fetch_add(1, Ordering::Relaxed);
             self.left -= 1;
-            rec.atomic(0, Op::Push { token: 0, ok: true });
+            rec.atomic(0, Op::Reserve { n: 1, base: 0 });
         }
     }
 

@@ -12,19 +12,16 @@
 //! region from a single `Rear` ticket — matching the paper's arbitrary-n
 //! property rather than decomposing batches into per-token operations.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 /// One queue operation with its observed outcome.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Op {
-    /// Single-token enqueue; `ok = false` means the queue was full.
-    Push { token: u32, ok: bool },
-    /// Single-token dequeue; `None` is the queue-empty exception.
-    Pop { result: Option<u32> },
-    /// All-or-nothing batch enqueue (AN queue).
+    /// CAS-core enqueue, all or nothing; `ok = false` means the queue was
+    /// full. A width-1 push is a one-token batch.
     PushBatch { tokens: Vec<u32>, ok: bool },
-    /// Batch dequeue of up to `max` tokens (AN queue); `taken` is what
-    /// actually arrived (empty = queue-empty exception).
+    /// CAS-core dequeue of up to `max` tokens; `taken` is what actually
+    /// arrived (empty = queue-empty exception). A width-1 pop has `max: 1`.
     PopBatch { max: usize, taken: Vec<u32> },
     /// RF/AN dequeue-side reservation: one AFA claiming `n` slots
     /// starting at `base`.
@@ -130,8 +127,10 @@ pub trait SeqSpec: Clone {
     fn apply(&mut self, op: &Op) -> bool;
 }
 
-/// Sequential spec of a bounded FIFO queue of single tokens
-/// ([`crate::host::BaseQueue`]).
+/// Sequential spec of the CAS core ([`crate::host::AnQueue`],
+/// [`crate::host::SegmentedAnQueue`], and [`crate::host::BaseQueue`] at
+/// width 1): all-or-nothing batch pushes, batch pops that take exactly
+/// `min(available, max)` tokens in FIFO order.
 #[derive(Clone, Debug)]
 pub struct FifoSpec {
     capacity: usize,
@@ -142,7 +141,8 @@ pub struct FifoSpec {
 }
 
 impl FifoSpec {
-    /// Empty queue with `capacity` lifetime slots.
+    /// Empty queue with `capacity` lifetime slots (`usize::MAX` for
+    /// segmented storage, which never overflows).
     pub fn new(capacity: usize) -> Self {
         FifoSpec {
             capacity,
@@ -155,52 +155,6 @@ impl FifoSpec {
 impl SeqSpec for FifoSpec {
     fn apply(&mut self, op: &Op) -> bool {
         match op {
-            Op::Push { token, ok } => {
-                let fits = self.pushed < self.capacity;
-                if fits {
-                    self.pushed += 1;
-                    self.queue.push_back(*token);
-                }
-                fits == *ok
-            }
-            Op::Pop { result } => match result {
-                None => self.queue.is_empty(),
-                Some(v) => {
-                    self.queue.front() == Some(v) && {
-                        self.queue.pop_front();
-                        true
-                    }
-                }
-            },
-            _ => false,
-        }
-    }
-}
-
-/// Sequential spec of the batched CAS queue ([`crate::host::AnQueue`]):
-/// all-or-nothing batch pushes, batch pops that take exactly
-/// `min(available, max)` tokens in FIFO order.
-#[derive(Clone, Debug)]
-pub struct BatchFifoSpec {
-    capacity: usize,
-    pushed: usize,
-    queue: VecDeque<u32>,
-}
-
-impl BatchFifoSpec {
-    /// Empty queue with `capacity` lifetime slots.
-    pub fn new(capacity: usize) -> Self {
-        BatchFifoSpec {
-            capacity,
-            pushed: 0,
-            queue: VecDeque::new(),
-        }
-    }
-}
-
-impl SeqSpec for BatchFifoSpec {
-    fn apply(&mut self, op: &Op) -> bool {
-        match op {
             Op::PushBatch { tokens, ok } => {
                 let fits = self.pushed + tokens.len() <= self.capacity;
                 if fits {
@@ -211,23 +165,16 @@ impl SeqSpec for BatchFifoSpec {
             }
             Op::PopBatch { max, taken } => {
                 let n = self.queue.len().min(*max);
-                if taken.len() != n {
-                    return false;
-                }
-                for want in taken {
-                    if self.queue.pop_front() != Some(*want) {
-                        return false;
-                    }
-                }
-                true
+                taken.len() == n && taken.iter().all(|t| self.queue.pop_front() == Some(*t))
             }
             _ => false,
         }
     }
 }
 
-/// Sequential spec of the RF/AN ticket protocol
-/// ([`crate::host::RfAnQueue`]).
+/// Sequential spec of the AFA ticket protocol over either storage
+/// ([`crate::host::RfAnQueue`], [`crate::host::SegmentedRfAnQueue`], and
+/// [`crate::host::SegmentedRfQueue`] at width 1).
 ///
 /// `Front`/`Rear` are explicit because the protocol's linearization
 /// points are the AFA reservations themselves: a `Reserve { n, base }` is
@@ -238,46 +185,102 @@ impl SeqSpec for BatchFifoSpec {
 /// [`Op::Publish`] point (batch publication is not atomic — consumers may
 /// observe any prefix through the sentinel). `TryTake` consumes a
 /// published slot or legally observes the sentinel.
+///
+/// The storage adds one rule set: [`TicketSpec::bounded`] aborts a batch
+/// past the lifetime capacity; [`TicketSpec::segmented`] never overflows
+/// but gates each publish on its segment's install and allows a segment's
+/// recycling only after a full drain.
 #[derive(Clone, Debug)]
 pub struct TicketSpec {
-    capacity: u64,
     front: u64,
     rear: u64,
     /// Reserved-but-unpublished slots and the token each must receive.
     writable: HashMap<u64, u32>,
     published: HashMap<u64, u32>,
+    slots: Slots,
+}
+
+/// The storage rules of a [`TicketSpec`].
+#[derive(Clone, Debug)]
+enum Slots {
+    /// One ring of `capacity` lifetime slots: a batch past its end aborts,
+    /// and there are no segments to install or recycle.
+    Bounded { capacity: u64 },
+    /// An unbounded ticket space over segments of `cap` slots — an
+    /// `EnqueueBatch` always succeeds, but a slot only becomes publishable
+    /// once its segment's storage exists. [`Op::InstallSegment`] is the
+    /// directory store that publishes virtual segment `k`'s storage
+    /// (strictly in order, the contiguous-prefix invariant behind the
+    /// lock-free `len_hint` clamp), and [`Op::RecycleSegment`] retires a
+    /// segment to the pool, legal only when every one of its `cap` slots
+    /// has been consumed — which is exactly the ABA exclusion argument: no
+    /// live ticket can observe recycled storage, because an unconsumed
+    /// ticket in the segment would have blocked the retirement.
+    /// Retirements may complete out of order (a slow consumer in segment 0
+    /// must not stall segment 1's retirement). Publishing into a recycled
+    /// segment is a use-after-free; no rule of its own rejects it, because
+    /// a full drain means every slot of the segment was published, and a
+    /// slot is writable once.
+    Segmented {
+        cap: u64,
+        /// Segments installed so far (in order: ids `0..installed`).
+        installed: u64,
+        /// Consumed-slot count per segment with at least one consumption.
+        consumed: HashMap<u64, u64>,
+        /// Segments retired back to the pool (each retires once).
+        recycled: HashSet<u64>,
+    },
 }
 
 impl TicketSpec {
-    /// Empty queue with `capacity` slots.
-    pub fn new(capacity: usize) -> Self {
+    fn with(slots: Slots) -> Self {
         TicketSpec {
-            capacity: capacity as u64,
             front: 0,
             rear: 0,
             writable: HashMap::new(),
             published: HashMap::new(),
+            slots,
         }
+    }
+
+    /// Empty bounded queue with `capacity` lifetime slots.
+    pub fn bounded(capacity: usize) -> Self {
+        Self::with(Slots::Bounded {
+            capacity: capacity as u64,
+        })
+    }
+
+    /// Empty segmented queue with `seg_cap` slots per segment.
+    pub fn segmented(seg_cap: usize) -> Self {
+        Self::with(Slots::Segmented {
+            cap: seg_cap as u64,
+            installed: 0,
+            consumed: HashMap::new(),
+            recycled: HashSet::new(),
+        })
     }
 }
 
 impl SeqSpec for TicketSpec {
     fn apply(&mut self, op: &Op) -> bool {
-        match op {
-            Op::Reserve { n, base } => {
+        match (op, &mut self.slots) {
+            (Op::Reserve { n, base }, _) => {
                 if *base != self.front {
                     return false;
                 }
                 self.front += n;
                 true
             }
-            Op::EnqueueBatch { base, tokens, ok } => {
+            (Op::EnqueueBatch { base, tokens, ok }, slots) => {
                 if *base != self.rear {
                     return false;
                 }
                 // Abort semantics: Rear advances even on overflow.
                 self.rear += tokens.len() as u64;
-                let fits = base + tokens.len() as u64 <= self.capacity;
+                let fits = match slots {
+                    Slots::Bounded { capacity } => self.rear <= *capacity,
+                    Slots::Segmented { .. } => true,
+                };
                 if fits {
                     for (i, &tok) in tokens.iter().enumerate() {
                         self.writable.insert(base + i as u64, tok);
@@ -285,128 +288,45 @@ impl SeqSpec for TicketSpec {
                 }
                 fits == *ok
             }
-            Op::Publish { slot, token } => {
-                self.writable.remove(slot) == Some(*token) && {
+            (Op::Publish { slot, token }, slots) => {
+                let live = match slots {
+                    Slots::Bounded { .. } => true,
+                    Slots::Segmented { cap, installed, .. } => slot / *cap < *installed,
+                };
+                live && self.writable.remove(slot) == Some(*token) && {
                     self.published.insert(*slot, *token);
                     true
                 }
             }
-            Op::TryTake { slot, result } => match result {
-                Some(v) => self.published.remove(slot) == Some(*v),
-                None => !self.published.contains_key(slot),
-            },
-            _ => false,
-        }
-    }
-}
-
-/// Sequential spec of the *segmented* RF/AN ticket protocol
-/// ([`crate::host::SegmentedRfAnQueue`]): [`TicketSpec`] with the
-/// lifetime-capacity bound replaced by explicit segment lifecycle points.
-///
-/// The ticket space is unbounded — an `EnqueueBatch` always succeeds —
-/// but a slot only becomes publishable once its segment's storage exists:
-/// [`Op::InstallSegment`] is the directory store that publishes virtual
-/// segment `k`'s storage (strictly in order, the contiguous-prefix
-/// invariant behind the lock-free `len_hint` clamp), and
-/// [`Op::RecycleSegment`] retires a segment to the pool, legal only when
-/// every one of its `seg_cap` slots has been consumed — which is exactly
-/// the ABA exclusion argument: no live ticket can observe recycled
-/// storage, because an unconsumed ticket in the segment would have blocked
-/// the retirement. Retirements may complete out of order (a slow consumer
-/// in segment 0 must not stall segment 1's retirement). Publishing into a
-/// recycled segment is a use-after-free and is rejected.
-#[derive(Clone, Debug)]
-pub struct SegSpec {
-    seg_cap: u64,
-    front: u64,
-    rear: u64,
-    writable: HashMap<u64, u32>,
-    published: HashMap<u64, u32>,
-    /// Segments installed so far (in-order: segment ids `0..installed`).
-    installed: u64,
-    /// Consumed-slot count per segment with at least one consumption.
-    consumed: HashMap<u64, u64>,
-    /// Segments retired back to the pool.
-    recycled: std::collections::HashSet<u64>,
-}
-
-impl SegSpec {
-    /// Empty segmented queue with `seg_cap` slots per segment.
-    pub fn new(seg_cap: usize) -> Self {
-        SegSpec {
-            seg_cap: seg_cap as u64,
-            front: 0,
-            rear: 0,
-            writable: HashMap::new(),
-            published: HashMap::new(),
-            installed: 0,
-            consumed: HashMap::new(),
-            recycled: std::collections::HashSet::new(),
-        }
-    }
-
-    fn seg_of(&self, slot: u64) -> u64 {
-        slot / self.seg_cap
-    }
-}
-
-impl SeqSpec for SegSpec {
-    fn apply(&mut self, op: &Op) -> bool {
-        match op {
-            Op::Reserve { n, base } => {
-                if *base != self.front {
-                    return false;
-                }
-                self.front += n;
-                true
-            }
-            Op::EnqueueBatch { base, tokens, ok } => {
-                if *base != self.rear {
-                    return false;
-                }
-                self.rear += tokens.len() as u64;
-                for (i, &tok) in tokens.iter().enumerate() {
-                    self.writable.insert(base + i as u64, tok);
-                }
-                // No overflow exists: a rejected batch is unlinearizable.
-                *ok
-            }
-            Op::InstallSegment { seg } => {
-                if *seg != self.installed {
-                    return false;
-                }
-                self.installed += 1;
-                true
-            }
-            Op::Publish { slot, token } => {
-                let seg = self.seg_of(*slot);
-                if seg >= self.installed || self.recycled.contains(&seg) {
-                    return false;
-                }
-                self.writable.remove(slot) == Some(*token) && {
-                    self.published.insert(*slot, *token);
-                    true
-                }
-            }
-            Op::TryTake { slot, result } => match result {
+            (Op::TryTake { slot, result }, slots) => match result {
                 Some(v) => {
                     self.published.remove(slot) == Some(*v) && {
-                        *self.consumed.entry(self.seg_of(*slot)).or_insert(0) += 1;
+                        if let Slots::Segmented { cap, consumed, .. } = slots {
+                            *consumed.entry(slot / *cap).or_insert(0) += 1;
+                        }
                         true
                     }
                 }
                 None => !self.published.contains_key(slot),
             },
-            Op::RecycleSegment { seg } => {
-                if *seg >= self.installed || self.recycled.contains(seg) {
-                    return false;
+            (Op::InstallSegment { seg }, Slots::Segmented { installed, .. }) => {
+                *seg == *installed && {
+                    *installed += 1;
+                    true
                 }
-                if self.consumed.get(seg).copied().unwrap_or(0) != self.seg_cap {
-                    return false;
-                }
-                self.recycled.insert(*seg);
-                true
+            }
+            (
+                Op::RecycleSegment { seg },
+                Slots::Segmented {
+                    cap,
+                    installed,
+                    consumed,
+                    recycled,
+                },
+            ) => {
+                *seg < *installed
+                    && consumed.get(seg).copied().unwrap_or(0) == *cap
+                    && recycled.insert(*seg)
             }
             _ => false,
         }
@@ -485,44 +405,54 @@ mod tests {
         }
     }
 
+    /// Width-1 CAS operations, as BASE records them.
+    fn push(token: u32) -> Op {
+        Op::PushBatch {
+            tokens: vec![token],
+            ok: true,
+        }
+    }
+
+    fn pop(result: Option<u32>) -> Op {
+        Op::PopBatch {
+            max: 1,
+            taken: result.into_iter().collect(),
+        }
+    }
+
     #[test]
     fn sequential_fifo_history_passes() {
         let h = seq(vec![
-            Op::Push { token: 1, ok: true },
-            Op::Push { token: 2, ok: true },
-            Op::Pop { result: Some(1) },
-            Op::Pop { result: Some(2) },
-            Op::Pop { result: None },
+            push(1),
+            push(2),
+            pop(Some(1)),
+            pop(Some(2)),
+            pop(None),
         ]);
         assert!(check_linearizable(&h, FifoSpec::new(4)));
     }
 
     #[test]
     fn value_invention_is_rejected() {
-        let h = seq(vec![
-            Op::Push { token: 1, ok: true },
-            Op::Pop { result: Some(9) },
-        ]);
+        let h = seq(vec![push(1), pop(Some(9))]);
         assert!(!check_linearizable(&h, FifoSpec::new(4)));
     }
 
     #[test]
     fn double_delivery_is_rejected() {
-        let h = seq(vec![
-            Op::Push { token: 1, ok: true },
-            Op::Pop { result: Some(1) },
-            Op::Pop { result: Some(1) },
-        ]);
+        let h = seq(vec![push(1), pop(Some(1)), pop(Some(1))]);
+        assert!(!check_linearizable(&h, FifoSpec::new(4)));
+    }
+
+    #[test]
+    fn empty_width_one_pop_on_a_non_empty_queue_is_rejected() {
+        let h = seq(vec![push(1), pop(None)]);
         assert!(!check_linearizable(&h, FifoSpec::new(4)));
     }
 
     #[test]
     fn fifo_order_violation_is_rejected() {
-        let h = seq(vec![
-            Op::Push { token: 1, ok: true },
-            Op::Push { token: 2, ok: true },
-            Op::Pop { result: Some(2) },
-        ]);
+        let h = seq(vec![push(1), push(2), pop(Some(2))]);
         assert!(!check_linearizable(&h, FifoSpec::new(4)));
     }
 
@@ -536,37 +466,32 @@ mod tests {
                     thread: 0,
                     start: 0,
                     end: 3,
-                    op: Op::Push { token: 1, ok: true },
+                    op: push(1),
                 },
                 CompletedOp {
                     thread: 0,
                     start: 0,
                     end: 4,
-                    op: Op::Push { token: 2, ok: true },
+                    op: push(2),
                 },
                 CompletedOp {
                     thread: 1,
                     start: 1,
                     end: 5,
-                    op: Op::Pop { result: Some(2) },
+                    op: pop(Some(2)),
                 },
                 CompletedOp {
                     thread: 2,
                     start: 1,
                     end: 6,
-                    op: Op::Pop { result: Some(1) },
+                    op: pop(Some(1)),
                 },
             ],
         };
         assert!(check_linearizable(&h, FifoSpec::new(4)));
         // Same outcomes forced sequential: pop(2) before pop(1) with both
         // pushes already linearized is a FIFO violation.
-        let h2 = seq(vec![
-            Op::Push { token: 1, ok: true },
-            Op::Push { token: 2, ok: true },
-            Op::Pop { result: Some(2) },
-            Op::Pop { result: Some(1) },
-        ]);
+        let h2 = seq(vec![push(1), push(2), pop(Some(2)), pop(Some(1))]);
         assert!(!check_linearizable(&h2, FifoSpec::new(4)));
     }
 
@@ -586,7 +511,7 @@ mod tests {
                 taken: vec![1, 2],
             },
         ]);
-        assert!(check_linearizable(&h, BatchFifoSpec::new(3)));
+        assert!(check_linearizable(&h, FifoSpec::new(3)));
         // A partial batch take is illegal: must take min(avail, max).
         let h2 = seq(vec![
             Op::PushBatch {
@@ -598,7 +523,7 @@ mod tests {
                 taken: vec![1],
             },
         ]);
-        assert!(!check_linearizable(&h2, BatchFifoSpec::new(3)));
+        assert!(!check_linearizable(&h2, FifoSpec::new(3)));
     }
 
     #[test]
@@ -631,13 +556,13 @@ mod tests {
                 result: Some(7),
             },
         ]);
-        assert!(check_linearizable(&h, TicketSpec::new(4)));
+        assert!(check_linearizable(&h, TicketSpec::bounded(4)));
     }
 
     #[test]
     fn ticket_spec_rejects_publish_to_unreserved_slot() {
         let h = seq(vec![Op::Publish { slot: 0, token: 5 }]);
-        assert!(!check_linearizable(&h, TicketSpec::new(4)));
+        assert!(!check_linearizable(&h, TicketSpec::bounded(4)));
         // Double publish of a reserved slot is equally illegal.
         let h2 = seq(vec![
             Op::EnqueueBatch {
@@ -648,7 +573,7 @@ mod tests {
             Op::Publish { slot: 0, token: 5 },
             Op::Publish { slot: 0, token: 5 },
         ]);
-        assert!(!check_linearizable(&h2, TicketSpec::new(4)));
+        assert!(!check_linearizable(&h2, TicketSpec::bounded(4)));
     }
 
     #[test]
@@ -658,7 +583,7 @@ mod tests {
             Op::Reserve { n: 2, base: 0 },
             Op::Reserve { n: 2, base: 0 },
         ]);
-        assert!(!check_linearizable(&h, TicketSpec::new(8)));
+        assert!(!check_linearizable(&h, TicketSpec::bounded(8)));
     }
 
     #[test]
@@ -683,7 +608,7 @@ mod tests {
                 ok: false,
             },
         ]);
-        assert!(check_linearizable(&h, TicketSpec::new(2)));
+        assert!(check_linearizable(&h, TicketSpec::bounded(2)));
     }
 
     #[test]
@@ -699,7 +624,7 @@ mod tests {
                 result: Some(1),
             },
         ]);
-        assert!(!check_linearizable(&h, TicketSpec::new(8)));
+        assert!(!check_linearizable(&h, TicketSpec::bounded(8)));
     }
 
     #[test]
@@ -719,25 +644,25 @@ mod tests {
             Op::InstallSegment { seg: 1 },
             Op::Publish { slot: 2, token: 7 },
         ]);
-        assert!(check_linearizable(&h, SegSpec::new(2)));
+        assert!(check_linearizable(&h, TicketSpec::segmented(2)));
         // Without the second install, publishing slot 2 is illegal.
         let h2 = seq(vec![
             enq,
             Op::InstallSegment { seg: 0 },
             Op::Publish { slot: 2, token: 7 },
         ]);
-        assert!(!check_linearizable(&h2, SegSpec::new(2)));
+        assert!(!check_linearizable(&h2, TicketSpec::segmented(2)));
     }
 
     #[test]
     fn seg_spec_installs_are_in_order() {
         let h = seq(vec![Op::InstallSegment { seg: 1 }]);
-        assert!(!check_linearizable(&h, SegSpec::new(2)));
+        assert!(!check_linearizable(&h, TicketSpec::segmented(2)));
         let h2 = seq(vec![
             Op::InstallSegment { seg: 0 },
             Op::InstallSegment { seg: 0 },
         ]);
-        assert!(!check_linearizable(&h2, SegSpec::new(2)));
+        assert!(!check_linearizable(&h2, TicketSpec::segmented(2)));
     }
 
     #[test]
@@ -752,14 +677,25 @@ mod tests {
             },
             Op::InstallSegment { seg: 0 },
         ]);
-        assert!(check_linearizable(&h, SegSpec::new(2)));
-        // A segmented enqueue claiming overflow is unlinearizable.
-        let h2 = seq(vec![Op::EnqueueBatch {
+        assert!(check_linearizable(&h, TicketSpec::segmented(2)));
+    }
+
+    #[test]
+    fn segmented_ticket_spec_rejects_an_overflow_abort() {
+        let h = seq(vec![Op::EnqueueBatch {
             base: 0,
             tokens: vec![1],
             ok: false,
         }]);
-        assert!(!check_linearizable(&h2, SegSpec::new(2)));
+        assert!(!check_linearizable(&h, TicketSpec::segmented(2)));
+    }
+
+    #[test]
+    fn bounded_ticket_spec_rejects_segment_lifecycle_ops() {
+        for op in [Op::InstallSegment { seg: 0 }, Op::RecycleSegment { seg: 0 }] {
+            let h = seq(vec![op]);
+            assert!(!check_linearizable(&h, TicketSpec::bounded(4)), "{h:?}");
+        }
     }
 
     #[test]
@@ -792,15 +728,15 @@ mod tests {
             }
             seq(ops)
         };
-        assert!(check_linearizable(&mk(false), SegSpec::new(2)));
+        assert!(check_linearizable(&mk(false), TicketSpec::segmented(2)));
         // One slot still unconsumed: retirement is illegal — the ABA
         // exclusion argument as a checkable property.
-        assert!(!check_linearizable(&mk(true), SegSpec::new(2)));
+        assert!(!check_linearizable(&mk(true), TicketSpec::segmented(2)));
     }
 
     #[test]
     fn seg_spec_publish_after_recycle_is_use_after_free() {
-        let h = seq(vec![
+        let mut ops = vec![
             Op::EnqueueBatch {
                 base: 0,
                 tokens: vec![5],
@@ -814,15 +750,14 @@ mod tests {
                 result: Some(5),
             },
             Op::RecycleSegment { seg: 0 },
-            // Late publish into the retired segment's ticket range.
-            Op::EnqueueBatch {
-                base: 1,
-                tokens: vec![9],
-                ok: true,
-            },
-            Op::Publish { slot: 1, token: 9 },
-        ]);
-        assert!(!check_linearizable(&h, SegSpec::new(1)));
+        ];
+        assert!(check_linearizable(
+            &seq(ops.clone()),
+            TicketSpec::segmented(1)
+        ));
+        // A late publish into the retired segment's storage.
+        ops.push(Op::Publish { slot: 0, token: 5 });
+        assert!(!check_linearizable(&seq(ops), TicketSpec::segmented(1)));
     }
 
     #[test]
@@ -851,7 +786,7 @@ mod tests {
             },
             Op::RecycleSegment { seg: 0 },
         ]);
-        assert!(check_linearizable(&h, SegSpec::new(1)));
+        assert!(check_linearizable(&h, TicketSpec::segmented(1)));
     }
 
     #[test]
@@ -860,7 +795,7 @@ mod tests {
         let start = rec.now();
         rec.advance();
         rec.advance();
-        rec.record(0, start, Op::Pop { result: None });
+        rec.record(0, start, pop(None));
         rec.atomic(1, Op::Reserve { n: 1, base: 0 });
         let h = rec.into_history();
         assert_eq!(h.ops[0].start, 0);

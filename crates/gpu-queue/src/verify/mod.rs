@@ -10,9 +10,11 @@
 //!    (`PTQ_SCHEDULES` scales both in CI's `verify-deep` job).
 //! 2. **History recorder + linearizability checker** ([`history`]) — a
 //!    Wing–Gong search for a precedence-respecting legal total order,
-//!    against batch-aware sequential specs: `reserve(n)` is *one*
-//!    linearization point for `n` slots, and a failed RF/AN batch
-//!    enqueue advances `Rear` anyway (the paper's abort semantics).
+//!    against one batch-aware sequential spec per reservation discipline:
+//!    [`FifoSpec`] for CAS, [`TicketSpec`] (bounded or segmented) for AFA.
+//!    `reserve(n)` is *one* linearization point for `n` slots, width 1
+//!    included, and a failed RF/AN batch enqueue advances `Rear` anyway
+//!    (the paper's abort semantics).
 //! 3. **Device-path claim auditor** (`simt::audit`) — per-wavefront
 //!    atomic budgets asserted inside the simulator: RF variants issue
 //!    zero CAS, AN issues exactly one CAS per wavefront queue op, BASE
@@ -20,10 +22,11 @@
 //!
 //! [`scenarios`] holds one producer/consumer program pair per reservation
 //! discipline (CAS, AFA), generic over the storage, and one [`Scenario`]
-//! type that runs them against any [`Explored`] member of the family with
-//! its sequential spec (segment installation and recycling are explicit
-//! linearization points, checked against [`SegSpec`]); the top-level
-//! `tests/linearizability.rs` suite runs them.
+//! type that runs them against any of the four `Queue<R, S>` cores
+//! ([`Explored`]) with that core's spec (segment installation and
+//! recycling are explicit linearization points of the segmented
+//! [`TicketSpec`]); the top-level `tests/linearizability.rs` suite runs
+//! them.
 //!
 //! [`conformance`] is a complementary *real-thread* harness: every host
 //! queue variant runs through one shared scenario matrix (FIFO order,
@@ -43,7 +46,6 @@ pub use conformance::{
 };
 pub use explorer::{explore, explore_random, schedule_budget, ExploreStats, Program};
 pub use history::{
-    check_linearizable, BatchFifoSpec, CompletedOp, FifoSpec, History, Op, Recorder, SegSpec,
-    SeqSpec, TicketSpec,
+    check_linearizable, CompletedOp, FifoSpec, History, Op, Recorder, SeqSpec, TicketSpec,
 };
 pub use scenarios::{Explored, Scenario, ScenarioReport};

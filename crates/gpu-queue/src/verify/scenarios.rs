@@ -9,28 +9,27 @@
 //! ticket's segment in the directory, then touch the slot — so installs
 //! and retirements interleave between them.
 //! There is one pair of thread programs per reservation discipline, generic
-//! over the storage, and they differ only in what a history records:
+//! over the storage, and one spec per discipline that the storage
+//! parameterises; batch width is scenario data, so a width-1 operation
+//! records like any other:
 //!
-//! * **CAS** operations are intervals (`Push`/`Pop` at width 1 for BASE,
-//!   `PushBatch`/`PopBatch` otherwise), checked against [`FifoSpec`] /
-//!   [`BatchFifoSpec`]. A consumer that claimed a slot gates on
+//! * **CAS** operations are intervals (`PushBatch`/`PopBatch`), checked
+//!   against [`FifoSpec`]. A consumer that claimed a slot gates on
 //!   [`Program::ready`] until the owning producer publishes (the producer
 //!   is always runnable, so this cannot deadlock).
 //! * **AFA** operations decompose into their atomic points — the `Rear`
 //!   reservation, each segment install, each per-slot publish, the `Front`
 //!   reservation, each poll (`None`s included) and each segment retirement
-//!   — checked against [`TicketSpec`] / [`SegSpec`]. The consumer never
-//!   blocks: reservations may outrun data by design, so it polls each
+//!   — checked against [`TicketSpec`], bounded or segmented. The consumer
+//!   never blocks: reservations may outrun data by design, so it polls each
 //!   ticket under a bounded budget.
 //!
-//! Every completed schedule's history is checked against the variant's
-//! sequential spec; a non-linearizable history panics with the history.
+//! Every completed schedule's history is checked against its core's
+//! sequential spec ([`Explored`]); a non-linearizable history panics with
+//! the history.
 
 use super::explorer::{explore, explore_random, Program};
-use super::history::{
-    check_linearizable, BatchFifoSpec, FifoSpec, History, Op, Recorder, SegSpec, SeqSpec,
-    TicketSpec,
-};
+use super::history::{check_linearizable, FifoSpec, History, Op, Recorder, SeqSpec, TicketSpec};
 use crate::host::queue::{Event, Pop, Put, Resolved, Step};
 use crate::host::{Afa, Bounded, Cas, Queue, Segmented, Storage};
 use std::collections::{BTreeSet, VecDeque};
@@ -66,7 +65,6 @@ fn digest(h: &History, report: &mut ScenarioReport) {
     let mut missed = BTreeSet::new();
     for c in &h.ops {
         match &c.op {
-            Op::Pop { result: Some(v) } => delivered.push(*v),
             Op::PopBatch { taken, .. } => delivered.extend(taken.iter().copied()),
             Op::TryTake { slot, result } => match result {
                 Some(v) => {
@@ -75,9 +73,7 @@ fn digest(h: &History, report: &mut ScenarioReport) {
                 }
                 None => drop(missed.insert(*slot)),
             },
-            Op::Push { ok: false, .. }
-            | Op::PushBatch { ok: false, .. }
-            | Op::EnqueueBatch { ok: false, .. } => rejected += 1,
+            Op::PushBatch { ok: false, .. } | Op::EnqueueBatch { ok: false, .. } => rejected += 1,
             _ => {}
         }
     }
@@ -93,8 +89,6 @@ type Programs<Q> = Vec<Box<dyn Program<Q>>>;
 
 struct CasProducer {
     thread: usize,
-    /// Record width-1 batches in the BASE vocabulary (`Push`).
-    per_token: bool,
     batches: Vec<Vec<u32>>,
     next: usize,
     /// The enqueue in flight and the time of its first step.
@@ -110,18 +104,8 @@ impl<S: Storage> Program<Queue<Cas, S>> for CasProducer {
         let tokens = &self.batches[self.next];
         let (put, start) = (self.op).get_or_insert_with(|| (Put::new(tokens), rec.now()));
         if let Step::Done(result) = put.step(q, tokens, |_| {}) {
-            let ok = result.is_ok();
-            let op = match self.per_token {
-                true => Op::Push {
-                    token: tokens[0],
-                    ok,
-                },
-                false => Op::PushBatch {
-                    tokens: tokens.clone(),
-                    ok,
-                },
-            };
-            rec.record(self.thread, *start, op);
+            let (tokens, ok) = (tokens.clone(), result.is_ok());
+            rec.record(self.thread, *start, Op::PushBatch { tokens, ok });
             self.next += 1;
             self.op = None;
         }
@@ -130,8 +114,6 @@ impl<S: Storage> Program<Queue<Cas, S>> for CasProducer {
 
 struct CasConsumer {
     thread: usize,
-    /// Record in the BASE vocabulary (`Pop`).
-    per_token: bool,
     pops_left: usize,
     max: usize,
     /// The dequeue in flight, the time of its first step, its tokens.
@@ -155,16 +137,8 @@ impl<S: Storage> Program<Queue<Cas, S>> for CasConsumer {
         let (pop, start, taken) =
             (self.op).get_or_insert_with(|| (Pop::new(self.max), rec.now(), Vec::new()));
         if let Step::Done(_) = pop.step(q, |token| taken.push(token)) {
-            let op = match self.per_token {
-                true => Op::Pop {
-                    result: taken.first().copied(),
-                },
-                false => Op::PopBatch {
-                    max: self.max,
-                    taken: std::mem::take(taken),
-                },
-            };
-            rec.record(self.thread, *start, op);
+            let (max, taken) = (self.max, std::mem::take(taken));
+            rec.record(self.thread, *start, Op::PopBatch { max, taken });
             self.pops_left -= 1;
             self.op = None;
         }
@@ -256,32 +230,31 @@ impl<S: Storage> Program<Queue<Afa, S>> for AfaConsumer {
 
 // ------------------------------------------------------------ scenarios --
 
-/// Which member of the family a [`Scenario`] explores: the core
-/// instantiation, and with it the spec and the history vocabulary.
+/// Which core of the family a [`Scenario`] explores, and with it the
+/// sequential spec its histories are checked against. Batch width is the
+/// scenario's data, not a row: BASE and SEG-RF are the `An` and `SegRfAn`
+/// cores driven at width 1.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Explored {
-    /// `Queue<Cas, Bounded>` at width 1, against [`FifoSpec`].
-    Base,
-    /// `Queue<Cas, Bounded>`, against [`BatchFifoSpec`].
+    /// `Queue<Cas, Bounded>`, against [`FifoSpec`].
     An,
-    /// `Queue<Afa, Bounded>`, against [`TicketSpec`].
+    /// `Queue<Afa, Bounded>`, against a bounded [`TicketSpec`].
     RfAn,
-    /// `Queue<Afa, Segmented>`, against [`SegSpec`] (SEG-RF is this
-    /// queue driven at width 1).
+    /// `Queue<Afa, Segmented>`, against a segmented [`TicketSpec`].
     SegRfAn,
-    /// `Queue<Cas, Segmented>`, against an unbounded [`BatchFifoSpec`].
+    /// `Queue<Cas, Segmented>`, against an unbounded [`FifoSpec`].
     SegAn,
 }
 
 /// Producer and consumer threads against one queue of the family.
 #[derive(Clone, Debug)]
 pub struct Scenario {
-    /// The variant under test.
+    /// The core under test.
     pub variant: Explored,
     /// Lifetime capacity (bounded variants) or slots per segment
     /// (segmented ones; small values force boundary straddles).
     pub size: usize,
-    /// Batches per producer thread (width 1 for `Base`).
+    /// Batches per producer thread.
     pub producers: Vec<Vec<Vec<u32>>>,
     /// Per consumer thread — CAS: `(pop attempts, max per pop)`; AFA:
     /// `(slots reserved by its one reservation, poll budget)`.
@@ -295,17 +268,10 @@ enum Search {
 
 impl Scenario {
     fn cas<S: Storage>(&self) -> (Queue<Cas, S>, Programs<Queue<Cas, S>>) {
-        let per_token = self.variant == Explored::Base;
-        if per_token {
-            let mut widths = (self.producers.iter().flatten().map(Vec::len))
-                .chain(self.consumers.iter().map(|&(_, max)| max));
-            assert!(widths.all(|w| w == 1), "BASE is the CAS queue at width 1");
-        }
         let mut programs: Programs<Queue<Cas, S>> = Vec::new();
         for (thread, batches) in self.producers.iter().enumerate() {
             programs.push(Box::new(CasProducer {
                 thread,
-                per_token,
                 batches: batches.clone(),
                 next: 0,
                 op: None,
@@ -314,7 +280,6 @@ impl Scenario {
         for (j, &(pops_left, max)) in self.consumers.iter().enumerate() {
             programs.push(Box::new(CasConsumer {
                 thread: self.producers.len() + j,
-                per_token,
                 pops_left,
                 max,
                 op: None,
@@ -375,18 +340,17 @@ impl Scenario {
         report
     }
 
-    fn search(&self, search: Search) -> ScenarioReport {
-        let size = self.size;
+    fn search(&self, how: Search) -> ScenarioReport {
+        let n = self.size;
         match self.variant {
-            Explored::Base => self.check(search, || self.cas::<Bounded>(), FifoSpec::new(size)),
-            Explored::An => self.check(search, || self.cas::<Bounded>(), BatchFifoSpec::new(size)),
-            Explored::RfAn => self.check(search, || self.afa::<Bounded>(), TicketSpec::new(size)),
-            Explored::SegRfAn => self.check(search, || self.afa::<Segmented>(), SegSpec::new(size)),
-            Explored::SegAn => self.check(
-                search,
-                || self.cas::<Segmented>(),
-                BatchFifoSpec::new(usize::MAX),
-            ),
+            Explored::An => self.check(how, || self.cas::<Bounded>(), FifoSpec::new(n)),
+            Explored::RfAn => self.check(how, || self.afa::<Bounded>(), TicketSpec::bounded(n)),
+            Explored::SegRfAn => {
+                self.check(how, || self.afa::<Segmented>(), TicketSpec::segmented(n))
+            }
+            Explored::SegAn => {
+                self.check(how, || self.cas::<Segmented>(), FifoSpec::new(usize::MAX))
+            }
         }
     }
 
@@ -405,7 +369,7 @@ impl Scenario {
 mod tests {
     use super::*;
 
-    /// Width-1 batches, one per token (the BASE and SEG-RF shape).
+    /// Width-1 batches, one per token (how BASE and SEG-RF use the core).
     fn singly(tokens: &[u32]) -> Vec<Vec<u32>> {
         tokens.iter().map(|&t| vec![t]).collect()
     }
@@ -413,7 +377,7 @@ mod tests {
     #[test]
     fn base_two_producers_one_consumer_exhaustive() {
         let s = Scenario {
-            variant: Explored::Base,
+            variant: Explored::An,
             size: 4,
             producers: vec![singly(&[1]), singly(&[2])],
             consumers: vec![(2, 1)],
@@ -435,7 +399,7 @@ mod tests {
         // Capacity 2, two producers of two tokens each: exactly two pushes
         // are rejected in every schedule.
         let s = Scenario {
-            variant: Explored::Base,
+            variant: Explored::An,
             size: 2,
             producers: vec![singly(&[1, 2]), singly(&[3, 4])],
             consumers: vec![],
@@ -593,7 +557,7 @@ mod tests {
             result: Some(2),
         };
         assert!(at(Op::InstallSegment { seg: 1 }) < at(hit));
-        assert!(check_linearizable(&h, SegSpec::new(1)), "{h:?}");
+        assert!(check_linearizable(&h, TicketSpec::segmented(1)), "{h:?}");
         // One storage, one ring entry: the reuse the tag guards.
         assert_eq!(q.fresh_allocs(), 1);
         let one_install = Queue::<Afa, Segmented>::new(1);
@@ -625,7 +589,7 @@ mod tests {
     #[test]
     fn random_sampling_matches_dfs_verdicts() {
         let s = Scenario {
-            variant: Explored::Base,
+            variant: Explored::An,
             size: 4,
             producers: vec![singly(&[1]), singly(&[2])],
             consumers: vec![(2, 1)],
@@ -633,17 +597,5 @@ mod tests {
         let r = s.run_random(200, 0xDEADBEEF);
         assert!(r.schedules > 1);
         assert_eq!(r.histories_checked, 200);
-    }
-
-    #[test]
-    #[should_panic(expected = "width 1")]
-    fn base_scenarios_are_width_one() {
-        let s = Scenario {
-            variant: Explored::Base,
-            size: 4,
-            producers: vec![vec![vec![1, 2]]],
-            consumers: vec![],
-        };
-        s.run(1);
     }
 }

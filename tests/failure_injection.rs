@@ -172,12 +172,13 @@ fn workpool_overflow_recovers_after_reset() {
 }
 
 /// Queue-full under the interleaving explorer: every schedule of a BASE
-/// overflow race terminates (the explorer panics on deadlock), rejects a
-/// deterministic number of pushes, and never double-delivers.
+/// overflow race (the CAS core at width 1) terminates (the explorer panics
+/// on deadlock), rejects a deterministic number of pushes, and never
+/// double-delivers.
 #[test]
 fn explored_base_overflow_aborts_deterministically() {
     let s = Scenario {
-        variant: Explored::Base,
+        variant: Explored::An,
         size: 2,
         producers: vec![vec![vec![1], vec![2]], vec![vec![3]]],
         consumers: vec![(1, 1)],

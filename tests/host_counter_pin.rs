@@ -1,7 +1,7 @@
 //! Counter pin for the host queue family: one fixed single-thread script
 //! per variant, the full [`StatsSnapshot`] compared against pinned
-//! literals. The benchmark's `atomics_per_token` is derived from these
-//! counters, so a drift in what any path counts fails here first.
+//! literals. The benchmark's atomics-per-token metric is derived from
+//! these counters, so a drift in what any path counts fails here first.
 //!
 //! The script: reserve/pop ahead of data where the variant allows it, four
 //! batches in (3 + 5 + 4 + 4 tokens), drain, then one overflowing enqueue

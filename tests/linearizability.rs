@@ -2,7 +2,7 @@
 //! interleaving exploration (`gpu_queue::verify`).
 //!
 //! Every scenario here runs its schedules through the Wing–Gong checker
-//! against the batch-aware sequential specs; a single non-linearizable
+//! against its core's batch-aware sequential spec; a single non-linearizable
 //! history panics inside the scenario runner. The default budgets keep
 //! the suite in CI's PR-gating time box; the `verify-deep` job raises
 //! them via `PTQ_SCHEDULES` (see `.github/workflows/ci.yml`).
@@ -44,12 +44,12 @@ fn assert_coverage(r: &ScenarioReport, what: &str) {
     );
 }
 
-// ------------------------------------------------------------- BASE ----
+// ------------------------------------- BASE: the CAS core at width 1 ----
 
 #[test]
 fn base_two_producers_two_consumers() {
     let s = Scenario {
-        variant: Explored::Base,
+        variant: Explored::An,
         size: 8,
         producers: vec![singly(&[1, 2]), singly(&[3])],
         consumers: vec![(2, 1), (1, 1)],
@@ -71,7 +71,7 @@ fn base_two_producers_two_consumers() {
 #[test]
 fn base_three_producers_one_consumer() {
     let s = Scenario {
-        variant: Explored::Base,
+        variant: Explored::An,
         size: 8,
         producers: vec![singly(&[10]), singly(&[20]), singly(&[30])],
         consumers: vec![(2, 1)],
@@ -84,7 +84,7 @@ fn base_three_producers_one_consumer() {
 fn base_contended_single_slot_cas_storm() {
     // Four threads racing tiny state maximizes CAS failure paths.
     let s = Scenario {
-        variant: Explored::Base,
+        variant: Explored::An,
         size: 2,
         producers: vec![singly(&[1]), singly(&[2]), singly(&[3])],
         consumers: vec![(1, 1)],
@@ -98,7 +98,7 @@ fn base_contended_single_slot_cas_storm() {
 #[test]
 fn base_random_sampling_beyond_dfs() {
     let s = Scenario {
-        variant: Explored::Base,
+        variant: Explored::An,
         size: 8,
         producers: vec![singly(&[1, 2]), singly(&[3, 4])],
         consumers: vec![(2, 1), (2, 1)],
@@ -306,7 +306,7 @@ fn segmented_random_sampling() {
 // ------------------------------------- SEG-RF, SEG-AN (the composed rows) ----
 
 #[test]
-fn segmented_rf_per_token_tickets_race_installs_and_recycling() {
+fn segmented_rf_width_one_tickets_race_installs_and_recycling() {
     // SEG-RF is the AFA x segmented core driven at width 1: every enqueue
     // and every reservation is its own AFA. seg_cap 2, three tokens from
     // two producers: the second segment is installed by whichever producer
@@ -319,7 +319,7 @@ fn segmented_rf_per_token_tickets_race_installs_and_recycling() {
         consumers: vec![(1, 2), (1, 2), (1, 2)],
     };
     let r = s.run(schedule_budget(DEFAULT_BUDGET));
-    assert_coverage(&r, "SEG-RF per-token");
+    assert_coverage(&r, "SEG-RF width 1");
     assert_eq!(r.rejections, BTreeSet::from([0]), "segmented never rejects");
     for d in &r.delivered {
         let mut dd = d.clone();

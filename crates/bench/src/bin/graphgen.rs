@@ -14,7 +14,7 @@
 
 use ptq_graph::{io, Dataset};
 use std::fs::File;
-use std::io::BufWriter;
+use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 
 fn parse_dataset(name: &str) -> Option<Dataset> {
@@ -48,7 +48,10 @@ fn main() -> ExitCode {
                 Some(f) if f > 0.0 && f <= 1.0 => scale = f,
                 _ => return usage("--scale needs a number in (0, 1]"),
             },
-            "--out" => out = args.next(),
+            "--out" => match args.next() {
+                Some(path) => out = Some(path),
+                None => return usage("--out needs a value"),
+            },
             "--help" | "-h" => return usage(""),
             name if dataset.is_none() && !name.starts_with('-') => {
                 dataset = parse_dataset(name);
@@ -107,7 +110,8 @@ fn main() -> ExitCode {
         "snap" => io::snap::write_edge_list(&graph, &mut writer),
         "rodinia" => io::rodinia::write_rodinia(&graph, dataset.source(), &mut writer),
         _ => unreachable!("validated above"),
-    };
+    }
+    .and_then(|()| writer.flush());
     if let Err(e) = result {
         eprintln!("error: write failed: {e}");
         return ExitCode::FAILURE;

@@ -1,5 +1,6 @@
-//! The `repro` binary's contracts, driven as a process: everything it
-//! writes is `--jobs`-invariant, and a failed write fails the run.
+//! The `repro` and `graphgen` binaries' contracts, driven as a process:
+//! everything `repro` writes is `--jobs`-invariant, and a failed write
+//! fails the run of either.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -76,4 +77,37 @@ fn a_failed_write_fails_the_run() {
     // The table itself was still computed and printed.
     assert!(String::from_utf8_lossy(&run.stdout).contains("Table 1"));
     assert!(String::from_utf8_lossy(&run.stderr).contains("could not write table1"));
+}
+
+/// `graphgen` reports a write it lost: the buffered tail fails on flush.
+#[test]
+fn graphgen_failed_write_fails_the_run() {
+    if !Path::new("/dev/full").exists() {
+        return;
+    }
+    let run = Command::new(env!("CARGO_BIN_EXE_graphgen"))
+        .args(["rodinia4096", "--scale", "0.001", "--format", "snap"])
+        .args(["--out", "/dev/full"])
+        .output()
+        .expect("spawn graphgen");
+    assert!(
+        !run.status.success(),
+        "exit status must be non-zero: {run:?}"
+    );
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(stderr.contains("error: write failed"), "{stderr}");
+    assert!(!stderr.contains("wrote"), "{stderr}");
+}
+
+#[test]
+fn graphgen_out_without_a_value_is_a_usage_error() {
+    let run = Command::new(env!("CARGO_BIN_EXE_graphgen"))
+        .args(["rodinia4096", "--out"])
+        .output()
+        .expect("spawn graphgen");
+    assert!(
+        !run.status.success(),
+        "exit status must be non-zero: {run:?}"
+    );
+    assert!(String::from_utf8_lossy(&run.stderr).contains("--out needs a value"));
 }

@@ -1,8 +1,9 @@
 //! Host-side (real-thread) implementations of the queue designs.
 //!
 //! These are genuine Rust concurrent data structures implementing the same
-//! algorithms as the device variants, so the paper's design can be
-//! exercised and measured on real CPU hardware.
+//! algorithms as the device variants: the interleaving explorer
+//! ([`crate::verify`]) checks them, and callers use them as plain queues
+//! (`repro`'s `--jobs` scheduler, the serving core's admission queue).
 //!
 //! **One queue, from parts.** The paper's designs differ in two decisions,
 //! and the segmented queues add a third; each is written once and the
@@ -27,9 +28,7 @@
 //! | [`SegmentedRfQueue`] | over `Queue<Afa, Segmented>` | 1 |
 //! | [`SegmentedAnQueue`] | `Queue<Cas, Segmented>` | any |
 //!
-//! Beside the family: [`MutexQueue`] (a `Mutex<VecDeque>` strawman) and
-//! [`WorkPool`] (the paper's Algorithm 1 on OS threads over [`RfAnQueue`],
-//! with sound quiescence detection).
+//! Beside the family: [`MutexQueue`], a `Mutex<VecDeque>` strawman.
 //!
 //! The bounded queues are **non-wrapping**: `capacity` must bound the
 //! total number of tokens ever enqueued between `reset` calls, exactly
@@ -46,7 +45,6 @@
 mod an;
 mod base;
 mod mutex;
-mod pool;
 pub(crate) mod queue;
 mod reserve;
 mod rfan;
@@ -57,7 +55,6 @@ mod storage;
 pub use an::AnQueue;
 pub use base::BaseQueue;
 pub use mutex::MutexQueue;
-pub use pool::WorkPool;
 pub use queue::{Queue, SlotTicket};
 pub use reserve::{Afa, Cas, CasState, Claim, Reserve};
 pub use rfan::RfAnQueue;

@@ -18,6 +18,10 @@ pub mod snap;
 
 use std::fmt;
 
+/// Most elements a reader reserves on a header count's word alone; past
+/// it, vectors grow only as the records that back the count arrive.
+pub(crate) const MAX_RESERVE: usize = 1 << 20;
+
 /// Error raised by the graph file parsers.
 #[derive(Debug)]
 pub enum ParseError {

@@ -13,7 +13,7 @@
 //! the paper's) can consume it directly. The reader returns the graph and
 //! the designated BFS source vertex.
 
-use super::ParseError;
+use super::{ParseError, MAX_RESERVE};
 use crate::csr::Csr;
 use std::io::{BufRead, Write};
 
@@ -21,30 +21,36 @@ use std::io::{BufRead, Write};
 pub fn read_rodinia<R: BufRead>(reader: R) -> Result<(Csr, u32), ParseError> {
     let mut tokens = Tokens::new(reader);
     let n: usize = tokens.next_num("vertex count")?;
-    let mut row_offsets = Vec::with_capacity(n + 1);
-    let mut expected_start = 0u64;
+    let mut row_offsets = Vec::with_capacity(n.min(MAX_RESERVE) + 1);
+    let mut expected_start = 0u32;
     for _ in 0..n {
-        let start: u64 = tokens.next_num("edge start")?;
-        let degree: u64 = tokens.next_num("degree")?;
+        // Offsets are u32 (`Csr`'s row offsets): a larger one fails to parse.
+        let start: u32 = tokens.next_num("edge start")?;
+        let degree: u32 = tokens.next_num("degree")?;
         if start != expected_start {
             return Err(ParseError::malformed(
                 tokens.line,
                 format!("non-contiguous edge start {start}, expected {expected_start}"),
             ));
         }
-        row_offsets.push(start as u32);
-        expected_start = start + degree;
+        row_offsets.push(start);
+        expected_start = start.checked_add(degree).ok_or_else(|| {
+            ParseError::malformed(
+                tokens.line,
+                format!("edge offset {start} + {degree} exceeds u32"),
+            )
+        })?;
     }
-    row_offsets.push(expected_start as u32);
+    row_offsets.push(expected_start);
     let source: u32 = tokens.next_num("source vertex")?;
     let m: usize = tokens.next_num("edge count")?;
-    if m as u64 != expected_start {
+    if m != expected_start as usize {
         return Err(ParseError::malformed(
             tokens.line,
             format!("edge count {m} disagrees with vertex records ({expected_start})"),
         ));
     }
-    let mut adjacency = Vec::with_capacity(m);
+    let mut adjacency = Vec::with_capacity(m.min(MAX_RESERVE));
     for _ in 0..m {
         let dst: u32 = tokens.next_num("edge destination")?;
         let _weight: u32 = tokens.next_num("edge weight")?;
@@ -62,7 +68,9 @@ pub fn read_rodinia<R: BufRead>(reader: R) -> Result<(Csr, u32), ParseError> {
             format!("source vertex {source} out of range"),
         ));
     }
-    Ok((Csr::from_parts(row_offsets, adjacency), source))
+    let graph = Csr::from_parts_checked(row_offsets, adjacency)
+        .map_err(|e| ParseError::malformed(tokens.line, e.to_string()))?;
+    Ok((graph, source))
 }
 
 /// Writes `graph` in Rodinia BFS format with the given `source` (weights 1).
@@ -170,6 +178,29 @@ mod tests {
         let text = "1\n0 1\n0\n1\n5 1\n";
         let err = read_rodinia(Cursor::new(text)).unwrap_err();
         assert!(err.to_string().contains("out of range"));
+    }
+
+    #[test]
+    fn rejects_offset_overflow() {
+        let text = "2\n0 18446744073709551615\n18446744073709551615 1\n0\n0\n";
+        let err = read_rodinia(Cursor::new(text)).unwrap_err();
+        assert!(err.to_string().contains("invalid degree"), "{err}");
+        let err = read_rodinia(Cursor::new("2\n0 4294967295\n4294967295 1\n")).unwrap_err();
+        assert!(err.to_string().contains("exceeds u32"), "{err}");
+    }
+
+    #[test]
+    fn rejects_offsets_past_u32() {
+        let err = read_rodinia(Cursor::new("1\n0 4294967296\n0\n4294967296\n")).unwrap_err();
+        assert!(err.to_string().contains("invalid degree"), "{err}");
+    }
+
+    #[test]
+    fn huge_edge_count_reserves_nothing_up_front() {
+        // Offsets fit in u32, but no edge record backs the 16 GiB the
+        // header count would reserve: the read fails on the missing record.
+        let err = read_rodinia(Cursor::new("1\n0 4294967295\n0\n4294967295\n")).unwrap_err();
+        assert!(err.to_string().contains("unexpected end of file"), "{err}");
     }
 
     #[test]

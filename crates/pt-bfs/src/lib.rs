@@ -29,10 +29,8 @@
 //!   [`runner::PtConfig::design`].
 //! * [`baseline`] — the Rodinia-style level-synchronous BFS (relaunches a
 //!   kernel per level) and the CHAI-style collaborative CPU+GPU BFS.
-//! * [`host`] — a real-thread CPU BFS built on the host queues.
 
 pub mod baseline;
-pub mod host;
 pub mod kernel;
 pub mod recovery;
 pub mod runner;

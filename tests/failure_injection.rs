@@ -6,7 +6,7 @@ use ptq::bfs::{run_bfs, PtConfig};
 use ptq::graph::gen::synthetic_tree;
 use ptq::graph::validate_levels;
 use ptq::queue::device::{Design, DeviceQueue, Lanes, WaveQueue};
-use ptq::queue::host::{RfAnQueue, WorkPool};
+use ptq::queue::host::RfAnQueue;
 use ptq::queue::verify::{Explored, Scenario};
 use ptq::queue::Variant;
 use simt::{
@@ -150,25 +150,6 @@ fn host_overflow_preserves_published_tokens() {
         .filter_map(|s| q.try_take(ptq::queue::host::SlotTicket(s)))
         .collect();
     assert_eq!(got, vec![1, 2]);
-}
-
-/// WorkPool overflow unblocks every worker (no hang) and reports the
-/// error; the pool is reusable after reset.
-#[test]
-fn workpool_overflow_recovers_after_reset() {
-    let mut pool = WorkPool::new(8);
-    let result = pool.run(4, &[1], |t, out| {
-        out.push(t + 1);
-        out.push(t + 2);
-    });
-    assert!(result.is_err(), "exponential fanout must overflow");
-    pool.reset();
-    let counted = std::sync::atomic::AtomicU64::new(0);
-    pool.run(2, &[5, 6], |_, _| {
-        counted.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    })
-    .unwrap();
-    assert_eq!(counted.load(std::sync::atomic::Ordering::Relaxed), 2);
 }
 
 /// Queue-full under the interleaving explorer: every schedule of a BASE

@@ -17,7 +17,7 @@
 //!   protocol), so when the queue looks empty the operation raises the
 //!   queue-empty exception and the hungry lanes retry next work cycle.
 
-use super::{bits, CasWaveQueue, Lanes, FRONT, REAR};
+use super::{bits, dec, enc, CasWaveQueue, Lanes, FRONT, REAR};
 use crate::DNA;
 use simt::{AbortReason, OpSpec, WaveCtx};
 
@@ -72,7 +72,7 @@ impl CasWaveQueue {
         // past them, so plain (coalesced) reads suffice.
         ctx.charge_coalesced_access(self.layout.slots, front as usize, n as usize);
         for (lane, slot) in bits(lanes.hungry()).zip(front..front + n) {
-            let tok = ctx.peek(self.layout.slots, slot as usize);
+            let tok = dec(ctx.peek(self.layout.slots, slot as usize));
             debug_assert_ne!(tok, DNA, "AN dequeued an unwritten slot");
             lanes.deliver(lane, tok);
         }
@@ -121,7 +121,7 @@ impl CasWaveQueue {
         ctx.charge_coalesced_access(self.layout.slots, rear as usize, tokens.len());
         for (i, &tok) in tokens.iter().enumerate() {
             debug_assert!(tok < DNA);
-            ctx.poke(self.layout.slots, rear as usize + i, tok);
+            ctx.poke(self.layout.slots, rear as usize + i, enc(tok));
         }
         ctx.audit_end();
         tokens.len()

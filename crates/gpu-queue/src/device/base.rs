@@ -24,7 +24,7 @@
 //! CAS sees a fresh counter value and succeeds — the paper's BASE is slow
 //! because of *where* its atomics go, not because every attempt is wasted.
 
-use super::{bits, CasWaveQueue, Lanes, FRONT, REAR};
+use super::{bits, dec, enc, CasWaveQueue, Lanes, FRONT, REAR};
 use crate::DNA;
 use simt::{AbortReason, OpSpec, WaveCtx};
 
@@ -64,7 +64,7 @@ impl CasWaveQueue {
             let observed = ctx.atomic_cas(self.layout.state, FRONT, front, front + 1);
             ctx.count_scheduler_atomics(1);
             debug_assert_eq!(observed, front, "fresh per-lane CAS wins in-sim");
-            let tok = ctx.global_read_lane(self.layout.slots, front as usize);
+            let tok = dec(ctx.global_read_lane(self.layout.slots, front as usize));
             debug_assert_ne!(tok, DNA, "BASE dequeued an unwritten slot");
             lanes.deliver(lane, tok);
             front += 1;
@@ -121,7 +121,7 @@ impl CasWaveQueue {
             let observed = ctx.atomic_cas(self.layout.state, REAR, rear, rear + 1);
             ctx.count_scheduler_atomics(1);
             debug_assert_eq!(observed, rear);
-            ctx.global_write_lane(self.layout.slots, rear as usize, tokens[accepted]);
+            ctx.global_write_lane(self.layout.slots, rear as usize, enc(tokens[accepted]));
             accepted += 1;
             rear += 1;
         }

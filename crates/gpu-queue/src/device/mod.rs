@@ -1,13 +1,23 @@
 //! Device-side queue family for the SIMT simulator.
 //!
-//! A device queue lives in simulated global memory: a slot array painted
-//! with the [`crate::DNA`] sentinel and a two-word state buffer holding
-//! `Front` and `Rear` ([`QueueLayout`]; [`SegmentedLayout`] adds a
-//! directory, [`StealingLayout`] is one `QueueLayout` per compute unit).
+//! A device queue lives in simulated global memory: a slot array whose
+//! every slot starts out holding the [`crate::DNA`] sentinel, and a
+//! two-word state buffer holding `Front` and `Rear` ([`QueueLayout`];
+//! [`SegmentedLayout`] adds a directory, [`StealingLayout`] is one
+//! `QueueLayout` per compute unit).
 //! A kernel holds one [`DeviceQueue`] per wavefront by value (it holds the
 //! wavefront's *private* scratch, e.g. the CAS designs' staged counter
 //! versions — registers, in GPU terms), dispatched statically; tests
 //! substitute through the [`WaveQueue`] trait it implements.
+//!
+//! **Slot words are stored as `token ^ DNA`** (`enc`/`dec`), so the
+//! sentinel is the zero word: a slot array is a plain zeroed allocation,
+//! never painted, and costs host memory only for the slots a run writes
+//! (the per-CU queues alone are `num_cus` full-capacity rings). The
+//! encoding is a bijection that every slot read and write goes through,
+//! so the simulated machine still sees `dna` in an empty slot, and every
+//! simulated number is what a painted array gives. `Front`/`Rear`, the
+//! segmented directory and values are stored plain.
 //!
 //! The flat queue is **non-wrapping**: `Front` and `Rear` increase
 //! monotonically and the capacity must bound the total number of tokens
@@ -77,6 +87,20 @@ use simt::{Buffer, DeviceMemory, WaveCtx};
 use stealing::StealingWaveQueue;
 use ticket::{Slots, TicketWaveQueue};
 
+/// The slot word that holds `token` (or, for [`DNA`], the empty slot):
+/// `token ^ DNA`, so the zero word of a fresh allocation is the sentinel.
+#[inline]
+pub(crate) const fn enc(token: u32) -> u32 {
+    token ^ DNA
+}
+
+/// The token (or [`DNA`]) that slot word `word` holds: the inverse of
+/// [`enc`].
+#[inline]
+pub(crate) const fn dec(word: u32) -> u32 {
+    word ^ DNA
+}
+
 /// Index of `Front` in the queue state buffer.
 pub const FRONT: usize = 0;
 /// Index of `Rear` in the queue state buffer.
@@ -99,7 +123,8 @@ pub enum LanePhase {
 /// Host-side handle to a device queue's allocations.
 #[derive(Clone, Copy, Debug)]
 pub struct QueueLayout {
-    /// Slot array buffer (`capacity` words, sentinel-initialized).
+    /// Slot array buffer (`capacity` words, each read through `dec`;
+    /// every slot starts as the sentinel).
     pub slots: Buffer,
     /// Two-word state buffer: `[Front, Rear]`.
     pub state: Buffer,
@@ -110,11 +135,10 @@ pub struct QueueLayout {
 impl QueueLayout {
     /// Allocates and initializes a queue in device memory under
     /// `name`-derived buffer names (`"<name>.slots"`, `"<name>.state"`).
-    /// Every slot is painted with the `dna` sentinel; `Front = Rear = 0`.
+    /// Every slot holds the `dna` sentinel — the zero word, so nothing is
+    /// painted; `Front = Rear = 0`.
     pub fn setup(memory: &mut DeviceMemory, name: &str, capacity: u32) -> QueueLayout {
-        // Paint in one pass: `alloc_filled` skips the demand-zeroing a
-        // plain `alloc` would do before the sentinel overwrote it anyway.
-        let slots = memory.alloc_filled(&format!("{name}.slots"), capacity as usize, DNA);
+        let slots = memory.alloc(&format!("{name}.slots"), capacity as usize);
         let state = memory.alloc(&format!("{name}.state"), 2);
         QueueLayout {
             slots,
@@ -130,7 +154,7 @@ impl QueueLayout {
         let rear = memory.read_u32(self.state, REAR);
         for (i, &t) in tokens.iter().enumerate() {
             assert!(t < DNA, "token {t:#x} collides with the dna sentinel");
-            memory.write_u32(self.slots, rear as usize + i, t);
+            memory.write_u32(self.slots, rear as usize + i, enc(t));
         }
         memory.write_u32(self.state, REAR, rear + tokens.len() as u32);
     }
@@ -365,11 +389,11 @@ mod tests {
     use simt::DeviceMemory;
 
     #[test]
-    fn setup_paints_sentinels() {
+    fn setup_leaves_every_slot_reading_empty() {
         let mut mem = DeviceMemory::new();
         let q = QueueLayout::setup(&mut mem, "q", 8);
         assert_eq!(q.capacity, 8);
-        assert!(mem.read_slice(q.slots).iter().all(|&w| w == DNA));
+        assert!(mem.read_slice(q.slots).iter().all(|&w| dec(w) == DNA));
         assert_eq!(mem.read_u32(q.state, FRONT), 0);
         assert_eq!(mem.read_u32(q.state, REAR), 0);
     }
@@ -380,8 +404,9 @@ mod tests {
         let q = QueueLayout::setup(&mut mem, "q", 8);
         q.host_seed(&mut mem, &[5, 6]);
         assert_eq!(mem.read_u32(q.state, REAR), 2);
-        assert_eq!(mem.read_u32(q.slots, 0), 5);
-        assert_eq!(mem.read_u32(q.slots, 1), 6);
+        assert_eq!(dec(mem.read_u32(q.slots, 0)), 5);
+        assert_eq!(dec(mem.read_u32(q.slots, 1)), 6);
+        assert_eq!(dec(mem.read_u32(q.slots, 2)), DNA);
         assert_eq!(q.host_len(&mem), 2);
     }
 
@@ -424,14 +449,14 @@ mod tests {
                 // the queue never looks non-empty to a stale reader.
                 2..=4 => {
                     let slot = ctx.atomic_add(layout.state, REAR, 1);
-                    ctx.poke(layout.slots, slot as usize, 100 + slot);
+                    ctx.poke(layout.slots, slot as usize, enc(100 + slot));
                     ctx.atomic_add(layout.state, FRONT, 1);
                 }
                 // Four tokens arrive and stay.
                 6 => {
                     let base = ctx.atomic_add(layout.state, REAR, 4);
                     for i in 0..4 {
-                        ctx.poke(layout.slots, (base + i) as usize, 200 + i);
+                        ctx.poke(layout.slots, (base + i) as usize, enc(200 + i));
                     }
                 }
                 _ => {}

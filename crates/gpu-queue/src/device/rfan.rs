@@ -2,7 +2,7 @@
 //! The design itself — the proposed retry-free / arbitrary-n queue, paper
 //! §4 — is [`super::TicketWaveQueue`] over a flat layout at wave width.
 
-use super::{QueueLayout, REAR};
+use super::{dec, enc, QueueLayout, REAR};
 use crate::DNA;
 use simt::{AbortReason, OpSpec, WaveCtx};
 
@@ -38,14 +38,14 @@ pub(super) fn publish(
         // Line 25: the slot must still hold the sentinel. An occupied slot
         // in a non-wrapping queue means the reservation overran live data:
         // the same capacity exhaustion as running off the end.
-        if slot >= q.capacity as usize || ctx.peek(q.slots, slot) != DNA {
+        if slot >= q.capacity as usize || dec(ctx.peek(q.slots, slot)) != DNA {
             ctx.abort(AbortReason::QueueFull {
                 requested: slot as u64,
                 capacity: q.capacity,
             });
             return i;
         }
-        ctx.poke(q.slots, slot, tok);
+        ctx.poke(q.slots, slot, enc(tok));
     }
     ctx.audit_end();
     tokens.len()

@@ -12,7 +12,7 @@
 //! on a retry-free substrate: the difference is pure atomic-traffic
 //! volume and serialization pressure, with zero retry effects in either.
 
-use super::{QueueLayout, REAR};
+use super::{dec, enc, QueueLayout, REAR};
 use crate::DNA;
 use simt::{AbortReason, OpSpec, WaveCtx};
 
@@ -25,14 +25,14 @@ pub(super) fn publish(ctx: &mut WaveCtx<'_>, q: &QueueLayout, tokens: &[u32]) ->
         debug_assert!(tok < DNA);
         let slot = ctx.atomic_add(q.state, REAR, 1) as usize;
         ctx.count_scheduler_atomics(1);
-        if slot >= q.capacity as usize || ctx.global_read_lane(q.slots, slot) != DNA {
+        if slot >= q.capacity as usize || dec(ctx.global_read_lane(q.slots, slot)) != DNA {
             ctx.abort(AbortReason::QueueFull {
                 requested: slot as u64,
                 capacity: q.capacity,
             });
             return 0;
         }
-        ctx.global_write_lane(q.slots, slot, tok);
+        ctx.global_write_lane(q.slots, slot, enc(tok));
     }
     ctx.audit_end();
     tokens.len()

@@ -15,7 +15,9 @@
 //! token retires it: the directory entry is cleared and the physical
 //! segment returns to the pool (every slot holds the `dna` sentinel again,
 //! because pickups restore it), ready to be re-published under a later
-//! virtual segment.
+//! virtual segment. Arena slots are stored as `token ^ DNA` like every
+//! queue's slots (see the [`super`] docs), so a fresh arena is a plain
+//! zeroed allocation.
 //!
 //! Memory is therefore bounded by *live occupancy* (plus the reserve-ahead
 //! slack of hungry lanes), not lifetime enqueues: a traversal that
@@ -45,7 +47,7 @@
 //! segmentation removes the memory bound, not the 2^32 ticket-arithmetic
 //! bound.
 
-use super::REAR;
+use super::{dec, enc, REAR};
 use crate::DNA;
 use simt::{Buffer, DeviceMemory, OpSpec, WaveCtx, MAX_WAVE_SIZE};
 
@@ -58,7 +60,8 @@ pub(super) fn sized(capacity: u32) -> (u32, u32) {
 /// Host-side handle to a segmented device queue's allocations.
 #[derive(Clone, Copy, Debug)]
 pub struct SegmentedLayout {
-    /// Physical slot arena: `phys_segs * seg_cap` words, sentinel-painted.
+    /// Physical slot arena: `phys_segs * seg_cap` words, each read through
+    /// `dec`; every slot starts as the sentinel.
     pub slots: Buffer,
     /// Two-word state buffer: `[Front, Rear]` (shared ticket space).
     pub state: Buffer,
@@ -79,8 +82,9 @@ pub struct SegmentedLayout {
 
 impl SegmentedLayout {
     /// Allocates and initializes a segmented queue in device memory under
-    /// `name`-derived buffer names. All arena slots are sentinel-painted,
-    /// the directory is empty, and the pool holds every physical segment.
+    /// `name`-derived buffer names. Every arena slot holds the sentinel
+    /// (the zero word: nothing is painted), the directory is empty, and
+    /// the pool holds every physical segment.
     pub fn setup(
         memory: &mut DeviceMemory,
         name: &str,
@@ -98,7 +102,7 @@ impl SegmentedLayout {
         let arena = phys_segs
             .checked_mul(seg_cap)
             .expect("segmented arena exceeds the u32 address space");
-        let slots = memory.alloc_filled(&format!("{name}.slots"), arena as usize, DNA);
+        let slots = memory.alloc(&format!("{name}.slots"), arena as usize);
         let state = memory.alloc(&format!("{name}.state"), 2);
         let dir = memory.alloc_filled(&format!("{name}.dir"), dir_len as usize, DNA);
         let consumed = memory.alloc(&format!("{name}.consumed"), dir_len as usize);
@@ -177,7 +181,7 @@ impl SegmentedLayout {
                     p
                 }
             };
-            memory.write_u32(self.slots, self.arena_addr(phys, ticket), t);
+            memory.write_u32(self.slots, self.arena_addr(phys, ticket), enc(t));
         }
         memory.write_u32(self.state, REAR, rear + tokens.len() as u32);
     }
@@ -274,11 +278,11 @@ pub(super) fn publish(ctx: &mut WaveCtx<'_>, lt: &SegmentedLayout, tokens: &[u32
             let tok = tokens[accepted + i];
             debug_assert!(tok < DNA, "token collides with dna sentinel");
             debug_assert_eq!(
-                ctx.peek(lt.slots, base + i),
+                dec(ctx.peek(lt.slots, base + i)),
                 DNA,
                 "recycled segment handed out before fully drained"
             );
-            ctx.poke(lt.slots, base + i, tok);
+            ctx.poke(lt.slots, base + i, enc(tok));
         }
         accepted += take;
     }
@@ -290,7 +294,7 @@ pub(super) fn publish(ctx: &mut WaveCtx<'_>, lt: &SegmentedLayout, tokens: &[u32
 #[cfg(test)]
 mod tests {
     use super::super::testutil::{expected_tokens, over_segments, pump_through, PumpKernel, Shape};
-    use super::SegmentedLayout;
+    use super::{dec, SegmentedLayout};
     use crate::DNA;
     use simt::{DeviceMemory, Engine, GpuConfig, Launch};
     use std::sync::{Arc, Mutex};
@@ -323,11 +327,11 @@ mod tests {
     }
 
     #[test]
-    fn setup_paints_sentinels_and_fills_pool() {
+    fn setup_leaves_every_slot_reading_empty_and_fills_pool() {
         let mut mem = DeviceMemory::new();
         let q = SegmentedLayout::setup(&mut mem, "q", 8, 4);
         assert_eq!(q.dir_len, 6);
-        assert!(mem.read_slice(q.slots).iter().all(|&w| w == DNA));
+        assert!(mem.read_slice(q.slots).iter().all(|&w| dec(w) == DNA));
         assert!(mem.read_slice(q.dir).iter().all(|&w| w == DNA));
         assert_eq!(mem.read_u32(q.pool, 0), 4);
         assert_eq!(mem.read_slice(q.state), [0, 0]);
@@ -412,6 +416,6 @@ mod tests {
         let mem = engine.memory_mut();
         assert_eq!(live_segments(&layout, mem), 0);
         assert_eq!(mem.read_u32(layout.pool, 0), 3);
-        assert!(mem.read_slice(layout.slots).iter().all(|&w| w == DNA));
+        assert!(mem.read_slice(layout.slots).iter().all(|&w| dec(w) == DNA));
     }
 }

@@ -25,7 +25,7 @@
 //! ever abandoned) holds across queues. A scan that finds no backlog
 //! anywhere is the distributed design's queue-empty exception.
 
-use super::{bits, rfan, Lanes, QueueLayout, WaveQueue, FRONT, REAR};
+use super::{bits, dec, enc, rfan, Lanes, QueueLayout, WaveQueue, FRONT, REAR};
 use crate::DNA;
 use simt::{DeviceMemory, OpSpec, WaveCtx};
 
@@ -180,9 +180,9 @@ impl WaveQueue for StealingWaveQueue {
             let layout = &self.layout.queues[q];
             ctx.charge_alu(1);
             if slot < layout.capacity {
-                let value = ctx.global_read_lane_stale(layout.slots, slot as usize);
+                let value = dec(ctx.global_read_lane_stale(layout.slots, slot as usize));
                 if value != DNA {
-                    ctx.poke(layout.slots, slot as usize, DNA);
+                    ctx.poke(layout.slots, slot as usize, enc(DNA));
                     lanes.deliver(lane, value);
                 }
             }

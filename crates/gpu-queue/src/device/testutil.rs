@@ -118,7 +118,7 @@ fn charge_sentinel_poll(ctx: &mut WaveCtx<'_>, slots: Buffer, watched: &mut [u32
         let mut any_data = false;
         let run_start = i;
         while i < watched.len() && watched[i] / 16 == line {
-            if ctx.peek_stale(slots, watched[i] as usize) != DNA {
+            if dec(ctx.peek_stale(slots, watched[i] as usize)) != DNA {
                 any_data = true;
             }
             i += 1;
@@ -153,9 +153,9 @@ pub fn reading_poll(
                 let slot = lanes.ticket(lane);
                 ctx.charge_alu(1); // bounds check
                 if slot < q.capacity {
-                    let value = ctx.peek_stale(q.slots, slot as usize);
+                    let value = dec(ctx.peek_stale(q.slots, slot as usize));
                     if value != DNA {
-                        ctx.poke(q.slots, slot as usize, DNA);
+                        ctx.poke(q.slots, slot as usize, enc(DNA));
                         picked(slot);
                         lanes.deliver(lane, value);
                     }
@@ -188,9 +188,9 @@ pub fn reading_poll(
                 let entry = ctx.peek_stale(lt.dir, lt.ring_slot(seg));
                 if let Some(phys) = lt.decode(entry, seg) {
                     let addr = lt.arena_addr(phys, slot);
-                    let value = ctx.peek_stale(lt.slots, addr);
+                    let value = dec(ctx.peek_stale(lt.slots, addr));
                     if value != DNA {
-                        ctx.poke(lt.slots, addr, DNA);
+                        ctx.poke(lt.slots, addr, enc(DNA));
                         picked(slot);
                         lanes.deliver(lane, value);
                     }

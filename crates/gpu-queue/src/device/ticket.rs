@@ -7,8 +7,8 @@
 //! [`segmented::publish`] (one AFA per touched segment, installing
 //! segments on the way).
 
-use super::{bits, rfan, rfonly, segmented, Lanes, QueueLayout, SegmentedLayout, WaveQueue, Width};
-use super::{FRONT, REAR};
+use super::{bits, dec, enc, rfan, rfonly, segmented, Lanes, QueueLayout, SegmentedLayout};
+use super::{WaveQueue, Width, FRONT, REAR};
 use crate::DNA;
 use simt::round::LINE_WORDS;
 use simt::{Buffer, OpSpec, WaveCtx, MAX_WAVE_SIZE};
@@ -178,7 +178,7 @@ pub(crate) fn poll(
             continue;
         };
         debug_assert_eq!(
-            ctx.observe_stale(buf, addr as usize) != DNA,
+            dec(ctx.observe_stale(buf, addr as usize)) != DNA,
             t < rear,
             "arrival invariant: ticket {t}, round-start Rear {rear}"
         );
@@ -205,10 +205,10 @@ pub(crate) fn poll(
                 data = true;
                 arrivals += 1;
                 let lane = (keys[i] & 63) as usize;
-                let value = ctx.peek_stale(buf, last);
+                let value = dec(ctx.peek_stale(buf, last));
                 assert!(value != DNA, "closed-form pickup of an empty slot {last}");
                 // Private pickup: restore the sentinel, no atomics.
-                ctx.poke(buf, last, DNA);
+                ctx.poke(buf, last, enc(DNA));
                 picked(lanes.ticket(lane));
                 lanes.deliver(lane, value);
             }

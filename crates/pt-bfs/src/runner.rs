@@ -3,13 +3,14 @@
 //!
 //! Mirrors what the paper's OpenCL host program does: allocate and
 //! initialize device buffers (graph in CSR form, the workload's value
-//! array, the scheduler queue painted with sentinels, the
-//! outstanding-task counter), seed the workload's initial tokens, launch
-//! the persistent kernel once, then read back the values. That sequence
-//! is spelled out exactly once, in the launch primitive (`launch`);
-//! [`crate::execute`] drives it under a [`RecoveryPolicy`], and the plain
-//! runs here ([`run_workload`], [`run_bfs`]) are that loop handed the
-//! policy value [`RecoveryPolicy::regrow_only`].
+//! array, the scheduler queue, the outstanding-task counter), seed the
+//! workload's initial tokens, launch the persistent kernel once, then
+//! read back the values. The queue's slots start as the `dna` sentinel,
+//! which the device queues store as the zero word, so nothing is painted.
+//! That sequence is spelled out exactly once, in the launch primitive
+//! (`launch`); [`crate::execute`] drives it under a [`RecoveryPolicy`],
+//! and the plain runs here ([`run_workload`], [`run_bfs`]) are that loop
+//! handed the policy value [`RecoveryPolicy::regrow_only`].
 
 use crate::kernel::{PtKernel, SpillFence, CHUNK};
 use crate::recovery::{run_solo, Progress, RecoveryLog, RecoveryPolicy, RunSpec};

@@ -207,6 +207,9 @@ pub struct Engine {
     memory: DeviceMemory,
     round_state: RoundState,
     scratch: Scratch,
+    /// The memory's demand-zeroed words an earlier launch's profile
+    /// already reported.
+    zeroed_reported: u64,
 }
 
 impl Engine {
@@ -217,6 +220,7 @@ impl Engine {
             memory: DeviceMemory::new(),
             round_state: RoundState::new(),
             scratch: Scratch::default(),
+            zeroed_reported: 0,
         }
     }
 
@@ -688,7 +692,9 @@ impl Engine {
 
         profile.arena_words = self.memory.allocated_words() as u64;
         profile.meta_bytes = self.memory.meta_bytes();
-        profile.demand_zeroed_words = self.memory.demand_zeroed_words();
+        let zeroed = self.memory.demand_zeroed_words();
+        profile.demand_zeroed_words = zeroed.saturating_sub(self.zeroed_reported);
+        self.zeroed_reported = zeroed;
         Ok(states
             .into_iter()
             .map(|mut s| {
@@ -1070,6 +1076,28 @@ mod tests {
         );
         assert_eq!(p.arena_words, 1);
         assert!(p.meta_bytes > 0);
+    }
+
+    #[test]
+    fn each_launch_reports_the_zeroing_since_the_one_before() {
+        // A previous life writes 3000 words, so the next engine's arena
+        // holds three stale pages.
+        let mut old = DeviceMemory::new();
+        let dirt = old.alloc("dirt", 3000);
+        old.fill(dirt, 7);
+        drop(old);
+        let mut e = Engine::new(GpuConfig::test_tiny());
+        let buf = e.memory_mut().alloc("counter", 1000);
+        let launch = |e: &mut Engine| {
+            let report = e.run(Launch::workgroups(1), |_| IncrKernel { buf, remaining: 1 });
+            report.unwrap().profile.demand_zeroed_words
+        };
+        assert_eq!(launch(&mut e), 1000);
+        assert_eq!(launch(&mut e), 0, "nothing allocated in between");
+        e.memory_mut().alloc("more", 1500);
+        assert_eq!(launch(&mut e), 1500);
+        // The three reports add up to the memory's own count.
+        assert_eq!(e.memory().demand_zeroed_words(), 2500);
     }
 
     /// Kernel claiming to be retry-free while actually issuing a CAS.

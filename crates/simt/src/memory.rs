@@ -29,6 +29,12 @@
 //!   never read. `Drop` clears the open round's entries before the arena
 //!   goes to the thread's pool, so a recycled table is clean over its whole
 //!   capacity, and the emptied journal rides along with it.
+//! * The journal push is also where the *word* arena learns what a launch
+//!   wrote: it marks the word's 1024-word page in a per-page dirty map
+//!   (host writes mark theirs too). Resident memory then follows the pages
+//!   a run writes — a recycled arena re-zeroes only the pages an earlier
+//!   life wrote, and growth copies only the pages this life wrote
+//!   (*Arenas and bandwidth accounting* in DESIGN.md).
 //! * Mutation *versions* are not per word: only the CAS queues' `Front` /
 //!   `Rear` are ever asked, and every consumer subtracts two reads of one
 //!   word. A short per-instance list starts a word's counter at its first
@@ -130,13 +136,18 @@ pub struct DeviceMemory {
     /// — and empty outside fault-injected runs, so the single emptiness
     /// branch on the access paths is the entire overlay cost.
     poisoned: Vec<(usize, u64)>,
-    /// Length of the word-arena prefix that may still hold nonzero data
-    /// from a previous life. Allocations overlapping it zero exactly the
-    /// overlap (zero-on-demand); allocations past it land on pristine
-    /// `alloc_zeroed` pages and pay nothing.
-    dirty_words: usize,
+    /// One flag per [`PAGE_WORDS`]-word page of the word arena's capacity:
+    /// this life wrote the page — a host write, or a device word's first
+    /// store or atomic of a round (marked at the journal push). Only
+    /// written pages of the allocated prefix can hold nonzero words.
+    written: Vec<bool>,
+    /// One flag per page: it may still hold a previous life's words at or
+    /// past the allocation front. [`DeviceMemory::alloc`] zeroes exactly
+    /// its overlap with these pages (zero-on-demand); every other page
+    /// past the front is pristine `alloc_zeroed` memory and costs nothing.
+    stale: Vec<bool>,
     /// Words actually zeroed on demand by [`DeviceMemory::alloc`]
-    /// (profiling counter; bounded by the previous life's footprint).
+    /// (profiling counter; bounded by the pages earlier lives wrote).
     demand_zeroed_words: u64,
     /// True if this arena came from the thread-local recycling pool.
     recycled: bool,
@@ -159,21 +170,27 @@ impl Default for DeviceMemory {
 /// without recycling, every point re-faults the arena pages in and unmaps
 /// them again (page-fault and `munmap` time dominated experiment setup).
 ///
-/// On reuse the *word* prefix is **not** re-zeroed up front: the arena
-/// records how far its dirty prefix extends and [`DeviceMemory::alloc`]
-/// zeroes exactly the part each allocation overlaps, so a run that
-/// allocates less than the previous one never touches the cold tail.
-/// The shadow table needs nothing: `Drop` cleared the last round's
-/// journalled entries, so it arrives all-zero over its whole capacity.
+/// On reuse the *words* are **not** re-zeroed up front: the arena records
+/// which pages any earlier life wrote and [`DeviceMemory::alloc`] zeroes
+/// exactly the part of those pages each allocation overlaps, so a run
+/// never touches a page no life wrote, nor the cold tail past its own
+/// allocations. The shadow table needs nothing: `Drop` cleared the last
+/// round's journalled entries, so it arrives all-zero over its whole
+/// capacity.
 struct Arena {
     words: Vec<u32>,
     meta: Vec<WordMeta>,
     /// The emptied journal: its capacity spares the next life the regrowth.
     journal: Vec<u32>,
-    /// How far the possibly-nonzero word prefix extends (the maximum of
-    /// the previous life's own dirty prefix and its final length).
-    dirty_words: usize,
+    /// Per page of `words`' capacity: some earlier life may have left
+    /// nonzero words in it (what it wrote, plus older dirt it never
+    /// allocated over).
+    dirty: Vec<bool>,
 }
+
+/// Words per page of the word arena's dirty maps: the granule at which a
+/// recycled arena re-zeroes and a growing one copies.
+const PAGE_WORDS: usize = 1024;
 
 thread_local! {
     static ARENA_POOL: std::cell::RefCell<Option<Arena>> =
@@ -186,9 +203,11 @@ impl Drop for DeviceMemory {
         let words = std::mem::take(&mut self.words);
         let meta = std::mem::take(&mut self.meta);
         let journal = std::mem::take(&mut self.journal);
-        // Anything this life wrote extends the dirty prefix; dirt beyond
-        // our final length (from an even earlier, larger life) persists.
-        let dirty_words = self.dirty_words.max(words.len());
+        // What this life wrote, plus the older dirt it never allocated over.
+        let mut dirty = std::mem::take(&mut self.stale);
+        for (page, &written) in dirty.iter_mut().zip(&self.written) {
+            *page |= written;
+        }
         ARENA_POOL.with(|pool| {
             let mut slot = pool.borrow_mut();
             // Keep the larger arena: the biggest point's block serves
@@ -201,7 +220,7 @@ impl Drop for DeviceMemory {
                     words,
                     meta,
                     journal,
-                    dirty_words,
+                    dirty,
                 });
             }
         });
@@ -217,14 +236,14 @@ impl Drop for DeviceMemory {
 ///
 /// When `new_len` exceeds the capacity, `v` becomes a fresh all-zero block
 /// and the outgrown vector is returned: the caller carries over what is
-/// live (the word prefix; the journalled shadow entries) and nothing else
-/// is copied or faulted in.
+/// live (the word prefix's written pages; the journalled shadow entries)
+/// and nothing else is copied or faulted in.
 ///
 /// New elements are zero when the caller maintains the arena invariant:
-/// spare capacity beyond `max(len, dirty_words)` is never written, so it
-/// is pristine `alloc_zeroed` memory. Growth within a recycled arena's
-/// dirty prefix re-exposes previous-life words — the allocator zeroes
-/// exactly the exposed overlap on demand.
+/// spare capacity outside the pages a recycled arena marks stale is never
+/// written, so it is pristine `alloc_zeroed` memory. Growth over a stale
+/// page re-exposes previous-life words — the allocator zeroes exactly the
+/// exposed overlap on demand.
 ///
 /// `T` must be valid for any bit pattern reachable here (`u32` and
 /// `WordMeta` are plain integers).
@@ -253,26 +272,20 @@ fn grow_zeroed<T: Copy>(v: &mut Vec<T>, new_len: usize) -> Option<Vec<T>> {
 
 impl DeviceMemory {
     /// Creates an empty device memory, recycling this thread's pooled
-    /// arena when one is available. A recycled arena's word prefix is
-    /// zeroed on demand as allocations overlap it and its shadow table
+    /// arena when one is available. A recycled arena's dirty pages are
+    /// zeroed on demand as allocations overlap them and its shadow table
     /// is all-zero (see `Arena`), so the result behaves exactly like a
-    /// fresh allocation — only the page faults and the cold-tail memset
-    /// are gone.
+    /// fresh allocation — only the page faults and the memset of pages
+    /// the run never reaches are gone.
     pub fn new() -> Self {
-        let (words, meta, journal, dirty_words, recycled) =
+        let (words, meta, journal, stale, recycled) =
             ARENA_POOL.with(|pool| match pool.borrow_mut().take() {
                 Some(mut arena) => {
                     arena.words.clear();
                     arena.meta.clear();
-                    (
-                        arena.words,
-                        arena.meta,
-                        arena.journal,
-                        arena.dirty_words,
-                        true,
-                    )
+                    (arena.words, arena.meta, arena.journal, arena.dirty, true)
                 }
-                None => (Vec::new(), Vec::new(), Vec::new(), 0, false),
+                None => (Vec::new(), Vec::new(), Vec::new(), Vec::new(), false),
             });
         DeviceMemory {
             words,
@@ -281,7 +294,8 @@ impl DeviceMemory {
             journal,
             versions: Vec::new(),
             poisoned: Vec::new(),
-            dirty_words,
+            written: vec![false; stale.len()],
+            stale,
             demand_zeroed_words: 0,
             recycled,
             alloc_prefix: String::new(),
@@ -299,9 +313,9 @@ impl DeviceMemory {
     }
 
     /// Grows the arena by `len` words and registers the handle, without
-    /// establishing any particular content for the new region: within the
-    /// recycled dirty prefix the words hold previous-life data, beyond it
-    /// they are zero. Callers overwrite or zero the region themselves.
+    /// establishing any particular content for the new region: on stale
+    /// pages the words hold previous-life data, elsewhere they are zero.
+    /// Callers overwrite or zero the region themselves.
     fn alloc_raw(&mut self, name: &str, len: usize) -> Buffer {
         let name: std::borrow::Cow<'_, str> = if self.alloc_prefix.is_empty() {
             name.into()
@@ -324,10 +338,16 @@ impl DeviceMemory {
                 )
             });
         if let Some(outgrown) = grow_zeroed(&mut self.words, end) {
-            // Only the live `[0, offset)` prefix moves into the fresh
-            // zeroed block; the dirty tail stays behind in the old one.
-            self.words[..offset].copy_from_slice(&outgrown);
-            self.dirty_words = self.dirty_words.min(offset);
+            // Only the written pages of the live `[0, offset)` prefix can
+            // hold nonzero words, so only they move into the fresh zeroed
+            // block; the stale pages stay behind in the old one.
+            let pages = self.words.capacity().div_ceil(PAGE_WORDS);
+            self.written.resize(pages, false);
+            self.stale = vec![false; pages];
+            for page in (0..offset.div_ceil(PAGE_WORDS)).filter(|&p| self.written[p]) {
+                let span = page * PAGE_WORDS..((page + 1) * PAGE_WORDS).min(offset);
+                self.words[span.clone()].copy_from_slice(&outgrown[span]);
+            }
         }
         if let Some(outgrown) = grow_zeroed(&mut self.meta, end) {
             // Every other entry is zero in both tables: nothing to copy,
@@ -343,18 +363,28 @@ impl DeviceMemory {
 
     /// Allocates `len` words under `name`, zero-initialized, and returns
     /// the handle. Mirrors `clCreateBuffer` before kernel launch. Only
-    /// the overlap with a recycled arena's dirty prefix is actually
-    /// memset (zero-on-demand); the rest is already zero.
+    /// the overlap with a recycled arena's stale pages is actually memset
+    /// (zero-on-demand); the rest is already zero and stays unmapped
+    /// until something writes it.
     ///
     /// # Panics
     /// Panics if `name` is already allocated (host code bug) or the arena
     /// would exceed `u32::MAX` words.
     pub fn alloc(&mut self, name: &str, len: usize) -> Buffer {
         let buf = self.alloc_raw(name, len);
-        let dirty_end = self.dirty_words.min(buf.offset + buf.len);
-        if buf.offset < dirty_end {
-            self.demand_zeroed_words += (dirty_end - buf.offset) as u64;
-            self.words[buf.offset..dirty_end].fill(0);
+        let (start, end) = (buf.offset, buf.offset + buf.len);
+        let capacity = self.words.capacity();
+        for page in start / PAGE_WORDS..end.div_ceil(PAGE_WORDS) {
+            if !self.stale[page] {
+                continue;
+            }
+            let page_end = ((page + 1) * PAGE_WORDS).min(capacity);
+            let span = (page * PAGE_WORDS).max(start)..page_end.min(end);
+            self.demand_zeroed_words += span.len() as u64;
+            self.words[span].fill(0);
+            // Allocations only move forward: a page wholly behind the
+            // front has had all its stale words zeroed.
+            self.stale[page] = page_end > end;
         }
         buf
     }
@@ -364,17 +394,28 @@ impl DeviceMemory {
     /// over the data instead of two.
     pub fn alloc_init(&mut self, name: &str, data: &[u32]) -> Buffer {
         let buf = self.alloc_raw(name, data.len());
-        self.words[buf.offset..buf.offset + buf.len].copy_from_slice(data);
+        self.host_write(buf.offset..buf.offset + buf.len)
+            .copy_from_slice(data);
         buf
     }
 
-    /// Allocates `len` words painted with `value` (e.g. the queue's `dna`
-    /// sentinel). Single-pass: the fill paints directly instead of
-    /// zeroing first and filling after.
+    /// Allocates `len` words painted with `value`. Single-pass: the fill
+    /// paints directly instead of zeroing first and filling after — but it
+    /// makes every page of the buffer resident, where a zero buffer
+    /// ([`DeviceMemory::alloc`]) costs only the pages a run writes.
     pub fn alloc_filled(&mut self, name: &str, len: usize, value: u32) -> Buffer {
         let buf = self.alloc_raw(name, len);
-        self.words[buf.offset..buf.offset + buf.len].fill(value);
+        self.host_write(buf.offset..buf.offset + buf.len)
+            .fill(value);
         buf
+    }
+
+    /// The words of `span`, with their pages marked written.
+    fn host_write(&mut self, span: std::ops::Range<usize>) -> &mut [u32] {
+        if !span.is_empty() {
+            self.written[span.start / PAGE_WORDS..=(span.end - 1) / PAGE_WORDS].fill(true);
+        }
+        &mut self.words[span]
     }
 
     /// Looks up a buffer by name, returning `None` when it was never
@@ -403,7 +444,7 @@ impl DeviceMemory {
     /// Host-side write of one word.
     pub fn write_u32(&mut self, buf: Buffer, index: usize, value: u32) {
         let addr = buf.addr(index).expect("host write out of bounds");
-        self.words[addr] = value;
+        self.host_write(addr..addr + 1)[0] = value;
     }
 
     /// Host-side view of an entire buffer (device→host copy).
@@ -411,10 +452,10 @@ impl DeviceMemory {
         &self.words[buf.offset..buf.offset + buf.len]
     }
 
-    /// Fills a buffer with a value (e.g. painting the queue with the `dna`
-    /// sentinel before launch).
+    /// Fills a buffer with a value.
     pub fn fill(&mut self, buf: Buffer, value: u32) {
-        self.words[buf.offset..buf.offset + buf.len].fill(value);
+        self.host_write(buf.offset..buf.offset + buf.len)
+            .fill(value);
     }
 
     /// Total allocated words.
@@ -430,7 +471,8 @@ impl DeviceMemory {
     }
 
     /// Words zeroed on demand by [`DeviceMemory::alloc`] because an
-    /// allocation overlapped the recycled dirty prefix (profiling).
+    /// allocation overlapped a recycled arena's stale pages (profiling;
+    /// cumulative over this memory's life).
     pub fn demand_zeroed_words(&self) -> u64 {
         self.demand_zeroed_words
     }
@@ -530,7 +572,8 @@ impl DeviceMemory {
     }
 
     /// The shadow entry of `addr`, marked touched: the round's first store
-    /// or atomic snapshots the word and journals the address.
+    /// or atomic snapshots the word, journals the address and marks its
+    /// page written.
     #[inline]
     fn touch(&mut self, addr: usize) -> &mut WordMeta {
         let m = &mut self.meta[addr];
@@ -538,6 +581,7 @@ impl DeviceMemory {
             m.base_value = self.words[addr];
             m.state = TOUCHED;
             self.journal.push(addr as u32);
+            self.written[addr / PAGE_WORDS] = true;
         }
         m
     }
@@ -930,15 +974,16 @@ mod tests {
     fn demand_zeroing_covers_exactly_the_dirty_overlap() {
         let mut mem = DeviceMemory::new();
         let a = mem.alloc("a", 1000);
-        mem.fill(a, 7);
+        mem.fill(a, 7); // writes page 0, the arena's only page
         drop(mem);
         let mut mem2 = DeviceMemory::new();
         assert!(mem2.was_recycled());
-        // Fully inside the dirty prefix: the whole range is memset.
+        // Fully inside the stale page: the whole range is memset.
         let b = mem2.alloc("b", 400);
         assert!(mem2.read_slice(b).iter().all(|&w| w == 0));
         assert_eq!(mem2.demand_zeroed_words(), 400);
-        // Partially overlapping: only the overlap [400, 700) pays.
+        // The page's rest stays stale: the next allocation pays for
+        // exactly its overlap [400, 700), not the whole page.
         let c = mem2.alloc("c", 300);
         assert!(mem2.read_slice(c).iter().all(|&w| w == 0));
         assert_eq!(mem2.demand_zeroed_words(), 700);
@@ -951,13 +996,70 @@ mod tests {
         mem.fill(a, 9);
         drop(mem);
         let mut mem2 = DeviceMemory::new();
-        let b = mem2.alloc("b", 100); // within the dirty prefix: memset
-                                      // Growing past capacity reallocates; only the live prefix is
-                                      // copied, so the rest of the old dirty prefix never needs zeroing.
+        // The fill wrote page 0 of a one-page arena, so page 0 is the only
+        // stale page, and `b` lies inside it: its overlap is all of `b`.
+        let b = mem2.alloc("b", 100);
+        // Growing past capacity reallocates; only the written pages of the
+        // live prefix are copied (none: `b` was zeroed, not written), so
+        // the stale page's remaining 924 words never need zeroing.
         let big = mem2.alloc("big", 1 << 20);
         assert!(mem2.read_slice(b).iter().all(|&w| w == 0));
         assert!(mem2.read_slice(big).iter().all(|&w| w == 0));
-        assert_eq!(mem2.demand_zeroed_words(), 100);
+        assert_eq!(mem2.demand_zeroed_words(), b.len() as u64);
+    }
+
+    #[test]
+    fn a_sparse_life_costs_its_successor_only_the_pages_it_wrote() {
+        const WORDS: usize = 1 << 20;
+        let mut mem = DeviceMemory::new();
+        let a = mem.alloc("a", WORDS);
+        let mut round = RoundState::new();
+        // Three words on three pages, by each kind of writer.
+        mem.write_u32(a, 0, 1);
+        mem.store(a, 300 * PAGE_WORDS + 5, 2).unwrap();
+        mem.atomic_rmw(a, WORDS - 1, &mut round, |v| v + 3).unwrap();
+        drop(mem);
+        let mut mem2 = DeviceMemory::new();
+        assert!(mem2.was_recycled());
+        let b = mem2.alloc("b", WORDS);
+        assert!(mem2.read_slice(b).iter().all(|&w| w == 0));
+        assert!(mem2.demand_zeroed_words() <= 3 * PAGE_WORDS as u64);
+        // What the successor zeroed is clean for the one after it.
+        drop(mem2);
+        let mut mem3 = DeviceMemory::new();
+        mem3.alloc("c", WORDS);
+        assert_eq!(mem3.demand_zeroed_words(), 0);
+    }
+
+    #[test]
+    fn growth_with_a_round_open_keeps_written_words_and_copies_no_clean_page() {
+        let mut mem = DeviceMemory::new();
+        let a = mem.alloc("a", 8 * PAGE_WORDS);
+        let mut round = RoundState::new();
+        let written = [(3, 30), (5 * PAGE_WORDS + 7, 70), (7 * PAGE_WORDS, 9)];
+        mem.store(a, written[0].0, written[0].1).unwrap();
+        mem.atomic_rmw(a, written[1].0, &mut round, |v| v + 70)
+            .unwrap();
+        mem.write_u32(a, written[2].0, written[2].1);
+        // A word the dirty map does not know of: if growth copied its
+        // clean page, it would survive into the new block.
+        mem.words[2 * PAGE_WORDS + 1] = 0xC0FFEE;
+        let cap = mem.words.capacity();
+        let big = mem.alloc("big", cap);
+        assert!(mem.words.capacity() > cap);
+        for (i, &w) in mem.read_slice(a).iter().enumerate() {
+            let want = written
+                .iter()
+                .find(|&&(at, _)| at == i)
+                .map_or(0, |&(_, v)| v);
+            assert_eq!(w, want, "word {i}");
+        }
+        assert!(mem.read_slice(big).iter().all(|&w| w == 0));
+        // The round is still open: the device writes' snapshots came along.
+        assert_eq!(mem.stale_load(a, written[0].0).unwrap(), 0);
+        assert_eq!(mem.stale_load(a, written[1].0).unwrap(), 0);
+        mem.begin_round();
+        assert_eq!(mem.stale_load(a, written[1].0).unwrap(), 70);
     }
 
     #[test]

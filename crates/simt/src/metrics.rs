@@ -94,8 +94,10 @@ pub struct Profile {
     /// plus 4 per slot of the touched-address journal's capacity. Address
     /// space, not residency — the table is lazily mapped.
     pub meta_bytes: u64,
-    /// Words zeroed on demand because an allocation overlapped a
-    /// recycled arena's dirty prefix (0 on fresh arenas).
+    /// Words zeroed on demand because an allocation overlapped the pages
+    /// a recycled arena's earlier lives wrote (0 on fresh arenas): the
+    /// allocations made since the engine's previous launch, so it is an
+    /// event counter that adds up across launches.
     pub demand_zeroed_words: u64,
     /// Wave-park events: pure polling cycles that entered closed-form
     /// replay.
@@ -110,13 +112,14 @@ pub struct Profile {
 }
 
 impl Profile {
-    /// Folds another run's profile in: event counters add, footprint and
-    /// peak gauges keep their maximum (the counters describe one engine,
-    /// so cumulative gauges must not double-count across launches).
+    /// Folds another run's profile in: event counters (park events,
+    /// demand zeroing) add, footprint gauges keep their maximum (a gauge
+    /// describes one engine's arena, so it must not double-count across
+    /// launches).
     pub fn merge(&mut self, other: &Profile) {
         self.arena_words = self.arena_words.max(other.arena_words);
         self.meta_bytes = self.meta_bytes.max(other.meta_bytes);
-        self.demand_zeroed_words = self.demand_zeroed_words.max(other.demand_zeroed_words);
+        self.demand_zeroed_words += other.demand_zeroed_words;
         self.park_events += other.park_events;
         self.park_replay_cycles += other.park_replay_cycles;
         self.spurious_wakes += other.spurious_wakes;
@@ -169,7 +172,7 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.arena_words, 100);
         assert_eq!(a.meta_bytes, 800);
-        assert_eq!(a.demand_zeroed_words, 60);
+        assert_eq!(a.demand_zeroed_words, 100);
         assert_eq!(a.park_events, 5);
         assert_eq!(a.park_replay_cycles, 17);
         assert_eq!(a.spurious_wakes, 3);

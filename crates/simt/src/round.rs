@@ -95,11 +95,15 @@ impl RoundState {
 
     /// Pre-sizes the cache-line table for a device of `words` addressable
     /// words, so the hot path never grows it. Lines beyond this still work
-    /// (the table grows on demand).
+    /// (the table grows on demand). Called between work cycles, so an
+    /// outgrown table is replaced by a fresh zeroed one rather than
+    /// extended (its zero stamps match no generation, which start at 1):
+    /// the block stays lazily mapped, and only lines a run touches are
+    /// ever made resident.
     pub fn ensure_capacity(&mut self, words: usize) {
         let lines = words.div_ceil(LINE_WORDS);
         if self.line_stamp.len() < lines {
-            self.line_stamp.resize(lines, 0);
+            self.line_stamp = vec![0; lines.next_power_of_two()];
         }
     }
 

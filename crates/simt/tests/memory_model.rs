@@ -3,11 +3,12 @@
 //! through a journal of touched addresses) against a naive reference that
 //! keeps hash maps and clears them wholesale.
 //!
-//! The shadow table is only ever cleared *where the journal says*, so the
+//! The shadow table is only ever cleared *where the journal says*, and a
+//! recycled word arena is only re-zeroed *where its page map says*, so the
 //! property that matters is equivalence across many rounds, growth with a
 //! round still open, and arena recycling into a differently sized
 //! successor — everywhere a missed clear would leave a stale snapshot,
-//! rank or flag behind to be misread.
+//! rank, flag or previous-life word behind to be misread.
 
 use simt::round::RoundState;
 use simt::{Buffer, DeviceMemory};
@@ -92,10 +93,14 @@ fn atomic_shape(rng: &mut SplitMix64) -> Box<dyn Fn(u32) -> u32> {
     }
 }
 
-/// One life of a device memory under random traffic, checked step by step
-/// against the model. Returns nothing: the memory is dropped (mid-round)
-/// into the thread's arena pool for the next life to recycle.
-fn one_life(rng: &mut SplitMix64, life: usize) {
+/// One life of a device memory under `steps` of random traffic on
+/// buffers of up to `scale` words, checked step by step against the
+/// model. With `paint`, four buffers in five are painted with a nonzero
+/// fill; the rest (all, without it) are plain zeroed allocations, which
+/// on a recycled arena zero only the pages earlier lives wrote. Returns
+/// nothing: the memory is dropped (mid-round) into the thread's arena
+/// pool for the next life to recycle.
+fn one_life(rng: &mut SplitMix64, life: usize, scale: usize, steps: usize, paint: bool) {
     let mut mem = DeviceMemory::new();
     let mut rs = RoundState::new();
     let mut model = Model::default();
@@ -103,18 +108,19 @@ fn one_life(rng: &mut SplitMix64, life: usize) {
     // Last `(simulated, model)` version pair per word, to compare deltas.
     let mut version_reads: HashMap<usize, (u64, u64)> = HashMap::new();
 
-    // Lives differ in size by orders of magnitude, so a successor both
-    // re-exposes the recycled table's prefix and grows past its capacity.
-    let scale = [40, 3_000, 200, 70_000][life % 4];
     let alloc = |mem: &mut DeviceMemory, model: &mut Model, bufs: &mut Vec<Buffer>, len: usize| {
-        let fill = bufs.len() as u32 % 5;
-        let buf = mem.alloc_filled(&format!("b{}", bufs.len()), len, fill);
+        let name = format!("b{}", bufs.len());
+        let fill = if paint { bufs.len() as u32 % 5 } else { 0 };
+        let buf = match fill {
+            0 => mem.alloc(&name, len),
+            fill => mem.alloc_filled(&name, len, fill),
+        };
         model.words.resize(model.words.len() + len, fill);
         bufs.push(buf);
     };
     alloc(&mut mem, &mut model, &mut buffers, 1 + rng.below(scale));
 
-    for step in 0..4_000 {
+    for step in 0..steps {
         let b = rng.below(buffers.len());
         let buf = buffers[b];
         let base: usize = buffers[..b].iter().map(Buffer::len).sum();
@@ -183,7 +189,28 @@ fn one_life(rng: &mut SplitMix64, life: usize) {
 fn shadow_state_matches_the_naive_model_across_rounds_growth_and_recycling() {
     let mut rng = SplitMix64(0x1cc9_2019 ^ 0x5AD0_57A7);
     for life in 0..24 {
-        one_life(&mut rng, life);
+        // Lives differ in size by orders of magnitude, so a successor both
+        // re-exposes the recycled table's prefix and grows past its
+        // capacity.
+        one_life(
+            &mut rng,
+            life,
+            [40, 3_000, 200, 70_000][life % 4],
+            4_000,
+            true,
+        );
+    }
+}
+
+/// Lives of very different sizes whose few hundred writes land on a
+/// small share of the arena's pages: each successor re-zeroes only those
+/// pages, so a page a missed mark left out would surface a previous
+/// life's word in the model comparison or the final sweep.
+#[test]
+fn sparse_lives_of_different_sizes_recycle_only_the_pages_they_wrote() {
+    let mut rng = SplitMix64(0x9A6E_D127);
+    for (life, scale) in [1 << 20, 5_000, 300_000, 1 << 19].into_iter().enumerate() {
+        one_life(&mut rng, life, scale, 400, false);
     }
 }
 
@@ -193,7 +220,7 @@ fn shadow_state_matches_the_naive_model_across_rounds_growth_and_recycling() {
 #[test]
 fn recycled_successor_sees_no_trace_of_the_previous_life() {
     let mut rng = SplitMix64(7);
-    one_life(&mut rng, 1); // up to 3 000 words per buffer, dropped mid-round
+    one_life(&mut rng, 1, 3_000, 4_000, true); // dropped mid-round
     let mut mem = DeviceMemory::new();
     assert!(mem.was_recycled());
     let buf = mem.alloc_filled("all", 100_000, 9);

@@ -2,7 +2,8 @@
 # Non-test Rust lines: for every file under crates/*/src, the lines before
 # its first top-level `#[cfg(test)]` (`*tests.rs` and `testutil.rs` are test code and
 # are skipped), summed per crate, for gpu-queue's device/ and verify/
-# directories and for the workspace. Comments and blank lines count.
+# directories, for bench's serve/ and experiments/ directories and for
+# the workspace. Comments and blank lines count.
 # Below it, the line counts of the three docs. The tables each CHANGES.md
 # entry reports; informational, never a gate.
 #   bash ci/size.sh [repo-root]
@@ -18,6 +19,8 @@ find crates/*/src -name '*.rs' ! -name '*tests.rs' ! -name 'testutil.rs' | sort 
         total += $2
         if ($1 ~ /^crates\/gpu-queue\/src\/device\//) device += $2
         if ($1 ~ /^crates\/gpu-queue\/src\/verify\//) verify += $2
+        if ($1 ~ /^crates\/bench\/src\/serve\//) serve += $2
+        if ($1 ~ /^crates\/bench\/src\/experiments\//) experiments += $2
         if ($1 == "crates/pt-bfs/src/runner.rs") runner = $2
     }
     END {
@@ -26,6 +29,8 @@ find crates/*/src -name '*.rs' ! -name '*tests.rs' ! -name 'testutil.rs' | sort 
         printf "%-28s %6d\n", "workspace", total
         printf "%-28s %6d\n", "gpu-queue/src/device", device
         printf "%-28s %6d\n", "gpu-queue/src/verify", verify
+        printf "%-28s %6d\n", "bench/src/serve", serve
+        printf "%-28s %6d\n", "bench/src/experiments", experiments
         printf "%-28s %6d\n", "pt-bfs/src/runner.rs", runner
     }'
 echo

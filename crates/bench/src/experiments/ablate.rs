@@ -9,11 +9,11 @@
 //!   facilitate zero-cost thread switching". The sweep varies resident
 //!   workgroups per CU and exposes the latency-hiding effect.
 
-use super::common::DatasetCache;
+use super::common::{bfs_run, checked_run, DatasetCache};
 use crate::report::{fmt_f64, Table};
 use crate::{Scale, Sched};
 use gpu_queue::Variant;
-use pt_bfs::{run_bfs, PtConfig};
+use pt_bfs::{run_bfs, Bfs, PtConfig};
 use ptq_graph::Dataset;
 use simt::GpuConfig;
 
@@ -38,8 +38,7 @@ pub fn matrix_table(scale: Scale, gpu: &GpuConfig, sched: &Sched) -> Table {
         ],
     );
     let rows = sched.par_map(&Variant::MATRIX, |_, &variant| {
-        let run = run_bfs(gpu, &graph, 0, &PtConfig::new(variant, wgs))
-            .unwrap_or_else(|e| panic!("{variant:?}: {e}"));
+        let run = bfs_run(gpu, &graph, variant, wgs);
         vec![
             variant.label().to_owned(),
             if variant.is_retry_free() { "yes" } else { "no" }.to_owned(),
@@ -65,7 +64,6 @@ pub fn matrix_table(scale: Scale, gpu: &GpuConfig, sched: &Sched) -> Table {
 /// three workload regimes.
 pub fn stealing_table(scale: Scale, gpu: &GpuConfig, sched: &Sched) -> Table {
     use gpu_queue::device::Design;
-    use ptq_graph::validate_levels;
 
     let wgs = gpu.num_cus * gpu.wgs_per_cu;
     let mut t = Table::new(
@@ -98,10 +96,9 @@ pub fn stealing_table(scale: Scale, gpu: &GpuConfig, sched: &Sched) -> Table {
         |_, &(dataset, _)| dataset.spec().vertices as u64,
         |_, &(dataset, design)| {
             let graph = DatasetCache::global().get(dataset, scale);
-            let run = run_bfs(gpu, &graph, 0, &PtConfig::new(design, wgs))
-                .unwrap_or_else(|e| panic!("{} on {dataset:?}: {e}", design.label()));
-            validate_levels(&graph, 0, &run.values)
-                .unwrap_or_else(|_| panic!("{} wrong levels on {dataset:?}", design.label()));
+            let run = run_bfs(gpu, &graph, 0, &PtConfig::new(design, wgs));
+            let context = format!("{} on {dataset:?}", design.label());
+            let run = checked_run(context, run, &graph, &Bfs::new(0));
             (run.seconds, run.metrics.queue_empty_retries)
         },
     );
@@ -139,8 +136,13 @@ pub fn chunk_table(scale: Scale, gpu: &GpuConfig, sched: &Sched) -> Table {
     let cells = sched.par_map(&grid, |_, &(chunk, variant)| {
         let mut config = PtConfig::new(variant, wgs);
         config.chunk = chunk;
-        let run = run_bfs(gpu, &graph, 0, &config)
-            .unwrap_or_else(|e| panic!("chunk {chunk} {variant:?}: {e}"));
+        let run = run_bfs(gpu, &graph, 0, &config);
+        let run = checked_run(
+            format!("chunk {chunk} {variant:?}"),
+            run,
+            &graph,
+            &Bfs::new(0),
+        );
         fmt_f64(run.seconds)
     });
     for (chunk, row) in CHUNKS.into_iter().zip(cells.chunks(Variant::ALL.len())) {
@@ -166,8 +168,7 @@ pub fn occupancy_table(scale: Scale, base_gpu: &GpuConfig, sched: &Sched) -> Tab
         let mut gpu = base_gpu.clone();
         gpu.wgs_per_cu = wgs_per_cu;
         let wgs = gpu.num_cus * wgs_per_cu;
-        let run = run_bfs(&gpu, &graph, 0, &PtConfig::new(Variant::RfAn, wgs))
-            .unwrap_or_else(|e| panic!("occupancy {wgs_per_cu}: {e}"));
+        let run = bfs_run(&gpu, &graph, Variant::RfAn, wgs);
         vec![
             wgs_per_cu.to_string(),
             (wgs * gpu.wave_size).to_string(),

@@ -14,30 +14,15 @@
 //! `--jobs` count — the fault plans are seeded and the simulator is
 //! deterministic, so the CI chaos job byte-diffs serial vs parallel runs.
 
-use super::common::{bfs_run, DatasetCache};
+use super::common::{bfs_run, checked_run, fault_plan, DatasetCache, SMALL_POOL};
 use crate::report::Table;
 use crate::{Scale, Sched};
 use gpu_queue::Variant;
 use pt_bfs::{run_recoverable, Bfs, PtConfig, RecoveryPolicy};
-use ptq_graph::{validate_levels, Dataset};
-use simt::{FaultPlan, FaultSpec, GpuConfig};
+use simt::GpuConfig;
 
 /// Seed for the fault matrix (xor-ed with the dataset index).
 pub const SEED: u64 = 0xC4A05;
-
-/// Per-dataset fractions *relative to the run's `--scale`*: chaos runs
-/// each graph several times (golden + epochs + retries), so the slices
-/// are chosen to land every shape near 1–2.5k vertices at the default
-/// scale — big enough for multi-epoch traversals, small enough to keep
-/// the whole matrix in seconds.
-const CHAOS_REL: [(Dataset, f64); 6] = [
-    (Dataset::Synthetic, 0.004),
-    (Dataset::GplusCombined, 0.1),
-    (Dataset::SocLiveJournal1, 0.006),
-    (Dataset::RoadNY, 0.1),
-    (Dataset::RoadLKS, 0.01),
-    (Dataset::RoadUSA, 0.002),
-];
 
 /// One chaos measurement.
 #[derive(Clone, Debug, PartialEq)]
@@ -67,24 +52,6 @@ impl Row {
     }
 }
 
-fn plan_for(gpu: &GpuConfig, workgroups: usize, num_vertices: usize, seed: u64) -> FaultPlan {
-    FaultPlan::seeded(
-        seed,
-        &FaultSpec {
-            wave_kills: 2,
-            cu_stalls: 2,
-            mem_poisons: 2,
-            max_round: 8, // early rounds: every launch reaches them
-            waves: workgroups * gpu.waves_per_wg,
-            cus: gpu.num_cus,
-            max_stall_rounds: 4,
-            max_stall_cycles: 200,
-            poison_buffer: "costs".into(),
-            poison_words: num_vertices,
-        },
-    )
-}
-
 /// Measures the chaos matrix on Spectre at its headline occupancy.
 ///
 /// # Panics
@@ -93,28 +60,22 @@ fn plan_for(gpu: &GpuConfig, workgroups: usize, num_vertices: usize, seed: u64) 
 pub fn measure(scale: Scale, sched: &Sched) -> Vec<Row> {
     let gpu = GpuConfig::spectre();
     let wgs = gpu.num_cus * gpu.wgs_per_cu;
-    let grid: Vec<(usize, Dataset, f64)> = CHAOS_REL
-        .iter()
-        .enumerate()
-        .map(|(i, &(d, rel))| (i, d, rel))
-        .collect();
-    sched.par_map(&grid, |_, &(i, dataset, rel)| {
-        let slice = Scale::new((scale.fraction() * rel).min(1.0));
-        let graph = DatasetCache::global().get(dataset, slice);
-        let source = dataset.source();
+    let grid: Vec<(usize, _)> = SMALL_POOL.into_iter().enumerate().collect();
+    sched.par_map(&grid, |_, &(i, (dataset, rel))| {
+        let graph = DatasetCache::global().get(dataset, scale.relative(rel));
+        let bfs = Bfs::new(dataset.source());
         let golden = bfs_run(&gpu, &graph, Variant::RfAn, wgs);
 
         let config = PtConfig::new(Variant::RfAn, wgs);
-        let plan = plan_for(&gpu, wgs, graph.num_vertices(), SEED ^ ((i as u64) << 8));
+        let seed = SEED ^ ((i as u64) << 8);
+        let plan = fault_plan(seed, &gpu, wgs, 2, &bfs, graph.num_vertices());
         let policy = RecoveryPolicy {
             checkpoint_levels: 4,
             max_attempts: 16,
             ..RecoveryPolicy::default()
         };
-        let run = run_recoverable(&gpu, &graph, &Bfs::new(source), &config, &policy, &plan)
-            .unwrap_or_else(|e| panic!("chaos on {dataset:?}: {e}"));
-        validate_levels(&graph, source, &run.values)
-            .unwrap_or_else(|_| panic!("chaos on {dataset:?}: wrong levels"));
+        let run = run_recoverable(&gpu, &graph, &bfs, &config, &policy, &plan);
+        let run = checked_run(format!("chaos on {dataset:?}"), run, &graph, &bfs);
         assert_eq!(
             run.values, golden.values,
             "chaos on {dataset:?}: recovered levels diverge from golden"

@@ -13,12 +13,12 @@
 //! benchmark's `graph_build_setup` workload, not here: the table carries
 //! simulated quantities only.
 
-use super::common::DatasetCache;
+use super::common::{checked_run, DatasetCache};
 use crate::report::Table;
 use crate::Scale;
 use gpu_queue::Variant;
-use pt_bfs::{queue_capacity, run_bfs, PtConfig, Run};
-use ptq_graph::{validate_levels, Csr, Dataset};
+use pt_bfs::{queue_capacity, run_bfs, Bfs, PtConfig, Run};
+use ptq_graph::{Csr, Dataset};
 use simt::GpuConfig;
 use std::sync::Arc;
 
@@ -49,18 +49,16 @@ pub struct Row {
     pub retry_free: bool,
 }
 
-/// Builds the giant graph at `scale` and runs the validated BFS on
+/// Builds the giant graph at `scale` and runs the checked BFS on
 /// Spectre at its headline occupancy.
-fn validated_run(scale: Scale) -> (Arc<Csr>, Run) {
+fn giant_run(scale: Scale) -> (Arc<Csr>, Run) {
     let graph = DatasetCache::global().get(Dataset::Giant, scale);
     let gpu = GpuConfig::spectre();
     let mut config = PtConfig::new(Variant::RfAn, gpu.num_cus * gpu.wgs_per_cu);
     config.capacity_factor = CAPACITY_FACTOR;
     let source = Dataset::Giant.source();
-    let run = run_bfs(&gpu, &graph, source, &config).unwrap_or_else(|e| panic!("giant bfs: {e}"));
-    validate_levels(&graph, source, &run.values).unwrap_or_else(|(v, want, got)| {
-        panic!("giant: wrong level at vertex {v}: want {want} got {got}")
-    });
+    let run = run_bfs(&gpu, &graph, source, &config);
+    let run = checked_run("giant", run, &graph, &Bfs::new(source));
     (graph, run)
 }
 
@@ -84,7 +82,7 @@ fn row(graph: &Csr, run: &Run) -> Row {
 /// # Panics
 /// Panics if the simulation faults or BFS fails validation.
 pub fn measure(scale: Scale) -> Row {
-    let (graph, run) = validated_run(scale);
+    let (graph, run) = giant_run(scale);
     row(&graph, &run)
 }
 
@@ -125,7 +123,7 @@ mod tests {
 
     #[test]
     fn row_matches_its_run_and_covers_the_graph() {
-        let (graph, run) = validated_run(Scale::new(0.002));
+        let (graph, run) = giant_run(Scale::new(0.002));
         let r = row(&graph, &run);
         // The tree skeleton spans the graph and RF/AN never retries.
         assert_eq!(r.reached, r.vertices);

@@ -31,6 +31,7 @@
 
 use ptq_graph::Dataset;
 
+use super::common::SMALL_POOL;
 use crate::report::Table;
 use crate::serve::{
     ArrivalTrace, Disposition, OutcomeLog, Service, ServiceConfig, TraceParams, WorkloadKind,
@@ -39,17 +40,6 @@ use crate::{Scale, Sched};
 
 /// Trace seed for every serve leg.
 pub const SEED: u64 = 0x5E4E;
-
-/// The six-dataset pool with per-dataset scale fractions (same spirit
-/// as the chaos matrix: comparable simulated sizes across datasets).
-const SERVE_POOL: &[(Dataset, f64)] = &[
-    (Dataset::Synthetic, 0.004),
-    (Dataset::GplusCombined, 0.1),
-    (Dataset::SocLiveJournal1, 0.006),
-    (Dataset::RoadNY, 0.1),
-    (Dataset::RoadLKS, 0.01),
-    (Dataset::RoadUSA, 0.002),
-];
 
 /// One serve leg: a named trace plus the service configuration it runs
 /// under.
@@ -74,7 +64,7 @@ fn overload_trace() -> ArrivalTrace {
             queries: 16,
             mean_gap_cycles: 2_000,
             deadline_range: (100_000, 8_000_000),
-            datasets: SERVE_POOL,
+            datasets: &SMALL_POOL,
             fault_every: 0,
             faults_per_query: 0,
         },
@@ -91,7 +81,7 @@ pub fn legs(scale: Scale) -> Vec<Leg> {
                 queries: 10,
                 mean_gap_cycles: 3_000_000,
                 deadline_range: (400_000_000, 800_000_000),
-                datasets: SERVE_POOL,
+                datasets: &SMALL_POOL,
                 fault_every: 0,
                 faults_per_query: 0,
             },
@@ -128,7 +118,7 @@ pub fn legs(scale: Scale) -> Vec<Leg> {
             queries: 9,
             mean_gap_cycles: 3_000_000,
             deadline_range: (400_000_000, 800_000_000),
-            datasets: SERVE_POOL,
+            datasets: &SMALL_POOL,
             fault_every: 3,
             faults_per_query: 1,
         },

@@ -5,12 +5,13 @@
 //! does not support cross cluster CPU/GPU atomic operations." The paper
 //! reports RF/AN beating CHAI by 2.57× and 4.21× on its two roadmaps.
 
-use super::common::{bfs_run, DatasetCache};
+use super::common::{bfs_run, checked_run, DatasetCache};
 use crate::report::Table;
 use crate::{Scale, Sched};
 use gpu_queue::Variant;
 use pt_bfs::baseline::run_chai;
-use ptq_graph::{validate_levels, Dataset};
+use pt_bfs::Bfs;
+use ptq_graph::Dataset;
 use simt::GpuConfig;
 
 /// One row of Table 5.
@@ -37,10 +38,9 @@ pub fn measure(scale: Scale, sched: &Sched) -> Vec<Row> {
     let wgs = gpu.num_cus * gpu.wgs_per_cu;
     sched.par_map(&[Dataset::ChaiNYR, Dataset::ChaiBAY], |_, &dataset| {
         let graph = DatasetCache::global().get(dataset, scale);
-        let chai = run_chai(&gpu, &graph, dataset.source(), wgs)
-            .unwrap_or_else(|e| panic!("CHAI on {dataset:?}: {e}"));
-        validate_levels(&graph, dataset.source(), &chai.values)
-            .unwrap_or_else(|_| panic!("CHAI produced wrong levels on {dataset:?}"));
+        let chai = run_chai(&gpu, &graph, dataset.source(), wgs);
+        let bfs = Bfs::new(dataset.source());
+        let chai = checked_run(format!("CHAI on {dataset:?}"), chai, &graph, &bfs);
         let rfan = bfs_run(&gpu, &graph, Variant::RfAn, wgs);
         Row {
             dataset: dataset.spec().name,

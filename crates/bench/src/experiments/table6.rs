@@ -6,12 +6,13 @@
 //! the crossover the harness must reproduce: **the speedup shrinks as the
 //! dataset grows** because launch overhead amortizes away.
 
-use super::common::{bfs_run, DatasetCache};
+use super::common::{bfs_run, checked_run, DatasetCache};
 use crate::report::Table;
 use crate::{Scale, Sched};
 use gpu_queue::Variant;
 use pt_bfs::baseline::run_rodinia;
-use ptq_graph::{validate_levels, Dataset};
+use pt_bfs::Bfs;
+use ptq_graph::Dataset;
 use simt::GpuConfig;
 
 /// One measurement of Table 6.
@@ -51,10 +52,9 @@ pub fn measure(scale: Scale, sched: &Sched) -> Vec<Row> {
         let dataset = *dataset;
         let graph = DatasetCache::global().get(dataset, scale);
         let wgs = gpu.num_cus * gpu.wgs_per_cu;
-        let rodinia = run_rodinia(gpu, &graph, dataset.source(), wgs)
-            .unwrap_or_else(|e| panic!("Rodinia on {dataset:?}: {e}"));
-        validate_levels(&graph, dataset.source(), &rodinia.values)
-            .unwrap_or_else(|_| panic!("Rodinia wrong levels on {dataset:?}"));
+        let rodinia = run_rodinia(gpu, &graph, dataset.source(), wgs);
+        let bfs = Bfs::new(dataset.source());
+        let rodinia = checked_run(format!("Rodinia on {dataset:?}"), rodinia, &graph, &bfs);
         let rfan = bfs_run(gpu, &graph, Variant::RfAn, wgs);
         Row {
             dataset: dataset.spec().name,

@@ -6,12 +6,12 @@
 //! tables. Tolerances are generous on purpose: the claims are about
 //! *shape* (ordering, rough factors, crossovers), not absolute times.
 
-use super::common::{bfs_run, sweep_dataset, DatasetCache};
+use super::common::{bfs_run, check_run, point, sweep_dataset, DatasetCache};
 use crate::report::Table;
 use crate::{Scale, Sched};
 use gpu_queue::Variant;
 use pt_bfs::baseline::{run_chai, run_rodinia};
-use pt_bfs::{run_bfs, PtConfig};
+use pt_bfs::{run_bfs, Bfs, PtConfig, Run};
 use ptq_graph::Dataset;
 use simt::GpuConfig;
 
@@ -44,16 +44,10 @@ pub fn run_checks(scale: Scale, sched: &Sched) -> Vec<Verdict> {
         (&spectre, Variant::Base, 32),
         (&spectre, Variant::RfAn, 32),
     ];
-    let mut runs = sched
-        .par_map(&grid, |_, &(gpu, variant, wgs)| {
-            bfs_run(gpu, &synth, variant, wgs)
-        })
-        .into_iter();
-    let f_base = runs.next().unwrap();
-    let f_an = runs.next().unwrap();
-    let f_rfan = runs.next().unwrap();
-    let s_base = runs.next().unwrap();
-    let s_rfan = runs.next().unwrap();
+    let runs = sched.par_map(&grid, |_, &(gpu, variant, wgs)| {
+        bfs_run(gpu, &synth, variant, wgs)
+    });
+    let [f_base, f_an, f_rfan, s_base, s_rfan]: [Run; 5] = runs.try_into().unwrap();
     let base_ratio = f_base.seconds / f_rfan.seconds;
     let an_ratio = f_an.seconds / f_rfan.seconds;
     verdicts.push(Verdict {
@@ -90,14 +84,16 @@ pub fn run_checks(scale: Scale, sched: &Sched) -> Vec<Verdict> {
 
     // --- AuditMode: RF/AN claim discipline on all six main datasets -----
     // Every run is audited in-sim (one AFA per wavefront queue op, zero
-    // CAS) and the run-level aggregates are re-checked here; a violation
-    // surfaces as a FAIL verdict instead of a panic. Measured strings are
-    // counts only, so serial and parallel schedulers emit identical
-    // tables.
+    // CAS), checked against the oracle, and the run-level aggregates are
+    // re-checked here; a violation surfaces as a FAIL verdict instead of
+    // a panic. Measured strings are counts only, so serial and parallel
+    // schedulers emit identical tables.
     let audited = sched.par_map(&Dataset::MAIN_SIX, |_, &dataset| {
         let graph = DatasetCache::global().get(dataset, scale);
         let config = PtConfig::new(Variant::RfAn, 56);
-        match run_bfs(&fiji, &graph, dataset.source(), &config) {
+        let source = dataset.source();
+        let run = run_bfs(&fiji, &graph, source, &config);
+        match check_run(run, &graph, &Bfs::new(source)) {
             Ok(run) => (run.metrics.total_retries(), None),
             Err(e) => (0, Some(format!("{}: {e}", dataset.spec().name))),
         }
@@ -133,11 +129,7 @@ pub fn run_checks(scale: Scale, sched: &Sched) -> Vec<Verdict> {
     let small_scale = Scale::new((scale.fraction() * 0.5).max(0.001));
     let small = DatasetCache::global().get(Dataset::Synthetic, small_scale);
     let sweep = sweep_dataset(&fiji, &small, &[1, 16, 224], sched);
-    let fail_at = |wgs: usize| {
-        super::common::point(&sweep, wgs, Variant::Base)
-            .metrics
-            .cas_failures
-    };
+    let fail_at = |wgs| point(&sweep, wgs, Variant::Base).metrics.cas_failures;
     let (f1, f224) = (fail_at(1), fail_at(224));
     verdicts.push(Verdict {
         claim: "Fig 1: CAS failures grow with active threads",
@@ -147,10 +139,8 @@ pub fn run_checks(scale: Scale, sched: &Sched) -> Vec<Verdict> {
     });
 
     // --- Figure 4: RF/AN scales, CAS designs fall away ------------------
-    let rfan_speedup = super::common::point(&sweep, 1, Variant::RfAn).seconds
-        / super::common::point(&sweep, 224, Variant::RfAn).seconds;
-    let base_speedup = super::common::point(&sweep, 1, Variant::Base).seconds
-        / super::common::point(&sweep, 224, Variant::Base).seconds;
+    let speedup = |variant| point(&sweep, 1, variant).seconds / point(&sweep, 224, variant).seconds;
+    let (rfan_speedup, base_speedup) = (speedup(Variant::RfAn), speedup(Variant::Base));
     verdicts.push(Verdict {
         claim: "Fig 4: RF/AN speedup at 224 WGs exceeds BASE's",
         paper: "RF/AN near-ideal, BASE flattens".into(),
@@ -159,40 +149,50 @@ pub fn run_checks(scale: Scale, sched: &Sched) -> Vec<Verdict> {
     });
 
     // --- Table 5: CHAI ---------------------------------------------------
+    // A baseline run that fails its oracle check fails its verdicts, the
+    // check's message standing in the measured cell.
     let road = DatasetCache::global().get(Dataset::ChaiNYR, scale);
-    let chai = run_chai(&spectre, &road, 0, 32).expect("chai runs");
+    let chai = check_run(run_chai(&spectre, &road, 0, 32), &road, &Bfs::new(0));
     let chai_rfan = bfs_run(&spectre, &road, Variant::RfAn, 32);
-    let chai_speedup = chai.seconds / chai_rfan.seconds;
+    let chai_speedup = chai.map(|chai| chai.seconds / chai_rfan.seconds);
     verdicts.push(Verdict {
         claim: "Table 5: RF/AN beats CHAI on NYR",
         paper: "2.57x".into(),
-        measured: format!("{chai_speedup:.2}x"),
-        pass: (1.3..10.0).contains(&chai_speedup),
+        measured: chai_speedup
+            .as_ref()
+            .map_or_else(String::clone, |s| format!("{s:.2}x")),
+        pass: chai_speedup.is_ok_and(|s| (1.3..10.0).contains(&s)),
     });
 
     // --- Table 6: Rodinia + crossover ------------------------------------
     let g4096 = DatasetCache::global().get(Dataset::RodiniaGraph4096, Scale::FULL);
-    let rod_small = run_rodinia(&fiji, &g4096, 0, 224).expect("rodinia runs");
+    let rod_small = check_run(run_rodinia(&fiji, &g4096, 0, 224), &g4096, &Bfs::new(0));
     let rfan_small = bfs_run(&fiji, &g4096, Variant::RfAn, 224);
-    let speedup_small = rod_small.seconds / rfan_small.seconds;
+    let speedup_small = rod_small.map(|rod| rod.seconds / rfan_small.seconds);
     verdicts.push(Verdict {
         claim: "Table 6: RF/AN beats Rodinia on graph4096",
         paper: "28.95x".into(),
-        measured: format!("{speedup_small:.1}x"),
-        pass: speedup_small > 3.0,
+        measured: speedup_small
+            .as_ref()
+            .map_or_else(String::clone, |s| format!("{s:.1}x")),
+        pass: speedup_small.as_ref().is_ok_and(|&s| s > 3.0),
     });
     let g1m = DatasetCache::global().get(
         Dataset::RodiniaGraph1M,
         Scale::new(scale.fraction().max(0.25)),
     );
-    let rod_big = run_rodinia(&spectre, &g1m, 0, 32).expect("rodinia runs");
+    let rod_big = check_run(run_rodinia(&spectre, &g1m, 0, 32), &g1m, &Bfs::new(0));
     let rfan_big = bfs_run(&spectre, &g1m, Variant::RfAn, 32);
-    let speedup_big = rod_big.seconds / rfan_big.seconds;
+    let speedups = speedup_small.and_then(|small| Ok((small, rod_big?.seconds / rfan_big.seconds)));
     verdicts.push(Verdict {
         claim: "Table 6: Rodinia gap shrinks on the wide 1M-class dataset (Spectre)",
         paper: "30.3x -> 3.41x".into(),
-        measured: format!("{speedup_small:.1}x -> {speedup_big:.1}x"),
-        pass: speedup_big < speedup_small && speedup_big > 0.8,
+        measured: speedups
+            .as_ref()
+            .map_or_else(String::clone, |(small, big)| {
+                format!("{small:.1}x -> {big:.1}x")
+            }),
+        pass: speedups.is_ok_and(|(small, big)| big < small && big > 0.8),
     });
 
     verdicts

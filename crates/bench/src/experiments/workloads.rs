@@ -15,46 +15,20 @@
 //! Like every other experiment, the table is byte-identical at any
 //! `--jobs` count.
 
-use super::common::DatasetCache;
+use super::common::{checked_run, DatasetCache, SMALL_POOL};
 use crate::report::Table;
+use crate::serve::{KindVisitor, WorkloadKind};
 use crate::{Scale, Sched};
 use gpu_queue::Variant;
-use pt_bfs::workload::{Bfs, ConnectedComponents, PrDelta, PtWorkload, Sssp};
+use pt_bfs::workload::PtWorkload;
 use pt_bfs::{run_workload, PtConfig, Run};
-use ptq_graph::{random_weights, Csr, Dataset};
+use ptq_graph::Csr;
 use simt::GpuConfig;
-
-/// Seed for the deterministic SSSP edge weights.
-pub const WEIGHT_SEED: u64 = 0x57ED;
-
-/// Per-dataset fractions *relative to the run's `--scale`*, chosen like
-/// the chaos experiment's: every shape lands near 1–2.5k vertices at the
-/// default scale (CC seeds all `n` vertices, so the matrix would
-/// otherwise dominate a `repro all` run).
-const WORKLOAD_REL: [(Dataset, f64); 6] = [
-    (Dataset::Synthetic, 0.004),
-    (Dataset::GplusCombined, 0.1),
-    (Dataset::SocLiveJournal1, 0.006),
-    (Dataset::RoadNY, 0.1),
-    (Dataset::RoadLKS, 0.01),
-    (Dataset::RoadUSA, 0.002),
-];
-
-/// The four workloads of the matrix, in table order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Kind {
-    Bfs,
-    Sssp,
-    Cc,
-    PrDelta,
-}
-
-const KINDS: [Kind; 4] = [Kind::Bfs, Kind::Sssp, Kind::Cc, Kind::PrDelta];
 
 /// One oracle-validated (workload, dataset) measurement.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Row {
-    /// Workload name ([`PtWorkload::name`]).
+    /// Workload label ([`WorkloadKind::label`]).
     pub workload: &'static str,
     /// Dataset name.
     pub dataset: &'static str,
@@ -74,43 +48,18 @@ pub struct Row {
     pub retry_free: bool,
 }
 
-/// Runs one workload on one graph through RF/AN, validates it against
-/// the sequential oracle, and panics on any divergence — the harness
-/// must never report numbers from a wrong traversal.
-fn validated_run<W: PtWorkload>(gpu: &GpuConfig, graph: &Csr, workload: &W, wgs: usize) -> Run {
-    let config = PtConfig::for_workload(workload, Variant::RfAn, wgs);
-    let run = run_workload(gpu, graph, workload, &config)
-        .unwrap_or_else(|e| panic!("{}: {e}", workload.name()));
-    workload
-        .validate(graph, &run.values)
-        .unwrap_or_else(|(v, want, got)| {
-            panic!(
-                "{}: oracle mismatch at vertex {v}: want {want} got {got}",
-                workload.name()
-            )
-        });
-    run
-}
+/// One kind's run on one graph through RF/AN (GPU, graph, source,
+/// workgroups), checked against the kind's sequential oracle.
+struct MatrixRun<'a>(&'a GpuConfig, &'a Csr, u32, usize);
 
-fn run_kind(
-    gpu: &GpuConfig,
-    graph: &Csr,
-    kind: Kind,
-    source: u32,
-    wgs: usize,
-) -> (&'static str, Run) {
-    match kind {
-        Kind::Bfs => ("bfs", validated_run(gpu, graph, &Bfs::new(source), wgs)),
-        Kind::Sssp => {
-            let weights = random_weights(graph, 10, WEIGHT_SEED);
-            let sssp = Sssp::new(source, weights);
-            ("sssp", validated_run(gpu, graph, &sssp, wgs))
-        }
-        Kind::Cc => ("cc", validated_run(gpu, graph, &ConnectedComponents, wgs)),
-        Kind::PrDelta => (
-            "pr-delta",
-            validated_run(gpu, graph, &PrDelta::new(source), wgs),
-        ),
+impl KindVisitor for MatrixRun<'_> {
+    type Output = Run;
+    fn visit<W: PtWorkload>(self, make: impl Fn(&Csr, u32) -> W) -> Run {
+        let MatrixRun(gpu, graph, source, wgs) = self;
+        let workload = make(graph, source);
+        let config = PtConfig::for_workload(&workload, Variant::RfAn, wgs);
+        let run = run_workload(gpu, graph, &workload, &config);
+        checked_run("workloads", run, graph, &workload)
     }
 }
 
@@ -121,16 +70,15 @@ fn run_kind(
 pub fn measure(scale: Scale, sched: &Sched) -> Vec<Row> {
     let gpu = GpuConfig::spectre();
     let wgs = gpu.num_cus * gpu.wgs_per_cu;
-    let grid: Vec<(Kind, Dataset, f64)> = KINDS
+    let grid: Vec<_> = WorkloadKind::ALL
         .iter()
-        .flat_map(|&k| WORKLOAD_REL.iter().map(move |&(d, rel)| (k, d, rel)))
+        .flat_map(|&k| SMALL_POOL.iter().map(move |&(d, rel)| (k, d, rel)))
         .collect();
     sched.par_map(&grid, |_, &(kind, dataset, rel)| {
-        let slice = Scale::new((scale.fraction() * rel).min(1.0));
-        let graph = DatasetCache::global().get(dataset, slice);
-        let (name, run) = run_kind(&gpu, &graph, kind, dataset.source(), wgs);
+        let graph = DatasetCache::global().get(dataset, scale.relative(rel));
+        let run = kind.visit(MatrixRun(&gpu, &graph, dataset.source(), wgs));
         Row {
-            workload: name,
+            workload: kind.label(),
             dataset: dataset.spec().name,
             vertices: graph.num_vertices(),
             reached: run.reached,
@@ -184,7 +132,7 @@ mod tests {
     fn matrix_covers_all_workloads_and_is_job_invariant() {
         let serial = measure(Scale::new(0.02), &Sched::new(1));
         let parallel = measure(Scale::new(0.02), &Sched::new(4));
-        assert_eq!(serial.len(), KINDS.len() * WORKLOAD_REL.len());
+        assert_eq!(serial.len(), WorkloadKind::ALL.len() * SMALL_POOL.len());
         // Deterministic simulator + seeded inputs: bit-identical rows at
         // any job count — the property the CI workloads step byte-diffs.
         assert_eq!(serial, parallel);

@@ -28,6 +28,16 @@ impl Scale {
     pub fn fraction(self) -> f64 {
         self.0
     }
+
+    /// This scale times `rel`, capped at full size (and floored above 0).
+    /// Panics unless `rel` is finite and positive.
+    pub fn relative(self, rel: f64) -> Scale {
+        assert!(
+            rel.is_finite() && rel > 0.0,
+            "relative scale must be finite and positive, got {rel}"
+        );
+        Scale::new((self.0 * rel).clamp(f64::MIN_POSITIVE, 1.0))
+    }
 }
 
 impl Default for Scale {
@@ -56,5 +66,18 @@ mod tests {
     #[should_panic(expected = "scale must be in")]
     fn rejects_above_one() {
         Scale::new(1.5);
+    }
+
+    #[test]
+    fn relative_scales_multiply_and_cap_at_full_size() {
+        assert_eq!(Scale::new(0.5).relative(0.5).fraction(), 0.25);
+        assert_eq!(Scale::new(0.5).relative(4.0), Scale::FULL);
+        assert!(Scale::new(1e-300).relative(1e-300).fraction() > 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "relative scale must be finite and positive")]
+    fn relative_rejects_nan() {
+        Scale::DEFAULT.relative(f64::NAN);
     }
 }

@@ -34,6 +34,12 @@ use super::trace::{Priority, QuerySpec, NUM_TENANTS};
 /// outcome, logged and counted — not an error to unwind on.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum AdmissionError {
+    /// The query describes no runnable launch ([`check_query`]); Phase A
+    /// builds it no graph and no plan.
+    InvalidQuery {
+        /// What is wrong with the query.
+        reason: &'static str,
+    },
     /// The ready backlog is at its configured bound; admitting one more
     /// query would grow the queue past what the service will promise to
     /// serve. Backpressure, not data loss: the client sees the rejection
@@ -65,6 +71,7 @@ pub enum AdmissionError {
 impl fmt::Display for AdmissionError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            AdmissionError::InvalidQuery { reason } => write!(f, "invalid query: {reason}"),
             AdmissionError::QueueFull {
                 requested,
                 capacity,
@@ -84,6 +91,20 @@ impl fmt::Display for AdmissionError {
             }
         }
     }
+}
+
+/// Whether `query` describes a runnable launch: a finite positive
+/// `rel_scale`, and no more faults of a kind than `fault_draws`, the
+/// seeded plan's rounds times the launch's waves.
+pub fn check_query(query: &QuerySpec, fault_draws: u64) -> Result<(), AdmissionError> {
+    let reason = if !(query.rel_scale.is_finite() && query.rel_scale > 0.0) {
+        "rel_scale must be finite and positive"
+    } else if u64::from(query.faults) > fault_draws {
+        "more faults than the fault plan's draw space"
+    } else {
+        return Ok(());
+    };
+    Err(AdmissionError::InvalidQuery { reason })
 }
 
 /// The service's ready backlog plus its admission policy and
@@ -390,6 +411,30 @@ mod tests {
         // Draining reopens admission.
         q.take_next();
         assert!(q.check(&query(2, Priority::Standard), 0).is_ok());
+    }
+
+    #[test]
+    fn shapeless_queries_are_a_typed_invalid_query() {
+        let mut spec = query(0, Priority::Standard);
+        assert!(check_query(&spec, 256).is_ok());
+        for rel_scale in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            spec.rel_scale = rel_scale;
+            assert!(
+                matches!(
+                    check_query(&spec, 256),
+                    Err(AdmissionError::InvalidQuery { .. })
+                ),
+                "rel_scale {rel_scale}"
+            );
+        }
+        spec.rel_scale = 0.1;
+        spec.faults = 256;
+        assert!(check_query(&spec, 256).is_ok());
+        spec.faults = 257;
+        assert!(matches!(
+            check_query(&spec, 256),
+            Err(AdmissionError::InvalidQuery { .. })
+        ));
     }
 
     #[test]

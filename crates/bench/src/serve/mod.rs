@@ -32,4 +32,6 @@ pub use admission::{AdmissionError, AdmissionQueue};
 pub use backoff::BackoffSchedule;
 pub use outcome::{ClassFairness, Disposition, OutcomeLog, QueryOutcome, ServeSummary};
 pub use service::{AttemptSim, ExecutionProfile, Service, ServiceConfig};
-pub use trace::{ArrivalTrace, Priority, QuerySpec, TraceParams, WorkloadKind, NUM_TENANTS};
+pub use trace::{
+    ArrivalTrace, KindVisitor, Priority, QuerySpec, TraceParams, WorkloadKind, NUM_TENANTS,
+};

@@ -30,6 +30,8 @@ pub enum Disposition {
     /// Refused at admission: the (workload, dataset) signature was
     /// already quarantined.
     RejectedQuarantined,
+    /// Refused at admission: the query describes no runnable launch.
+    RejectedInvalid,
 }
 
 impl Disposition {
@@ -41,6 +43,7 @@ impl Disposition {
             Disposition::Quarantined => "quarantined",
             Disposition::RejectedQueueFull => "rejected-queue-full",
             Disposition::RejectedQuarantined => "rejected-quarantined",
+            Disposition::RejectedInvalid => "rejected-invalid",
         }
     }
 }

@@ -45,21 +45,17 @@ use std::sync::Arc;
 
 use gpu_queue::device::Design;
 use gpu_queue::Variant;
-use pt_bfs::workload::{Bfs, ConnectedComponents, PrDelta, PtWorkload, QueryBatch, Sssp};
+use pt_bfs::workload::{PtWorkload, QueryBatch};
 use pt_bfs::{execute, Checkpoint, PtConfig, RecoveryLog, RecoveryPolicy, RunSpec};
-use ptq_graph::{random_weights, Csr, Dataset};
-use simt::{AbortReason, FaultPlan, FaultSpec, GpuConfig};
+use ptq_graph::{Csr, Dataset};
+use simt::{AbortReason, FaultPlan, GpuConfig};
 
-use super::admission::{AdmissionError, AdmissionQueue};
+use super::admission::{check_query, AdmissionError, AdmissionQueue};
 use super::backoff::BackoffSchedule;
 use super::outcome::{Disposition, OutcomeLog, QueryOutcome};
-use super::trace::{ArrivalTrace, QuerySpec, WorkloadKind};
-use crate::experiments::common::DatasetCache;
+use super::trace::{ArrivalTrace, KindVisitor, QuerySpec, WorkloadKind};
+use crate::experiments::common::{checked_run, fault_plan, DatasetCache, FAULT_ROUNDS};
 use crate::{Scale, Sched};
-
-/// Seed used by every SSSP query's edge weights (same stream as the
-/// workloads experiment, so serve and batch runs agree on the graphs).
-pub const WEIGHT_SEED: u64 = 0x57ED;
 
 /// Salt mixed into a query id for its backoff jitter stream.
 const BACKOFF_SALT: u64 = 0xBACC_0FF5;
@@ -126,6 +122,12 @@ impl ServiceConfig {
     fn workgroups(&self) -> usize {
         self.gpu.num_cus * self.gpu.wgs_per_cu
     }
+
+    /// Most faults of each kind a query may ask for: the seeded plan's
+    /// draw space, its rounds times the launch's waves.
+    fn fault_draws(&self) -> u64 {
+        FAULT_ROUNDS * (self.workgroups() * self.gpu.waves_per_wg) as u64
+    }
 }
 
 /// One simulated attempt of a query's retry chain.
@@ -142,8 +144,9 @@ pub struct AttemptSim {
     pub log: RecoveryLog,
 }
 
-/// A query's precomputed retry chain (Phase A output).
-#[derive(Clone, Debug, PartialEq)]
+/// A query's precomputed retry chain (Phase A output). A query that
+/// admission refuses as invalid gets the empty default: no attempts.
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ExecutionProfile {
     /// Attempts in order; the last one succeeds iff `completed`.
     pub attempts: Vec<AttemptSim>,
@@ -201,134 +204,13 @@ impl Service {
 
     /// Simulate one query's full retry chain against its shared CSR.
     fn profile_query(&self, trace_seed: u64, query: &QuerySpec) -> ExecutionProfile {
-        let scale = Scale::new((self.config.scale.fraction() * query.rel_scale).min(1.0));
+        if check_query(query, self.config.fault_draws()).is_err() {
+            // Admission refuses it: no graph, no plan, no attempts.
+            return ExecutionProfile::default();
+        }
+        let scale = self.config.scale.relative(query.rel_scale);
         let graph = DatasetCache::global().get(query.dataset, scale);
-        let n = graph.num_vertices();
-        let source = (query.source_salt as usize % n.max(1)) as u32;
-        let plan = self.fault_plan(trace_seed, query, n);
-        // `max_attempts: 0` hands every abort to the service; a query's
-        // own watchdog budget (0 = none) bounds each epoch.
-        let policy = RecoveryPolicy {
-            max_attempts: 0,
-            checkpoint_levels: 4,
-            watchdog_rounds: query.watchdog_rounds,
-            ..RecoveryPolicy::default()
-        };
-        match query.kind {
-            WorkloadKind::Bfs => {
-                self.chain(&graph, query.dataset, &Bfs::new(source), &policy, &plan)
-            }
-            WorkloadKind::Sssp => {
-                let weights = random_weights(&graph, 10, WEIGHT_SEED);
-                self.chain(
-                    &graph,
-                    query.dataset,
-                    &Sssp::new(source, weights),
-                    &policy,
-                    &plan,
-                )
-            }
-            WorkloadKind::Cc => {
-                self.chain(&graph, query.dataset, &ConnectedComponents, &policy, &plan)
-            }
-            WorkloadKind::PrDelta => {
-                self.chain(&graph, query.dataset, &PrDelta::new(source), &policy, &plan)
-            }
-        }
-    }
-
-    /// The query's seeded fault plan (empty for clean queries).
-    fn fault_plan(&self, trace_seed: u64, query: &QuerySpec, num_vertices: usize) -> FaultPlan {
-        if query.faults == 0 {
-            return FaultPlan::EMPTY;
-        }
-        let gpu = &self.config.gpu;
-        FaultPlan::seeded(
-            trace_seed ^ (u64::from(query.id) << 17) ^ FAULT_SALT,
-            &FaultSpec {
-                wave_kills: query.faults,
-                cu_stalls: query.faults,
-                mem_poisons: query.faults,
-                max_round: 8,
-                waves: self.config.workgroups() * gpu.waves_per_wg,
-                cus: gpu.num_cus,
-                max_stall_rounds: 4,
-                max_stall_cycles: 200,
-                poison_buffer: query.kind.value_buffer().into(),
-                poison_words: num_vertices,
-            },
-        )
-    }
-
-    /// Run one workload's attempt ladder: fresh start, then
-    /// checkpoint-resumed retries until success or budget exhaustion.
-    fn chain<W: PtWorkload>(
-        &self,
-        graph: &Csr,
-        dataset: Dataset,
-        workload: &W,
-        policy: &RecoveryPolicy,
-        plan: &FaultPlan,
-    ) -> ExecutionProfile {
-        let gpu = &self.config.gpu;
-        let config = PtConfig::for_workload(workload, DESIGN, self.config.workgroups());
-        let mut attempts: Vec<AttemptSim> = Vec::new();
-        let solo = [(graph, workload)];
-        let mut checkpoint: Option<Checkpoint> = None;
-        let mut plan = plan.clone();
-        for _ in 0..=RETRY_BUDGET {
-            let spec = RunSpec {
-                plan: &plan,
-                start: checkpoint.as_ref(),
-                ..RunSpec::new(&solo, &config, policy)
-            };
-            match execute(gpu, spec) {
-                Ok(runs) => {
-                    let run = &runs[0];
-                    if let Err((v, want, got)) = workload.validate(graph, &run.values) {
-                        panic!(
-                            "serve: {} on {} diverged from the oracle at vertex {v}: expected {want}, got {got}",
-                            workload.name(),
-                            dataset.spec().name,
-                        );
-                    }
-                    attempts.push(AttemptSim {
-                        success: true,
-                        cycles: gpu.seconds_to_cycles(run.seconds),
-                        rounds: run.metrics.rounds,
-                        log: run.recovery.clone(),
-                    });
-                    let estimate_cycles = attempts[0].cycles;
-                    return ExecutionProfile {
-                        attempts,
-                        completed: true,
-                        reached: run.reached,
-                        estimate_cycles,
-                    };
-                }
-                Err(failure) => {
-                    let failure = *failure;
-                    attempts.push(AttemptSim {
-                        success: false,
-                        cycles: gpu.seconds_to_cycles(failure.seconds),
-                        rounds: failure.log.rounds_committed + failure.log.rounds_lost,
-                        log: failure.log,
-                    });
-                    // The next attempt replays only from the last good
-                    // checkpoint (the one it started from if it committed
-                    // none), against the already-fired faults' pruned plan.
-                    checkpoint = failure.checkpoint.or(checkpoint);
-                    plan = failure.remaining_plan;
-                }
-            }
-        }
-        let estimate_cycles = attempts[0].cycles;
-        ExecutionProfile {
-            attempts,
-            completed: false,
-            reached: 0,
-            estimate_cycles,
-        }
+        query.kind.visit(Chain(self, trace_seed, query, &graph))
     }
 
     /// Phase B: the serial discrete-event replay. Public so callers
@@ -390,13 +272,16 @@ impl Service {
                 if class == ARRIVAL {
                     let est = profiles[qidx].estimate_cycles;
                     let projected = device_free.saturating_add(pending_est).saturating_add(est);
-                    match admission.check(q, projected) {
+                    let verdict = check_query(q, self.config.fault_draws())
+                        .and_then(|()| admission.check(q, projected));
+                    match verdict {
                         Ok(()) => {
                             admission.push(q.priority, q.tenant, token(qidx));
                             pending_est = pending_est.saturating_add(est);
                         }
                         Err(err) => {
                             let disposition = match err {
+                                AdmissionError::InvalidQuery { .. } => Disposition::RejectedInvalid,
                                 AdmissionError::QueueFull { .. } => Disposition::RejectedQueueFull,
                                 AdmissionError::Shedding { .. } => Disposition::Shed,
                                 AdmissionError::Quarantined { .. } => {
@@ -644,33 +529,106 @@ impl Service {
         kind: WorkloadKind,
         groups: &[DispatchGroup],
     ) -> Vec<(u64, Vec<usize>)> {
-        match kind {
-            WorkloadKind::Bfs => self.run_fused_as(trace, groups, |source, _| Bfs::new(source)),
-            WorkloadKind::Sssp => self.run_fused_as(trace, groups, |source, graph| {
-                Sssp::new(source, random_weights(graph, 10, WEIGHT_SEED))
-            }),
-            WorkloadKind::Cc => self.run_fused_as(trace, groups, |_, _| ConnectedComponents),
-            WorkloadKind::PrDelta => {
-                self.run_fused_as(trace, groups, |source, _| PrDelta::new(source))
+        kind.visit(Fused(self, trace, groups))
+    }
+}
+
+/// Phase A for one query (service, trace seed, query, its graph): the
+/// attempt ladder on the workload its kind builds — a fresh start, then
+/// checkpoint-resumed retries until success or budget exhaustion.
+struct Chain<'a>(&'a Service, u64, &'a QuerySpec, &'a Csr);
+
+impl KindVisitor for Chain<'_> {
+    type Output = ExecutionProfile;
+    fn visit<W: PtWorkload>(self, make: impl Fn(&Csr, u32) -> W) -> ExecutionProfile {
+        let Chain(service, trace_seed, query, graph) = self;
+        let (gpu, workgroups) = (&service.config.gpu, service.config.workgroups());
+        let n = graph.num_vertices();
+        let workload = &make(graph, (query.source_salt as usize % n.max(1)) as u32);
+        let config = PtConfig::for_workload(workload, DESIGN, workgroups);
+        // `max_attempts: 0` hands every abort to the service; a query's
+        // own watchdog budget (0 = none) bounds each epoch.
+        let policy = RecoveryPolicy {
+            max_attempts: 0,
+            checkpoint_levels: 4,
+            watchdog_rounds: query.watchdog_rounds,
+            ..RecoveryPolicy::default()
+        };
+        let mut plan = if query.faults == 0 {
+            FaultPlan::EMPTY
+        } else {
+            let seed = trace_seed ^ (u64::from(query.id) << 17) ^ FAULT_SALT;
+            fault_plan(seed, gpu, workgroups, query.faults, workload, n)
+        };
+        let mut attempts: Vec<AttemptSim> = Vec::new();
+        let solo = [(graph, workload)];
+        let mut checkpoint: Option<Checkpoint> = None;
+        for _ in 0..=RETRY_BUDGET {
+            let spec = RunSpec {
+                plan: &plan,
+                start: checkpoint.as_ref(),
+                ..RunSpec::new(&solo, &config, &policy)
+            };
+            match execute(gpu, spec) {
+                Ok(mut runs) => {
+                    let run = checked_run(
+                        format_args!("serve on {}", query.dataset.spec().name),
+                        Ok(runs.swap_remove(0)),
+                        graph,
+                        workload,
+                    );
+                    attempts.push(AttemptSim {
+                        success: true,
+                        cycles: gpu.seconds_to_cycles(run.seconds),
+                        rounds: run.metrics.rounds,
+                        log: run.recovery,
+                    });
+                    let estimate_cycles = attempts[0].cycles;
+                    return ExecutionProfile {
+                        attempts,
+                        completed: true,
+                        reached: run.reached,
+                        estimate_cycles,
+                    };
+                }
+                Err(failure) => {
+                    let failure = *failure;
+                    attempts.push(AttemptSim {
+                        success: false,
+                        cycles: gpu.seconds_to_cycles(failure.seconds),
+                        rounds: failure.log.rounds_committed + failure.log.rounds_lost,
+                        log: failure.log,
+                    });
+                    // The next attempt replays only from the last good
+                    // checkpoint (the one it started from if it committed
+                    // none), against the already-fired faults' pruned plan.
+                    checkpoint = failure.checkpoint.or(checkpoint);
+                    plan = failure.remaining_plan;
+                }
             }
         }
+        let estimate_cycles = attempts[0].cycles;
+        ExecutionProfile {
+            attempts,
+            completed: false,
+            reached: 0,
+            estimate_cycles,
+        }
     }
+}
 
-    /// Monomorphic body of [`Service::run_fused`] for workload `W`.
-    fn run_fused_as<W, F>(
-        &self,
-        trace: &ArrivalTrace,
-        groups: &[DispatchGroup],
-        make: F,
-    ) -> Vec<(u64, Vec<usize>)>
-    where
-        W: PtWorkload,
-        F: Fn(u32, &Csr) -> W,
-    {
+/// A co-resident unit's fused launches (service, trace, the unit's
+/// groups), for the workload its kind builds.
+struct Fused<'a>(&'a Service, &'a ArrivalTrace, &'a [DispatchGroup]);
+
+impl KindVisitor for Fused<'_> {
+    type Output = Vec<(u64, Vec<usize>)>;
+    fn visit<W: PtWorkload>(self, make: impl Fn(&Csr, u32) -> W) -> Self::Output {
+        let Fused(service, trace, groups) = self;
         let graphs: Vec<Arc<Csr>> = groups
             .iter()
             .map(|g| {
-                let scale = Scale::new((self.config.scale.fraction() * g.rel_scale).min(1.0));
+                let scale = service.config.scale.relative(g.rel_scale);
                 DatasetCache::global().get(g.dataset, scale)
             })
             .collect();
@@ -684,7 +642,7 @@ impl Service {
                     .iter()
                     .map(|&qidx| {
                         let source = (trace.queries[qidx].source_salt as usize % n.max(1)) as u32;
-                        make(source, graph)
+                        make(graph, source)
                     })
                     .collect();
                 QueryBatch::new(members, n)
@@ -694,29 +652,32 @@ impl Service {
             graphs.iter().map(Arc::as_ref).zip(&batches).collect();
         // One config for the unit, started at its smallest batch's own
         // capacity factor (the launch floors each larger batch at its own).
-        let mut config = PtConfig::new(DESIGN, self.config.workgroups());
+        let mut config = PtConfig::new(DESIGN, service.config.workgroups());
         let own = batches.iter().map(|b| b.default_capacity_factor());
         let smallest = own.fold(f64::INFINITY, f64::min);
         config.capacity_factor = config.capacity_factor.max(smallest);
         let policy = RecoveryPolicy::regrow_only(config.capacity_factor);
         let name = batches[0].name();
-        let runs = execute(&self.config.gpu, RunSpec::new(&entries, &config, &policy))
-            .unwrap_or_else(|f| panic!("serve: co-resident {name} unit failed: {}", f.error));
-        runs.iter()
+        let runs = execute(
+            &service.config.gpu,
+            RunSpec::new(&entries, &config, &policy),
+        )
+        .unwrap_or_else(|f| panic!("serve: co-resident {name} unit failed: {}", f.error));
+        runs.into_iter()
             .zip(&entries)
             .zip(groups)
-            .map(|((run, (graph, batch)), g)| {
-                if let Err((v, want, got)) = batch.validate(graph, &run.values) {
-                    panic!(
-                        "serve: fused {} on {} diverged from the oracle at token {v}: expected {want}, got {got}",
-                        batch.name(),
-                        g.dataset.spec().name,
-                    );
-                }
+            .map(|((run, &(graph, batch)), g)| {
+                let dataset = g.dataset.spec().name;
+                let run = checked_run(
+                    format_args!("serve: fused on {dataset}"),
+                    Ok(run),
+                    graph,
+                    batch,
+                );
                 let reached = (0..batch.len())
                     .map(|i| batch.members()[i].reached(batch.member_values(&run.values, i)))
                     .collect();
-                (self.config.gpu.seconds_to_cycles(run.seconds), reached)
+                (service.config.gpu.seconds_to_cycles(run.seconds), reached)
             })
             .collect()
     }
@@ -726,6 +687,7 @@ impl Service {
 mod tests {
     use super::*;
     use crate::serve::TraceParams;
+    use pt_bfs::workload::Bfs;
 
     const POOL: &[(Dataset, f64)] = &[(Dataset::RoadNY, 0.05), (Dataset::Synthetic, 0.002)];
 

@@ -8,10 +8,12 @@
 //! chaos tests then layer hand-placed queries (a poison query, a
 //! resubmission of its signature) on top with the builder methods.
 
-use ptq_graph::{Dataset, SplitMix64};
+use pt_bfs::workload::{Bfs, ConnectedComponents, PrDelta, PtWorkload, Sssp};
+use ptq_graph::{random_weights, Csr, Dataset, SplitMix64};
 
-/// Which irregular workload a query runs. Mirrors the private dispatch
-/// enum in the workloads experiment, but public: traces are data.
+/// Which irregular workload a query runs — the harness's one workload
+/// catalogue. The workload matrix, the serving core and its fused
+/// launches all build a kind's workload through [`WorkloadKind::visit`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub enum WorkloadKind {
     /// Top-down breadth-first search.
@@ -24,6 +26,16 @@ pub enum WorkloadKind {
     PrDelta,
 }
 
+/// Something done with a kind's workload, whatever its type:
+/// [`WorkloadKind::visit`] hands `visit` the kind's constructor, which
+/// builds the workload for a graph and a source vertex.
+pub trait KindVisitor {
+    /// What the visit returns.
+    type Output;
+    /// Runs the visit with the kind's constructor.
+    fn visit<W: PtWorkload>(self, make: impl Fn(&Csr, u32) -> W) -> Self::Output;
+}
+
 impl WorkloadKind {
     /// All kinds, in trace-draw order.
     pub const ALL: [WorkloadKind; 4] = [
@@ -33,7 +45,8 @@ impl WorkloadKind {
         WorkloadKind::PrDelta,
     ];
 
-    /// Display label (tables, outcome logs).
+    /// Display label (tables, outcome logs): the workload's
+    /// [`PtWorkload::name`].
     pub fn label(self) -> &'static str {
         match self {
             WorkloadKind::Bfs => "bfs",
@@ -43,15 +56,17 @@ impl WorkloadKind {
         }
     }
 
-    /// Device buffer name of the workload's value array — the target a
-    /// seeded fault plan poisons (must match
-    /// `PtWorkload::value_buffer_name`).
-    pub fn value_buffer(self) -> &'static str {
+    /// Hands `visitor` this kind's constructor. Every SSSP workload reads
+    /// the same seeded weight stream, so batch and served runs agree on
+    /// the graphs.
+    pub fn visit<V: KindVisitor>(self, visitor: V) -> V::Output {
         match self {
-            WorkloadKind::Bfs => "costs",
-            WorkloadKind::Sssp => "dist",
-            WorkloadKind::Cc => "labels",
-            WorkloadKind::PrDelta => "resid",
+            WorkloadKind::Bfs => visitor.visit(|_, source| Bfs::new(source)),
+            WorkloadKind::Sssp => {
+                visitor.visit(|graph, source| Sssp::new(source, random_weights(graph, 10, 0x57ED)))
+            }
+            WorkloadKind::Cc => visitor.visit(|_, _| ConnectedComponents),
+            WorkloadKind::PrDelta => visitor.visit(|_, source| PrDelta::new(source)),
         }
     }
 }
@@ -324,6 +339,21 @@ mod tests {
             datasets: POOL,
             fault_every: 3,
             faults_per_query: 2,
+        }
+    }
+
+    #[test]
+    fn every_kind_builds_the_workload_its_label_names() {
+        struct Name<'a>(&'a Csr);
+        impl KindVisitor for Name<'_> {
+            type Output = &'static str;
+            fn visit<W: PtWorkload>(self, make: impl Fn(&Csr, u32) -> W) -> &'static str {
+                make(self.0, 0).name()
+            }
+        }
+        let graph = Dataset::RoadNY.build(0.001);
+        for kind in WorkloadKind::ALL {
+            assert_eq!(kind.visit(Name(&graph)), kind.label());
         }
     }
 

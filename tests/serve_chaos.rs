@@ -151,7 +151,8 @@ fn segmented_admission_path_never_aborts_queue_full() {
 /// Seeded adversarial traces: each row pushes one property of a tiny
 /// trace to its edge. `Service::run` must return with one terminal
 /// outcome per query, identically at any `--jobs` width, on both the
-/// serial and the batched core.
+/// serial and the batched core. A query whose scale or fault count
+/// describes no runnable launch is refused at admission as invalid.
 #[test]
 fn adversarial_traces_end_every_query_without_panicking() {
     const TINY: &[(Dataset, f64)] = &[(Dataset::RoadNY, 0.05), (Dataset::Synthetic, 0.002)];
@@ -188,6 +189,15 @@ fn adversarial_traces_end_every_query_without_panicking() {
             bent(|q| (q.kind, q.dataset, q.rel_scale) = (WorkloadKind::Bfs, Dataset::RoadNY, 0.05)),
         ),
         ("duplicate ids", bent(|q| q.id = 7)),
+        ("subnormal rel_scale", bent(|q| q.rel_scale = 5e-324)),
+        ("invalid: zero rel_scale", bent(|q| q.rel_scale = 0.0)),
+        ("invalid: negative rel_scale", bent(|q| q.rel_scale = -1.0)),
+        ("invalid: NaN rel_scale", bent(|q| q.rel_scale = f64::NAN)),
+        (
+            "invalid: infinite rel_scale",
+            bent(|q| q.rel_scale = f64::INFINITY),
+        ),
+        ("invalid: u32::MAX faults", bent(|q| q.faults = u32::MAX)),
     ];
     let scale = Scale::new(0.02);
     for (row, trace) in &rows {
@@ -207,6 +217,14 @@ fn adversarial_traces_end_every_query_without_panicking() {
             let logged: Vec<u32> = log.outcomes.iter().map(|o| o.id).collect();
             assert_eq!(logged, ids, "{row} / {core}: one outcome per query");
             assert_eq!(log.admission_errors, 0, "{row} / {core}");
+            if row.starts_with("invalid") {
+                assert!(
+                    log.outcomes
+                        .iter()
+                        .all(|o| o.disposition == Disposition::RejectedInvalid && o.attempts == 0),
+                    "{row} / {core}: invalid queries are refused at admission"
+                );
+            }
             assert_eq!(log, service.run(trace, &Sched::new(4)), "{row} / {core}");
         }
     }

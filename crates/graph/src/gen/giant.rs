@@ -1,17 +1,17 @@
 //! The `giant` synthetic family: scale-headroom graphs built without
 //! ever materializing an edge list.
 //!
-//! Every other generator in this crate accumulates `(src, dst)` pairs in
-//! a [`CsrBuilder`](crate::CsrBuilder); at hundreds of millions of edges
-//! that transient list alone costs gigabytes. The giant family instead
-//! defines its edges as a *pure function* of `(seed, vertex)`: vertex `v`
-//! emits its implicit binary-heap tree edges (`2v+1`, `2v+2` when in
-//! range) followed by a per-vertex-seeded number of uniform random
-//! extras. Because the stream is exactly replayable, it feeds the
-//! two-pass [`build_streamed`] builder
-//! with `O(chunk)` peak overhead — and the tree skeleton guarantees
-//! every vertex is reachable from the root at depth `⌈log2 n⌉`, so BFS
-//! from source 0 always covers the whole graph.
+//! Every other generator in this crate feeds a
+//! [`CsrBuilder`](crate::CsrBuilder), which takes their source-ordered
+//! edges at 4 bytes each but must hold them all at once. The giant family
+//! instead defines its edges as a *pure function* of `(seed, vertex)`:
+//! vertex `v` emits its implicit binary-heap tree edges (`2v+1`, `2v+2`
+//! when in range) followed by a per-vertex-seeded number of uniform
+//! random extras. Because the stream is exactly replayable, it feeds the
+//! two-pass [`build_streamed`] builder, which sizes the adjacency exactly
+//! without knowing the edge count in advance — and the tree skeleton
+//! guarantees every vertex is reachable from the root at depth
+//! `⌈log2 n⌉`, so BFS from source 0 always covers the whole graph.
 
 use crate::csr::{Csr, VertexId};
 use crate::rng::SplitMix64;

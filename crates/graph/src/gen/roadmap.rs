@@ -61,23 +61,39 @@ pub fn roadmap(params: RoadmapParams) -> Csr {
     let id = |r: usize, c: usize| (r * cols + c) as VertexId;
     let mut b = CsrBuilder::with_capacity(n, 4 * n);
 
+    // Each vertex emits its edges up, left, right, down, so sources
+    // arrive in ascending order. `up` holds which verticals the row above
+    // kept, `down` which ones this row keeps: the serpentine skeleton
+    // keeps the turn column's, and every other column draws from `rng`,
+    // row by row and left to right.
+    let mut up = vec![false; cols];
+    let mut down = vec![false; cols];
     for r in 0..rows {
-        for c in 0..cols {
-            // Horizontal edge to the right neighbour.
-            if c + 1 < cols {
-                // Serpentine skeleton: row-internal edges always kept.
-                b.add_undirected_edge(id(r, c), id(r, c + 1));
+        if r + 1 < rows {
+            let turn_col = if r % 2 == 0 { cols - 1 } else { 0 };
+            for (c, keep) in down.iter_mut().enumerate() {
+                *keep = c == turn_col || rng.gen_bool(keep_prob);
             }
-            // Vertical edge downwards.
-            if r + 1 < rows {
-                // Keep one vertical per row pair as skeleton (at the
-                // serpentine turn column), the rest probabilistically.
-                let turn_col = if r % 2 == 0 { cols - 1 } else { 0 };
-                if c == turn_col || rng.gen_bool(keep_prob) {
-                    b.add_undirected_edge(id(r, c), id(r + 1, c));
-                }
+        } else {
+            down.fill(false);
+        }
+        for c in 0..cols {
+            let v = id(r, c);
+            if up[c] {
+                b.add_edge(v, id(r - 1, c));
+            }
+            // Row-internal edges are the skeleton: always kept.
+            if c > 0 {
+                b.add_edge(v, id(r, c - 1));
+            }
+            if c + 1 < cols {
+                b.add_edge(v, id(r, c + 1));
+            }
+            if down[c] {
+                b.add_edge(v, id(r + 1, c));
             }
         }
+        std::mem::swap(&mut up, &mut down);
     }
     b.build()
 }
@@ -86,6 +102,57 @@ pub fn roadmap(params: RoadmapParams) -> Csr {
 mod tests {
     use super::*;
     use crate::bfs::bfs_levels;
+
+    /// The generator's earlier form: each undirected edge inserted as a
+    /// pair, rows top to bottom, right edge before down edge.
+    fn pairwise(params: RoadmapParams) -> Csr {
+        let RoadmapParams {
+            rows,
+            cols,
+            keep_prob,
+            seed,
+        } = params;
+        let mut rng = SplitMix64::seed_from_u64(seed ^ 0x0add_0add_0add_0add);
+        let id = |r: usize, c: usize| (r * cols + c) as VertexId;
+        let mut b = CsrBuilder::new(rows * cols);
+        for r in 0..rows {
+            for c in 0..cols {
+                if c + 1 < cols {
+                    b.add_undirected_edge(id(r, c), id(r, c + 1));
+                }
+                if r + 1 < rows {
+                    let turn_col = if r % 2 == 0 { cols - 1 } else { 0 };
+                    if c == turn_col || rng.gen_bool(keep_prob) {
+                        b.add_undirected_edge(id(r, c), id(r + 1, c));
+                    }
+                }
+            }
+        }
+        b.build()
+    }
+
+    #[test]
+    fn source_order_matches_pairwise_insertion() {
+        for rows in 1..=6 {
+            for cols in 1..=6 {
+                for keep_prob in [0.0, 0.3, 1.0] {
+                    for seed in [0, 42, 0x0a03] {
+                        let params = RoadmapParams {
+                            rows,
+                            cols,
+                            keep_prob,
+                            seed,
+                        };
+                        assert_eq!(
+                            roadmap(params),
+                            pairwise(params),
+                            "{rows}x{cols} keep {keep_prob} seed {seed}"
+                        );
+                    }
+                }
+            }
+        }
+    }
 
     fn grid(rows: usize, cols: usize, keep: f64) -> Csr {
         roadmap(RoadmapParams {

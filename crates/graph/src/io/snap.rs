@@ -14,7 +14,7 @@
 //! `Nodes` array.
 
 use super::ParseError;
-use crate::csr::Csr;
+use crate::csr::{Csr, CsrBuilder};
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
 
@@ -23,7 +23,7 @@ use std::io::{BufRead, Write};
 pub fn read_edge_list<R: BufRead>(reader: R) -> Result<(Csr, Vec<u64>), ParseError> {
     let mut remap: HashMap<u64, u32> = HashMap::new();
     let mut original: Vec<u64> = Vec::new();
-    let mut edges: Vec<(u32, u32)> = Vec::new();
+    let mut builder = CsrBuilder::new(0);
     for (idx, line) in reader.lines().enumerate() {
         let lineno = idx + 1;
         let line = line?;
@@ -45,10 +45,7 @@ pub fn read_edge_list<R: BufRead>(reader: R) -> Result<(Csr, Vec<u64>), ParseErr
         };
         let s = dense(src);
         let d = dense(dst);
-        edges.push((s, d));
-    }
-    let mut builder = crate::csr::CsrBuilder::with_capacity(original.len(), edges.len());
-    for (s, d) in edges {
+        builder.ensure_vertices(original.len());
         builder.add_edge(s, d);
     }
     Ok((builder.build(), original))

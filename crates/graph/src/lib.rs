@@ -7,7 +7,11 @@
 //! experiments need on the data side:
 //!
 //! * [`csr::Csr`] — compressed sparse row storage with degree statistics
-//!   (the `Edges Per Vertex` columns of the paper's Tables 1 and 2),
+//!   (the `Edges Per Vertex` columns of the paper's Tables 1 and 2), and
+//!   [`CsrBuilder`], which takes edges grouped by ascending source, the
+//!   order every generator but `erdos_renyi` emits, straight into the
+//!   adjacency at 4 bytes per edge and counting-sorts any other order at
+//!   12,
 //! * [`gen`] — deterministic generators calibrated to each dataset family's
 //!   published statistics (fanout distribution, depth, vertex/edge counts),
 //!   and [`datasets`], the catalogue that names them,
@@ -18,8 +22,8 @@
 //!   (label and contribution fixed points) and [`analysis`] (the
 //!   union-find the label oracle is itself checked against),
 //! * [`profile`] — per-level dynamic-parallelism profiles (Figure 3), and
-//! * [`stream`] — two-pass chunked CSR construction that never
-//!   materializes an edge list, for the giant scale-headroom datasets.
+//! * [`stream`] — two-pass CSR construction from a replayable stream in
+//!   any order, 4 bytes per edge, for the giant scale-headroom datasets.
 //!
 //! All generators take explicit seeds from the in-tree [`rng`] and are
 //! fully deterministic.

@@ -1,18 +1,19 @@
 //! Streamed two-pass CSR construction.
 //!
-//! [`CsrBuilder`](crate::CsrBuilder) materializes the full `(src, dst)`
-//! edge list before counting-sorting it — an extra 8 bytes per edge that
-//! dominates peak memory once graphs reach hundreds of millions of edges
-//! (a 134M-edge graph costs ~1 GiB of transient edge list on top of the
-//! ~600 MiB CSR it produces). [`build_streamed`]
-//! removes that transient entirely: the caller replays the edge stream
-//! twice, the first pass counts degrees, the second scatters adjacency
-//! through per-vertex cursors as the edges arrive, so the only
-//! transient state is the `O(V)` cursor array the build needs anyway.
+//! [`CsrBuilder`](crate::CsrBuilder) costs 4 bytes per edge when edges
+//! arrive grouped by ascending source, but 12 at its peak for any other
+//! order, and it needs the whole input at once. [`build_streamed`] costs
+//! 4 bytes per edge in any order, for a stream that can be replayed: the
+//! caller replays the edge stream twice, the first pass counts degrees,
+//! the second scatters adjacency through per-vertex cursors as the edges
+//! arrive, so the only transient state is the `O(V)` cursor array the
+//! build needs anyway. It needs no edge count in advance and sizes the
+//! adjacency exactly, which is why the giant family, whose edge count is
+//! known only once its stream has run, is built here.
 //!
 //! The result is **byte-identical** to `CsrBuilder::build` on the same
-//! edge sequence: both are stable counting sorts, and the stream replays
-//! in the same order in both passes. A property test pins this across
+//! edge sequence: both keep each source's edges in stream order, and the
+//! stream replays in the same order in both passes. A property test pins this across
 //! chunk sizes (see `tests` below and `tests/prop_graph.rs`).
 //!
 //! The stream is any closure that can be driven twice — an in-memory
@@ -36,7 +37,7 @@
 //! # let _ = graph;
 //! ```
 
-use crate::csr::{Csr, VertexId};
+use crate::csr::{csr_offset, Csr, VertexId};
 
 /// Default fill-pass buffering bound: 1M edges (8 MiB of pairs were it
 /// ever buffered) — kept as the conventional value callers pass for
@@ -77,19 +78,17 @@ where
         counts[src as usize + 1] += 1;
         total += 1;
     });
-    assert!(
-        total <= u32::MAX as u64,
-        "edge count {total} exceeds u32 CSR offsets"
-    );
+    let total = csr_offset(total) as usize;
 
-    // Exclusive prefix sum — the same loop as `CsrBuilder::build`, so the
-    // offsets (and therefore the stable scatter below) match it exactly.
+    // Exclusive prefix sum — the same loop as `CsrBuilder::build`'s
+    // counting sort, so the offsets (and therefore the stable scatter
+    // below) match it exactly.
     for i in 0..n {
         counts[i + 1] += counts[i];
     }
     let row_offsets = counts.clone();
     let mut cursor = counts;
-    let mut adjacency = vec![0u32; total as usize];
+    let mut adjacency = vec![0u32; total];
 
     // Pass 2: replay the identical stream and scatter each edge through
     // the per-vertex cursors as it arrives. The scatter is stable and
@@ -101,7 +100,7 @@ where
     // scatter is one random write per edge either way) — so
     // `chunk_edges` survives only as the API's upper bound on transient
     // buffering; the implementation buffers nothing.
-    let mut filled: u64 = 0;
+    let mut filled = 0usize;
     replay(&mut |src, dst| {
         filled += 1;
         let slot = cursor[src as usize];

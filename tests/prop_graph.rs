@@ -32,32 +32,113 @@ fn graph_of(n: usize, edges: &[(u32, u32)]) -> Csr {
     b.build()
 }
 
-/// The CSR builder preserves the edge multiset and per-source order.
+/// The CSR a stable sort of `edges` by source gives, over `n` vertices.
+fn sorted_reference(n: usize, edges: &[(u32, u32)]) -> Csr {
+    let mut sorted = edges.to_vec();
+    sorted.sort_by_key(|&(src, _)| src);
+    let mut row_offsets = vec![0u32; n + 1];
+    for &(src, _) in &sorted {
+        row_offsets[src as usize + 1] += 1;
+    }
+    for v in 0..n {
+        row_offsets[v + 1] += row_offsets[v];
+    }
+    let adjacency = sorted.iter().map(|&(_, dst)| dst).collect();
+    Csr::from_parts_checked(row_offsets, adjacency).unwrap()
+}
+
+/// `edges` through `CsrBuilder`, sized to the vertices the edges touch
+/// and grown to `n` by `ensure_vertices` after the last edge.
+fn grown_after_edges(n: usize, edges: &[(u32, u32)]) -> Csr {
+    let touched = edges
+        .iter()
+        .map(|&(src, dst)| src.max(dst) as usize + 1)
+        .max()
+        .unwrap_or(0);
+    let mut builder = CsrBuilder::new(touched);
+    for &(src, dst) in edges {
+        builder.add_edge(src, dst);
+    }
+    builder.ensure_vertices(n);
+    builder.build()
+}
+
+/// Edge streams over `n` vertices in each order `CsrBuilder` tells apart:
+/// random; grouped by ascending source; grouped but for one edge placed
+/// late at a random point; grouped over the lower half of the vertices
+/// only, so the trailing ones stay isolated; and no edges at all.
+fn edge_orders(
+    rng: &mut SplitMix64,
+    n: usize,
+    max_edges: usize,
+) -> [(&'static str, Vec<(u32, u32)>); 5] {
+    let random = random_edges(rng, n, max_edges);
+    let mut sorted = random_edges(rng, n, max_edges);
+    sorted.sort_by_key(|&(src, _)| src);
+    let mut late = sorted.clone();
+    let after_nonzero: Vec<usize> = (1..=late.len()).filter(|&i| late[i - 1].0 > 0).collect();
+    if !after_nonzero.is_empty() {
+        let at = after_nonzero[rng.range_u64(0, after_nonzero.len() as u64) as usize];
+        let src = rng.range_u32(0, late[at - 1].0);
+        late.insert(at, (src, rng.range_u32(0, n as u32)));
+    }
+    let half = (n as u32).div_ceil(2);
+    let mut lower: Vec<(u32, u32)> = random_edges(rng, n, max_edges)
+        .into_iter()
+        .map(|(src, dst)| (src % half, dst))
+        .collect();
+    lower.sort_by_key(|&(src, _)| src);
+    [
+        ("random", random),
+        ("sorted", sorted),
+        ("one late edge", late),
+        ("trailing isolated", lower),
+        ("empty", Vec::new()),
+    ]
+}
+
+/// The CSR builder preserves the edge multiset and per-source order, and
+/// equals the streamed builder and a stable sort by source, whichever
+/// order the edges arrive in and whenever the vertex count is settled.
 #[test]
 fn csr_builder_preserves_edges() {
     let mut rng = SplitMix64::seed_from_u64(0xC5_B11D);
     for case in 0..CASES {
         let n = rng.range_u64(1, 60) as usize;
-        let edges = random_edges(&mut rng, n, 200);
-        let mut builder = CsrBuilder::new(n);
-        for &(a, b) in &edges {
-            builder.add_edge(a, b);
+        for (order, edges) in edge_orders(&mut rng, n, 200) {
+            let what = format!("case {case} {order}");
+            let mut builder = CsrBuilder::new(n);
+            for &(a, b) in &edges {
+                builder.add_edge(a, b);
+            }
+            assert_eq!(builder.num_edges(), edges.len(), "{what}");
+            let g = builder.build();
+            assert_eq!(g.num_vertices(), n, "{what}");
+            assert_eq!(g.num_edges(), edges.len(), "{what}");
+            // Per-source insertion order is preserved.
+            for v in 0..n as u32 {
+                let expect: Vec<u32> = edges
+                    .iter()
+                    .filter(|(a, _)| *a == v)
+                    .map(|&(_, b)| b)
+                    .collect();
+                assert_eq!(g.neighbors(v), &expect[..], "{what} vertex {v}");
+            }
+            // Offsets are consistent with degrees.
+            let total: u32 = (0..n as u32).map(|v| g.degree(v)).sum();
+            assert_eq!(total as usize, g.num_edges(), "{what}");
+            assert_eq!(g, sorted_reference(n, &edges), "{what}");
+            assert_eq!(g, grown_after_edges(n, &edges), "{what} grown");
+            let streamed = build_streamed(n, 7, |emit| {
+                for &(a, b) in &edges {
+                    emit(a, b);
+                }
+            });
+            assert_eq!(g, streamed, "{what} streamed");
         }
-        let g = builder.build();
-        assert_eq!(g.num_edges(), edges.len(), "case {case}");
-        // Per-source insertion order is preserved by the stable sort.
-        for v in 0..n as u32 {
-            let expect: Vec<u32> = edges
-                .iter()
-                .filter(|(a, _)| *a == v)
-                .map(|&(_, b)| b)
-                .collect();
-            assert_eq!(g.neighbors(v), &expect[..], "case {case} vertex {v}");
-        }
-        // Offsets are consistent with degrees.
-        let total: u32 = (0..n as u32).map(|v| g.degree(v)).sum();
-        assert_eq!(total as usize, g.num_edges(), "case {case}");
     }
+    // No vertices at all.
+    assert_eq!(CsrBuilder::new(0).build(), sorted_reference(0, &[]));
 }
 
 /// BFS levels satisfy the defining property: level(source) = 0, and every
@@ -199,9 +280,10 @@ fn snap_roundtrip_preserves_degrees() {
 }
 
 /// The chunked streamed builder is byte-identical to the in-memory
-/// `CsrBuilder` across chunk sizes {1, 7, 4096, ≥edge-count}, on random
-/// multigraphs that include self-loops, parallel edges, and empty
-/// vertices — and on the catalogue's giant family,
+/// `CsrBuilder` and to a stable sort by source across chunk sizes
+/// {1, 7, 4096, ≥edge-count}, on random multigraphs that include
+/// self-loops, parallel edges, and empty vertices, on each order of
+/// `edge_orders` — and on the catalogue's giant family,
 /// the graph `repro giant` traverses, whose `Dataset::Giant` build must
 /// be those same bytes.
 #[test]
@@ -212,6 +294,8 @@ fn streamed_builder_matches_in_memory_builder() {
             builder.add_edge(a, b);
         }
         let reference = builder.build();
+        assert_eq!(reference, sorted_reference(n, edges), "{what} sort");
+        assert_eq!(reference, grown_after_edges(n, edges), "{what} grown");
         for chunk in [1usize, 7, 4096, edges.len().max(1)] {
             let streamed = build_streamed(n, chunk, |emit| {
                 for &(a, b) in edges {
@@ -233,6 +317,13 @@ fn streamed_builder_matches_in_memory_builder() {
             edges.push((0, 0));
         }
         check(n, &edges, &format!("case {case}"));
+    }
+    let mut rng = SplitMix64::seed_from_u64(0x50_27ED);
+    for case in 0..CASES {
+        let n = rng.range_u64(1, 80) as usize;
+        for (order, edges) in edge_orders(&mut rng, n, 300) {
+            check(n, &edges, &format!("case {case} {order}"));
+        }
     }
     // 0.00025 of the catalogue's 2^24 vertices; 7 / 0x61A7 are its
     // giant-family parameters.

@@ -8,6 +8,7 @@
 //! comfortably, and halving index width matters on a GPU.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// Vertex identifier. `u32` matches the paper's task-token payload width.
 pub type VertexId = u32;
@@ -16,10 +17,14 @@ pub type VertexId = u32;
 ///
 /// `row_offsets` has `n + 1` entries; the out-neighbours of vertex `v` are
 /// `adjacency[row_offsets[v] as usize .. row_offsets[v + 1] as usize]`.
+///
+/// Both arrays sit behind an `Arc`, moved in without a copy: simulated
+/// device memory maps them read-only in place of an upload, and a clone
+/// shares them.
 #[derive(Clone, PartialEq, Eq)]
 pub struct Csr {
-    row_offsets: Vec<u32>,
-    adjacency: Vec<VertexId>,
+    row_offsets: Arc<Vec<u32>>,
+    adjacency: Arc<Vec<VertexId>>,
 }
 
 impl fmt::Debug for Csr {
@@ -112,8 +117,8 @@ impl Csr {
             "adjacency entry out of range"
         );
         Self {
-            row_offsets,
-            adjacency,
+            row_offsets: Arc::new(row_offsets),
+            adjacency: Arc::new(adjacency),
         }
     }
 
@@ -145,8 +150,8 @@ impl Csr {
             });
         }
         Ok(Self {
-            row_offsets,
-            adjacency,
+            row_offsets: Arc::new(row_offsets),
+            adjacency: Arc::new(adjacency),
         })
     }
 
@@ -182,17 +187,31 @@ impl Csr {
         &self.adjacency[lo..hi]
     }
 
-    /// The raw row-offset array (`n + 1` entries). This is what gets copied
-    /// into simulated device memory as the `Nodes` buffer.
+    /// The raw row-offset array (`n + 1` entries): the device `Nodes`
+    /// buffer, which simulated device memory maps read-only from
+    /// [`Csr::shared_row_offsets`] rather than copying.
     #[inline]
     pub fn row_offsets(&self) -> &[u32] {
         &self.row_offsets
     }
 
-    /// The raw adjacency array — the device `Edges` buffer.
+    /// The raw adjacency array — the device `Edges` buffer, mapped from
+    /// [`Csr::shared_adjacency`].
     #[inline]
     pub fn adjacency(&self) -> &[VertexId] {
         &self.adjacency
+    }
+
+    /// A shared handle on the row-offset array, for mapping it into
+    /// simulated device memory without a copy.
+    pub fn shared_row_offsets(&self) -> Arc<Vec<u32>> {
+        Arc::clone(&self.row_offsets)
+    }
+
+    /// A shared handle on the adjacency array (see
+    /// [`Csr::shared_row_offsets`]).
+    pub fn shared_adjacency(&self) -> Arc<Vec<VertexId>> {
+        Arc::clone(&self.adjacency)
     }
 
     /// Degree statistics over out-degrees — the `Edges Per Vertex` columns
@@ -393,8 +412,8 @@ impl CsrBuilder {
             Sources::Ordered(mut row_offsets) => {
                 row_offsets.resize(n + 1, end);
                 Csr {
-                    row_offsets,
-                    adjacency: self.targets,
+                    row_offsets: Arc::new(row_offsets),
+                    adjacency: Arc::new(self.targets),
                 }
             }
             Sources::Listed(sources) => sort_by_source(n, &sources, &self.targets),
@@ -433,8 +452,8 @@ fn sort_by_source(n: usize, sources: &[VertexId], targets: &[VertexId]) -> Csr {
         *slot += 1;
     }
     Csr {
-        row_offsets,
-        adjacency,
+        row_offsets: Arc::new(row_offsets),
+        adjacency: Arc::new(adjacency),
     }
 }
 

@@ -93,8 +93,8 @@ pub fn run_rodinia(
     assert!((source as usize) < n, "source out of range");
     let mut engine = Engine::new(gpu.clone());
     let mem = engine.memory_mut();
-    mem.alloc_init("nodes", graph.row_offsets());
-    mem.alloc_init("edges", graph.adjacency());
+    mem.map("nodes", graph.shared_row_offsets());
+    mem.map("edges", graph.shared_adjacency());
     let costs = mem.alloc_filled("costs", n, UNVISITED);
     mem.write_u32(costs, source as usize, 0);
     let mask = mem.alloc("mask", n);

@@ -199,8 +199,8 @@ pub(crate) fn launch<W: PtWorkload>(
             mem.set_alloc_prefix(&format!("q{l}:"));
         }
         let n = graph.num_vertices();
-        let nodes = mem.alloc_init("nodes", graph.row_offsets());
-        let edges = mem.alloc_init("edges", graph.adjacency());
+        let nodes = mem.map("nodes", graph.shared_row_offsets());
+        let edges = mem.map("edges", graph.shared_adjacency());
         let mut workload = workload.clone();
         workload.bind(mem);
         // Per-token state spans `state_len` slots (`n` solo, `k * n` for
@@ -459,6 +459,36 @@ mod tests {
             seed: 5,
         });
         check_all_variants(&g, 0, 4);
+    }
+
+    #[test]
+    fn a_regrown_run_equals_a_first_try_at_its_final_factor() {
+        // A queue-full abort discards its launch whole: the run that
+        // finally succeeds is the launch a first try at the grown factor
+        // would have made, to the cycle.
+        let g = social(SocialParams {
+            vertices: 1_500,
+            avg_degree: 8.0,
+            alpha: 1.8,
+            max_degree: 150,
+            seed: 11,
+        });
+        let gpu = GpuConfig::test_tiny();
+        let mut config = PtConfig::new(Variant::RfAn, 4);
+        config.capacity_factor = 0.25;
+        let regrown = run_bfs(&gpu, &g, 0, &config).unwrap();
+        assert!(
+            !regrown.recovery.attempts.is_empty(),
+            "the undersized queue should regrow"
+        );
+        config.capacity_factor = regrown.recovery.final_capacity_factor;
+        let direct = run_bfs(&gpu, &g, 0, &config).unwrap();
+        assert!(direct.recovery.attempts.is_empty());
+        assert_eq!(regrown.metrics, direct.metrics);
+        assert_eq!(regrown.seconds, direct.seconds);
+        assert_eq!(regrown.values, direct.values);
+        assert_eq!(regrown.per_cu_cycles, direct.per_cu_cycles);
+        assert_eq!(regrown.round_bounds, direct.round_bounds);
     }
 
     #[test]

@@ -69,7 +69,7 @@ impl PtWorkload for Sssp {
     }
 
     fn bind(&mut self, mem: &mut DeviceMemory) {
-        self.weights_buf = Some(mem.alloc_init("weights", &self.weights));
+        self.weights_buf = Some(mem.map("weights", Arc::clone(&self.weights)));
     }
 
     fn expand(

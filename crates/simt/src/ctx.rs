@@ -689,10 +689,12 @@ impl<'a> WaveCtx<'a> {
     /// # Panics
     /// Panics if `index` is outside `buf` — a bug in the observing queue,
     /// not a device fault.
-    #[inline]
+    // `always`: the ticket poll calls this once per slot it scans, and
+    // the mapped-buffer branch tipped the plain hint into a call.
+    #[inline(always)]
     pub fn observe_stale(&self, buf: Buffer, index: usize) -> u32 {
         let addr = buf.addr(index).expect("host-side observation in bounds");
-        self.memory.stale_value(addr)
+        self.memory.observe_stale(buf, addr)
     }
 
     /// True once fault injection has armed a memory poison in this

@@ -1384,4 +1384,119 @@ mod tests {
         assert!(r.metrics.makespan_cycles >= 1000);
         assert!(r.metrics.makespan_cycles < 1100);
     }
+
+    /// How a [`TableKernel`] wave touches the table after reading it.
+    #[derive(Clone, Copy, Debug)]
+    enum TableOp {
+        Read,
+        Store,
+        Atomic,
+        Poke,
+    }
+
+    /// Each wave reads table word `wave`, adds it into `sum`, then does
+    /// `op` on the same word; one cycle per step, for `steps` cycles.
+    struct TableKernel {
+        table: Buffer,
+        sum: Buffer,
+        op: TableOp,
+        wave: usize,
+        steps: u32,
+    }
+
+    impl WaveKernel for TableKernel {
+        fn work_cycle(&mut self, ctx: &mut WaveCtx<'_>) -> WaveStatus {
+            let word = ctx.global_read(self.table, self.wave);
+            ctx.atomic_add(self.sum, 0, word);
+            match self.op {
+                TableOp::Read => {}
+                TableOp::Store => ctx.global_write(self.table, self.wave, 7),
+                TableOp::Atomic => drop(ctx.atomic_add(self.table, self.wave, 7)),
+                TableOp::Poke => ctx.poke(self.table, self.wave, 7),
+            }
+            self.steps -= 1;
+            if self.steps == 0 {
+                WaveStatus::Done
+            } else {
+                WaveStatus::Active
+            }
+        }
+    }
+
+    /// A launch of [`TableKernel`]s over a table uploaded by copy or
+    /// mapped, under `plan`: the result, the table as the host reads it
+    /// and the arena words behind it.
+    fn table_run(
+        mapped: bool,
+        op: TableOp,
+        plan: &FaultPlan,
+    ) -> (Result<RunReport, SimError>, Vec<u32>, Vec<u32>) {
+        let data: Vec<u32> = (1..=8).collect();
+        let mut e = Engine::new(GpuConfig::test_tiny());
+        let mem = e.memory_mut();
+        let table = if mapped {
+            mem.map("table", std::sync::Arc::new(data))
+        } else {
+            mem.alloc_init("table", &data)
+        };
+        let sum = mem.alloc("sum", 1);
+        let waves = e.config().waves_per_wg * 2;
+        assert!(waves <= 8);
+        let result = e
+            .run_group(Launch::workgroups(2), &[2], plan, |_, info| TableKernel {
+                table,
+                sum,
+                op,
+                wave: info.wave_id,
+                steps: 3,
+            })
+            .map(|mut reports| reports.remove(0));
+        let mem = e.memory();
+        let arena = mem.arena_words(table).to_vec();
+        (result, mem.read_slice(table).to_vec(), arena)
+    }
+
+    #[test]
+    fn mapped_buffers_refuse_device_writes_and_fault_like_copies() {
+        let host: Vec<u32> = (1..=8).collect();
+        // Reads: a mapped table runs exactly like a copied one.
+        let (copied, _, _) = table_run(false, TableOp::Read, &FaultPlan::EMPTY);
+        let (mapped, read, arena) = table_run(true, TableOp::Read, &FaultPlan::EMPTY);
+        let (copied, mapped) = (copied.unwrap(), mapped.unwrap());
+        assert_eq!(copied.metrics, mapped.metrics);
+        assert_eq!(copied.per_cu_cycles, mapped.per_cu_cycles);
+        assert_eq!(read, host);
+        assert!(arena.iter().all(|&w| w == 0), "{arena:?}");
+        // Every kernel write is the typed refusal naming the buffer, and
+        // lands nowhere: not in the host array, not in the arena.
+        for op in [TableOp::Store, TableOp::Atomic, TableOp::Poke] {
+            let (result, read, arena) = table_run(true, op, &FaultPlan::EMPTY);
+            assert_eq!(
+                result.unwrap_err(),
+                SimError::ReadOnly {
+                    buffer: "table".into()
+                },
+                "{op:?}"
+            );
+            assert_eq!(read, host, "{op:?}");
+            assert!(arena.iter().all(|&w| w == 0), "{op:?}: {arena:?}");
+        }
+        // A poison armed on a mapped word faults at the rotation position,
+        // wave and round it does on the copy.
+        let waves = GpuConfig::test_tiny().waves_per_wg * 2;
+        for index in [0, waves - 1] {
+            let plan = FaultPlan::new().poison(1, "table", index);
+            let (copied, _, _) = table_run(false, TableOp::Read, &plan);
+            let (mapped, _, _) = table_run(true, TableOp::Read, &plan);
+            let copied = copied.unwrap_err();
+            assert!(
+                matches!(
+                    copied.abort_reason(),
+                    Some(AbortReason::InjectedFault { .. })
+                ),
+                "{copied}"
+            );
+            assert_eq!(mapped.unwrap_err(), copied, "poison on word {index}");
+        }
+    }
 }

@@ -127,6 +127,13 @@ pub enum SimError {
     /// seeds outside the graph, …). Carries the cause; raised before any
     /// device state exists, so nothing is lost by fixing the request.
     InvalidLaunch(String),
+    /// A kernel stored to, or issued an atomic on, a read-only buffer
+    /// mapped from a host array ([`crate::DeviceMemory::map`]). Nothing
+    /// was written.
+    ReadOnly {
+        /// The name the buffer was mapped under.
+        buffer: String,
+    },
 }
 
 impl SimError {
@@ -168,6 +175,9 @@ impl fmt::Display for SimError {
             }
             SimError::AuditViolation(detail) => write!(f, "audit violation: {detail}"),
             SimError::InvalidLaunch(cause) => write!(f, "invalid launch: {cause}"),
+            SimError::ReadOnly { buffer } => {
+                write!(f, "device write to read-only mapped buffer {buffer:?}")
+            }
         }
     }
 }
@@ -197,6 +207,10 @@ mod tests {
         assert!(e.to_string().contains("audit violation"));
         let e = SimError::InvalidLaunch("empty launch group".into());
         assert!(e.to_string().contains("invalid launch: empty"));
+        let e = SimError::ReadOnly {
+            buffer: "edges".into(),
+        };
+        assert!(e.to_string().contains("read-only mapped buffer \"edges\""));
     }
 
     #[test]

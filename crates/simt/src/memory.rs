@@ -6,6 +6,24 @@
 //! flat `u32` arena; allocation is only possible between launches, and all
 //! kernel accesses are bounds-checked against their [`Buffer`] handle.
 //!
+//! # Mapped read-only inputs
+//!
+//! The paper's host uploads the graph once per kernel; on its APU host
+//! and device share one physical memory, so the faithful model of that
+//! upload is a host-pointer buffer, not a second copy.
+//! [`DeviceMemory::map`] takes the range an [`DeviceMemory::alloc_init`]
+//! copy would take — cache lines, atomic ranks, poisons and
+//! [`DeviceMemory::allocated_words`] see the same addresses, so every
+//! simulated number is unchanged — and serves its words from a shared
+//! host array. A kernel store or atomic on it is [`SimError::ReadOnly`];
+//! a host write panics. The arena words behind the range stay zero and
+//! their pages are never written, so they never become resident; a
+//! recycled arena's dirty pages under it are zeroed on demand like an
+//! [`DeviceMemory::alloc`]'s. The accessors branch on the [`Buffer`]'s
+//! tag, and a mapped word is one heap hop further than an arena word
+//! (measured in DESIGN.md *Arenas and bandwidth accounting*).
+//! `alloc_init` stays the copying upload for callers that lend a slice.
+//!
 //! # Word shadow state
 //!
 //! Behind every word sits one 8-byte `WordMeta`: the round-start snapshot
@@ -53,18 +71,47 @@
 use crate::error::{AbortReason, FaultKind, SimError};
 use crate::round::RoundState;
 use std::collections::HashMap;
+use std::sync::Arc;
 
-/// Handle to a named device allocation (offset + length in 32-bit words).
+/// Handle to a named device allocation: offset and length in 32-bit
+/// words, plus the tag of the host array a mapped buffer reads.
+///
+/// Exactly two scalar fields, so a `Buffer` travels in two registers:
+/// every accessor takes one by value, and a third field would pass it
+/// through memory instead (which grew the atomics enough to un-inline the
+/// kernels' per-edge path).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct Buffer {
-    pub(crate) offset: usize,
-    pub(crate) len: usize,
+    /// The flat offset in the low 32 bits; in the high 32, 0 for an arena
+    /// buffer and `k + 1` for the `k`-th array [`DeviceMemory::map`]
+    /// mapped.
+    at: u64,
+    len: u32,
 }
 
 impl Buffer {
+    fn new(offset: usize, len: usize, host: u32) -> Self {
+        Buffer {
+            at: offset as u64 | u64::from(host) << 32,
+            len: len as u32,
+        }
+    }
+
+    /// The flat address of the buffer's first word.
+    #[inline]
+    fn offset(&self) -> usize {
+        self.at as u32 as usize
+    }
+
+    /// The mapped host array's tag (0: an arena buffer).
+    #[inline]
+    fn host(&self) -> usize {
+        (self.at >> 32) as usize
+    }
+
     /// Length of the buffer in `u32` words.
     pub fn len(&self) -> usize {
-        self.len
+        self.len as usize
     }
 
     /// True if the buffer holds no words.
@@ -72,17 +119,29 @@ impl Buffer {
         self.len == 0
     }
 
+    /// True if the buffer is a read-only mapped host array
+    /// ([`DeviceMemory::map`]).
+    #[inline]
+    pub fn is_mapped(&self) -> bool {
+        self.host() != 0
+    }
+
     /// The flat device address of word `index`, bounds-checked.
     #[inline]
     pub(crate) fn addr(&self, index: usize) -> Result<usize, SimError> {
-        if index < self.len {
-            Ok(self.offset + index)
+        if index < self.len as usize {
+            Ok(self.offset() + index)
         } else {
             Err(SimError::OutOfBounds {
                 index,
-                len: self.len,
+                len: self.len as usize,
             })
         }
+    }
+
+    /// The flat address range the buffer spans.
+    fn span(&self) -> std::ops::Range<usize> {
+        self.offset()..self.offset() + self.len()
     }
 }
 
@@ -118,6 +177,10 @@ const RANK_MASK: u32 = TOUCHED - 1;
 pub struct DeviceMemory {
     words: Vec<u32>,
     buffers: HashMap<String, Buffer>,
+    /// The host arrays [`DeviceMemory::map`] mapped, indexed by a mapped
+    /// [`Buffer`]'s tag minus one. The arena words behind their ranges are
+    /// never read or written.
+    mapped: Vec<Arc<Vec<u32>>>,
     /// Per-word shadow state (round snapshot + atomic rank).
     meta: Vec<WordMeta>,
     /// Addresses whose `meta` entry is non-zero: every word stored to or
@@ -146,8 +209,9 @@ pub struct DeviceMemory {
     /// its overlap with these pages (zero-on-demand); every other page
     /// past the front is pristine `alloc_zeroed` memory and costs nothing.
     stale: Vec<bool>,
-    /// Words actually zeroed on demand by [`DeviceMemory::alloc`]
-    /// (profiling counter; bounded by the pages earlier lives wrote).
+    /// Words actually zeroed on demand by [`DeviceMemory::alloc`] and
+    /// [`DeviceMemory::map`] (profiling counter; bounded by the pages
+    /// earlier lives wrote).
     demand_zeroed_words: u64,
     /// True if this arena came from the thread-local recycling pool.
     recycled: bool,
@@ -290,6 +354,7 @@ impl DeviceMemory {
         DeviceMemory {
             words,
             buffers: HashMap::new(),
+            mapped: Vec::new(),
             meta,
             journal,
             versions: Vec::new(),
@@ -312,11 +377,12 @@ impl DeviceMemory {
         self.alloc_prefix = prefix.to_owned();
     }
 
-    /// Grows the arena by `len` words and registers the handle, without
-    /// establishing any particular content for the new region: on stale
-    /// pages the words hold previous-life data, elsewhere they are zero.
-    /// Callers overwrite or zero the region themselves.
-    fn alloc_raw(&mut self, name: &str, len: usize) -> Buffer {
+    /// Grows the arena by `len` words and registers the handle (tagged
+    /// `host`, see [`Buffer`]), without establishing any particular
+    /// content for the new region: on stale pages the words hold
+    /// previous-life data, elsewhere they are zero. Callers overwrite or
+    /// zero the region themselves.
+    fn alloc_raw(&mut self, name: &str, len: usize, host: u32) -> Buffer {
         let name: std::borrow::Cow<'_, str> = if self.alloc_prefix.is_empty() {
             name.into()
         } else {
@@ -356,7 +422,7 @@ impl DeviceMemory {
                 self.meta[addr as usize] = outgrown[addr as usize];
             }
         }
-        let buf = Buffer { offset, len };
+        let buf = Buffer::new(offset, len, host);
         self.buffers.insert(name.to_owned(), buf);
         buf
     }
@@ -371,8 +437,35 @@ impl DeviceMemory {
     /// Panics if `name` is already allocated (host code bug) or the arena
     /// would exceed `u32::MAX` words.
     pub fn alloc(&mut self, name: &str, len: usize) -> Buffer {
-        let buf = self.alloc_raw(name, len);
-        let (start, end) = (buf.offset, buf.offset + buf.len);
+        let buf = self.alloc_raw(name, len, 0);
+        self.zero_stale(buf.span());
+        buf
+    }
+
+    /// Maps the host array `data` read-only under `name`, in the manner
+    /// of OpenCL's `CL_MEM_USE_HOST_PTR` (*Mapped read-only inputs* in the
+    /// module docs): the buffer takes the flat range
+    /// [`DeviceMemory::alloc_init`] would, but its reads are served from
+    /// `data`, shared and not copied. A kernel store or atomic on it is
+    /// [`SimError::ReadOnly`]; a host write panics.
+    ///
+    /// # Panics
+    /// As [`DeviceMemory::alloc`].
+    pub fn map(&mut self, name: &str, data: Arc<Vec<u32>>) -> Buffer {
+        let buf = self.alloc_raw(name, data.len(), self.mapped.len() as u32 + 1);
+        self.mapped.push(data);
+        // Nothing reads the arena words behind the range, but a recycled
+        // arena's dirty pages under it are zeroed like an `alloc`'s: the
+        // allocator retires a stale page once the front passes it, so an
+        // unzeroed one would hand its dirt to a later life's `alloc`.
+        self.zero_stale(buf.span());
+        buf
+    }
+
+    /// Zeroes the overlap of `span`, the newest allocation, with the
+    /// recycled arena's stale pages.
+    fn zero_stale(&mut self, span: std::ops::Range<usize>) {
+        let (start, end) = (span.start, span.end);
         let capacity = self.words.capacity();
         for page in start / PAGE_WORDS..end.div_ceil(PAGE_WORDS) {
             if !self.stale[page] {
@@ -386,16 +479,15 @@ impl DeviceMemory {
             // front has had all its stale words zeroed.
             self.stale[page] = page_end > end;
         }
-        buf
     }
 
     /// Allocates and initializes from a slice (host→device copy). The
     /// copy fully paints the region, so no pre-zeroing happens — one pass
-    /// over the data instead of two.
+    /// over the data instead of two. Read-only data already shared in an
+    /// `Arc` is mapped instead ([`DeviceMemory::map`]).
     pub fn alloc_init(&mut self, name: &str, data: &[u32]) -> Buffer {
-        let buf = self.alloc_raw(name, data.len());
-        self.host_write(buf.offset..buf.offset + buf.len)
-            .copy_from_slice(data);
+        let buf = self.alloc_raw(name, data.len(), 0);
+        self.host_write(buf, 0..buf.len()).copy_from_slice(data);
         buf
     }
 
@@ -404,14 +496,25 @@ impl DeviceMemory {
     /// makes every page of the buffer resident, where a zero buffer
     /// ([`DeviceMemory::alloc`]) costs only the pages a run writes.
     pub fn alloc_filled(&mut self, name: &str, len: usize, value: u32) -> Buffer {
-        let buf = self.alloc_raw(name, len);
-        self.host_write(buf.offset..buf.offset + buf.len)
-            .fill(value);
+        let buf = self.alloc_raw(name, len, 0);
+        self.host_write(buf, 0..len).fill(value);
         buf
     }
 
-    /// The words of `span`, with their pages marked written.
-    fn host_write(&mut self, span: std::ops::Range<usize>) -> &mut [u32] {
+    /// Words `words` of arena buffer `buf`, with their pages marked
+    /// written.
+    ///
+    /// # Panics
+    /// Panics if `buf` is mapped: the host does not write through a
+    /// read-only mapping.
+    fn host_write(&mut self, buf: Buffer, words: std::ops::Range<usize>) -> &mut [u32] {
+        if buf.is_mapped() {
+            panic!(
+                "host write to buffer {:?}, a read-only mapped host array",
+                self.name_of(buf)
+            );
+        }
+        let span = buf.offset() + words.start..buf.offset() + words.end;
         if !span.is_empty() {
             self.written[span.start / PAGE_WORDS..=(span.end - 1) / PAGE_WORDS].fill(true);
         }
@@ -436,26 +539,58 @@ impl DeviceMemory {
             .unwrap_or_else(|| panic!("unknown buffer {name:?}"))
     }
 
+    /// The name `buf` was registered under (error messages; cold).
+    #[cold]
+    fn name_of(&self, buf: Buffer) -> String {
+        self.buffers
+            .iter()
+            .find(|&(_, &b)| b == buf)
+            .map_or_else(|| "<unregistered>".to_owned(), |(name, _)| name.clone())
+    }
+
     /// Host-side read of one word.
     pub fn read_u32(&self, buf: Buffer, index: usize) -> u32 {
-        self.words[buf.addr(index).expect("host read out of bounds")]
+        buf.addr(index).expect("host read out of bounds");
+        self.read_slice(buf)[index]
     }
 
     /// Host-side write of one word.
+    ///
+    /// # Panics
+    /// Panics if `index` is out of bounds or `buf` is mapped.
     pub fn write_u32(&mut self, buf: Buffer, index: usize, value: u32) {
-        let addr = buf.addr(index).expect("host write out of bounds");
-        self.host_write(addr..addr + 1)[0] = value;
+        buf.addr(index).expect("host write out of bounds");
+        self.host_write(buf, index..index + 1)[0] = value;
     }
 
     /// Host-side view of an entire buffer (device→host copy).
     pub fn read_slice(&self, buf: Buffer) -> &[u32] {
-        &self.words[buf.offset..buf.offset + buf.len]
+        if buf.is_mapped() {
+            self.host_words(buf)
+        } else {
+            &self.words[buf.span()]
+        }
+    }
+
+    /// The arena words behind `buf`'s address range, which a mapped
+    /// buffer never reads or writes.
+    #[cfg(test)]
+    pub(crate) fn arena_words(&self, buf: Buffer) -> &[u32] {
+        &self.words[buf.span()]
+    }
+
+    /// The host array behind mapped buffer `buf`.
+    #[inline]
+    fn host_words(&self, buf: Buffer) -> &[u32] {
+        &self.mapped[buf.host() - 1]
     }
 
     /// Fills a buffer with a value.
+    ///
+    /// # Panics
+    /// Panics if `buf` is mapped.
     pub fn fill(&mut self, buf: Buffer, value: u32) {
-        self.host_write(buf.offset..buf.offset + buf.len)
-            .fill(value);
+        self.host_write(buf, 0..buf.len()).fill(value);
     }
 
     /// Total allocated words.
@@ -470,9 +605,10 @@ impl DeviceMemory {
             + self.journal.capacity() * std::mem::size_of::<u32>()) as u64
     }
 
-    /// Words zeroed on demand by [`DeviceMemory::alloc`] because an
-    /// allocation overlapped a recycled arena's stale pages (profiling;
-    /// cumulative over this memory's life).
+    /// Words zeroed on demand by [`DeviceMemory::alloc`] and
+    /// [`DeviceMemory::map`] because an allocation overlapped a recycled
+    /// arena's stale pages (profiling; cumulative over this memory's
+    /// life).
     pub fn demand_zeroed_words(&self) -> u64 {
         self.demand_zeroed_words
     }
@@ -515,6 +651,29 @@ impl DeviceMemory {
         self.check_poison_slow(addr, 1)
     }
 
+    /// The guard of a device store or atomic: faults if `addr` is
+    /// poisoned, else refuses a mapped `buf` with [`SimError::ReadOnly`].
+    /// One branch covers both on the fast path, which keeps the write
+    /// accessors' inlined bodies as small as a poison check alone.
+    #[inline]
+    fn check_write(&self, buf: Buffer, addr: usize) -> Result<(), SimError> {
+        if self.poisoned.is_empty() & !buf.is_mapped() {
+            return Ok(());
+        }
+        self.check_write_slow(buf, addr)
+    }
+
+    #[cold]
+    fn check_write_slow(&self, buf: Buffer, addr: usize) -> Result<(), SimError> {
+        self.check_poison_slow(addr, 1)?;
+        if buf.is_mapped() {
+            return Err(SimError::ReadOnly {
+                buffer: self.name_of(buf),
+            });
+        }
+        Ok(())
+    }
+
     #[cold]
     fn check_poison_slow(&self, addr: usize, len: usize) -> Result<(), SimError> {
         for &(p, armed) in &self.poisoned {
@@ -544,7 +703,11 @@ impl DeviceMemory {
     pub fn load(&self, buf: Buffer, index: usize) -> Result<u32, SimError> {
         let addr = buf.addr(index)?;
         self.check_poison(addr)?;
-        Ok(self.words[addr])
+        Ok(if buf.is_mapped() {
+            self.host_words(buf)[index]
+        } else {
+            self.words[addr]
+        })
     }
 
     /// Bounds-checks the whole run `[start, start + len)` once and returns
@@ -560,15 +723,20 @@ impl DeviceMemory {
         let end =
             start
                 .checked_add(len)
-                .filter(|&e| e <= buf.len)
+                .filter(|&e| e <= buf.len())
                 .ok_or(SimError::OutOfBounds {
                     index: start.saturating_add(len.saturating_sub(1)),
-                    len: buf.len,
+                    len: buf.len(),
                 })?;
+        let offset = buf.offset();
         if !self.poisoned.is_empty() && len > 0 {
-            self.check_poison_slow(buf.offset + start, len)?;
+            self.check_poison_slow(offset + start, len)?;
         }
-        Ok(&self.words[buf.offset + start..buf.offset + end])
+        Ok(if buf.is_mapped() {
+            &self.host_words(buf)[start..end]
+        } else {
+            &self.words[offset + start..offset + end]
+        })
     }
 
     /// The shadow entry of `addr`, marked touched: the round's first store
@@ -591,7 +759,7 @@ impl DeviceMemory {
     #[inline]
     pub fn store(&mut self, buf: Buffer, index: usize, value: u32) -> Result<(), SimError> {
         let addr = buf.addr(index)?;
-        self.check_poison(addr)?;
+        self.check_write(buf, addr)?;
         self.touch(addr);
         self.words[addr] = value;
         Ok(())
@@ -614,7 +782,7 @@ impl DeviceMemory {
         f: impl FnOnce(u32) -> u32,
     ) -> Result<(usize, u32, u32), SimError> {
         let addr = buf.addr(index)?;
-        self.check_poison(addr)?;
+        self.check_write(buf, addr)?;
         let old = self.words[addr];
         let new = f(old);
         let m = self.touch(addr);
@@ -642,11 +810,33 @@ impl DeviceMemory {
     pub fn stale_load(&self, buf: Buffer, index: usize) -> Result<u32, SimError> {
         let addr = buf.addr(index)?;
         self.check_poison(addr)?;
-        Ok(self.stale_value(addr))
+        Ok(self.observe_stale(buf, addr))
+    }
+
+    /// Stale read of `buf`'s word at validated flat address `addr`, with
+    /// no poison check (host-side observation). A mapped word is never
+    /// written, so its round-start value is its host value.
+    #[inline]
+    pub(crate) fn observe_stale(&self, buf: Buffer, addr: usize) -> u32 {
+        if buf.is_mapped() {
+            return self.mapped_stale(buf, addr);
+        }
+        self.stale_value(addr)
+    }
+
+    /// [`DeviceMemory::observe_stale`] on a mapped buffer, out of line:
+    /// nothing hot stale-reads one, and the stale accessors must stay
+    /// small enough to inline.
+    #[cold]
+    fn mapped_stale(&self, buf: Buffer, addr: usize) -> u32 {
+        self.host_words(buf)[addr - buf.offset()]
     }
 
     /// Raw stale read by flat address — the engine's wake-check path for
     /// parked waves. The address must come from a validated `flat_addr`.
+    /// On a mapped word this and [`DeviceMemory::word`] read the zero the
+    /// arena holds behind it: the word never changes, so a watch on it
+    /// holds forever, exactly as it would on the host value.
     #[inline]
     pub(crate) fn stale_value(&self, addr: usize) -> u32 {
         let m = &self.meta[addr];
@@ -1119,6 +1309,83 @@ mod tests {
         let mut mem2 = DeviceMemory::new();
         let b = mem2.alloc("b", 8);
         assert!(mem2.load(b, 3).is_ok());
+    }
+
+    #[test]
+    fn mapped_buffer_reads_the_host_array_at_arena_addresses() {
+        let mut mem = DeviceMemory::new();
+        let a = mem.alloc_init("a", &[9, 9]);
+        let host = Arc::new(vec![10, 11, 12, 13]);
+        let m = mem.map("m", Arc::clone(&host));
+        let b = mem.alloc("b", 3);
+        // The mapping takes its range exactly like a copy would.
+        assert_eq!((m.offset(), m.len()), (2, 4));
+        assert!(m.is_mapped() && !a.is_mapped() && !b.is_mapped());
+        assert_eq!(mem.allocated_words(), 9);
+        assert_eq!(mem.flat_addr(m, 1).unwrap(), 3);
+        assert_eq!(mem.flat_addr(b, 0).unwrap(), 6);
+        // Every read path sees the host data; the arena behind stays zero.
+        assert_eq!(mem.read_slice(m), &host[..]);
+        assert_eq!(mem.read_u32(m, 3), 13);
+        assert_eq!(mem.load(m, 2).unwrap(), 12);
+        assert_eq!(mem.stale_load(m, 1).unwrap(), 11);
+        assert_eq!(mem.observe_stale(m, mem.flat_addr(m, 1).unwrap()), 11);
+        assert_eq!(mem.load_run(m, 1, 3).unwrap(), &[11, 12, 13]);
+        assert!(mem.load_run(m, 2, 3).is_err());
+        assert!(matches!(
+            mem.load(m, 4),
+            Err(SimError::OutOfBounds { index: 4, len: 4 })
+        ));
+        assert_eq!(mem.arena_words(m), &[0; 4]);
+        // Device writes are refused by name and land nowhere.
+        assert_eq!(
+            mem.store(m, 0, 1),
+            Err(SimError::ReadOnly { buffer: "m".into() })
+        );
+        assert!(matches!(
+            rmw(&mut mem, m, 0, |v| v + 1),
+            Err(SimError::ReadOnly { .. })
+        ));
+        assert_eq!(mem.read_slice(m), &host[..]);
+        assert_eq!(mem.arena_words(m), &[0; 4]);
+        // Neighbours are ordinary arena buffers.
+        mem.write_u32(b, 0, 5);
+        assert_eq!(mem.read_slice(b), &[5, 0, 0]);
+        assert_eq!(mem.read_slice(a), &[9, 9]);
+    }
+
+    #[test]
+    fn a_dirty_page_under_a_mapping_stays_out_of_later_zeroed_allocations() {
+        let mut mem = DeviceMemory::new();
+        let a = mem.alloc("a", 8 * PAGE_WORDS);
+        mem.fill(a, 7);
+        drop(mem);
+        let mut mem2 = DeviceMemory::new();
+        assert!(mem2.was_recycled());
+        // The mapping covers the head of dirty page 0, the allocation its
+        // tail: once the front passes page 0 the allocator retires it.
+        // (Both fit the recycled capacity: growth would start clean.)
+        mem2.map("m", Arc::new(vec![1; 100]));
+        let z = mem2.alloc("z", 2 * PAGE_WORDS);
+        assert!(mem2.read_slice(z).iter().all(|&w| w == 0));
+        assert_eq!(mem2.words.capacity(), 8 * PAGE_WORDS);
+        drop(mem2);
+        let mut mem3 = DeviceMemory::new();
+        let y = mem3.alloc("y", 3 * PAGE_WORDS);
+        assert!(mem3.read_slice(y).iter().all(|&w| w == 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "read-only mapped host array")]
+    fn host_writes_to_a_mapped_buffer_are_refused() {
+        let mut mem = DeviceMemory::new();
+        let m = mem.map("m", Arc::new(vec![1, 2]));
+        mem.write_u32(m, 0, 3);
+    }
+
+    #[test]
+    fn buffer_handles_stay_small() {
+        assert!(std::mem::size_of::<Buffer>() <= 16);
     }
 
     #[test]

@@ -8,11 +8,15 @@
 //! property that matters is equivalence across many rounds, growth with a
 //! round still open, and arena recycling into a differently sized
 //! successor — everywhere a missed clear would leave a stale snapshot,
-//! rank, flag or previous-life word behind to be misread.
+//! rank, flag or previous-life word behind to be misread. Lives that map
+//! read-only host arrays between their arena buffers check that reads see
+//! the host data, writes are refused, and a previous life's page under a
+//! mapped range never leaks into a later zeroed allocation.
 
 use simt::round::RoundState;
-use simt::{Buffer, DeviceMemory};
+use simt::{Buffer, DeviceMemory, SimError};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// SplitMix64 — tiny, seedable, dependency-free PRNG (public-domain
 /// algorithm; same recurrence as `java.util.SplittableRandom`).
@@ -93,14 +97,25 @@ fn atomic_shape(rng: &mut SplitMix64) -> Box<dyn Fn(u32) -> u32> {
     }
 }
 
+/// How a life sets up its buffers.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Setup {
+    /// Plain zeroed allocations, which on a recycled arena zero only the
+    /// pages earlier lives wrote.
+    Zeroed,
+    /// Four buffers in five, the first among them, painted with a
+    /// nonzero fill; the rest zeroed.
+    Painted,
+    /// Every other buffer a read-only mapped host array of random words,
+    /// the rest zeroed.
+    Mapped,
+}
+
 /// One life of a device memory under `steps` of random traffic on
-/// buffers of up to `scale` words, checked step by step against the
-/// model. With `paint`, four buffers in five are painted with a nonzero
-/// fill; the rest (all, without it) are plain zeroed allocations, which
-/// on a recycled arena zero only the pages earlier lives wrote. Returns
-/// nothing: the memory is dropped (mid-round) into the thread's arena
-/// pool for the next life to recycle.
-fn one_life(rng: &mut SplitMix64, life: usize, scale: usize, steps: usize, paint: bool) {
+/// buffers of up to `scale` words, laid out as `setup` says, checked step
+/// by step against the model. Returns nothing: the memory is dropped
+/// (mid-round) into the thread's arena pool for the next life to recycle.
+fn one_life(rng: &mut SplitMix64, life: usize, scale: usize, steps: usize, setup: Setup) {
     let mut mem = DeviceMemory::new();
     let mut rs = RoundState::new();
     let mut model = Model::default();
@@ -108,24 +123,46 @@ fn one_life(rng: &mut SplitMix64, life: usize, scale: usize, steps: usize, paint
     // Last `(simulated, model)` version pair per word, to compare deltas.
     let mut version_reads: HashMap<usize, (u64, u64)> = HashMap::new();
 
-    let alloc = |mem: &mut DeviceMemory, model: &mut Model, bufs: &mut Vec<Buffer>, len: usize| {
+    let alloc = |rng: &mut SplitMix64,
+                 mem: &mut DeviceMemory,
+                 model: &mut Model,
+                 bufs: &mut Vec<Buffer>,
+                 len: usize| {
         let name = format!("b{}", bufs.len());
-        let fill = if paint { bufs.len() as u32 % 5 } else { 0 };
-        let buf = match fill {
-            0 => mem.alloc(&name, len),
-            fill => mem.alloc_filled(&name, len, fill),
+        let buf = match setup {
+            Setup::Mapped if bufs.len() % 2 != 1 => {
+                let host: Vec<u32> = (0..len).map(|_| 1 + rng.below(6) as u32).collect();
+                model.words.extend_from_slice(&host);
+                mem.map(&name, Arc::new(host))
+            }
+            Setup::Painted if bufs.len() % 5 != 4 => {
+                let fill = 1 + bufs.len() as u32 % 5;
+                model.words.resize(model.words.len() + len, fill);
+                mem.alloc_filled(&name, len, fill)
+            }
+            _ => {
+                model.words.resize(model.words.len() + len, 0);
+                mem.alloc(&name, len)
+            }
         };
-        model.words.resize(model.words.len() + len, fill);
         bufs.push(buf);
     };
-    alloc(&mut mem, &mut model, &mut buffers, 1 + rng.below(scale));
+    let len = 1 + rng.below(scale);
+    alloc(rng, &mut mem, &mut model, &mut buffers, len);
 
     for step in 0..steps {
         let b = rng.below(buffers.len());
         let buf = buffers[b];
         let base: usize = buffers[..b].iter().map(Buffer::len).sum();
-        // A few hot words per buffer draw most of the traffic.
-        let index = if rng.below(3) == 0 {
+        // A few hot words per buffer draw most of the traffic. With mapped
+        // buffers they draw all of it, and are its last words: the head of
+        // a zeroed buffer that shares a page with a mapped one stays
+        // unwritten, so nothing but the allocator's zeroing keeps the
+        // page's mapped part out of later lives (a written page goes back
+        // to the pool dirty anyway).
+        let index = if setup == Setup::Mapped {
+            buf.len() - 1 - rng.below(buf.len().min(4))
+        } else if rng.below(3) == 0 {
             rng.below(buf.len())
         } else {
             rng.below(buf.len().min(4))
@@ -133,6 +170,21 @@ fn one_life(rng: &mut SplitMix64, life: usize, scale: usize, steps: usize, paint
         let addr = base + index;
         let ctx = format!("life {life} step {step} addr {addr}");
         match rng.below(16) {
+            0..=7 if buf.is_mapped() => {
+                let refused = if rng.below(2) == 0 {
+                    mem.store(buf, index, 1).unwrap_err()
+                } else {
+                    let f = atomic_shape(rng);
+                    mem.atomic_rmw(buf, index, &mut rs, &f).unwrap_err()
+                };
+                assert_eq!(
+                    refused,
+                    SimError::ReadOnly {
+                        buffer: format!("b{b}")
+                    },
+                    "{ctx}"
+                );
+            }
             0..=4 => {
                 let f = atomic_shape(rng);
                 let (flat, rank, old) = mem.atomic_rmw(buf, index, &mut rs, &f).unwrap();
@@ -168,7 +220,8 @@ fn one_life(rng: &mut SplitMix64, life: usize, scale: usize, steps: usize, paint
                 // Host allocation between launches, the last round still
                 // open: the shadow table may be outgrown here.
                 if rng.below(8) == 0 && buffers.len() < 12 {
-                    alloc(&mut mem, &mut model, &mut buffers, 1 + rng.below(scale));
+                    let len = 1 + rng.below(scale);
+                    alloc(rng, &mut mem, &mut model, &mut buffers, len);
                 }
             }
         }
@@ -197,7 +250,7 @@ fn shadow_state_matches_the_naive_model_across_rounds_growth_and_recycling() {
             life,
             [40, 3_000, 200, 70_000][life % 4],
             4_000,
-            true,
+            Setup::Painted,
         );
     }
 }
@@ -210,7 +263,7 @@ fn shadow_state_matches_the_naive_model_across_rounds_growth_and_recycling() {
 fn sparse_lives_of_different_sizes_recycle_only_the_pages_they_wrote() {
     let mut rng = SplitMix64(0x9A6E_D127);
     for (life, scale) in [1 << 20, 5_000, 300_000, 1 << 19].into_iter().enumerate() {
-        one_life(&mut rng, life, scale, 400, false);
+        one_life(&mut rng, life, scale, 400, Setup::Zeroed);
     }
 }
 
@@ -220,7 +273,7 @@ fn sparse_lives_of_different_sizes_recycle_only_the_pages_they_wrote() {
 #[test]
 fn recycled_successor_sees_no_trace_of_the_previous_life() {
     let mut rng = SplitMix64(7);
-    one_life(&mut rng, 1, 3_000, 4_000, true); // dropped mid-round
+    one_life(&mut rng, 1, 3_000, 4_000, Setup::Painted); // dropped mid-round
     let mut mem = DeviceMemory::new();
     assert!(mem.was_recycled());
     let buf = mem.alloc_filled("all", 100_000, 9);
@@ -232,4 +285,24 @@ fn recycled_successor_sees_no_trace_of_the_previous_life() {
     }
     assert_eq!(rs.distinct_addresses(), buf.len());
     assert_eq!(rs.max_same_address(), 1);
+}
+
+/// Painted lives leave dirty pages all over the pooled arena; the lives
+/// after them map host arrays over those pages between zeroed
+/// allocations, some sharing a page with a mapped range. Reads of a
+/// mapped buffer must return its host array, kernel writes to it are
+/// refused, and every zeroed word — in this life or a later one — must
+/// still read zero.
+#[test]
+fn mapped_lives_interleaved_with_dirty_ones_leak_no_word() {
+    let mut rng = SplitMix64(0x4D41_5050);
+    // The first life sizes the pooled arena for all the others: growth
+    // would hand a life a clean block and hide a leak.
+    let mut lives = vec![(70_000, Setup::Painted)];
+    for scale in [3_000, 500, 3_000] {
+        lives.extend([Setup::Painted, Setup::Mapped, Setup::Zeroed].map(|setup| (scale, setup)));
+    }
+    for (life, (scale, setup)) in lives.into_iter().enumerate() {
+        one_life(&mut rng, life, scale, 4_000, setup);
+    }
 }

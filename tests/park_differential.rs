@@ -69,8 +69,8 @@ impl<W: PtWorkload> Device<W> {
     ) -> Self {
         let n = graph.num_vertices();
         let seeds = workload.seeds(n);
-        let nodes = mem.alloc_init("nodes", graph.row_offsets());
-        let edges = mem.alloc_init("edges", graph.adjacency());
+        let nodes = mem.map("nodes", graph.shared_row_offsets());
+        let edges = mem.map("edges", graph.shared_adjacency());
         let mut workload = workload.clone();
         workload.bind(mem);
         let values = mem.alloc_init(workload.value_buffer_name(), &workload.initial_values(n));

@@ -79,21 +79,33 @@ impl PtWorkload for Sssp {
         value: u32,
         start: u32,
         stop: u32,
-        _scratch: &mut Vec<u32>,
+        scratch: &mut Vec<u32>,
         sink: &mut TokenSink<'_>,
     ) {
         let weights = self.weights_buf.expect("bind() uploads the weights");
         let len = (stop - start) as usize;
         // Adjacency and weights are parallel arrays: two coalesced
-        // chunk reads.
+        // chunk reads, taken as two runs into one scratch.
         ctx.charge_coalesced_access(buffers.edges, start as usize, len);
         ctx.charge_coalesced_access(weights, start as usize, len);
-        let mut edge = start;
-        while edge < stop {
+        scratch.clear();
+        let runs = ctx
+            .try_peek_run(buffers.edges, start as usize, len, scratch)
+            .and_then(|()| ctx.try_peek_run(weights, start as usize, len, scratch));
+        if runs.is_ok() {
+            let (children, weights) = scratch.split_at(len);
+            for (&child, &weight) in children.iter().zip(weights) {
+                sink.offer(ctx, child, value.saturating_add(weight));
+            }
+            return;
+        }
+        // A run faulted (a poisoned word, or a chunk past the buffer):
+        // re-walk it edge by edge, so the offers before the faulting word
+        // land and the fault is recorded at that word, in that order.
+        for edge in start..stop {
             let child = ctx.peek(buffers.edges, edge as usize);
             let weight = ctx.peek(weights, edge as usize);
             sink.offer(ctx, child, value.saturating_add(weight));
-            edge += 1;
         }
     }
 

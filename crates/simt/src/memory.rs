@@ -51,8 +51,10 @@
 //!   wrote: it marks the word's 1024-word page in a per-page dirty map
 //!   (host writes mark theirs too). Resident memory then follows the pages
 //!   a run writes — a recycled arena re-zeroes only the pages an earlier
-//!   life wrote, and growth copies only the pages this life wrote
-//!   (*Arenas and bandwidth accounting* in DESIGN.md).
+//!   life wrote, and growth copies only the pages this life wrote, from
+//!   the top of the outgrown block down, handing each copied 1 MiB window
+//!   back to the allocator before reading the next, so at most one window
+//!   is resident twice (*Arenas and bandwidth accounting* in DESIGN.md).
 //! * Mutation *versions* are not per word: only the CAS queues' `Front` /
 //!   `Rear` are ever asked, and every consumer subtracts two reads of one
 //!   word. A short per-instance list starts a word's counter at its first
@@ -256,6 +258,10 @@ struct Arena {
 /// recycled arena re-zeroes and a growing one copies.
 const PAGE_WORDS: usize = 1024;
 
+/// Words of the outgrown block copied between two hand-backs when the word
+/// arena grows (1 MiB): the most of the arena that is ever resident twice.
+const GROWTH_WINDOW_WORDS: usize = 256 * PAGE_WORDS;
+
 thread_local! {
     static ARENA_POOL: std::cell::RefCell<Option<Arena>> =
         const { std::cell::RefCell::new(None) };
@@ -403,16 +409,30 @@ impl DeviceMemory {
                      u32::MAX words, the range of the shadow journal's 32-bit addresses"
                 )
             });
-        if let Some(outgrown) = grow_zeroed(&mut self.words, end) {
+        if let Some(mut outgrown) = grow_zeroed(&mut self.words, end) {
             // Only the written pages of the live `[0, offset)` prefix can
             // hold nonzero words, so only they move into the fresh zeroed
-            // block; the stale pages stay behind in the old one.
+            // block; the stale pages stay behind in the old one. The copy
+            // runs from the top down a window at a time, and each copied
+            // window goes back to the allocator before the next is read
+            // (on glibc an in-place `mremap` of the old block), so the
+            // two blocks overlap by at most one window, not the prefix.
+            // Correctness does not rest on the allocator: a shrink that
+            // moves the block or keeps its tail still preserves `[0, lo)`.
             let pages = self.words.capacity().div_ceil(PAGE_WORDS);
             self.written.resize(pages, false);
             self.stale = vec![false; pages];
-            for page in (0..offset.div_ceil(PAGE_WORDS)).filter(|&p| self.written[p]) {
-                let span = page * PAGE_WORDS..((page + 1) * PAGE_WORDS).min(offset);
-                self.words[span.clone()].copy_from_slice(&outgrown[span]);
+            let mut hi = offset;
+            while hi > 0 {
+                let lo = (hi - 1) / GROWTH_WINDOW_WORDS * GROWTH_WINDOW_WORDS;
+                for page in (lo / PAGE_WORDS..hi.div_ceil(PAGE_WORDS)).filter(|&p| self.written[p])
+                {
+                    let span = page * PAGE_WORDS..((page + 1) * PAGE_WORDS).min(hi);
+                    self.words[span.clone()].copy_from_slice(&outgrown[span]);
+                }
+                outgrown.truncate(lo);
+                outgrown.shrink_to(lo);
+                hi = lo;
             }
         }
         if let Some(outgrown) = grow_zeroed(&mut self.meta, end) {

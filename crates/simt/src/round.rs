@@ -21,14 +21,17 @@
 //! rounds together. This struct holds the round-scalar aggregates plus the
 //! per-*cache-line* bandwidth table, which is *generation stamped*: each
 //! work cycle bumps a counter, the first touch of a line stamps it and
-//! counts — O(1) per touch and nothing to clear between cycles.
+//! counts — O(1) per touch and nothing to clear between cycles. Stamps
+//! are `u32`, 4 bytes per 16-word line: when the generation would wrap,
+//! [`RoundState::begin_cycle`] swaps in a fresh zeroed table once and
+//! restarts at 1, so a stale stamp can never match a later cycle.
 //! `tests/stamped_dedup_prop.rs` pins the count equal to a sort-and-dedup
-//! of the touched lines.
+//! of the touched lines, across the wrap too.
 
 thread_local! {
     /// Recycled cache-line stamp table (with its final generation): the
     /// same page-fault-avoidance as the device-memory arena pool.
-    static LINE_POOL: std::cell::RefCell<Option<(Vec<u64>, u64)>> =
+    static LINE_POOL: std::cell::RefCell<Option<(Vec<u32>, u32)>> =
         const { std::cell::RefCell::new(None) };
 }
 
@@ -37,10 +40,10 @@ thread_local! {
 pub struct RoundState {
     /// Generation stamp per cache line; a line has been touched this work
     /// cycle iff `line_stamp[l] == line_gen`.
-    line_stamp: Vec<u64>,
-    /// Current work-cycle generation for `line_stamp` (bumped every cycle,
-    /// never reused).
-    line_gen: u64,
+    line_stamp: Vec<u32>,
+    /// Current work-cycle generation for `line_stamp`: bumped every cycle,
+    /// never 0, and reused only after the table is replaced by a zeroed one.
+    line_gen: u32,
     /// Distinct cache lines touched in the current work cycle.
     cycle_lines: u64,
     /// Live distinct atomic addresses this round (maintained incrementally).
@@ -51,19 +54,20 @@ pub struct RoundState {
 
 impl Default for RoundState {
     fn default() -> Self {
-        // A recycled line table carries its generation with it (+1 so the
-        // previous life's final cycle is stale).
+        // A recycled line table carries its generation with it; the first
+        // cycle moves past it, so the previous life's final cycle is stale.
         let (line_stamp, line_gen) = LINE_POOL
             .with(|pool| pool.borrow_mut().take())
-            .map(|(stamp, gen)| (stamp, gen + 1))
-            .unwrap_or((Vec::new(), 1));
-        RoundState {
+            .unwrap_or((Vec::new(), 0));
+        let mut state = RoundState {
             line_stamp,
             line_gen,
             cycle_lines: 0,
             distinct: 0,
             max_count: 0,
-        }
+        };
+        state.begin_cycle();
+        state
     }
 }
 
@@ -118,9 +122,33 @@ impl RoundState {
     /// Starts a new work cycle: invalidates the cache-line table and
     /// resets the distinct-line counter. Called by the engine before every
     /// kernel work cycle.
+    ///
+    /// Once every `u32::MAX` cycles the generation would wrap: the table
+    /// is then replaced by a fresh zeroed block of the same length (lazily
+    /// mapped, so nothing is faulted in) and the count restarts at 1.
     pub fn begin_cycle(&mut self) {
+        if self.line_gen == u32::MAX {
+            self.line_stamp = vec![0; self.line_stamp.len()];
+            self.line_gen = 0;
+        }
         self.line_gen += 1;
         self.cycle_lines = 0;
+    }
+
+    /// Jumps the cache-line generation forward to `gen`, so a test can
+    /// reach the wrap in [`RoundState::begin_cycle`] without `u32::MAX`
+    /// cycles. Forward only: every stamp in the table is at most the
+    /// current generation, so none can match a later one.
+    ///
+    /// # Panics
+    /// Panics if `gen` is behind the current generation.
+    #[doc(hidden)]
+    pub fn skip_line_generation_to(&mut self, gen: u32) {
+        assert!(
+            gen >= self.line_gen,
+            "the line generation only moves forward"
+        );
+        self.line_gen = gen;
     }
 
     /// Registers a cache-line touch for bandwidth accounting. The first
@@ -260,6 +288,43 @@ mod tests {
         // The same line counts again in the new cycle.
         rs.touch_line(9);
         assert_eq!(rs.cycle_lines(), 1);
+    }
+
+    /// Lines stamped in the first generations sit in the table while the
+    /// generation runs up to `u32::MAX` and wraps back to them: the wrap
+    /// must clear them, or the restarted count would skip those lines.
+    #[test]
+    fn line_counts_stay_exact_across_the_generation_wrap() {
+        let mut rs = RoundState::new();
+        rs.line_stamp = vec![0; 64];
+        rs.line_gen = 0;
+        let mut seen = std::collections::HashSet::new();
+        let mut cycle = |rs: &mut RoundState, lines: &[usize]| {
+            rs.begin_cycle();
+            seen.clear();
+            for &line in lines {
+                rs.touch_line(line);
+                seen.insert(line);
+            }
+            assert_eq!(
+                rs.cycle_lines(),
+                seen.len() as u64,
+                "generation {}",
+                rs.line_gen
+            );
+        };
+        for first in 0..4 {
+            cycle(&mut rs, &[10 + first, 11 + first, 10 + first, 50]);
+        }
+        rs.line_gen = u32::MAX - 2;
+        cycle(&mut rs, &[1, 2, 3, 1]);
+        cycle(&mut rs, &[3, 4]);
+        // Past the wrap the generations run from 1 again, over the lines
+        // the first four stamped.
+        for round in 0..6 {
+            cycle(&mut rs, &[10 + round % 5, 11, 50, 1, 70 + round, 11]);
+        }
+        assert_eq!(rs.line_gen, 6);
     }
 
     #[test]

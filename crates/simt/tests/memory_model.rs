@@ -11,7 +11,10 @@
 //! rank, flag or previous-life word behind to be misread. Lives that map
 //! read-only host arrays between their arena buffers check that reads see
 //! the host data, writes are refused, and a previous life's page under a
-//! mapped range never leaks into a later zeroed allocation.
+//! mapped range never leaks into a later zeroed allocation. Growth cases
+//! place the written pages against the arena's copy window — the outgrown
+//! block goes back a window at a time behind the copy — and check every
+//! word after the move.
 
 use simt::round::RoundState;
 use simt::{Buffer, DeviceMemory, SimError};
@@ -305,4 +308,205 @@ fn mapped_lives_interleaved_with_dirty_ones_leak_no_word() {
     for (life, (scale, setup)) in lives.into_iter().enumerate() {
         one_life(&mut rng, life, scale, 4_000, setup);
     }
+}
+
+/// Words per page of the arena's dirty maps, and per window of its growth
+/// copy (256 pages).
+const PAGE: usize = 1024;
+const WINDOW: usize = 256 * PAGE;
+
+/// One device memory beside its model, for the growth cases: buffers are
+/// laid out back to back, so a word's flat address is its model index.
+struct Checked {
+    mem: DeviceMemory,
+    rs: RoundState,
+    model: Model,
+    buffers: Vec<(Buffer, usize)>,
+}
+
+impl Checked {
+    fn new() -> Self {
+        Checked {
+            mem: DeviceMemory::new(),
+            rs: RoundState::new(),
+            model: Model::default(),
+            buffers: Vec::new(),
+        }
+    }
+
+    /// Allocates `len` words painted with `fill` (zeroed if 0); returns
+    /// the buffer's position.
+    fn alloc(&mut self, len: usize, fill: u32) -> usize {
+        let name = format!("b{}", self.buffers.len());
+        let buf = if fill == 0 {
+            self.mem.alloc(&name, len)
+        } else {
+            self.mem.alloc_filled(&name, len, fill)
+        };
+        self.buffers.push((buf, self.model.words.len()));
+        self.model.words.resize(self.model.words.len() + len, fill);
+        self.buffers.len() - 1
+    }
+
+    fn store(&mut self, b: usize, index: usize, value: u32) {
+        let (buf, base) = self.buffers[b];
+        self.mem.store(buf, index, value).unwrap();
+        self.model.store(base + index, value);
+    }
+
+    fn rmw(&mut self, b: usize, index: usize, f: impl Fn(u32) -> u32) {
+        let (buf, base) = self.buffers[b];
+        let (_, rank, old) = self.mem.atomic_rmw(buf, index, &mut self.rs, &f).unwrap();
+        assert_eq!(
+            (rank, old),
+            self.model.rmw(base + index, f),
+            "rank / old value"
+        );
+    }
+
+    fn begin_round(&mut self) {
+        self.rs.begin_round();
+        self.mem.begin_round();
+        self.model.begin_round();
+    }
+
+    /// Every word's current and round-start value against the model.
+    fn sweep(&self, when: &str) {
+        for &(buf, base) in &self.buffers {
+            for index in 0..buf.len() {
+                let addr = base + index;
+                assert_eq!(
+                    self.mem.load(buf, index).unwrap(),
+                    self.model.words[addr],
+                    "{when}: word {addr}"
+                );
+                assert_eq!(
+                    self.mem.stale_load(buf, index).unwrap(),
+                    self.model.stale(addr),
+                    "{when}: stale word {addr}"
+                );
+            }
+        }
+    }
+}
+
+/// Runs `case` on a thread of its own, so its first arena is fresh (its
+/// capacity the next power of two of the first allocation) and whatever
+/// it pools is dropped with the thread.
+fn on_a_fresh_thread(case: impl FnOnce() + Send + 'static) {
+    std::thread::spawn(case).join().unwrap();
+}
+
+/// The written prefix ends mid-page, past two whole windows: the top
+/// window is partial and its last page is copied only up to the front.
+#[test]
+fn growth_copies_a_prefix_aligned_to_neither_window_nor_page() {
+    on_a_fresh_thread(|| {
+        let mut life = Checked::new();
+        let painted = life.alloc(2 * WINDOW + 3 * PAGE + 17, 7); // 1 Mi-word block
+        let tail = life.alloc(101, 0);
+        for index in [0, PAGE - 1, WINDOW - 1, WINDOW, 2 * WINDOW + 3 * PAGE + 16] {
+            life.store(painted, index, index as u32 ^ 0xA5);
+        }
+        life.store(tail, 100, 3);
+        life.begin_round();
+        let grown = life.alloc(600_000, 0);
+        assert_eq!(life.mem.allocated_words(), life.model.words.len());
+        life.sweep("after growth");
+        life.store(grown, 599_999, 9);
+        life.store(tail, 0, 4);
+        life.sweep("after writes past the growth");
+    });
+}
+
+/// Written pages on both sides of a window boundary with unwritten pages
+/// between them: the unwritten ones stay zero in the new block.
+#[test]
+fn growth_keeps_unwritten_pages_between_written_ones_zero_across_a_window() {
+    on_a_fresh_thread(|| {
+        let mut life = Checked::new();
+        let sparse = life.alloc(3 * WINDOW, 0); // 1 Mi-word block
+        for index in [
+            WINDOW - 2 * PAGE,
+            WINDOW - 1,
+            WINDOW,
+            WINDOW + 5 * PAGE + 3,
+            2 * WINDOW - 1,
+            2 * WINDOW + PAGE,
+        ] {
+            life.store(sparse, index, 1 + index as u32 % 13);
+        }
+        life.begin_round();
+        life.alloc(2 * WINDOW, 0);
+        life.sweep("after growth");
+    });
+}
+
+/// Growth between launches with the last round still open: the round's
+/// snapshots and atomic ranks move with the words, so stale reads and the
+/// next atomics' ranks carry on as if nothing had moved.
+#[test]
+fn growth_with_a_round_open_keeps_snapshots_and_ranks() {
+    on_a_fresh_thread(|| {
+        let mut rng = SplitMix64(0x6E0_3171);
+        let mut life = Checked::new();
+        let hot = life.alloc(WINDOW + 3 * PAGE + 5, 2);
+        let cold = life.alloc(WINDOW / 2 + 1, 0); // 512 Ki-word block in all
+        let traffic = |life: &mut Checked, rng: &mut SplitMix64| {
+            for _ in 0..2_000 {
+                let (b, len) = if rng.below(2) == 0 {
+                    (hot, WINDOW + 3 * PAGE + 5)
+                } else {
+                    (cold, WINDOW / 2 + 1)
+                };
+                // A few words per window edge draw the traffic.
+                let index = [0, WINDOW - 1, WINDOW, len - 1][rng.below(4)].min(len - 1);
+                let index = index.saturating_sub(rng.below(3));
+                match rng.below(3) {
+                    0 => life.store(b, index, rng.below(6) as u32),
+                    _ => life.rmw(b, index, atomic_shape(rng)),
+                }
+            }
+        };
+        life.begin_round();
+        traffic(&mut life, &mut rng);
+        life.alloc(WINDOW * 3, 0); // outgrows the block, round open
+        life.sweep("after growth with the round open");
+        assert_eq!(life.rs.max_same_address(), life.model.max_same_address());
+        traffic(&mut life, &mut rng);
+        life.sweep("after more traffic in the same round");
+        life.begin_round();
+        life.sweep("after the next round start");
+    });
+}
+
+/// A recycled arena whose previous life painted most of it: the new
+/// life's zeroed allocations retire the stale pages below its front (one
+/// partly, past the front), then it outgrows the block. The new block
+/// holds only what this life wrote, and the life after it, recycling the
+/// grown arena, sees no trace of either.
+#[test]
+fn growth_of_a_recycled_arena_leaves_its_stale_pages_behind() {
+    on_a_fresh_thread(|| {
+        let mut dirt = Checked::new();
+        dirt.alloc(700_000, 0xD1); // 1 Mi-word block, painted
+        drop(dirt);
+        let mut life = Checked::new();
+        assert!(life.mem.was_recycled());
+        let zeroed = life.alloc(300_000 + 17, 0);
+        let painted = life.alloc(1_000, 3);
+        for index in [0, PAGE, WINDOW - 1, WINDOW + 1, 300_016] {
+            life.store(zeroed, index, 5);
+        }
+        life.store(painted, 999, 6);
+        life.sweep("before growth");
+        let grown = life.alloc(900_000, 0);
+        life.sweep("after growth");
+        life.store(grown, 0, 8);
+        drop(life);
+        let mut next = Checked::new();
+        assert!(next.mem.was_recycled());
+        next.alloc(1_500_000, 0);
+        next.sweep("the life after");
+    });
 }

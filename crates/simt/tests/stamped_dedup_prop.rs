@@ -84,3 +84,43 @@ fn repeat_touches_never_recount_within_a_cycle() {
         assert_eq!(rs.cycle_lines(), count);
     }
 }
+
+/// The same traffic across the generation's wrap: the first cycles stamp
+/// lines with the generations the wrap restarts at, so a wrap that reset
+/// the generation without clearing the table would skip them.
+#[test]
+fn stamped_count_stays_exact_across_the_generation_wrap() {
+    // A fresh thread starts from an empty line-table pool, so the first
+    // cycle's generation is 1.
+    std::thread::spawn(|| {
+        let mut rng = SplitMix64(0x57A3_9E11);
+        let mut rs = RoundState::new();
+        // Sparse traffic, so most stamps of the first cycles survive
+        // until the generation comes back to them.
+        rs.ensure_capacity(4096 * 16);
+        let check = |rs: &mut RoundState, rng: &mut SplitMix64, label: &str| {
+            let touches: Vec<usize> = (0..1 + rng.below(200))
+                .map(|_| rng.below(4096) as usize)
+                .collect();
+            rs.begin_cycle();
+            for &line in &touches {
+                rs.touch_line(line);
+            }
+            assert_eq!(
+                rs.cycle_lines(),
+                reference_distinct(&touches),
+                "{label}: stamped dedup diverged from sort+dedup over {} touches",
+                touches.len(),
+            );
+        };
+        for cycle in 0..12 {
+            check(&mut rs, &mut rng, &format!("cycle {cycle} before the wrap"));
+        }
+        rs.skip_line_generation_to(u32::MAX - 3);
+        for cycle in 0..40 {
+            check(&mut rs, &mut rng, &format!("cycle {cycle} across the wrap"));
+        }
+    })
+    .join()
+    .unwrap();
+}

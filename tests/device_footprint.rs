@@ -6,7 +6,9 @@
 //! * A launch maps the graph's CSR arrays read-only instead of copying
 //!   them into the arena: over a graph with far more edges than vertices
 //!   it adds well under a byte of resident memory per edge (a copy of
-//!   the edge array alone is four).
+//!   the edge array alone is four). Most of what it does add is the
+//!   cache-line stamp table, 4 bytes per 16-word line the launch reads,
+//!   so the bound is half a byte per edge (measured: 0.3–0.45).
 //!
 //! The tests share one lock and this file, which runs as its own process,
 //! so no other test's allocations move their resident-set readings.
@@ -80,7 +82,7 @@ fn a_launch_adds_under_a_byte_per_edge() {
     // resident.
     let grown = vm_rss_kib().unwrap().saturating_sub(before);
     assert_eq!(run.reached, VERTICES);
-    let bound_kib = (EDGES / 1024) as u64;
+    let bound_kib = (EDGES / 2048) as u64;
     assert!(
         grown < bound_kib,
         "one launch over {EDGES} edges made {grown} KiB resident, bound {bound_kib} KiB"

@@ -4,8 +4,10 @@
 # are skipped), summed per crate, for gpu-queue's device/ and verify/
 # directories, for bench's serve/ and experiments/ directories and for
 # the workspace. Comments and blank lines count.
-# Below it, the line counts of the three docs. The tables each CHANGES.md
-# entry reports; informational, never a gate.
+# Below it, the line counts of the three docs, then DESIGN.md's per `##` /
+# `###` section (a `####` subsection counts toward its `###`; the title
+# and preamble are the first row). The tables each CHANGES.md entry
+# reports; informational, never a gate.
 #   bash ci/size.sh [repo-root]
 set -euo pipefail
 cd "${1:-$(dirname "${BASH_SOURCE[0]}")/..}"
@@ -37,3 +39,8 @@ echo
 for doc in DESIGN.md README.md EXPERIMENTS.md; do
     printf "%-28s %6d\n" "$doc" "$(wc -l < "$doc")"
 done
+echo
+awk '/^(##|###) / { if (NR > 1) printf "%6d  %s\n", n, name; name = $0; n = 0 }
+    NR == 1 { name = "(preamble)" }
+    { n++ }
+    END { printf "%6d  %s\n", n, name }' DESIGN.md

@@ -39,9 +39,12 @@ pub fn run_chai(
         gpu.name != "Fiji",
         "CHAI's heterogeneous kernel needs cross-cluster atomics (integrated GPUs only)"
     );
-    let mut config = PtConfig::new(Variant::Base, workgroups);
-    config.cpu_collab_groups = CHAI_CPU_GROUPS;
-    run_bfs(gpu, graph, source, &config)
+    let gpu = GpuConfig {
+        cpu_groups: CHAI_CPU_GROUPS,
+        ..gpu.clone()
+    };
+    let config = PtConfig::new(Variant::Base, workgroups);
+    run_bfs(&gpu, graph, source, &config)
 }
 
 #[cfg(test)]

@@ -5,8 +5,9 @@
 //! 1. hungry lanes request task tokens from the scheduler queue
 //!    (`GetWorkToken`, variant-specific),
 //! 2. lanes holding a token process up to [`CHUNK`] of its out-edges
-//!    (`DoWorkUnit` — "work cycles of 4 sub-tasks works well", §3.3) by
-//!    delegating the expansion to the [`PtWorkload`],
+//!    (`DoWorkUnit` — "work cycles of 4 sub-tasks works well", §3.3),
+//!    offering each child the candidate the [`PtWorkload`] derived for
+//!    the token (plus the edge's weight, for a weighted workload),
 //! 3. newly discovered tokens are enqueued
 //!    (`ScheduleNewlyDiscoveredWorkTokens`),
 //! 4. the wavefront checks the global outstanding-task counter
@@ -28,10 +29,8 @@
 //! (real kernels hold discoveries in scarce registers/local memory):
 //! while the outbox is backlogged the wavefront neither requests new
 //! work nor expands edges, it just keeps offering the backlog.
-//!
-//! [`Claim`]: crate::workload::Claim
 
-use crate::workload::{PtWorkload, TokenSink, WorkBuffers};
+use crate::workload::{Claim, PtWorkload, WorkBuffers};
 use gpu_queue::device::{bits, DeviceQueue, Lanes, WaveQueue};
 use simt::{Buffer, WaveCtx, WaveKernel, WaveStatus, MAX_WAVE_SIZE};
 
@@ -56,6 +55,68 @@ pub struct SpillFence {
     pub spill: Buffer,
 }
 
+/// The emission half of a work cycle: claims a child's value word in
+/// the workload's [`Claim`] direction and routes each *winning* claim to
+/// the wavefront outbox (or, past an epoch fence, to the spill buffer).
+///
+/// Offers are linearized by the claim atomic itself: exactly one of the
+/// concurrent offers for a child observes the improving transition, and
+/// only the offer that then flips the on-queue bit 0→1 emits a token —
+/// so a child is scheduled at most once per improvement, under any
+/// interleaving.
+struct TokenSink<'a> {
+    claim: Claim,
+    values: Buffer,
+    inqueue: Buffer,
+    fence: Option<SpillFence>,
+    outbox: &'a mut Vec<u32>,
+    /// Query-id tag of the token being expanded: `token - token_row(token)`
+    /// (see [`PtWorkload::token_row`]). Offered children are raw CSR rows;
+    /// the sink re-tags them with the same query id before touching
+    /// per-query state, so the walk stays batch-oblivious. Zero for every
+    /// solo (non-batched) workload.
+    base: u32,
+}
+
+impl TokenSink<'_> {
+    /// Offers `candidate` as `child`'s new value. Claims the value word
+    /// with the workload's directed atomic; on a strict improvement,
+    /// claims the on-queue bit and emits the token (outbox or spill).
+    /// `child` is a CSR row; in a batched launch the parent token's
+    /// query-id tag carries over to the emitted token.
+    fn offer(&mut self, ctx: &mut WaveCtx<'_>, child: u32, candidate: u32) {
+        let token = self.base + child;
+        let old = match self.claim {
+            Claim::Min => ctx.atomic_min(self.values, token as usize, candidate),
+            Claim::Max => ctx.atomic_max(self.values, token as usize, candidate),
+        };
+        let improved = match self.claim {
+            Claim::Min => old > candidate,
+            Claim::Max => old < candidate,
+        };
+        if !improved {
+            return;
+        }
+        // Improving discovery: schedule it unless it is already sitting
+        // in the queue.
+        let was = ctx.atomic_exchange(self.inqueue, token as usize, 1);
+        if was != 0 {
+            return;
+        }
+        match self.fence {
+            // Beyond the epoch fence (min-directed workloads only: the
+            // fence is a ceiling on the monotonically growing claim
+            // value): park the claimed token in the spill buffer for the
+            // next launch to seed from.
+            Some(f) if self.claim == Claim::Min && candidate > f.depth => {
+                let at = ctx.atomic_add(f.spill, 0, 1);
+                ctx.global_write_lane(f.spill, 1 + at as usize, token);
+            }
+            _ => self.outbox.push(token),
+        }
+    }
+}
+
 /// Per-lane execution state, one column per field: the node each lane in
 /// `active` is expanding and its edge cursor. Columnar for the same reason
 /// as [`Lanes`]: a wave with no node in flight is `active == 0`, not a
@@ -64,7 +125,10 @@ pub struct SpillFence {
 struct LaneWork {
     /// Lanes holding a node.
     active: u64,
-    value: [u32; MAX_WAVE_SIZE],
+    /// Lanes whose node offers its children `candidate`; the others walk
+    /// their edge span without touching memory.
+    offering: u64,
+    candidate: [u32; MAX_WAVE_SIZE],
     next_edge: [u32; MAX_WAVE_SIZE],
     end_edge: [u32; MAX_WAVE_SIZE],
     /// Query-id tag of the token (`token - token_row(token)`); zero for
@@ -89,8 +153,9 @@ pub struct PtKernel<W: PtWorkload, Q: WaveQueue = DeviceQueue> {
     /// traversal is complete).
     completed: u32,
     chunk: u32,
-    /// Reusable buffer for one lane's prevalidated CSR edge chunk.
+    /// Reusable buffers for one lane's prevalidated edge and weight chunks.
     edge_scratch: Vec<u32>,
+    weight_scratch: Vec<u32>,
     /// Frontier fence for epoch-bounded (checkpointable) launches.
     /// `None` for plain runs — the fence branch is then never taken and
     /// the kernel's behaviour is bit-identical to the unfenced original.
@@ -110,7 +175,8 @@ impl<W: PtWorkload, Q: WaveQueue> PtKernel<W, Q> {
             lanes: Lanes::new(lanes),
             work: LaneWork {
                 active: 0,
-                value: [0; MAX_WAVE_SIZE],
+                offering: 0,
+                candidate: [0; MAX_WAVE_SIZE],
                 next_edge: [0; MAX_WAVE_SIZE],
                 end_edge: [0; MAX_WAVE_SIZE],
                 base: [0; MAX_WAVE_SIZE],
@@ -119,6 +185,7 @@ impl<W: PtWorkload, Q: WaveQueue> PtKernel<W, Q> {
             completed: 0,
             chunk,
             edge_scratch: Vec::new(),
+            weight_scratch: Vec::new(),
             fence: None,
         }
     }
@@ -160,12 +227,19 @@ impl<W: PtWorkload, Q: WaveQueue> WaveKernel for PtKernel<W, Q> {
             // The two row offsets share a cache line almost always.
             ctx.charge_coalesced_access(self.buffers.nodes, row as usize, 2);
             let start = ctx.peek(self.buffers.nodes, row as usize);
-            let end = ctx.peek(self.buffers.nodes, row as usize + 1);
+            // A faulting read yields 0 and fails the launch; until then
+            // the lane must not walk a negative span.
+            let end = ctx.peek(self.buffers.nodes, row as usize + 1).max(start);
             let raw = ctx.global_read_lane(self.buffers.values, token as usize);
             self.work.active |= 1 << lane;
-            // Host-side derivation, no device ops (identity for most
-            // workloads).
-            self.work.value[lane] = self.workload.lane_value(raw, start, end);
+            // Host-side derivation, no device ops.
+            match self.workload.candidate(raw, end - start) {
+                Some(candidate) => {
+                    self.work.offering |= 1 << lane;
+                    self.work.candidate[lane] = candidate;
+                }
+                None => self.work.offering &= !(1 << lane),
+            }
             self.work.next_edge[lane] = start;
             self.work.end_edge[lane] = end;
             self.work.base[lane] = token - row;
@@ -173,36 +247,55 @@ impl<W: PtWorkload, Q: WaveQueue> WaveKernel for PtKernel<W, Q> {
 
         // --- 2. DoWorkUnit: up to `chunk` edges per lane ---------------
         if !stalled && self.work.active != 0 {
-            let mut edges = std::mem::take(&mut self.edge_scratch);
-            let mut outbox = std::mem::take(&mut self.outbox);
+            let (edges, weights) = (self.buffers.edges, self.buffers.weights);
+            let mut sink = TokenSink {
+                claim: self.workload.claim(),
+                values: self.buffers.values,
+                inqueue: self.buffers.inqueue,
+                fence: self.fence,
+                outbox: &mut self.outbox,
+                base: 0,
+            };
             let work = &mut self.work;
             for lane in bits(work.active) {
-                let stop = (work.next_edge[lane] + self.chunk).min(work.end_edge[lane]);
-                let mut sink = TokenSink {
-                    claim: self.workload.claim(),
-                    values: self.buffers.values,
-                    inqueue: self.buffers.inqueue,
-                    fence: self.fence,
-                    outbox: &mut outbox,
-                    base: work.base[lane],
-                };
-                self.workload.expand(
-                    ctx,
-                    &self.buffers,
-                    work.value[lane],
-                    work.next_edge[lane],
-                    stop,
-                    &mut edges,
-                    &mut sink,
-                );
+                let start = work.next_edge[lane];
+                let stop = (start + self.chunk).min(work.end_edge[lane]);
+                if work.offering & (1 << lane) != 0 {
+                    let (at, len) = (start as usize, (stop - start) as usize);
+                    // A lane's edge chunk is contiguous in CSR: one
+                    // coalesced transaction (usually a single line) per
+                    // array, read through the prevalidated run path — one
+                    // bounds check per chunk instead of one per edge. A
+                    // faulting run records its fault and offers nothing.
+                    ctx.charge_coalesced_access(edges, at, len);
+                    if let Some(weights) = weights {
+                        ctx.charge_coalesced_access(weights, at, len);
+                    }
+                    ctx.peek_run(edges, at, len, &mut self.edge_scratch);
+                    sink.base = work.base[lane];
+                    let candidate = work.candidate[lane];
+                    match weights {
+                        None => {
+                            for &child in &self.edge_scratch {
+                                sink.offer(ctx, child, candidate);
+                            }
+                        }
+                        Some(weights) => {
+                            ctx.peek_run(weights, at, len, &mut self.weight_scratch);
+                            for (&child, &weight) in
+                                self.edge_scratch.iter().zip(&self.weight_scratch)
+                            {
+                                sink.offer(ctx, child, candidate.saturating_add(weight));
+                            }
+                        }
+                    }
+                }
                 work.next_edge[lane] = stop;
                 if stop == work.end_edge[lane] {
                     work.active &= !(1 << lane);
                     self.completed += 1;
                 }
             }
-            self.outbox = outbox;
-            self.edge_scratch = edges;
         }
 
         // --- 3. ScheduleNewlyDiscoveredWorkTokens ----------------------
@@ -263,6 +356,7 @@ mod tests {
         WorkBuffers {
             nodes: mem.alloc("nodes", 2),
             edges: mem.alloc("edges", 1),
+            weights: None,
             values: mem.alloc("costs", 1),
             inqueue: mem.alloc("inqueue", 1),
             pending: mem.alloc("pending", 1),

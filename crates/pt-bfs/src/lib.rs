@@ -5,15 +5,16 @@
 //! the same kernel.
 //!
 //! * [`workload`] — the [`workload::PtWorkload`] trait: claim direction,
-//!   initial state, expansion step, and sequential oracle of one
-//!   irregular workload, plus the four implementations
+//!   initial state, the candidate a token offers its children (plus
+//!   optional edge weights), and sequential oracle of one irregular
+//!   workload, plus the four implementations
 //!   ([`workload::Bfs`], [`workload::Sssp`],
 //!   [`workload::ConnectedComponents`], [`workload::PrDelta`]).
 //! * [`kernel`] — the generic persistent-thread kernel (Algorithm 1):
 //!   every wavefront loops work cycles of up to four uniform sub-tasks,
-//!   acquiring tokens through any of the six queue designs and
-//!   enqueuing newly discovered work through the workload's
-//!   [`workload::TokenSink`].
+//!   acquiring tokens through any of the six queue designs, walking
+//!   each token's edges, claiming every child with the workload's
+//!   candidate and enqueuing the children whose claim improved.
 //! * [`runner`] — the host program, spelled out once: the private
 //!   launch primitive (buffer set-up, queue layout, launch, read-back for
 //!   one launch or a co-resident group), the [`runner::Run`] report

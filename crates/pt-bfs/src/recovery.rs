@@ -304,8 +304,10 @@ pub(crate) struct Progress {
 /// further, and at once for non-recoverable errors (out-of-bounds, audit
 /// violations, hard round-limit overruns). Never a panic: a spec that
 /// cannot be launched — an empty group; a zero checkpoint stride or edge
-/// chunk; a fault plan, CPU collaboration or checkpointing with more than one
-/// member; seeds outside the graph; a `spec.start` that does not fit the
+/// chunk; an edge chunk that overflows an edge index; a capacity factor
+/// or ceiling that is not finite and positive; a fault plan or
+/// checkpointing with more than one member (a device with CPU groups
+/// refuses a group too); seeds outside the graph; a `spec.start` that does not fit the
 /// graph or carries the queue's sentinel as a token — is a
 /// [`SimError::InvalidLaunch`] naming the cause, so callers can degrade
 /// it into a logged restart.
@@ -354,24 +356,43 @@ pub fn execute<W: PtWorkload>(
 /// Names what makes `spec` unlaunchable, if anything does.
 fn unlaunchable<W: PtWorkload>(spec: &RunSpec<'_, W>, seeds: &[Vec<u32>]) -> Option<String> {
     let (k, stride) = (spec.launches.len(), spec.policy.checkpoint_levels);
-    // Faults address waves and buffer names of *one* launch, CPU
-    // collaboration is a solo-baseline feature, and a fence or a
-    // snapshot belongs to one traversal.
+    // Faults address waves and buffer names of *one* launch, and a
+    // fence or a snapshot belongs to one traversal.
     let solo_only = if !spec.plan.is_empty() {
         Some("a non-empty fault plan")
-    } else if spec.config.cpu_collab_groups != 0 {
-        Some("CPU collaboration")
     } else if stride != u32::MAX || spec.start.is_some() {
         Some("checkpoint/resume")
     } else {
         None
     };
+    // A factor sizes the queue: one that is not a positive number sizes
+    // nothing (and an infinite one, everything).
+    let factors = [
+        ("config.capacity_factor", spec.config.capacity_factor),
+        (
+            "policy.max_capacity_factor",
+            spec.policy.max_capacity_factor,
+        ),
+    ];
+    let bad_factor = factors
+        .into_iter()
+        .find(|(_, f)| !(f.is_finite() && *f > 0.0));
+    // A lane's edge cursor steps `chunk` past an edge index, in `u32`.
+    let edges = spec.launches.iter().map(|(graph, _)| graph.num_edges());
+    let max_edges = edges.max().unwrap_or(0);
     if k == 0 {
         return Some("empty launch group".into());
     } else if stride == 0 {
         return Some("checkpoint stride must be positive".into());
     } else if spec.config.chunk == 0 {
         return Some("edge chunk per lane must be positive".into());
+    } else if let Some((field, factor)) = bad_factor {
+        return Some(format!("{field} must be finite and positive, got {factor}"));
+    } else if max_edges + spec.config.chunk as usize > u32::MAX as usize {
+        return Some(format!(
+            "edge chunk per lane {} overflows an edge index past {max_edges} edges",
+            spec.config.chunk
+        ));
     } else if let Some(what) = solo_only.filter(|_| k > 1) {
         return Some(format!(
             "{what} is single-launch only, got {k} co-resident launches"
@@ -794,25 +815,27 @@ mod tests {
     #[test]
     fn a_factor_that_cannot_grow_is_terminal_not_a_hang() {
         // CC seeds every vertex, so a fenced run's host-side pre-check
-        // finds 300 seeds against the 64-slot floor; doubling a zero
-        // factor gains nothing, so the check must end, not spin.
+        // finds 300 seeds against the 64-slot floor; a factor already at
+        // its ceiling cannot grow, so the check must end, not spin. A
+        // zero factor, which doubling never grows, is refused up front.
         let g = synthetic_tree(300, 4);
-        let config = PtConfig {
-            capacity_factor: 0.0,
-            ..cfg(Variant::RfAn)
-        };
-        let policy = RecoveryPolicy::default();
         let gpu = GpuConfig::test_tiny();
-        let err = run_recoverable(
-            &gpu,
-            &g,
-            &ConnectedComponents,
-            &config,
-            &policy,
-            &FaultPlan::EMPTY,
-        )
-        .unwrap_err();
+        let run = |capacity_factor, max_capacity_factor| {
+            let config = PtConfig {
+                capacity_factor,
+                ..cfg(Variant::RfAn)
+            };
+            let policy = RecoveryPolicy {
+                max_capacity_factor,
+                ..RecoveryPolicy::default()
+            };
+            let cc = ConnectedComponents;
+            run_recoverable(&gpu, &g, &cc, &config, &policy, &FaultPlan::EMPTY).unwrap_err()
+        };
+        let err = run(0.1, 0.1);
         assert!(err.is_queue_full(), "{err}");
+        let err = run(0.0, 32.0);
+        assert!(matches!(err, SimError::InvalidLaunch(_)), "{err}");
     }
 
     #[test]

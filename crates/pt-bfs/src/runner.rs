@@ -38,8 +38,6 @@ pub struct PtConfig {
     /// seeding need headroom (see
     /// [`PtWorkload::default_capacity_factor`]).
     pub capacity_factor: f64,
-    /// Collaborating CPU groups (0 except for the CHAI baseline).
-    pub cpu_collab_groups: usize,
     /// Inert: read by nothing. The engine's round loop is serial (DESIGN.md
     /// *Why the round loop is serial*); the field survives only because
     /// the frozen `benchmark/` package assigns it, and goes with that
@@ -56,7 +54,6 @@ impl PtConfig {
             workgroups,
             chunk: CHUNK,
             capacity_factor: 2.0,
-            cpu_collab_groups: 0,
             engine_workers: 1,
         }
     }
@@ -192,7 +189,7 @@ pub(crate) fn launch<W: PtWorkload>(
     for (l, &(graph, workload)) in spec.launches.iter().enumerate() {
         if group {
             // Namespace this launch's allocations so co-resident
-            // launches can each bind their own "nodes"/"edges"/aux
+            // launches can each map their own "nodes"/"edges"/"weights"
             // buffers in the one shared arena (lookups are by handle,
             // taken here). A solo launch keeps the bare names: fault
             // plans poison buffers by name.
@@ -201,8 +198,7 @@ pub(crate) fn launch<W: PtWorkload>(
         let n = graph.num_vertices();
         let nodes = mem.map("nodes", graph.shared_row_offsets());
         let edges = mem.map("edges", graph.shared_adjacency());
-        let mut workload = workload.clone();
-        workload.bind(mem);
+        let weights = workload.edge_weights().map(|w| mem.map("weights", w));
         // Per-token state spans `state_len` slots (`n` solo, `k * n` for
         // a k-member batch); frontier entries are tokens, so they index
         // this state directly.
@@ -238,6 +234,7 @@ pub(crate) fn launch<W: PtWorkload>(
         let buffers = WorkBuffers {
             nodes,
             edges,
+            weights,
             values,
             inqueue,
             pending,
@@ -250,13 +247,12 @@ pub(crate) fn launch<W: PtWorkload>(
     // designs declare (`simt::audit`) inside the launch; the run-level
     // retry-free claim is checked after it.
     let template = Launch::workgroups(config.workgroups)
-        .with_cpu_collab(config.cpu_collab_groups)
         .with_max_rounds(progress.max_rounds.min(simt::ROUND_LIMIT));
     let factory = |l: usize, info: WaveInfo| {
         let (queue, workload, buffers, fence) = &bound[l];
         let kernel = PtKernel::new(
             queue.wave_queue(info.cu),
-            workload.clone(),
+            (*workload).clone(),
             *buffers,
             info.wave_size,
             config.chunk,
@@ -626,9 +622,11 @@ mod tests {
     #[test]
     fn cpu_collab_groups_participate() {
         let g = synthetic_tree(300, 4);
-        let mut cfg = PtConfig::new(Variant::Base, 1);
-        cfg.cpu_collab_groups = 2;
-        let run = run_bfs(&GpuConfig::test_tiny(), &g, 0, &cfg).unwrap();
+        let gpu = GpuConfig {
+            cpu_groups: 2,
+            ..GpuConfig::test_tiny()
+        };
+        let run = run_bfs(&gpu, &g, 0, &PtConfig::new(Variant::Base, 1)).unwrap();
         assert_eq!(run.reached, 300);
     }
 

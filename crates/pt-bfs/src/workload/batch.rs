@@ -5,35 +5,33 @@
 //! arrays (values, on-queue bits, spill) from `n` to `k * n` slots and
 //! packs `query_id * n + vertex` into every scheduler token. The generic
 //! kernel strips the query tag with [`PtWorkload::token_row`] when it
-//! reads the shared CSR and the [`TokenSink`] re-applies it to every
-//! discovered child, so member workloads' `expand` implementations run
-//! unchanged and completely batch-oblivious. Each member's claim lattice
+//! reads the shared CSR and re-applies it to every discovered child, so
+//! the members' candidates and edge weights serve unchanged and the walk
+//! is completely batch-oblivious. Each member's claim lattice
 //! is private — confluence therefore holds per member, and slice `i` of
 //! the final value array is byte-identical to member `i`'s solo run.
 //!
 //! Members must be *execution-homogeneous*: same workload type, claim
-//! direction, value buffer, auxiliary bindings (e.g. one shared SSSP
-//! weight array), and `lane_value` derivation. Per-member identity may
+//! direction, value buffer, edge weights (e.g. one shared SSSP weight
+//! array), and candidate derivation. Per-member identity may
 //! enter only through [`PtWorkload::initial_values`], `seeds`, and
 //! `reference` — which is exactly the shape of a multi-source frontier.
 //! The serving layer guarantees this by batching only queries with the
 //! same workload kind × dataset × scale.
 
-use super::{Claim, PtWorkload, TokenSink, WorkBuffers};
+use super::{Claim, PtWorkload};
 use ptq_graph::Csr;
-use simt::{DeviceMemory, WaveCtx};
+use std::sync::Arc;
 
 /// `k` compatible queries fused into one launch (see module docs).
 ///
-/// Execution hooks (claim, bind, expand, lane_value) delegate to a
-/// prototype clone of the first member, so a batch binds shared
-/// auxiliary buffers exactly once; identity hooks (initial values,
-/// seeds, reference) concatenate the members' state, offsetting member
-/// `i` by `i * num_vertices`.
+/// Execution hooks (claim, candidate, edge weights) delegate to the
+/// first member, so a batch maps shared edge weights exactly once;
+/// identity hooks (initial values, seeds, reference) concatenate the
+/// members' state, offsetting member `i` by `i * num_vertices`.
 #[derive(Clone)]
 pub struct QueryBatch<W: PtWorkload> {
     members: Vec<W>,
-    proto: W,
     num_vertices: usize,
 }
 
@@ -46,7 +44,7 @@ impl<W: PtWorkload> QueryBatch<W> {
     /// direction, or value buffer (execution homogeneity).
     pub fn new(members: Vec<W>, num_vertices: usize) -> Self {
         assert!(!members.is_empty(), "a batch needs at least one member");
-        let proto = members[0].clone();
+        let proto = &members[0];
         for m in &members {
             assert_eq!(m.name(), proto.name(), "mixed workload kinds in batch");
             assert_eq!(m.claim(), proto.claim(), "mixed claim directions");
@@ -62,7 +60,6 @@ impl<W: PtWorkload> QueryBatch<W> {
         );
         QueryBatch {
             members,
-            proto,
             num_vertices,
         }
     }
@@ -83,6 +80,11 @@ impl<W: PtWorkload> QueryBatch<W> {
         &self.members
     }
 
+    /// The member the execution hooks delegate to.
+    fn proto(&self) -> &W {
+        &self.members[0]
+    }
+
     /// Member `i`'s slice of a batched state array (e.g. the final
     /// values a run produced) — the array member `i`'s solo run would
     /// have produced.
@@ -97,11 +99,11 @@ impl<W: PtWorkload> PtWorkload for QueryBatch<W> {
     }
 
     fn claim(&self) -> Claim {
-        self.proto.claim()
+        self.proto().claim()
     }
 
     fn value_buffer_name(&self) -> &'static str {
-        self.proto.value_buffer_name()
+        self.proto().value_buffer_name()
     }
 
     fn initial_values(&self, num_vertices: usize) -> Vec<u32> {
@@ -137,31 +139,12 @@ impl<W: PtWorkload> PtWorkload for QueryBatch<W> {
         token % self.num_vertices as u32
     }
 
-    fn bind(&mut self, mem: &mut DeviceMemory) {
-        // Shared auxiliary buffers are uploaded once via the prototype
-        // (members carry identical copies by the homogeneity contract).
-        self.proto.bind(mem);
+    fn candidate(&self, raw: u32, degree: u32) -> Option<u32> {
+        self.proto().candidate(raw, degree)
     }
 
-    fn lane_value(&self, raw: u32, edge_start: u32, edge_end: u32) -> u32 {
-        self.proto.lane_value(raw, edge_start, edge_end)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn expand(
-        &self,
-        ctx: &mut WaveCtx<'_>,
-        buffers: &WorkBuffers,
-        value: u32,
-        start: u32,
-        stop: u32,
-        scratch: &mut Vec<u32>,
-        sink: &mut TokenSink<'_>,
-    ) {
-        // The sink's query-id base re-tags every offered child; the
-        // member expansion itself is batch-oblivious.
-        self.proto
-            .expand(ctx, buffers, value, start, stop, scratch, sink);
+    fn edge_weights(&self) -> Option<Arc<Vec<u32>>> {
+        self.proto().edge_weights()
     }
 
     fn reference(&self, graph: &Csr) -> Vec<u32> {
@@ -182,7 +165,7 @@ impl<W: PtWorkload> PtWorkload for QueryBatch<W> {
 
     fn default_capacity_factor(&self) -> f64 {
         // The token space is `k` times wider; scale the queue with it.
-        self.members.len() as f64 * self.proto.default_capacity_factor()
+        self.members.len() as f64 * self.proto().default_capacity_factor()
     }
 }
 

@@ -1,14 +1,12 @@
 //! Top-down BFS as a [`PtWorkload`] — the paper's evaluation driver,
 //! now one workload among several on the generic core.
 
-use super::{Claim, PtWorkload, TokenSink, WorkBuffers, UNVISITED};
+use super::{Claim, PtWorkload, UNVISITED};
 use ptq_graph::{bfs_levels, Csr};
-use simt::WaveCtx;
 
 /// Breadth-first search from a single source. The value word is the
-/// vertex's BFS level, claimed with an atomic-min; a chunk of out-edges
-/// is read through the prevalidated run path and every child is offered
-/// `level + 1`.
+/// vertex's BFS level, claimed with an atomic-min; every child is
+/// offered `level + 1`.
 #[derive(Clone, Copy, Debug)]
 pub struct Bfs {
     /// Source vertex of the traversal.
@@ -49,30 +47,9 @@ impl PtWorkload for Bfs {
         vec![self.source]
     }
 
-    fn expand(
-        &self,
-        ctx: &mut WaveCtx<'_>,
-        buffers: &WorkBuffers,
-        value: u32,
-        start: u32,
-        stop: u32,
-        scratch: &mut Vec<u32>,
-        sink: &mut TokenSink<'_>,
-    ) {
-        // A lane's edge chunk is contiguous in CSR: one coalesced
-        // transaction (usually a single line), read through the
-        // prevalidated run path — one bounds check per chunk instead of
-        // one per edge.
-        ctx.charge_coalesced_access(buffers.edges, start as usize, (stop - start) as usize);
-        ctx.peek_run(
-            buffers.edges,
-            start as usize,
-            (stop - start) as usize,
-            scratch,
-        );
-        for &child in scratch.iter() {
-            sink.offer(ctx, child, value + 1);
-        }
+    /// One level deeper; an unvisited (`u32::MAX`) level offers nothing.
+    fn candidate(&self, raw: u32, _degree: u32) -> Option<u32> {
+        raw.checked_add(1)
     }
 
     fn reference(&self, graph: &Csr) -> Vec<u32> {

@@ -8,9 +8,8 @@
 //! an undirected graph the fixed point labels every vertex with the
 //! smallest vertex id in its component.
 
-use super::{Claim, PtWorkload, TokenSink, WorkBuffers};
+use super::{Claim, PtWorkload};
 use ptq_graph::{min_label_fixpoint, Csr};
-use simt::WaveCtx;
 
 /// Min-label propagation. The value word is the component label,
 /// claimed with an atomic-min; the candidate offered to every child is
@@ -39,26 +38,8 @@ impl PtWorkload for ConnectedComponents {
         (0..num_vertices as u32).collect()
     }
 
-    fn expand(
-        &self,
-        ctx: &mut WaveCtx<'_>,
-        buffers: &WorkBuffers,
-        value: u32,
-        start: u32,
-        stop: u32,
-        scratch: &mut Vec<u32>,
-        sink: &mut TokenSink<'_>,
-    ) {
-        ctx.charge_coalesced_access(buffers.edges, start as usize, (stop - start) as usize);
-        ctx.peek_run(
-            buffers.edges,
-            start as usize,
-            (stop - start) as usize,
-            scratch,
-        );
-        for &child in scratch.iter() {
-            sink.offer(ctx, child, value);
-        }
+    fn candidate(&self, raw: u32, _degree: u32) -> Option<u32> {
+        Some(raw)
     }
 
     fn reference(&self, graph: &Csr) -> Vec<u32> {

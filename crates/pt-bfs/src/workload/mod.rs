@@ -16,11 +16,17 @@
 //!   component labels) or an atomic-max (best-contribution
 //!   PageRank-delta),
 //! * the **initial state**: per-vertex values and the seed tokens,
-//! * the **expansion step**: how a lane walks one chunk of a token's
-//!   out-edges and what candidate value it offers each child through
-//!   the [`TokenSink`],
+//! * the **candidate**: the value a token offers every child, derived
+//!   once per token from its raw value and out-degree
+//!   ([`PtWorkload::candidate`]; `None` offers nothing),
+//! * optional **edge weights**, one per CSR edge, added to the candidate
+//!   along each edge ([`PtWorkload::edge_weights`]; SSSP's),
 //! * a **sequential reference oracle** computing the exact value array
 //!   every run must reproduce.
+//!
+//! The kernel owns the traversal: it walks each token's edges a chunk
+//! at a time and claims every child with the candidate, so no workload
+//! touches the device.
 //!
 //! Every workload here is *confluent*: the claim is a directed atomic
 //! on a totally ordered value word, so the traversal converges to the
@@ -42,9 +48,9 @@ pub use cc::ConnectedComponents;
 pub use prdelta::PrDelta;
 pub use sssp::Sssp;
 
-use crate::kernel::SpillFence;
 use ptq_graph::Csr;
-use simt::{Buffer, DeviceMemory, WaveCtx};
+use simt::Buffer;
+use std::sync::Arc;
 
 pub(crate) use crate::UNVISITED;
 
@@ -66,6 +72,9 @@ pub struct WorkBuffers {
     pub nodes: Buffer,
     /// CSR adjacency — the paper's `Edges`.
     pub edges: Buffer,
+    /// Per-edge weights parallel to `edges` (see
+    /// [`PtWorkload::edge_weights`]); `None` for unweighted workloads.
+    pub weights: Option<Buffer>,
     /// Per-vertex claimed value word — the paper's `Costs`, generalized:
     /// BFS levels, SSSP distances, CC labels, or PR-delta contributions.
     pub values: Buffer,
@@ -75,74 +84,10 @@ pub struct WorkBuffers {
     pub pending: Buffer,
 }
 
-/// The emission half of a work cycle, handed to [`PtWorkload::expand`]:
-/// claims a child's value word in the workload's [`Claim`] direction and
-/// routes each *winning* claim to the wavefront outbox (or, past an
-/// epoch fence, to the spill buffer).
-///
-/// Offers are linearized by the claim atomic itself: exactly one of the
-/// concurrent offers for a child observes the improving transition, and
-/// only the offer that then flips the on-queue bit 0→1 emits a token —
-/// so a child is scheduled at most once per improvement, under any
-/// interleaving.
-pub struct TokenSink<'a> {
-    pub(crate) claim: Claim,
-    pub(crate) values: Buffer,
-    pub(crate) inqueue: Buffer,
-    pub(crate) fence: Option<SpillFence>,
-    pub(crate) outbox: &'a mut Vec<u32>,
-    /// Query-id tag of the token being expanded: `token - token_row(token)`
-    /// (see [`PtWorkload::token_row`]). Offered children are raw CSR rows;
-    /// the sink re-tags them with the same query id before touching
-    /// per-query state, so `expand` implementations stay batch-oblivious.
-    /// Zero for every solo (non-batched) workload.
-    pub(crate) base: u32,
-}
-
-impl TokenSink<'_> {
-    /// Offers `candidate` as `child`'s new value. Claims the value word
-    /// with the workload's directed atomic; on a strict improvement,
-    /// claims the on-queue bit and emits the token (outbox or spill).
-    /// `child` is a CSR row; in a batched launch the parent token's
-    /// query-id tag carries over to the emitted token.
-    pub fn offer(&mut self, ctx: &mut WaveCtx<'_>, child: u32, candidate: u32) {
-        let token = self.base + child;
-        let old = match self.claim {
-            Claim::Min => ctx.atomic_min(self.values, token as usize, candidate),
-            Claim::Max => ctx.atomic_max(self.values, token as usize, candidate),
-        };
-        let improved = match self.claim {
-            Claim::Min => old > candidate,
-            Claim::Max => old < candidate,
-        };
-        if !improved {
-            return;
-        }
-        // Improving discovery: schedule it unless it is already sitting
-        // in the queue.
-        let was = ctx.atomic_exchange(self.inqueue, token as usize, 1);
-        if was != 0 {
-            return;
-        }
-        match self.fence {
-            // Beyond the epoch fence (min-directed workloads only: the
-            // fence is a ceiling on the monotonically growing claim
-            // value): park the claimed token in the spill buffer for the
-            // next launch to seed from.
-            Some(f) if self.claim == Claim::Min && candidate > f.depth => {
-                let at = ctx.atomic_add(f.spill, 0, 1);
-                ctx.global_write_lane(f.spill, 1 + at as usize, token);
-            }
-            _ => self.outbox.push(token),
-        }
-    }
-}
-
 /// One irregular workload runnable on the persistent-thread core.
 ///
-/// Implementations are cloned once per wavefront (and once per epoch by
-/// the recoverable runner), so they must be cheap to clone — share large
-/// payloads (e.g. edge weights) behind an `Arc`.
+/// Implementations are cloned once per wavefront, so they must be cheap
+/// to clone — share large payloads (e.g. edge weights) behind an `Arc`.
 pub trait PtWorkload: Clone {
     /// Short display name (experiment tables, error messages).
     fn name(&self) -> &'static str;
@@ -187,37 +132,19 @@ pub trait PtWorkload: Clone {
         token
     }
 
-    /// Allocates and uploads workload-private device buffers (e.g. SSSP
-    /// edge weights). Called once per launch, after the CSR buffers and
-    /// before the value array, so buffer flat addresses are stable.
-    fn bind(&mut self, mem: &mut DeviceMemory) {
-        let _ = mem;
-    }
+    /// The value a token offers every child, from the raw value a lane
+    /// loads in the acquisition prolog and the token's out-degree:
+    /// computed once per token, pure (no device ops). `None` offers
+    /// nothing — the lane still walks its edge span, one chunk per
+    /// cycle, without touching memory.
+    fn candidate(&self, raw: u32, degree: u32) -> Option<u32>;
 
-    /// Maps the raw value a lane loads in the acquisition prolog to the
-    /// lane's working value for this token. Pure (no device ops). The
-    /// default is the identity; PR-delta derives its per-edge offer from
-    /// the raw residual and the vertex degree here.
-    fn lane_value(&self, raw: u32, edge_start: u32, edge_end: u32) -> u32 {
-        let _ = (edge_start, edge_end);
-        raw
+    /// Weights, one per CSR edge, added (saturating) to the candidate
+    /// along each edge. The runner maps them read-only under the buffer
+    /// name "weights", after the CSR buffers and before the value array.
+    fn edge_weights(&self) -> Option<Arc<Vec<u32>>> {
+        None
     }
-
-    /// Expands edges `start..stop` of a token whose lane value is
-    /// `value`: read the adjacency slice and offer each child a
-    /// candidate through `sink`. `scratch` is a reusable per-wavefront
-    /// buffer for prevalidated chunk reads.
-    #[allow(clippy::too_many_arguments)]
-    fn expand(
-        &self,
-        ctx: &mut WaveCtx<'_>,
-        buffers: &WorkBuffers,
-        value: u32,
-        start: u32,
-        stop: u32,
-        scratch: &mut Vec<u32>,
-        sink: &mut TokenSink<'_>,
-    );
 
     /// Sequential reference oracle: the exact value array every run must
     /// produce.

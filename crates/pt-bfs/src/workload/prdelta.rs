@@ -14,14 +14,13 @@
 //! system, unique least fixed point, exact under every schedule (see
 //! `ptq_graph::propagate::decay_fixpoint`).
 
-use super::{Claim, PtWorkload, TokenSink, WorkBuffers};
+use super::{Claim, PtWorkload};
 use ptq_graph::{decay_fixpoint, Csr};
-use simt::WaveCtx;
 
 /// Best-contribution PageRank-delta from a single seed. The value word
 /// is the contribution, claimed with an atomic-max; the offer for every
 /// child of a token is derived once from the token's residual and
-/// degree in [`PtWorkload::lane_value`].
+/// degree in [`PtWorkload::candidate`].
 #[derive(Clone, Copy, Debug)]
 pub struct PrDelta {
     /// Seed vertex (the personalization vertex of the push).
@@ -83,38 +82,11 @@ impl PtWorkload for PrDelta {
         vec![self.source]
     }
 
-    /// The offer is identical for every out-edge of a token, so it is
-    /// derived once at acquisition: residual halved, split by degree.
-    fn lane_value(&self, raw: u32, edge_start: u32, edge_end: u32) -> u32 {
-        let degree = edge_end - edge_start;
-        (raw / 2).checked_div(degree).unwrap_or(0)
-    }
-
-    fn expand(
-        &self,
-        ctx: &mut WaveCtx<'_>,
-        buffers: &WorkBuffers,
-        value: u32,
-        start: u32,
-        stop: u32,
-        scratch: &mut Vec<u32>,
-        sink: &mut TokenSink<'_>,
-    ) {
-        // Below the delta cutoff the token propagates nothing; the lane
-        // walks its edge span without touching memory.
-        if value < self.threshold {
-            return;
-        }
-        ctx.charge_coalesced_access(buffers.edges, start as usize, (stop - start) as usize);
-        ctx.peek_run(
-            buffers.edges,
-            start as usize,
-            (stop - start) as usize,
-            scratch,
-        );
-        for &child in scratch.iter() {
-            sink.offer(ctx, child, value);
-        }
+    /// Residual halved, split by degree; below the delta cutoff the
+    /// token propagates nothing.
+    fn candidate(&self, raw: u32, degree: u32) -> Option<u32> {
+        let share = (raw / 2).checked_div(degree).unwrap_or(0);
+        (share >= self.threshold).then_some(share)
     }
 
     fn reference(&self, graph: &Csr) -> Vec<u32> {

@@ -6,38 +6,28 @@
 //! larger default capacity factor. Exactness is validated against
 //! sequential Dijkstra.
 
-use super::{Claim, PtWorkload, TokenSink, WorkBuffers, UNVISITED};
+use super::{Claim, PtWorkload, UNVISITED};
 use ptq_graph::{dijkstra, Csr};
-use simt::{Buffer, DeviceMemory, WaveCtx};
 use std::sync::Arc;
 
 /// Single-source shortest paths over non-negative `u32` edge weights.
 /// The value word is the tentative distance, claimed with an atomic-min;
-/// adjacency and weights are parallel arrays read per edge.
+/// every child is offered the token's distance plus the edge's weight.
 #[derive(Clone, Debug)]
 pub struct Sssp {
     /// Source vertex of the traversal.
     pub source: u32,
     /// One weight per CSR edge, shared across wavefront clones.
     weights: Arc<Vec<u32>>,
-    /// Device handle of the uploaded weights (set by [`PtWorkload::bind`]).
-    weights_buf: Option<Buffer>,
 }
 
 impl Sssp {
-    /// SSSP from `source` over `weights` (one per CSR edge — checked at
-    /// bind time against the graph the runner was handed).
+    /// SSSP from `source` over `weights` (one per CSR edge).
     pub fn new(source: u32, weights: Vec<u32>) -> Self {
         Sssp {
             source,
             weights: Arc::new(weights),
-            weights_buf: None,
         }
-    }
-
-    /// The edge weights this workload carries.
-    pub fn weights(&self) -> &[u32] {
-        &self.weights
     }
 }
 
@@ -68,45 +58,12 @@ impl PtWorkload for Sssp {
         vec![self.source]
     }
 
-    fn bind(&mut self, mem: &mut DeviceMemory) {
-        self.weights_buf = Some(mem.map("weights", Arc::clone(&self.weights)));
+    fn candidate(&self, raw: u32, _degree: u32) -> Option<u32> {
+        Some(raw)
     }
 
-    fn expand(
-        &self,
-        ctx: &mut WaveCtx<'_>,
-        buffers: &WorkBuffers,
-        value: u32,
-        start: u32,
-        stop: u32,
-        scratch: &mut Vec<u32>,
-        sink: &mut TokenSink<'_>,
-    ) {
-        let weights = self.weights_buf.expect("bind() uploads the weights");
-        let len = (stop - start) as usize;
-        // Adjacency and weights are parallel arrays: two coalesced
-        // chunk reads, taken as two runs into one scratch.
-        ctx.charge_coalesced_access(buffers.edges, start as usize, len);
-        ctx.charge_coalesced_access(weights, start as usize, len);
-        scratch.clear();
-        let runs = ctx
-            .try_peek_run(buffers.edges, start as usize, len, scratch)
-            .and_then(|()| ctx.try_peek_run(weights, start as usize, len, scratch));
-        if runs.is_ok() {
-            let (children, weights) = scratch.split_at(len);
-            for (&child, &weight) in children.iter().zip(weights) {
-                sink.offer(ctx, child, value.saturating_add(weight));
-            }
-            return;
-        }
-        // A run faulted (a poisoned word, or a chunk past the buffer):
-        // re-walk it edge by edge, so the offers before the faulting word
-        // land and the fault is recorded at that word, in that order.
-        for edge in start..stop {
-            let child = ctx.peek(buffers.edges, edge as usize);
-            let weight = ctx.peek(weights, edge as usize);
-            sink.offer(ctx, child, value.saturating_add(weight));
-        }
+    fn edge_weights(&self) -> Option<Arc<Vec<u32>>> {
+        Some(Arc::clone(&self.weights))
     }
 
     fn reference(&self, graph: &Csr) -> Vec<u32> {

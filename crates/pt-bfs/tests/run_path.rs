@@ -179,15 +179,32 @@ fn a_start_frontier_past_the_queue_regrows_on_every_design() {
     }
 }
 
+/// `spec` comes back from [`execute`] on `gpu` as an
+/// [`SimError::InvalidLaunch`] naming `cause`, before any attempt, with
+/// its fault plan handed back.
+fn assert_refused(gpu: &GpuConfig, spec: RunSpec<'_, Bfs>, cause: &str) {
+    let plan = spec.plan.clone();
+    let failure = execute(gpu, spec).expect_err(cause);
+    match &failure.error {
+        SimError::InvalidLaunch(why) => assert!(why.contains(cause), "{why:?} vs {cause:?}"),
+        other => panic!("{cause}: expected InvalidLaunch, got {other:?}"),
+    }
+    assert!(failure.checkpoint.is_none() && failure.log.attempts.is_empty());
+    assert_eq!(failure.remaining_plan, plan, "{cause}: plan handed back");
+}
+
 #[test]
 fn unlaunchable_specs_are_typed_errors_naming_the_cause() {
     let graph = synthetic_tree(100, 4);
     let (bfs, stray) = (Bfs::new(0), Bfs::new(100));
+    let tiny = GpuConfig::test_tiny();
     let config = PtConfig::new(Variant::RfAn, 2);
-    let mut collab = config.clone();
-    collab.cpu_collab_groups = 1;
     let zero_chunk = PtConfig {
         chunk: 0,
+        ..config.clone()
+    };
+    let wide_chunk = PtConfig {
+        chunk: u32::MAX,
         ..config.clone()
     };
     let plain = RecoveryPolicy::regrow_only(config.capacity_factor);
@@ -205,10 +222,10 @@ fn unlaunchable_specs_are_typed_errors_naming_the_cause() {
     let table: [(Launches, &PtConfig, &RecoveryPolicy, &FaultPlan, &str); 7] = [
         (&[], &config, &plain, &none, "empty launch group"),
         (&pair, &config, &plain, &kill, "fault plan"),
-        (&pair, &collab, &plain, &none, "CPU collaboration"),
         (&solo, &config, &zero_stride, &none, "checkpoint stride"),
         (&astray, &config, &plain, &none, "seed 100"),
         (&solo, &zero_chunk, &plain, &none, "chunk"),
+        (&solo, &wide_chunk, &plain, &none, "overflows an edge index"),
         // Not asked for by name, same boundary: one fence per traversal.
         (
             &pair,
@@ -223,13 +240,29 @@ fn unlaunchable_specs_are_typed_errors_naming_the_cause() {
             plan,
             ..RunSpec::new(launches, config, policy)
         };
-        let failure = execute(&GpuConfig::test_tiny(), spec).expect_err(cause);
-        match &failure.error {
-            SimError::InvalidLaunch(why) => assert!(why.contains(cause), "{why:?} vs {cause:?}"),
-            other => panic!("{cause}: expected InvalidLaunch, got {other:?}"),
-        }
-        assert!(failure.checkpoint.is_none() && failure.log.attempts.is_empty());
-        assert_eq!(&failure.remaining_plan, plan, "{cause}: plan handed back");
+        assert_refused(&tiny, spec, cause);
+    }
+    // CPU groups are the device's shape; they address one launch's waves.
+    let collab = GpuConfig {
+        cpu_groups: 1,
+        ..tiny.clone()
+    };
+    assert_refused(&collab, RunSpec::new(&pair, &config, &plain), "CPU groups");
+    // Factors that size no queue, as the starting factor and as the
+    // regrow ceiling.
+    for factor in [f64::INFINITY, f64::NAN, 0.0, -1.0] {
+        let start = PtConfig {
+            capacity_factor: factor,
+            ..config.clone()
+        };
+        let spec = RunSpec::new(&solo, &start, &plain);
+        assert_refused(&tiny, spec, "config.capacity_factor");
+        let policy = RecoveryPolicy {
+            max_capacity_factor: factor,
+            ..plain.clone()
+        };
+        let spec = RunSpec::new(&solo, &config, &policy);
+        assert_refused(&tiny, spec, "policy.max_capacity_factor");
     }
     // The constructors surface the same error instead of panicking.
     let err = run_workload(&GpuConfig::test_tiny(), &graph, &stray, &config).unwrap_err();

@@ -37,6 +37,10 @@ pub struct GpuConfig {
     pub wgs_per_cu: usize,
     /// Core clock in GHz, used to convert cycles to seconds.
     pub clock_ghz: f64,
+    /// Collaborating CPU thread-groups beside the CUs (0 in every preset;
+    /// the CHAI baseline's heterogeneous device). Each runs one wave of
+    /// class [`crate::WaveClass::CpuCollab`] on its own virtual unit.
+    pub cpu_groups: usize,
     /// Cycle costs.
     pub cost: CostModel,
 }
@@ -52,6 +56,7 @@ impl GpuConfig {
             waves_per_wg: 1,
             wgs_per_cu: 4,
             clock_ghz: 1.05,
+            cpu_groups: 0,
             cost: CostModel::discrete(),
         }
     }
@@ -66,6 +71,7 @@ impl GpuConfig {
             waves_per_wg: 1,
             wgs_per_cu: 4,
             clock_ghz: 0.72,
+            cpu_groups: 0,
             cost: CostModel::integrated(),
         }
     }
@@ -81,6 +87,7 @@ impl GpuConfig {
             waves_per_wg: 1,
             wgs_per_cu: 2,
             clock_ghz: 1.0,
+            cpu_groups: 0,
             cost: CostModel::unit(),
         }
     }

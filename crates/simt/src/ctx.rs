@@ -598,21 +598,6 @@ impl<'a> WaveCtx<'a> {
         }
     }
 
-    /// As [`WaveCtx::peek_run`], but appends to `out` (not cleared) and
-    /// returns a fault instead of recording it, leaving `out` as it was:
-    /// for a caller that falls back to per-word [`WaveCtx::peek`]s, which
-    /// record the fault at the word that raises it.
-    pub fn try_peek_run(
-        &self,
-        buf: Buffer,
-        start: usize,
-        len: usize,
-        out: &mut Vec<u32>,
-    ) -> Result<(), SimError> {
-        out.extend_from_slice(self.memory.load_run(buf, start, len)?);
-        Ok(())
-    }
-
     /// Round-stale zero-cost observation (see [`WaveCtx::peek`] and
     /// [`WaveCtx::global_read_stale`]).
     pub fn peek_stale(&mut self, buf: Buffer, index: usize) -> u32 {

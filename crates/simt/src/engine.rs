@@ -62,10 +62,6 @@ pub const ROUND_LIMIT: u64 = 50_000_000;
 pub struct Launch {
     /// GPU workgroups to launch (each `waves_per_wg` wavefronts).
     pub num_workgroups: usize,
-    /// Collaborating CPU thread-groups (CHAI baseline); each behaves like
-    /// a wavefront of class [`WaveClass::CpuCollab`] on its own
-    /// virtual compute unit.
-    pub cpu_collab_groups: usize,
     /// Safety limit on scheduling rounds ([`ROUND_LIMIT`] by default).
     pub max_rounds: u64,
 }
@@ -75,15 +71,8 @@ impl Launch {
     pub fn workgroups(n: usize) -> Self {
         Launch {
             num_workgroups: n,
-            cpu_collab_groups: 0,
             max_rounds: ROUND_LIMIT,
         }
-    }
-
-    /// Adds collaborating CPU groups (CHAI-style heterogeneous launch).
-    pub fn with_cpu_collab(mut self, groups: usize) -> Self {
-        self.cpu_collab_groups = groups;
-        self
     }
 
     /// Overrides the round safety limit.
@@ -267,8 +256,8 @@ impl Engine {
     /// co-residents that finish early report shorter makespans than
     /// stragglers, exactly like overlapping streams on real hardware.
     ///
-    /// `template` supplies the shared knobs (round limit, CPU collab
-    /// groups); `launch_wgs[l]` is launch `l`'s workgroup count.
+    /// `template` supplies the shared knobs (the round limit);
+    /// `launch_wgs[l]` is launch `l`'s workgroup count.
     /// `factory` receives `(launch_index, info)` where `info` carries
     /// *launch-local* `wave_id`/`workgroup`/`total_waves` (kernels see
     /// their own geometry, as if launched alone) while CU assignment
@@ -279,15 +268,15 @@ impl Engine {
     /// for bit. A non-empty plan may kill waves (structured abort), stall
     /// CUs (extra cycles, recorded in `Metrics::injected_stall_cycles`),
     /// or poison memory words (abort on next kernel access). Faults and
-    /// CPU collab groups address one launch's waves, so they are
-    /// single-launch only.
+    /// the device's CPU groups ([`GpuConfig::cpu_groups`]) address one
+    /// launch's waves, so they are single-launch only.
     ///
     /// # Errors
     /// Fails on device faults (out-of-bounds), kernel aborts (queue-full,
     /// injected faults), or exceeding the round limit; an abort in any
     /// launch fails the whole group. Refused with
     /// [`SimError::InvalidLaunch`], before any device state changes: a
-    /// fault plan or CPU collab groups with more than one launch, no
+    /// fault plan or CPU groups with more than one launch, no
     /// launch, a group member with no workgroup, a `wave_size` outside
     /// `1..=`[`MAX_WAVE_SIZE`], or a launch with no group in it.
     pub fn run_group<K, F>(
@@ -303,8 +292,9 @@ impl Engine {
     {
         let num_launches = launch_wgs.len();
         let group = num_launches > 1;
-        let refused = if group && !(plan.is_empty() && launch.cpu_collab_groups == 0) {
-            Some("faults and CPU collab groups are single-launch only")
+        let cpu_groups = self.config.cpu_groups;
+        let refused = if group && !(plan.is_empty() && cpu_groups == 0) {
+            Some("faults and CPU groups are single-launch only")
         } else if num_launches == 0 {
             Some("need at least one launch")
         } else if group && launch_wgs.contains(&0) {
@@ -325,17 +315,17 @@ impl Engine {
             .iter()
             .map(|&n| n * self.config.waves_per_wg)
             .sum();
-        let total_waves = gpu_waves + launch.cpu_collab_groups;
+        let total_waves = gpu_waves + cpu_groups;
         if total_waves == 0 {
             return Err(SimError::InvalidLaunch(
                 "launch must contain at least one group".into(),
             ));
         }
-        let num_cus = self.config.num_cus + launch.cpu_collab_groups;
+        let num_cus = self.config.num_cus + cpu_groups;
 
         // Build wave table. GPU workgroups are distributed round-robin
         // over CUs in launch order (matching how a hardware dispatcher
-        // fills the device as streams arrive); each CPU collab group gets
+        // fills the device as streams arrive); each CPU group gets
         // its own virtual unit. `wave_id`/`workgroup`/`total_waves` stay
         // launch-local so a kernel's queue-slot partitioning is the same
         // whether it runs alone or co-resident.
@@ -343,8 +333,7 @@ impl Engine {
         let mut launch_of = Vec::with_capacity(total_waves);
         let mut global_wg = 0usize;
         for (l, &wgs) in launch_wgs.iter().enumerate() {
-            let local_total =
-                wgs * self.config.waves_per_wg + if l == 0 { launch.cpu_collab_groups } else { 0 };
+            let local_total = wgs * self.config.waves_per_wg + if l == 0 { cpu_groups } else { 0 };
             for wg in 0..wgs {
                 for w in 0..self.config.waves_per_wg {
                     infos.push(WaveInfo {
@@ -360,7 +349,7 @@ impl Engine {
                 global_wg += 1;
             }
         }
-        for g in 0..launch.cpu_collab_groups {
+        for g in 0..cpu_groups {
             infos.push(WaveInfo {
                 wave_id: launch_wgs[0] * self.config.waves_per_wg + g,
                 workgroup: launch_wgs[0] + g,
@@ -421,7 +410,7 @@ impl Engine {
                 round_bounds: RoundBounds::default(),
             })
             .collect();
-        states[0].waves_left += launch.cpu_collab_groups;
+        states[0].waves_left += cpu_groups;
         let mut newly_done: Vec<usize> = Vec::new();
         let mut profile = Profile::default();
         let mut cu_cycles = vec![0u64; num_cus];
@@ -905,12 +894,10 @@ mod tests {
     #[test]
     fn cpu_collab_waves_get_virtual_units() {
         let mut e = tiny_engine();
+        e.config.cpu_groups = 2;
         let buf = e.memory().buffer("counter");
         let report = e
-            .run(Launch::workgroups(1).with_cpu_collab(2), |_| IncrKernel {
-                buf,
-                remaining: 1,
-            })
+            .run(Launch::workgroups(1), |_| IncrKernel { buf, remaining: 1 })
             .unwrap();
         assert_eq!(e.memory().read_u32(buf, 0), 3);
         // 2 GPU CUs + 2 virtual CPU units.
@@ -1251,9 +1238,9 @@ mod tests {
         }
         const CLEAN: &FaultPlan = &FaultPlan::EMPTY;
         let cases: [(&str, Request); 7] = [
-            ("CPU collab groups", |e, buf| {
-                let template = Launch::workgroups(1).with_cpu_collab(1);
-                e.run_group(template, &[1, 1], CLEAN, incr(buf))
+            ("CPU groups", |e, buf| {
+                e.config.cpu_groups = 1;
+                e.run_group(Launch::workgroups(1), &[1, 1], CLEAN, incr(buf))
             }),
             ("at least one launch", |e, buf| {
                 e.run_group(Launch::workgroups(1), &[], CLEAN, incr(buf))

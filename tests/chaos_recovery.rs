@@ -12,13 +12,14 @@
 //! *distance* units, plus
 //! the acceptance scenario for both: resuming from a checkpoint replays
 //! strictly fewer rounds than restarting from scratch under the same
-//! fault plan.
+//! fault plan. The kernel's edge walk faults on the mapped inputs too:
+//! a poisoned adjacency or weight word recovers like a poisoned value.
 
-use ptq::bfs::workload::{Bfs, Sssp};
+use ptq::bfs::workload::{Bfs, PtWorkload, Sssp};
 use ptq::bfs::{run_bfs, run_recoverable, run_workload, PtConfig, RecoveryPolicy};
-use ptq::graph::{random_weights, Dataset};
+use ptq::graph::{bfs_levels, random_weights, Csr, Dataset};
 use ptq::queue::Variant;
-use simt::{AbortReason, FaultPlan, FaultSpec, GpuConfig};
+use simt::{AbortReason, FaultKind, FaultPlan, FaultSpec, GpuConfig};
 
 /// The six dataset shapes at chaos-test scale: fractions chosen so every
 /// graph lands at roughly 1–2.5k vertices (seconds per run, not minutes).
@@ -417,4 +418,57 @@ fn empty_plan_matches_plain_runner_on_dataset() {
     assert_eq!(run.metrics.injected_faults, 0);
     assert_eq!(run.metrics.injected_stall_cycles, 0);
     assert!(run.recovery.attempts.is_empty());
+}
+
+/// A retried run of `workload` under one poisoned `word` of `buffer`
+/// logs the poison as an injected fault and recovers the clean values.
+fn assert_poison_recovers<W: PtWorkload>(graph: &Csr, workload: &W, buffer: &str, word: usize) {
+    let gpu = GpuConfig::test_tiny();
+    let config = PtConfig::for_workload(workload, Variant::RfAn, 3);
+    let clean = run_workload(&gpu, graph, workload, &config).unwrap();
+    let plan = FaultPlan::new().poison(1, buffer, word);
+    let policy = RecoveryPolicy {
+        checkpoint_levels: u32::MAX,
+        max_attempts: 4,
+        ..RecoveryPolicy::default()
+    };
+    let run = run_recoverable(&gpu, graph, workload, &config, &policy, &plan)
+        .unwrap_or_else(|e| panic!("{buffer}: poisoned run failed: {e}"));
+    let poisoned = |reason: &AbortReason| {
+        matches!(
+            reason,
+            AbortReason::InjectedFault {
+                kind: FaultKind::MemPoison,
+                ..
+            }
+        )
+    };
+    let log = &run.recovery.attempts;
+    assert!(log.iter().any(|a| poisoned(&a.reason)), "{buffer}: {log:?}");
+    assert_eq!(
+        run.values, clean.values,
+        "{buffer}: recovered values differ"
+    );
+}
+
+/// Every seeded plan poisons a value buffer; this one poisons the mapped
+/// inputs the edge walk reads, inside the launch's reach: the end row
+/// offset of a vertex three levels out in `"nodes"` and its first edge
+/// in `"edges"` under BFS, and that edge's word of `"weights"` under
+/// SSSP.
+#[test]
+fn poisoned_csr_and_weight_words_recover_to_the_clean_values() {
+    let (dataset, fraction) = CHAOS_SCALE[3]; // RoadNY: deep frontier
+    let graph = dataset.build(fraction);
+    let source = dataset.source();
+    let levels = bfs_levels(&graph, source).levels;
+    let far = (0..graph.num_vertices() as u32)
+        .find(|&v| levels[v as usize] == 3 && graph.degree(v) > 0)
+        .expect("a vertex three levels out with an out-edge");
+    let word = graph.edge_start(far) as usize;
+    let bfs = Bfs::new(source);
+    assert_poison_recovers(&graph, &bfs, "nodes", far as usize + 1);
+    assert_poison_recovers(&graph, &bfs, "edges", word);
+    let sssp = Sssp::new(source, random_weights(&graph, 9, 0x57));
+    assert_poison_recovers(&graph, &sssp, "weights", word);
 }

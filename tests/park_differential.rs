@@ -71,8 +71,7 @@ impl<W: PtWorkload> Device<W> {
         let seeds = workload.seeds(n);
         let nodes = mem.map("nodes", graph.shared_row_offsets());
         let edges = mem.map("edges", graph.shared_adjacency());
-        let mut workload = workload.clone();
-        workload.bind(mem);
+        let weights = workload.edge_weights().map(|w| mem.map("weights", w));
         let values = mem.alloc_init(workload.value_buffer_name(), &workload.initial_values(n));
         let inqueue = mem.alloc("inqueue", workload.state_len(n));
         for &seed in &seeds {
@@ -86,10 +85,11 @@ impl<W: PtWorkload> Device<W> {
         let queue = DeviceQueue::setup(mem, design, capacity, gpu.num_cus);
         queue.host_seed(mem, &seeds);
         Device {
-            workload,
+            workload: workload.clone(),
             buffers: WorkBuffers {
                 nodes,
                 edges,
+                weights,
                 values,
                 inqueue,
                 pending,

@@ -84,6 +84,9 @@ impl TokenSink<'_> {
     /// claims the on-queue bit and emits the token (outbox or spill).
     /// `child` is a CSR row; in a batched launch the parent token's
     /// query-id tag carries over to the emitted token.
+    // `always`: the per-edge call (one site, in `work_cycle`) survived
+    // the plain hint; the cold spill path stays out of line.
+    #[inline(always)]
     fn offer(&mut self, ctx: &mut WaveCtx<'_>, child: u32, candidate: u32) {
         let token = self.base + child;
         let old = match self.claim {
@@ -108,13 +111,19 @@ impl TokenSink<'_> {
             // fence is a ceiling on the monotonically growing claim
             // value): park the claimed token in the spill buffer for the
             // next launch to seed from.
-            Some(f) if self.claim == Claim::Min && candidate > f.depth => {
-                let at = ctx.atomic_add(f.spill, 0, 1);
-                ctx.global_write_lane(f.spill, 1 + at as usize, token);
-            }
+            Some(f) if self.claim == Claim::Min && candidate > f.depth => spill(ctx, f, token),
             _ => self.outbox.push(token),
         }
     }
+}
+
+/// Appends `token` to the fence's spill buffer: off the per-edge path,
+/// which it would otherwise bloat past inlining.
+#[cold]
+#[inline(never)]
+fn spill(ctx: &mut WaveCtx<'_>, fence: SpillFence, token: u32) {
+    let at = ctx.atomic_add(fence.spill, 0, 1);
+    ctx.global_write_lane(fence.spill, 1 + at as usize, token);
 }
 
 /// Per-lane execution state, one column per field: the node each lane in
@@ -153,9 +162,6 @@ pub struct PtKernel<W: PtWorkload, Q: WaveQueue = DeviceQueue> {
     /// traversal is complete).
     completed: u32,
     chunk: u32,
-    /// Reusable buffers for one lane's prevalidated edge and weight chunks.
-    edge_scratch: Vec<u32>,
-    weight_scratch: Vec<u32>,
     /// Frontier fence for epoch-bounded (checkpointable) launches.
     /// `None` for plain runs — the fence branch is then never taken and
     /// the kernel's behaviour is bit-identical to the unfenced original.
@@ -184,8 +190,6 @@ impl<W: PtWorkload, Q: WaveQueue> PtKernel<W, Q> {
             outbox: Vec::new(),
             completed: 0,
             chunk,
-            edge_scratch: Vec::new(),
-            weight_scratch: Vec::new(),
             fence: None,
         }
     }
@@ -265,28 +269,27 @@ impl<W: PtWorkload, Q: WaveQueue> WaveKernel for PtKernel<W, Q> {
                     // A lane's edge chunk is contiguous in CSR: one
                     // coalesced transaction (usually a single line) per
                     // array, read through the prevalidated run path — one
-                    // bounds check per chunk instead of one per edge. A
-                    // faulting run records its fault and offers nothing.
+                    // bounds check per chunk instead of one per edge, and
+                    // no copy. A faulting run records its fault and
+                    // offers nothing.
                     ctx.charge_coalesced_access(edges, at, len);
                     if let Some(weights) = weights {
                         ctx.charge_coalesced_access(weights, at, len);
                     }
-                    ctx.peek_run(edges, at, len, &mut self.edge_scratch);
                     sink.base = work.base[lane];
                     let candidate = work.candidate[lane];
-                    match weights {
-                        None => {
-                            for &child in &self.edge_scratch {
-                                sink.offer(ctx, child, candidate);
-                            }
+                    let runs = match (ctx.open_run(edges, at, len), weights) {
+                        (Some(run), None) => Some((run, None)),
+                        (Some(run), Some(weights)) => {
+                            ctx.open_run(weights, at, len).map(|w| (run, Some(w)))
                         }
-                        Some(weights) => {
-                            ctx.peek_run(weights, at, len, &mut self.weight_scratch);
-                            for (&child, &weight) in
-                                self.edge_scratch.iter().zip(&self.weight_scratch)
-                            {
-                                sink.offer(ctx, child, candidate.saturating_add(weight));
-                            }
+                        (None, _) => None,
+                    };
+                    if let Some((run, weight_run)) = runs {
+                        for i in 0..run.len() {
+                            let child = ctx.run_word(run, i);
+                            let weight = weight_run.map_or(0, |w| ctx.run_word(w, i));
+                            sink.offer(ctx, child, candidate.saturating_add(weight));
                         }
                     }
                 }

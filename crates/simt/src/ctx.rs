@@ -268,6 +268,30 @@ impl ParkRequest {
     }
 }
 
+/// A run of consecutive words of one buffer that [`WaveCtx::open_run`]
+/// bounds- and poison-checked whole; [`WaveCtx::run_word`] reads it. Valid
+/// for the work cycle that opened it: a poison armed later is not seen.
+#[derive(Clone, Copy, Debug)]
+pub struct WordRun {
+    buf: Buffer,
+    start: usize,
+    len: usize,
+}
+
+impl WordRun {
+    /// Words in the run.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True if the run holds no words.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
 /// Execution context for one work cycle of one wavefront.
 pub struct WaveCtx<'a> {
     pub(crate) memory: &'a mut DeviceMemory,
@@ -277,9 +301,14 @@ pub struct WaveCtx<'a> {
     pub(crate) info: WaveInfo,
     /// Issue cycles accumulated this work cycle (summed).
     pub(crate) issue: u64,
-    /// Latency watermark this work cycle (independent ops pipeline, so we
-    /// keep the max, including serialization delay).
-    pub(crate) latency: u64,
+    /// Latency watermark of this work cycle's non-atomic accesses
+    /// (independent ops pipeline, so we keep the max). The whole cycle's
+    /// is [`WaveCtx::latency`].
+    pub(crate) access_latency: u64,
+    /// One plus the largest same-address rank among this cycle's global
+    /// atomics, 0 if it issued none: their serialization wait is charged
+    /// once, in [`WaveCtx::latency`].
+    pub(crate) atomic_rank: u32,
     /// First device fault, if any (kernel keeps running with zeros, the
     /// engine fails the run afterwards — mirrors GPU fault semantics but
     /// deterministically).
@@ -318,7 +347,8 @@ impl<'a> WaveCtx<'a> {
             cost,
             info,
             issue: 0,
-            latency: 0,
+            access_latency: 0,
+            atomic_rank: 0,
             fault: None,
             abort: None,
             atomic_ops: 0,
@@ -351,6 +381,28 @@ impl<'a> WaveCtx<'a> {
         self.memory.buffer(name)
     }
 
+    /// The cycle's exposed-latency watermark: the max over its accesses'
+    /// latencies and its atomics' waits. An atomic waits
+    /// `(atomic_latency + min(rank, atomic_pipe_depth) * atomic_serialize)`
+    /// times the wave's penalty: that never falls as the rank grows and
+    /// the penalty is fixed for the wave, so
+    /// the max over the cycle's atomics is the wait at its largest rank,
+    /// computed here once instead of per atomic.
+    #[inline]
+    pub(crate) fn latency(&self) -> u64 {
+        let Some(rank) = self.atomic_rank.checked_sub(1) else {
+            return self.access_latency;
+        };
+        // The memory partition pipelines same-address atomics up to its
+        // queue depth; beyond that the requester perceives no additional
+        // wait (throughput costs surface as the issuing waves' own issue
+        // slots instead).
+        let pipelined_rank = u64::from(rank).min(self.cost.atomic_pipe_depth);
+        let wait = (self.cost.atomic_latency + pipelined_rank * self.cost.atomic_serialize)
+            * self.penalty();
+        self.access_latency.max(wait)
+    }
+
     /// Multiplier for memory/atomic costs on this wavefront's cluster.
     #[inline]
     fn penalty(&self) -> u64 {
@@ -380,11 +432,15 @@ impl<'a> WaveCtx<'a> {
     /// Charges one global access of `issue` cycles per instruction — a
     /// wave-coalesced `mem_issue` or a lock-step lane's `alu_issue`
     /// address slot — plus its latency, transaction and cache line.
-    #[inline]
+    // `always`, like the lane accessors, `global_atomic` and
+    // `charge_coalesced_access`: `PtKernel::work_cycle` is large enough
+    // that the plain hint left each a call on its per-token or per-edge
+    // path (DESIGN.md *Host-side fast paths*, *The access path*).
+    #[inline(always)]
     fn charge_global(&mut self, issue: u64, buf: Buffer, index: usize) {
         let p = self.penalty();
         self.issue += issue * p;
-        self.latency = self.latency.max(self.cost.mem_latency * p);
+        self.access_latency = self.access_latency.max(self.cost.mem_latency * p);
         self.metrics.global_mem_ops += 1;
         self.touch_line(buf, index);
     }
@@ -406,6 +462,8 @@ impl<'a> WaveCtx<'a> {
     /// slot or edge). Lock-step lanes share one *instruction* — the issue
     /// cost is an address-math slot — while the per-lane transaction lands
     /// on the memory system as a distinct cache line plus latency.
+    // `always`: see `charge_global`.
+    #[inline(always)]
     pub fn global_read_lane(&mut self, buf: Buffer, index: usize) -> u32 {
         self.charge_global(self.cost.alu_issue, buf, index);
         let value = self.memory.load(buf, index);
@@ -438,6 +496,8 @@ impl<'a> WaveCtx<'a> {
 
     /// Per-lane scattered global store (lock-step cost structure; see
     /// [`WaveCtx::global_read_lane`]).
+    // `always`: see `charge_global`.
+    #[inline(always)]
     pub fn global_write_lane(&mut self, buf: Buffer, index: usize, value: u32) {
         self.charge_global(self.cost.alu_issue, buf, index);
         self.poke(buf, index, value);
@@ -468,6 +528,7 @@ impl<'a> WaveCtx<'a> {
     }
 
     /// Global atomic exchange.
+    #[inline]
     pub fn atomic_exchange(&mut self, buf: Buffer, index: usize, value: u32) -> u32 {
         self.audit_count_afa();
         self.global_atomic(buf, index, |_| value)
@@ -475,6 +536,7 @@ impl<'a> WaveCtx<'a> {
 
     /// Global atomic min (claim operation of min-directed workloads:
     /// BFS levels, SSSP distances, component labels).
+    #[inline]
     pub fn atomic_min(&mut self, buf: Buffer, index: usize, value: u32) -> u32 {
         self.audit_count_afa();
         self.global_atomic(buf, index, |v| v.min(value))
@@ -483,19 +545,25 @@ impl<'a> WaveCtx<'a> {
     /// Global atomic max (claim operation of max-directed workloads,
     /// e.g. best-contribution PageRank-delta). Same AFA class and cost
     /// model as [`WaveCtx::atomic_min`].
+    #[inline]
     pub fn atomic_max(&mut self, buf: Buffer, index: usize, value: u32) -> u32 {
         self.audit_count_afa();
         self.global_atomic(buf, index, |v| v.max(value))
     }
 
+    /// The shared body of every global atomic. Its wait is not computed
+    /// here: the cycle keeps its largest rank and [`WaveCtx::latency`]
+    /// charges the wait once.
+    // `always`: see `charge_global`.
+    #[inline(always)]
     fn global_atomic(&mut self, buf: Buffer, index: usize, f: impl FnOnce(u32) -> u32) -> u32 {
-        let p = self.penalty();
         self.metrics.global_atomics += 1;
         // Instruction replay + atomic-ALU time are charged through the
-        // per-CU atomic-unit pool (sub-cycle per op; see CostModel).
-        self.atomic_ops += p; // SVM atomics occupy the unit longer
-                              // Fused rank + version + snapshot + store: one bounds check and
-                              // one metadata fetch for the whole atomic.
+        // per-CU atomic-unit pool (sub-cycle per op; see CostModel). SVM
+        // atomics occupy the unit longer.
+        self.atomic_ops += self.penalty();
+        // Fused rank + version + snapshot + store: one bounds check and
+        // one metadata fetch for the whole atomic.
         let (addr, rank, old) = match self.memory.atomic_rmw(buf, index, self.round, f) {
             Ok(t) => t,
             Err(e) => {
@@ -504,13 +572,7 @@ impl<'a> WaveCtx<'a> {
             }
         };
         self.round.touch_line(addr / LINE_WORDS);
-        // The memory partition pipelines same-address atomics up to its
-        // queue depth; beyond that the requester perceives no additional
-        // wait (throughput costs surface as the issuing waves' own issue
-        // slots instead).
-        let pipelined_rank = u64::from(rank).min(self.cost.atomic_pipe_depth);
-        let wait = (self.cost.atomic_latency + pipelined_rank * self.cost.atomic_serialize) * p;
-        self.latency = self.latency.max(wait);
+        self.atomic_rank = self.atomic_rank.max(rank + 1);
         old
     }
 
@@ -539,6 +601,8 @@ impl<'a> WaveCtx<'a> {
     /// to observe the data. This is how lock-step lanes accessing
     /// consecutive addresses (monitored queue slots, CSR edge chunks)
     /// hit memory: one transaction per line, not one per lane.
+    // `always`: see `charge_global`.
+    #[inline(always)]
     pub fn charge_coalesced_access(&mut self, buf: Buffer, start: usize, len: usize) {
         if len == 0 {
             return;
@@ -550,7 +614,7 @@ impl<'a> WaveCtx<'a> {
         // One lock-step instruction plus an address replay per extra line;
         // the data movement itself is bandwidth + latency.
         self.issue += (self.cost.alu_issue * txns) * p;
-        self.latency = self.latency.max(self.cost.mem_latency * p);
+        self.access_latency = self.access_latency.max(self.cost.mem_latency * p);
         self.metrics.global_mem_ops += txns;
         for line in first_line..=last_line {
             let idx = line * LINE_WORDS;
@@ -573,29 +637,45 @@ impl<'a> WaveCtx<'a> {
         }
         let p = self.penalty();
         self.issue += self.cost.mem_issue * txns * p;
-        self.latency = self.latency.max(self.cost.mem_latency / 4 * p);
+        self.access_latency = self.access_latency.max(self.cost.mem_latency / 4 * p);
         self.metrics.global_mem_ops += txns;
     }
 
     /// Zero-cost data observation; only valid alongside a
     /// [`WaveCtx::charge_coalesced_access`] covering the same words.
+    #[inline]
     pub fn peek(&mut self, buf: Buffer, index: usize) -> u32 {
         let value = self.memory.load(buf, index);
         self.or_fault(value)
     }
 
-    /// Zero-cost observation of `len` consecutive words starting at
-    /// `start`, appended into `out` (cleared first): the prevalidated
-    /// companion of [`WaveCtx::charge_coalesced_access`] for contiguous
-    /// blocks like CSR edge chunks — one bounds check per block instead of
-    /// one per word. Faults (leaving `out` empty) if the run leaves the
-    /// buffer.
-    pub fn peek_run(&mut self, buf: Buffer, start: usize, len: usize, out: &mut Vec<u32>) {
-        out.clear();
-        match self.memory.load_run(buf, start, len) {
-            Ok(words) => out.extend_from_slice(words),
-            Err(e) => self.record_fault(e),
+    /// Opens the `len` consecutive words of `buf` starting at `start` for
+    /// zero-cost observation through [`WaveCtx::run_word`]: the
+    /// prevalidated companion of [`WaveCtx::charge_coalesced_access`] for
+    /// contiguous blocks like CSR edge chunks — one bounds and poison
+    /// check per block instead of one per word, and no copy. Faults
+    /// (returning `None`) if the run leaves the buffer or covers a
+    /// poisoned word.
+    #[inline]
+    pub fn open_run(&mut self, buf: Buffer, start: usize, len: usize) -> Option<WordRun> {
+        match self.memory.check_run(buf, start, len) {
+            Ok(()) => Some(WordRun { buf, start, len }),
+            Err(e) => {
+                self.record_fault(e);
+                None
+            }
         }
+    }
+
+    /// Word `i` of a run [`WaveCtx::open_run`] validated in this work
+    /// cycle: zero-cost, and no further bounds or poison check.
+    ///
+    /// # Panics
+    /// Panics if `i` is not below the run's length.
+    #[inline]
+    pub fn run_word(&self, run: WordRun, i: usize) -> u32 {
+        assert!(i < run.len, "word {i} of a {}-word run", run.len);
+        self.memory.run_word(run.buf, run.start + i)
     }
 
     /// Round-stale zero-cost observation (see [`WaveCtx::peek`] and
@@ -606,6 +686,7 @@ impl<'a> WaveCtx<'a> {
     }
 
     /// Zero-cost store companion of [`WaveCtx::charge_coalesced_access`].
+    #[inline]
     pub fn poke(&mut self, buf: Buffer, index: usize, value: u32) {
         self.wrote = true;
         let stored = self.memory.store(buf, index, value);
@@ -922,11 +1003,11 @@ mod tests {
         let buf = mem.buffer("buf");
         let mut ctx = WaveCtx::new(&mut mem, &mut m, &mut r, &cost, info(), &mut w);
         ctx.atomic_add(buf, 0, 1); // rank 0: latency 10
-        assert_eq!(ctx.latency, 10);
+        assert_eq!(ctx.latency(), 10);
         ctx.atomic_add(buf, 0, 1); // rank 1: latency 10 + 1
-        assert_eq!(ctx.latency, 11);
+        assert_eq!(ctx.latency(), 11);
         ctx.atomic_add(buf, 1, 1); // different word: rank 0 again
-        assert_eq!(ctx.latency, 11);
+        assert_eq!(ctx.latency(), 11);
     }
 
     #[test]
@@ -938,7 +1019,7 @@ mod tests {
         ctx.global_read(buf, 1);
         ctx.charge_alu(3);
         assert_eq!(ctx.issue, 1 + 1 + 3);
-        assert_eq!(ctx.latency, 10); // max, not sum
+        assert_eq!(ctx.latency(), 10); // max, not sum
     }
 
     #[test]
@@ -954,7 +1035,7 @@ mod tests {
         // SVM atomics occupy the atomic unit longer and expose longer
         // latency (the issue slot cost lives in the unit pool).
         assert_eq!(ctx.atomic_ops, cost.svm_penalty);
-        assert_eq!(ctx.latency, cost.atomic_latency * cost.svm_penalty);
+        assert_eq!(ctx.latency(), cost.atomic_latency * cost.svm_penalty);
     }
 
     #[test]
@@ -993,7 +1074,7 @@ mod tests {
         let mut ctx = WaveCtx::new(&mut mem, &mut m, &mut r, &cost, info(), &mut w);
         ctx.lds_atomics(4);
         assert_eq!(ctx.issue, 4 * cost.lds_atomic);
-        assert_eq!(ctx.latency, 0);
+        assert_eq!(ctx.latency(), 0);
         assert_eq!(m.lds_atomics, 4);
     }
 
@@ -1008,20 +1089,129 @@ mod tests {
     }
 
     #[test]
-    fn peek_run_matches_per_word_peeks() {
+    fn run_words_match_per_word_peeks() {
         let (mut mem, mut m, mut r, cost, mut w) = harness();
         let buf = mem.buffer("buf");
         mem.write_u32(buf, 2, 5);
         mem.write_u32(buf, 3, 6);
         let mut ctx = WaveCtx::new(&mut mem, &mut m, &mut r, &cost, info(), &mut w);
-        let mut out = Vec::new();
-        ctx.peek_run(buf, 2, 2, &mut out);
-        assert_eq!(out, vec![5, 6]);
-        assert_eq!(ctx.issue, 0, "peek_run is a zero-cost observer");
-        // Overrunning the buffer faults and yields nothing.
-        ctx.peek_run(buf, 6, 3, &mut out);
-        assert!(out.is_empty());
-        assert!(matches!(ctx.fault, Some(SimError::OutOfBounds { .. })));
+        let run = ctx.open_run(buf, 2, 2).expect("in bounds");
+        let words: Vec<u32> = (0..run.len()).map(|i| ctx.run_word(run, i)).collect();
+        assert_eq!(words, [ctx.peek(buf, 2), ctx.peek(buf, 3)]);
+        assert_eq!(words, [5, 6]);
+        assert_eq!(ctx.issue, 0, "a run is a zero-cost observer");
+        // An empty run at the buffer's end is in bounds.
+        assert!(ctx.open_run(buf, 8, 0).is_some_and(|run| run.is_empty()));
+        assert!(ctx.fault.is_none());
+        // Overrunning the buffer faults and opens nothing.
+        assert!(ctx.open_run(buf, 6, 3).is_none());
+        assert_eq!(ctx.fault, Some(SimError::OutOfBounds { index: 8, len: 8 }));
+    }
+
+    #[test]
+    #[should_panic(expected = "word 2 of a 2-word run")]
+    fn run_word_past_the_run_panics() {
+        let (mut mem, mut m, mut r, cost, mut w) = harness();
+        let buf = mem.buffer("buf");
+        let mut ctx = WaveCtx::new(&mut mem, &mut m, &mut r, &cost, info(), &mut w);
+        let run = ctx.open_run(buf, 0, 2).expect("in bounds");
+        ctx.run_word(run, 2);
+    }
+
+    #[test]
+    fn run_over_a_poisoned_word_faults() {
+        let (mut mem, mut m, mut r, cost, mut w) = harness();
+        let buf = mem.buffer("buf");
+        let addr = mem.flat_addr(buf, 5).unwrap();
+        let mut ctx = WaveCtx::new(&mut mem, &mut m, &mut r, &cost, info(), &mut w);
+        ctx.memory.arm_poison(addr, 3);
+        assert!(
+            ctx.open_run(buf, 0, 5).is_some(),
+            "stops short of the poison"
+        );
+        assert!(ctx.fault.is_none());
+        assert!(ctx.open_run(buf, 4, 4).is_none());
+        assert!(matches!(
+            ctx.fault,
+            Some(SimError::KernelAbort {
+                reason: AbortReason::InjectedFault {
+                    kind: crate::error::FaultKind::MemPoison,
+                    round: 3,
+                    ..
+                },
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn deferred_atomic_wait_equals_the_eager_running_max() {
+        let mut rng = crate::fault::SplitMix64::new(0x5EED_A70C);
+        let mut clamped = 0;
+        for case in 0..400 {
+            let mut cost = CostModel::unit();
+            cost.mem_latency = 1 + rng.below(40);
+            cost.atomic_latency = 1 + rng.below(40);
+            cost.atomic_serialize = rng.below(8);
+            cost.svm_penalty = 1 + rng.below(5);
+            // Half the cases clamp below the ranks a 24-op cycle reaches
+            // on 1–4 words, half lie above every one of them.
+            cost.atomic_pipe_depth = if case % 2 == 0 {
+                rng.below(4)
+            } else {
+                24 + rng.below(8)
+            };
+            let class = if rng.below(2) == 0 {
+                WaveClass::Gpu
+            } else {
+                WaveClass::CpuCollab
+            };
+            let p = if class == WaveClass::Gpu {
+                1
+            } else {
+                cost.svm_penalty
+            };
+            let words = 1 + rng.below(4) as usize;
+            let (mut mem, mut m, mut r, _, mut w) = harness();
+            let buf = mem.buffer("buf");
+            let wave = WaveInfo { class, ..info() };
+            let mut ctx = WaveCtx::new(&mut mem, &mut m, &mut r, &cost, wave, &mut w);
+            let mut ranks = [0u64; 4];
+            let mut eager = 0;
+            for _ in 0..rng.below(25) {
+                let word = rng.below(words as u64) as usize;
+                let value = rng.below(16) as u32;
+                match rng.below(5) {
+                    0 => {
+                        ctx.atomic_add(buf, word, value);
+                    }
+                    1 => {
+                        ctx.atomic_cas(buf, word, value, value + 1);
+                    }
+                    2 => {
+                        ctx.atomic_min(buf, word, value);
+                    }
+                    3 => {
+                        ctx.atomic_exchange(buf, word, value);
+                    }
+                    _ => {
+                        ctx.global_read(buf, word);
+                        eager = eager.max(cost.mem_latency * p);
+                        assert_eq!(ctx.latency(), eager, "case {case}");
+                        continue;
+                    }
+                }
+                let rank = ranks[word];
+                ranks[word] += 1;
+                clamped += u64::from(rank > cost.atomic_pipe_depth);
+                let wait = (cost.atomic_latency
+                    + rank.min(cost.atomic_pipe_depth) * cost.atomic_serialize)
+                    * p;
+                eager = eager.max(wait);
+                assert_eq!(ctx.latency(), eager, "case {case}");
+            }
+        }
+        assert!(clamped > 0, "some atomics ranked past the pipe depth");
     }
 
     #[test]
@@ -1095,7 +1285,7 @@ mod tests {
         assert!(ctx.poison_armed());
         assert_eq!(ctx.observe_stale(buf, 2), 9, "round-start value");
         assert!(ctx.fault.is_none(), "the observer never faults");
-        assert_eq!((ctx.issue, ctx.latency), (0, 0));
+        assert_eq!((ctx.issue, ctx.latency()), (0, 0));
         assert_eq!(ctx.round.cycle_lines(), 0);
         assert_eq!(ctx.metrics.global_mem_ops, 0);
         // The faulting accessor over the same word does fault.

@@ -537,7 +537,7 @@ impl Engine {
                 ctx.parked_front_version = parked_front_version;
                 let status = kernels[w].work_cycle(&mut ctx);
                 let issue = ctx.issue;
-                let latency = ctx.latency;
+                let latency = ctx.latency();
                 let atomic_ops = ctx.atomic_ops;
                 let wrote = ctx.wrote;
                 let fault = ctx.fault.take();

@@ -224,12 +224,12 @@ impl FaultPlan {
 
 /// Minimal SplitMix64 (Steele et al.) — `simt` is dependency-free, so it
 /// carries its own copy rather than depending on `ptq_graph::rng`.
-struct SplitMix64 {
+pub(crate) struct SplitMix64 {
     state: u64,
 }
 
 impl SplitMix64 {
-    fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         Self { state: seed }
     }
 
@@ -242,7 +242,7 @@ impl SplitMix64 {
     }
 
     /// Uniform draw in `[0, bound)` (bound > 0), via 128-bit multiply.
-    fn below(&mut self, bound: u64) -> u64 {
+    pub(crate) fn below(&mut self, bound: u64) -> u64 {
         ((self.next_u64() as u128 * bound as u128) >> 64) as u64
     }
 }

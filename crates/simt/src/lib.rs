@@ -64,7 +64,7 @@ pub mod trace;
 
 pub use audit::OpSpec;
 pub use config::{CostModel, GpuConfig, MAX_WAVE_SIZE};
-pub use ctx::{WaveClass, WaveCtx, WaveInfo, WaveKernel, WaveStatus};
+pub use ctx::{WaveClass, WaveCtx, WaveInfo, WaveKernel, WaveStatus, WordRun};
 pub use engine::{Engine, Launch, RunReport, ROUND_LIMIT};
 pub use error::{AbortReason, FaultKind, SimError};
 pub use fault::{CuStall, FaultPlan, FaultSpec, MemPoison, WaveKill};

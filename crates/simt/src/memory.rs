@@ -723,40 +723,37 @@ impl DeviceMemory {
     pub fn load(&self, buf: Buffer, index: usize) -> Result<u32, SimError> {
         let addr = buf.addr(index)?;
         self.check_poison(addr)?;
-        Ok(if buf.is_mapped() {
-            self.host_words(buf)[index]
-        } else {
-            self.words[addr]
-        })
+        Ok(self.run_word(buf, index))
     }
 
-    /// Bounds-checks the whole run `[start, start + len)` once and returns
-    /// it as a slice — the prevalidated read path for contiguous blocks
-    /// (CSR edge chunks): one check per block instead of one per word.
+    /// Bounds- and poison-checks the whole run `[start, start + len)` of
+    /// `buf` once — the prevalidated read path for contiguous blocks (CSR
+    /// edge chunks), whose words [`DeviceMemory::run_word`] then reads:
+    /// one check per block instead of one per word.
     #[inline]
-    pub(crate) fn load_run(
-        &self,
-        buf: Buffer,
-        start: usize,
-        len: usize,
-    ) -> Result<&[u32], SimError> {
-        let end =
-            start
-                .checked_add(len)
-                .filter(|&e| e <= buf.len())
-                .ok_or(SimError::OutOfBounds {
-                    index: start.saturating_add(len.saturating_sub(1)),
-                    len: buf.len(),
-                })?;
-        let offset = buf.offset();
+    pub(crate) fn check_run(&self, buf: Buffer, start: usize, len: usize) -> Result<(), SimError> {
+        start
+            .checked_add(len)
+            .filter(|&e| e <= buf.len())
+            .ok_or(SimError::OutOfBounds {
+                index: start.saturating_add(len.saturating_sub(1)),
+                len: buf.len(),
+            })?;
         if !self.poisoned.is_empty() && len > 0 {
-            self.check_poison_slow(offset + start, len)?;
+            self.check_poison_slow(buf.offset() + start, len)?;
         }
-        Ok(if buf.is_mapped() {
-            &self.host_words(buf)[start..end]
+        Ok(())
+    }
+
+    /// Word `index` of `buf`, already validated: no poison check, and
+    /// bounds-checked only against the backing array.
+    #[inline]
+    pub(crate) fn run_word(&self, buf: Buffer, index: usize) -> u32 {
+        if buf.is_mapped() {
+            self.host_words(buf)[index]
         } else {
-            &self.words[offset + start..offset + end]
-        })
+            self.words[buf.offset() + index]
+        }
     }
 
     /// The shadow entry of `addr`, marked touched: the round's first store
@@ -992,13 +989,30 @@ mod tests {
     }
 
     #[test]
-    fn load_run_checks_bounds_once() {
+    fn check_run_checks_bounds_once() {
         let mut mem = DeviceMemory::new();
         let a = mem.alloc_init("a", &[1, 2, 3, 4]);
-        assert_eq!(mem.load_run(a, 1, 3).unwrap(), &[2, 3, 4]);
-        assert_eq!(mem.load_run(a, 4, 0).unwrap(), &[]);
-        assert!(mem.load_run(a, 2, 3).is_err());
-        assert!(mem.load_run(a, usize::MAX, 2).is_err());
+        assert_eq!(mem.check_run(a, 1, 3), Ok(()));
+        assert_eq!(
+            (1..4).map(|i| mem.run_word(a, i)).collect::<Vec<_>>(),
+            [2, 3, 4]
+        );
+        assert_eq!(mem.check_run(a, 4, 0), Ok(()));
+        assert_eq!(
+            mem.check_run(a, 2, 3),
+            Err(SimError::OutOfBounds { index: 4, len: 4 })
+        );
+        assert!(mem.check_run(a, 5, 0).is_err());
+        assert!(mem.check_run(a, usize::MAX, 2).is_err());
+        mem.arm_poison(mem.flat_addr(a, 3).unwrap(), 0);
+        assert!(
+            mem.check_run(a, 1, 2).is_ok(),
+            "the poison lies past the run"
+        );
+        assert!(matches!(
+            mem.check_run(a, 2, 2),
+            Err(SimError::KernelAbort { .. })
+        ));
     }
 
     #[test]
@@ -1309,10 +1323,10 @@ mod tests {
             );
         }
         assert!(mem.store(a, 2, 9).is_err());
-        assert!(mem.load_run(a, 1, 3).is_err());
+        assert!(mem.check_run(a, 1, 3).is_err());
         // Neighbours and host reads are unaffected.
         assert_eq!(mem.load(a, 1).unwrap(), 2);
-        assert!(mem.load_run(a, 0, 2).is_ok());
+        assert!(mem.check_run(a, 0, 2).is_ok());
         assert_eq!(mem.read_u32(a, 2), 3);
         assert_eq!(mem.read_slice(a), &[1, 2, 3, 4]);
         mem.clear_poisons();
@@ -1350,8 +1364,9 @@ mod tests {
         assert_eq!(mem.load(m, 2).unwrap(), 12);
         assert_eq!(mem.stale_load(m, 1).unwrap(), 11);
         assert_eq!(mem.observe_stale(m, mem.flat_addr(m, 1).unwrap()), 11);
-        assert_eq!(mem.load_run(m, 1, 3).unwrap(), &[11, 12, 13]);
-        assert!(mem.load_run(m, 2, 3).is_err());
+        assert!(mem.check_run(m, 1, 3).is_ok());
+        assert_eq!(mem.run_word(m, 3), 13);
+        assert!(mem.check_run(m, 2, 3).is_err());
         assert!(matches!(
             mem.load(m, 4),
             Err(SimError::OutOfBounds { index: 4, len: 4 })
